@@ -12,21 +12,20 @@
 //! On the stage engine, BaseKV is the degenerate composition: one
 //! run-to-completion [`Stage`] per worker, never handing off.
 
-use std::collections::VecDeque;
-
 use utps_core::client::{DriverState, KvWorld};
 use utps_core::experiment::{RunConfig, RunResult};
 use utps_core::msg::{NetMsg, OpKind, Response};
 use utps_core::retry::DedupTable;
 use utps_core::rpc::{send_response, RecvRing, RespBuffers};
-use utps_core::stage::{PipelineRuntime, Stage, StepOutcome};
+use utps_core::stage::{PipelineRuntime, Stage, StageProc, StepOutcome};
 use utps_core::store::{KvOp, KvOpOutput, KvStore, OpBuffers};
-use utps_core::tier::TierState;
+use utps_core::system::{self, run_system, Proc, ServerParts, ServerWorld, System};
+use utps_core::tier::{self, DurabilityBarrier, TierCompactorProc, TierRunStats, TierState};
 use utps_index::Step;
 use utps_sim::nic::Fabric;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, StatClass};
-use utps_wal::{WalOp, WalRecord};
+use utps_sim::{Ctx, Machine, MetricsRegistry, StatClass};
+use utps_wal::WalRecord;
 use utps_workload::Op;
 
 /// BaseKV server world.
@@ -64,6 +63,18 @@ impl KvWorld for BaseWorld {
     }
 }
 
+impl ServerWorld for BaseWorld {
+    fn parts(&mut self) -> ServerParts<'_> {
+        ServerParts {
+            store: &mut self.store,
+            dedup: &mut self.dedup,
+            tier: &mut self.tier,
+            hot: None,
+            cluster: &mut self.cluster,
+        }
+    }
+}
+
 struct ActiveOp {
     seq: u64,
     op: KvOp,
@@ -81,9 +92,9 @@ pub struct BaseWorker {
     /// WAL records for the batch in flight, sealed as one commit group
     /// when the batch retires (tier runs only).
     wal_buf: Vec<WalRecord>,
-    /// Acks held behind the durability barrier: (needed WAL seq, response,
-    /// response buffer address). Released once `durable_seq` catches up.
-    defers: VecDeque<(u64, Response, usize)>,
+    /// Acks `(response, response buffer address)` held behind the
+    /// durability barrier.
+    defers: DurabilityBarrier<(Response, usize)>,
 }
 
 impl BaseWorker {
@@ -95,7 +106,7 @@ impl BaseWorker {
             batch: batch.max(1),
             ops: Vec::new(),
             wal_buf: Vec::new(),
-            defers: VecDeque::new(),
+            defers: DurabilityBarrier::default(),
         }
     }
 
@@ -129,23 +140,11 @@ impl BaseWorker {
     }
 
     fn run(&mut self, ctx: &mut Ctx<'_>, world: &mut BaseWorld) {
-        // Release acks whose commit group has become durable. Every ack —
-        // reads included, since they may have observed an earlier
-        // un-durable write — waits here when the tier is on; the dedup
+        // Release acks whose commit group has become durable. The dedup
         // table records only at actual send so a retransmit that arrives
         // while its ack is parked re-executes idempotently.
-        if !self.defers.is_empty() {
-            let durable = {
-                let tier = world.tier.as_mut().expect("defers imply a tier");
-                tier.advance(ctx.now());
-                tier.durable_seq()
-            };
-            while self
-                .defers
-                .front()
-                .is_some_and(|(need, _, _)| *need <= durable)
-            {
-                let (_, resp, resp_addr) = self.defers.pop_front().expect("checked above");
+        if let Some(tier) = world.tier.as_mut() {
+            for (resp, resp_addr) in self.defers.drain(tier, ctx.now()) {
                 world.dedup.record(resp.client, resp.seq);
                 world.responses += 1;
                 send_response(ctx, &mut world.fabric, resp_addr, resp);
@@ -243,11 +242,8 @@ impl BaseWorker {
                 }
             }
             if self.ops.is_empty() && !self.defers.is_empty() {
-                // Nothing runnable and acks parked on the barrier: jump to
-                // the next group commit instead of spinning.
-                if let Some(t) = world.tier.as_ref().and_then(|t| t.next_commit()) {
-                    ctx.advance_to(t);
-                }
+                // Nothing runnable and acks parked on the barrier.
+                tier::wait_for_commit(ctx, world.tier.as_ref());
             }
             return;
         }
@@ -270,22 +266,24 @@ impl BaseWorker {
                 }
                 let finished = self.ops.swap_remove(i);
                 let (_, v) = finished.cold.expect("checked above");
-                let len = v.len();
-                let payload = ctx.machine().payloads.alloc(v.into_boxed_slice());
-                ctx.write(world.resp.addr_for(self.id, finished.seq), len);
-                let out = KvOpOutput {
-                    ok: true,
-                    value: Some(payload),
-                    scan_count: 0,
-                    payload: 0,
-                };
+                let resp_addr = world.resp.addr_for(self.id, finished.seq);
+                let out = KvOpOutput::cold_hit(ctx, resp_addr, v);
                 self.respond(ctx, world, finished.seq, out);
                 continue;
             }
             ctx.fsm_switch();
             match self.ops[i].op.poll(ctx, &mut world.store) {
                 Step::Done(out) => {
-                    let Some(out) = self.tier_finish(ctx, world, i, out) else {
+                    let op = &mut self.ops[i];
+                    let Some(out) = tier::finish_op(
+                        ctx,
+                        world.tier.as_mut(),
+                        &world.store,
+                        world.ring.request(op.seq),
+                        &mut self.wal_buf,
+                        &mut op.cold,
+                        out,
+                    ) else {
                         // Parked on a cold-tier read; resolved on a later
                         // pass over the batch.
                         if let Some((ready, _)) = self.ops[i].cold {
@@ -309,12 +307,7 @@ impl BaseWorker {
             // Batch retired: seal its WAL records as one commit group. The
             // acks queued above stay parked until this group commits.
             if let Some(tier) = world.tier.as_mut() {
-                if !self.wal_buf.is_empty() {
-                    let records = std::mem::take(&mut self.wal_buf);
-                    // Group encode: header plus record copies into the tail.
-                    ctx.compute_ns(60 + 8 * records.len() as u64);
-                    tier.seal_group(&records, ctx.now());
-                }
+                tier.seal_batch(ctx, &mut self.wal_buf);
             }
         } else if let Some(t) = cold_next {
             // Only cold-read waiters remain: jump to the earliest device
@@ -345,8 +338,7 @@ impl BaseWorker {
                 cl.op_end(seq);
             }
             world.ring.abort(seq);
-            self.defers
-                .push_back((tier.last_applied(), resp, resp_addr));
+            self.defers.park(tier.last_applied(), (resp, resp_addr));
         } else {
             world.dedup.record(resp.client, resp.seq);
             if let Some(cl) = &world.cluster {
@@ -356,85 +348,6 @@ impl BaseWorker {
             world.responses += 1;
             send_response(ctx, &mut world.fabric, resp_addr, resp);
         }
-    }
-
-    /// Tier bookkeeping when an op's FSM completes — the BaseKV twin of
-    /// `utps_core::server`'s `tier_finish`: releases the active-key guard,
-    /// appends WAL records for applied writes, serves get misses from the
-    /// cold run (parking the op on the device read; returns `None`), and
-    /// upgrades deletes of run-only keys. Passthrough without the tier.
-    fn tier_finish(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        world: &mut BaseWorld,
-        i: usize,
-        mut out: KvOpOutput,
-    ) -> Option<KvOpOutput> {
-        if world.tier.is_none() {
-            return Some(out);
-        }
-        let seq = self.ops[i].seq;
-        let (client, client_seq, key, is_put, is_delete, is_get, is_scan) = {
-            let req = world.ring.request(seq);
-            (
-                req.client,
-                req.seq,
-                req.op.key(),
-                matches!(req.op, Op::Put { .. }),
-                matches!(req.op, Op::Delete { .. }),
-                matches!(req.op, Op::Get { .. }),
-                matches!(req.op, Op::Scan { .. }),
-            )
-        };
-        // Snapshot the just-applied value before borrowing the tier.
-        let put_value = if is_put && out.ok {
-            world.store.get_native(key).map(<[u8]>::to_vec)
-        } else {
-            None
-        };
-        let tier = world.tier.as_mut().expect("checked above");
-        if is_scan {
-            tier.scan_dec();
-            return Some(out);
-        }
-        tier.active_dec(key);
-        if let Some(value) = put_value {
-            ctx.compute_ns(10 + value.len() as u64 / 16);
-            self.wal_buf.push(WalRecord {
-                wal_seq: tier.next_seq(),
-                client,
-                client_seq,
-                key,
-                op: WalOp::Put,
-                value,
-            });
-        } else if is_delete {
-            let cold_only = !out.ok && tier.cold_get(key).is_some();
-            if out.ok || cold_only {
-                // Kill any run copy; log the delete. A run-only delete
-                // succeeds by tombstone alone — the run is immutable.
-                tier.tombstone(key);
-                ctx.compute_ns(10);
-                self.wal_buf.push(WalRecord {
-                    wal_seq: tier.next_seq(),
-                    client,
-                    client_seq,
-                    key,
-                    op: WalOp::Delete,
-                    value: Vec::new(),
-                });
-                out.ok = true;
-            }
-        } else if is_get && !out.ok {
-            if let Some(v) = tier.cold_get(key) {
-                // Cold hit: park on the device read with a value snapshot
-                // (compaction may replace the run before the read lands).
-                let ready = tier.device.read(v.len(), ctx.now());
-                self.ops[i].cold = Some((ready, v));
-                return None;
-            }
-        }
-        Some(out)
     }
 }
 
@@ -453,47 +366,64 @@ impl Stage<BaseWorld> for BaseWorker {
     }
 }
 
-/// Background compactor driving the durable tier's eviction/merge pass —
-/// the BaseKV twin of μTPS's `TierCompactorProc` (no hot cache to honor).
-pub struct BaseCompactor {
-    total_keys: u64,
-    next_at: SimTime,
-}
+/// BaseKV as a [`System`]: one run-to-completion worker per core, plus
+/// the compactor on a core of its own when the tier is on (keeping the
+/// tier-less core count — and thus the schedule — intact).
+/// `ISOLATE_DDIO = true` is the "TPQ+CAT" variant of Figure 2a: worker CLOS
+/// masks exclude the DDIO ways.
+pub struct BaseKv<const ISOLATE_DDIO: bool = false>;
 
-impl BaseCompactor {
-    /// Compactor over a `[0, total_keys)` key space, first pass at
-    /// `first_at`.
-    pub fn new(total_keys: u64, first_at: SimTime) -> Self {
-        BaseCompactor {
-            total_keys,
-            next_at: first_at,
-        }
-    }
-}
+impl<const ISOLATE_DDIO: bool> System for BaseKv<ISOLATE_DDIO> {
+    type World = BaseWorld;
 
-impl Stage<BaseWorld> for BaseCompactor {
-    fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut BaseWorld) -> StepOutcome {
-        let Some(tier) = world.tier.as_mut() else {
-            ctx.halt();
-            return StepOutcome::Idle;
-        };
-        tier.advance(ctx.now());
-        if ctx.now() >= self.next_at {
-            utps_core::tier::compact_pass(tier, &mut world.store, None, self.total_keys, ctx);
-            let period = world
-                .tier
-                .as_ref()
-                .expect("tier checked above")
-                .cfg
-                .compact_every_ps;
-            self.next_at = SimTime(ctx.now().as_ps() + period);
-        }
-        ctx.advance_to(self.next_at);
-        StepOutcome::Idle
+    fn cores(cfg: &RunConfig) -> usize {
+        cfg.workers + usize::from(cfg.tier.is_some())
     }
 
-    fn name(&self) -> &'static str {
-        "base-compactor"
+    fn build_world(cfg: &RunConfig) -> BaseWorld {
+        build_base_world(cfg)
+    }
+
+    fn prepare_machine(cfg: &RunConfig, machine: &mut Machine) {
+        if ISOLATE_DDIO {
+            let full = machine.cache.full_mask();
+            let ddio = machine.cache.ddio_mask();
+            for w in 0..cfg.workers {
+                machine.cache.set_clos_mask(w, full & !ddio);
+            }
+        }
+    }
+
+    fn procs(cfg: &RunConfig, _world: &BaseWorld) -> Vec<Proc<BaseWorld>> {
+        let mut procs: Vec<Proc<BaseWorld>> = (0..cfg.workers)
+            .map(|id| {
+                let worker = StageProc::new(BaseWorker::new(id, cfg.batch));
+                (id, StatClass::Other, Box::new(worker) as _)
+            })
+            .collect();
+        if let Some(tc) = &cfg.tier {
+            let compactor = TierCompactorProc::new(cfg.keys, SimTime(tc.compact_every_ps));
+            procs.push((cfg.workers, StatClass::Other, Box::new(compactor)));
+        }
+        procs
+    }
+
+    /// Baselines reset only the tier counters here (the runners reset the
+    /// cache counters; BaseKV's registry runs through warmup).
+    fn reset(world: &mut BaseWorld, _machine: &mut Machine) {
+        if let Some(tier) = world.tier.as_mut() {
+            tier.reset_stats();
+        }
+    }
+
+    fn fold(world: &BaseWorld, reg: &mut MetricsRegistry) {
+        if let Some(tier) = &world.tier {
+            tier.fold_into(reg);
+        }
+    }
+
+    fn overlay(worlds: &[&BaseWorld], r: &mut RunResult) {
+        r.tier = worlds[0].tier.as_ref().map(TierRunStats::from_tier);
     }
 }
 
@@ -516,83 +446,28 @@ pub fn build_base_world(cfg: &RunConfig) -> BaseWorld {
     }
 }
 
-/// Spawns the BaseKV workers (and the tier compactor when configured).
+/// [`BaseKv`]'s machine set-up and server processes on a runtime
+/// ([`system::spawn_procs`]).
 pub fn spawn_base_procs(rt: &mut PipelineRuntime<BaseWorld>, cfg: &RunConfig, isolate_ddio: bool) {
     if isolate_ddio {
-        let full = rt.machine().cache.full_mask();
-        let ddio = rt.machine().cache.ddio_mask();
-        for w in 0..cfg.workers {
-            rt.machine().cache.set_clos_mask(w, full & !ddio);
-        }
-    }
-    for id in 0..cfg.workers {
-        rt.spawn_stage(Some(id), StatClass::Other, BaseWorker::new(id, cfg.batch));
-    }
-    if let Some(tc) = &cfg.tier {
-        rt.spawn_stage(
-            Some(cfg.workers),
-            StatClass::Other,
-            BaseCompactor::new(cfg.keys, SimTime(tc.compact_every_ps)),
-        );
+        system::spawn_procs::<BaseKv<true>>(rt, cfg);
+    } else {
+        system::spawn_procs::<BaseKv>(rt, cfg);
     }
 }
 
-/// Runs BaseKV under `cfg`. `isolate_ddio = true` reproduces the "TPQ+CAT"
-/// variant of Figure 2a: worker CLOS masks exclude the DDIO ways.
+/// Runs BaseKV under `cfg`, optionally as the "TPQ+CAT" variant.
 pub fn run_basekv_opts(cfg: &RunConfig, isolate_ddio: bool) -> RunResult {
-    run_basekv_with_world(cfg, isolate_ddio).0
-}
-
-/// Like [`run_basekv_opts`] but also returns the final world (the crash
-/// runner harvests the tier and device state from it).
-pub fn run_basekv_with_world(cfg: &RunConfig, isolate_ddio: bool) -> (RunResult, BaseWorld) {
-    let world = build_base_world(cfg);
-    // One core per worker, plus one for the compactor when the tier is on
-    // (keeping the tier-less core count — and thus the schedule — intact).
-    let cores = cfg.workers + usize::from(cfg.tier.is_some());
-    let mut rt = PipelineRuntime::new(cfg, cores, world);
-    spawn_base_procs(&mut rt, cfg, isolate_ddio);
-    rt.spawn_clients(cfg);
-    rt.run(|eng| {
-        if let Some(t) = eng.world.tier.as_mut() {
-            t.stats = Default::default();
-            t.device.stats = Default::default();
-        }
-    });
-    let mut eng = rt.into_engine();
-    let tier_folds: Option<[(&'static str, u64); 11]> = eng.world.tier.as_ref().map(|t| {
-        [
-            ("wal.records", t.stats.wal_records),
-            ("wal.groups", t.stats.wal_groups),
-            ("wal.bytes", t.stats.wal_bytes),
-            ("device.reads", t.device.stats.reads),
-            ("device.writes", t.device.stats.writes),
-            ("tier.cold_hit", t.stats.cold_hits),
-            ("tier.cold_miss", t.stats.cold_misses),
-            ("tier.compactions", t.stats.compactions),
-            ("tier.evicted", t.stats.evicted),
-            ("tier.run_items", t.run_items()),
-            ("tier.tombstones", t.tombstone_count()),
-        ]
-    });
-    if let Some(tf) = tier_folds {
-        let reg = &mut eng.machine().registry;
-        for (name, v) in tf {
-            reg.counter_add(name, v);
-        }
+    if isolate_ddio {
+        run_system::<BaseKv<true>>(cfg).0
+    } else {
+        run_system::<BaseKv>(cfg).0
     }
-    let mut r = crate::run::result_from_driver(cfg, &mut eng, |w: &BaseWorld| &w.driver);
-    r.tier = eng
-        .world
-        .tier
-        .as_ref()
-        .map(utps_core::tier::TierRunStats::from_tier);
-    (r, eng.world)
 }
 
 /// Runs BaseKV under `cfg`.
 pub fn run_basekv(cfg: &RunConfig) -> RunResult {
-    run_basekv_opts(cfg, false)
+    run_system::<BaseKv>(cfg).0
 }
 
 #[cfg(test)]
@@ -653,7 +528,7 @@ mod tests {
             }),
             ..quick_cfg()
         };
-        let (r, w) = run_basekv_with_world(&cfg, false);
+        let (r, w) = run_system::<BaseKv>(&cfg);
         assert!(r.completed > 500, "only {} completed", r.completed);
         let t = r.tier.expect("tier stats attached");
         assert!(t.wal_records > 0, "writes must hit the WAL");
@@ -663,7 +538,7 @@ mod tests {
         // read of an evicted key must be served from the cold run.
         assert_eq!(r.not_found, 0, "cold tier must serve evicted keys");
         assert!(w.tier.expect("tier state").run_items() > 0);
-        let (r2, _) = run_basekv_with_world(&cfg, false);
+        let (r2, _) = run_system::<BaseKv>(&cfg);
         assert_eq!(r.history_digest, r2.history_digest);
         assert_eq!(r.completed, r2.completed);
     }

@@ -20,13 +20,11 @@
 //! [`RunConfig`]: utps_core::experiment::RunConfig
 
 pub mod basekv;
-pub mod crash;
 pub mod erpckv;
 pub mod passive;
 pub mod run;
 
-pub use basekv::run_basekv;
-pub use crash::run_basekv_crash;
+pub use basekv::{run_basekv, BaseKv};
 pub use erpckv::run_erpckv;
 pub use passive::{run_racehash, run_sherman};
 pub use run::run;

@@ -3,8 +3,7 @@
 use utps_core::client::DriverState;
 use utps_core::experiment::{run_utps, RunConfig, RunResult, SystemKind};
 use utps_core::stage::PipelineRuntime;
-use utps_sim::time::SECS;
-use utps_sim::{Engine, StatClass};
+use utps_sim::Engine;
 
 use crate::basekv::run_basekv;
 use crate::erpckv::run_erpckv;
@@ -39,61 +38,15 @@ pub fn run_pipeline<W: 'static>(
     result_from_driver(cfg, &mut eng, driver)
 }
 
-/// Builds a [`RunResult`] for a baseline world from its driver state and the
-/// machine's metrics (baselines have no CR/MR split; per-class rates fall
+/// Builds a [`RunResult`] for a baseline world from its driver state and
+/// machine 0's metrics (baselines have no CR/MR split; per-class rates fall
 /// into the combined number).
 pub fn result_from_driver<W>(
     cfg: &RunConfig,
     eng: &mut Engine<W>,
     driver: impl Fn(&W) -> &DriverState,
 ) -> RunResult {
-    let metrics = eng.machine().cache.metrics.clone();
-    utps_core::experiment::pin_fault_counters(&mut eng.machine().registry);
-    let snapshot = eng
-        .machine()
-        .registry
-        .snapshot(utps_sim::time::SimTime(cfg.warmup + cfg.duration));
-    let d = driver(&eng.world);
-    let hist = d.merged_hist();
-    let completed = d.completed();
-    let secs = cfg.duration as f64 / SECS as f64;
-    let timeline = utps_core::experiment::render_timeline(&d.timeline, cfg.timeline_interval);
-    let (history_digest, oracle) = utps_core::experiment::oracle_results(cfg, d);
-    let schedule_trace = eng.machine_ref().schedule.trace().to_vec();
-    RunResult {
-        mops: completed as f64 / secs / 1e6,
-        completed,
-        p50_ns: hist.percentile(50.0),
-        p99_ns: hist.percentile(99.0),
-        mean_ns: hist.mean(),
-        llc_miss_cr: metrics.class[StatClass::Cr as usize].llc_miss_rate(),
-        llc_miss_mr: metrics.class[StatClass::Mr as usize].llc_miss_rate(),
-        llc_miss_all: metrics.combined().llc_miss_rate(),
-        cr_local_frac: 0.0,
-        final_n_cr: 0,
-        workers: cfg.workers,
-        final_cache_items: 0,
-        final_mr_ways: 0,
-        timeline,
-        tuner_events: Vec::new(),
-        reconfigs: 0,
-        not_found: d.clients.iter().map(|c| c.not_found).sum(),
-        issued: d.clients.iter().map(|c| c.issued).sum(),
-        completed_total: d.completed_total(),
-        retransmits: d.clients.iter().map(|c| c.retransmits).sum(),
-        dup_resps: d.clients.iter().map(|c| c.dup_resps).sum(),
-        failed: d.clients.iter().map(|c| c.failed).sum(),
-        stage_metrics: Some(snapshot),
-        tuner_probes: Vec::new(),
-        history_digest,
-        oracle,
-        schedule_trace,
-        cluster: None,
-        tier: None,
-        engine_steps: eng.steps(),
-        engine_bursts: eng.bursts(),
-        engine_wheel_cascades: eng.wheel_cascades(),
-    }
+    RunResult::new(cfg, eng, |w| driver(w))
 }
 
 #[cfg(test)]

@@ -358,37 +358,3 @@ impl<S: ShardWorld> Process<ClusterWorld<S>> for ClusterClientProc {
         "client"
     }
 }
-
-/// A sampler recording the cluster throughput timeline (mirror of the
-/// single-machine `SamplerProc`).
-pub struct ClusterSamplerProc {
-    interval: u64,
-    next: SimTime,
-}
-
-impl ClusterSamplerProc {
-    /// Samples every `interval` picoseconds.
-    pub fn new(interval: u64) -> Self {
-        ClusterSamplerProc {
-            interval,
-            next: SimTime(interval),
-        }
-    }
-}
-
-impl<S: ShardWorld> Process<ClusterWorld<S>> for ClusterSamplerProc {
-    fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut ClusterWorld<S>) -> StepOutcome {
-        let now = ctx.now();
-        if now >= self.next {
-            let total = world.driver.completed_total();
-            world.driver.timeline.push((now, total));
-            self.next = now + self.interval;
-        }
-        ctx.advance_to(self.next);
-        StepOutcome::Idle
-    }
-
-    fn name(&self) -> &'static str {
-        "sampler"
-    }
-}

@@ -190,5 +190,32 @@ impl ClusterConfig {
             self.large_value_len,
             self.base.slot_size
         );
+        // The migration and refresh controllers copy from the DRAM store
+        // and would silently miss keys the tier evicted to its cold run.
+        assert!(
+            self.base.tier.is_none()
+                || (self.migrations.is_empty() && self.replicate_keys.is_empty()),
+            "migrations/replication with the durable tier on would miss \
+             cold-run keys (not implemented: ROADMAP 5(c))"
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "ROADMAP 5(c)")]
+    fn tier_with_replication_is_rejected() {
+        let base = RunConfig {
+            tier: Some(Default::default()),
+            ..RunConfig::default()
+        };
+        ClusterConfig {
+            replicate_keys: vec![1],
+            ..ClusterConfig::new(base, 2)
+        }
+        .validate();
     }
 }

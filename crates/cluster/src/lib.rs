@@ -31,10 +31,10 @@ pub mod runner;
 pub mod tuner;
 pub mod world;
 
-pub use client::{ClusterClientProc, ClusterSamplerProc, SizeClassWorkload};
+pub use client::{ClusterClientProc, SizeClassWorkload};
 pub use config::{ClusterConfig, LinkConfig, MigrationSpec};
 pub use migrate::{MigrationProc, RefreshProc};
 pub use router::{RouterState, SizeClass, Topology};
-pub use runner::{run_cluster, run_cluster_basekv, run_cluster_utps};
+pub use runner::{run_cluster, run_cluster_system};
 pub use tuner::ClusterTunerProc;
 pub use world::{ClusterWorld, ShardProc, ShardWorld};

@@ -59,17 +59,16 @@ fn two<S>(shards: &mut [S], a: usize, b: usize) -> (&mut S, &mut S) {
 /// (idempotent overwrite; every store holds every populated key).
 fn install<S: ShardWorld>(shards: &mut [S], src: usize, dst: usize, key: u64) -> usize {
     let (s, d) = two(shards, src, dst);
+    let (s, d) = (s.parts().store, d.parts().store);
     let val = s
-        .store()
         .get_native(key)
         .expect("migrated key missing at source")
         .to_vec();
     let id = d
-        .store()
         .index
         .get_native(key)
         .expect("migrated key missing at destination");
-    d.store_mut().items.set_value_native(id, &val);
+    d.items.set_value_native(id, &val);
     val.len() + 8 // key + value bytes on the wire
 }
 
@@ -200,7 +199,7 @@ impl<S: ShardWorld> Process<ClusterWorld<S>> for MigrationProc {
                     // Copy complete: hand over suppression state, flip
                     // ownership, unfreeze.
                     let (src, dst) = two(&mut world.shards, from, spec.to_shard);
-                    dst.dedup_mut().absorb(src.dedup());
+                    dst.parts().dedup.absorb(src.parts().dedup);
                     let mut router = world.router.borrow_mut();
                     router.set_owner(spec.class, spec.slot, spec.to_shard);
                     router.unfreeze(spec.class, spec.slot);

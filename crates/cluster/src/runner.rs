@@ -1,45 +1,37 @@
 //! Cluster run harness: N unmodified server pipelines, one simulation.
 //!
 //! Each shard gets its own simulated machine ([`Engine::add_machine`]) and
-//! an unmodified per-shard world; the shard's workers are the exact
-//! single-machine processes wrapped in [`ShardProc`]. Clients, the
+//! an unmodified per-shard world built by the system's own
+//! [`System::build_world`]; the shard's processes are the exact
+//! single-machine [`System::procs`] wrapped in [`ShardProc`]. Clients, the
 //! migration/refresh controllers and the cluster tuner run host-side
 //! (unpinned), exactly like the single-machine clients.
 //!
-//! **Spawn order** is the single-machine order per shard (workers, then the
-//! manager), then clients, sampler, and finally the feature-gated
-//! controllers. On a [trivial](ClusterConfig::is_trivial) one-shard config
-//! no controller is spawned and no hook is installed, so the event sequence
-//! — and therefore `stats_json` — is byte-identical to the single-machine
-//! runners (the N=1 transparency test pins this against the goldens).
+//! **Spawn order** is the single-machine order per shard, then clients,
+//! sampler, and finally the feature-gated controllers. On a
+//! [trivial](ClusterConfig::is_trivial) one-shard config no controller is
+//! spawned and no hook is installed, so the event sequence — and therefore
+//! `stats_json` — is byte-identical to the single-machine runners: the
+//! server side by construction (same hooks), the client side because
+//! `ClusterClientProc` mirrors `ClientProc` (the N=1 transparency test
+//! guards the latter against the goldens).
 
-use utps_baselines::basekv::{BaseWorker, BaseWorld};
+use utps_baselines::BaseKv;
 use utps_collections::mix2;
-use utps_core::client::DriverState;
-use utps_core::crmr::CrMrQueue;
-use utps_core::experiment::{
-    oracle_results, pin_fault_counters, render_timeline, render_tuner_events, ClusterStats,
-    RunResult, SystemKind,
-};
-use utps_core::hotcache::HotCache;
-use utps_core::retry::DedupTable;
-use utps_core::rpc::{RecvRing, RespBuffers};
-use utps_core::server::{ServerConfig, UtpsWorker, UtpsWorld};
+use utps_core::client::{DriverState, SamplerProc};
+use utps_core::experiment::{ClusterStats, RunConfig, RunResult, SystemKind, Utps};
 use utps_core::shardctl::ShardCtl;
-use utps_core::stage::StageProc;
-use utps_core::store::KvStore;
-use utps_core::tuner::{ManagerProc, Tuner};
-use utps_sim::time::{SimTime, MICROS, SECS};
+use utps_core::system::{ServerWorld, System};
+use utps_sim::time::{SimTime, MICROS};
 use utps_sim::{Engine, FaultPlan, SchedulePlan, StatClass};
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::client::{ClusterClientProc, ClusterSamplerProc, SizeClassWorkload};
+use crate::client::{ClusterClientProc, SizeClassWorkload};
 use crate::config::ClusterConfig;
 use crate::migrate::{MigrationProc, RefreshProc};
 use crate::router::RouterState;
-use crate::tuner::ClusterTunerProc;
 use crate::world::{ClusterWorld, ShardProc, ShardWorld};
 
 /// Replica refresh period.
@@ -58,8 +50,8 @@ fn machine_seed(seed: u64, shard: usize) -> u64 {
 /// Runs `system` as a cluster under `cfg`.
 pub fn run_cluster(system: SystemKind, cfg: &ClusterConfig) -> RunResult {
     match system {
-        SystemKind::Utps => run_cluster_utps(cfg),
-        SystemKind::BaseKv => run_cluster_basekv(cfg),
+        SystemKind::Utps => run_cluster_system::<Utps>(cfg).0,
+        SystemKind::BaseKv => run_cluster_system::<BaseKv>(cfg).0,
         other => panic!("cluster mode supports Utps and BaseKv, not {other:?}"),
     }
 }
@@ -85,8 +77,7 @@ fn build_engine<S: ShardWorld>(
     eng
 }
 
-/// Spawns clients, sampler and the feature-gated controllers — shared by
-/// both systems; `spawn_tuner` differs (μTPS only).
+/// Spawns clients, sampler and the feature-gated controllers.
 fn spawn_drivers<S: ShardWorld>(cfg: &ClusterConfig, eng: &mut Engine<ClusterWorld<S>>) {
     let base = &cfg.base;
     if base.record_history || base.oracle {
@@ -117,7 +108,10 @@ fn spawn_drivers<S: ShardWorld>(cfg: &ClusterConfig, eng: &mut Engine<ClusterWor
         eng.spawn(
             None,
             StatClass::Other,
-            Box::new(ClusterSamplerProc::new(base.timeline_interval)),
+            Box::new(SamplerProc::new(
+                base.timeline_interval,
+                |w: &mut ClusterWorld<S>| &mut w.driver,
+            )),
         );
     }
     if !cfg.migrations.is_empty() {
@@ -139,24 +133,6 @@ fn spawn_drivers<S: ShardWorld>(cfg: &ClusterConfig, eng: &mut Engine<ClusterWor
             Box::new(RefreshProc::new(REFRESH_PS, base.machine.net.clone())),
         );
     }
-}
-
-/// Runs warmup → per-system reset → measured window.
-fn drive<S: ShardWorld>(
-    cfg: &ClusterConfig,
-    eng: &mut Engine<ClusterWorld<S>>,
-    reset: impl FnOnce(&mut Engine<ClusterWorld<S>>),
-) {
-    let base = &cfg.base;
-    eng.run_until(SimTime(base.warmup));
-    for s in 0..cfg.total_shards() {
-        eng.machine_mut(s).cache.metrics.reset();
-    }
-    reset(eng);
-    if !cfg.is_trivial() {
-        eng.world.router.borrow_mut().reset_stats();
-    }
-    eng.run_until(SimTime(base.warmup + base.duration));
 }
 
 /// Folds the router's measured-window tallies into machine 0's registry
@@ -203,356 +179,83 @@ fn cluster_stats<S: ShardWorld>(
     stats
 }
 
-/// Runs a μTPS cluster under `cfg`.
-pub fn run_cluster_utps(cfg: &ClusterConfig) -> RunResult {
+/// Runs system `S` as a cluster under `cfg`: every shard is `S`'s
+/// unmodified single-machine world and processes on a machine of its own.
+/// Also returns the final per-shard worlds.
+pub fn run_cluster_system<S: System>(cfg: &ClusterConfig) -> (RunResult, Vec<S::World>)
+where
+    S::World: ShardWorld,
+{
     cfg.validate();
     let base = &cfg.base;
-    assert!(
-        base.n_cr >= 1 && base.n_cr < base.workers,
-        "need ≥1 worker per layer"
-    );
     let total = cfg.total_shards();
-    let populate_len = base.workload.populate_value_len();
     let trivial = cfg.is_trivial();
     let router = Rc::new(RefCell::new(RouterState::new(
         cfg.topology(),
         &cfg.replicate_keys,
     )));
 
-    let server_cfg = ServerConfig {
-        workers: base.workers,
-        n_cr: base.n_cr,
-        batch: base.batch,
-        sample_every: base.sample_every,
-        cache_enabled: base.cache_enabled,
-        lease_ps: base.lease_ps,
-    };
-    let mut shards = Vec::with_capacity(total);
-    for s in 0..total {
-        // Every store is fully populated (identical layout to a
-        // single-machine run); ownership is enforced purely by admission,
-        // and migrations overwrite values in place.
-        let mut world = UtpsWorld {
-            fabric: utps_sim::Fabric::new(base.machine.net.clone(), base.clients),
-            ring: RecvRing::new(base.ring_slots, base.slot_size),
-            resp: RespBuffers::new(base.workers, 64, 1152),
-            store: KvStore::populate(base.index, base.keys, populate_len),
-            crmr: CrMrQueue::with_kind(base.workers, 256, base.queue_kind),
-            hot: HotCache::new(if base.cache_enabled {
-                base.hot_capacity
-            } else {
-                0
-            }),
-            cfg: server_cfg.clone(),
-            reconfig: None,
-            samples: (0..base.workers).map(|_| Default::default()).collect(),
-            scan_skips: Default::default(),
-            stats: Default::default(),
-            driver: DriverState::new(base.clients, SimTime(base.warmup)),
-            mr_ways: base.mr_ways,
-            tuner_trace: Vec::new(),
-            tuner_probes: Vec::new(),
-            dedup: DedupTable::new(
-                base.clients,
-                base.retry.enabled() || base.faults.net_active(),
-            ),
-            cluster: None,
-            tier: None,
-        };
-        if !trivial {
-            world.install_cluster(ShardCtl {
-                shard: s,
-                hooks: router.clone(),
+    // Every store is fully populated (identical layout to a single-machine
+    // run); ownership is enforced purely by admission, and migrations
+    // overwrite values in place. Shard `s` seeds its tier/device streams
+    // like its fault and schedule plans.
+    let shards = (0..total)
+        .map(|s| {
+            let mut world = S::build_world(&RunConfig {
+                seed: machine_seed(base.seed, s),
+                ..base.clone()
             });
-        }
-        shards.push(world);
-    }
+            if !trivial {
+                *world.parts().cluster = Some(ShardCtl {
+                    shard: s,
+                    hooks: router.clone(),
+                });
+            }
+            world
+        })
+        .collect();
     let world = ClusterWorld {
         shards,
         router,
         driver: DriverState::new(base.clients, SimTime(base.warmup)),
     };
 
-    // Cores per machine: one per worker plus one for the manager.
-    let mut eng = build_engine(cfg, base.workers + 1, world);
+    let mut eng = build_engine(cfg, S::cores(base), world);
     for s in 0..total {
-        if base.mr_ways > 0 {
-            let m = eng.machine_mut(s);
-            let full = m.cache.full_mask();
-            let mask = if base.mr_ways >= full.count_ones() as usize {
-                full
-            } else {
-                (1u32 << base.mr_ways) - 1
-            };
-            for w in base.n_cr..base.workers {
-                m.cache.set_clos_mask(w, mask);
-            }
+        S::prepare_machine(base, eng.machine_mut(s));
+        for (core, class, proc) in S::procs(base, &eng.world.shards[s]) {
+            eng.spawn_on(s, Some(core), class, Box::new(ShardProc::new(s, proc)));
         }
-        for id in 0..base.workers {
-            let class = if id < base.n_cr {
-                StatClass::Cr
-            } else {
-                StatClass::Mr
-            };
-            eng.spawn_on(
-                s,
-                Some(id),
-                class,
-                Box::new(ShardProc::new(
-                    s,
-                    Box::new(UtpsWorker::new(id, &server_cfg)),
-                )),
-            );
-        }
-        let mut params = base.tuner_params.clone();
-        params.cache_max = base.hot_capacity;
-        let tuner = Tuner::new(base.tuner, params);
-        let refresh = (base.warmup / 2).max(500 * MICROS);
-        eng.spawn_on(
-            s,
-            Some(base.workers),
-            StatClass::Other,
-            Box::new(ShardProc::new(
-                s,
-                Box::new(ManagerProc::new(tuner, refresh, base.hot_capacity)),
-            )),
-        );
     }
     spawn_drivers(cfg, &mut eng);
     if cfg.cluster_tuner {
         let interval = (base.warmup / 2).max(500 * MICROS);
-        eng.spawn(
-            None,
-            StatClass::Other,
-            Box::new(ClusterTunerProc::new(interval, total)),
-        );
+        if let Some(tuner) = S::World::cluster_tuner(interval, total) {
+            eng.spawn(None, StatClass::Other, tuner);
+        }
     }
 
-    drive(cfg, &mut eng, |eng| {
-        for s in 0..eng.world.shards.len() {
-            eng.machine_mut(s).registry.reset();
-            let w = &mut eng.world.shards[s];
-            w.stats.responses = 0;
-            w.stats.cr_local = 0;
-            w.stats.forwarded = 0;
-            w.hot.reset_stats();
-            w.ring.polls = 0;
-            w.ring.poll_hits = 0;
-            w.ring.dma_count = 0;
-        }
-    });
-
-    // Extraction mirrors `extract_result`: fold each shard's world counters
-    // into its machine's registry, snapshot machine 0, aggregate the
-    // cluster-wide numbers.
-    let metrics = eng.machine().cache.metrics.clone();
+    // Warmup → per-shard reset → measured window.
+    eng.run_until(SimTime(base.warmup));
     for s in 0..total {
-        let w = &eng.world.shards[s];
-        let folds: [(&'static str, u64); 9] = [
-            ("ring.polls", w.ring.polls),
-            ("ring.poll_hits", w.ring.poll_hits),
-            ("ring.dma", w.ring.dma_count),
-            ("server.responses", w.stats.responses),
-            ("server.cr_local", w.stats.cr_local),
-            ("server.forwarded", w.stats.forwarded),
-            ("hot.hits", w.hot.hits),
-            ("hot.misses", w.hot.misses),
-            ("crmr.pushed", w.crmr.total_pushed()),
-        ];
-        let gauges: [(&'static str, u64); 3] = [
-            ("cfg.n_cr", w.cfg.n_cr as u64),
-            ("cfg.cache_items", w.hot.len() as u64),
-            ("cfg.mr_ways", w.mr_ways as u64),
-        ];
-        let reg = &mut eng.machine_mut(s).registry;
-        for (name, v) in folds {
-            reg.counter_add(name, v);
-        }
-        for (name, v) in gauges {
-            reg.gauge_set(name, v);
-        }
+        let (world, machine) = eng.world_and_machine(s);
+        machine.cache.metrics.reset();
+        S::reset(&mut world.shards[s], machine);
     }
-    pin_fault_counters(&mut eng.machine().registry);
-    let cluster = if trivial {
-        None
-    } else {
-        Some(cluster_stats(cfg, &mut eng))
-    };
-    let snapshot = eng
-        .machine()
-        .registry
-        .snapshot(SimTime(base.warmup + base.duration));
-
-    let d = &eng.world.driver;
-    let hist = d.merged_hist();
-    let completed = d.completed();
-    let secs = base.duration as f64 / SECS as f64;
-    let (cr_local, forwarded, reconfigs) = eng.world.shards.iter().fold((0, 0, 0), |acc, w| {
-        (
-            acc.0 + w.stats.cr_local,
-            acc.1 + w.stats.forwarded,
-            acc.2 + w.stats.reconfig_events.len(),
-        )
-    });
-    let served = cr_local + forwarded;
-    let timeline = render_timeline(&d.timeline, base.timeline_interval);
-    let (history_digest, oracle) = oracle_results(base, d);
-    let schedule_trace = eng.machine_ref().schedule.trace().to_vec();
-    let shard0 = &eng.world.shards[0];
-
-    RunResult {
-        mops: completed as f64 / secs / 1e6,
-        completed,
-        p50_ns: hist.percentile(50.0),
-        p99_ns: hist.percentile(99.0),
-        mean_ns: hist.mean(),
-        llc_miss_cr: metrics.class[StatClass::Cr as usize].llc_miss_rate(),
-        llc_miss_mr: metrics.class[StatClass::Mr as usize].llc_miss_rate(),
-        llc_miss_all: metrics.combined().llc_miss_rate(),
-        cr_local_frac: if served > 0 {
-            cr_local as f64 / served as f64
-        } else {
-            0.0
-        },
-        final_n_cr: shard0.cfg.n_cr,
-        workers: shard0.cfg.workers,
-        final_cache_items: shard0.hot.len(),
-        final_mr_ways: shard0.mr_ways,
-        timeline,
-        tuner_events: render_tuner_events(&shard0.tuner_trace),
-        reconfigs,
-        not_found: d.clients.iter().map(|c| c.not_found).sum(),
-        issued: d.clients.iter().map(|c| c.issued).sum(),
-        completed_total: d.completed_total(),
-        retransmits: d.clients.iter().map(|c| c.retransmits).sum(),
-        dup_resps: d.clients.iter().map(|c| c.dup_resps).sum(),
-        failed: d.clients.iter().map(|c| c.failed).sum(),
-        stage_metrics: Some(snapshot),
-        tuner_probes: shard0.tuner_probes.clone(),
-        history_digest,
-        oracle,
-        schedule_trace,
-        cluster,
-        tier: None,
-        engine_steps: eng.steps(),
-        engine_bursts: eng.bursts(),
-        engine_wheel_cascades: eng.wheel_cascades(),
+    if !trivial {
+        eng.world.router.borrow_mut().reset_stats();
     }
-}
+    eng.run_until(SimTime(base.warmup + base.duration));
 
-/// Runs a BaseKV cluster under `cfg`.
-pub fn run_cluster_basekv(cfg: &ClusterConfig) -> RunResult {
-    cfg.validate();
-    let base = &cfg.base;
-    let total = cfg.total_shards();
-    let populate_len = base.workload.populate_value_len();
-    let trivial = cfg.is_trivial();
-    let router = Rc::new(RefCell::new(RouterState::new(
-        cfg.topology(),
-        &cfg.replicate_keys,
-    )));
-
-    let mut shards = Vec::with_capacity(total);
+    // Fold each shard's world counters into its machine's registry,
+    // snapshot machine 0, aggregate the cluster-wide numbers.
     for s in 0..total {
-        let mut world = BaseWorld {
-            fabric: utps_sim::Fabric::new(base.machine.net.clone(), base.clients),
-            ring: RecvRing::new(base.ring_slots, base.slot_size),
-            resp: RespBuffers::new(base.workers, 64, 1152),
-            store: KvStore::populate(base.index, base.keys, populate_len),
-            workers: base.workers,
-            driver: DriverState::new(base.clients, SimTime(base.warmup)),
-            responses: 0,
-            dedup: DedupTable::new(
-                base.clients,
-                base.retry.enabled() || base.faults.net_active(),
-            ),
-            cluster: None,
-            tier: None,
-        };
-        if !trivial {
-            world.install_cluster(ShardCtl {
-                shard: s,
-                hooks: router.clone(),
-            });
-        }
-        shards.push(world);
+        let (world, machine) = eng.world_and_machine(s);
+        S::fold(&world.shards[s], &mut machine.registry);
     }
-    let world = ClusterWorld {
-        shards,
-        router,
-        driver: DriverState::new(base.clients, SimTime(base.warmup)),
-    };
-
-    let mut eng = build_engine(cfg, base.workers, world);
-    for s in 0..total {
-        for id in 0..base.workers {
-            eng.spawn_on(
-                s,
-                Some(id),
-                StatClass::Other,
-                Box::new(ShardProc::new(
-                    s,
-                    Box::new(StageProc::new(BaseWorker::new(id, base.batch))),
-                )),
-            );
-        }
-    }
-    spawn_drivers(cfg, &mut eng);
-
-    // Baselines reset only the cache counters at the warmup boundary.
-    drive(cfg, &mut eng, |_| {});
-
-    let metrics = eng.machine().cache.metrics.clone();
-    pin_fault_counters(&mut eng.machine().registry);
-    let cluster = if trivial {
-        None
-    } else {
-        Some(cluster_stats(cfg, &mut eng))
-    };
-    let snapshot = eng
-        .machine()
-        .registry
-        .snapshot(SimTime(base.warmup + base.duration));
-    let d = &eng.world.driver;
-    let hist = d.merged_hist();
-    let completed = d.completed();
-    let secs = base.duration as f64 / SECS as f64;
-    let timeline = render_timeline(&d.timeline, base.timeline_interval);
-    let (history_digest, oracle) = oracle_results(base, d);
-    let schedule_trace = eng.machine_ref().schedule.trace().to_vec();
-
-    RunResult {
-        mops: completed as f64 / secs / 1e6,
-        completed,
-        p50_ns: hist.percentile(50.0),
-        p99_ns: hist.percentile(99.0),
-        mean_ns: hist.mean(),
-        llc_miss_cr: metrics.class[StatClass::Cr as usize].llc_miss_rate(),
-        llc_miss_mr: metrics.class[StatClass::Mr as usize].llc_miss_rate(),
-        llc_miss_all: metrics.combined().llc_miss_rate(),
-        cr_local_frac: 0.0,
-        final_n_cr: 0,
-        workers: base.workers,
-        final_cache_items: 0,
-        final_mr_ways: 0,
-        timeline,
-        tuner_events: Vec::new(),
-        reconfigs: 0,
-        not_found: d.clients.iter().map(|c| c.not_found).sum(),
-        issued: d.clients.iter().map(|c| c.issued).sum(),
-        completed_total: d.completed_total(),
-        retransmits: d.clients.iter().map(|c| c.retransmits).sum(),
-        dup_resps: d.clients.iter().map(|c| c.dup_resps).sum(),
-        failed: d.clients.iter().map(|c| c.failed).sum(),
-        stage_metrics: Some(snapshot),
-        tuner_probes: Vec::new(),
-        history_digest,
-        oracle,
-        schedule_trace,
-        cluster,
-        tier: None,
-        engine_steps: eng.steps(),
-        engine_bursts: eng.bursts(),
-        engine_wheel_cascades: eng.wheel_cascades(),
-    }
+    let cluster = (!trivial).then(|| cluster_stats(cfg, &mut eng));
+    let mut r = RunResult::new(base, &mut eng, |w| &w.driver);
+    S::overlay(&eng.world.shards.iter().collect::<Vec<_>>(), &mut r);
+    r.cluster = cluster;
+    (r, eng.world.shards)
 }

@@ -8,72 +8,38 @@
 //! single-machine, on their own simulated machine (see
 //! `utps_sim::Engine::add_machine`).
 
-use utps_core::client::{DriverState, KvWorld};
-use utps_core::retry::DedupTable;
-use utps_core::shardctl::ShardCtl;
-use utps_core::store::KvStore;
+use utps_core::client::DriverState;
+use utps_core::system::ServerWorld;
 use utps_sim::{Ctx, Process, StepOutcome};
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::router::RouterState;
+use crate::tuner::ClusterTunerProc;
 
-/// What the cluster layer needs from a per-shard server world, over and
-/// above the client-facing [`KvWorld`]: store and dedup access for the
-/// migration/replica controllers, and a hook-installation point.
-pub trait ShardWorld: KvWorld + 'static {
-    /// The shard's store.
-    fn store(&self) -> &KvStore;
-
-    /// The shard's store, mutably (controller-side installs).
-    fn store_mut(&mut self) -> &mut KvStore;
-
-    /// The shard's duplicate-suppression table.
-    fn dedup(&self) -> &DedupTable;
-
-    /// The shard's duplicate-suppression table, mutably (migration absorb).
-    fn dedup_mut(&mut self) -> &mut DedupTable;
-
-    /// Installs the cluster admission hooks into the world.
-    fn install_cluster(&mut self, ctl: ShardCtl);
+/// A per-shard server world. The cluster controllers reach its store,
+/// dedup table and admission hooks through [`ServerWorld::parts`]; the one
+/// thing only the cluster layer asks of it is its cluster-level tuner.
+pub trait ShardWorld: ServerWorld + Sized {
+    /// The process rebalancing threads across `shards` machines every
+    /// `interval` ps, for systems that have threads to rebalance.
+    fn cluster_tuner(
+        _interval: u64,
+        _shards: usize,
+    ) -> Option<Box<dyn Process<ClusterWorld<Self>>>> {
+        None
+    }
 }
 
 impl ShardWorld for utps_core::server::UtpsWorld {
-    fn store(&self) -> &KvStore {
-        &self.store
-    }
-    fn store_mut(&mut self) -> &mut KvStore {
-        &mut self.store
-    }
-    fn dedup(&self) -> &DedupTable {
-        &self.dedup
-    }
-    fn dedup_mut(&mut self) -> &mut DedupTable {
-        &mut self.dedup
-    }
-    fn install_cluster(&mut self, ctl: ShardCtl) {
-        self.cluster = Some(ctl);
+    fn cluster_tuner(interval: u64, shards: usize) -> Option<Box<dyn Process<ClusterWorld<Self>>>> {
+        Some(Box::new(ClusterTunerProc::new(interval, shards)))
     }
 }
 
-impl ShardWorld for utps_baselines::basekv::BaseWorld {
-    fn store(&self) -> &KvStore {
-        &self.store
-    }
-    fn store_mut(&mut self) -> &mut KvStore {
-        &mut self.store
-    }
-    fn dedup(&self) -> &DedupTable {
-        &self.dedup
-    }
-    fn dedup_mut(&mut self) -> &mut DedupTable {
-        &mut self.dedup
-    }
-    fn install_cluster(&mut self, ctl: ShardCtl) {
-        self.cluster = Some(ctl);
-    }
-}
+/// BaseKV has no CR/MR split to rebalance.
+impl ShardWorld for utps_baselines::basekv::BaseWorld {}
 
 /// The engine world of a cluster run.
 pub struct ClusterWorld<S> {

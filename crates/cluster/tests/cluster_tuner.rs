@@ -2,8 +2,8 @@
 //! machines under a skewed load, through the ordinary seqlock'd
 //! reconfiguration protocol, without breaking the exactly-once ledger.
 
-use utps_cluster::{run_cluster_utps, ClusterConfig};
-use utps_core::experiment::{RunConfig, WorkloadSpec};
+use utps_cluster::{run_cluster, ClusterConfig};
+use utps_core::experiment::{RunConfig, SystemKind, WorkloadSpec};
 use utps_core::retry::RetryConfig;
 use utps_index::IndexKind;
 use utps_sim::config::MachineConfig;
@@ -48,7 +48,7 @@ fn tuner_cfg(seed: u64) -> ClusterConfig {
 #[test]
 fn skewed_load_moves_cr_threads_between_machines() {
     let cfg = tuner_cfg(42);
-    let r = run_cluster_utps(&cfg);
+    let r = run_cluster(SystemKind::Utps, &cfg);
     assert!(r.completed > 0, "nothing completed");
     // At least one shard adopted a new CR split: the reconfigs aggregate
     // sums every machine's completed switch-overs.
@@ -67,7 +67,7 @@ fn skewed_load_moves_cr_threads_between_machines() {
 #[test]
 fn cluster_tuner_runs_are_deterministic() {
     use utps_core::experiment::stats_json;
-    let a = run_cluster_utps(&tuner_cfg(7));
-    let b = run_cluster_utps(&tuner_cfg(7));
+    let a = run_cluster(SystemKind::Utps, &tuner_cfg(7));
+    let b = run_cluster(SystemKind::Utps, &tuner_cfg(7));
     assert_eq!(stats_json(&a), stats_json(&b));
 }

@@ -361,27 +361,30 @@ impl<W: KvWorld> Process<W> for ClientProc {
 }
 
 /// A sampler process recording the throughput timeline.
-pub struct SamplerProc {
+pub struct SamplerProc<W> {
     interval: u64,
     next: SimTime,
+    driver: fn(&mut W) -> &mut DriverState,
 }
 
-impl SamplerProc {
-    /// Samples every `interval` picoseconds.
-    pub fn new(interval: u64) -> Self {
+impl<W> SamplerProc<W> {
+    /// Samples the world's `driver` every `interval` picoseconds.
+    pub fn new(interval: u64, driver: fn(&mut W) -> &mut DriverState) -> Self {
         SamplerProc {
             interval,
             next: SimTime(interval),
+            driver,
         }
     }
 }
 
-impl<W: KvWorld> Process<W> for SamplerProc {
+impl<W> Process<W> for SamplerProc<W> {
     fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut W) -> StepOutcome {
         let now = ctx.now();
         if now >= self.next {
-            let total = world.driver_mut().completed_total();
-            world.driver_mut().timeline.push((now, total));
+            let driver = (self.driver)(world);
+            let total = driver.completed_total();
+            driver.timeline.push((now, total));
             self.next = now + self.interval;
         }
         ctx.advance_to(self.next);
@@ -473,7 +476,10 @@ mod tests {
         eng.spawn(
             None,
             StatClass::Other,
-            Box::new(SamplerProc::new(utps_sim::time::MICROS * 100)),
+            Box::new(SamplerProc::new(
+                utps_sim::time::MICROS * 100,
+                EchoWorld::driver_mut,
+            )),
         );
         eng.run_until(SimTime::from_millis(1));
         let d = &eng.world.driver;

@@ -2,8 +2,7 @@
 //! surviving WAL/run image, and a combined observable history for the
 //! linearizability oracle.
 //!
-//! Protocol (the μTPS runner here; BaseKV's twin lives in
-//! `utps_baselines::crash`):
+//! Protocol (one runner, [`run_crash`], for every [`System`]):
 //!
 //! 1. **Run** a tier-enabled server to `crash_at` with history recording on.
 //! 2. **Crash**: truncate every device segment to its durable prefix — the
@@ -25,10 +24,10 @@ use utps_oracle::{fill_digest, History, OpClass};
 use utps_sim::time::SimTime;
 use utps_sim::StatClass;
 
-use crate::client::ClientProc;
-use crate::experiment::{build_utps_world, reset_utps_counters, spawn_utps_procs, RunConfig};
-use crate::stage::PipelineRuntime;
+use crate::client::{ClientProc, KvWorld};
+use crate::experiment::RunConfig;
 use crate::store::KvStore;
+use crate::system::{assemble, reset, ServerWorld, System};
 use crate::tier::TierState;
 
 /// What one crash → recover → resume cycle observed end to end.
@@ -116,10 +115,10 @@ pub fn check_combined(
     (combined.digest(), utps_oracle::check(&combined, &init))
 }
 
-/// Runs μTPS with the durable tier to a crash at `crash_at_ps`, recovers
-/// from the surviving media image, resumes with a continued client fleet,
-/// and verifies the combined history. Panics if `cfg.tier` is `None`.
-pub fn run_utps_crash(cfg: &RunConfig, crash_at_ps: u64) -> CrashReport {
+/// Runs system `S` with the durable tier to a crash at `crash_at_ps`,
+/// recovers from the surviving media image, resumes with a continued client
+/// fleet, and verifies the combined history. Panics if `cfg.tier` is `None`.
+pub fn run_crash<S: System>(cfg: &RunConfig, crash_at_ps: u64) -> CrashReport {
     let mut cfg = cfg.clone();
     cfg.record_history = true;
     assert!(cfg.tier.is_some(), "crash runner requires the durable tier");
@@ -130,22 +129,21 @@ pub fn run_utps_crash(cfg: &RunConfig, crash_at_ps: u64) -> CrashReport {
 
     // Phase 1: run to the crash instant. No warmup reset — the whole
     // pre-crash history is the object under test, not the counters.
-    let world = build_utps_world(&cfg);
-    let mut rt = PipelineRuntime::new(&cfg, cfg.workers + 1, world);
-    spawn_utps_procs(&mut rt, &cfg);
+    let mut rt = assemble::<S>(&cfg, S::build_world(&cfg));
     rt.spawn_clients(&cfg);
     rt.engine().run_until(SimTime(crash_at_ps));
-    let world = rt.into_engine().world;
+    let mut world = rt.into_engine().world;
 
-    let history1 = world.driver.history.clone().expect("history enabled");
-    let pre_completed = world.driver.completed_total();
-    let pre_issued: u64 = world.driver.clients.iter().map(|c| c.issued).sum();
-    let pre_failed: u64 = world.driver.clients.iter().map(|c| c.failed).sum();
+    let driver = world.driver_mut();
+    let history1 = driver.history.clone().expect("history enabled");
+    let pre_completed = driver.completed_total();
+    let pre_issued: u64 = driver.clients.iter().map(|c| c.issued).sum();
+    let pre_failed: u64 = driver.clients.iter().map(|c| c.failed).sum();
     let pending_at_crash = history1.records().iter().filter(|r| r.pending()).count();
     let next_seqs = client_next_seqs(&history1, cfg.clients);
 
     // Phase 2: the media image a restarting process finds, replayed.
-    let mut tier = world.tier.expect("tier checked above");
+    let tier = world.parts().tier.as_mut().expect("tier checked above");
     let image = tier.crash_image(SimTime(crash_at_ps));
     let populate_len = cfg.workload.populate_value_len();
     let initial = (0..cfg.keys).map(|k| (k, vec![0xabu8; populate_len]));
@@ -153,9 +151,10 @@ pub fn run_utps_crash(cfg: &RunConfig, crash_at_ps: u64) -> CrashReport {
     let (acked_mutations, acked_preserved) = durable_acks_preserved(&history1, &rec.acked);
 
     // Phase 3: rebuild the world around the recovered image and resume.
-    let mut world2 = build_utps_world(&cfg);
-    world2.store = KvStore::from_items(cfg.index, std::mem::take(&mut rec.items));
-    world2.tier = Some(TierState::remount(
+    let mut world2 = S::build_world(&cfg);
+    let parts = world2.parts();
+    *parts.store = KvStore::from_items(cfg.index, std::mem::take(&mut rec.items));
+    *parts.tier = Some(TierState::remount(
         cfg.tier.clone().expect("checked above"),
         cfg.seed,
         image.wal[..rec.wal_valid_len].to_vec(),
@@ -167,11 +166,10 @@ pub fn run_utps_crash(cfg: &RunConfig, crash_at_ps: u64) -> CrashReport {
     // Exactly-once floor: a retransmit of any op whose record survived must
     // be suppressed, not re-executed.
     for &(c, s) in &rec.acked {
-        world2.dedup.record(c, s);
+        parts.dedup.record(c, s);
     }
-    let mut rt2 = PipelineRuntime::new(&cfg, cfg.workers + 1, world2);
-    spawn_utps_procs(&mut rt2, &cfg);
-    rt2.engine().world.driver.enable_history();
+    let mut rt2 = assemble::<S>(&cfg, world2);
+    rt2.engine().world.driver_mut().enable_history();
     for (c, &start_seq) in next_seqs.iter().enumerate() {
         // Fresh workload streams (ids past the pre-crash fleet), continued
         // sequence numbering so the restored dedup floor stays meaningful.
@@ -190,12 +188,13 @@ pub fn run_utps_crash(cfg: &RunConfig, crash_at_ps: u64) -> CrashReport {
             )),
         );
     }
-    rt2.run(reset_utps_counters);
-    let eng2 = rt2.into_engine();
-    let history2 = eng2.world.driver.history.clone().expect("history enabled");
-    let post_completed = eng2.world.driver.completed_total();
-    let post_issued: u64 = eng2.world.driver.clients.iter().map(|c| c.issued).sum();
-    let post_failed: u64 = eng2.world.driver.clients.iter().map(|c| c.failed).sum();
+    rt2.run(reset::<S>);
+    let mut eng2 = rt2.into_engine();
+    let driver = eng2.world.driver_mut();
+    let history2 = driver.history.clone().expect("history enabled");
+    let post_completed = driver.completed_total();
+    let post_issued: u64 = driver.clients.iter().map(|c| c.issued).sum();
+    let post_failed: u64 = driver.clients.iter().map(|c| c.failed).sum();
 
     let (combined_digest, oracle) =
         check_combined(&history1, &history2, crash_at_ps, cfg.keys, populate_len);
@@ -222,6 +221,7 @@ pub fn run_utps_crash(cfg: &RunConfig, crash_at_ps: u64) -> CrashReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Utps;
     use crate::retry::RetryConfig;
     use crate::tier::TierConfig;
     use utps_sim::config::MachineConfig;
@@ -254,7 +254,7 @@ mod tests {
     fn crash_recover_resume_round_trips() {
         let cfg = crash_cfg();
         let crash_at = cfg.warmup + cfg.duration / 2;
-        let rep = run_utps_crash(&cfg, crash_at);
+        let rep = run_crash::<Utps>(&cfg, crash_at);
         assert!(rep.pre_completed > 200, "pre: {}", rep.pre_completed);
         assert!(rep.post_completed > 200, "post: {}", rep.post_completed);
         assert!(rep.acked_preserved, "durable-ack invariant violated");
@@ -265,7 +265,7 @@ mod tests {
         );
         assert!(rep.replayed > 0, "WAL tail must replay records");
         // Same seed, same crash point: byte-identical recovered run.
-        let rep2 = run_utps_crash(&cfg, crash_at);
+        let rep2 = run_crash::<Utps>(&cfg, crash_at);
         assert_eq!(rep.combined_digest, rep2.combined_digest);
         assert_eq!(rep.post_completed, rep2.post_completed);
     }

@@ -7,13 +7,15 @@
 use utps_index::IndexKind;
 use utps_sim::config::MachineConfig;
 use utps_sim::time::{SimTime, MICROS, SECS};
-use utps_sim::{Engine, FaultConfig, ScheduleEvent, ScheduleMode, StatClass};
+use utps_sim::{
+    Engine, FaultConfig, Machine, MetricsRegistry, ScheduleEvent, ScheduleMode, StatClass,
+};
 use utps_workload::{
     DynamicWorkload, EtcWorkload, KeyDist, Mix, TwitterCluster, TwitterWorkload, Workload,
     YcsbWorkload,
 };
 
-use crate::client::DriverState;
+use crate::client::{ClientStats, DriverState};
 use crate::crmr::CrMrQueue;
 use crate::hotcache::HotCache;
 use crate::retry::{DedupTable, RetryConfig};
@@ -21,6 +23,7 @@ use crate::rpc::{RecvRing, RespBuffers};
 use crate::server::{ServerConfig, UtpsWorker, UtpsWorld};
 use crate::stage::PipelineRuntime;
 use crate::store::KvStore;
+use crate::system::{self, run_system, Proc, System};
 use crate::tuner::{ManagerProc, Tuner, TunerEvent, TunerMode, TunerParams};
 
 /// Which system to run (dispatch lives in `utps-baselines::run`).
@@ -366,28 +369,203 @@ pub struct RunResult {
     pub engine_wheel_cascades: u64,
 }
 
-/// Runs μTPS under `cfg` and returns its measurements.
-pub fn run_utps(cfg: &RunConfig) -> RunResult {
-    run_utps_with_world(cfg).0
+impl RunResult {
+    /// The one constructor: headline numbers from the client-side driver
+    /// state (found in the world by `driver`), cache metrics and the
+    /// registry snapshot from machine 0, and the engine's step counters.
+    /// Fields only a particular system knows start at the
+    /// thread-model-free values and are patched by [`System::overlay`].
+    pub fn new<W>(
+        cfg: &RunConfig,
+        eng: &mut Engine<W>,
+        driver: impl FnOnce(&mut W) -> &DriverState,
+    ) -> RunResult {
+        let engine = (eng.steps(), eng.bursts(), eng.wheel_cascades());
+        let (world, machine) = eng.world_and_machine(0);
+        let driver = driver(world);
+        pin_fault_counters(&mut machine.registry);
+        let metrics = &machine.cache.metrics;
+        let hist = driver.merged_hist();
+        let completed = driver.completed();
+        let secs = cfg.duration as f64 / SECS as f64;
+        let (history_digest, oracle) = oracle_results(cfg, driver);
+        let sum = |f: fn(&ClientStats) -> u64| -> u64 { driver.clients.iter().map(f).sum() };
+        RunResult {
+            mops: completed as f64 / secs / 1e6,
+            completed,
+            p50_ns: hist.percentile(50.0),
+            p99_ns: hist.percentile(99.0),
+            mean_ns: hist.mean(),
+            llc_miss_cr: metrics.class[StatClass::Cr as usize].llc_miss_rate(),
+            llc_miss_mr: metrics.class[StatClass::Mr as usize].llc_miss_rate(),
+            llc_miss_all: metrics.combined().llc_miss_rate(),
+            cr_local_frac: 0.0,
+            final_n_cr: 0,
+            workers: cfg.workers,
+            final_cache_items: 0,
+            final_mr_ways: 0,
+            timeline: render_timeline(&driver.timeline, cfg.timeline_interval),
+            tuner_events: Vec::new(),
+            reconfigs: 0,
+            not_found: sum(|c| c.not_found),
+            issued: sum(|c| c.issued),
+            completed_total: driver.completed_total(),
+            retransmits: sum(|c| c.retransmits),
+            dup_resps: sum(|c| c.dup_resps),
+            failed: sum(|c| c.failed),
+            stage_metrics: Some(
+                machine
+                    .registry
+                    .snapshot(SimTime(cfg.warmup + cfg.duration)),
+            ),
+            tuner_probes: Vec::new(),
+            history_digest,
+            oracle,
+            schedule_trace: machine.schedule.trace().to_vec(),
+            cluster: None,
+            tier: None,
+            engine_steps: engine.0,
+            engine_bursts: engine.1,
+            engine_wheel_cascades: engine.2,
+        }
+    }
 }
 
-/// Like [`run_utps`], additionally returning the final world state so tests
-/// can inspect the store, queues and caches after the run.
-pub fn run_utps_with_world(cfg: &RunConfig) -> (RunResult, UtpsWorld) {
-    let world = build_utps_world(cfg);
-    // Cores: one per worker plus one for the manager.
-    let mut rt = PipelineRuntime::new(cfg, cfg.workers + 1, world);
-    spawn_utps_procs(&mut rt, cfg);
-    rt.spawn_clients(cfg);
+/// μTPS as a [`System`]: CR/MR workers, the manager on its own core, and
+/// (with the tier) the compactor sharing the manager core.
+pub struct Utps;
 
-    // Warmup → counter reset → measure. μTPS resets everything observable
-    // (registry, server counters, hot-cache and ring stats) so the measured
-    // window is self-contained; the runtime handles the cache counters.
-    rt.run(reset_utps_counters);
+impl System for Utps {
+    type World = UtpsWorld;
 
-    let mut eng = rt.into_engine();
-    let result = extract_result(cfg, &mut eng);
-    (result, eng.world)
+    fn cores(cfg: &RunConfig) -> usize {
+        cfg.workers + 1
+    }
+
+    fn build_world(cfg: &RunConfig) -> UtpsWorld {
+        build_utps_world(cfg)
+    }
+
+    /// Static CLOS assignment of the MR workers when the tuner is off.
+    fn prepare_machine(cfg: &RunConfig, machine: &mut Machine) {
+        if cfg.mr_ways > 0 {
+            let full = machine.cache.full_mask();
+            let mask = if cfg.mr_ways >= full.count_ones() as usize {
+                full
+            } else {
+                (1u32 << cfg.mr_ways) - 1
+            };
+            for w in cfg.n_cr..cfg.workers {
+                machine.cache.set_clos_mask(w, mask);
+            }
+        }
+    }
+
+    fn procs(cfg: &RunConfig, world: &UtpsWorld) -> Vec<Proc<UtpsWorld>> {
+        let mut procs: Vec<Proc<UtpsWorld>> = (0..cfg.workers)
+            .map(|id| {
+                let class = if id < cfg.n_cr {
+                    StatClass::Cr
+                } else {
+                    StatClass::Mr
+                };
+                (id, class, Box::new(UtpsWorker::new(id, &world.cfg)) as _)
+            })
+            .collect();
+        // Manager on its own core.
+        let mut params = cfg.tuner_params.clone();
+        params.cache_max = cfg.hot_capacity;
+        let tuner = Tuner::new(cfg.tuner, params);
+        let refresh = (cfg.warmup / 2).max(500 * MICROS);
+        procs.push((
+            cfg.workers,
+            StatClass::Other,
+            Box::new(ManagerProc::new(tuner, refresh, cfg.hot_capacity)),
+        ));
+        // Background compactor shares the manager core.
+        if let Some(tc) = &cfg.tier {
+            procs.push((
+                cfg.workers,
+                StatClass::Other,
+                Box::new(crate::tier::TierCompactorProc::new(
+                    cfg.keys,
+                    SimTime(tc.compact_every_ps),
+                )),
+            ));
+        }
+        procs
+    }
+
+    /// μTPS resets everything observable (registry, server counters,
+    /// hot-cache, ring and tier stats) so the measured window is
+    /// self-contained.
+    fn reset(w: &mut UtpsWorld, machine: &mut Machine) {
+        machine.registry.reset();
+        w.stats.responses = 0;
+        w.stats.cr_local = 0;
+        w.stats.forwarded = 0;
+        w.hot.reset_stats();
+        w.ring.polls = 0;
+        w.ring.poll_hits = 0;
+        w.ring.dma_count = 0;
+        if let Some(tier) = w.tier.as_mut() {
+            tier.reset_stats();
+        }
+    }
+
+    fn fold(w: &UtpsWorld, reg: &mut MetricsRegistry) {
+        let folds: [(&'static str, u64); 9] = [
+            ("ring.polls", w.ring.polls),
+            ("ring.poll_hits", w.ring.poll_hits),
+            ("ring.dma", w.ring.dma_count),
+            ("server.responses", w.stats.responses),
+            ("server.cr_local", w.stats.cr_local),
+            ("server.forwarded", w.stats.forwarded),
+            ("hot.hits", w.hot.hits),
+            ("hot.misses", w.hot.misses),
+            ("crmr.pushed", w.crmr.total_pushed()),
+        ];
+        let gauges: [(&'static str, u64); 3] = [
+            ("cfg.n_cr", w.cfg.n_cr as u64),
+            ("cfg.cache_items", w.hot.len() as u64),
+            ("cfg.mr_ways", w.mr_ways as u64),
+        ];
+        for (name, v) in folds {
+            reg.counter_add(name, v);
+        }
+        for (name, v) in gauges {
+            reg.gauge_set(name, v);
+        }
+        if let Some(tier) = &w.tier {
+            tier.fold_into(reg);
+        }
+    }
+
+    fn overlay(worlds: &[&UtpsWorld], r: &mut RunResult) {
+        let (mut cr_local, mut forwarded) = (0, 0);
+        for w in worlds {
+            cr_local += w.stats.cr_local;
+            forwarded += w.stats.forwarded;
+            r.reconfigs += w.stats.reconfig_events.len();
+        }
+        let served = cr_local + forwarded;
+        if served > 0 {
+            r.cr_local_frac = cr_local as f64 / served as f64;
+        }
+        let w = worlds[0];
+        r.final_n_cr = w.cfg.n_cr;
+        r.workers = w.cfg.workers;
+        r.final_cache_items = w.hot.len();
+        r.final_mr_ways = w.mr_ways;
+        r.tuner_events = render_tuner_events(&w.tuner_trace);
+        r.tuner_probes = w.tuner_probes.clone();
+        r.tier = w.tier.as_ref().map(crate::tier::TierRunStats::from_tier);
+    }
+}
+
+/// Runs μTPS under `cfg` and returns its measurements.
+pub fn run_utps(cfg: &RunConfig) -> RunResult {
+    run_system::<Utps>(cfg).0
 }
 
 /// Builds a fresh μTPS server world for `cfg` (populated store, empty
@@ -437,188 +615,26 @@ pub fn build_utps_world(cfg: &RunConfig) -> UtpsWorld {
     }
 }
 
-/// Spawns the server processes — workers, manager, and (when the tier is
-/// enabled) the background compactor — and applies static CLOS masks.
+/// [`Utps`]'s machine set-up and server processes on a runtime
+/// ([`system::spawn_procs`]).
 pub fn spawn_utps_procs(rt: &mut PipelineRuntime<UtpsWorld>, cfg: &RunConfig) {
-    // Static CLOS assignment when the tuner is off.
-    if cfg.mr_ways > 0 {
-        let full = rt.machine().cache.full_mask();
-        let mask = if cfg.mr_ways >= full.count_ones() as usize {
-            full
-        } else {
-            (1u32 << cfg.mr_ways) - 1
-        };
-        for w in cfg.n_cr..cfg.workers {
-            rt.machine().cache.set_clos_mask(w, mask);
-        }
-    }
-
-    let server_cfg = rt.engine().world.cfg.clone();
-    for id in 0..cfg.workers {
-        let class = if id < cfg.n_cr {
-            StatClass::Cr
-        } else {
-            StatClass::Mr
-        };
-        rt.spawn_process(Some(id), class, Box::new(UtpsWorker::new(id, &server_cfg)));
-    }
-    // Manager on its own core.
-    let mut params = cfg.tuner_params.clone();
-    params.cache_max = cfg.hot_capacity;
-    let tuner = Tuner::new(cfg.tuner, params);
-    let refresh = (cfg.warmup / 2).max(500 * MICROS);
-    rt.spawn_process(
-        Some(cfg.workers),
-        StatClass::Other,
-        Box::new(ManagerProc::new(tuner, refresh, cfg.hot_capacity)),
-    );
-    // Background compactor shares the manager core.
-    if let Some(tc) = &cfg.tier {
-        rt.spawn_process(
-            Some(cfg.workers),
-            StatClass::Other,
-            Box::new(crate::tier::TierCompactorProc::new(
-                cfg.keys,
-                SimTime(tc.compact_every_ps),
-            )),
-        );
-    }
+    system::spawn_procs::<Utps>(rt, cfg);
 }
 
-/// The warmup-boundary counter reset shared by the normal and crash runners.
+/// [`Utps`]'s warmup-boundary reset ([`system::reset`]).
 pub fn reset_utps_counters(eng: &mut Engine<UtpsWorld>) {
-    eng.machine().registry.reset();
-    eng.world.stats.responses = 0;
-    eng.world.stats.cr_local = 0;
-    eng.world.stats.forwarded = 0;
-    eng.world.hot.reset_stats();
-    eng.world.ring.polls = 0;
-    eng.world.ring.poll_hits = 0;
-    eng.world.ring.dma_count = 0;
-    if let Some(tier) = eng.world.tier.as_mut() {
-        tier.stats = Default::default();
-        tier.device.stats = Default::default();
-    }
+    system::reset::<Utps>(eng);
 }
 
-/// Builds the [`RunResult`] from a finished μTPS engine.
+/// Builds the [`RunResult`] from a finished μTPS engine
+/// ([`system::extract`]).
 pub fn extract_result(cfg: &RunConfig, eng: &mut Engine<UtpsWorld>) -> RunResult {
-    let metrics = eng.machine().cache.metrics.clone();
-
-    // Fold world-side counters into the registry so the snapshot is one
-    // self-contained observability artifact for the measured window.
-    {
-        let w = &eng.world;
-        let folds: [(&'static str, u64); 9] = [
-            ("ring.polls", w.ring.polls),
-            ("ring.poll_hits", w.ring.poll_hits),
-            ("ring.dma", w.ring.dma_count),
-            ("server.responses", w.stats.responses),
-            ("server.cr_local", w.stats.cr_local),
-            ("server.forwarded", w.stats.forwarded),
-            ("hot.hits", w.hot.hits),
-            ("hot.misses", w.hot.misses),
-            ("crmr.pushed", w.crmr.total_pushed()),
-        ];
-        let gauges: [(&'static str, u64); 3] = [
-            ("cfg.n_cr", w.cfg.n_cr as u64),
-            ("cfg.cache_items", w.hot.len() as u64),
-            ("cfg.mr_ways", w.mr_ways as u64),
-        ];
-        // Tier counters exist in the registry only when the tier is enabled:
-        // tier-disabled documents stay byte-identical to the pre-tier
-        // goldens (the lint schema still pins the names).
-        let tier_folds: Option<[(&'static str, u64); 11]> = w.tier.as_ref().map(|t| {
-            [
-                ("wal.records", t.stats.wal_records),
-                ("wal.groups", t.stats.wal_groups),
-                ("wal.bytes", t.stats.wal_bytes),
-                ("device.reads", t.device.stats.reads),
-                ("device.writes", t.device.stats.writes),
-                ("tier.cold_hit", t.stats.cold_hits),
-                ("tier.cold_miss", t.stats.cold_misses),
-                ("tier.compactions", t.stats.compactions),
-                ("tier.evicted", t.stats.evicted),
-                ("tier.run_items", t.run_items()),
-                ("tier.tombstones", t.tombstone_count()),
-            ]
-        });
-        let reg = &mut eng.machine().registry;
-        for (name, v) in folds {
-            reg.counter_add(name, v);
-        }
-        for (name, v) in gauges {
-            reg.gauge_set(name, v);
-        }
-        if let Some(tf) = tier_folds {
-            for (name, v) in tf {
-                reg.counter_add(name, v);
-            }
-        }
-        pin_fault_counters(reg);
-    }
-    let snapshot = eng
-        .machine()
-        .registry
-        .snapshot(SimTime(cfg.warmup + cfg.duration));
-
-    let world = &eng.world;
-    let d = &world.driver;
-    let hist = d.merged_hist();
-    let completed = d.completed();
-    let secs = cfg.duration as f64 / SECS as f64;
-    let served = world.stats.cr_local + world.stats.forwarded;
-    let timeline = render_timeline(&d.timeline, cfg.timeline_interval);
-    let (history_digest, oracle) = oracle_results(cfg, d);
-    let schedule_trace = eng.machine_ref().schedule.trace().to_vec();
-
-    RunResult {
-        mops: completed as f64 / secs / 1e6,
-        completed,
-        p50_ns: hist.percentile(50.0),
-        p99_ns: hist.percentile(99.0),
-        mean_ns: hist.mean(),
-        llc_miss_cr: metrics.class[StatClass::Cr as usize].llc_miss_rate(),
-        llc_miss_mr: metrics.class[StatClass::Mr as usize].llc_miss_rate(),
-        llc_miss_all: metrics.combined().llc_miss_rate(),
-        cr_local_frac: if served > 0 {
-            world.stats.cr_local as f64 / served as f64
-        } else {
-            0.0
-        },
-        final_n_cr: world.cfg.n_cr,
-        workers: world.cfg.workers,
-        final_cache_items: world.hot.len(),
-        final_mr_ways: world.mr_ways,
-        timeline,
-        tuner_events: render_tuner_events(&world.tuner_trace),
-        reconfigs: world.stats.reconfig_events.len(),
-        not_found: d.clients.iter().map(|c| c.not_found).sum(),
-        issued: d.clients.iter().map(|c| c.issued).sum(),
-        completed_total: d.completed_total(),
-        retransmits: d.clients.iter().map(|c| c.retransmits).sum(),
-        dup_resps: d.clients.iter().map(|c| c.dup_resps).sum(),
-        failed: d.clients.iter().map(|c| c.failed).sum(),
-        stage_metrics: Some(snapshot),
-        tuner_probes: world.tuner_probes.clone(),
-        history_digest,
-        oracle,
-        schedule_trace,
-        cluster: None,
-        tier: world
-            .tier
-            .as_ref()
-            .map(crate::tier::TierRunStats::from_tier),
-        engine_steps: eng.steps(),
-        engine_bursts: eng.bursts(),
-        engine_wheel_cascades: eng.wheel_cascades(),
-    }
+    system::extract::<Utps>(cfg, eng)
 }
 
 /// Digests the recorded history and, when `cfg.oracle` is set, checks it
 /// against the sequential model seeded with the run's initial population.
-/// Shared by the μTPS extractor and every baseline runner.
-pub fn oracle_results(
+fn oracle_results(
     cfg: &RunConfig,
     driver: &DriverState,
 ) -> (Option<u64>, Option<utps_oracle::Report>) {
@@ -639,7 +655,7 @@ pub fn oracle_results(
 /// Ensures every fault/robustness counter exists in the registry (at its
 /// current value, or zero) so the `stats_json` schema is identical between
 /// faulty and fault-free runs.
-pub fn pin_fault_counters(reg: &mut utps_sim::MetricsRegistry) {
+fn pin_fault_counters(reg: &mut utps_sim::MetricsRegistry) {
     const NAMES: [&str; 11] = [
         "fault.rx_drop",
         "fault.rx_dup",
@@ -730,7 +746,7 @@ pub fn stats_json(r: &RunResult) -> String {
 }
 
 /// Converts raw (time, cumulative-count) samples into (sec, Mops) intervals.
-pub fn render_timeline(samples: &[(SimTime, u64)], interval: u64) -> Vec<(f64, f64)> {
+fn render_timeline(samples: &[(SimTime, u64)], interval: u64) -> Vec<(f64, f64)> {
     if interval == 0 || samples.is_empty() {
         return Vec::new();
     }
@@ -746,7 +762,7 @@ pub fn render_timeline(samples: &[(SimTime, u64)], interval: u64) -> Vec<(f64, f
 }
 
 /// Renders tuner events as strings for reports.
-pub fn render_tuner_events(trace: &[TunerEvent]) -> Vec<String> {
+fn render_tuner_events(trace: &[TunerEvent]) -> Vec<String> {
     trace
         .iter()
         .map(|e| match e {
@@ -840,7 +856,7 @@ mod tests {
             }),
             ..quick_cfg()
         };
-        let (r, w) = run_utps_with_world(&cfg);
+        let (r, w) = run_system::<Utps>(&cfg);
         assert!(r.completed > 500, "only {} ops completed", r.completed);
         let t = r.tier.expect("tier stats attached");
         assert!(t.wal_records > 0, "writes must hit the WAL");
@@ -855,7 +871,7 @@ mod tests {
         let tier = w.tier.expect("tier state");
         assert!(tier.run_items() > 0);
         // Determinism: same seed, byte-identical history.
-        let (r2, _) = run_utps_with_world(&cfg);
+        let (r2, _) = run_system::<Utps>(&cfg);
         assert_eq!(r.history_digest, r2.history_digest);
         assert_eq!(r.completed, r2.completed);
     }

@@ -16,7 +16,7 @@
 //! | §3.3 Memory-resident layer (batched indexing, data copy, CC) | [`server`] (`MrStage`), [`store`] |
 //! | §3.4 CR-MR queue (all-to-all SPSC rings, 16-B descriptors) | [`crmr`] |
 //! | §3.5 Auto-tuner (thread reassignment, cache resize, LLC ways) | [`tuner`] |
-//! | §5 drivers (closed-loop clients, measurement) | [`client`], [`experiment`] |
+//! | §5 drivers (closed-loop clients, measurement, the one run assembler) | [`client`], [`experiment`], [`system`] |
 //!
 //! Everything runs inside the deterministic hardware simulation of
 //! [`utps_sim`]; see DESIGN.md for the hardware substitution table.
@@ -33,13 +33,15 @@ pub mod server;
 pub mod shardctl;
 pub mod stage;
 pub mod store;
+pub mod system;
 pub mod tier;
 pub mod tuner;
 
 pub use client::{ClientProc, ClientStats};
-pub use crash::{run_utps_crash, CrashReport};
-pub use experiment::{RunConfig, RunResult, SystemKind};
+pub use crash::{run_crash, CrashReport};
+pub use experiment::{RunConfig, RunResult, SystemKind, Utps};
 pub use msg::{NetMsg, OpKind, Request, Response};
 pub use stage::{PipelineRuntime, Stage, StageProc, StepOutcome};
 pub use store::KvStore;
+pub use system::{run_system, System};
 pub use tier::{TierConfig, TierRunStats, TierState};

@@ -45,6 +45,8 @@ use crate::retry::DedupTable;
 use crate::rpc::{send_response, RecvRing, RespBuffers};
 use crate::stage::{Stage, StepOutcome};
 use crate::store::{KvOp, KvOpOutput, KvStore, OpBuffers};
+use crate::system::{ServerParts, ServerWorld};
+use crate::tier::{self, DurabilityBarrier};
 
 /// Runtime-adjustable server configuration.
 #[derive(Clone, Debug)]
@@ -149,6 +151,18 @@ impl KvWorld for UtpsWorld {
     }
 }
 
+impl ServerWorld for UtpsWorld {
+    fn parts(&mut self) -> ServerParts<'_> {
+        ServerParts {
+            store: &mut self.store,
+            dedup: &mut self.dedup,
+            tier: &mut self.tier,
+            hot: Some(&mut self.hot),
+            cluster: &mut self.cluster,
+        }
+    }
+}
+
 impl UtpsWorld {
     /// The CR worker owning receive slot `seq` under the current (or
     /// transitional) assignment.
@@ -210,11 +224,11 @@ struct CrState {
     /// Per-lane descriptor-lease deadline: a lane with pending work past
     /// this time has its unpopped backlog revoked (see `check_leases`).
     lease_at: Vec<SimTime>,
-    /// Hot-path acks held behind the tier's durability barrier:
-    /// `(need_seq, response, claim time)` FIFO, `need_seq` monotone. A
-    /// locally served op may have observed writes whose commit group is
-    /// still in flight; its ack leaves only once `durable_seq` covers them.
-    ack_defer: VecDeque<(u64, Response, SimTime)>,
+    /// Hot-path acks `(response, claim time)` held behind the tier's
+    /// durability barrier. A locally served op may have observed writes
+    /// whose commit group is still in flight; its ack leaves only once
+    /// `durable_seq` covers them.
+    ack_defer: DurabilityBarrier<(Response, SimTime)>,
 }
 
 impl CrState {
@@ -233,7 +247,7 @@ impl CrState {
             sample_ctr: 0,
             draining: false,
             lease_at: vec![SimTime::ZERO; workers],
-            ack_defer: VecDeque::new(),
+            ack_defer: DurabilityBarrier::default(),
         }
     }
 
@@ -251,7 +265,7 @@ impl CrState {
             sample_ctr: 0,
             draining: false,
             lease_at: vec![SimTime::ZERO; workers],
-            ack_defer: VecDeque::new(),
+            ack_defer: DurabilityBarrier::default(),
         }
     }
 
@@ -275,12 +289,11 @@ struct ActiveOp {
 }
 
 /// One super-batch's completions held behind the durability barrier: the
-/// piggybacked lane counters (and shared-mode seqs) advance only once every
-/// WAL sequence up to `need_seq` is durable. Read-only batches carry the
-/// same barrier — their responses may have observed not-yet-durable writes
+/// piggybacked lane counters (and shared-mode seqs) advance only once the
+/// batch's WAL sequences are durable. Read-only batches carry the same
+/// barrier — their responses may have observed not-yet-durable writes
 /// applied in place by an earlier batch.
 struct TierDefer {
-    need_seq: u64,
     /// `(producer, count)` lane-counter advances (all-to-all mode).
     lanes: Vec<(usize, u64)>,
     /// Completed seqs (shared-queue counterfactual mode).
@@ -298,8 +311,8 @@ struct MrState {
     wal_buf: Vec<utps_wal::WalRecord>,
     /// Shared-mode seqs completed in the current super-batch (deferred).
     shared_done: Vec<u64>,
-    /// Commit groups awaiting durability, FIFO (`need_seq` monotone).
-    defers: VecDeque<TierDefer>,
+    /// Commit groups awaiting durability.
+    defers: DurabilityBarrier<TierDefer>,
 }
 
 impl MrState {
@@ -311,7 +324,7 @@ impl MrState {
             scratch: Vec::new(),
             wal_buf: Vec::new(),
             shared_done: Vec::new(),
-            defers: VecDeque::new(),
+            defers: DurabilityBarrier::default(),
         }
     }
 }
@@ -365,9 +378,7 @@ impl CrStage {
             loop {
                 match op.poll(ctx, &mut world.store) {
                     Step::Done(out) => {
-                        if let Some(d) = finish_local(ctx, world, id, seq, out, started) {
-                            self.st.ack_defer.push_back(d);
-                        }
+                        finish_local(ctx, world, &mut self.st.ack_defer, id, seq, out, started);
                         break;
                     }
                     Step::Ready => continue,
@@ -734,9 +745,8 @@ impl CrStage {
         loop {
             match op.poll(ctx, &mut world.store) {
                 Step::Done(out) => {
-                    if let Some(d) = finish_local(ctx, world, self.id, seq, out, started) {
-                        self.st.ack_defer.push_back(d);
-                    }
+                    let id = self.id;
+                    finish_local(ctx, world, &mut self.st.ack_defer, id, seq, out, started);
                     return;
                 }
                 Step::Ready => continue,
@@ -848,31 +858,11 @@ impl CrStage {
     /// Releases deferred hot-path acks whose durability requirement is now
     /// met (no-op without the tier).
     fn drain_deferred(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) {
-        if self.st.ack_defer.is_empty() {
+        let Some(tier) = world.tier.as_mut() else {
             return;
-        }
-        let durable = {
-            let Some(tier) = world.tier.as_mut() else {
-                return;
-            };
-            tier.advance(ctx.now());
-            tier.durable_seq()
         };
-        while self
-            .st
-            .ack_defer
-            .front()
-            .is_some_and(|(need, ..)| *need <= durable)
-        {
-            let (_, resp, started) = self.st.ack_defer.pop_front().expect("checked non-empty");
-            world.stats.responses += 1;
-            world.dedup.record(resp.client, resp.seq);
-            let hit_ns = ctx.now().since(started) / utps_sim::time::NANOS;
-            let reg = &mut ctx.machine().registry;
-            reg.counter_inc("cr.response");
-            reg.hist_record("cr.hit_path_ns", hit_ns);
-            let resp_addr = resp.resp_addr;
-            send_response(ctx, &mut world.fabric, resp_addr, resp);
+        for (resp, started) in self.st.ack_defer.drain(tier, ctx.now()) {
+            send_local(ctx, world, resp, started);
         }
     }
 
@@ -964,24 +954,11 @@ impl MrStage {
     /// Advances the durability barrier and releases completions of commit
     /// groups that became durable (no-op without the tier).
     fn drain_tier(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) {
-        if self.st.defers.is_empty() {
+        let Some(tier) = world.tier.as_mut() else {
             return;
-        }
-        let durable = {
-            let Some(tier) = world.tier.as_mut() else {
-                return;
-            };
-            tier.advance(ctx.now());
-            tier.durable_seq()
         };
         let id = self.id;
-        while self
-            .st
-            .defers
-            .front()
-            .is_some_and(|d| d.need_seq <= durable)
-        {
-            let d = self.st.defers.pop_front().expect("checked non-empty");
+        for d in self.st.defers.drain(tier, ctx.now()) {
             for (p, n) in d.lanes {
                 world.crmr.complete(ctx, p, id, n);
             }
@@ -1036,9 +1013,7 @@ impl MrStage {
             // pulling more work (bounds both memory and ack latency).
             if let Some(tier) = world.tier.as_ref() {
                 if st.defers.len() >= tier.cfg.defer_max {
-                    if let Some(t) = tier.next_commit() {
-                        ctx.advance_to(t);
-                    }
+                    tier::wait_for_commit(ctx, Some(tier));
                     return false;
                 }
             }
@@ -1063,9 +1038,7 @@ impl MrStage {
                     reg.hist_record("mr.interleave_depth", st.ops.len() as u64);
                 } else if !st.defers.is_empty() {
                     // Nothing to pop and groups in flight: wait on the device.
-                    if let Some(t) = world.tier.as_ref().and_then(|t| t.next_commit()) {
-                        ctx.advance_to(t);
-                    }
+                    tier::wait_for_commit(ctx, world.tier.as_ref());
                 }
                 return false;
             }
@@ -1107,9 +1080,7 @@ impl MrStage {
                     .hist_record("mr.interleave_depth", depth);
             } else if !st.defers.is_empty() {
                 // Nothing to pop and groups in flight: wait on the device.
-                if let Some(t) = world.tier.as_ref().and_then(|t| t.next_commit()) {
-                    ctx.advance_to(t);
-                }
+                tier::wait_for_commit(ctx, world.tier.as_ref());
             }
             return false;
         }
@@ -1135,20 +1106,20 @@ impl MrStage {
                 // Device read complete: stage the cold value into this
                 // worker's response buffer like any MR get hit.
                 let (_, v) = st.ops[i].cold.take().expect("checked above");
-                let len = v.len();
-                let payload = ctx.machine().payloads.alloc(v.into_boxed_slice());
-                ctx.write(world.resp.addr_for(id, seq), len);
-                KvOpOutput {
-                    ok: true,
-                    value: Some(payload),
-                    scan_count: 0,
-                    payload: 0,
-                }
+                KvOpOutput::cold_hit(ctx, world.resp.addr_for(id, seq), v)
             } else {
                 ctx.fsm_switch();
                 match st.ops[i].op.poll(ctx, &mut world.store) {
                     Step::Done(out) => {
-                        match tier_finish(ctx, world, &mut st.ops[i], &mut st.wal_buf, out) {
+                        match tier::finish_op(
+                            ctx,
+                            world.tier.as_mut(),
+                            &world.store,
+                            world.ring.request(seq),
+                            &mut st.wal_buf,
+                            &mut st.ops[i].cold,
+                            out,
+                        ) {
                             Some(out) => out,
                             None => {
                                 // Parked on a cold-tier read.
@@ -1205,12 +1176,7 @@ impl MrStage {
             // Super-batch retired: seal its WAL records as one commit group
             // and hold every completion (reads included — they may have
             // observed earlier un-durable writes) behind the barrier.
-            if !st.wal_buf.is_empty() {
-                let records = core::mem::take(&mut st.wal_buf);
-                // Group encode: header plus record copies into the log tail.
-                ctx.compute_ns(60 + 8 * records.len() as u64);
-                tier.seal_group(&records, ctx.now());
-            }
+            tier.seal_batch(ctx, &mut st.wal_buf);
             let need_seq = tier.last_applied();
             let mut lanes = Vec::new();
             for p in 0..world.cfg.workers {
@@ -1220,11 +1186,7 @@ impl MrStage {
                 }
             }
             let shared = core::mem::take(&mut st.shared_done);
-            st.defers.push_back(TierDefer {
-                need_seq,
-                lanes,
-                shared,
-            });
+            st.defers.park(need_seq, TierDefer { lanes, shared });
             st.ops.clear();
         } else if all_done && world.crmr.is_shared() {
             st.ops.clear();
@@ -1250,89 +1212,6 @@ impl MrStage {
     }
 }
 
-/// Tier bookkeeping when an MR op's state machine completes: releases the
-/// active-key guard, appends WAL records for applied writes, serves get
-/// misses from the cold run (parking the op on the simulated device read),
-/// and upgrades deletes of run-only keys to successes. Returns `None` when
-/// the op parked on a cold read (its `cold` field is armed); the caller
-/// must not mark it done. No-op passthrough without the tier.
-fn tier_finish(
-    ctx: &mut Ctx<'_>,
-    world: &mut UtpsWorld,
-    active: &mut ActiveOp,
-    wal_buf: &mut Vec<utps_wal::WalRecord>,
-    mut out: KvOpOutput,
-) -> Option<KvOpOutput> {
-    if world.tier.is_none() {
-        return Some(out);
-    }
-    let (client, client_seq, key, is_put, is_delete, is_get, is_scan) = {
-        let req = world.ring.request(active.seq);
-        (
-            req.client,
-            req.seq,
-            req.op.key(),
-            matches!(req.op, Op::Put { .. }),
-            matches!(req.op, Op::Delete { .. }),
-            matches!(req.op, Op::Get { .. }),
-            matches!(req.op, Op::Scan { .. }),
-        )
-    };
-    // Snapshot the just-applied value before borrowing the tier: the put's
-    // write is the most recent mutation of this key, so the current value
-    // is exactly what must be logged.
-    let put_value = if is_put && out.ok {
-        world.store.get_native(key).map(<[u8]>::to_vec)
-    } else {
-        None
-    };
-    let tier = world.tier.as_mut().expect("checked above");
-    if is_scan {
-        tier.scan_dec();
-        return Some(out);
-    }
-    tier.active_dec(key);
-    if let Some(value) = put_value {
-        // Copy the record into the group-commit buffer.
-        ctx.compute_ns(10 + value.len() as u64 / 16);
-        wal_buf.push(utps_wal::WalRecord {
-            wal_seq: tier.next_seq(),
-            client,
-            client_seq,
-            key,
-            op: utps_wal::WalOp::Put,
-            value,
-        });
-    } else if is_delete {
-        let cold_only = !out.ok && tier.cold_get(key).is_some();
-        if out.ok || cold_only {
-            // Kill any run copy; log the delete. A delete that missed DRAM
-            // but hit the run succeeds by tombstone alone — the run is
-            // immutable, so no device write beyond the WAL is needed.
-            tier.tombstone(key);
-            ctx.compute_ns(10);
-            wal_buf.push(utps_wal::WalRecord {
-                wal_seq: tier.next_seq(),
-                client,
-                client_seq,
-                key,
-                op: utps_wal::WalOp::Delete,
-                value: Vec::new(),
-            });
-            out.ok = true;
-        }
-    } else if is_get && !out.ok {
-        if let Some(v) = tier.cold_get(key) {
-            // Cold hit: park on the device read. The value snapshot is
-            // taken now — compaction may replace the run before it lands.
-            let ready = tier.device.read(v.len(), ctx.now());
-            active.cold = Some((ready, v));
-            return None;
-        }
-    }
-    Some(out)
-}
-
 impl Stage<UtpsWorld> for MrStage {
     fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> StepOutcome {
         if self.run(ctx, world) {
@@ -1349,38 +1228,43 @@ impl Stage<UtpsWorld> for MrStage {
     }
 }
 
-/// Sends the response for a locally served request and frees the slot.
-/// With the durable tier enabled the ack is *not* sent: the hot path may
-/// have observed writes applied in place whose commit group is still in
-/// flight, so the caller must hold the returned `(need_seq, response,
-/// started)` behind the durability barrier (dedup is recorded at actual
-/// send, so a retransmit meanwhile re-executes idempotently rather than
-/// being answered from an un-durable ack).
+/// Completes a locally served request and frees its slot. With the durable
+/// tier enabled the ack is *not* sent: the hot path may have observed
+/// writes applied in place whose commit group is still in flight, so it is
+/// parked on `barrier` (dedup is recorded at actual send, so a retransmit
+/// meanwhile re-executes idempotently rather than being answered from an
+/// un-durable ack).
 fn finish_local(
     ctx: &mut Ctx<'_>,
     world: &mut UtpsWorld,
+    barrier: &mut DurabilityBarrier<(Response, SimTime)>,
     id: usize,
     seq: u64,
     out: KvOpOutput,
     started: SimTime,
-) -> Option<(u64, Response, SimTime)> {
+) {
     let resp_addr = world.resp.addr_for(id, seq);
     let resp = build_response(world.ring.request(seq), out, resp_addr);
     world.ring.abort(seq);
     if let Some(cl) = &world.cluster {
         cl.op_end(seq);
     }
-    if let Some(tier) = &world.tier {
-        return Some((tier.last_applied(), resp, started));
+    match &world.tier {
+        Some(tier) => barrier.park(tier.last_applied(), (resp, started)),
+        None => send_local(ctx, world, resp, started),
     }
+}
+
+/// Sends the ack of a locally served request claimed at `started`.
+fn send_local(ctx: &mut Ctx<'_>, world: &mut UtpsWorld, resp: Response, started: SimTime) {
     world.stats.responses += 1;
     world.dedup.record(resp.client, resp.seq);
     let hit_ns = ctx.now().since(started) / utps_sim::time::NANOS;
     let reg = &mut ctx.machine().registry;
     reg.counter_inc("cr.response");
     reg.hist_record("cr.hit_path_ns", hit_ns);
+    let resp_addr = resp.resp_addr;
     send_response(ctx, &mut world.fabric, resp_addr, resp);
-    None
 }
 
 /// A PUT whose receive slot carries no payload is a protocol error, not a

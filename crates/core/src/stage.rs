@@ -175,7 +175,7 @@ impl<W: KvWorld + 'static> PipelineRuntime<W> {
             self.eng.spawn(
                 None,
                 StatClass::Other,
-                Box::new(SamplerProc::new(cfg.timeline_interval)),
+                Box::new(SamplerProc::new(cfg.timeline_interval, W::driver_mut)),
             );
         }
     }

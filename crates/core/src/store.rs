@@ -100,6 +100,21 @@ impl KvOpOutput {
             payload: 0,
         }
     }
+
+    /// A get served from the cold tier once its device read has landed:
+    /// stages `value` into the worker's response buffer at `resp_addr`
+    /// like any DRAM get hit.
+    pub fn cold_hit(ctx: &mut Ctx<'_>, resp_addr: usize, value: Vec<u8>) -> Self {
+        let len = value.len();
+        let payload = ctx.machine().payloads.alloc(value.into_boxed_slice());
+        ctx.write(resp_addr, len);
+        KvOpOutput {
+            ok: true,
+            value: Some(payload),
+            scan_count: 0,
+            payload: 0,
+        }
+    }
 }
 
 /// Buffer addresses a [`KvOp`] copies between.

@@ -1,0 +1,125 @@
+//! One way to assemble a run: the [`System`] trait and the runners on it.
+//!
+//! μTPS and BaseKV differ in their thread model and nothing else, so
+//! everything a runner needs from a system is a handful of hooks — how many
+//! cores, how to build the world, which processes to spawn in which order,
+//! what to reset at the warmup boundary and how to read the result out. The
+//! runners themselves exist once, on top of [`PipelineRuntime`]:
+//!
+//! | runner | hooks, in call order |
+//! |---|---|
+//! | [`run_system`] | `build_world` · `cores` · `prepare_machine` · `procs` · (clients) · `reset` · `fold` · `overlay` |
+//! | [`crate::crash::run_crash`] | the same up to `procs`, twice (pre-crash, recovered) · `reset` |
+//! | `utps_cluster::run_cluster_system` | per shard: `build_world` · `prepare_machine` · `procs` (wrapped in `ShardProc`) · `reset` · `fold`; then `overlay` over all shards |
+//!
+//! eRPCKV and the passive baselines have no tier, cluster or crash path and
+//! stay on `utps_baselines::run::run_pipeline`.
+
+use utps_sim::{Engine, Machine, MetricsRegistry, Process, StatClass};
+
+use crate::client::KvWorld;
+use crate::experiment::{RunConfig, RunResult};
+use crate::hotcache::HotCache;
+use crate::retry::DedupTable;
+use crate::shardctl::ShardCtl;
+use crate::stage::PipelineRuntime;
+use crate::store::KvStore;
+use crate::tier::TierState;
+
+/// Mutable views of the state every server world carries, whatever its
+/// thread model — what the compactor, the crash runner and the cluster
+/// controllers operate on.
+pub struct ServerParts<'a> {
+    /// Index + items.
+    pub store: &'a mut KvStore,
+    /// Exactly-once filter for retransmitted writes.
+    pub dedup: &'a mut DedupTable,
+    /// Durable tier (`None` = DRAM-only).
+    pub tier: &'a mut Option<TierState>,
+    /// CR-layer hot cache, for worlds that have one (its keys must stay in
+    /// the DRAM index).
+    pub hot: Option<&'a mut HotCache>,
+    /// Cluster admission hooks (`None` = single machine).
+    pub cluster: &'a mut Option<ShardCtl>,
+}
+
+/// A server world: client-facing [`KvWorld`] plus the shared server state.
+pub trait ServerWorld: KvWorld + 'static {
+    /// Splits the world into its shared server state.
+    fn parts(&mut self) -> ServerParts<'_>;
+}
+
+/// A server process with its pinned core and stat class.
+pub type Proc<W> = (usize, StatClass, Box<dyn Process<W>>);
+
+/// What the shared runners need from a system.
+pub trait System {
+    /// The server world the system's processes run against.
+    type World: ServerWorld;
+
+    /// Server cores per machine.
+    fn cores(cfg: &RunConfig) -> usize;
+
+    /// A fresh world for `cfg` (populated store, tier from config).
+    fn build_world(cfg: &RunConfig) -> Self::World;
+
+    /// Static machine set-up before any process runs (CLOS masks).
+    fn prepare_machine(cfg: &RunConfig, machine: &mut Machine);
+
+    /// The server processes, in canonical spawn order.
+    fn procs(cfg: &RunConfig, world: &Self::World) -> Vec<Proc<Self::World>>;
+
+    /// The warmup-boundary reset of everything the system counts (the
+    /// runners reset the cache counters themselves).
+    fn reset(world: &mut Self::World, machine: &mut Machine);
+
+    /// Folds world-side counters into the machine's registry so the
+    /// snapshot is one self-contained artifact for the measured window.
+    fn fold(world: &Self::World, reg: &mut MetricsRegistry);
+
+    /// Patches the system-specific [`RunResult`] fields. `worlds` holds
+    /// one world per machine; per-machine fields report machine 0.
+    fn overlay(worlds: &[&Self::World], r: &mut RunResult);
+}
+
+/// Prepares machine 0 and spawns the system's server processes on it.
+pub fn spawn_procs<S: System>(rt: &mut PipelineRuntime<S::World>, cfg: &RunConfig) {
+    S::prepare_machine(cfg, rt.machine());
+    for (core, class, proc) in S::procs(cfg, &rt.engine().world) {
+        rt.spawn_process(Some(core), class, proc);
+    }
+}
+
+/// The warmup-boundary reset, in the shape [`PipelineRuntime::run`] takes.
+pub fn reset<S: System>(eng: &mut Engine<S::World>) {
+    let (world, machine) = eng.world_and_machine(0);
+    S::reset(world, machine);
+}
+
+/// Builds the [`RunResult`] from a finished single-machine engine.
+pub fn extract<S: System>(cfg: &RunConfig, eng: &mut Engine<S::World>) -> RunResult {
+    let (world, machine) = eng.world_and_machine(0);
+    S::fold(world, &mut machine.registry);
+    let mut r = RunResult::new(cfg, eng, |w| w.driver_mut());
+    S::overlay(&[&eng.world], &mut r);
+    r
+}
+
+/// A runtime around `world` with the system's server processes spawned.
+pub fn assemble<S: System>(cfg: &RunConfig, world: S::World) -> PipelineRuntime<S::World> {
+    let mut rt = PipelineRuntime::new(cfg, S::cores(cfg), world);
+    spawn_procs::<S>(&mut rt, cfg);
+    rt
+}
+
+/// Runs system `S` under `cfg`: warmup → reset → measure → extract. Also
+/// returns the final world so tests can inspect the store, queues, caches
+/// and tier after the run.
+pub fn run_system<S: System>(cfg: &RunConfig) -> (RunResult, S::World) {
+    let mut rt = assemble::<S>(cfg, S::build_world(cfg));
+    rt.spawn_clients(cfg);
+    rt.run(reset::<S>);
+    let mut eng = rt.into_engine();
+    let result = extract::<S>(cfg, &mut eng);
+    (result, eng.world)
+}

@@ -36,11 +36,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use utps_sim::device::{DeviceConfig, SimDevice};
 use utps_sim::hashutil::FxHashMap;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Process, StepOutcome};
-use utps_wal::{SortedRun, WalRecord};
+use utps_sim::{Ctx, MetricsRegistry, Process, StepOutcome};
+use utps_wal::{SortedRun, WalOp, WalRecord};
+use utps_workload::Op;
 
 use crate::hotcache::HotCache;
-use crate::store::KvStore;
+use crate::msg::Request;
+use crate::store::{KvOpOutput, KvStore};
+use crate::system::ServerWorld;
 
 /// Configuration for the durable tier (absent = DRAM-only, the seed
 /// behavior).
@@ -220,6 +223,17 @@ impl TierState {
         done
     }
 
+    /// Seals a retired batch's WAL records (if any) as one commit group,
+    /// charging the group encode: header plus record copies into the tail.
+    pub fn seal_batch(&mut self, ctx: &mut Ctx<'_>, wal_buf: &mut Vec<WalRecord>) {
+        if wal_buf.is_empty() {
+            return;
+        }
+        ctx.compute_ns(60 + 8 * wal_buf.len() as u64);
+        self.seal_group(wal_buf, ctx.now());
+        wal_buf.clear();
+    }
+
     /// Retires every commit group whose device write has completed by `now`
     /// and advances `durable_seq` over the contiguous committed prefix.
     /// Safe to call with any worker's clock: completion times only ever
@@ -302,6 +316,34 @@ impl TierState {
     /// Live tombstone count.
     pub fn tombstone_count(&self) -> u64 {
         self.tombstones.len() as u64
+    }
+
+    /// Zeroes the tier and device counters (the warmup boundary).
+    pub fn reset_stats(&mut self) {
+        self.stats = TierStats::default();
+        self.device.stats = Default::default();
+    }
+
+    /// Folds the tier counters into `reg`. Callers fold only when the tier
+    /// is enabled, so tier-less documents stay byte-identical to the
+    /// pre-tier goldens (the lint schema still pins the names).
+    pub fn fold_into(&self, reg: &mut MetricsRegistry) {
+        let folds: [(&'static str, u64); 11] = [
+            ("wal.records", self.stats.wal_records),
+            ("wal.groups", self.stats.wal_groups),
+            ("wal.bytes", self.stats.wal_bytes),
+            ("device.reads", self.device.stats.reads),
+            ("device.writes", self.device.stats.writes),
+            ("tier.cold_hit", self.stats.cold_hits),
+            ("tier.cold_miss", self.stats.cold_misses),
+            ("tier.compactions", self.stats.compactions),
+            ("tier.evicted", self.stats.evicted),
+            ("tier.run_items", self.run_items()),
+            ("tier.tombstones", self.tombstone_count()),
+        ];
+        for (name, v) in folds {
+            reg.counter_add(name, v);
+        }
     }
 
     /// Simulates a power loss at `at`: truncates every device segment to
@@ -423,16 +465,17 @@ pub fn compact_pass(
     ctx.compute_ns(200 + 150 * n_evicted as u64);
 }
 
-/// Background compactor for the μTPS server (spawned on the manager core
-/// when the tier is enabled).
+/// Background compactor for any server world with the tier enabled: one
+/// eviction/merge pass per `compact_every_ps`, honoring the world's hot
+/// cache when it has one.
 pub struct TierCompactorProc {
     total_keys: u64,
     next_at: SimTime,
 }
 
 impl TierCompactorProc {
-    /// Compactor over a `[0, total_keys)` key space, first pass one period
-    /// after start.
+    /// Compactor over a `[0, total_keys)` key space, first pass at
+    /// `first_at`.
     pub fn new(total_keys: u64, first_at: SimTime) -> Self {
         TierCompactorProc {
             total_keys,
@@ -441,28 +484,17 @@ impl TierCompactorProc {
     }
 }
 
-impl Process<crate::server::UtpsWorld> for TierCompactorProc {
-    fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut crate::server::UtpsWorld) -> StepOutcome {
-        let Some(tier) = world.tier.as_mut() else {
+impl<W: ServerWorld> Process<W> for TierCompactorProc {
+    fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut W) -> StepOutcome {
+        let parts = world.parts();
+        let Some(tier) = parts.tier.as_mut() else {
             ctx.halt();
             return StepOutcome::Idle;
         };
         tier.advance(ctx.now());
         if ctx.now() >= self.next_at {
-            compact_pass(
-                tier,
-                &mut world.store,
-                Some(&mut world.hot),
-                self.total_keys,
-                ctx,
-            );
-            let period = world
-                .tier
-                .as_ref()
-                .expect("tier checked above")
-                .cfg
-                .compact_every_ps;
-            self.next_at = SimTime(ctx.now().as_ps() + period);
+            compact_pass(tier, parts.store, parts.hot, self.total_keys, ctx);
+            self.next_at = SimTime(ctx.now().as_ps() + tier.cfg.compact_every_ps);
         }
         ctx.advance_to(self.next_at);
         StepOutcome::Idle
@@ -471,6 +503,147 @@ impl Process<crate::server::UtpsWorld> for TierCompactorProc {
     fn name(&self) -> &'static str {
         "tier-compactor"
     }
+}
+
+/// The durability barrier: acks (or completion signals) parked FIFO behind
+/// the WAL sequence they depend on. Every ack — reads included, since they
+/// may have observed an earlier un-durable write applied in place — waits
+/// here when the tier is on; `need_seq` is monotone per worker.
+pub struct DurabilityBarrier<T> {
+    parked: VecDeque<(u64, T)>,
+}
+
+impl<T> Default for DurabilityBarrier<T> {
+    fn default() -> Self {
+        DurabilityBarrier {
+            parked: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> DurabilityBarrier<T> {
+    /// Whether nothing is parked.
+    pub fn is_empty(&self) -> bool {
+        self.parked.is_empty()
+    }
+
+    /// Entries parked.
+    pub fn len(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// Parks `item` until every WAL sequence up to `need_seq` is durable.
+    pub fn park(&mut self, need_seq: u64, item: T) {
+        self.parked.push_back((need_seq, item));
+    }
+
+    /// Advances `tier`'s durability to `now` and releases, in FIFO order,
+    /// every parked entry it now covers. With nothing parked the tier is
+    /// left untouched: durability then progresses only on the clocks of
+    /// workers that are actually waiting on it.
+    pub fn drain<'a>(
+        &'a mut self,
+        tier: &mut TierState,
+        now: SimTime,
+    ) -> impl Iterator<Item = T> + 'a {
+        let durable = if self.parked.is_empty() {
+            0
+        } else {
+            tier.advance(now);
+            tier.durable_seq()
+        };
+        std::iter::from_fn(move || {
+            let (need, _) = self.parked.front()?;
+            if *need > durable {
+                return None;
+            }
+            self.parked.pop_front().map(|(_, item)| item)
+        })
+    }
+}
+
+/// With acks parked on the barrier and nothing else runnable, jumps to the
+/// oldest in-flight group commit instead of spinning.
+pub fn wait_for_commit(ctx: &mut Ctx<'_>, tier: Option<&TierState>) {
+    if let Some(t) = tier.and_then(TierState::next_commit) {
+        ctx.advance_to(t);
+    }
+}
+
+/// Tier bookkeeping when a server op's state machine completes (`req` is
+/// the request it served, `out` its DRAM-side result): releases the
+/// active-key guard, appends WAL records for applied writes to `wal_buf`,
+/// serves get misses from the cold run, and upgrades deletes of run-only
+/// keys to successes. Returns `None` when the op parked on a cold-tier
+/// device read — `cold` is then armed with `(ready time, value snapshot)`
+/// and the caller must not complete the op yet. Passthrough without the
+/// tier.
+pub fn finish_op(
+    ctx: &mut Ctx<'_>,
+    tier: Option<&mut TierState>,
+    store: &KvStore,
+    req: &Request,
+    wal_buf: &mut Vec<WalRecord>,
+    cold: &mut Option<(SimTime, Vec<u8>)>,
+    mut out: KvOpOutput,
+) -> Option<KvOpOutput> {
+    let Some(tier) = tier else {
+        return Some(out);
+    };
+    let key = req.op.key();
+    let mut log = |tier: &mut TierState, op: WalOp, value: Vec<u8>| {
+        wal_buf.push(WalRecord {
+            wal_seq: tier.next_seq(),
+            client: req.client,
+            client_seq: req.seq,
+            key,
+            op,
+            value,
+        });
+    };
+    match req.op {
+        Op::Scan { .. } => {
+            tier.scan_dec();
+            return Some(out);
+        }
+        _ => tier.active_dec(key),
+    }
+    match req.op {
+        Op::Put { .. } if out.ok => {
+            // The put's write is the most recent mutation of this key, so
+            // the current value is exactly what must be logged.
+            if let Some(value) = store.get_native(key).map(<[u8]>::to_vec) {
+                // Copy the record into the group-commit buffer.
+                ctx.compute_ns(10 + value.len() as u64 / 16);
+                log(tier, WalOp::Put, value);
+            }
+        }
+        Op::Delete { .. } => {
+            let cold_only = !out.ok && tier.cold_get(key).is_some();
+            if out.ok || cold_only {
+                // Kill any run copy; log the delete. A delete that missed
+                // DRAM but hit the run succeeds by tombstone alone — the
+                // run is immutable, so no device write beyond the WAL is
+                // needed.
+                tier.tombstone(key);
+                ctx.compute_ns(10);
+                log(tier, WalOp::Delete, Vec::new());
+                out.ok = true;
+            }
+        }
+        Op::Get { .. } if !out.ok => {
+            if let Some(v) = tier.cold_get(key) {
+                // Cold hit: park on the device read. The value snapshot is
+                // taken now — compaction may replace the run before it
+                // lands.
+                let ready = tier.device.read(v.len(), ctx.now());
+                *cold = Some((ready, v));
+                return None;
+            }
+        }
+        _ => {}
+    }
+    Some(out)
 }
 
 /// Per-run tier measurements, exported on [`crate::experiment::RunResult`]
@@ -582,6 +755,30 @@ mod tests {
         t.advance(d2);
         assert_eq!(t.durable_seq(), 3);
         assert!(t.next_commit().is_none());
+    }
+
+    #[test]
+    fn barrier_releases_fifo_up_to_durable_seq() {
+        let mut t = TierState::new(TierConfig::default(), 42);
+        let mut b = DurabilityBarrier::default();
+        for seq in 1..=3 {
+            assert_eq!(t.next_seq(), seq);
+        }
+        let d1 = t.seal_group(&[rec(1, 10, 1)], SimTime::ZERO);
+        // Nothing parked: nothing released, and the tier is not advanced.
+        assert_eq!(b.drain(&mut t, d1).count(), 0);
+        assert_eq!(t.durable_seq(), 0);
+        b.park(1, 'a');
+        b.park(1, 'b');
+        b.park(3, 'c');
+        // Before the group's device write lands nothing is durable.
+        assert_eq!(b.drain(&mut t, SimTime::ZERO).count(), 0);
+        // Seq 1 durable: its two acks leave in park order, seq 3's stays.
+        assert_eq!(b.drain(&mut t, d1).collect::<Vec<_>>(), ['a', 'b']);
+        assert_eq!(b.len(), 1);
+        let d2 = t.seal_group(&[rec(2, 11, 2), rec(3, 12, 3)], d1);
+        assert_eq!(b.drain(&mut t, d2).collect::<Vec<_>>(), ['c']);
+        assert!(b.is_empty());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Failure/overload injection: undersized buffers must backpressure, never
 //! lose or corrupt requests.
 
-use utps_core::experiment::{run_utps_with_world, RunConfig, WorkloadSpec};
+use utps_core::experiment::{RunConfig, Utps, WorkloadSpec};
+use utps_core::run_system;
 use utps_index::IndexKind;
 use utps_sim::config::MachineConfig;
 use utps_sim::time::MICROS;
@@ -38,7 +39,7 @@ fn tiny_receive_ring_backpressures_without_loss() {
         ring_slots: 64,
         ..base()
     };
-    let (r, world) = run_utps_with_world(&cfg);
+    let (r, world) = run_system::<Utps>(&cfg);
     assert!(
         r.completed > 200,
         "only {} ops through a tiny ring",
@@ -53,8 +54,8 @@ fn tiny_receive_ring_backpressures_without_loss() {
 fn oversubscribed_clients_saturate_gracefully() {
     // 10x the usual offered load against a small server: latency inflates,
     // throughput stays at the server's capacity, nothing wedges.
-    let normal = run_utps_with_world(&base()).0;
-    let flood = run_utps_with_world(&RunConfig {
+    let normal = run_system::<Utps>(&base()).0;
+    let flood = run_system::<Utps>(&RunConfig {
         clients: 64,
         pipeline: 16,
         ..base()
@@ -81,7 +82,7 @@ fn minimal_worker_and_batch_configuration() {
         batch: 1,
         ..base()
     };
-    let (r, _) = run_utps_with_world(&cfg);
+    let (r, _) = run_system::<Utps>(&cfg);
     assert!(
         r.completed > 100,
         "degenerate config served {}",
@@ -103,7 +104,7 @@ fn value_size_exceeding_slot_is_clamped_on_wire_but_correct() {
         },
         ..base()
     };
-    let (r, world) = run_utps_with_world(&cfg);
+    let (r, world) = run_system::<Utps>(&cfg);
     assert!(r.completed > 100);
     // Values written by clients are intact in the store.
     let mut client_written = 0;
@@ -133,7 +134,7 @@ fn zero_skew_with_cache_enabled_is_harmless() {
         },
         ..base()
     };
-    let (r, _) = run_utps_with_world(&cfg);
+    let (r, _) = run_system::<Utps>(&cfg);
     assert!(r.completed > 200);
     assert!(r.cr_local_frac < 0.30, "uniform traffic cannot be this hot");
 }

@@ -400,6 +400,12 @@ impl<W> Engine<W> {
         &mut self.machines[idx]
     }
 
+    /// The world and machine `idx` together (disjoint borrows, for code
+    /// that moves world-side counters into a machine's registry).
+    pub fn world_and_machine(&mut self, idx: usize) -> (&mut W, &mut Machine) {
+        (&mut self.world, &mut self.machines[idx])
+    }
+
     /// Immutable view of machine `idx`.
     pub fn machine_at(&self, idx: usize) -> &Machine {
         &self.machines[idx]

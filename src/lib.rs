@@ -58,13 +58,13 @@ pub use utps_workload as workload;
 
 /// The most common imports for driving experiments.
 pub mod prelude {
-    pub use utps_baselines::{run, run_basekv_crash};
+    pub use utps_baselines::{run, BaseKv};
     pub use utps_cluster::{run_cluster, ClusterConfig, LinkConfig, MigrationSpec, SizeClass};
     pub use utps_core::experiment::{run_utps, RunConfig, RunResult, SystemKind, WorkloadSpec};
     pub use utps_core::retry::RetryConfig;
     pub use utps_core::tuner::{TunerMode, TunerParams};
     pub use utps_core::KvStore;
-    pub use utps_core::{run_utps_crash, CrashReport, TierConfig};
+    pub use utps_core::{run_crash, run_system, CrashReport, System, TierConfig, Utps};
     pub use utps_index::IndexKind;
     pub use utps_oracle::{InitialState, Report, Violation};
     pub use utps_sim::config::MachineConfig;

@@ -401,11 +401,11 @@ fn crash_plus_device_fault_preserves_exactly_once() {
     for (label, runner) in [
         (
             "utps-h",
-            run_utps_crash as fn(&RunConfig, u64) -> CrashReport,
+            run_crash::<Utps> as fn(&RunConfig, u64) -> CrashReport,
         ),
         (
             "basekv",
-            run_basekv_crash as fn(&RunConfig, u64) -> CrashReport,
+            run_crash::<BaseKv> as fn(&RunConfig, u64) -> CrashReport,
         ),
     ] {
         let cfg = RunConfig {

@@ -11,6 +11,7 @@
 //! receive drops and a 50 µs core stall, and seeded schedule exploration
 //! perturbing every machine.
 
+use utps::core::system::ServerWorld;
 use utps::prelude::*;
 use utps::sim::time::MICROS;
 use utps_workload::zipf::KeyDist;
@@ -147,6 +148,52 @@ fn utps_h_cluster_is_linearizable_across_rebalances() {
 #[test]
 fn basekv_cluster_is_linearizable_across_rebalances() {
     check_system("basekv", SystemKind::BaseKv, IndexKind::Tree);
+}
+
+/// `cluster × tier`: a static two-shard cluster with the durable tier on
+/// every shard, under the acceptance faults and the explorer. Routing is
+/// static (migration and replication copy from DRAM and are rejected with
+/// the tier on), so every shard serves — and must log — its own writes.
+fn check_tiered<S: System>(label: &str, index: IndexKind)
+where
+    S::World: utps::cluster::ShardWorld,
+{
+    for seed in explore_seeds() {
+        let mut cfg = ClusterConfig::new(cluster_cfg(index, seed).base, 2);
+        cfg.base.tier = Some(TierConfig {
+            dram_items_max: 15_000,
+            evict_batch: 256,
+            compact_every_ps: 100 * MICROS,
+            ..Default::default()
+        });
+        let (r, mut shards) = utps::cluster::run_cluster_system::<S>(&cfg);
+        assert!(r.completed > 0, "{label}/{seed}: nothing completed");
+        for (s, world) in shards.iter_mut().enumerate() {
+            let tier = world.parts().tier.as_ref().expect("tier built per shard");
+            assert!(
+                tier.stats.wal_records > 0,
+                "{label}/{seed}: shard {s} logged no writes"
+            );
+        }
+        let rep = r.oracle.as_ref().expect("oracle was configured on");
+        assert!(
+            rep.ok(),
+            "{label}/{seed}: tiered cluster history is NOT linearizable.\n\
+             schedule trace: {:?}\nviolations: {:#?}",
+            r.schedule_trace,
+            rep.violations
+        );
+    }
+}
+
+#[test]
+fn utps_h_tiered_cluster_is_linearizable() {
+    check_tiered::<Utps>("utps_h", IndexKind::Hash);
+}
+
+#[test]
+fn basekv_tiered_cluster_is_linearizable() {
+    check_tiered::<BaseKv>("basekv", IndexKind::Tree);
 }
 
 #[test]

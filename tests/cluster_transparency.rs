@@ -8,6 +8,11 @@
 //! exactly. These tests reuse the *existing* single-machine goldens
 //! (`tests/golden/equiv_*.json`), so any divergence is a transparency
 //! regression in the cluster crate, never a golden refresh.
+//!
+//! The server side of a shard is the single-machine `System` hooks, so it
+//! is identical by construction; what these tests still guard is the
+//! client side (`ClusterClientProc` mirrors `ClientProc`) and the runner's
+//! ordering.
 
 use utps::prelude::*;
 use utps::sim::time::MICROS;
@@ -54,6 +59,43 @@ fn check(label: &str, system: SystemKind, index: IndexKind) {
              the single-machine golden; the cluster layer is not transparent"
         );
     }
+}
+
+/// Tier-on rows: no golden pins these, so the reference is the
+/// single-machine runner itself on the same config — the `"tier"` section
+/// and the `wal.*`/`tier.*`/`device.*` counters included.
+fn check_tier(system: SystemKind, index: IndexKind) {
+    for seed in [42u64, 7, 1234] {
+        let base = RunConfig {
+            tier: Some(TierConfig {
+                dram_items_max: 15_000,
+                evict_batch: 256,
+                compact_every_ps: 100 * MICROS,
+                ..Default::default()
+            }),
+            ..quick_cfg(index, seed)
+        };
+        let want = stats_json(&run(system, &base));
+        assert!(want.contains("\"tier\":{"), "reference run lost its tier");
+        let cfg = ClusterConfig::new(base, 1);
+        assert!(cfg.is_trivial(), "the tier is not a cluster feature");
+        assert_eq!(
+            stats_json(&run_cluster(system, &cfg)),
+            want,
+            "{system:?} seed {seed}: a trivial one-shard cluster with the \
+             tier on diverged from the single-machine runner"
+        );
+    }
+}
+
+#[test]
+fn utps_t_one_shard_cluster_with_tier_is_transparent() {
+    check_tier(SystemKind::Utps, IndexKind::Tree);
+}
+
+#[test]
+fn basekv_one_shard_cluster_with_tier_is_transparent() {
+    check_tier(SystemKind::BaseKv, IndexKind::Tree);
 }
 
 #[test]

@@ -148,12 +148,12 @@ fn run_matrix(label: &str, runner: impl Fn(&RunConfig, u64) -> CrashReport) {
 
 #[test]
 fn utps_crash_matrix_is_linearizable() {
-    run_matrix("utps-h", run_utps_crash);
+    run_matrix("utps-h", run_crash::<Utps>);
 }
 
 #[test]
 fn basekv_crash_matrix_is_linearizable() {
-    run_matrix("basekv", run_basekv_crash);
+    run_matrix("basekv", run_crash::<BaseKv>);
 }
 
 #[test]
@@ -166,11 +166,11 @@ fn same_seed_crash_recovery_is_byte_identical() {
     for (label, runner) in [
         (
             "utps-h",
-            run_utps_crash as fn(&RunConfig, u64) -> CrashReport,
+            run_crash::<Utps> as fn(&RunConfig, u64) -> CrashReport,
         ),
         (
             "basekv",
-            run_basekv_crash as fn(&RunConfig, u64) -> CrashReport,
+            run_crash::<BaseKv> as fn(&RunConfig, u64) -> CrashReport,
         ),
     ] {
         let a = runner(&cfg, crash_at);

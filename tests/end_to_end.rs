@@ -64,9 +64,9 @@ fn every_system_serves_requests() {
 fn data_integrity_under_mixed_load() {
     // After a run with puts, every key must still resolve and values must
     // be one of the client fill bytes or the populate filler.
-    use utps::core::experiment::run_utps_with_world;
+    use utps::core::{run_system, Utps};
     let cfg = quick(IndexKind::Tree, ycsb(Mix::A, 0.9, 32));
-    let (r, world) = run_utps_with_world(&cfg);
+    let (r, world) = run_system::<Utps>(&cfg);
     assert!(r.completed > 100);
     let mut checked = 0;
     for key in (0..cfg.keys).step_by(97) {
@@ -250,7 +250,7 @@ fn passive_kvs_pays_round_trips() {
 
 #[test]
 fn churn_workload_with_deletes() {
-    use utps::core::experiment::run_utps_with_world;
+    use utps::core::{run_system, Utps};
     // 30% put / 50% get / 20% delete over a small keyspace: keys churn in
     // and out; the hot cache must tombstone deleted entries rather than
     // serving stale items.
@@ -258,7 +258,7 @@ fn churn_workload_with_deletes() {
         duration: 3_000 * MICROS,
         ..quick(IndexKind::Tree, ycsb(Mix::CHURN, 0.9, 16))
     };
-    let (r, world) = run_utps_with_world(&cfg);
+    let (r, world) = run_system::<Utps>(&cfg);
     assert!(r.completed > 500, "only {} ops", r.completed);
     // Deletes must actually have removed keys (some gets observe misses).
     assert!(r.not_found > 0, "churn produced no observable deletes");

@@ -6,19 +6,25 @@
 //! The tier under test uses an aggressively tiny DRAM budget
 //! (`dram_items_max = 8` over a 32-key space) so nearly every compaction
 //! pass evicts, every run seal folds old-run survivors with fresh
-//! evictions, and reads constantly cross the DRAM/run boundary. Deletes
-//! follow the server's semantics: the ack is `ok` when the key lived in
-//! DRAM *or* only in the run, and either way a tombstone shadows the run
-//! copy until the next seal omits it.
+//! evictions, and reads constantly cross the DRAM/run boundary. Every op
+//! completes through `tier::finish_op` — the one op-completion path both
+//! servers call — so the semantics under test are the servers' own: a
+//! delete acks `ok` when the key lived in DRAM *or* only in the run (a
+//! tombstone shadows the run copy until the next seal omits it), a get
+//! that misses DRAM parks on the cold read, and every applied write lands
+//! in the WAL buffer.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use utps_core::msg::Request;
 use utps_core::store::{KvOp, KvOpOutput, KvStore, OpBuffers};
-use utps_core::tier::{compact_pass, TierConfig, TierState};
+use utps_core::tier::{compact_pass, finish_op, TierConfig, TierState};
 use utps_index::{IndexKind, Step};
 use utps_sim::time::SimTime;
 use utps_sim::{Ctx, Engine, MachineConfig, Process, StatClass, StepOutcome};
+use utps_wal::{WalOp, WalRecord};
+use utps_workload::Op;
 
 const BUFS: OpBuffers = OpBuffers {
     recv_addr: 0x10_0000,
@@ -80,6 +86,32 @@ fn drive(ctx: &mut Ctx<'_>, store: &mut KvStore, op: &mut KvOp) -> KvOpOutput {
     }
 }
 
+/// Runs `kv` to completion the way a server worker does: pin the key, poll
+/// the FSM, then hand the DRAM-side result to the shared `finish_op`.
+/// Returns the final output, or the cold-run value the op parked on.
+fn serve(
+    ctx: &mut Ctx<'_>,
+    w: &mut TierWorld,
+    op: Op,
+    mut kv: KvOp,
+    wal: &mut Vec<WalRecord>,
+) -> Result<KvOpOutput, Vec<u8>> {
+    let req = Request {
+        client: 0,
+        seq: wal.len() as u64,
+        op,
+        value: None,
+        sent_at: ctx.now(),
+    };
+    w.tier.active_inc(req.op.key());
+    let out = drive(ctx, &mut w.store, &mut kv);
+    let mut cold = None;
+    match finish_op(ctx, Some(&mut w.tier), &w.store, &req, wal, &mut cold, out) {
+        Some(out) => Ok(out),
+        None => Err(cold.expect("parked op arms its cold read").1),
+    }
+}
+
 /// The tiered read path as one map: DRAM shadows the run, tombstones
 /// shadow the run's copy of deleted keys.
 fn effective(world: &mut TierWorld, key: u64) -> Option<Vec<u8>> {
@@ -101,37 +133,44 @@ fn check_tier_model(ops: Vec<TierOp>) {
     );
     let mut model: BTreeMap<u64, Vec<u8>> = (0..POP).map(|k| (k, vec![0xab; LEN])).collect();
     with_world(TierWorld { store, tier }, move |ctx, w| {
+        let mut wal = Vec::new();
         for op in ops {
             match op {
                 TierOp::Put(k, fill, len) => {
                     let value = vec![fill; len];
-                    let mut op = KvOp::put(&w.store, k, value.clone().into_boxed_slice(), BUFS);
-                    assert!(drive(ctx, &mut w.store, &mut op).ok, "put {k}");
+                    let kv = KvOp::put(&w.store, k, value.clone().into_boxed_slice(), BUFS);
+                    let op = Op::Put {
+                        key: k,
+                        value_len: len,
+                    };
+                    let out = serve(ctx, w, op, kv, &mut wal).expect("puts never park");
+                    assert!(out.ok, "put {k}");
+                    let logged = wal.last().expect("applied put is logged");
+                    assert_eq!(
+                        (logged.key, logged.op, &logged.value),
+                        (k, WalOp::Put, &value)
+                    );
                     model.insert(k, value);
                 }
                 TierOp::Delete(k) => {
-                    let mut op = KvOp::delete(&w.store, k, BUFS);
-                    let out = drive(ctx, &mut w.store, &mut op);
-                    let cold_only = !out.ok && w.tier.cold_get(k).is_some();
-                    if out.ok || cold_only {
-                        w.tier.tombstone(k);
-                    }
-                    assert_eq!(
-                        out.ok || cold_only,
-                        model.remove(&k).is_some(),
-                        "delete {k}"
-                    );
+                    let kv = KvOp::delete(&w.store, k, BUFS);
+                    let logged_before = wal.len();
+                    let out = serve(ctx, w, Op::Delete { key: k }, kv, &mut wal)
+                        .expect("deletes never park");
+                    assert_eq!(out.ok, model.remove(&k).is_some(), "delete {k}");
+                    assert_eq!(wal.len() - logged_before, usize::from(out.ok));
                 }
                 TierOp::Get(k) => {
-                    let mut op = KvOp::get(&w.store, k, BUFS);
-                    let out = drive(ctx, &mut w.store, &mut op);
-                    let got = if out.ok {
-                        let v = out.value.expect("ok get returns bytes");
-                        let bytes = ctx.machine().payloads.get(v).to_vec();
-                        ctx.machine().payloads.free(v);
-                        Some(bytes)
-                    } else {
-                        w.tier.cold_get(k)
+                    let kv = KvOp::get(&w.store, k, BUFS);
+                    let got = match serve(ctx, w, Op::Get { key: k }, kv, &mut wal) {
+                        Ok(out) if out.ok => {
+                            let v = out.value.expect("ok get returns bytes");
+                            let bytes = ctx.machine().payloads.get(v).to_vec();
+                            ctx.machine().payloads.free(v);
+                            Some(bytes)
+                        }
+                        Ok(_) => None,
+                        Err(cold) => Some(cold),
                     };
                     assert_eq!(got.as_deref(), model.get(&k).map(|v| &v[..]), "get {k}");
                 }
