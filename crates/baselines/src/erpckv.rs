@@ -94,8 +94,7 @@ impl ErpcWorld {
                                     }
                                     RecvFate::Duplicate { delay } => {
                                         m.registry.counter_inc("fault.rx_dup");
-                                        let mut dup = r.clone();
-                                        dup.value = dup.value.map(|v| m.payloads.dup(v));
+                                        let dup = r.dup(&mut m.payloads);
                                         self.fabric.redeliver_server(now + delay, NetMsg::Req(dup));
                                         r
                                     }

@@ -141,10 +141,12 @@ impl<S: ShardWorld> Process<ClusterWorld<S>> for ClusterClientProc {
                 drained += 1;
                 let resp_digest = if world.driver.history.is_some() {
                     resp.value
+                        .as_ref()
                         .map(|v| value_digest(ctx.machine_at(s).payloads.get(v)))
                 } else {
                     None
                 };
+                let wire_len = resp.wire_len();
                 if let Some(v) = resp.value {
                     ctx.machine_at(s).payloads.free(v);
                 }
@@ -218,7 +220,7 @@ impl<S: ShardWorld> Process<ClusterWorld<S>> for ClusterClientProc {
                     stats.completed += 1;
                     let lat_ns = (now - first_sent) / NANOS;
                     stats.hist.record(lat_ns);
-                    stats.payload_bytes += resp.wire_len() as u64;
+                    stats.payload_bytes += wire_len as u64;
                     if !resp.ok {
                         stats.not_found += 1;
                     }

@@ -184,10 +184,12 @@ impl<W: KvWorld> Process<W> for ClientProc {
             // NIC buffer is recycled (dup responses included).
             let resp_digest = if world.driver_mut().history.is_some() {
                 resp.value
+                    .as_ref()
                     .map(|v| value_digest(ctx.machine().payloads.get(v)))
             } else {
                 None
             };
+            let wire_len = resp.wire_len();
             if let Some(v) = resp.value {
                 ctx.machine().payloads.free(v);
             }
@@ -224,7 +226,7 @@ impl<W: KvWorld> Process<W> for ClientProc {
             if now >= measure_start {
                 stats.completed += 1;
                 stats.hist.record((now - first_sent) / NANOS);
-                stats.payload_bytes += resp.wire_len() as u64;
+                stats.payload_bytes += wire_len as u64;
                 if !resp.ok {
                     stats.not_found += 1;
                 }
@@ -418,13 +420,23 @@ mod tests {
         }
     }
 
-    struct EchoServer;
+    /// Answers every request `ok` with no value. `leak` plants the bug the
+    /// run ledger exists to catch: a put's payload handle is dropped instead
+    /// of freed, which compiles (no `Drop` impl) and loses an arena slot.
+    struct EchoServer {
+        leak: bool,
+    }
 
     impl Process<EchoWorld> for EchoServer {
         fn step(&mut self, ctx: &mut Ctx<'_>, w: &mut EchoWorld) -> StepOutcome {
             let now = ctx.now();
             if let Some(NetMsg::Req(req)) = w.fabric.server_poll(now) {
                 ctx.compute_ns(100);
+                if let Some(v) = req.value {
+                    if !self.leak {
+                        ctx.machine().payloads.free(v);
+                    }
+                }
                 let resp = crate::msg::Response {
                     client: req.client,
                     seq: req.seq,
@@ -457,7 +469,11 @@ mod tests {
             driver: DriverState::new(clients, SimTime::from_micros(50)),
         };
         let mut eng = Engine::new(MachineConfig::tiny(), 1, world);
-        eng.spawn(Some(0), StatClass::Other, Box::new(EchoServer));
+        eng.spawn(
+            Some(0),
+            StatClass::Other,
+            Box::new(EchoServer { leak: false }),
+        );
         for id in 0..clients {
             let wl = YcsbWorkload::new(
                 Mix::C,
@@ -501,7 +517,11 @@ mod tests {
             driver: DriverState::new(1, SimTime::MAX), // never measure
         };
         let mut eng = Engine::new(MachineConfig::tiny(), 1, world);
-        eng.spawn(Some(0), StatClass::Other, Box::new(EchoServer));
+        eng.spawn(
+            Some(0),
+            StatClass::Other,
+            Box::new(EchoServer { leak: false }),
+        );
         let wl = YcsbWorkload::new(Mix::C, utps_workload::KeyDist::uniform(10), 8, 50, 1, 0);
         eng.spawn(
             None,
@@ -512,5 +532,56 @@ mod tests {
         let d = &eng.world.driver;
         assert_eq!(d.completed(), 0);
         assert!(d.completed_total() > 0);
+    }
+
+    /// One closed-loop YCSB-A run against the echo server, extracted the way
+    /// every runner does. Returns the result and the closed-loop window.
+    fn echo_ycsb_a(leak: bool) -> (crate::experiment::RunResult, usize) {
+        let cfg = crate::experiment::RunConfig {
+            clients: 4,
+            pipeline: 4,
+            warmup: 50 * utps_sim::time::MICROS,
+            duration: 450 * utps_sim::time::MICROS,
+            machine: MachineConfig::tiny(),
+            ..Default::default()
+        };
+        let world = EchoWorld {
+            fabric: Fabric::new(Default::default(), cfg.clients),
+            driver: DriverState::new(cfg.clients, SimTime(cfg.warmup)),
+        };
+        let mut eng = Engine::new(cfg.machine.clone(), 1, world);
+        eng.spawn(Some(0), StatClass::Other, Box::new(EchoServer { leak }));
+        for id in 0..cfg.clients {
+            let dist = utps_workload::KeyDist::uniform(100);
+            let wl = YcsbWorkload::new(Mix::A, dist, 64, 50, cfg.seed, id as u64);
+            let client = ClientProc::new(id as u32, Box::new(wl), cfg.pipeline);
+            eng.spawn(None, StatClass::Other, Box::new(client));
+        }
+        eng.run_until(SimTime(cfg.warmup + cfg.duration));
+        let r = crate::experiment::RunResult::new(&cfg, &mut eng, |w| &w.driver);
+        (r, cfg.clients * cfg.pipeline)
+    }
+
+    #[test]
+    fn run_ledger_catches_a_dropped_payload_handle() {
+        // The bound `tests/chaos.rs::assert_exactly_once` puts on every run.
+        let (honest, window) = echo_ycsb_a(false);
+        assert!(
+            honest.completed > 100,
+            "only {} completed",
+            honest.completed
+        );
+        assert!(
+            honest.payloads_live <= window,
+            "{} slots live with every put freed (window {window})",
+            honest.payloads_live
+        );
+        let (leaky, window) = echo_ycsb_a(true);
+        assert!(
+            leaky.payloads_live > window,
+            "planted leak not visible: {} slots live (window {window}, {} ops)",
+            leaky.payloads_live,
+            leaky.completed
+        );
     }
 }

@@ -358,21 +358,18 @@ pub struct RunResult {
     /// Durable-tier stats; `None` when the tier is disabled (which keeps
     /// [`stats_json`] byte-identical to the pre-tier goldens).
     pub tier: Option<crate::tier::TierRunStats>,
-    /// Total engine steps executed over the whole run (warmup included).
-    /// Harness-throughput diagnostics only; excluded from [`stats_json`].
-    pub engine_steps: u64,
-    /// Steps executed on the engine's burst fast path (no scheduler
-    /// round-trip); excluded from [`stats_json`].
-    pub engine_bursts: u64,
-    /// Timer-wheel cascade operations performed by the scheduler; excluded
-    /// from [`stats_json`].
-    pub engine_wheel_cascades: u64,
+    /// Payload-arena slots still occupied when the run ends, summed over
+    /// every machine: the leak half of the `PayloadRef` linearity rule (the
+    /// compiler owns the other half). A closed loop bounds it by the
+    /// requests in flight, `clients × pipeline`; a handle dropped without
+    /// `take`/`free` grows it with run length. Excluded from [`stats_json`].
+    pub payloads_live: usize,
 }
 
 impl RunResult {
     /// The one constructor: headline numbers from the client-side driver
     /// state (found in the world by `driver`), cache metrics and the
-    /// registry snapshot from machine 0, and the engine's step counters.
+    /// registry snapshot from machine 0, live payloads from every machine.
     /// Fields only a particular system knows start at the
     /// thread-model-free values and are patched by [`System::overlay`].
     pub fn new<W>(
@@ -380,7 +377,9 @@ impl RunResult {
         eng: &mut Engine<W>,
         driver: impl FnOnce(&mut W) -> &DriverState,
     ) -> RunResult {
-        let engine = (eng.steps(), eng.bursts(), eng.wheel_cascades());
+        let payloads_live = (0..eng.machine_count())
+            .map(|m| eng.machine_at(m).payloads.live())
+            .sum();
         let (world, machine) = eng.world_and_machine(0);
         let driver = driver(world);
         pin_fault_counters(&mut machine.registry);
@@ -424,9 +423,7 @@ impl RunResult {
             schedule_trace: machine.schedule.trace().to_vec(),
             cluster: None,
             tier: None,
-            engine_steps: engine.0,
-            engine_bursts: engine.1,
-            engine_wheel_cascades: engine.2,
+            payloads_live,
         }
     }
 }

@@ -3,10 +3,13 @@
 //! Payload bodies are not carried in the messages themselves: a message
 //! holds a [`PayloadRef`] into the machine's [`utps_sim::PayloadArena`]
 //! (NIC buffer memory), so bytes are written once at the producer and moved
-//! — never copied — into KV storage or back to the client.
+//! — never copied — into KV storage or back to the client. The handle is
+//! linear by type, leak-checked by the run ledger: it is move-only, so
+//! neither [`Request`] nor [`Response`] is `Clone` and a message owns its
+//! payload until someone moves the handle out.
 
 use utps_sim::time::SimTime;
-use utps_sim::PayloadRef;
+use utps_sim::{PayloadArena, PayloadRef};
 use utps_workload::Op;
 
 /// Request header bytes on the wire (type, key, size, seq, client).
@@ -50,7 +53,27 @@ impl OpKind {
 }
 
 /// A client request.
-#[derive(Clone, Debug)]
+///
+/// Moving a payload handle into a request gives the request sole ownership;
+/// using the handle afterwards does not compile:
+///
+/// ```compile_fail,E0382
+/// use utps_core::msg::Request;
+/// use utps_sim::{time::SimTime, PayloadArena};
+/// use utps_workload::Op;
+///
+/// let mut arena = PayloadArena::new();
+/// let v = arena.alloc(vec![7u8; 8].into_boxed_slice());
+/// let req = Request {
+///     client: 0,
+///     seq: 1,
+///     op: Op::Put { key: 5, value_len: 8 },
+///     value: Some(v),
+///     sent_at: SimTime::ZERO,
+/// };
+/// arena.free(v); // error[E0382]: use of moved value: `v`
+/// ```
+#[derive(Debug)]
 pub struct Request {
     /// Issuing client endpoint.
     pub client: u32,
@@ -67,7 +90,21 @@ pub struct Request {
 impl Request {
     /// Bytes this request occupies on the wire.
     pub fn wire_len(&self) -> usize {
-        REQ_HEADER + self.value.map(|v| v.len()).unwrap_or(0)
+        REQ_HEADER + self.value.as_ref().map_or(0, PayloadRef::len)
+    }
+
+    /// The only sanctioned deep copy of a message: fault redelivery, where a
+    /// duplicated packet genuinely occupies a second NIC buffer. The header
+    /// is copied and the payload, if any, is [`PayloadArena::dup`]ed so the
+    /// copy owns its own arena slot.
+    pub fn dup(&self, arena: &mut PayloadArena) -> Request {
+        Request {
+            client: self.client,
+            seq: self.seq,
+            op: self.op.clone(),
+            value: self.value.as_ref().map(|v| arena.dup(v)),
+            sent_at: self.sent_at,
+        }
     }
 
     /// The operation kind for the CR-MR descriptor.
@@ -82,7 +119,7 @@ impl Request {
 }
 
 /// A server response.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Response {
     /// Destination client endpoint.
     pub client: u32,
@@ -115,12 +152,12 @@ pub struct Response {
 impl Response {
     /// Bytes this response occupies on the wire.
     pub fn wire_len(&self) -> usize {
-        RESP_HEADER + self.value.map(|v| v.len()).unwrap_or(0) + self.payload_extra
+        RESP_HEADER + self.value.as_ref().map_or(0, PayloadRef::len) + self.payload_extra
     }
 }
 
 /// Any message on the fabric.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum NetMsg {
     /// Client → server.
     Req(Request),

@@ -173,8 +173,7 @@ impl RecvRing {
                                 // A duplicated packet occupies its own NIC
                                 // buffer: deep-copy the payload (the one
                                 // copy the zero-copy rule exempts).
-                                let mut dup = req.clone();
-                                dup.value = dup.value.map(|v| m.payloads.dup(v));
+                                let dup = req.dup(&mut m.payloads);
                                 fabric.redeliver_server(now + delay, NetMsg::Req(dup));
                                 // Fall through: the original is delivered now.
                             }

@@ -79,7 +79,7 @@ impl KvStore {
 }
 
 /// Result of a completed [`KvOp`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct KvOpOutput {
     /// Whether the key was found / the write applied.
     pub ok: bool,
@@ -506,7 +506,7 @@ mod tests {
                 assert!(out.ok);
                 assert_eq!(out.payload, 32);
                 let v = out.value.expect("get returns a value");
-                assert_eq!(ctx.machine().payloads.get(v), &[0xabu8; 32][..]);
+                assert_eq!(ctx.machine().payloads.get(&v), &[0xabu8; 32][..]);
                 let mut miss = KvOp::get(store, 10_000, BUFS);
                 assert!(!drive(ctx, store, &mut miss).ok);
             });

@@ -13,17 +13,16 @@
 //! |------|----|-----------|
 //! | R1 | `no-blocking-in-stage` | nothing blocking reachable from `Stage::step` |
 //! | R2 | `determinism` | no wall clocks / random hashers in sim/core/collections |
-//! | R3 | `payload-linearity` | `PayloadRef` flows only through the arena verbs |
+//! | R3 | `payload-copy` | no payload byte copies (`.to_vec()`, byte `.clone()`) on hot paths |
 //! | R4 | `metrics-schema` | registry names come from the pinned schema |
 //! | R5 | `unsafe-audit` | `unsafe` in concurrency files carries `// SAFETY:` |
 //! | R6 | `counter-arithmetic` | windowed counter deltas use `saturating_sub`/`checked_sub` |
 //!
-//! Since PR 10 the engine is interprocedural: R1 consults a workspace
-//! [`callgraph`] (blocking calls at *any* depth below `Stage::step` are
-//! flagged, with the call chain in the report) and R3 runs a per-function
-//! linear-ownership [`dataflow`] over the [`cfg`] it recovers from the token
-//! stream (leaks, double-consumes and consume-after-move on `PayloadRef`
-//! locals, with the offending branch path).
+//! R1 is interprocedural: it consults a workspace [`callgraph`], so blocking
+//! calls at *any* depth below `Stage::step` are flagged, with the call chain
+//! in the report. `PayloadRef` linearity is not a rule here: the handle is
+//! move-only, so rustc rejects a double consume in every crate, and a leaked
+//! handle shows up in `RunResult::payloads_live`.
 //!
 //! Suppression is per line and audited:
 //! `// utps-lint: allow(<rule>) — <justification>` (a directive without a
@@ -32,8 +31,6 @@
 //! hermetic build environments the workspace targets.
 
 pub mod callgraph;
-pub mod cfg;
-pub mod dataflow;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -94,8 +91,8 @@ pub const RULES: &[(&str, &str, &str)] = &[
     ),
     (
         "R3",
-        "payload-linearity",
-        "PayloadRef flows only through the arena verbs; no payload byte copies on hot paths",
+        "payload-copy",
+        "no payload byte copies (.to_vec(), byte .clone()) on hot paths",
     ),
     (
         "R4",

@@ -1,41 +1,26 @@
-//! R3 `payload-linearity`: payload bytes live in the NIC-buffer arena and
-//! move — they are never copied per hop.
+//! R3 `payload-copy`: payload bytes live in the NIC-buffer arena and move —
+//! they are never copied per hop.
 //!
-//! A `Request`/`Response` body is written into the [`PayloadArena`] once and
-//! travels as a `Copy` `PayloadRef` handle with *linear* ownership: the
-//! client allocs, exactly one consumer `take`s (or the ring `free`s on a
-//! drop fate), and the only sanctioned deep copy is `dup` for fault
-//! redelivery, where a duplicated message genuinely occupies a second NIC
-//! buffer. On the server/ring hot paths this rule therefore forbids:
+//! A `Request`/`Response` body is written into the `PayloadArena` once and
+//! travels as a move-only `PayloadRef`. That the handle is consumed at most
+//! once is rustc's job (`E0382`/`E0599`, workspace-wide) and that it is not
+//! dropped unconsumed is the run ledger's (`RunResult::payloads_live`); what
+//! neither can see is the *bytes* being copied out from behind a borrow. On
+//! the server/ring/client hot paths this rule therefore forbids:
 //!
-//! * calling anything on the arena other than the blessed verbs
-//!   (`alloc` / `take` / `free` / `dup`, the borrowing `get`, and the size
-//!   probes `live`/`len`/`is_empty`); the ring-side move verb is
-//!   `take_value`;
 //! * `.to_vec()` — the classic copy-out;
 //! * `.clone()` on payload-carrying expressions (`value`, `payload`,
 //!   `payloads`, `read_buf` chains).
 //!
-//! On top of the verb vocabulary, every non-test function in these files now
-//! runs the [`crate::dataflow`] linear-ownership analysis: each payload
-//! binding (`alloc`/`dup`/`take_value` unwrap) is tracked through the
-//! function's CFG, and a leak-on-return-path, double-consume, or
-//! consume-after-move is reported at the exact `file:line:col` with the
-//! branch path that reaches the bad state. The verb checks catch "you
-//! copied"; the dataflow catches "you lost or double-spent the handle".
-//!
-//! This rule subsumes the old `tests/hot_path_no_copy.rs` grep test, with
-//! spans instead of substring matches (a `value.clone()` in a comment no
-//! longer counts, and `let to_vec = ...` cannot dodge it).
+//! The one sanctioned deep copy is `PayloadArena::dup` for fault redelivery,
+//! where a duplicated message genuinely occupies a second NIC buffer.
 
-use crate::dataflow;
 use crate::rules::{report, t};
 use crate::{LintWorkspace, Violation};
 
-const RULE: (&str, &str) = ("R3", "payload-linearity");
+const RULE: (&str, &str) = ("R3", "payload-copy");
 
-/// Server-side steady-state step code — the files where payload handles
-/// flow. Same set the grep lint guarded, now enforced with token spans.
+/// Steady-state step code — the files where payload handles flow.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/server.rs",
     "crates/core/src/store.rs",
@@ -43,11 +28,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/client.rs",
     "crates/baselines/src/basekv.rs",
     "crates/baselines/src/erpckv.rs",
-];
-
-/// Methods that may be called on a `PayloadArena`.
-const BLESSED_VERBS: &[&str] = &[
-    "alloc", "take", "free", "dup", "get", "live", "len", "is_empty",
+    "crates/cluster/src/client.rs",
 ];
 
 /// Identifiers that mark a chain as payload-carrying.
@@ -58,76 +39,29 @@ pub fn check(ws: &LintWorkspace, out: &mut Vec<Violation>) {
         if !HOT_PATH_FILES.contains(&f.path.as_str()) {
             continue;
         }
-        // Linear-ownership dataflow per function.
-        for item in &f.fns {
-            if item.is_test || f.is_test_line(item.line) {
-                continue;
-            }
-            let Some(body) = item.body else { continue };
-            for finding in dataflow::analyze_fn(f, body) {
-                if f.is_test_line(finding.line) {
-                    continue;
-                }
-                out.push(Violation {
-                    rule_code: RULE.0,
-                    rule_id: RULE.1,
-                    file: f.path.clone(),
-                    line: finding.line,
-                    col: finding.col,
-                    message: finding.message,
-                });
-            }
-        }
         for i in 0..f.code.len() {
-            let tok = &f.code[i];
-            if f.is_test_line(tok.line) {
+            if t(f, i) != "." || t(f, i + 2) != "(" || f.is_test_line(f.code[i].line) {
                 continue;
             }
-            let tx = t(f, i);
-            // `payloads.<verb>(` — the arena only speaks the blessed verbs.
-            if tx == "payloads" && t(f, i + 1) == "." && t(f, i + 3) == "(" {
-                let verb = t(f, i + 2);
-                if !verb.is_empty() && !BLESSED_VERBS.contains(&verb) {
-                    out.push(report(
-                        RULE,
-                        f,
-                        &f.code[i + 2],
-                        format!(
-                            "`payloads.{verb}(...)` is not a blessed arena verb \
-                             (alloc/take/free/dup, borrowing get)"
+            let message = match t(f, i + 1) {
+                // Copying bytes out of a borrow.
+                "to_vec" => "`.to_vec()` copies payload bytes on the hot path \
+                             (move the PayloadRef, or `PayloadArena::dup` for fault redelivery)"
+                    .to_string(),
+                // Cloning the bytes per hop.
+                "clone" => {
+                    let chain = chain_idents_before(f, i);
+                    match chain.iter().find(|c| PAYLOAD_IDENTS.contains(&c.as_str())) {
+                        Some(root) => format!(
+                            "`.clone()` on payload-carrying `{root}` copies bytes per hop \
+                             (move the PayloadRef, or `PayloadArena::dup` for fault redelivery)"
                         ),
-                    ));
+                        None => continue,
+                    }
                 }
-            }
-            if tx != "." {
-                continue;
-            }
-            // `.to_vec(` — copying bytes out of a borrow.
-            if t(f, i + 1) == "to_vec" && t(f, i + 2) == "(" {
-                out.push(report(
-                    RULE,
-                    f,
-                    &f.code[i + 1],
-                    "`.to_vec()` copies payload bytes on the hot path \
-                     (move the PayloadRef, or `PayloadArena::dup` for fault redelivery)"
-                        .to_string(),
-                ));
-            }
-            // `<payload chain>.clone(` — cloning the bytes per hop.
-            if t(f, i + 1) == "clone" && t(f, i + 2) == "(" {
-                let chain = chain_idents_before(f, i);
-                if let Some(root) = chain.iter().find(|c| PAYLOAD_IDENTS.contains(&c.as_str())) {
-                    out.push(report(
-                        RULE,
-                        f,
-                        &f.code[i + 1],
-                        format!(
-                            "`.clone()` on payload-carrying `{root}` \
-                             (PayloadRef is Copy; bytes move via take/dup)"
-                        ),
-                    ));
-                }
-            }
+                _ => continue,
+            };
+            out.push(report(RULE, f, &f.code[i + 1], message));
         }
     }
 }

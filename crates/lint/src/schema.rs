@@ -49,8 +49,8 @@ pub const METRIC_SCHEMA: &[&str] = &[
     "device.writes",
     // Engine scheduler internals (PR 8): burst fast-path steps and
     // timer-wheel cascade operations. Maintained by the engine itself and
-    // surfaced through `RunResult`/`utps-bench`; never folded into
-    // `stats_json` snapshots so the run goldens stay byte-identical.
+    // read off it by `benchmark/`; never folded into `stats_json`
+    // snapshots so the run goldens stay byte-identical.
     "engine.bursts",
     "engine.wheel_cascades",
     // Fault-injection events.

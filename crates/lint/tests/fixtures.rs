@@ -26,14 +26,10 @@ const PLANTED: &[(&str, &str, u32)] = &[
     // Three levels below step — only the transitive call graph sees it.
     ("R1", "crates/core/src/stage_deep.rs", 31),
     ("R2", "crates/sim/src/engine.rs", 4),
-    // Token-level verb check (`.to_vec()` copy-out).
+    // `.to_vec()` copy-out.
     ("R3", "crates/core/src/server.rs", 14),
-    // Dataflow: double-take; reported at the second consume.
-    ("R3", "crates/core/src/client.rs", 19),
-    // Dataflow: leak on the untaken branch; reported at the binding.
-    ("R3", "crates/core/src/rpc.rs", 20),
-    // Dataflow: consume after move; reported at the local free.
-    ("R3", "crates/core/src/store.rs", 17),
+    // Byte `.clone()` on a payload chain, in the cluster client.
+    ("R3", "crates/cluster/src/client.rs", 9),
     ("R4", "crates/core/src/metrics_user.rs", 10),
     ("R5", "crates/sim/src/lock.rs", 4),
     // Bare `-` on a windowed counter delta.
@@ -43,7 +39,7 @@ const PLANTED: &[(&str, &str, u32)] = &[
 #[test]
 fn each_rule_fires_on_its_planted_fixture() {
     let (ws, violations) = lint_root(&fixture_root("ws")).unwrap();
-    assert_eq!(ws.files.len(), 11, "fixture workspace should have 11 files");
+    assert_eq!(ws.files.len(), 9, "fixture workspace should have 9 files");
 
     let got: Vec<(&str, &str, u32)> = violations
         .iter()
@@ -68,8 +64,7 @@ fn each_rule_fires_on_its_planted_fixture() {
     );
 }
 
-/// The transitive R1 report names the chain that reaches the blocking call
-/// and the dataflow R3 reports carry the branch path witness.
+/// The transitive R1 report names the chain that reaches the blocking call.
 #[test]
 fn interprocedural_reports_carry_chain_and_path() {
     let (_ws, violations) = lint_root(&fixture_root("ws")).unwrap();
@@ -88,33 +83,6 @@ fn interprocedural_reports_carry_chain_and_path() {
             deep.message
         );
     }
-    let leak = violations
-        .iter()
-        .find(|v| v.file == "crates/core/src/rpc.rs")
-        .expect("leak fires");
-    assert!(
-        leak.message.contains("fall-through of the `if` at line 21"),
-        "leak report must name the leaking path: {}",
-        leak.message
-    );
-    let double = violations
-        .iter()
-        .find(|v| v.file == "crates/core/src/client.rs")
-        .expect("double-take fires");
-    assert!(
-        double.message.contains("already consumed it at line 18"),
-        "{}",
-        double.message
-    );
-    let after_move = violations
-        .iter()
-        .find(|v| v.file == "crates/core/src/store.rs")
-        .expect("consume-after-move fires");
-    assert!(
-        after_move.message.contains("moved at line 16"),
-        "{}",
-        after_move.message
-    );
 }
 
 #[test]
@@ -125,10 +93,8 @@ fn json_output_carries_exact_rule_file_line() {
         r#""rule":"R1","id":"no-blocking-in-stage","file":"crates/core/src/stage_blocking.rs","line":24"#,
         r#""rule":"R1","id":"no-blocking-in-stage","file":"crates/core/src/stage_deep.rs","line":31"#,
         r#""rule":"R2","id":"determinism","file":"crates/sim/src/engine.rs","line":4"#,
-        r#""rule":"R3","id":"payload-linearity","file":"crates/core/src/server.rs","line":14"#,
-        r#""rule":"R3","id":"payload-linearity","file":"crates/core/src/client.rs","line":19"#,
-        r#""rule":"R3","id":"payload-linearity","file":"crates/core/src/rpc.rs","line":20"#,
-        r#""rule":"R3","id":"payload-linearity","file":"crates/core/src/store.rs","line":17"#,
+        r#""rule":"R3","id":"payload-copy","file":"crates/core/src/server.rs","line":14"#,
+        r#""rule":"R3","id":"payload-copy","file":"crates/cluster/src/client.rs","line":9"#,
         r#""rule":"R4","id":"metrics-schema","file":"crates/core/src/metrics_user.rs","line":10"#,
         r#""rule":"R5","id":"unsafe-audit","file":"crates/sim/src/lock.rs","line":4"#,
         r#""rule":"R6","id":"counter-arithmetic","file":"crates/core/src/tuner.rs","line":10"#,
@@ -136,7 +102,7 @@ fn json_output_carries_exact_rule_file_line() {
         assert!(json.contains(needle), "missing {needle} in {json}");
     }
     assert!(json.contains(r#""clean":false"#));
-    assert!(json.contains(r#""files_scanned":11"#));
+    assert!(json.contains(r#""files_scanned":9"#));
     assert!(json.contains(r#""wall_ms":7"#));
 }
 

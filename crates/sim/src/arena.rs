@@ -206,12 +206,35 @@ impl<T> Default for Arena<T> {
 
 /// A handle to request/response payload bytes held in a [`PayloadArena`].
 ///
-/// The handle is `Copy` and carries its length so wire-size accounting
+/// The handle carries its length so wire-size accounting
 /// (`Request::wire_len` and friends) needs no arena access. Ownership of the
-/// underlying bytes is linear by convention: exactly one holder consumes the
-/// ref with [`PayloadArena::take`] or releases it with [`PayloadArena::free`];
-/// fault redelivery deep-copies via [`PayloadArena::dup`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// underlying bytes is linear by type, leak-checked by the run ledger: the
+/// handle is neither `Copy` nor `Clone`, [`PayloadArena::take`] and
+/// [`PayloadArena::free`] consume it by value, and fault redelivery
+/// deep-copies via [`PayloadArena::dup`] — so consuming a handle twice, or
+/// after moving it elsewhere, does not compile. What the type cannot say — a
+/// handle dropped without `take`/`free` — shows up as a slot still counted by
+/// [`PayloadArena::live`] when the run ends. There is deliberately no `Drop`
+/// impl: messages are destructured field by field on the hot path.
+///
+/// Consuming a handle twice is a use of a moved value:
+///
+/// ```compile_fail,E0382
+/// let mut p = utps_sim::PayloadArena::new();
+/// let r = p.alloc(vec![9].into_boxed_slice());
+/// let _ = p.take(r);
+/// p.free(r); // error[E0382]: use of moved value: `r`
+/// ```
+///
+/// and a handle cannot be cloned into a second owner:
+///
+/// ```compile_fail,E0599
+/// let mut p = utps_sim::PayloadArena::new();
+/// let r = p.alloc(vec![9].into_boxed_slice());
+/// let alias = r.clone(); // error[E0599]: no method named `clone`
+/// ```
+#[must_use = "a dropped PayloadRef leaks its arena slot: `take` or `free` it"]
+#[derive(Debug, PartialEq, Eq)]
 pub struct PayloadRef {
     id: u32,
     len: u32,
@@ -265,9 +288,10 @@ impl PayloadArena {
     ///
     /// # Panics
     ///
-    /// Panics if `r` was already consumed or freed.
-    pub fn get(&self, r: PayloadRef) -> &[u8] {
-        self.slots.get(r.id).expect("payload ref already consumed")
+    /// Panics if `r` was minted by a different arena (cluster runs hold one
+    /// per shard) and its slot here is free.
+    pub fn get(&self, r: &PayloadRef) -> &[u8] {
+        self.slots.get(r.id).expect("payload ref of another arena")
     }
 
     /// Consumes `r`, moving the bytes out (the zero-copy handoff into KV
@@ -275,7 +299,8 @@ impl PayloadArena {
     ///
     /// # Panics
     ///
-    /// Panics if `r` was already consumed or freed.
+    /// Panics if `r` was minted by a different arena and its slot here is
+    /// free.
     pub fn take(&mut self, r: PayloadRef) -> Box<[u8]> {
         self.slots.remove(r.id)
     }
@@ -287,12 +312,13 @@ impl PayloadArena {
 
     /// Deep-copies the payload behind `r` — only for fault redelivery,
     /// where a duplicated message genuinely occupies a second NIC buffer.
-    pub fn dup(&mut self, r: PayloadRef) -> PayloadRef {
+    pub fn dup(&mut self, r: &PayloadRef) -> PayloadRef {
         let bytes: Box<[u8]> = self.slots[r.id].clone();
         self.alloc(bytes)
     }
 
-    /// Number of live payloads (leak detection in tests).
+    /// Number of live payloads: what `RunResult::payloads_live` reports at
+    /// the end of a run (the leak half of the linearity rule).
     pub fn live(&self) -> usize {
         self.slots.len()
     }
@@ -384,34 +410,26 @@ mod tests {
 
     #[test]
     fn payload_ref_lifetime() {
-        // Linear ownership: alloc → (dup)* → exactly one take/free per ref,
-        // with live() tracking every outstanding handle.
+        // Linear ownership: alloc → (dup)* → one take/free per ref (a second
+        // one does not compile), with live() tracking every outstanding
+        // handle.
         let mut p = PayloadArena::new();
         let a = p.alloc(vec![1, 2, 3].into_boxed_slice());
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
         assert_eq!(p.live(), 1);
-        assert_eq!(p.get(a), &[1, 2, 3]);
+        assert_eq!(p.get(&a), &[1, 2, 3]);
 
-        let d = p.dup(a);
+        let d = p.dup(&a);
         assert_ne!(a, d, "dup must be an independent handle");
         assert_eq!(p.live(), 2);
 
         let bytes = p.take(a);
         assert_eq!(&bytes[..], &[1, 2, 3]);
         assert_eq!(p.live(), 1, "taking the original leaves the dup live");
-        assert_eq!(p.get(d), &[1, 2, 3], "dup is a deep copy");
+        assert_eq!(p.get(&d), &[1, 2, 3], "dup is a deep copy");
 
         p.free(d);
         assert_eq!(p.live(), 0, "all refs consumed: no leaks");
-    }
-
-    #[test]
-    #[should_panic(expected = "remove of free arena slot")]
-    fn payload_double_consume_panics() {
-        let mut p = PayloadArena::new();
-        let r = p.alloc(vec![9].into_boxed_slice());
-        let _ = p.take(r);
-        p.free(r); // the ref was already consumed: linearity violation
     }
 }

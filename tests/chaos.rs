@@ -110,6 +110,17 @@ fn assert_exactly_once(tag: &str, r: &RunResult, cfg: &RunConfig) {
         "{tag}: {in_flight} requests vanished (window is {window})"
     );
     assert!(r.completed > 0, "{tag}: no requests completed");
+    // Leak half of `PayloadRef` linearity (rustc owns the double consume):
+    // a live arena slot belongs to a message on the wire, in a ring or in
+    // an op. Redelivered duplicates and retransmits hold a few slots of
+    // their own, but at these fault rates no cell ends with more than 29
+    // live of a 48-request window, and the count does not grow with run
+    // length — which a handle dropped on any path does.
+    assert!(
+        r.payloads_live as u64 <= window,
+        "{tag}: {} payload slots still live at run end (window is {window})",
+        r.payloads_live
+    );
 }
 
 #[test]

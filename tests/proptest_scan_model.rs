@@ -97,7 +97,7 @@ fn check_sequential_model(ops: Vec<ModelOp>) {
                         Some(want) => {
                             assert!(out.ok, "get {k} missed");
                             let v = out.value.expect("ok get returns bytes");
-                            assert_eq!(ctx.machine().payloads.get(v), &want[..], "get {k}");
+                            assert_eq!(ctx.machine().payloads.get(&v), &want[..], "get {k}");
                             ctx.machine().payloads.free(v);
                         }
                         None => assert!(!out.ok, "get {k} found a deleted key"),
@@ -178,7 +178,7 @@ impl Process<KvStore> for Worker {
         match op.poll(ctx, store) {
             Step::Done(out) => {
                 let digest = out.value.map(|v| {
-                    let d = value_digest(ctx.machine().payloads.get(v));
+                    let d = value_digest(ctx.machine().payloads.get(&v));
                     ctx.machine().payloads.free(v);
                     d
                 });
