@@ -178,10 +178,8 @@ impl Process<PassiveWorld> for VerbEngine {
                 .server_send(now, payload, client as usize, PassiveMsg::Done { payload });
         }
         if !worked {
-            // Sleep until the next verb arrives.
-            if let Some(at) = next_arrival(&world.fabric) {
-                ctx.advance_to(at);
-            }
+            // No verb has arrived: one idle poll (the engine charges the
+            // poll quantum).
             return StepOutcome::Idle;
         }
         StepOutcome::Progress
@@ -190,14 +188,6 @@ impl Process<PassiveWorld> for VerbEngine {
     fn name(&self) -> &'static str {
         "verb-engine"
     }
-}
-
-fn next_arrival(fabric: &Fabric<PassiveMsg>) -> Option<SimTime> {
-    // `Fabric` exposes no peek for the server queue beyond has_ready; poll
-    // conservatively with a small quantum by returning None (the engine's
-    // poll quantum applies).
-    let _ = fabric;
-    None
 }
 
 /// Which passive protocol a client speaks.
@@ -333,6 +323,12 @@ impl Process<PassiveWorld> for PassiveClient {
                 }
                 Some(PassiveMsg::Verb { .. }) => unreachable!("client got a verb"),
                 None => {
+                    // Still polls while its verb is queued at the engine
+                    // rather than parking as `ClientProc` does: parking cuts
+                    // Sherman to ≈ 4 steps/op, which the benchmark's rep
+                    // loop (run until the windows sum to `--seconds`) turns
+                    // into ≈ 2 000 fresh worlds per run. ROADMAP 2(b): adopt
+                    // once a `benchmark` PR bounds the rep count.
                     if let Some(at) = world.fabric.client_next_at(self.id as usize) {
                         ctx.advance_to(at);
                     }

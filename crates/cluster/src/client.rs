@@ -331,7 +331,11 @@ impl<S: ShardWorld> Process<ClusterWorld<S>> for ClusterClientProc {
         }
         if drained == 0 && sent == 0 && resent == 0 {
             // Sleep until the earliest delivery across shards, clamped to
-            // the next retransmit deadline (same rule as `ClientProc`).
+            // the next retransmit deadline (same rule as `ClientProc`). With
+            // nothing in flight this client polls where `ClientProc` parks:
+            // it waits on N shard fabrics and a `Waker` is single-use, so it
+            // cannot be left with all of them. ROADMAP 5(b) folds this FSM
+            // into `ClientProc`, which brings parking with it.
             let mut at: Option<SimTime> = None;
             for s in 0..nshards {
                 if let Some(t) = world.shards[s]

@@ -340,17 +340,24 @@ impl<W: KvWorld> Process<W> for ClientProc {
             sent += 1;
         }
         if drained == 0 && sent == 0 && resent == 0 {
-            // Pipeline full and nothing arrived: sleep until the next
-            // delivery to keep the event count down — but never past the
-            // next retransmit deadline, or a fully-dropped pipeline would
-            // sleep forever. With no delivery in flight toward this client
-            // we keep polling; deadlines are still checked every step.
-            if let Some(at) = world.fabric_mut().client_next_at(self.id as usize) {
+            // Pipeline full and nothing arrived. Three cases:
+            // * a delivery is in flight — sleep until it lands, but never
+            //   past the next retransmit deadline, or a fully-dropped
+            //   pipeline would sleep forever;
+            // * nothing in flight, retries off — only a `server_send` can
+            //   give this client work, so park on the endpoint and let that
+            //   send wake us at its arrival time;
+            // * nothing in flight, retries on — keep polling: the deadlines
+            //   are this client's own timer and are checked every step.
+            let fabric = world.fabric_mut();
+            if let Some(at) = fabric.client_next_at(self.id as usize) {
                 let wake = match self.pending.next_deadline() {
                     Some(dl) if retry_on => at.min(dl),
                     _ => at,
                 };
                 ctx.advance_to(wake);
+            } else if !retry_on {
+                fabric.client_park(self.id as usize, ctx.park());
             }
             return StepOutcome::Idle;
         }

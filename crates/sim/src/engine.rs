@@ -25,6 +25,19 @@
 //! burst iteration is a *logical pop*: the schedule-exploration and
 //! fault-stall gates run (and count decisions) exactly as on the slow path,
 //! so perturbed and replayed runs stay byte-identical. See DESIGN.md §10.
+//!
+//! # Parking
+//!
+//! A process waiting on an event some *other* process produces need not poll
+//! for it: [`Ctx::park`] takes it off the scheduler and returns a [`Waker`]
+//! to leave where the event is produced (the fabric keeps one per client
+//! endpoint). [`Waker::wake_at`] files the wake; the engine drains filed
+//! wakes right after the step that filed them and re-keys the sleeper to
+//! `max(at, its next poll tick)` — the key its own polling would have reached
+//! — so the elided steps are exactly the idle ones. See DESIGN.md §10.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::cache::{CacheHierarchy, StatClass};
 use crate::config::MachineConfig;
@@ -45,6 +58,8 @@ pub enum StepOutcome {
     /// The step did useful work.
     Progress,
     /// Nothing to do; the engine's idle-step accounting applies as usual.
+    /// A process that would report this until another process acts can
+    /// [`Ctx::park`] instead of being stepped every poll quantum.
     Idle,
     /// The process wants its core handed to a successor stage (μTPS's §3.5
     /// thread reassignment); the engine ends any burst so the handoff
@@ -57,7 +72,9 @@ pub enum StepOutcome {
 /// `step` should perform a *bounded* amount of work (one state-machine
 /// transition, one batch element, one poll) and return; the engine will
 /// re-schedule the process at its advanced clock. Keeping steps short keeps
-/// cross-process interleaving fine-grained.
+/// cross-process interleaving fine-grained. A step that calls [`Ctx::park`]
+/// is the exception: the process is not re-scheduled until its [`Waker`]
+/// fires.
 pub trait Process<W> {
     /// Executes one slice of work against the shared `world`.
     fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut W) -> StepOutcome;
@@ -101,6 +118,53 @@ impl Machine {
     }
 }
 
+/// Wakes filed during a step, as `(wake time, sleeper)`; the engine drains
+/// the list right after the step returns.
+type WakeList = Rc<RefCell<Vec<(SimTime, ProcId)>>>;
+
+/// The one way to resume a process that called [`Ctx::park`].
+///
+/// One park hands out one `Waker`, and [`Waker::wake_at`] consumes it, so a
+/// sleeper is woken at most once per park and a wake cannot be filed for a
+/// process that is not asleep. Dropping a `Waker` unfired leaves its process
+/// parked for the rest of the run.
+///
+/// It is neither `Clone` nor `Copy`:
+///
+/// ```compile_fail,E0599
+/// fn twice(w: utps_sim::Waker) -> (utps_sim::Waker, utps_sim::Waker) {
+///     (w.clone(), w)
+/// }
+/// ```
+///
+/// and firing it moves it:
+///
+/// ```compile_fail,E0382
+/// fn twice(w: utps_sim::Waker, at: utps_sim::SimTime) {
+///     w.wake_at(at);
+///     w.wake_at(at);
+/// }
+/// ```
+#[must_use = "a dropped Waker leaves its process parked for the rest of the run"]
+pub struct Waker {
+    pid: ProcId,
+    list: WakeList,
+}
+
+impl Waker {
+    /// Resumes the parked process at `max(at, its next poll tick)`.
+    ///
+    /// `at` is when the awaited event becomes visible to the sleeper. It must
+    /// be at least one poll quantum past the calling step's start (or, fired
+    /// between runs, not before [`Engine::now`]): a polling sleeper could not
+    /// have acted on the event any earlier, which is what makes parking
+    /// step-for-step equivalent to polling. Debug builds assert it; release
+    /// builds clamp.
+    pub fn wake_at(self, at: SimTime) {
+        self.list.borrow_mut().push((at, self.pid));
+    }
+}
+
 /// Per-step execution context handed to a [`Process`].
 ///
 /// A process belongs to exactly one machine (single-machine simulations have
@@ -117,6 +181,8 @@ pub struct Ctx<'a> {
     clock: SimTime,
     start: SimTime,
     halted: bool,
+    parked: bool,
+    wakes: &'a WakeList,
 }
 
 impl<'a> Ctx<'a> {
@@ -253,6 +319,18 @@ impl<'a> Ctx<'a> {
         self.halted = true;
     }
 
+    /// Parks this process: once the step returns it owns no scheduler key
+    /// and is not stepped again until the returned [`Waker`] fires. Leave the
+    /// waker with whatever produces the event being waited for.
+    pub fn park(&mut self) -> Waker {
+        debug_assert!(!self.parked, "one park per step");
+        self.parked = true;
+        Waker {
+            pid: self.pid,
+            list: Rc::clone(self.wakes),
+        }
+    }
+
     /// Whether any simulated time was charged in this step so far.
     pub fn progressed(&self) -> bool {
         self.clock > self.start
@@ -268,6 +346,9 @@ struct ProcEntry<W> {
     /// Cleared on halt; dead entries stay in the slab (pids are stable and
     /// never reused) but own no scheduler key and are never stepped again.
     live: bool,
+    /// Set by [`Ctx::park`], cleared by the wake: a parked entry is live but
+    /// owns no scheduler key, and `clock` holds its next poll tick.
+    parked: bool,
 }
 
 /// Upper bound on consecutive fast-path re-steps of one process before it is
@@ -295,6 +376,10 @@ pub struct Engine<W> {
     steps: u64,
     bursts: u64,
     live: usize,
+    /// Live processes currently parked; guards the wake drain so a run with
+    /// no parker pays one integer compare per step.
+    parked: usize,
+    wakes: WakeList,
     /// Recycled buffer for [`TimerWheel::pop_ties`] tie-cohorts; holding it
     /// on the engine keeps its capacity across `run_until` calls.
     cohort: Vec<ProcId>,
@@ -317,6 +402,8 @@ impl<W> Engine<W> {
             steps: 0,
             bursts: 0,
             live: 0,
+            parked: 0,
+            wakes: WakeList::default(),
             cohort: Vec::new(),
             pending: Vec::new(),
             tie_buf: Vec::new(),
@@ -359,6 +446,7 @@ impl<W> Engine<W> {
             core,
             class,
             live: true,
+            parked: false,
         });
         self.live += 1;
         self.wheel.push(self.now, pid);
@@ -420,6 +508,10 @@ impl<W> Engine<W> {
     /// remains). Returns the number of steps executed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let start_steps = self.steps;
+        // Wakes fired between runs (by whoever holds the world).
+        if self.parked > 0 {
+            self.drain_wakes(self.now);
+        }
         // The scheduler drains whole *tie-cohorts*: all keys at the minimum
         // time, processed in ascending pid order — exactly the order the
         // old heap popped them one by one. No gate or step can reschedule a
@@ -553,10 +645,13 @@ impl<W> Engine<W> {
                     clock: t,
                     start: t,
                     halted: false,
+                    parked: false,
+                    wakes: &self.wakes,
                 };
                 let outcome = entry.proc.step(&mut ctx, &mut self.world);
                 let mut new_clock = ctx.clock;
                 let halted = ctx.halted;
+                let parked = ctx.parked && !halted;
                 entry.class = ctx.class;
                 if new_clock == t {
                     // Idle polling iteration.
@@ -568,6 +663,18 @@ impl<W> Engine<W> {
                 if halted {
                     entry.live = false;
                     self.live -= 1;
+                }
+                if parked {
+                    entry.parked = true;
+                    self.parked += 1;
+                }
+                // Re-key the sleepers this step woke. Every wake key is
+                // strictly after `t`, so the cohort being drained stays
+                // closed; the burst check below sees the new keys.
+                if self.parked > 0 {
+                    self.drain_wakes(t + poll_quantum);
+                }
+                if halted || parked {
                     continue 'sched;
                 }
                 // Burst fast path: re-step immediately if the advanced
@@ -629,6 +736,23 @@ impl<W> Engine<W> {
         self.steps - start_steps
     }
 
+    /// Gives every sleeper with a filed wake its scheduler key back:
+    /// `max(at, its next poll tick)`, and never before `floor`.
+    fn drain_wakes(&mut self, floor: SimTime) {
+        for (at, pid) in self.wakes.borrow_mut().drain(..) {
+            let entry = &mut self.procs[pid];
+            // A waker outliving its sleeper (halted in the step it parked).
+            if !entry.parked {
+                continue;
+            }
+            debug_assert!(at >= floor, "wake at {at:?} precedes {floor:?}");
+            entry.parked = false;
+            self.parked -= 1;
+            entry.clock = at.max(entry.clock).max(floor);
+            self.wheel.push(entry.clock, pid);
+        }
+    }
+
     /// Runs for `d` picoseconds past the current time.
     pub fn run_for(&mut self, d: u64) -> u64 {
         self.run_until(self.now + d)
@@ -637,6 +761,11 @@ impl<W> Engine<W> {
     /// Number of live processes (maintained counter; O(1)).
     pub fn live_procs(&self) -> usize {
         self.live
+    }
+
+    /// Number of live processes currently parked (maintained counter; O(1)).
+    pub fn parked_procs(&self) -> usize {
+        self.parked
     }
 }
 
@@ -777,6 +906,169 @@ mod tests {
             assert_eq!(id, i % 3);
         }
         assert_eq!(fired.len(), 12);
+    }
+
+    /// What the park tests share: the sleepers' log of `(step time, id)`,
+    /// one waker slot per sleeper, and [`LogLenTicker`]'s observations.
+    #[derive(Default)]
+    struct ParkWorld {
+        log: Vec<(SimTime, usize)>,
+        wakers: Vec<Option<Waker>>,
+        ticks: Vec<(SimTime, usize)>,
+    }
+
+    /// Logs its step, then parks with its waker in `wakers[id]`.
+    struct Sleeper {
+        id: usize,
+    }
+
+    impl Process<ParkWorld> for Sleeper {
+        fn step(&mut self, ctx: &mut Ctx<'_>, w: &mut ParkWorld) -> StepOutcome {
+            w.log.push((ctx.now(), self.id));
+            w.wakers[self.id] = Some(ctx.park());
+            StepOutcome::Idle
+        }
+    }
+
+    /// At `at`, fires every filed waker for `wake` and halts; until then it
+    /// sleeps with `advance_to`.
+    struct Alarm {
+        at: SimTime,
+        wake: SimTime,
+    }
+
+    impl Process<ParkWorld> for Alarm {
+        fn step(&mut self, ctx: &mut Ctx<'_>, w: &mut ParkWorld) -> StepOutcome {
+            if ctx.now() < self.at {
+                ctx.advance_to(self.at);
+                return StepOutcome::Idle;
+            }
+            for waker in w.wakers.iter_mut().rev().filter_map(Option::take) {
+                waker.wake_at(self.wake);
+            }
+            ctx.halt();
+            StepOutcome::Progress
+        }
+    }
+
+    fn park_engine(sleepers: usize) -> Engine<ParkWorld> {
+        let world = ParkWorld {
+            wakers: (0..sleepers).map(|_| None).collect(),
+            ..Default::default()
+        };
+        let mut eng = Engine::new(MachineConfig::tiny(), 1, world);
+        for id in 0..sleepers {
+            eng.spawn(None, StatClass::Other, Box::new(Sleeper { id }));
+        }
+        eng
+    }
+
+    #[test]
+    fn parked_process_is_not_stepped_until_woken() {
+        let mut eng = park_engine(1);
+        let quantum = eng.machine_ref().cfg.cost.poll_quantum;
+        let (at, wake) = (SimTime::from_nanos(500), SimTime::from_nanos(2_000));
+        eng.spawn(None, StatClass::Other, Box::new(Alarm { at, wake }));
+        eng.run_until(SimTime::from_nanos(1_900));
+        // One step at t = 0, then asleep: no poll-quantum grid of steps.
+        assert_eq!(eng.world.log, [(SimTime::ZERO, 0)]);
+        assert_eq!(eng.parked_procs(), 0, "the alarm at 500 ns woke it");
+        eng.run_until(SimTime::from_nanos(2_001));
+        assert_eq!(eng.world.log, [(SimTime::ZERO, 0), (wake, 0)]);
+        assert_eq!(eng.parked_procs(), 1, "it parked again");
+        assert_eq!(eng.live_procs(), 1);
+        // A wake earlier than the sleeper's next poll tick runs at that tick.
+        // The sleeper last stepped at 2 µs, so its tick is 2 µs + quantum.
+        eng.world.wakers[0].take().unwrap().wake_at(eng.now());
+        eng.run_until(SimTime::from_micros(3));
+        assert_eq!(eng.world.log.last(), Some(&(wake + quantum, 0)));
+    }
+
+    /// Ticks every 500 ns, recording how long the sleepers' log was at each
+    /// of its steps.
+    struct LogLenTicker;
+
+    impl Process<ParkWorld> for LogLenTicker {
+        fn step(&mut self, ctx: &mut Ctx<'_>, w: &mut ParkWorld) -> StepOutcome {
+            w.ticks.push((ctx.now(), w.log.len()));
+            ctx.compute_ns(500);
+            StepOutcome::Progress
+        }
+    }
+
+    #[test]
+    fn same_time_wakes_step_in_pid_order_and_tie_with_scheduled_keys() {
+        // pids 0, 1: sleepers. pid 2: a ticker whose period puts a key of
+        // its own at the wake time. pid 3: the alarm, which fires the wakers
+        // in *descending* pid order. pid 4: one more sleeper, so the woken
+        // pids bracket the ticker's.
+        let mut eng = park_engine(2);
+        eng.world.wakers.push(None);
+        let (at, wake) = (SimTime::from_nanos(100), SimTime::from_nanos(1_000));
+        eng.spawn(None, StatClass::Other, Box::new(LogLenTicker));
+        eng.spawn(None, StatClass::Other, Box::new(Alarm { at, wake }));
+        eng.spawn(None, StatClass::Other, Box::new(Sleeper { id: 2 }));
+        eng.run_until(SimTime::from_nanos(1_001));
+        let at_wake: Vec<usize> = eng
+            .world
+            .log
+            .iter()
+            .filter(|&&(t, _)| t == wake)
+            .map(|&(_, id)| id)
+            .collect();
+        assert_eq!(at_wake, [0, 1, 2], "pid order, not wake order");
+        // At the shared time the ticker (pid 2) steps after sleepers 0 and 1
+        // and before sleeper 2 (pid 4): it sees 3 + 2 log entries.
+        let ticks = [(SimTime::ZERO, 2), (SimTime::from_nanos(500), 3), (wake, 5)];
+        assert_eq!(eng.world.ticks, ticks);
+    }
+
+    #[test]
+    fn all_parked_run_returns_at_deadline_and_a_later_wake_resumes() {
+        let mut eng = park_engine(3);
+        let deadline = SimTime::from_micros(5);
+        let steps = eng.run_until(deadline);
+        assert_eq!(steps, 3, "one step each, then nothing left to schedule");
+        assert_eq!(eng.now(), deadline);
+        assert_eq!(eng.live_procs(), 3);
+        assert_eq!(eng.parked_procs(), 3);
+        // Fired between runs by whoever holds the world.
+        let wake = SimTime::from_micros(7);
+        eng.world.wakers[1].take().unwrap().wake_at(wake);
+        eng.run_until(SimTime::from_micros(10));
+        assert_eq!(eng.world.log.last(), Some(&(wake, 1)));
+        assert_eq!(eng.world.log.len(), 4);
+        assert_eq!(eng.now(), SimTime::from_micros(10));
+        assert_eq!((eng.live_procs(), eng.parked_procs()), (3, 3));
+    }
+
+    /// Polls idly `polls` times — alone in the engine, every re-step rides
+    /// the burst fast path — then parks.
+    struct PollThenPark {
+        polls: u32,
+    }
+
+    impl Process<ParkWorld> for PollThenPark {
+        fn step(&mut self, ctx: &mut Ctx<'_>, w: &mut ParkWorld) -> StepOutcome {
+            w.log.push((ctx.now(), 0));
+            if self.polls == 0 {
+                w.wakers[0] = Some(ctx.park());
+            } else {
+                self.polls -= 1;
+            }
+            StepOutcome::Idle
+        }
+    }
+
+    #[test]
+    fn park_inside_a_burst_ends_the_burst() {
+        let mut eng = park_engine(0);
+        eng.world.wakers.push(None);
+        eng.spawn(None, StatClass::Other, Box::new(PollThenPark { polls: 5 }));
+        let steps = eng.run_until(SimTime::from_micros(1));
+        assert_eq!(steps, 6, "five polls and the parking step");
+        assert_eq!(eng.bursts(), 5, "the parking step was itself a burst step");
+        assert_eq!(eng.parked_procs(), 1);
     }
 
     #[test]

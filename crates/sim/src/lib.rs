@@ -47,7 +47,7 @@ pub use arena::{Arena, PayloadArena, PayloadRef};
 // hashers too (R2: no default-hasher maps in the deterministic zone).
 pub use cache::{CacheHierarchy, StatClass};
 pub use config::{CacheConfig, CostConfig, MachineConfig, NetConfig};
-pub use engine::{Ctx, Engine, Machine, ProcId, Process, StepOutcome};
+pub use engine::{Ctx, Engine, Machine, ProcId, Process, StepOutcome, Waker};
 pub use fault::{FaultConfig, FaultPlan, RecvFate, StallWindow};
 pub use lock::{OptLock, SimLock, VersionSeqLock};
 pub use metrics::{AccessKind, Metrics, MetricsRegistry, MetricsSnapshot};

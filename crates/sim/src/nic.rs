@@ -18,6 +18,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::config::NetConfig;
+use crate::engine::Waker;
 use crate::time::SimTime;
 
 /// A message annotated with its delivery time.
@@ -162,6 +163,8 @@ pub struct Fabric<M> {
     pub to_client: Pipe,
     server_rx: DelayQueue<M>,
     client_rx: Vec<DelayQueue<M>>,
+    /// The waker of each client parked on its (empty) delivery queue.
+    client_waiter: Vec<Option<Waker>>,
 }
 
 impl<M> Fabric<M> {
@@ -172,6 +175,7 @@ impl<M> Fabric<M> {
             to_client: Pipe::new(cfg),
             server_rx: DelayQueue::new(),
             client_rx: (0..clients).map(|_| DelayQueue::new()).collect(),
+            client_waiter: (0..clients).map(|_| None).collect(),
         }
     }
 
@@ -208,10 +212,25 @@ impl<M> Fabric<M> {
         self.server_rx.len()
     }
 
-    /// The server sends `msg` of `payload` bytes to `client` at `now`.
+    /// The server sends `msg` of `payload` bytes to `client` at `now`, and
+    /// wakes the client at the arrival time if it is parked on its queue.
     pub fn server_send(&mut self, now: SimTime, payload: usize, client: usize, msg: M) {
         let at = self.to_client.transmit(now, payload);
         self.client_rx[client].push_at(at, msg);
+        if let Some(waker) = self.client_waiter[client].take() {
+            waker.wake_at(at);
+        }
+    }
+
+    /// Registers `waker` for the next [`Fabric::server_send`] to `client`.
+    /// Only a client with nothing in flight toward it may park: one that
+    /// can already see a delivery sleeps until it with `advance_to` instead.
+    pub fn client_park(&mut self, client: usize, waker: Waker) {
+        debug_assert!(
+            self.client_rx[client].is_empty(),
+            "client {client} parked with a delivery in flight"
+        );
+        self.client_waiter[client] = Some(waker);
     }
 
     /// Client-side poll for a delivered response.
