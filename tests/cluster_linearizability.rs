@@ -10,22 +10,73 @@
 //! over a faulty link (drops, duplicates, delays), 1% client-fabric
 //! receive drops and a 50 µs core stall, and seeded schedule exploration
 //! perturbing every machine.
+//!
+//! The same runs are also the value-level pin for multi-shard behaviour:
+//! `tests/golden/cluster_digest.txt` holds `label seed fnv1a(stats_json)
+//! history_digest` per cell, so a change to the client's routing, bounce or
+//! retransmit order shows up even when the history still linearizes.
+//! Regenerate after an intentional behaviour change with
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --release --test cluster_linearizability
+//! ```
 
 use utps::core::system::ServerWorld;
 use utps::prelude::*;
 use utps::sim::time::MICROS;
+use utps_core::experiment::stats_json;
 use utps_workload::zipf::KeyDist;
 
-fn explore_seeds() -> Vec<u64> {
-    std::env::var("EXPLORE_SEEDS")
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/cluster_digest.txt"
+);
+
+/// Serialises golden rewrites: the two `check_system` tests run on parallel
+/// threads and share the file.
+static GOLDEN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The seeds to run, and whether they are the default list (only the
+/// default list is pinned by the golden).
+fn explore_seeds() -> (Vec<u64>, bool) {
+    let overridden = std::env::var("EXPLORE_SEEDS")
         .ok()
         .map(|s| {
             s.split(',')
                 .filter_map(|t| t.trim().parse().ok())
                 .collect::<Vec<u64>>()
         })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![42, 7, 1234])
+        .filter(|v| !v.is_empty());
+    match overridden {
+        Some(seeds) => (seeds, false),
+        None => (vec![42, 7, 1234], true),
+    }
+}
+
+/// Compares `label`'s rows to the committed golden, or with `UPDATE_GOLDEN`
+/// set replaces them (rows of other labels are kept; labels stay sorted).
+fn check_golden(label: &str, got: &str) {
+    let mine = |l: &&str| l.split(' ').next() == Some(label);
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        let _guard = GOLDEN_LOCK.lock().expect("a golden writer panicked");
+        let old = std::fs::read_to_string(GOLDEN).unwrap_or_default();
+        let mut rows: Vec<&str> = old.lines().filter(|l| !mine(l)).collect();
+        rows.extend(got.lines());
+        rows.sort_by_key(|l| (*l).split(' ').next());
+        std::fs::write(GOLDEN, rows.join("\n") + "\n").expect("cannot write golden file");
+        return;
+    }
+    let file = std::fs::read_to_string(GOLDEN)
+        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
+    let want: String = file
+        .lines()
+        .filter(mine)
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        got, want,
+        "{label}: multi-shard stats or history diverged from the committed golden"
+    );
 }
 
 /// The chaos suite's acceptance plan: 1% receive drops plus one 50 µs stall
@@ -97,9 +148,16 @@ fn cluster_cfg(index: IndexKind, seed: u64) -> ClusterConfig {
 }
 
 fn check_system(label: &str, system: SystemKind, index: IndexKind) {
-    for seed in explore_seeds() {
+    let (seeds, pinned) = explore_seeds();
+    let mut got = String::new();
+    for seed in seeds {
         let cfg = cluster_cfg(index, seed);
         let r = run_cluster(system, &cfg);
+        got += &format!(
+            "{label} {seed} {:016x} {:016x}\n",
+            utps_wal::fnv1a(stats_json(&r).as_bytes()),
+            r.history_digest.expect("recording was on")
+        );
         assert!(r.completed > 0, "{label}/{seed}: nothing completed");
         let cl = r
             .cluster
@@ -138,6 +196,9 @@ fn check_system(label: &str, system: SystemKind, index: IndexKind) {
             r.completed
         );
     }
+    if pinned {
+        check_golden(label, &got);
+    }
 }
 
 #[test]
@@ -158,7 +219,7 @@ fn check_tiered<S: System>(label: &str, index: IndexKind)
 where
     S::World: utps::cluster::ShardWorld,
 {
-    for seed in explore_seeds() {
+    for seed in explore_seeds().0 {
         let mut cfg = ClusterConfig::new(cluster_cfg(index, seed).base, 2);
         cfg.base.tier = Some(TierConfig {
             dram_items_max: 15_000,
@@ -200,7 +261,6 @@ fn basekv_tiered_cluster_is_linearizable() {
 fn cluster_runs_are_deterministic() {
     // Same seed, same config → byte-identical stats including the cluster
     // section and the recorded schedule trace.
-    use utps_core::experiment::stats_json;
     let a = run_cluster(SystemKind::Utps, &cluster_cfg(IndexKind::Hash, 42));
     let b = run_cluster(SystemKind::Utps, &cluster_cfg(IndexKind::Hash, 42));
     assert_eq!(stats_json(&a), stats_json(&b));
