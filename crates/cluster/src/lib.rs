@@ -19,9 +19,11 @@
 //! * **Cluster thread tuning** — CR capacity moves between machines under
 //!   load imbalance ([`tuner::ClusterTunerProc`]).
 //!
-//! A one-shard cluster with every feature off is byte-identical to the
-//! single-machine runners (`stats_json` matches the existing goldens) —
-//! the transparency guarantee the cluster tests pin.
+//! Servers and clients are the single-machine ones; everything
+//! cluster-shaped reaches them through `utps_core::shardctl::ShardHooks`.
+//! A one-shard cluster with every feature off installs no hooks at all and
+//! is byte-identical to the single-machine runners (`stats_json` matches
+//! the existing goldens) — the transparency guarantee the cluster tests pin.
 
 pub mod client;
 pub mod config;
@@ -31,7 +33,7 @@ pub mod runner;
 pub mod tuner;
 pub mod world;
 
-pub use client::{ClusterClientProc, SizeClassWorkload};
+pub use client::SizeClassWorkload;
 pub use config::{ClusterConfig, LinkConfig, MigrationSpec};
 pub use migrate::{MigrationProc, RefreshProc};
 pub use router::{RouterState, SizeClass, Topology};

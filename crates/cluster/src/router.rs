@@ -200,30 +200,6 @@ impl RouterState {
         self.owner[class as usize][slot]
     }
 
-    /// Client-side routing decision for one operation. Reads of a valid
-    /// replicated key fan out round-robin across every small shard;
-    /// everything else goes to the slot owner. Host-side only: charges
-    /// nothing, draws nothing.
-    pub fn route(&mut self, key: u64, is_write: bool) -> usize {
-        let class = self.topo.class_of(key);
-        match class {
-            SizeClass::Small => self.tallies.routed_small += 1,
-            SizeClass::Large => self.tallies.routed_large += 1,
-        }
-        let owner = self.owner[class as usize][self.topo.slot_of(key)];
-        if !is_write
-            && class == SizeClass::Small
-            && self.replicas.get(&key) == Some(&true)
-            && self.topo.small_shards.len() > 1
-        {
-            let cursor = self.rr.entry(key).or_insert(0);
-            let pick = self.topo.small_shards[*cursor % self.topo.small_shards.len()];
-            *cursor += 1;
-            return pick;
-        }
-        owner
-    }
-
     /// Whether `key` is in the replicated hot set (any validity).
     pub fn is_replicated(&self, key: u64) -> bool {
         self.replicas.contains_key(&key)
@@ -284,13 +260,6 @@ impl RouterState {
             .collect()
     }
 
-    /// Records a post-warmup completion of `key` with latency `ns`.
-    pub fn record_completion(&mut self, key: u64, ns: u64) {
-        let class = self.topo.class_of(key) as usize;
-        self.class_hist[class].record(ns);
-        self.class_completed[class] += 1;
-    }
-
     /// Zeroes the measured-window tallies (warmup boundary).
     pub fn reset_stats(&mut self) {
         self.tallies = RouterTallies::default();
@@ -348,6 +317,34 @@ impl ShardHooks for RouterState {
             // ops opened under the old epoch are still in flight.
             self.inflight[shard][class][slot] = self.inflight[shard][class][slot].saturating_sub(1);
         }
+    }
+
+    /// Reads of a valid replicated key fan out round-robin across every
+    /// small shard; everything else goes to the slot owner.
+    fn route(&mut self, key: u64, is_write: bool) -> usize {
+        let class = self.topo.class_of(key);
+        match class {
+            SizeClass::Small => self.tallies.routed_small += 1,
+            SizeClass::Large => self.tallies.routed_large += 1,
+        }
+        let owner = self.owner[class as usize][self.topo.slot_of(key)];
+        if !is_write
+            && class == SizeClass::Small
+            && self.replicas.get(&key) == Some(&true)
+            && self.topo.small_shards.len() > 1
+        {
+            let cursor = self.rr.entry(key).or_insert(0);
+            let pick = self.topo.small_shards[*cursor % self.topo.small_shards.len()];
+            *cursor += 1;
+            return pick;
+        }
+        owner
+    }
+
+    fn record_completion(&mut self, key: u64, ns: u64) {
+        let class = self.topo.class_of(key) as usize;
+        self.class_hist[class].record(ns);
+        self.class_completed[class] += 1;
     }
 }
 

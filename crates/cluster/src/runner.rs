@@ -10,15 +10,15 @@
 //! **Spawn order** is the single-machine order per shard, then clients,
 //! sampler, and finally the feature-gated controllers. On a
 //! [trivial](ClusterConfig::is_trivial) one-shard config no controller is
-//! spawned and no hook is installed, so the event sequence — and therefore
-//! `stats_json` — is byte-identical to the single-machine runners: the
-//! server side by construction (same hooks), the client side because
-//! `ClusterClientProc` mirrors `ClientProc` (the N=1 transparency test
-//! guards the latter against the goldens).
+//! spawned and no hook is installed on either side — the servers carry no
+//! [`ShardCtl`] and the clients are unrouted [`ClientProc`]s — so the
+//! processes are the single-machine ones by construction. What the N=1
+//! transparency tests still guard against the single-machine goldens is
+//! this file: its spawn, reset and fold order.
 
 use utps_baselines::BaseKv;
 use utps_collections::mix2;
-use utps_core::client::{DriverState, SamplerProc};
+use utps_core::client::{ClientProc, DriverState, SamplerProc};
 use utps_core::experiment::{ClusterStats, RunConfig, RunResult, SystemKind, Utps};
 use utps_core::shardctl::ShardCtl;
 use utps_core::system::{ServerWorld, System};
@@ -28,7 +28,7 @@ use utps_sim::{Engine, FaultPlan, SchedulePlan, StatClass};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::client::{ClusterClientProc, SizeClassWorkload};
+use crate::client::SizeClassWorkload;
 use crate::config::ClusterConfig;
 use crate::migrate::{MigrationProc, RefreshProc};
 use crate::router::RouterState;
@@ -93,16 +93,11 @@ fn spawn_drivers<S: ShardWorld>(cfg: &ClusterConfig, eng: &mut Engine<ClusterWor
                 cfg.large_value_len,
             ));
         }
-        eng.spawn(
-            None,
-            StatClass::Other,
-            Box::new(ClusterClientProc::new(
-                c as u32,
-                wl,
-                base.pipeline,
-                base.retry.clone(),
-            )),
-        );
+        let mut client = ClientProc::with_retry(c as u32, wl, base.pipeline, base.retry.clone());
+        if !cfg.is_trivial() {
+            client = client.routed(eng.world.router.clone());
+        }
+        eng.spawn(None, StatClass::Other, Box::new(client));
     }
     if base.timeline_interval > 0 {
         eng.spawn(

@@ -8,8 +8,10 @@
 //! single-machine, on their own simulated machine (see
 //! `utps_sim::Engine::add_machine`).
 
-use utps_core::client::DriverState;
+use utps_core::client::{DriverState, KvWorld};
+use utps_core::msg::NetMsg;
 use utps_core::system::ServerWorld;
+use utps_sim::nic::Fabric;
 use utps_sim::{Ctx, Process, StepOutcome};
 
 use std::cell::RefCell;
@@ -50,6 +52,21 @@ pub struct ClusterWorld<S> {
     /// Cluster-level measurement state; the per-shard worlds' own driver
     /// fields stay empty (their tuners run in `Off` mode and never read it).
     pub driver: DriverState,
+}
+
+/// What the clients see: one driver, one fabric per shard.
+impl<S: ShardWorld> KvWorld for ClusterWorld<S> {
+    fn fabric_mut(&mut self) -> &mut Fabric<NetMsg> {
+        self.fabric_at(0)
+    }
+
+    fn driver_mut(&mut self) -> &mut DriverState {
+        &mut self.driver
+    }
+
+    fn fabric_at(&mut self, shard: usize) -> &mut Fabric<NetMsg> {
+        self.shards[shard].fabric_mut()
+    }
 }
 
 /// Adapter running a per-shard process against the cluster world by

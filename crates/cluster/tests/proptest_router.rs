@@ -12,6 +12,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use utps_cluster::router::Topology;
 use utps_cluster::{RouterState, SizeClass};
+use utps_core::shardctl::ShardHooks;
 
 #[derive(Clone, Debug)]
 struct TopoSpec {

@@ -23,7 +23,7 @@ const ORDERS: usize = 40;
 /// assert!(h.percentile(50.0) >= 300 && h.percentile(50.0) <= 320);
 /// assert!(h.percentile(99.9) >= 1_000_000);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,

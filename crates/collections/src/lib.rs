@@ -6,8 +6,6 @@
 //!
 //! * [`sketch::CountMinSketch`] + [`topk::TopK`] + [`hotset::HotSetTracker`] —
 //!   the hot-set identification pipeline of §3.2.2 (sample → sketch → top-K);
-//! * [`epoch::EpochCell`] — the epoch-based atomic switch used to publish a
-//!   refreshed/resized hot cache to all worker threads;
 //! * [`spsc::SpscRing`] — the lock-free ring underlying each lane of the
 //!   all-to-all CR-MR queue (§3.4), with multi-request slots;
 //! * [`mpmc::MpmcQueue`] — the bounded Vyukov MPMC queue used as the §3.4
@@ -22,7 +20,6 @@
 // and therefore its own `// SAFETY:` argument.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod epoch;
 pub mod hashutil;
 pub mod hist;
 pub mod hotset;
@@ -32,7 +29,6 @@ pub mod sorted_cache;
 pub mod spsc;
 pub mod topk;
 
-pub use epoch::EpochCell;
 pub use hashutil::{mix2, mix64, FxBuildHasher, FxHashMap, FxHashSet};
 pub use hist::LatencyHistogram;
 pub use hotset::HotSetTracker;

@@ -8,7 +8,10 @@
 //! is charged as constants and their traffic goes through the shared fabric
 //! pipes, so the server NIC's bandwidth and message-rate limits still apply.
 
-use utps_collections::LatencyHistogram;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use utps_collections::{FxHashMap, LatencyHistogram};
 use utps_oracle::{fill_digest, value_digest, History, OpClass};
 use utps_sim::nic::Fabric;
 use utps_sim::time::{SimTime, NANOS};
@@ -17,9 +20,10 @@ use utps_workload::{Op, Workload};
 
 use crate::msg::{NetMsg, Request};
 use crate::retry::{RetryConfig, RetryState};
+use crate::shardctl::ShardHooks;
 
 /// Per-client measurement state.
-#[derive(Default)]
+#[derive(Default, PartialEq)]
 pub struct ClientStats {
     /// Operations completed after warmup.
     pub completed: u64,
@@ -104,10 +108,26 @@ pub trait KvWorld {
 
     /// The driver (clients/measurement) state.
     fn driver_mut(&mut self) -> &mut DriverState;
+
+    /// The fabric of server machine `shard`. A single-machine world has
+    /// only the one.
+    fn fabric_at(&mut self, _shard: usize) -> &mut Fabric<NetMsg> {
+        self.fabric_mut()
+    }
+}
+
+/// What a client of a sharded deployment carries on top of the closed loop.
+struct Routed {
+    hooks: Rc<RefCell<dyn ShardHooks>>,
+    /// Every in-flight seq → (op, first-send time), kept regardless of the
+    /// retry policy: `moved` bounces need the op back to re-route it, and
+    /// completions need the key for the per-class latency histograms.
+    shadow: FxHashMap<u64, (Op, SimTime)>,
 }
 
 /// A closed-loop client process, optionally with request timeouts and
-/// bounded exponential backoff (see [`crate::retry`]).
+/// bounded exponential backoff (see [`crate::retry`]), optionally
+/// [routed](ClientProc::routed) across the shards of a cluster.
 pub struct ClientProc {
     id: u32,
     workload: Box<dyn Workload + Send>,
@@ -117,6 +137,7 @@ pub struct ClientProc {
     value_fill: u8,
     retry: RetryConfig,
     pending: RetryState,
+    route: Option<Routed>,
 }
 
 impl ClientProc {
@@ -142,6 +163,7 @@ impl ClientProc {
             value_fill: 0x40 + (id as u8 & 0x3f),
             retry,
             pending: RetryState::new(),
+            route: None,
         }
     }
 
@@ -160,9 +182,63 @@ impl ClientProc {
         c
     }
 
+    /// Makes this a client of a sharded cluster (shard id = machine id):
+    /// every send goes to the shard `hooks` picks, responses are drained
+    /// from every shard's fabric, and a `moved` bounce (non-owner or frozen
+    /// slot) re-routes the same (client, seq) pair — the server recorded
+    /// nothing for a bounce, so exactly-once accounting is untouched.
+    pub fn routed(mut self, hooks: Rc<RefCell<dyn ShardHooks>>) -> Self {
+        self.route = Some(Routed {
+            hooks,
+            shadow: FxHashMap::default(),
+        });
+        self
+    }
+
     /// The deterministic fill byte this client writes (for data checks).
     pub fn fill_byte(id: u32) -> u8 {
         0x40 + (id as u8 & 0x3f)
+    }
+
+    /// Sends `op` as (`self.id`, `seq`) to the shard the hooks pick (shard 0
+    /// when unrouted) — a first send, a retransmit or the re-send after a
+    /// bounce. Put payloads are written once, into the destination's NIC
+    /// buffer memory, rebuilt from the deterministic fill byte each time
+    /// (identical bytes, no copy stored per in-flight request); the request
+    /// carries only the arena handle.
+    fn send<W: KvWorld>(
+        &self,
+        ctx: &mut Ctx<'_>,
+        world: &mut W,
+        seq: u64,
+        op: Op,
+        first_sent: SimTime,
+    ) {
+        let dest = self.route.as_ref().map_or(0, |r| {
+            let is_write = matches!(op, Op::Put { .. } | Op::Delete { .. });
+            r.hooks.borrow_mut().route(op.key(), is_write)
+        });
+        let value = match &op {
+            Op::Put { value_len, .. } => Some(
+                ctx.machine_at(dest)
+                    .payloads
+                    .alloc(vec![self.value_fill; *value_len].into_boxed_slice()),
+            ),
+            _ => None,
+        };
+        let req = Request {
+            client: self.id,
+            seq,
+            op,
+            value,
+            sent_at: first_sent,
+        };
+        let wire = req.wire_len();
+        let at = ctx.now();
+        world
+            .fabric_at(dest)
+            .client_send(at, wire, NetMsg::Req(req));
+        ctx.compute_ns(30);
     }
 }
 
@@ -172,63 +248,98 @@ impl<W: KvWorld> Process<W> for ClientProc {
         self.workload.set_time_ns(now.as_nanos());
         let measure_start = world.driver_mut().measure_start;
         let retry_on = self.retry.enabled();
-        // Drain responses.
+        let me = self.id as usize;
+        // Shard id = machine id; an unrouted client only ever talks to 0.
+        let shards = if self.route.is_some() {
+            ctx.machine_count()
+        } else {
+            1
+        };
+        // Drain responses from every shard's fabric.
         let mut drained = 0;
-        while let Some(msg) = world.fabric_mut().client_poll(self.id as usize, now) {
-            let resp = match msg {
-                NetMsg::Resp(r) => r,
-                NetMsg::Req(_) => unreachable!("client received a request"),
-            };
-            drained += 1;
-            // Digest the returned bytes for the oracle before the payload's
-            // NIC buffer is recycled (dup responses included).
-            let resp_digest = if world.driver_mut().history.is_some() {
-                resp.value
-                    .as_ref()
-                    .map(|v| value_digest(ctx.machine().payloads.get(v)))
-            } else {
-                None
-            };
-            let wire_len = resp.wire_len();
-            if let Some(v) = resp.value {
-                ctx.machine().payloads.free(v);
-            }
-            // With retries on, a response only completes a request still in
-            // the pending table; late duplicates are counted and dropped.
-            // Latency is measured from the first send either way (they
-            // coincide when nothing was retransmitted).
-            let first_sent = if retry_on {
-                match self.pending.on_response(resp.seq) {
-                    Some(p) => p.first_sent,
-                    None => {
-                        world.driver_mut().clients[self.id as usize].dup_resps += 1;
-                        ctx.machine().registry.counter_inc("client.dup_resp");
-                        continue;
-                    }
+        for s in 0..shards {
+            while let Some(msg) = world.fabric_at(s).client_poll(me, now) {
+                let resp = match msg {
+                    NetMsg::Resp(r) => r,
+                    NetMsg::Req(_) => unreachable!("client received a request"),
+                };
+                drained += 1;
+                // Digest the returned bytes for the oracle before the
+                // payload's NIC buffer is recycled (dup responses included).
+                let resp_digest = if world.driver_mut().history.is_some() {
+                    resp.value
+                        .as_ref()
+                        .map(|v| value_digest(ctx.machine_at(s).payloads.get(v)))
+                } else {
+                    None
+                };
+                let wire_len = resp.wire_len();
+                if let Some(v) = resp.value {
+                    ctx.machine_at(s).payloads.free(v);
                 }
-            } else {
-                resp.sent_at
-            };
-            self.outstanding -= 1;
-            let driver = world.driver_mut();
-            if let Some(h) = driver.history.as_mut() {
-                h.response(
-                    self.id,
-                    resp.seq,
-                    now.as_ps(),
-                    resp.ok,
-                    resp_digest,
-                    resp.scan_count,
-                );
-            }
-            let stats = &mut driver.clients[self.id as usize];
-            stats.completed_total += 1;
-            if now >= measure_start {
-                stats.completed += 1;
-                stats.hist.record((now - first_sent) / NANOS);
-                stats.payload_bytes += wire_len as u64;
-                if !resp.ok {
-                    stats.not_found += 1;
+                // A moved bounce: the shard no longer owns the key (or froze
+                // its slot mid-migration). The server recorded nothing, so
+                // re-route and re-send the same seq; latency still counts
+                // from the first send. A bounce for a seq no longer in
+                // flight is a stale duplicate of an op that completed
+                // through another copy.
+                if resp.moved {
+                    debug_assert!(
+                        self.route.is_some(),
+                        "moved response to an unrouted client: no shard hooks are installed"
+                    );
+                    let bounced = self.route.as_ref().and_then(|r| r.shadow.get(&resp.seq));
+                    match bounced.cloned() {
+                        Some((op, first_sent)) => self.send(ctx, world, resp.seq, op, first_sent),
+                        None => {
+                            world.driver_mut().clients[me].dup_resps += 1;
+                            ctx.machine().registry.counter_inc("client.dup_resp");
+                        }
+                    }
+                    continue;
+                }
+                // With retries on, a response only completes a request still
+                // in the pending table; late duplicates are counted and
+                // dropped. Latency is measured from the first send either way
+                // (they coincide when nothing was retransmitted).
+                let first_sent = if retry_on {
+                    match self.pending.on_response(resp.seq) {
+                        Some(p) => p.first_sent,
+                        None => {
+                            world.driver_mut().clients[me].dup_resps += 1;
+                            ctx.machine().registry.counter_inc("client.dup_resp");
+                            continue;
+                        }
+                    }
+                } else {
+                    resp.sent_at
+                };
+                let routed_op = self.route.as_mut().and_then(|r| r.shadow.remove(&resp.seq));
+                self.outstanding -= 1;
+                let driver = world.driver_mut();
+                if let Some(h) = driver.history.as_mut() {
+                    h.response(
+                        self.id,
+                        resp.seq,
+                        now.as_ps(),
+                        resp.ok,
+                        resp_digest,
+                        resp.scan_count,
+                    );
+                }
+                let stats = &mut driver.clients[me];
+                stats.completed_total += 1;
+                if now >= measure_start {
+                    stats.completed += 1;
+                    let lat_ns = (now - first_sent) / NANOS;
+                    stats.hist.record(lat_ns);
+                    stats.payload_bytes += wire_len as u64;
+                    if !resp.ok {
+                        stats.not_found += 1;
+                    }
+                    if let (Some(r), Some((op, _))) = (&self.route, routed_op) {
+                        r.hooks.borrow_mut().record_completion(op.key(), lat_ns);
+                    }
                 }
             }
         }
@@ -243,40 +354,22 @@ impl<W: KvWorld> Process<W> for ClientProc {
                 resent += 1;
                 match self.pending.retransmit(seq, now, &self.retry) {
                     Some((op, first_sent)) => {
-                        // Rebuild the put payload from the deterministic fill
-                        // byte — identical bytes to the first send, with no
-                        // copy stored per in-flight request.
-                        let value = match &op {
-                            Op::Put { value_len, .. } => Some(
-                                ctx.machine()
-                                    .payloads
-                                    .alloc(vec![self.value_fill; *value_len].into_boxed_slice()),
-                            ),
-                            _ => None,
-                        };
-                        let req = Request {
-                            client: self.id,
-                            seq,
-                            op,
-                            value,
-                            sent_at: first_sent,
-                        };
-                        let wire = req.wire_len();
-                        let at = ctx.now();
-                        world.fabric_mut().client_send(at, wire, NetMsg::Req(req));
-                        ctx.compute_ns(30);
-                        world.driver_mut().clients[self.id as usize].retransmits += 1;
+                        self.send(ctx, world, seq, op, first_sent);
+                        world.driver_mut().clients[me].retransmits += 1;
                         ctx.machine().registry.counter_inc("client.retransmit");
                     }
                     None => {
                         self.outstanding -= 1;
+                        if let Some(r) = self.route.as_mut() {
+                            r.shadow.remove(&seq);
+                        }
                         let driver = world.driver_mut();
                         if let Some(h) = driver.history.as_mut() {
                             // The op stays pending in the history: a delayed
                             // copy of the request may still execute.
                             h.fail(self.id, seq);
                         }
-                        driver.clients[self.id as usize].failed += 1;
+                        driver.clients[me].failed += 1;
                         ctx.machine().registry.counter_inc("client.failed");
                     }
                 }
@@ -286,17 +379,9 @@ impl<W: KvWorld> Process<W> for ClientProc {
         let mut sent = 0;
         while self.outstanding < self.pipeline {
             let op = self.workload.next_op();
-            // Put payloads are written once, into NIC buffer memory; the
-            // request carries only the arena handle.
-            let value = match &op {
-                Op::Put { value_len, .. } => Some(
-                    ctx.machine()
-                        .payloads
-                        .alloc(vec![self.value_fill; *value_len].into_boxed_slice()),
-                ),
-                _ => None,
-            };
-            if world.driver_mut().history.is_some() {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            if let Some(h) = world.driver_mut().history.as_mut() {
                 let (class, key, digest, limit) = match &op {
                     Op::Get { key } => (OpClass::Get, *key, None, 0),
                     Op::Put { key, value_len } => (
@@ -308,56 +393,43 @@ impl<W: KvWorld> Process<W> for ClientProc {
                     Op::Scan { key, count } => (OpClass::Scan, *key, None, *count as u32),
                     Op::Delete { key } => (OpClass::Delete, *key, None, 0),
                 };
-                let at = ctx.now().as_ps();
-                world.driver_mut().history.as_mut().unwrap().invoke(
-                    self.id,
-                    self.next_seq,
-                    class,
-                    key,
-                    digest,
-                    limit,
-                    at,
-                );
+                h.invoke(self.id, seq, class, key, digest, limit, ctx.now().as_ps());
             }
             if retry_on {
                 self.pending
-                    .on_send(self.next_seq, ctx.now(), &self.retry, op.clone());
+                    .on_send(seq, ctx.now(), &self.retry, op.clone());
             }
-            let req = Request {
-                client: self.id,
-                seq: self.next_seq,
-                op,
-                value,
-                sent_at: ctx.now(),
-            };
-            self.next_seq += 1;
-            let wire = req.wire_len();
-            let now = ctx.now();
-            world.fabric_mut().client_send(now, wire, NetMsg::Req(req));
-            ctx.compute_ns(30);
-            world.driver_mut().clients[self.id as usize].issued += 1;
+            if let Some(r) = self.route.as_mut() {
+                r.shadow.insert(seq, (op.clone(), ctx.now()));
+            }
+            self.send(ctx, world, seq, op, ctx.now());
+            world.driver_mut().clients[me].issued += 1;
             self.outstanding += 1;
             sent += 1;
         }
         if drained == 0 && sent == 0 && resent == 0 {
             // Pipeline full and nothing arrived. Three cases:
-            // * a delivery is in flight — sleep until it lands, but never
-            //   past the next retransmit deadline, or a fully-dropped
-            //   pipeline would sleep forever;
-            // * nothing in flight, retries off — only a `server_send` can
-            //   give this client work, so park on the endpoint and let that
-            //   send wake us at its arrival time;
+            // * a delivery is in flight — sleep until the earliest one over
+            //   the shards lands, but never past the next retransmit
+            //   deadline, or a fully-dropped pipeline would sleep forever;
+            // * nothing in flight, retries off, one fabric — only a
+            //   `server_send` can give this client work, so park on the
+            //   endpoint and let that send wake us at its arrival time. A
+            //   `Waker` is single-use, so it cannot be left with several
+            //   fabrics: a client of N > 1 shards keeps polling;
             // * nothing in flight, retries on — keep polling: the deadlines
             //   are this client's own timer and are checked every step.
-            let fabric = world.fabric_mut();
-            if let Some(at) = fabric.client_next_at(self.id as usize) {
+            let next_at = (0..shards)
+                .filter_map(|s| world.fabric_at(s).client_next_at(me))
+                .min();
+            if let Some(at) = next_at {
                 let wake = match self.pending.next_deadline() {
                     Some(dl) if retry_on => at.min(dl),
                     _ => at,
                 };
                 ctx.advance_to(wake);
-            } else if !retry_on {
-                fabric.client_park(self.id as usize, ctx.park());
+            } else if !retry_on && shards == 1 {
+                world.fabric_at(0).client_park(me, ctx.park());
             }
             return StepOutcome::Idle;
         }
@@ -408,6 +480,8 @@ impl<W> Process<W> for SamplerProc<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shardctl::Admit;
+    use utps_collections::FxHashSet;
     use utps_sim::config::MachineConfig;
     use utps_sim::{Engine, StatClass};
     use utps_workload::{Mix, YcsbWorkload};
@@ -430,8 +504,14 @@ mod tests {
     /// Answers every request `ok` with no value. `leak` plants the bug the
     /// run ledger exists to catch: a put's payload handle is dropped instead
     /// of freed, which compiles (no `Drop` impl) and loses an arena slot.
+    /// `bounce` plays a shard mid-migration for every op whose key is a
+    /// multiple of 3: the first copy of a (client, seq) is answered `moved`,
+    /// the second is served — and followed by a stale second bounce.
+    #[derive(Default)]
     struct EchoServer {
         leak: bool,
+        bounce: bool,
+        bounced: FxHashSet<(u32, u64)>,
     }
 
     impl Process<EchoWorld> for EchoServer {
@@ -444,27 +524,56 @@ mod tests {
                         ctx.machine().payloads.free(v);
                     }
                 }
-                let resp = crate::msg::Response {
-                    client: req.client,
-                    seq: req.seq,
-                    ok: true,
-                    moved: false,
-                    value: None,
-                    scan_count: 0,
-                    payload_extra: 0,
-                    resp_addr: 0,
-                    sent_at: req.sent_at,
-                };
-                let now = ctx.now();
-                w.fabric.server_send(
-                    now,
-                    resp.wire_len(),
-                    req.client as usize,
-                    NetMsg::Resp(resp),
-                );
+                let bounce = self.bounce && req.op.key() % 3 == 0;
+                let first_copy = bounce && self.bounced.insert((req.client, req.seq));
+                let mut replies = vec![first_copy];
+                if bounce && !first_copy {
+                    replies.push(true);
+                }
+                for moved in replies {
+                    let resp = crate::msg::Response {
+                        client: req.client,
+                        seq: req.seq,
+                        ok: true,
+                        moved,
+                        value: None,
+                        scan_count: 0,
+                        payload_extra: 0,
+                        resp_addr: 0,
+                        sent_at: req.sent_at,
+                    };
+                    let now = ctx.now();
+                    w.fabric.server_send(
+                        now,
+                        resp.wire_len(),
+                        req.client as usize,
+                        NetMsg::Resp(resp),
+                    );
+                }
                 return StepOutcome::Progress;
             }
             StepOutcome::Idle
+        }
+    }
+
+    /// The client half of [`ShardHooks`] for a one-shard "cluster":
+    /// everything routes to shard 0, reported completions are kept.
+    #[derive(Default)]
+    struct ToShard0 {
+        completions: Vec<(u64, u64)>,
+    }
+
+    impl ShardHooks for ToShard0 {
+        fn admit(&mut self, _shard: usize, _key: u64, _is_write: bool) -> Admit {
+            Admit::Serve
+        }
+        fn op_begin(&mut self, _shard: usize, _key: u64, _seq: u64) {}
+        fn op_end(&mut self, _shard: usize, _seq: u64) {}
+        fn route(&mut self, _key: u64, _is_write: bool) -> usize {
+            0
+        }
+        fn record_completion(&mut self, key: u64, ns: u64) {
+            self.completions.push((key, ns));
         }
     }
 
@@ -476,11 +585,7 @@ mod tests {
             driver: DriverState::new(clients, SimTime::from_micros(50)),
         };
         let mut eng = Engine::new(MachineConfig::tiny(), 1, world);
-        eng.spawn(
-            Some(0),
-            StatClass::Other,
-            Box::new(EchoServer { leak: false }),
-        );
+        eng.spawn(Some(0), StatClass::Other, Box::new(EchoServer::default()));
         for id in 0..clients {
             let wl = YcsbWorkload::new(
                 Mix::C,
@@ -524,11 +629,7 @@ mod tests {
             driver: DriverState::new(1, SimTime::MAX), // never measure
         };
         let mut eng = Engine::new(MachineConfig::tiny(), 1, world);
-        eng.spawn(
-            Some(0),
-            StatClass::Other,
-            Box::new(EchoServer { leak: false }),
-        );
+        eng.spawn(Some(0), StatClass::Other, Box::new(EchoServer::default()));
         let wl = YcsbWorkload::new(Mix::C, utps_workload::KeyDist::uniform(10), 8, 50, 1, 0);
         eng.spawn(
             None,
@@ -541,9 +642,13 @@ mod tests {
         assert!(d.completed_total() > 0);
     }
 
-    /// One closed-loop YCSB-A run against the echo server, extracted the way
-    /// every runner does. Returns the result and the closed-loop window.
-    fn echo_ycsb_a(leak: bool) -> (crate::experiment::RunResult, usize) {
+    /// One closed-loop YCSB-A run against `server`, with the clients routed
+    /// through `hooks` if given, extracted the way every runner does.
+    /// Returns the result, the closed-loop window and the finished engine.
+    fn echo_ycsb_a(
+        server: EchoServer,
+        hooks: Option<Rc<RefCell<ToShard0>>>,
+    ) -> (crate::experiment::RunResult, usize, Engine<EchoWorld>) {
         let cfg = crate::experiment::RunConfig {
             clients: 4,
             pipeline: 4,
@@ -557,22 +662,25 @@ mod tests {
             driver: DriverState::new(cfg.clients, SimTime(cfg.warmup)),
         };
         let mut eng = Engine::new(cfg.machine.clone(), 1, world);
-        eng.spawn(Some(0), StatClass::Other, Box::new(EchoServer { leak }));
+        eng.spawn(Some(0), StatClass::Other, Box::new(server));
         for id in 0..cfg.clients {
             let dist = utps_workload::KeyDist::uniform(100);
             let wl = YcsbWorkload::new(Mix::A, dist, 64, 50, cfg.seed, id as u64);
-            let client = ClientProc::new(id as u32, Box::new(wl), cfg.pipeline);
+            let mut client = ClientProc::new(id as u32, Box::new(wl), cfg.pipeline);
+            if let Some(h) = &hooks {
+                client = client.routed(h.clone());
+            }
             eng.spawn(None, StatClass::Other, Box::new(client));
         }
         eng.run_until(SimTime(cfg.warmup + cfg.duration));
         let r = crate::experiment::RunResult::new(&cfg, &mut eng, |w| &w.driver);
-        (r, cfg.clients * cfg.pipeline)
+        (r, cfg.clients * cfg.pipeline, eng)
     }
 
     #[test]
     fn run_ledger_catches_a_dropped_payload_handle() {
         // The bound `tests/chaos.rs::assert_exactly_once` puts on every run.
-        let (honest, window) = echo_ycsb_a(false);
+        let (honest, window, _) = echo_ycsb_a(EchoServer::default(), None);
         assert!(
             honest.completed > 100,
             "only {} completed",
@@ -583,12 +691,55 @@ mod tests {
             "{} slots live with every put freed (window {window})",
             honest.payloads_live
         );
-        let (leaky, window) = echo_ycsb_a(true);
+        let leaky_server = EchoServer {
+            leak: true,
+            ..Default::default()
+        };
+        let (leaky, window, _) = echo_ycsb_a(leaky_server, None);
         assert!(
             leaky.payloads_live > window,
             "planted leak not visible: {} slots live (window {window}, {} ops)",
             leaky.payloads_live,
             leaky.completed
         );
+    }
+
+    #[test]
+    fn bounced_ops_complete_exactly_once_timed_from_the_first_send() {
+        let hooks = Rc::new(RefCell::new(ToShard0::default()));
+        let server = EchoServer {
+            bounce: true,
+            ..Default::default()
+        };
+        let (r, window, _) = echo_ycsb_a(server, Some(hooks.clone()));
+        assert!(r.completed > 100, "only {} completed", r.completed);
+        // A bounce neither completes an op nor frees its pipeline slot, and a
+        // stale one is dropped: with retries off the window is full at the
+        // end of every client step, so the ledger is exact.
+        assert_eq!(r.failed, 0);
+        assert_eq!(r.issued, r.completed_total + window as u64);
+        assert!(r.dup_resps > 0, "no stale bounce was filed as a duplicate");
+        let hooks = hooks.borrow();
+        assert_eq!(hooks.completions.len() as u64, r.completed);
+        // A bounced op crossed the wire four times (RTT ≈ 1.8 μs).
+        let bounced = hooks.completions.iter().filter(|(key, _)| key % 3 == 0);
+        let fastest = bounced.map(|&(_, ns)| ns).min().expect("no op bounced");
+        assert!(
+            fastest >= 3_600,
+            "a bounced op was timed at {fastest} ns: not from its first send"
+        );
+    }
+
+    #[test]
+    fn one_shard_routed_client_is_the_unrouted_client() {
+        let (_, _, plain) = echo_ycsb_a(EchoServer::default(), None);
+        let hooks = Rc::new(RefCell::new(ToShard0::default()));
+        let (_, _, routed) = echo_ycsb_a(EchoServer::default(), Some(hooks));
+        assert!(
+            plain.world.driver.clients == routed.world.driver.clients,
+            "routing to the only shard changed what the clients measured"
+        );
+        // Equal step counts: the routed client parks like the unrouted one.
+        assert_eq!(plain.steps(), routed.steps());
     }
 }

@@ -1,8 +1,9 @@
-//! Server-side cluster admission hooks.
+//! Cluster hooks: the server half and the client half.
 //!
 //! In a sharded cluster (see the `utps-cluster` crate) every server machine
-//! runs an unmodified μTPS or BaseKV pipeline; the only cluster-aware points
-//! in the hot path are three calls routed through this trait:
+//! runs an unmodified μTPS or BaseKV pipeline and every client is the
+//! single-machine [`ClientProc`]; the only cluster-aware points are five
+//! calls routed through [`ShardHooks`]. Three sit in the server hot path:
 //!
 //! * **admit** — when a worker claims a receive slot, the router decides
 //!   whether this shard may serve the key right now. It may not if the
@@ -16,10 +17,19 @@
 //!   reach zero before copying items, so no request ever observes a
 //!   half-moved slot.
 //!
-//! Single-machine runs leave [`UtpsWorld::cluster`]/`BaseWorld::cluster`
-//! as `None`: the hooks cost one untaken branch and the behavior (and the
-//! byte-exact simulation) of every existing experiment is unchanged.
+//! Two sit in a [routed](crate::client::ClientProc::routed) client:
 //!
+//! * **route** — which shard a send (first send, retransmit or re-send
+//!   after a bounce) goes to.
+//! * **record_completion** — a measured completion with its key, for the
+//!   per-size-class latency tails.
+//!
+//! Single-machine runs leave [`UtpsWorld::cluster`]/`BaseWorld::cluster`
+//! as `None` and their clients unrouted: the hooks cost one untaken branch
+//! and the behavior (and the byte-exact simulation) of every existing
+//! experiment is unchanged.
+//!
+//! [`ClientProc`]: crate::client::ClientProc
 //! [`Response::moved`]: crate::msg::Response::moved
 //! [`UtpsWorld::cluster`]: crate::server::UtpsWorld::cluster
 
@@ -35,7 +45,10 @@ pub enum Admit {
     Bounce,
 }
 
-/// Cluster-level state the per-shard server pipelines call into.
+/// Cluster-level state the per-shard server pipelines (`admit`, `op_begin`,
+/// `op_end`) and the routed clients (`route`, `record_completion`) call
+/// into. Every call is host-side bookkeeping: none charges simulated time
+/// or draws randomness.
 ///
 /// Implemented by the `utps-cluster` router; a trait here so `utps-core`
 /// stays independent of the cluster crate.
@@ -52,6 +65,15 @@ pub trait ShardHooks {
 
     /// The request claimed under (`shard`, `seq`) sent its response.
     fn op_end(&mut self, shard: usize, seq: u64);
+
+    /// The shard a client sends an operation on `key` to right now. Asked
+    /// again for every retransmit and bounce re-send: ownership may have
+    /// moved since the first attempt.
+    fn route(&mut self, key: u64, is_write: bool) -> usize;
+
+    /// A client completed an operation on `key` after warmup, `ns` after
+    /// its first send.
+    fn record_completion(&mut self, key: u64, ns: u64);
 }
 
 /// A shard's handle on the shared cluster router state.

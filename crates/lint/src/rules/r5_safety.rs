@@ -2,8 +2,8 @@
 //! files must be immediately preceded by a `// SAFETY:` comment.
 //!
 //! The audited files are the ones whose unsafe code encodes cross-thread
-//! ownership protocols (ring slot hand-off, epoch reclamation, raw-pointer
-//! test harnesses): `crates/collections/src/{spsc,mpmc,epoch}.rs` and
+//! ownership protocols (ring slot hand-off, raw-pointer test harnesses):
+//! `crates/collections/src/{spsc,mpmc}.rs` and
 //! `crates/sim/src/{lock,engine}.rs`. In these files the safety argument
 //! *is* the correctness argument, so it must sit next to the code — an
 //! `unsafe` without one is unreviewable. Test modules are **not** exempt
@@ -23,7 +23,6 @@ const RULE: (&str, &str) = ("R5", "unsafe-audit");
 const AUDITED_FILES: &[&str] = &[
     "crates/collections/src/spsc.rs",
     "crates/collections/src/mpmc.rs",
-    "crates/collections/src/epoch.rs",
     "crates/sim/src/lock.rs",
     "crates/sim/src/engine.rs",
 ];

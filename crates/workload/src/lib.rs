@@ -10,9 +10,7 @@
 //! * [`twitter`] — the three Twitter cluster traces of Table 1, synthesized
 //!   from their published parameters (put ratio, average value size, zipf α);
 //! * [`dynamic`] — piecewise workloads that shift parameters at a given time,
-//!   driving the auto-tuner experiment of Figure 14;
-//! * [`replay`] — record/replay tapes (the paper's §2.2.1 deterministic-replay
-//!   methodology).
+//!   driving the auto-tuner experiment of Figure 14.
 //!
 //! The production traces themselves are proprietary; the paper characterizes
 //! them by exactly the parameters used here, which is what drives the
@@ -20,7 +18,6 @@
 
 pub mod dynamic;
 pub mod etc;
-pub mod replay;
 pub mod rng;
 pub mod twitter;
 pub mod ycsb;
@@ -28,7 +25,6 @@ pub mod zipf;
 
 pub use dynamic::{DynamicWorkload, Phase};
 pub use etc::EtcWorkload;
-pub use replay::{record, ReplayWorkload, Tape};
 pub use twitter::{TwitterCluster, TwitterWorkload};
 pub use ycsb::{Mix, Op, YcsbWorkload};
 pub use zipf::{KeyDist, ZipfGen};

@@ -12,7 +12,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`sim`] | discrete-event machine: cores, cache hierarchy, NIC |
-//! | [`collections`] | sketches, top-k, SPSC rings, epochs, histograms |
+//! | [`collections`] | sketches, top-k, SPSC rings, histograms |
 //! | [`index`] | concurrent cuckoo hash + OLC B+-tree over simulated memory |
 //! | [`core`] | the μTPS server, CR-MR queue, reconfigurable RPC, auto-tuner |
 //! | [`baselines`] | BaseKV (RTC), eRPCKV (share-nothing), RaceHash, Sherman |

@@ -3,16 +3,17 @@
 //!
 //! The cluster layer is a pure superset: with one machine, no size split,
 //! no replication and no migrations, nothing cluster-shaped is installed —
-//! no admission hooks, no controllers, no extra metrics — and the spawn
-//! order and per-step charges of `ClusterClientProc` mirror `ClientProc`
-//! exactly. These tests reuse the *existing* single-machine goldens
-//! (`tests/golden/equiv_*.json`), so any divergence is a transparency
-//! regression in the cluster crate, never a golden refresh.
+//! no admission hooks on the servers, no routing hooks on the clients, no
+//! controllers, no extra metrics. The processes of such a run are the
+//! single-machine ones by construction: a shard's servers are the
+//! single-machine `System` hooks and its clients are unrouted `ClientProc`s,
+//! the same type `run_system` spawns.
 //!
-//! The server side of a shard is the single-machine `System` hooks, so it
-//! is identical by construction; what these tests still guard is the
-//! client side (`ClusterClientProc` mirrors `ClientProc`) and the runner's
-//! ordering.
+//! What these tests guard is what `run_cluster_system` still writes itself
+//! rather than shares: its spawn order, its warmup-boundary reset and its
+//! fold/extract order. They reuse the *existing* single-machine goldens
+//! (`tests/golden/equiv_*.json`), so any divergence is a transparency
+//! regression in the cluster runner, never a golden refresh.
 
 use utps::prelude::*;
 use utps::sim::time::MICROS;
