@@ -128,8 +128,6 @@ pub struct RouterState {
     pub tallies: RouterTallies,
     /// Post-warmup latency per size class (ns), recorded by the clients.
     pub class_hist: [LatencyHistogram; NUM_CLASSES],
-    /// Post-warmup completions per size class.
-    pub class_completed: [u64; NUM_CLASSES],
 }
 
 impl RouterState {
@@ -184,7 +182,6 @@ impl RouterState {
             served: vec![0; total],
             tallies: RouterTallies::default(),
             class_hist: [LatencyHistogram::new(), LatencyHistogram::new()],
-            class_completed: [0; NUM_CLASSES],
             topo,
         }
     }
@@ -198,11 +195,6 @@ impl RouterState {
     /// The shard currently owning (`class`, `slot`).
     pub fn slot_owner(&self, class: SizeClass, slot: usize) -> usize {
         self.owner[class as usize][slot]
-    }
-
-    /// Whether `key` is in the replicated hot set (any validity).
-    pub fn is_replicated(&self, key: u64) -> bool {
-        self.replicas.contains_key(&key)
     }
 
     /// Replicated keys currently invalid (awaiting refresh), sorted for
@@ -267,7 +259,6 @@ impl RouterState {
             *s = 0;
         }
         self.class_hist = [LatencyHistogram::new(), LatencyHistogram::new()];
-        self.class_completed = [0; NUM_CLASSES];
     }
 }
 
@@ -344,7 +335,6 @@ impl ShardHooks for RouterState {
     fn record_completion(&mut self, key: u64, ns: u64) {
         let class = self.topo.class_of(key) as usize;
         self.class_hist[class].record(ns);
-        self.class_completed[class] += 1;
     }
 }
 

@@ -200,12 +200,11 @@ impl ClientProc {
         0x40 + (id as u8 & 0x3f)
     }
 
-    /// Sends `op` as (`self.id`, `seq`) to the shard the hooks pick (shard 0
-    /// when unrouted) — a first send, a retransmit or the re-send after a
-    /// bounce. Put payloads are written once, into the destination's NIC
-    /// buffer memory, rebuilt from the deterministic fill byte each time
-    /// (identical bytes, no copy stored per in-flight request); the request
-    /// carries only the arena handle.
+    /// Sends `op` as (`self.id`, `seq`) to the shard the hooks pick (0 when
+    /// unrouted): a first send, a retransmit or the re-send after a bounce.
+    /// The put payload is written into the destination's NIC buffer memory,
+    /// rebuilt from the fill byte each time — identical bytes, no copy kept
+    /// per in-flight request; the request carries only the arena handle.
     fn send<W: KvWorld>(
         &self,
         ctx: &mut Ctx<'_>,
@@ -250,11 +249,7 @@ impl<W: KvWorld> Process<W> for ClientProc {
         let retry_on = self.retry.enabled();
         let me = self.id as usize;
         // Shard id = machine id; an unrouted client only ever talks to 0.
-        let shards = if self.route.is_some() {
-            ctx.machine_count()
-        } else {
-            1
-        };
+        let shards = self.route.as_ref().map_or(1, |_| ctx.machine_count());
         // Drain responses from every shard's fabric.
         let mut drained = 0;
         for s in 0..shards {
@@ -284,10 +279,7 @@ impl<W: KvWorld> Process<W> for ClientProc {
                 // flight is a stale duplicate of an op that completed
                 // through another copy.
                 if resp.moved {
-                    debug_assert!(
-                        self.route.is_some(),
-                        "moved response to an unrouted client: no shard hooks are installed"
-                    );
+                    debug_assert!(self.route.is_some(), "unrouted client got a moved response");
                     let bounced = self.route.as_ref().and_then(|r| r.shadow.get(&resp.seq));
                     match bounced.cloned() {
                         Some((op, first_sent)) => self.send(ctx, world, resp.seq, op, first_sent),

@@ -11,15 +11,11 @@
 //! receive drops and a 50 µs core stall, and seeded schedule exploration
 //! perturbing every machine.
 //!
-//! The same runs are also the value-level pin for multi-shard behaviour:
+//! The same runs pin multi-shard behaviour by value:
 //! `tests/golden/cluster_digest.txt` holds `label seed fnv1a(stats_json)
 //! history_digest` per cell, so a change to the client's routing, bounce or
-//! retransmit order shows up even when the history still linearizes.
-//! Regenerate after an intentional behaviour change with
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --release --test cluster_linearizability
-//! ```
+//! retransmit order shows even when the history still linearizes. After an
+//! intentional change: `UPDATE_GOLDEN=1 cargo test --test cluster_linearizability`.
 
 use utps::core::system::ServerWorld;
 use utps::prelude::*;
@@ -32,50 +28,39 @@ const GOLDEN: &str = concat!(
     "/tests/golden/cluster_digest.txt"
 );
 
-/// Serialises golden rewrites: the two `check_system` tests run on parallel
-/// threads and share the file.
-static GOLDEN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// The seeds to run, and whether they are the default list (only the
-/// default list is pinned by the golden).
-fn explore_seeds() -> (Vec<u64>, bool) {
-    let overridden = std::env::var("EXPLORE_SEEDS")
+fn explore_seeds() -> Vec<u64> {
+    std::env::var("EXPLORE_SEEDS")
         .ok()
         .map(|s| {
             s.split(',')
                 .filter_map(|t| t.trim().parse().ok())
                 .collect::<Vec<u64>>()
         })
-        .filter(|v| !v.is_empty());
-    match overridden {
-        Some(seeds) => (seeds, false),
-        None => (vec![42, 7, 1234], true),
-    }
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| vec![42, 7, 1234])
 }
 
-/// Compares `label`'s rows to the committed golden, or with `UPDATE_GOLDEN`
-/// set replaces them (rows of other labels are kept; labels stay sorted).
+/// Compares `label`'s rows to the committed golden; `UPDATE_GOLDEN` replaces
+/// them instead, keeping the other labels' rows. The lock is for the two
+/// `check_system` tests: they run on parallel threads and share the file.
 fn check_golden(label: &str, got: &str) {
-    let mine = |l: &&str| l.split(' ').next() == Some(label);
+    static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = ONE_AT_A_TIME.lock();
+    let old = std::fs::read_to_string(GOLDEN).unwrap_or_default();
+    let (mine, others): (Vec<&str>, Vec<&str>) = old
+        .lines()
+        .partition(|l| l.split(' ').next() == Some(label));
     if std::env::var("UPDATE_GOLDEN").is_ok() {
-        let _guard = GOLDEN_LOCK.lock().expect("a golden writer panicked");
-        let old = std::fs::read_to_string(GOLDEN).unwrap_or_default();
-        let mut rows: Vec<&str> = old.lines().filter(|l| !mine(l)).collect();
-        rows.extend(got.lines());
-        rows.sort_by_key(|l| (*l).split(' ').next());
+        let mut rows = [others, got.lines().collect()].concat();
+        rows.sort_by_key(|l| l.split(' ').next());
         std::fs::write(GOLDEN, rows.join("\n") + "\n").expect("cannot write golden file");
         return;
     }
-    let file = std::fs::read_to_string(GOLDEN)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    let want: String = file
-        .lines()
-        .filter(mine)
-        .map(|l| format!("{l}\n"))
-        .collect();
     assert_eq!(
-        got, want,
-        "{label}: multi-shard stats or history diverged from the committed golden"
+        got.lines().collect::<Vec<_>>(),
+        mine,
+        "{label}: multi-shard stats or history diverged from the committed \
+         golden (UPDATE_GOLDEN=1 regenerates it)"
     );
 }
 
@@ -148,9 +133,8 @@ fn cluster_cfg(index: IndexKind, seed: u64) -> ClusterConfig {
 }
 
 fn check_system(label: &str, system: SystemKind, index: IndexKind) {
-    let (seeds, pinned) = explore_seeds();
     let mut got = String::new();
-    for seed in seeds {
+    for seed in explore_seeds() {
         let cfg = cluster_cfg(index, seed);
         let r = run_cluster(system, &cfg);
         got += &format!(
@@ -196,7 +180,8 @@ fn check_system(label: &str, system: SystemKind, index: IndexKind) {
             r.completed
         );
     }
-    if pinned {
+    // Only the default seed list is pinned.
+    if std::env::var_os("EXPLORE_SEEDS").is_none() {
         check_golden(label, &got);
     }
 }
@@ -219,7 +204,7 @@ fn check_tiered<S: System>(label: &str, index: IndexKind)
 where
     S::World: utps::cluster::ShardWorld,
 {
-    for seed in explore_seeds().0 {
+    for seed in explore_seeds() {
         let mut cfg = ClusterConfig::new(cluster_cfg(index, seed).base, 2);
         cfg.base.tier = Some(TierConfig {
             dram_items_max: 15_000,
