@@ -9,24 +9,33 @@
 //! accesses evict its own network-buffer lines from the LLC — the two
 //! effects μTPS's layer split removes.
 //!
+//! "Identical except for the thread architecture" holds by construction:
+//! admission ([`rpc::admit`]), op construction ([`KvOp::for_desc`]), the
+//! batch interleaver ([`BatchOp::poll`]) and the reply ([`Response::reply`])
+//! are the functions μTPS calls. What is BaseKV's own is the policy around
+//! them: every worker claims its own slots and runs them to completion, and
+//! an op blocked on a lock stalls the worker instead of yielding to the
+//! rest of the batch.
+//!
 //! On the stage engine, BaseKV is the degenerate composition: one
 //! run-to-completion [`Stage`] per worker, never handing off.
 
 use utps_core::client::{DriverState, KvWorld};
+use utps_core::crmr::Desc;
 use utps_core::experiment::{RunConfig, RunResult};
-use utps_core::msg::{NetMsg, OpKind, Response};
+use utps_core::msg::{NetMsg, Response};
 use utps_core::retry::DedupTable;
-use utps_core::rpc::{send_response, RecvRing, RespBuffers};
+use utps_core::rpc::{self, send_response, Admission, RecvRing, RespBuffers};
 use utps_core::stage::{PipelineRuntime, Stage, StageProc, StepOutcome};
-use utps_core::store::{KvOp, KvOpOutput, KvStore, OpBuffers};
+use utps_core::store::{KvOp, KvOpOutput, KvStore};
 use utps_core::system::{self, run_system, Proc, ServerParts, ServerWorld, System};
-use utps_core::tier::{self, DurabilityBarrier, TierCompactorProc, TierRunStats, TierState};
-use utps_index::Step;
+use utps_core::tier::{
+    self, BatchOp, DurabilityBarrier, Polled, TierCompactorProc, TierRunStats, TierState,
+};
 use utps_sim::nic::Fabric;
 use utps_sim::time::SimTime;
 use utps_sim::{Ctx, Machine, MetricsRegistry, StatClass};
 use utps_wal::WalRecord;
-use utps_workload::Op;
 
 /// BaseKV server world.
 pub struct BaseWorld {
@@ -75,26 +84,17 @@ impl ServerWorld for BaseWorld {
     }
 }
 
-struct ActiveOp {
-    seq: u64,
-    op: KvOp,
-    /// A get that missed DRAM but hit the cold run parks here until the
-    /// simulated device read completes: (ready time, value snapshot).
-    cold: Option<(SimTime, Vec<u8>)>,
-}
-
 /// A run-to-completion worker: the whole request pipeline as one stage.
 pub struct BaseWorker {
     id: usize,
     cursor: u64,
     batch: usize,
-    ops: Vec<ActiveOp>,
+    ops: Vec<BatchOp>,
     /// WAL records for the batch in flight, sealed as one commit group
     /// when the batch retires (tier runs only).
     wal_buf: Vec<WalRecord>,
-    /// Acks `(response, response buffer address)` held behind the
-    /// durability barrier.
-    defers: DurabilityBarrier<(Response, usize)>,
+    /// Acks held behind the durability barrier.
+    defers: DurabilityBarrier<Response>,
 }
 
 impl BaseWorker {
@@ -110,44 +110,15 @@ impl BaseWorker {
         }
     }
 
-    fn build_op(ctx: &mut Ctx<'_>, world: &mut BaseWorld, id: usize, seq: u64) -> ActiveOp {
-        let bufs = OpBuffers {
-            recv_addr: world.ring.slot_addr(seq),
-            resp_addr: world.resp.addr_for(id, seq),
-        };
-        let op = match world.ring.request(seq).op.clone() {
-            Op::Get { key } => KvOp::get(&world.store, key, bufs),
-            // The payload is *moved* out of the receive slot's arena
-            // handle, never copied; a PUT without one is a protocol error.
-            Op::Put { key, .. } => match world.ring.take_value(seq) {
-                Some(v) => {
-                    let value = ctx.machine().payloads.take(v);
-                    KvOp::put(&world.store, key, value, bufs)
-                }
-                None => {
-                    ctx.machine().registry.counter_inc("server.malformed_req");
-                    KvOp::failed(OpKind::Put, key, bufs)
-                }
-            },
-            Op::Scan { key, count } => KvOp::scan(&world.store, key, count, Vec::new(), bufs),
-            Op::Delete { key } => KvOp::delete(&world.store, key, bufs),
-        };
-        ActiveOp {
-            seq,
-            op,
-            cold: None,
-        }
-    }
-
     fn run(&mut self, ctx: &mut Ctx<'_>, world: &mut BaseWorld) {
         // Release acks whose commit group has become durable. The dedup
         // table records only at actual send so a retransmit that arrives
         // while its ack is parked re-executes idempotently.
         if let Some(tier) = world.tier.as_mut() {
-            for (resp, resp_addr) in self.defers.drain(tier, ctx.now()) {
+            for resp in self.defers.drain(tier, ctx.now()) {
                 world.dedup.record(resp.client, resp.seq);
                 world.responses += 1;
-                send_response(ctx, &mut world.fabric, resp_addr, resp);
+                send_response(ctx, &mut world.fabric, resp);
             }
         }
         // Fill the batch: pump the NIC and claim owned slots.
@@ -164,82 +135,28 @@ impl BaseWorker {
                 world.ring.claim(ctx, seq);
                 // Monolithic loop: parse→index→copy→respond front-end churn.
                 ctx.stage_transitions(3);
-                let (rc, rs, sent_at, key, is_mutation, is_scan) = {
-                    let req = world.ring.request(seq);
-                    (
-                        req.client,
-                        req.seq,
-                        req.sent_at,
-                        req.op.key(),
-                        matches!(req.op, Op::Put { .. } | Op::Delete { .. }),
-                        matches!(req.op, Op::Scan { .. }),
-                    )
-                };
-                // Cluster admission: bounce keys this shard no longer owns
-                // (frozen or migrated) so the client re-routes them — same
-                // semantics as the μTPS hook in `utps_core::server`.
-                if let Some(cl) = &world.cluster {
-                    if cl.admit(key, is_mutation) == utps_core::shardctl::Admit::Bounce {
-                        ctx.machine().registry.counter_inc("cluster.moved_bounce");
-                        if let Some(v) = world.ring.take_value(seq) {
-                            ctx.machine().payloads.free(v);
-                        }
-                        let resp = utps_core::msg::Response {
-                            client: rc,
-                            seq: rs,
-                            ok: false,
-                            moved: true,
-                            value: None,
-                            scan_count: 0,
-                            payload_extra: 0,
-                            resp_addr: 0,
-                            sent_at,
-                        };
-                        let resp_addr = world.resp.addr_for(self.id, seq);
-                        world.ring.abort(seq);
-                        send_response(ctx, &mut world.fabric, resp_addr, resp);
+                let resp_addr = world.resp.addr_for(self.id, seq);
+                match rpc::admit(
+                    ctx,
+                    &mut world.ring,
+                    &mut world.fabric,
+                    &world.dedup,
+                    world.cluster.as_ref(),
+                    resp_addr,
+                    seq,
+                ) {
+                    Admission::Bounced => continue,
+                    Admission::Suppressed => {
+                        world.responses += 1;
                         continue;
                     }
+                    Admission::Serve => {}
                 }
-                // Retransmitted mutation already applied? Ack without
-                // re-executing (exactly-once under client retransmits).
-                if is_mutation && world.dedup.enabled() && world.dedup.seen(rc, rs) {
-                    ctx.machine().registry.counter_inc("server.dup_suppressed");
-                    // The suppressed write's payload is never consumed.
-                    if let Some(v) = world.ring.take_value(seq) {
-                        ctx.machine().payloads.free(v);
-                    }
-                    let resp = utps_core::msg::Response {
-                        client: rc,
-                        seq: rs,
-                        ok: true,
-                        moved: false,
-                        value: None,
-                        scan_count: 0,
-                        payload_extra: 0,
-                        resp_addr: 0,
-                        sent_at,
-                    };
-                    let resp_addr = world.resp.addr_for(self.id, seq);
-                    world.ring.abort(seq);
-                    world.responses += 1;
-                    send_response(ctx, &mut world.fabric, resp_addr, resp);
-                    continue;
-                }
-                if let Some(cl) = &world.cluster {
-                    cl.op_begin(key, seq);
-                }
-                let op = Self::build_op(ctx, world, self.id, seq);
-                self.ops.push(op);
-                // Pin the key against eviction (or pause compaction for a
-                // scan) while its FSM may hold item/node references.
-                if let Some(tier) = world.tier.as_mut() {
-                    if is_scan {
-                        tier.scan_inc();
-                    } else {
-                        tier.active_inc(key);
-                    }
-                }
+                let d = Desc::of(world.ring.request(seq), seq);
+                tier::begin_op(world.tier.as_mut(), d.kind, d.key);
+                let op =
+                    KvOp::for_desc(ctx, &world.store, &mut world.ring, d, Vec::new(), resp_addr);
+                self.ops.push(BatchOp::new(seq, op));
             }
             if self.ops.is_empty() && !self.defers.is_empty() {
                 // Nothing runnable and acks parked on the barrier.
@@ -256,47 +173,25 @@ impl BaseWorker {
         let mut i = 0;
         let mut cold_next: Option<SimTime> = None;
         while i < self.ops.len() {
-            // Ops parked on a cold-tier device read resolve here once the
-            // read completes.
-            if let Some((ready, _)) = self.ops[i].cold {
-                if ctx.now() < ready {
+            let seq = self.ops[i].seq;
+            match self.ops[i].poll(
+                ctx,
+                &mut world.store,
+                world.tier.as_mut(),
+                world.ring.request(seq),
+                &mut self.wal_buf,
+            ) {
+                Polled::Done(out) => {
+                    self.ops.swap_remove(i);
+                    self.respond(ctx, world, seq, out);
+                }
+                // Parked on a cold-tier read; resolved on a later pass.
+                Polled::Cold(ready) => {
                     cold_next = Some(cold_next.map_or(ready, |m: SimTime| m.min(ready)));
                     i += 1;
-                    continue;
                 }
-                let finished = self.ops.swap_remove(i);
-                let (_, v) = finished.cold.expect("checked above");
-                let resp_addr = world.resp.addr_for(self.id, finished.seq);
-                let out = KvOpOutput::cold_hit(ctx, resp_addr, v);
-                self.respond(ctx, world, finished.seq, out);
-                continue;
-            }
-            ctx.fsm_switch();
-            match self.ops[i].op.poll(ctx, &mut world.store) {
-                Step::Done(out) => {
-                    let op = &mut self.ops[i];
-                    let Some(out) = tier::finish_op(
-                        ctx,
-                        world.tier.as_mut(),
-                        &world.store,
-                        world.ring.request(op.seq),
-                        &mut self.wal_buf,
-                        &mut op.cold,
-                        out,
-                    ) else {
-                        // Parked on a cold-tier read; resolved on a later
-                        // pass over the batch.
-                        if let Some((ready, _)) = self.ops[i].cold {
-                            cold_next = Some(cold_next.map_or(ready, |m: SimTime| m.min(ready)));
-                        }
-                        i += 1;
-                        continue;
-                    };
-                    let finished = self.ops.swap_remove(i);
-                    self.respond(ctx, world, finished.seq, out);
-                }
-                Step::Ready => i += 1,
-                Step::Blocked => {
+                Polled::Ready => i += 1,
+                Polled::Blocked => {
                     // Stall the whole worker on this lock (spin charged by
                     // the lock attempt); resume from this op next step.
                     return;
@@ -319,34 +214,18 @@ impl BaseWorker {
     /// Completes one op: builds the response and either sends it (DRAM-only
     /// build) or parks it behind the durability barrier (tier build).
     fn respond(&mut self, ctx: &mut Ctx<'_>, world: &mut BaseWorld, seq: u64, out: KvOpOutput) {
-        let req = world.ring.request(seq);
-        let is_get = matches!(req.op, Op::Get { .. });
-        let resp = utps_core::msg::Response {
-            client: req.client,
-            seq: req.seq,
-            ok: out.ok,
-            moved: false,
-            value: if is_get { out.value } else { None },
-            scan_count: out.scan_count,
-            payload_extra: if is_get { 0 } else { out.payload },
-            resp_addr: 0,
-            sent_at: req.sent_at,
-        };
         let resp_addr = world.resp.addr_for(self.id, seq);
+        let resp = Response::reply(world.ring.request(seq), out, resp_addr);
+        if let Some(cl) = &world.cluster {
+            cl.op_end(seq);
+        }
+        world.ring.abort(seq);
         if let Some(tier) = &world.tier {
-            if let Some(cl) = &world.cluster {
-                cl.op_end(seq);
-            }
-            world.ring.abort(seq);
-            self.defers.park(tier.last_applied(), (resp, resp_addr));
+            self.defers.park(tier.last_applied(), resp);
         } else {
             world.dedup.record(resp.client, resp.seq);
-            if let Some(cl) = &world.cluster {
-                cl.op_end(seq);
-            }
-            world.ring.abort(seq);
             world.responses += 1;
-            send_response(ctx, &mut world.fabric, resp_addr, resp);
+            send_response(ctx, &mut world.fabric, resp);
         }
     }
 }

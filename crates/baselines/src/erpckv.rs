@@ -13,20 +13,20 @@
 //!   workers idle — the imbalance the paper measures.
 //!
 //! On the stage engine, eRPCKV is a dispatch stage (the NIC-side
-//! [`ErpcWorld::route`], free for the CPUs) fused into each shard's
+//! `ErpcWorld::route`, free for the CPUs) fused into each shard's
 //! run-to-completion [`Stage`].
 
 use utps_core::client::{DriverState, KvWorld};
+use utps_core::crmr::Desc;
 use utps_core::experiment::{RunConfig, RunResult};
-use utps_core::msg::{NetMsg, OpKind, Response};
-use utps_core::rpc::{send_response, RecvRing, RespBuffers};
+use utps_core::msg::{NetMsg, Response};
+use utps_core::rpc::{recv_fate, send_response, RecvRing, RespBuffers};
 use utps_core::stage::{Stage, StepOutcome};
-use utps_core::store::{KvOp, KvStore, OpBuffers};
+use utps_core::store::{KvOp, KvStore};
 use utps_index::Step;
 use utps_sim::nic::Fabric;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Machine, RecvFate, StatClass};
-use utps_workload::Op;
+use utps_sim::{Ctx, Machine, StatClass};
 
 /// eRPC worker buffer budget (the paper: "15-MB buffer per worker thread").
 const ERPC_WORKER_BYTES: usize = 15 << 20;
@@ -63,10 +63,8 @@ impl ErpcWorld {
     /// NIC-side routing: steers arrivals to `key mod workers` rings.
     /// Free for the CPUs (clients address worker QPs directly).
     ///
-    /// Receive-side fault fates (drop / duplicate / delay) apply to fresh
-    /// fabric arrivals only — overflow retries already "arrived" once. A
-    /// dropped request's payload is reclaimed; a duplicated one gets a deep
-    /// copy so each delivery owns its bytes (the one sanctioned copy).
+    /// Receive-side fault fates ([`recv_fate`]) apply to fresh fabric
+    /// arrivals only — overflow retries already "arrived" once.
     fn route(&mut self, m: &mut Machine, now: SimTime, limit: usize) {
         let mut moved = 0;
         let mut polls = 0;
@@ -77,33 +75,10 @@ impl ErpcWorld {
                 None => {
                     polls += 1;
                     match self.fabric.server_poll(now) {
-                        Some(NetMsg::Req(r)) => {
-                            if m.faults.net_active() {
-                                match m.faults.recv_fate() {
-                                    RecvFate::Drop => {
-                                        m.registry.counter_inc("fault.rx_drop");
-                                        if let Some(v) = r.value {
-                                            m.payloads.free(v);
-                                        }
-                                        continue;
-                                    }
-                                    RecvFate::Delay { delay } => {
-                                        m.registry.counter_inc("fault.rx_delay");
-                                        self.fabric.redeliver_server(now + delay, NetMsg::Req(r));
-                                        continue;
-                                    }
-                                    RecvFate::Duplicate { delay } => {
-                                        m.registry.counter_inc("fault.rx_dup");
-                                        let dup = r.dup(&mut m.payloads);
-                                        self.fabric.redeliver_server(now + delay, NetMsg::Req(dup));
-                                        r
-                                    }
-                                    RecvFate::Deliver => r,
-                                }
-                            } else {
-                                r
-                            }
-                        }
+                        Some(NetMsg::Req(r)) => match recv_fate(m, &mut self.fabric, now, r) {
+                            Some(r) => r,
+                            None => continue,
+                        },
                         Some(NetMsg::Resp(_)) => unreachable!("server got a response"),
                         None => break,
                     }
@@ -146,30 +121,6 @@ impl ErpcWorker {
         }
     }
 
-    fn build_op(&self, ctx: &mut Ctx<'_>, world: &mut ErpcWorld, seq: u64) -> ActiveOp {
-        let bufs = OpBuffers {
-            recv_addr: world.rings[self.id].slot_addr(seq),
-            resp_addr: world.resp.addr_for(self.id, seq),
-        };
-        let op = match world.rings[self.id].request(seq).op.clone() {
-            Op::Get { key } => KvOp::get(&world.store, key, bufs),
-            // Move the payload handle out of the slot — no copy.
-            Op::Put { key, .. } => match world.rings[self.id].take_value(seq) {
-                Some(v) => {
-                    let value = ctx.machine().payloads.take(v);
-                    KvOp::put(&world.store, key, value, bufs)
-                }
-                None => {
-                    ctx.machine().registry.counter_inc("server.malformed_req");
-                    KvOp::failed(OpKind::Put, key, bufs)
-                }
-            },
-            Op::Scan { key, count } => KvOp::scan(&world.store, key, count, Vec::new(), bufs),
-            Op::Delete { key } => KvOp::delete(&world.store, key, bufs),
-        };
-        ActiveOp { seq, op }
-    }
-
     fn run(&mut self, ctx: &mut Ctx<'_>, world: &mut ErpcWorld) {
         if self.ops.is_empty() {
             {
@@ -182,8 +133,11 @@ impl ErpcWorker {
                 world.rings[self.id].claim(ctx, seq);
                 // Monolithic loop: same front-end churn as BaseKV.
                 ctx.stage_transitions(3);
-                let op = self.build_op(ctx, world, seq);
-                self.ops.push(op);
+                let ring = &mut world.rings[self.id];
+                let d = Desc::of(ring.request(seq), seq);
+                let resp_addr = world.resp.addr_for(self.id, seq);
+                let op = KvOp::for_desc(ctx, &world.store, ring, d, Vec::new(), resp_addr);
+                self.ops.push(ActiveOp { seq, op });
             }
             return;
         }
@@ -194,22 +148,11 @@ impl ErpcWorker {
             match self.ops[i].op.poll(ctx, &mut world.store) {
                 Step::Done(out) => {
                     let finished = self.ops.swap_remove(i);
-                    let req = world.rings[self.id].request(finished.seq);
-                    let is_get = matches!(req.op, Op::Get { .. });
-                    let resp = Response {
-                        client: req.client,
-                        seq: req.seq,
-                        ok: out.ok,
-                        moved: false,
-                        value: if is_get { out.value } else { None },
-                        scan_count: out.scan_count,
-                        payload_extra: if is_get { 0 } else { out.payload },
-                        resp_addr: 0,
-                        sent_at: req.sent_at,
-                    };
+                    let ring = &mut world.rings[self.id];
                     let resp_addr = world.resp.addr_for(self.id, finished.seq);
-                    world.rings[self.id].abort(finished.seq);
-                    send_response(ctx, &mut world.fabric, resp_addr, resp);
+                    let resp = Response::reply(ring.request(finished.seq), out, resp_addr);
+                    ring.abort(finished.seq);
+                    send_response(ctx, &mut world.fabric, resp);
                 }
                 Step::Ready => i += 1,
                 Step::Blocked => {

@@ -6,7 +6,7 @@
 //! * **LLC way partitioning** — shared / CR-protected (the CAT allocation
 //!   of §3.5);
 //! * **CR-MR transport** — the paper's all-to-all coherence-based lanes vs
-//!   the Intel-DLB hardware-queue extension (§6 future work);
+//!   the single shared MPMC queue §3.4 argues against;
 //! * **batching** — descriptor batch of 1 vs the tuned batch.
 //!
 //! Each row flips one dimension from the tuned baseline, so the delta is
@@ -52,21 +52,6 @@ fn main() {
         (
             "- batching (batch=1)",
             RunConfig {
-                batch: 1,
-                ..baseline_cfg.clone()
-            },
-        ),
-        (
-            "+ DLB hardware queue",
-            RunConfig {
-                queue_kind: QueueKind::Dlb,
-                ..baseline_cfg.clone()
-            },
-        ),
-        (
-            "+ DLB, batch=1",
-            RunConfig {
-                queue_kind: QueueKind::Dlb,
                 batch: 1,
                 ..baseline_cfg.clone()
             },

@@ -195,11 +195,6 @@ impl ClientProc {
         self
     }
 
-    /// The deterministic fill byte this client writes (for data checks).
-    pub fn fill_byte(id: u32) -> u8 {
-        0x40 + (id as u8 & 0x3f)
-    }
-
     /// Sends `op` as (`self.id`, `seq`) to the shard the hooks pick (0 when
     /// unrouted): a first send, a retransmit or the re-send after a bounce.
     /// The put payload is written into the destination's NIC buffer memory,
@@ -472,7 +467,7 @@ impl<W> Process<W> for SamplerProc<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shardctl::Admit;
+    use crate::shardctl::StubHooks;
     use utps_collections::FxHashSet;
     use utps_sim::config::MachineConfig;
     use utps_sim::{Engine, StatClass};
@@ -548,27 +543,6 @@ mod tests {
         }
     }
 
-    /// The client half of [`ShardHooks`] for a one-shard "cluster":
-    /// everything routes to shard 0, reported completions are kept.
-    #[derive(Default)]
-    struct ToShard0 {
-        completions: Vec<(u64, u64)>,
-    }
-
-    impl ShardHooks for ToShard0 {
-        fn admit(&mut self, _shard: usize, _key: u64, _is_write: bool) -> Admit {
-            Admit::Serve
-        }
-        fn op_begin(&mut self, _shard: usize, _key: u64, _seq: u64) {}
-        fn op_end(&mut self, _shard: usize, _seq: u64) {}
-        fn route(&mut self, _key: u64, _is_write: bool) -> usize {
-            0
-        }
-        fn record_completion(&mut self, key: u64, ns: u64) {
-            self.completions.push((key, ns));
-        }
-    }
-
     #[test]
     fn closed_loop_reaches_steady_state() {
         let clients = 2;
@@ -639,7 +613,7 @@ mod tests {
     /// Returns the result, the closed-loop window and the finished engine.
     fn echo_ycsb_a(
         server: EchoServer,
-        hooks: Option<Rc<RefCell<ToShard0>>>,
+        hooks: Option<Rc<RefCell<StubHooks>>>,
     ) -> (crate::experiment::RunResult, usize, Engine<EchoWorld>) {
         let cfg = crate::experiment::RunConfig {
             clients: 4,
@@ -698,7 +672,7 @@ mod tests {
 
     #[test]
     fn bounced_ops_complete_exactly_once_timed_from_the_first_send() {
-        let hooks = Rc::new(RefCell::new(ToShard0::default()));
+        let hooks = Rc::new(RefCell::new(StubHooks::default()));
         let server = EchoServer {
             bounce: true,
             ..Default::default()
@@ -725,7 +699,7 @@ mod tests {
     #[test]
     fn one_shard_routed_client_is_the_unrouted_client() {
         let (_, _, plain) = echo_ycsb_a(EchoServer::default(), None);
-        let hooks = Rc::new(RefCell::new(ToShard0::default()));
+        let hooks = Rc::new(RefCell::new(StubHooks::default()));
         let (_, _, routed) = echo_ycsb_a(EchoServer::default(), Some(hooks));
         assert!(
             plain.world.driver.clients == routed.world.driver.clients,

@@ -11,8 +11,9 @@
 
 use utps_collections::{MpmcQueue, SpscRing};
 use utps_sim::{vaddr, Ctx};
+use utps_workload::Op;
 
-use crate::msg::OpKind;
+use crate::msg::{OpKind, Request};
 
 /// How the CR-MR queue moves descriptors between cores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,11 +21,6 @@ pub enum QueueKind {
     /// The paper's software design: all-to-all lock-free SPSC lanes whose
     /// index words and slots travel through the cache-coherence fabric.
     AllToAll,
-    /// Intel DLB-style hardware queuing (the paper's future-work extension,
-    /// §6): enqueue/dequeue are MMIO doorbells to a hardware arbiter, so no
-    /// producer/consumer cache lines bounce between cores. Modeled as the
-    /// same lane structure with fixed per-operation port costs.
-    Dlb,
     /// The §3.4 counterfactual: ONE shared MPMC queue instead of per-pair
     /// lanes. Every producer and consumer contends on the same two cursor
     /// cache lines, multi-request slots are impossible, and completions ride
@@ -32,9 +28,6 @@ pub enum QueueKind {
     /// all-to-all design avoids.
     SharedMpmc,
 }
-
-/// Per-op cost of a DLB port doorbell (enqueue or dequeue), picoseconds.
-const DLB_PORT_PS: u64 = 24_000;
 
 /// The paper's compact request descriptor. Charged as 16 bytes on the ring
 /// (key 8 B, buf 4 B, type+size 4 B); Rust-side it also carries the full
@@ -55,6 +48,22 @@ pub struct Desc {
 pub const DESC_BYTES: usize = 16;
 
 impl Desc {
+    /// The descriptor for `req`, claimed at receive slot `seq`. The size
+    /// hint is a put's payload length or a scan's item count.
+    pub fn of(req: &Request, seq: u64) -> Desc {
+        let size = match req.op {
+            Op::Put { value_len, .. } => value_len as u32,
+            Op::Scan { count, .. } => count as u32,
+            Op::Get { .. } | Op::Delete { .. } => 0,
+        };
+        Desc {
+            key: req.op.key(),
+            seq,
+            kind: req.kind(),
+            size,
+        }
+    }
+
     /// Packs the descriptor into its 16-byte wire form: key (8 B,
     /// little-endian), receive-slot sequence (4 B — the `buf` field), and a
     /// type+size word (2-bit [`OpKind`] code in the top bits, 30-bit size).
@@ -111,7 +120,6 @@ struct SharedState {
 
 pub struct CrMrQueue {
     workers: usize,
-    kind: QueueKind,
     lanes: Vec<Lane>,
     shared: Option<SharedState>,
 }
@@ -140,7 +148,6 @@ impl CrMrQueue {
         });
         CrMrQueue {
             workers,
-            kind,
             lanes: (0..workers * workers)
                 .map(|i| {
                     let base = vaddr::CRMR_LANES + i * vaddr::CRMR_LANE_STRIDE;
@@ -160,7 +167,7 @@ impl CrMrQueue {
 
     /// Whether this queue runs in the shared-MPMC counterfactual mode.
     pub fn is_shared(&self) -> bool {
-        self.kind == QueueKind::SharedMpmc
+        self.shared.is_some()
     }
 
     /// Shared mode: pushes one descriptor, contending on the global enqueue
@@ -222,11 +229,6 @@ impl CrMrQueue {
         r
     }
 
-    /// Total workers the queue was sized for.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     #[inline]
     fn lane(&self, producer: usize, consumer: usize) -> &Lane {
         &self.lanes[producer * self.workers + consumer]
@@ -247,35 +249,23 @@ impl CrMrQueue {
         consumer: usize,
         batch: &mut Vec<Desc>,
     ) -> usize {
-        let kind = self.kind;
+        assert!(!self.is_shared(), "use push_shared");
         let lane = self.lane_mut(producer, consumer);
         if batch.is_empty() {
             return 0;
         }
-        match kind {
-            QueueKind::AllToAll => {
-                // One head probe + slot writes + one tail publish.
-                ctx.read(lane.ring.head_addr(), 8);
-                let start = lane.pushed;
-                let n = lane.ring.push_batch(batch);
-                if n > 0 {
-                    ctx.write(lane.ring.slot_addr(start as usize), DESC_BYTES * n);
-                    ctx.atomic(lane.ring.tail_addr());
-                    lane.pushed += n as u64;
-                    let occ = lane.ring.len() as u64;
-                    ctx.machine().registry.gauge_max("crmr.lane_hwm", occ);
-                }
-                n
-            }
-            QueueKind::Dlb => {
-                // One port doorbell moves the whole burst into the device.
-                ctx.compute_ps(DLB_PORT_PS);
-                let n = lane.ring.push_batch(batch);
-                lane.pushed += n as u64;
-                n
-            }
-            QueueKind::SharedMpmc => unreachable!("use push_shared"),
+        // One head probe + slot writes + one tail publish.
+        ctx.read(lane.ring.head_addr(), 8);
+        let start = lane.pushed;
+        let n = lane.ring.push_batch(batch);
+        if n > 0 {
+            ctx.write(lane.ring.slot_addr(start as usize), DESC_BYTES * n);
+            ctx.atomic(lane.ring.tail_addr());
+            lane.pushed += n as u64;
+            let occ = lane.ring.len() as u64;
+            ctx.machine().registry.gauge_max("crmr.lane_hwm", occ);
         }
+        n
     }
 
     /// Consumer side: pops up to `max` descriptors from lane
@@ -288,55 +278,28 @@ impl CrMrQueue {
         out: &mut Vec<Desc>,
         max: usize,
     ) -> usize {
-        let kind = self.kind;
+        assert!(!self.is_shared(), "use pop_shared");
         let lane = self.lane_mut(producer, consumer);
-        match kind {
-            QueueKind::AllToAll => {
-                ctx.read(lane.ring.tail_addr(), 8);
-                if lane.ring.is_empty() {
-                    return 0;
-                }
-                // Slots between head and tail start at (pushed - len).
-                let first = lane.pushed - lane.ring.len() as u64;
-                let n = lane.ring.pop_batch(out, max);
-                if n > 0 {
-                    let slot = lane.ring.slot_addr(first as usize);
-                    ctx.read(slot, DESC_BYTES * n);
-                    ctx.write(lane.ring.head_addr(), 8);
-                    // Injected corruption-detection event: the descriptor
-                    // CRC fails and the consumer must re-read the batch.
-                    if Self::corrupt_fired(ctx) {
-                        ctx.read(slot, DESC_BYTES * n);
-                    }
-                }
-                n
-            }
-            QueueKind::Dlb => {
-                if lane.ring.is_empty() {
-                    return 0;
-                }
-                ctx.compute_ps(DLB_PORT_PS);
-                let n = lane.ring.pop_batch(out, max);
-                if n > 0 && Self::corrupt_fired(ctx) {
-                    // Device-side CRC failure: one extra dequeue doorbell.
-                    ctx.compute_ps(DLB_PORT_PS);
-                }
-                n
-            }
-            QueueKind::SharedMpmc => unreachable!("use pop_shared"),
+        ctx.read(lane.ring.tail_addr(), 8);
+        if lane.ring.is_empty() {
+            return 0;
         }
-    }
-
-    /// Draws the machine's corruption-detection fault for one popped batch
-    /// and counts it; detection costs are charged by the caller.
-    fn corrupt_fired(ctx: &mut Ctx<'_>) -> bool {
-        let m = ctx.machine();
-        if m.faults.corrupt_active() && m.faults.corrupt_pop() {
-            m.registry.counter_inc("crmr.corrupt");
-            true
-        } else {
-            false
+        // Slots between head and tail start at (pushed - len).
+        let first = lane.pushed - lane.ring.len() as u64;
+        let n = lane.ring.pop_batch(out, max);
+        if n > 0 {
+            let slot = lane.ring.slot_addr(first as usize);
+            ctx.read(slot, DESC_BYTES * n);
+            ctx.write(lane.ring.head_addr(), 8);
+            // Injected corruption-detection event: the descriptor CRC
+            // fails and the consumer must re-read the batch.
+            let m = ctx.machine();
+            if m.faults.corrupt_active() && m.faults.corrupt_pop() {
+                m.registry.counter_inc("crmr.corrupt");
+                ctx.read(slot, DESC_BYTES * n);
+            }
         }
+        n
     }
 
     /// Producer side: revokes every descriptor still unpopped in lane
@@ -354,10 +317,9 @@ impl CrMrQueue {
         consumer: usize,
         out: &mut Vec<Desc>,
     ) -> usize {
-        if self.kind == QueueKind::SharedMpmc {
+        if self.is_shared() {
             return 0;
         }
-        let kind = self.kind;
         let lane = self.lane_mut(producer, consumer);
         let len = lane.ring.len();
         if len == 0 {
@@ -367,42 +329,25 @@ impl CrMrQueue {
         let n = lane.ring.pop_batch(out, len);
         debug_assert_eq!(n, len, "revoke must drain the whole backlog");
         lane.pushed -= n as u64;
-        match kind {
-            QueueKind::AllToAll => {
-                ctx.read(lane.ring.slot_addr(first as usize), DESC_BYTES * n);
-                ctx.atomic(lane.ring.tail_addr());
-            }
-            QueueKind::Dlb => ctx.compute_ps(DLB_PORT_PS),
-            QueueKind::SharedMpmc => unreachable!(),
-        }
+        ctx.read(lane.ring.slot_addr(first as usize), DESC_BYTES * n);
+        ctx.atomic(lane.ring.tail_addr());
         n
     }
 
     /// Consumer side: signals that `n` more descriptors from this lane have
     /// completed processing (their responses are in the response buffers).
     pub fn complete(&mut self, ctx: &mut Ctx<'_>, producer: usize, consumer: usize, n: u64) {
-        let kind = self.kind;
+        assert!(!self.is_shared(), "use complete_shared");
         let lane = self.lane_mut(producer, consumer);
         lane.completed += n;
-        match kind {
-            QueueKind::AllToAll => {
-                ctx.write(lane.completed_addr, 8);
-            }
-            QueueKind::Dlb => ctx.compute_ps(DLB_PORT_PS),
-            QueueKind::SharedMpmc => unreachable!("use complete_shared"),
-        }
+        ctx.write(lane.completed_addr, 8);
     }
 
     /// Producer side: reads the lane's completion counter.
     pub fn completed(&self, ctx: &mut Ctx<'_>, producer: usize, consumer: usize) -> u64 {
+        assert!(!self.is_shared(), "use pop_completion_shared");
         let lane = self.lane(producer, consumer);
-        match self.kind {
-            QueueKind::AllToAll => {
-                ctx.read(lane.completed_addr, 8);
-            }
-            QueueKind::Dlb => ctx.compute_ps(DLB_PORT_PS / 4),
-            QueueKind::SharedMpmc => unreachable!("use pop_completion_shared"),
-        }
+        ctx.read(lane.completed_addr, 8);
         lane.completed
     }
 
@@ -526,7 +471,31 @@ mod tests {
                 size: 1,
             },
         ];
-        for d in cases {
+        // What `Desc::of` builds for each op kind, with its size hint.
+        let of = |op| {
+            let req = Request {
+                client: 0,
+                seq: 1,
+                op,
+                value: None,
+                sent_at: SimTime::ZERO,
+            };
+            Desc::of(&req, 7)
+        };
+        let put = Op::Put {
+            key: 5,
+            value_len: 100,
+        };
+        let made = [
+            (of(Op::Get { key: 5 }), OpKind::Get, 0),
+            (of(put), OpKind::Put, 100),
+            (of(Op::Scan { key: 5, count: 50 }), OpKind::Scan, 50),
+            (of(Op::Delete { key: 5 }), OpKind::Delete, 0),
+        ];
+        for (d, kind, size) in made {
+            assert_eq!((d.key, d.seq, d.kind, d.size), (5, 7, kind, size));
+        }
+        for d in cases.into_iter().chain(made.map(|(d, ..)| d)) {
             let wire = d.encode();
             assert_eq!(Desc::decode(&wire), d);
         }

@@ -168,7 +168,7 @@ pub struct RunConfig {
     pub slot_size: usize,
     /// Static MR way allocation (0 = all ways).
     pub mr_ways: usize,
-    /// CR-MR queue transport (the DLB extension ablation).
+    /// CR-MR queue transport (the §3.4 shared-queue counterfactual).
     pub queue_kind: crate::crmr::QueueKind,
     /// Throughput timeline sampling interval (ps; 0 = off).
     pub timeline_interval: u64,

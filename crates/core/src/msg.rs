@@ -12,6 +12,8 @@ use utps_sim::time::SimTime;
 use utps_sim::{PayloadArena, PayloadRef};
 use utps_workload::Op;
 
+use crate::store::KvOpOutput;
+
 /// Request header bytes on the wire (type, key, size, seq, client).
 pub const REQ_HEADER: usize = 24;
 /// Response header bytes on the wire.
@@ -150,6 +152,37 @@ pub struct Response {
 }
 
 impl Response {
+    /// The header-only answer to `req` (`ok = false`, no payload), to be
+    /// DMA-read from `resp_addr`: what a bounce or a suppressed duplicate
+    /// sends, and what [`Response::reply`] fills in.
+    pub fn header(req: &Request, resp_addr: usize) -> Response {
+        Response {
+            client: req.client,
+            seq: req.seq,
+            ok: false,
+            moved: false,
+            value: None,
+            scan_count: 0,
+            payload_extra: 0,
+            resp_addr,
+            sent_at: req.sent_at,
+        }
+    }
+
+    /// The answer to `req` carrying a finished op's result. A get's bytes
+    /// travel as the `value` handle; a scan's are charged on the wire only.
+    pub fn reply(req: &Request, out: KvOpOutput, resp_addr: usize) -> Response {
+        let mut resp = Response::header(req, resp_addr);
+        resp.ok = out.ok;
+        resp.scan_count = out.scan_count;
+        if matches!(req.op, Op::Get { .. }) {
+            resp.value = out.value;
+        } else {
+            resp.payload_extra = out.payload;
+        }
+        resp
+    }
+
     /// Bytes this response occupies on the wire.
     pub fn wire_len(&self) -> usize {
         RESP_HEADER + self.value.as_ref().map_or(0, PayloadRef::len) + self.payload_extra

@@ -23,8 +23,11 @@
 use utps_sim::cache::CacheHierarchy;
 use utps_sim::time::SimTime;
 use utps_sim::{vaddr, Ctx, Fabric, Machine, PayloadRef, RecvFate};
+use utps_workload::Op;
 
 use crate::msg::{NetMsg, Request, Response};
+use crate::retry::DedupTable;
+use crate::shardctl::{Admit, ShardCtl};
 
 /// Per-slot lifecycle.
 enum SlotState {
@@ -90,11 +93,6 @@ impl RecvRing {
         }
     }
 
-    /// Number of slots.
-    pub fn nslots(&self) -> usize {
-        self.nslots
-    }
-
     /// Total receive buffer bytes.
     pub fn bytes(&self) -> usize {
         self.nslots * self.slot_size
@@ -132,8 +130,7 @@ impl RecvRing {
     }
 
     /// Drains up to `limit` arrived requests from the fabric into the ring,
-    /// applying the machine's receive-path fault plan (drop / duplicate /
-    /// delay) to each polled request. Returns how many were DMAed.
+    /// each through [`recv_fate`]. Returns how many were DMAed.
     pub fn pump(
         &mut self,
         m: &mut Machine,
@@ -152,34 +149,9 @@ impl RecvRing {
             match fabric.server_poll(now) {
                 Some(NetMsg::Req(req)) => {
                     polls += 1;
-                    if m.faults.net_active() {
-                        match m.faults.recv_fate() {
-                            RecvFate::Drop => {
-                                m.registry.counter_inc("fault.rx_drop");
-                                // The NIC buffer holding the payload is
-                                // recycled with the dropped packet.
-                                if let Some(v) = req.value {
-                                    m.payloads.free(v);
-                                }
-                                continue;
-                            }
-                            RecvFate::Delay { delay } => {
-                                m.registry.counter_inc("fault.rx_delay");
-                                fabric.redeliver_server(now + delay, NetMsg::Req(req));
-                                continue;
-                            }
-                            RecvFate::Duplicate { delay } => {
-                                m.registry.counter_inc("fault.rx_dup");
-                                // A duplicated packet occupies its own NIC
-                                // buffer: deep-copy the payload (the one
-                                // copy the zero-copy rule exempts).
-                                let dup = req.dup(&mut m.payloads);
-                                fabric.redeliver_server(now + delay, NetMsg::Req(dup));
-                                // Fall through: the original is delivered now.
-                            }
-                            RecvFate::Deliver => {}
-                        }
-                    }
+                    let Some(req) = recv_fate(m, fabric, now, req) else {
+                        continue;
+                    };
                     self.try_dma(&mut m.cache, req).expect("slot checked free");
                     n += 1;
                 }
@@ -212,19 +184,12 @@ impl RecvRing {
     /// # Panics
     ///
     /// Panics if the slot is not in the `Posted` state.
-    pub fn claim(&mut self, ctx: &mut Ctx<'_>, seq: u64) -> &Request {
+    pub fn claim(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
         ctx.read(self.slot_addr(seq), 64);
         ctx.compute_ns(self.parse_ns); // parse: type, key, size
         let idx = self.idx(seq);
-        let state = core::mem::replace(&mut self.slots[idx], SlotState::Free);
-        match state {
-            SlotState::Posted(req) => {
-                self.slots[idx] = SlotState::InFlight(req);
-                match &self.slots[idx] {
-                    SlotState::InFlight(r) => r,
-                    _ => unreachable!(),
-                }
-            }
+        match core::mem::replace(&mut self.slots[idx], SlotState::Free) {
+            SlotState::Posted(req) => self.slots[idx] = SlotState::InFlight(req),
             _ => panic!("claim of non-posted slot {seq}"),
         }
     }
@@ -315,25 +280,122 @@ impl RespBuffers {
     }
 }
 
-/// Sends `resp` to its client: the RNIC DMA-reads the response buffer
-/// (never touching core caches — §3.3) and the worker pays the doorbell.
-pub fn send_response(
-    ctx: &mut Ctx<'_>,
+/// The receive-path fault plan's verdict on one *fresh* fabric arrival
+/// (a redelivery or a router's overflow retry already "arrived" once):
+/// `None` when the request was dropped — its NIC buffer, payload included,
+/// is recycled with the packet — or delayed (redelivered later); otherwise
+/// the request to deliver now. A duplicated packet occupies a NIC buffer of
+/// its own, so the later copy is a [`Request::dup`] — the one deep copy the
+/// zero-copy rule exempts.
+pub fn recv_fate(
+    m: &mut Machine,
     fabric: &mut Fabric<NetMsg>,
+    now: SimTime,
+    req: Request,
+) -> Option<Request> {
+    if !m.faults.net_active() {
+        return Some(req);
+    }
+    match m.faults.recv_fate() {
+        RecvFate::Drop => {
+            m.registry.counter_inc("fault.rx_drop");
+            if let Some(v) = req.value {
+                m.payloads.free(v);
+            }
+            None
+        }
+        RecvFate::Delay { delay } => {
+            m.registry.counter_inc("fault.rx_delay");
+            fabric.redeliver_server(now + delay, NetMsg::Req(req));
+            None
+        }
+        RecvFate::Duplicate { delay } => {
+            m.registry.counter_inc("fault.rx_dup");
+            let dup = req.dup(&mut m.payloads);
+            fabric.redeliver_server(now + delay, NetMsg::Req(dup));
+            Some(req)
+        }
+        RecvFate::Deliver => Some(req),
+    }
+}
+
+/// What [`admit`] decided about a claimed request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Admission {
+    /// This shard may not serve the key right now (its hash slot is frozen
+    /// for migration, or ownership flipped while the request was in
+    /// flight): answered with the `moved` bit, slot freed.
+    Bounced,
+    /// A retransmitted write whose original already completed: acknowledged
+    /// again without executing, slot freed.
+    Suppressed,
+    /// Execute it; the migration controller's in-flight count includes it.
+    Serve,
+}
+
+/// Admission of the request a worker just claimed at slot `seq` — the one
+/// place a server consults the cluster router and the exactly-once filter.
+///
+/// A key this shard does not own bounces with [`Response::moved`]; the
+/// client re-routes it under the same client sequence number, so
+/// exactly-once holds across the handoff. A write the [`DedupTable`] has
+/// seen is acknowledged, not re-executed (reads are idempotent and simply
+/// run again). Either refusal frees the write's never-consumed payload with
+/// the slot and sends the header-only reply from `resp_addr`. Anything else
+/// enters execution ([`ShardCtl::op_begin`]).
+pub fn admit(
+    ctx: &mut Ctx<'_>,
+    ring: &mut RecvRing,
+    fabric: &mut Fabric<NetMsg>,
+    dedup: &DedupTable,
+    cluster: Option<&ShardCtl>,
     resp_addr: usize,
-    resp: Response,
-) {
+    seq: u64,
+) -> Admission {
+    let req = ring.request(seq);
+    let key = req.op.key();
+    let is_write = matches!(req.op, Op::Put { .. } | Op::Delete { .. });
+    let refusal = if cluster.is_some_and(|cl| cl.admit(key, is_write) == Admit::Bounce) {
+        ctx.machine().registry.counter_inc("cluster.moved_bounce");
+        Admission::Bounced
+    } else if is_write && dedup.enabled() && dedup.seen(req.client, req.seq) {
+        ctx.machine().registry.counter_inc("server.dup_suppressed");
+        Admission::Suppressed
+    } else {
+        if let Some(cl) = cluster {
+            cl.op_begin(key, seq);
+        }
+        return Admission::Serve;
+    };
+    let mut resp = Response::header(req, resp_addr);
+    resp.ok = refusal == Admission::Suppressed;
+    resp.moved = refusal == Admission::Bounced;
+    if let Some(v) = ring.take_value(seq) {
+        ctx.machine().payloads.free(v);
+    }
+    ring.abort(seq);
+    send_response(ctx, fabric, resp);
+    refusal
+}
+
+/// Sends `resp` to its client: the RNIC DMA-reads the response buffer at
+/// `resp.resp_addr` (never touching core caches — §3.3) and the worker pays
+/// the doorbell.
+pub fn send_response(ctx: &mut Ctx<'_>, fabric: &mut Fabric<NetMsg>, resp: Response) {
     ctx.compute_ns(12); // WQE write + doorbell (amortized across a batch)
     let now = ctx.now();
     let wire = resp.wire_len();
     let client = resp.client as usize;
-    ctx.machine().cache.nic_read(resp_addr, wire.min(1 << 16));
+    ctx.machine()
+        .cache
+        .nic_read(resp.resp_addr, wire.min(1 << 16));
     fabric.server_send(now, wire, client, NetMsg::Resp(resp));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shardctl::StubHooks;
     use std::cell::RefCell;
     use std::rc::Rc;
     use utps_sim::config::MachineConfig;
@@ -412,8 +474,8 @@ mod tests {
             let seq = w.ring.try_dma(cache, req(0, 1, 42)).unwrap();
             assert_eq!(seq, 0);
             assert!(w.ring.is_posted(seq));
-            let r = w.ring.claim(ctx, seq);
-            assert_eq!(r.op, Op::Get { key: 42 });
+            w.ring.claim(ctx, seq);
+            assert_eq!(w.ring.request(seq).op, Op::Get { key: 42 });
             assert!(!w.ring.is_posted(seq));
             assert_eq!(w.ring.request(seq).seq, 1);
             w.ring.complete(seq, resp(0, 1));
@@ -501,14 +563,76 @@ mod tests {
     }
 
     #[test]
+    fn admit_bounces_suppresses_or_serves() {
+        let world = World {
+            ring: RecvRing::new(4, 256),
+            fabric: Fabric::new(Default::default(), 2),
+        };
+        let hooks = Rc::new(RefCell::new(StubHooks::default()));
+        let stub = Rc::clone(&hooks);
+        let ((), mut world) = with_world(world, move |ctx, w| {
+            let ctl = ShardCtl {
+                shard: 3,
+                hooks: stub.clone(),
+            };
+            let mut dedup = DedupTable::new(2, true);
+            dedup.record(1, 5);
+            let live = ctx.machine().payloads.live();
+            // Claims a request as (`client`, client seq 5) and admits it.
+            let mut claim_and_admit = |ctx: &mut Ctx<'_>, client: u32, key: u64, put: bool| {
+                let mut r = req(client, 5, key);
+                if put {
+                    r.op = Op::Put { key, value_len: 8 };
+                    r.value = Some(ctx.machine().payloads.alloc(vec![7u8; 8].into()));
+                }
+                let seq = w.ring.try_dma(&mut ctx.machine().cache, r).unwrap();
+                w.ring.claim(ctx, seq);
+                let fabric = &mut w.fabric;
+                admit(ctx, &mut w.ring, fabric, &dedup, Some(&ctl), 0x5000, seq)
+            };
+
+            // A key the router refuses bounces, whatever the dedup table says.
+            stub.borrow_mut().bounce = true;
+            assert_eq!(claim_and_admit(ctx, 0, 9, true), Admission::Bounced);
+            stub.borrow_mut().bounce = false;
+            // A write whose (client, seq) already completed is acked again.
+            assert_eq!(claim_and_admit(ctx, 1, 9, true), Admission::Suppressed);
+            // Neither refusal entered execution or consumed the payload.
+            assert!(stub.borrow().begun.is_empty());
+            assert_eq!(ctx.machine().payloads.live(), live);
+            // A read with a seen (client, seq) is idempotent: served.
+            assert_eq!(claim_and_admit(ctx, 1, 9, false), Admission::Serve);
+            assert_eq!(claim_and_admit(ctx, 0, 11, false), Admission::Serve);
+            assert_eq!(stub.borrow().begun, [(3, 9, 2), (3, 11, 3)]);
+            // Both refused slots were freed: the ring wraps onto them.
+            let cache = &mut ctx.machine().cache;
+            assert_eq!(w.ring.try_dma(cache, req(0, 6, 1)).unwrap(), 4);
+            assert_eq!(w.ring.try_dma(cache, req(0, 7, 1)).unwrap(), 5);
+            assert!(w.ring.try_dma(cache, req(0, 8, 1)).is_err());
+        });
+        assert_eq!(hooks.borrow().ended, 0);
+        // Exactly the two refusals answered, header-only.
+        let later = SimTime::from_micros(100);
+        for (client, ok, moved) in [(0, false, true), (1, true, false)] {
+            match world.fabric.client_poll(client, later) {
+                Some(NetMsg::Resp(r)) => {
+                    assert_eq!((r.seq, r.ok, r.moved), (5, ok, moved));
+                    assert_eq!(r.wire_len(), crate::msg::RESP_HEADER);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+            assert!(world.fabric.client_poll(client, later).is_none());
+        }
+    }
+
+    #[test]
     fn send_response_reaches_client() {
         let world = World {
             ring: RecvRing::new(4, 256),
             fabric: Fabric::new(Default::default(), 2),
         };
         let ((), mut world) = with_world(world, |ctx, w| {
-            let addr = 0x5000;
-            send_response(ctx, &mut w.fabric, addr, resp(1, 77));
+            send_response(ctx, &mut w.fabric, resp(1, 77));
         });
         let msg = world.fabric.client_poll(1, SimTime::from_micros(100));
         match msg {

@@ -16,9 +16,10 @@
 //! completions.
 //!
 //! **[`MrStage`]** (§3.3): pops descriptor batches from its lanes, runs one
-//! [`KvOp`] state machine per request, and interleaves them round-robin so
-//! every prefetch issued before a pointer dereference is overlapped with
-//! other requests' compute — the stackless-coroutine batching of the paper.
+//! [`KvOp`] state machine per request, and interleaves them round-robin
+//! ([`BatchOp::poll`], the loop body BaseKV shares) so every prefetch issued
+//! before a pointer dereference is overlapped with other requests' compute —
+//! the stackless-coroutine batching of the paper.
 //! Data moves directly between network buffers and the store; only
 //! descriptors cross the CR-MR queue, and request/response payloads travel
 //! as [`utps_sim::PayloadRef`] arena handles that each stage consumes
@@ -40,13 +41,13 @@ use utps_workload::Op;
 use crate::client::{DriverState, KvWorld};
 use crate::crmr::{CrMrQueue, Desc};
 use crate::hotcache::HotCache;
-use crate::msg::{NetMsg, OpKind, Request, Response};
+use crate::msg::{NetMsg, OpKind, Response};
 use crate::retry::DedupTable;
-use crate::rpc::{send_response, RecvRing, RespBuffers};
+use crate::rpc::{self, send_response, Admission, RecvRing, RespBuffers};
 use crate::stage::{Stage, StepOutcome};
 use crate::store::{KvOp, KvOpOutput, KvStore, OpBuffers};
 use crate::system::{ServerParts, ServerWorld};
-use crate::tier::{self, DurabilityBarrier};
+use crate::tier::{self, BatchOp, DurabilityBarrier, Polled};
 
 /// Runtime-adjustable server configuration.
 #[derive(Clone, Debug)]
@@ -232,33 +233,16 @@ struct CrState {
 }
 
 impl CrState {
-    fn new(workers: usize, n_local: usize, id: usize, crmr: &CrMrQueue) -> Self {
+    /// State for worker `id` starting at slot `cursor`; `seen` is each
+    /// lane's completion counter as of now (all zero at run start).
+    fn new(n_local: usize, cursor: u64, seen: Vec<u64>) -> Self {
+        let workers = seen.len();
         CrState {
             n_local,
-            cursor: id as u64,
+            cursor,
             out: (0..workers).map(|_| Vec::new()).collect(),
             pending: (0..workers).map(|_| VecDeque::new()).collect(),
-            // Resync with the lanes' live counters (non-zero when this
-            // worker held the CR role before).
-            seen: (0..workers).map(|c| crmr.completed_peek(id, c)).collect(),
-            mr_rr: 0,
-            comp_rr: 0,
-            local: None,
-            sample_ctr: 0,
-            draining: false,
-            lease_at: vec![SimTime::ZERO; workers],
-            ack_defer: DurabilityBarrier::default(),
-        }
-    }
-
-    /// Fresh-start constructor for initial spawn (all counters zero).
-    fn new_fresh(workers: usize, n_local: usize, id: usize) -> Self {
-        CrState {
-            n_local,
-            cursor: id as u64,
-            out: (0..workers).map(|_| Vec::new()).collect(),
-            pending: (0..workers).map(|_| VecDeque::new()).collect(),
-            seen: vec![0; workers],
+            seen,
             mr_rr: 0,
             comp_rr: 0,
             local: None,
@@ -277,15 +261,10 @@ impl CrState {
 
 /// One request being processed at the MR layer.
 struct ActiveOp {
-    seq: u64,
-    op: KvOp,
+    op: BatchOp,
     done: bool,
     /// When the descriptor was popped (traversal-latency measurement).
     started: SimTime,
-    /// A get that missed DRAM but hit the cold run parks here until the
-    /// device read completes: `(ready time, value snapshot)`. The snapshot
-    /// is owned because compaction may replace the run mid-read.
-    cold: Option<(SimTime, Vec<u8>)>,
 }
 
 /// One super-batch's completions held behind the durability barrier: the
@@ -327,21 +306,25 @@ impl MrState {
             defers: DurabilityBarrier::default(),
         }
     }
-}
 
-/// Builds a response from a finished [`KvOp`] and the original request.
-fn build_response(req: &Request, out: KvOpOutput, resp_addr: usize) -> Response {
-    let is_get = matches!(req.op, Op::Get { .. });
-    Response {
-        client: req.client,
-        seq: req.seq,
-        ok: out.ok,
-        moved: false,
-        value: if is_get { out.value } else { None },
-        scan_count: out.scan_count,
-        payload_extra: if is_get { 0 } else { out.payload },
-        resp_addr,
-        sent_at: req.sent_at,
+    /// Starts an op, stamped now, for each descriptor just popped into
+    /// `scratch`.
+    fn start_popped(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, id: usize) {
+        if self.scratch.is_empty() {
+            return;
+        }
+        let got = self.scratch.len() as u64;
+        ctx.machine().registry.hist_record("mr.batch_size", got);
+        let started = ctx.now();
+        for i in 0..self.scratch.len() {
+            let d = self.scratch[i];
+            let op = BatchOp::new(d.seq, build_mr_op(ctx, world, id, d));
+            self.ops.push(ActiveOp {
+                op,
+                done: false,
+                started,
+            });
+        }
     }
 }
 
@@ -361,7 +344,7 @@ impl CrStage {
     pub fn fresh(id: usize, cfg: &ServerConfig) -> Self {
         CrStage {
             id,
-            st: CrState::new_fresh(cfg.workers, cfg.n_cr, id),
+            st: CrState::new(cfg.n_cr, id as u64, vec![0; cfg.workers]),
         }
     }
 
@@ -374,20 +357,8 @@ impl CrStage {
         self.drain_deferred(ctx, world);
 
         // 0. Finish a blocked/ready local hot-path operation first.
-        if let Some((seq, mut op, started)) = self.st.local.take() {
-            loop {
-                match op.poll(ctx, &mut world.store) {
-                    Step::Done(out) => {
-                        finish_local(ctx, world, &mut self.st.ack_defer, id, seq, out, started);
-                        break;
-                    }
-                    Step::Ready => continue,
-                    Step::Blocked => {
-                        self.st.local = Some((seq, op, started));
-                        return false;
-                    }
-                }
-            }
+        if let Some((seq, op, started)) = self.st.local.take() {
+            self.drive_local(ctx, world, seq, op, started);
             return false;
         }
 
@@ -569,76 +540,27 @@ impl CrStage {
     fn process_request(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, seq: u64) {
         let id = self.id;
         let started = ctx.now();
-        let req = world.ring.claim(ctx, seq);
+        world.ring.claim(ctx, seq);
         ctx.stage_transitions(1);
-        let client = req.client;
-        let client_seq = req.seq;
-        let sent_at = req.sent_at;
-        let op = req.op.clone();
-        let key = op.key();
-
-        // Cluster admission: serve only keys this shard owns (or holds a
-        // valid read replica of). Anything else — the slot is frozen for
-        // migration, or ownership flipped while the request was in flight —
-        // bounces straight back with the `moved` bit; the client re-routes
-        // it under the same client sequence number, so exactly-once holds
-        // across the handoff.
-        if let Some(cl) = &world.cluster {
-            let is_write = matches!(op, Op::Put { .. } | Op::Delete { .. });
-            if cl.admit(key, is_write) == crate::shardctl::Admit::Bounce {
-                ctx.machine().registry.counter_inc("cluster.moved_bounce");
-                if let Some(v) = world.ring.take_value(seq) {
-                    ctx.machine().payloads.free(v);
-                }
-                let resp_addr = world.resp.addr_for(id, seq);
-                let resp = Response {
-                    client,
-                    seq: client_seq,
-                    ok: false,
-                    moved: true,
-                    value: None,
-                    scan_count: 0,
-                    payload_extra: 0,
-                    resp_addr,
-                    sent_at,
-                };
-                world.ring.abort(seq);
-                send_response(ctx, &mut world.fabric, resp_addr, resp);
+        let resp_addr = world.resp.addr_for(id, seq);
+        match rpc::admit(
+            ctx,
+            &mut world.ring,
+            &mut world.fabric,
+            &world.dedup,
+            world.cluster.as_ref(),
+            resp_addr,
+            seq,
+        ) {
+            Admission::Bounced => return,
+            Admission::Suppressed => {
+                world.stats.responses += 1;
                 return;
             }
+            Admission::Serve => {}
         }
-
-        // Sequence-number dedup: a retransmitted write whose original
-        // already completed must not execute again — answer it again
-        // instead (reads are idempotent and simply re-execute).
-        if world.dedup.enabled()
-            && matches!(op, Op::Put { .. } | Op::Delete { .. })
-            && world.dedup.seen(client, client_seq)
-        {
-            ctx.machine().registry.counter_inc("server.dup_suppressed");
-            // The suppressed write's payload is never consumed: recycle its
-            // NIC buffer with the slot.
-            if let Some(v) = world.ring.take_value(seq) {
-                ctx.machine().payloads.free(v);
-            }
-            let resp_addr = world.resp.addr_for(id, seq);
-            let out = KvOpOutput {
-                ok: true,
-                value: None,
-                scan_count: 0,
-                payload: 0,
-            };
-            let resp = build_response(world.ring.request(seq), out, resp_addr);
-            world.ring.abort(seq);
-            world.stats.responses += 1;
-            send_response(ctx, &mut world.fabric, resp_addr, resp);
-            return;
-        }
-
-        // In-flight accounting for the migration controller's freeze/drain.
-        if let Some(cl) = &world.cluster {
-            cl.op_begin(key, seq);
-        }
+        let desc = Desc::of(world.ring.request(seq), seq);
+        let key = desc.key;
 
         // Sampling for the hot-set tracker.
         self.st.sample_ctr += 1;
@@ -654,7 +576,7 @@ impl CrStage {
 
         let bufs = OpBuffers {
             recv_addr: world.ring.slot_addr(seq),
-            resp_addr: world.resp.addr_for(id, seq),
+            resp_addr,
         };
 
         // Hot-cache probe (§3.2.3 hit path / miss path).
@@ -664,15 +586,15 @@ impl CrStage {
             None
         };
 
-        match (&op, cached) {
-            (Op::Get { .. }, Some(item)) => {
+        match (desc.kind, cached) {
+            (OpKind::Get, Some(item)) => {
                 world.stats.cr_local += 1;
                 ctx.machine().registry.counter_inc("cr.hit");
                 self.drive_local(ctx, world, seq, KvOp::get_cached(key, item, bufs), started);
             }
             // With the durable tier, writes always go through the MR layer:
             // only there can they be sequenced into the WAL.
-            (Op::Put { .. }, Some(item)) if world.tier.is_none() => {
+            (OpKind::Put, Some(item)) if world.tier.is_none() => {
                 world.stats.cr_local += 1;
                 ctx.machine().registry.counter_inc("cr.hit");
                 // Move the payload out of NIC buffer memory — written once
@@ -682,14 +604,17 @@ impl CrStage {
                         let value = ctx.machine().payloads.take(v);
                         KvOp::put_cached(key, item, value, bufs)
                     }
-                    None => malformed(ctx, OpKind::Put, key, bufs),
+                    None => {
+                        ctx.machine().registry.counter_inc("server.malformed_req");
+                        KvOp::failed(key, bufs)
+                    }
                 };
                 self.drive_local(ctx, world, seq, op, started);
             }
-            (Op::Scan { count, .. }, _) => {
+            (OpKind::Scan, _) => {
                 // Hybrid scan (§4): serve the cached portion here, forward
                 // the rest with a skip list.
-                let count = *count;
+                let count = desc.size as usize;
                 let mut skip = Vec::new();
                 if world.cfg.cache_enabled {
                     let cached_range = world.hot.probe_range(ctx, key, count);
@@ -707,20 +632,14 @@ impl CrStage {
                     world.scan_skips.insert(seq, skip);
                 }
                 world.stats.forwarded += 1;
-                self.forward(ctx, world, seq, key, OpKind::Scan, count as u32);
+                self.forward(ctx, world, desc);
             }
-            (Op::Get { .. }, None) => {
+            (OpKind::Get | OpKind::Put, _) => {
                 world.stats.forwarded += 1;
                 ctx.machine().registry.counter_inc("cr.miss");
-                self.forward(ctx, world, seq, key, OpKind::Get, 0);
+                self.forward(ctx, world, desc);
             }
-            (Op::Put { value_len, .. }, _) => {
-                let size = *value_len as u32;
-                world.stats.forwarded += 1;
-                ctx.machine().registry.counter_inc("cr.miss");
-                self.forward(ctx, world, seq, key, OpKind::Put, size);
-            }
-            (Op::Delete { .. }, cached) => {
+            (OpKind::Delete, cached) => {
                 // Tombstone any cached entry first, then let the MR layer
                 // remove the key from the full index (§3.2.2: the cache is
                 // rebuilt at the next refresh).
@@ -728,7 +647,7 @@ impl CrStage {
                     world.hot.invalidate(ctx, key);
                 }
                 world.stats.forwarded += 1;
-                self.forward(ctx, world, seq, key, OpKind::Delete, 0);
+                self.forward(ctx, world, desc);
             }
         }
     }
@@ -759,26 +678,12 @@ impl CrStage {
     }
 
     /// Queues a descriptor toward the MR layer, pushing full batches.
-    fn forward(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        world: &mut UtpsWorld,
-        seq: u64,
-        key: u64,
-        kind: OpKind,
-        size: u32,
-    ) {
+    fn forward(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, desc: Desc) {
         let id = self.id;
         ctx.machine().registry.counter_inc("cr.forward");
         let mr_lo = world.mr_lo();
         let n_mr = world.cfg.workers - mr_lo;
         debug_assert!(n_mr > 0, "no MR workers to forward to");
-        let desc = Desc {
-            key,
-            seq,
-            kind,
-            size,
-        };
         if world.crmr.is_shared() {
             // Counterfactual transport: one shared queue, one CAS per
             // descriptor; overflow retries from the stash on later steps.
@@ -806,15 +711,7 @@ impl CrStage {
                 let Some(seq) = world.crmr.pop_completion_shared(ctx, id) else {
                     break;
                 };
-                let resp = world.ring.release(seq);
-                let resp_addr = resp.resp_addr;
-                world.stats.responses += 1;
-                world.dedup.record(resp.client, resp.seq);
-                if let Some(cl) = &world.cluster {
-                    cl.op_end(seq);
-                }
-                ctx.machine().registry.counter_inc("cr.response");
-                send_response(ctx, &mut world.fabric, resp_addr, resp);
+                send_forwarded(ctx, world, seq);
             }
             return;
         }
@@ -839,15 +736,7 @@ impl CrStage {
             let seq = st.pending[t]
                 .pop_front()
                 .expect("completion without pending seq");
-            let resp = world.ring.release(seq);
-            let resp_addr = resp.resp_addr;
-            world.stats.responses += 1;
-            world.dedup.record(resp.client, resp.seq);
-            if let Some(cl) = &world.cluster {
-                cl.op_end(seq);
-            }
-            ctx.machine().registry.counter_inc("cr.response");
-            send_response(ctx, &mut world.fabric, resp_addr, resp);
+            send_forwarded(ctx, world, seq);
         }
         // Completion progress renews the lane's descriptor lease.
         if sent > 0 && world.cfg.lease_ps > 0 {
@@ -991,9 +880,14 @@ impl MrStage {
                 {
                     // Build the successor before adopting: adoption may
                     // finalize the reconfig and erase `new_n_cr`.
-                    let mut cr = CrState::new(world.cfg.workers, new_n_cr, id, &world.crmr);
-                    cr.cursor = align_cursor(switch_seq, id, new_n_cr);
-                    self.successor = Some(CrStage { id, st: cr });
+                    // Resync with the lanes' live counters (non-zero when
+                    // this worker held the CR role before).
+                    let seen = (0..world.cfg.workers)
+                        .map(|c| world.crmr.completed_peek(id, c))
+                        .collect();
+                    let cursor = align_cursor(switch_seq, id, new_n_cr);
+                    let st = CrState::new(new_n_cr, cursor, seen);
+                    self.successor = Some(CrStage { id, st });
                     ctx.set_class(StatClass::Cr);
                     world.adopt_reconfig(id, ctx.now());
                     return true;
@@ -1017,62 +911,29 @@ impl MrStage {
                     return false;
                 }
             }
-            if world.crmr.is_shared() {
-                st.scratch.clear();
-                let got = world.crmr.pop_shared(ctx, &mut st.scratch, world.cfg.batch);
-                let popped_at = ctx.now();
-                for i in 0..got {
-                    let d = st.scratch[i];
-                    let op = build_mr_op(ctx, world, id, d);
-                    st.ops.push(ActiveOp {
-                        seq: d.seq,
-                        op,
-                        done: false,
-                        cold: None,
-                        started: popped_at,
-                    });
-                }
-                if got > 0 {
-                    let reg = &mut ctx.machine().registry;
-                    reg.hist_record("mr.batch_size", got as u64);
-                    reg.hist_record("mr.interleave_depth", st.ops.len() as u64);
-                } else if !st.defers.is_empty() {
-                    // Nothing to pop and groups in flight: wait on the device.
-                    tier::wait_for_commit(ctx, world.tier.as_ref());
-                }
-                return false;
-            }
-            // Fill a super-batch by scanning all producers round-robin.
             let workers = world.cfg.workers;
             let batch = world.cfg.batch;
-            let mut scanned = 0;
-            while st.ops.len() < batch && scanned < workers {
-                let p = (st.prod_rr + scanned) % workers;
-                scanned += 1;
+            if world.crmr.is_shared() {
                 st.scratch.clear();
-                let want = batch - st.ops.len();
-                let got = world.crmr.pop_batch(ctx, p, id, &mut st.scratch, want);
-                if got > 0 {
-                    st.lane_pop[p] += got as u32;
-                    ctx.stage_transitions(1);
-                    ctx.machine()
-                        .registry
-                        .hist_record("mr.batch_size", got as u64);
-                    let popped_at = ctx.now();
-                    for i in 0..got {
-                        let d = st.scratch[i];
-                        let op = build_mr_op(ctx, world, id, d);
-                        st.ops.push(ActiveOp {
-                            seq: d.seq,
-                            op,
-                            done: false,
-                            cold: None,
-                            started: popped_at,
-                        });
+                world.crmr.pop_shared(ctx, &mut st.scratch, batch);
+                st.start_popped(ctx, world, id);
+            } else {
+                // Fill a super-batch by scanning all producers round-robin.
+                let mut scanned = 0;
+                while st.ops.len() < batch && scanned < workers {
+                    let p = (st.prod_rr + scanned) % workers;
+                    scanned += 1;
+                    st.scratch.clear();
+                    let want = batch - st.ops.len();
+                    let got = world.crmr.pop_batch(ctx, p, id, &mut st.scratch, want);
+                    if got > 0 {
+                        st.lane_pop[p] += got as u32;
+                        ctx.stage_transitions(1);
+                        st.start_popped(ctx, world, id);
                     }
                 }
+                st.prod_rr = (st.prod_rr + scanned) % workers;
             }
-            st.prod_rr = (st.prod_rr + scanned) % workers;
             if !st.ops.is_empty() {
                 let depth = st.ops.len() as u64;
                 ctx.machine()
@@ -1085,9 +946,8 @@ impl MrStage {
             return false;
         }
 
-        // Interleave the batch: poll each live op once (coroutine switch).
-        // Ops parked on a cold-tier device read resolve here once the read
-        // completes.
+        // Interleave the batch: one `BatchOp::poll` per live op. A blocked
+        // op does not stall the others — this layer keeps interleaving.
         let mut all_done = true;
         let mut cold_next: Option<SimTime> = None;
         let mut live_fsm = false;
@@ -1095,48 +955,24 @@ impl MrStage {
             if st.ops[i].done {
                 continue;
             }
-            let seq = st.ops[i].seq;
-            let out = if st.ops[i].cold.is_some() {
-                let ready = st.ops[i].cold.as_ref().expect("checked above").0;
-                if ctx.now() < ready {
+            let seq = st.ops[i].op.seq;
+            let out = match st.ops[i].op.poll(
+                ctx,
+                &mut world.store,
+                world.tier.as_mut(),
+                world.ring.request(seq),
+                &mut st.wal_buf,
+            ) {
+                Polled::Done(out) => out,
+                Polled::Cold(ready) => {
                     all_done = false;
                     cold_next = Some(cold_next.map_or(ready, |m: SimTime| m.min(ready)));
                     continue;
                 }
-                // Device read complete: stage the cold value into this
-                // worker's response buffer like any MR get hit.
-                let (_, v) = st.ops[i].cold.take().expect("checked above");
-                KvOpOutput::cold_hit(ctx, world.resp.addr_for(id, seq), v)
-            } else {
-                ctx.fsm_switch();
-                match st.ops[i].op.poll(ctx, &mut world.store) {
-                    Step::Done(out) => {
-                        match tier::finish_op(
-                            ctx,
-                            world.tier.as_mut(),
-                            &world.store,
-                            world.ring.request(seq),
-                            &mut st.wal_buf,
-                            &mut st.ops[i].cold,
-                            out,
-                        ) {
-                            Some(out) => out,
-                            None => {
-                                // Parked on a cold-tier read.
-                                all_done = false;
-                                if let Some((ready, _)) = st.ops[i].cold {
-                                    cold_next =
-                                        Some(cold_next.map_or(ready, |m: SimTime| m.min(ready)));
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                    Step::Ready | Step::Blocked => {
-                        all_done = false;
-                        live_fsm = true;
-                        continue;
-                    }
+                Polled::Ready | Polled::Blocked => {
+                    all_done = false;
+                    live_fsm = true;
+                    continue;
                 }
             };
             st.ops[i].done = true;
@@ -1160,7 +996,7 @@ impl MrStage {
                 }
             }
             let resp_addr = world.resp.addr_for(id, seq);
-            let resp = build_response(world.ring.request(seq), out, resp_addr);
+            let resp = Response::reply(world.ring.request(seq), out, resp_addr);
             world.ring.complete(seq, resp);
             if world.crmr.is_shared() {
                 if world.tier.is_some() {
@@ -1188,11 +1024,10 @@ impl MrStage {
             let shared = core::mem::take(&mut st.shared_done);
             st.defers.park(need_seq, TierDefer { lanes, shared });
             st.ops.clear();
-        } else if all_done && world.crmr.is_shared() {
-            st.ops.clear();
         } else if all_done {
-            // Whole super-batch finished: advance lane tail counters
-            // (the piggybacked completion signal).
+            // Whole super-batch finished: advance lane tail counters (the
+            // piggybacked completion signal; none were popped in shared
+            // mode, whose completions already went out one by one).
             for p in 0..world.cfg.workers {
                 if st.lane_pop[p] > 0 {
                     let n = st.lane_pop[p] as u64;
@@ -1228,6 +1063,19 @@ impl Stage<UtpsWorld> for MrStage {
     }
 }
 
+/// Sends the response the MR layer deposited for forwarded slot `seq` and
+/// returns the slot to the ring.
+fn send_forwarded(ctx: &mut Ctx<'_>, world: &mut UtpsWorld, seq: u64) {
+    let resp = world.ring.release(seq);
+    world.stats.responses += 1;
+    world.dedup.record(resp.client, resp.seq);
+    if let Some(cl) = &world.cluster {
+        cl.op_end(seq);
+    }
+    ctx.machine().registry.counter_inc("cr.response");
+    send_response(ctx, &mut world.fabric, resp);
+}
+
 /// Completes a locally served request and frees its slot. With the durable
 /// tier enabled the ack is *not* sent: the hot path may have observed
 /// writes applied in place whose commit group is still in flight, so it is
@@ -1244,7 +1092,7 @@ fn finish_local(
     started: SimTime,
 ) {
     let resp_addr = world.resp.addr_for(id, seq);
-    let resp = build_response(world.ring.request(seq), out, resp_addr);
+    let resp = Response::reply(world.ring.request(seq), out, resp_addr);
     world.ring.abort(seq);
     if let Some(cl) = &world.cluster {
         cl.op_end(seq);
@@ -1263,15 +1111,7 @@ fn send_local(ctx: &mut Ctx<'_>, world: &mut UtpsWorld, resp: Response, started:
     let reg = &mut ctx.machine().registry;
     reg.counter_inc("cr.response");
     reg.hist_record("cr.hit_path_ns", hit_ns);
-    let resp_addr = resp.resp_addr;
-    send_response(ctx, &mut world.fabric, resp_addr, resp);
-}
-
-/// A PUT whose receive slot carries no payload is a protocol error, not a
-/// server crash: count it and answer `ok = false`.
-fn malformed(ctx: &mut Ctx<'_>, kind: OpKind, key: u64, bufs: OpBuffers) -> KvOp {
-    ctx.machine().registry.counter_inc("server.malformed_req");
-    KvOp::failed(kind, key, bufs)
+    send_response(ctx, &mut world.fabric, resp);
 }
 
 /// First sequence ≥ `from` owned by `id` under divisor `n`.
@@ -1288,37 +1128,15 @@ fn align_cursor(from: u64, id: usize, n: usize) -> u64 {
 
 /// Builds the MR-layer [`KvOp`] for a descriptor. The MR worker copies
 /// response payloads into *its own* response buffer (§3.3) — the RNIC reads
-/// it directly, so the CR layer never touches those lines. Put payloads are
-/// *moved* out of the receive slot's arena handle, never copied.
+/// it directly, so the CR layer never touches those lines.
 fn build_mr_op(ctx: &mut Ctx<'_>, world: &mut UtpsWorld, consumer: usize, d: Desc) -> KvOp {
-    // Pin the key against tier eviction while a multi-step FSM may hold its
-    // ItemId (scans pin compaction entirely: their descent holds interior
-    // node positions across the whole range).
-    if let Some(tier) = world.tier.as_mut() {
-        match d.kind {
-            OpKind::Scan => tier.scan_inc(),
-            _ => tier.active_inc(d.key),
-        }
-    }
-    let bufs = OpBuffers {
-        recv_addr: world.ring.slot_addr(d.seq),
-        resp_addr: world.resp.addr_for(consumer, d.seq),
+    tier::begin_op(world.tier.as_mut(), d.kind, d.key);
+    let skip = match d.kind {
+        OpKind::Scan => world.scan_skips.remove(&d.seq).unwrap_or_default(),
+        _ => Vec::new(),
     };
-    match d.kind {
-        OpKind::Get => KvOp::get(&world.store, d.key, bufs),
-        OpKind::Put => match world.ring.take_value(d.seq) {
-            Some(v) => {
-                let value = ctx.machine().payloads.take(v);
-                KvOp::put(&world.store, d.key, value, bufs)
-            }
-            None => malformed(ctx, OpKind::Put, d.key, bufs),
-        },
-        OpKind::Scan => {
-            let skip = world.scan_skips.remove(&d.seq).unwrap_or_default();
-            KvOp::scan(&world.store, d.key, d.size as usize, skip, bufs)
-        }
-        OpKind::Delete => KvOp::delete(&world.store, d.key, bufs),
-    }
+    let resp_addr = world.resp.addr_for(consumer, d.seq);
+    KvOp::for_desc(ctx, &world.store, &mut world.ring, d, skip, resp_addr)
 }
 
 // ----------------------------------------------------------------------

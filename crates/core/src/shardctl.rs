@@ -3,7 +3,9 @@
 //! In a sharded cluster (see the `utps-cluster` crate) every server machine
 //! runs an unmodified μTPS or BaseKV pipeline and every client is the
 //! single-machine [`ClientProc`]; the only cluster-aware points are five
-//! calls routed through [`ShardHooks`]. Three sit in the server hot path:
+//! calls routed through [`ShardHooks`]. Three sit in the server hot path —
+//! the first two behind [`rpc::admit`](crate::rpc::admit), the one admission
+//! function μTPS and BaseKV share:
 //!
 //! * **admit** — when a worker claims a receive slot, the router decides
 //!   whether this shard may serve the key right now. It may not if the
@@ -12,7 +14,9 @@
 //!   bounces the request back with the [`Response::moved`] bit and the
 //!   client re-routes it — same client sequence number, so the dedup table
 //!   on the new owner keeps the operation exactly-once.
-//! * **op_begin / op_end** — per-slot in-flight accounting. The migration
+//! * **op_begin / op_end** — per-slot in-flight accounting, from admission
+//!   to the moment the response leaves (or is parked on the durability
+//!   barrier). The migration
 //!   controller freezes a hash slot and waits for its in-flight count to
 //!   reach zero before copying items, so no request ever observes a
 //!   half-moved slot.
@@ -99,5 +103,39 @@ impl ShardCtl {
     /// Records a response leaving this shard.
     pub fn op_end(&self, seq: u64) {
         self.hooks.borrow_mut().op_end(self.shard, seq)
+    }
+}
+
+/// Test router for a one-shard "cluster": everything routes to shard 0 and
+/// is admitted unless `bounce` is set; what it is told is kept.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct StubHooks {
+    pub bounce: bool,
+    pub begun: Vec<(usize, u64, u64)>,
+    pub ended: u32,
+    pub completions: Vec<(u64, u64)>,
+}
+
+#[cfg(test)]
+impl ShardHooks for StubHooks {
+    fn admit(&mut self, _shard: usize, _key: u64, _is_write: bool) -> Admit {
+        if self.bounce {
+            Admit::Bounce
+        } else {
+            Admit::Serve
+        }
+    }
+    fn op_begin(&mut self, shard: usize, key: u64, seq: u64) {
+        self.begun.push((shard, key, seq));
+    }
+    fn op_end(&mut self, _shard: usize, _seq: u64) {
+        self.ended += 1;
+    }
+    fn route(&mut self, _key: u64, _is_write: bool) -> usize {
+        0
+    }
+    fn record_completion(&mut self, key: u64, ns: u64) {
+        self.completions.push((key, ns));
     }
 }

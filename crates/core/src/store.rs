@@ -13,7 +13,9 @@ use utps_index::{
 };
 use utps_sim::{Ctx, PayloadRef};
 
+use crate::crmr::Desc;
 use crate::msg::OpKind;
+use crate::rpc::RecvRing;
 
 /// The store: an index mapping keys to items plus the item payloads.
 pub struct KvStore {
@@ -149,7 +151,6 @@ enum OpState {
 
 /// A resumable, complete KV operation against a [`KvStore`].
 pub struct KvOp {
-    kind: OpKind,
     key: u64,
     /// Put payload (borrowed from the receive slot's parsed request).
     value: Option<Box<[u8]>>,
@@ -165,7 +166,6 @@ impl KvOp {
     /// Starts a get.
     pub fn get(store: &KvStore, key: u64, bufs: OpBuffers) -> Self {
         KvOp {
-            kind: OpKind::Get,
             key,
             value: None,
             scan_skip: Vec::new(),
@@ -178,7 +178,6 @@ impl KvOp {
     /// Starts a put (update-or-insert) of `value`.
     pub fn put(store: &KvStore, key: u64, value: Box<[u8]>, bufs: OpBuffers) -> Self {
         KvOp {
-            kind: OpKind::Put,
             key,
             value: Some(value),
             scan_skip: Vec::new(),
@@ -192,7 +191,6 @@ impl KvOp {
     /// (§3.2.3): the cached entry already resolved the item location.
     pub fn get_cached(key: u64, id: ItemId, bufs: OpBuffers) -> Self {
         KvOp {
-            kind: OpKind::Get,
             key,
             value: None,
             scan_skip: Vec::new(),
@@ -205,7 +203,6 @@ impl KvOp {
     /// Starts a put that skips index traversal (hot-hit path).
     pub fn put_cached(key: u64, id: ItemId, value: Box<[u8]>, bufs: OpBuffers) -> Self {
         KvOp {
-            kind: OpKind::Put,
             key,
             value: Some(value),
             scan_skip: Vec::new(),
@@ -218,7 +215,6 @@ impl KvOp {
     /// Starts a delete.
     pub fn delete(store: &KvStore, key: u64, bufs: OpBuffers) -> Self {
         KvOp {
-            kind: OpKind::Delete,
             key,
             value: None,
             scan_skip: Vec::new(),
@@ -232,7 +228,6 @@ impl KvOp {
     /// (keys the cache-resident layer already served, §4).
     pub fn scan(store: &KvStore, key: u64, limit: usize, skip: Vec<u64>, bufs: OpBuffers) -> Self {
         KvOp {
-            kind: OpKind::Scan,
             key,
             value: None,
             scan_skip: skip,
@@ -244,9 +239,8 @@ impl KvOp {
 
     /// An already-failed operation for malformed requests: its first poll
     /// reports a miss without touching the store.
-    pub fn failed(kind: OpKind, key: u64, bufs: OpBuffers) -> Self {
+    pub fn failed(key: u64, bufs: OpBuffers) -> Self {
         KvOp {
-            kind,
             key,
             value: None,
             scan_skip: Vec::new(),
@@ -256,14 +250,42 @@ impl KvOp {
         }
     }
 
-    /// The target key.
-    pub fn key(&self) -> u64 {
-        self.key
+    /// Starts the operation descriptor `d` names, for the request in
+    /// `ring`'s slot `d.seq`: the one `Op → KvOp` of every server. A put's
+    /// payload is *moved* out of the slot's arena handle, never copied — the
+    /// slot is left without one, so a second consumption (or a PUT that
+    /// arrived with none) is a protocol error: counted, answered
+    /// `ok = false`. `skip` is the scan skip list (keys the CR layer already
+    /// served, §4); results are staged at `resp_addr`.
+    pub fn for_desc(
+        ctx: &mut Ctx<'_>,
+        store: &KvStore,
+        ring: &mut RecvRing,
+        d: Desc,
+        skip: Vec<u64>,
+        resp_addr: usize,
+    ) -> Self {
+        let bufs = OpBuffers {
+            recv_addr: ring.slot_addr(d.seq),
+            resp_addr,
+        };
+        match d.kind {
+            OpKind::Get => KvOp::get(store, d.key, bufs),
+            OpKind::Put => match ring.take_value(d.seq) {
+                Some(v) => KvOp::put(store, d.key, ctx.machine().payloads.take(v), bufs),
+                None => {
+                    ctx.machine().registry.counter_inc("server.malformed_req");
+                    KvOp::failed(d.key, bufs)
+                }
+            },
+            OpKind::Scan => KvOp::scan(store, d.key, d.size as usize, skip, bufs),
+            OpKind::Delete => KvOp::delete(store, d.key, bufs),
+        }
     }
 
-    /// The operation kind.
-    pub fn kind(&self) -> OpKind {
-        self.kind
+    /// The response-buffer region this operation stages its payload into.
+    pub fn resp_addr(&self) -> usize {
+        self.bufs.resp_addr
     }
 
     /// Advances the operation. Call once per scheduling slot; interleave
@@ -439,10 +461,12 @@ impl KvOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Request;
     use std::cell::RefCell;
     use std::rc::Rc;
     use utps_sim::time::SimTime;
     use utps_sim::{Engine, MachineConfig, Process, StatClass, StepOutcome};
+    use utps_workload::Op;
 
     const BUFS: OpBuffers = OpBuffers {
         recv_addr: 0x10_0000,
@@ -518,8 +542,32 @@ mod tests {
         both_kinds(|kind| {
             let store = KvStore::populate(kind, 100, 8);
             let ((), store) = with_store(store, move |ctx, store| {
-                let mut op = KvOp::put(store, 7, vec![9u8; 8].into_boxed_slice(), BUFS);
+                // Built the way every server builds it: from a claimed slot.
+                let mut ring = RecvRing::new(4, 256);
+                let req = Request {
+                    client: 0,
+                    seq: 1,
+                    op: Op::Put {
+                        key: 7,
+                        value_len: 8,
+                    },
+                    value: Some(ctx.machine().payloads.alloc(vec![9u8; 8].into())),
+                    sent_at: SimTime::ZERO,
+                };
+                let seq = ring.try_dma(&mut ctx.machine().cache, req).unwrap();
+                ring.claim(ctx, seq);
+                let d = Desc::of(ring.request(seq), seq);
+                let mut op = KvOp::for_desc(ctx, store, &mut ring, d, Vec::new(), BUFS.resp_addr);
                 assert!(drive(ctx, store, &mut op).ok);
+                assert_eq!(ctx.machine().payloads.live(), 0);
+                // The payload was moved out of the slot, so building the op
+                // again is the malformed put: counted, failed at its first
+                // poll, the store untouched.
+                assert_eq!(ctx.machine().registry.counter("server.malformed_req"), 0);
+                let mut again =
+                    KvOp::for_desc(ctx, store, &mut ring, d, Vec::new(), BUFS.resp_addr);
+                assert_eq!(ctx.machine().registry.counter("server.malformed_req"), 1);
+                assert!(matches!(again.poll(ctx, store), Step::Done(out) if !out.ok));
             });
             assert_eq!(store.get_native(7), Some(&[9u8; 8][..]));
             assert_eq!(store.len(), 100);

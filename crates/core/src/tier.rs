@@ -33,6 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use utps_index::Step;
 use utps_sim::device::{DeviceConfig, SimDevice};
 use utps_sim::hashutil::FxHashMap;
 use utps_sim::time::SimTime;
@@ -41,8 +42,8 @@ use utps_wal::{SortedRun, WalOp, WalRecord};
 use utps_workload::Op;
 
 use crate::hotcache::HotCache;
-use crate::msg::Request;
-use crate::store::{KvOpOutput, KvStore};
+use crate::msg::{OpKind, Request};
+use crate::store::{KvOp, KvOpOutput, KvStore};
 use crate::system::ServerWorld;
 
 /// Configuration for the durable tier (absent = DRAM-only, the seed
@@ -570,6 +571,19 @@ pub fn wait_for_commit(ctx: &mut Ctx<'_>, tier: Option<&TierState>) {
     }
 }
 
+/// Pins an op's target against the compactor while its multi-step FSM may
+/// hold item or node references: the key against eviction, or — for a scan,
+/// whose descent holds interior node positions across the whole range —
+/// compaction entirely. [`finish_op`] releases the pin. No-op without the
+/// tier.
+pub fn begin_op(tier: Option<&mut TierState>, kind: OpKind, key: u64) {
+    match (tier, kind) {
+        (None, _) => {}
+        (Some(tier), OpKind::Scan) => tier.scan_inc(),
+        (Some(tier), _) => tier.active_inc(key),
+    }
+}
+
 /// Tier bookkeeping when a server op's state machine completes (`req` is
 /// the request it served, `out` its DRAM-side result): releases the
 /// active-key guard, appends WAL records for applied writes to `wal_buf`,
@@ -644,6 +658,73 @@ pub fn finish_op(
         _ => {}
     }
     Some(out)
+}
+
+/// One op of an interleaved batch (§3.3): the receive slot it serves, its
+/// FSM, and — for a get that missed DRAM but hit the cold run — the device
+/// read it is parked on, `(ready time, value snapshot)`. The snapshot is
+/// owned because compaction may replace the run mid-read.
+pub struct BatchOp {
+    /// Receive-ring slot sequence of the request.
+    pub seq: u64,
+    op: KvOp,
+    cold: Option<(SimTime, Vec<u8>)>,
+}
+
+/// What one [`BatchOp::poll`] did.
+pub enum Polled {
+    /// The op completed, tier bookkeeping included: answer with this.
+    Done(KvOpOutput),
+    /// Parked on a cold-tier device read that lands at this time.
+    Cold(SimTime),
+    /// Made progress (typically issued a prefetch): poll the others first.
+    Ready,
+    /// Hit a held lock; the spin is already charged.
+    Blocked,
+}
+
+impl BatchOp {
+    /// Wraps a freshly built op for the request at slot `seq`.
+    pub fn new(seq: u64, op: KvOp) -> Self {
+        BatchOp {
+            seq,
+            op,
+            cold: None,
+        }
+    }
+
+    /// One turn of the batch interleaver for this op: a landed cold read is
+    /// staged into the op's response buffer like any get hit; otherwise one
+    /// coroutine switch and one FSM step, with [`finish_op`] on completion.
+    /// `req` is the request at `self.seq`. What to do about the other ops on
+    /// `Cold`, `Ready` and `Blocked` is the caller's policy.
+    pub fn poll(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        store: &mut KvStore,
+        tier: Option<&mut TierState>,
+        req: &Request,
+        wal_buf: &mut Vec<WalRecord>,
+    ) -> Polled {
+        if let Some((ready, _)) = self.cold {
+            if ctx.now() < ready {
+                return Polled::Cold(ready);
+            }
+            let (_, v) = self.cold.take().expect("checked above");
+            return Polled::Done(KvOpOutput::cold_hit(ctx, self.op.resp_addr(), v));
+        }
+        ctx.fsm_switch();
+        match self.op.poll(ctx, store) {
+            Step::Done(out) => {
+                match finish_op(ctx, tier, store, req, wal_buf, &mut self.cold, out) {
+                    Some(out) => Polled::Done(out),
+                    None => Polled::Cold(self.cold.as_ref().expect("armed by finish_op").0),
+                }
+            }
+            Step::Ready => Polled::Ready,
+            Step::Blocked => Polled::Blocked,
+        }
+    }
 }
 
 /// Per-run tier measurements, exported on [`crate::experiment::RunResult`]

@@ -107,16 +107,6 @@ impl CuckooMap {
         self.buckets.len() * SLOTS
     }
 
-    /// Current load factor (occupied slots / total slots).
-    pub fn load_factor(&self) -> f64 {
-        self.len as f64 / self.slots() as f64
-    }
-
-    /// Memory footprint of the bucket array in bytes.
-    pub fn bucket_bytes(&self) -> usize {
-        self.buckets.len() * core::mem::size_of::<Bucket>()
-    }
-
     #[inline]
     fn b1(&self, key: u64) -> usize {
         (mix64(key) as usize) & self.mask

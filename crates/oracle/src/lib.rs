@@ -10,7 +10,7 @@
 //!   number, and the simulated-time window `[invoke, response]`. Recording is
 //!   pure host-side bookkeeping: it charges no simulated time and draws no
 //!   randomness, so an instrumented run is byte-identical to a bare one.
-//! * [`check`] — a linearizability checker validating a history against a
+//! * [`fn@check`] — a linearizability checker validating a history against a
 //!   sequential `BTreeMap` model using Wing–Gong search. Point operations
 //!   are checked per key (linearizability is compositional, so partitioning
 //!   by key is sound and keeps the search tractable); range scans are

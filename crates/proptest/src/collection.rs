@@ -55,7 +55,7 @@ pub fn vec<E: Strategy>(element: E, size: impl Into<SizeRange>) -> VecStrategy<E
     }
 }
 
-/// See [`vec`].
+/// See [`fn@vec`].
 #[derive(Debug)]
 pub struct VecStrategy<E> {
     element: E,

@@ -214,11 +214,6 @@ impl<'a> Ctx<'a> {
         &mut self.machines[self.mid]
     }
 
-    /// Index of the machine this process runs on.
-    pub fn machine_id(&self) -> usize {
-        self.mid
-    }
-
     /// Number of machines in the simulation.
     pub fn machine_count(&self) -> usize {
         self.machines.len()

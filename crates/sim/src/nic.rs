@@ -86,19 +86,9 @@ impl<M> DelayQueue<M> {
         }
     }
 
-    /// Whether a message is deliverable at `now`.
-    pub fn has_ready(&self, now: SimTime) -> bool {
-        self.heap.peek().map(|p| p.at <= now).unwrap_or(false)
-    }
-
     /// Delivery time of the earliest pending message.
     pub fn next_at(&self) -> Option<SimTime> {
         self.heap.peek().map(|p| p.at)
-    }
-
-    /// Number of in-flight messages.
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 
     /// Whether the queue is empty.
@@ -202,16 +192,6 @@ impl<M> Fabric<M> {
         self.server_rx.push_at(at, msg);
     }
 
-    /// Whether a request is waiting at the server RNIC.
-    pub fn server_has_ready(&self, now: SimTime) -> bool {
-        self.server_rx.has_ready(now)
-    }
-
-    /// Requests in flight or queued at the server RNIC.
-    pub fn server_backlog(&self) -> usize {
-        self.server_rx.len()
-    }
-
     /// The server sends `msg` of `payload` bytes to `client` at `now`, and
     /// wakes the client at the arrival time if it is parked on its queue.
     pub fn server_send(&mut self, now: SimTime, payload: usize, client: usize, msg: M) {
@@ -270,9 +250,7 @@ mod tests {
     fn delay_queue_withholds_future_messages() {
         let mut q = DelayQueue::new();
         q.push_at(SimTime(500), 1u32);
-        assert!(!q.has_ready(SimTime(499)));
         assert_eq!(q.pop_ready(SimTime(499)), None);
-        assert!(q.has_ready(SimTime(500)));
         assert_eq!(q.pop_ready(SimTime(500)), Some(1));
     }
 

@@ -34,7 +34,6 @@ OPTIONS (all optional; defaults in brackets):
   --etc <get_ratio>                                use the Meta ETC workload
   --twitter <12|19|31>                             use a Twitter cluster trace
   --tuner                                          enable the online auto-tuner
-  --dlb                                            DLB hardware-queue transport
   --seed <n>                                       RNG seed [42]
   --help                                           this text
 ";
@@ -185,7 +184,6 @@ fn main() {
                 })
             }
             "--tuner" => cfg.tuner = TunerMode::Auto,
-            "--dlb" => cfg.queue_kind = utps::core::crmr::QueueKind::Dlb,
             "--seed" => {
                 cfg.seed = next(&mut it, arg)
                     .parse()

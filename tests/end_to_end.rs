@@ -276,18 +276,6 @@ fn churn_workload_with_deletes() {
 }
 
 #[test]
-fn dlb_queue_variant_works() {
-    use utps::core::crmr::QueueKind;
-    let cfg = RunConfig {
-        queue_kind: QueueKind::Dlb,
-        ..quick(IndexKind::Tree, ycsb(Mix::A, 0.99, 64))
-    };
-    let r = run(SystemKind::Utps, &cfg);
-    assert!(r.completed > 100, "DLB variant served {} ops", r.completed);
-    assert_eq!(r.not_found, 0);
-}
-
-#[test]
 fn shared_mpmc_counterfactual_works_and_costs_more() {
     use utps::core::crmr::QueueKind;
     // §3.4's justification, measured: the single shared queue must still be
