@@ -1,28 +1,41 @@
-//! Benchmark harness: everything shared by the figure-regeneration binaries.
+//! Benchmark harness: everything the figure driver `utps-fig` shares.
 //!
-//! Each `src/bin/fig*.rs` binary regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index). All binaries accept:
+//! `utps-fig <name>` regenerates one table or figure of the paper (see
+//! DESIGN.md's experiment index for the names). It accepts:
 //!
 //! * `--quick` — reduced keyspace/duration for CI-speed runs (default);
 //! * `--full` — closer to paper scale (minutes of host time per figure);
-//! * `--csv` — machine-readable output in addition to the text table.
+//! * `--csv` — machine-readable output in addition to the text table;
+//! * `--stats` — stage-metrics JSON sidecars into `bench_results/`;
+//! * `--part <p>` — one part of a multi-part figure (all parts if omitted).
+//!
+//! An unknown flag, figure name or part is an error, reported before any
+//! simulation runs.
+
+mod figures;
+
+pub use figures::select;
 
 use utps_baselines::run;
-use utps_core::experiment::{RunConfig, RunResult, SystemKind};
-use utps_sim::config::MachineConfig;
-use utps_sim::time::MILLIS;
+use utps_core::experiment::{run_utps, RunConfig, RunResult, SystemKind, WorkloadSpec};
+use utps_core::tuner::{TunerMode, TunerParams};
+use utps_index::IndexKind;
+use utps_sim::time::{MICROS, MILLIS};
+use utps_workload::Mix;
 
 /// Scale preset parsed from the command line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scale {
     /// CI-speed runs.
+    #[default]
     Quick,
     /// Near paper scale.
     Full,
 }
 
-/// Parsed common CLI options.
-#[derive(Clone, Debug)]
+/// Parsed flags (everything after the figure name); the default is
+/// `--quick` alone.
+#[derive(Clone, Debug, Default)]
 pub struct Cli {
     /// Scale preset.
     pub scale: Scale,
@@ -30,120 +43,106 @@ pub struct Cli {
     pub csv: bool,
     /// Write stage-metrics JSON sidecars into `bench_results/`.
     pub stats: bool,
-    /// Figure-specific free arguments (e.g. `--part a`).
-    pub args: Vec<String>,
+    /// The one part of a multi-part figure to run (`--part`); all if `None`.
+    pub part: Option<String>,
 }
 
 impl Cli {
-    /// Parses `std::env::args`.
-    pub fn parse() -> Cli {
-        let mut scale = Scale::Quick;
-        let mut csv = false;
-        let mut stats = false;
-        let mut args = Vec::new();
-        for a in std::env::args().skip(1) {
+    /// Parses flags; an argument it does not know is an error.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
             match a.as_str() {
-                "--quick" => scale = Scale::Quick,
-                "--full" => scale = Scale::Full,
-                "--csv" => csv = true,
-                "--stats" => stats = true,
-                _ => args.push(a),
+                "--quick" => cli.scale = Scale::Quick,
+                "--full" => cli.scale = Scale::Full,
+                "--csv" => cli.csv = true,
+                "--stats" => cli.stats = true,
+                "--part" => cli.part = Some(args.next().ok_or("--part needs a value")?),
+                _ => return Err(format!("unknown argument {a:?}")),
             }
         }
-        Cli {
-            scale,
-            csv,
-            stats,
-            args,
-        }
+        Ok(cli)
     }
 
-    /// Value following `--part`, if present.
-    pub fn part(&self) -> Option<&str> {
-        self.args
-            .iter()
-            .position(|a| a == "--part")
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
+    /// Whether part `p` runs: it was asked for, or no part was.
+    fn wants(&self, p: &str) -> bool {
+        self.part.as_deref().is_none_or(|part| part == p)
     }
 }
 
 /// Base experiment configuration for the given scale.
 pub fn base_config(scale: Scale) -> RunConfig {
-    match scale {
-        Scale::Quick => RunConfig {
-            keys: 800_000,
-            workers: 16,
-            n_cr: 6,
-            batch: 8,
-            clients: 48,
-            pipeline: 16,
-            warmup: 3 * MILLIS,
-            duration: 2 * MILLIS,
-            machine: MachineConfig::default(),
-            hot_capacity: 10_000,
-            sample_every: 2,
-            ..RunConfig::default()
-        },
-        Scale::Full => RunConfig {
-            keys: 4_000_000,
-            workers: 16,
-            n_cr: 6,
-            batch: 8,
-            clients: 64,
-            pipeline: 16,
-            warmup: 4 * MILLIS,
-            duration: 6 * MILLIS,
-            machine: MachineConfig::default(),
-            hot_capacity: 10_000,
-            sample_every: 2,
-            ..RunConfig::default()
-        },
+    let (keys, clients, warmup, duration) = match scale {
+        Scale::Quick => (800_000, 48, 3 * MILLIS, 2 * MILLIS),
+        Scale::Full => (4_000_000, 64, 4 * MILLIS, 6 * MILLIS),
+    };
+    RunConfig {
+        keys,
+        workers: 16,
+        n_cr: 6,
+        batch: 8,
+        clients,
+        pipeline: 16,
+        warmup,
+        duration,
+        hot_capacity: 10_000,
+        sample_every: 2,
+        ..RunConfig::default()
     }
 }
 
-/// Runs μTPS the way the paper does: tuned. A short probe phase evaluates
-/// candidate (n_cr, mr_ways, cache) configurations — standing in for the
-/// auto-tuner's hierarchical search at a fraction of the cost — and the best
-/// one is measured at full length.
-pub fn run_utps_tuned(cfg: &RunConfig) -> RunResult {
-    let w = cfg.workers;
-    let mut candidates: Vec<(usize, usize, bool)> = vec![
-        ((w * 5 / 16).clamp(1, w - 1), 0, cfg.cache_enabled),
-        ((w * 8 / 16).clamp(1, w - 1), 0, cfg.cache_enabled),
-    ];
-    if cfg.cache_enabled {
-        candidates.push((
-            (w * 6 / 16).clamp(1, w - 1),
-            cfg.machine.cache.llc_ways / 2,
-            true,
-        ));
+/// The YCSB workload of every figure: `mix` at zipf `theta` over
+/// `value_len`-byte items, scans of 50 keys.
+pub(crate) fn ycsb(mix: Mix, theta: f64, value_len: usize) -> WorkloadSpec {
+    WorkloadSpec::Ycsb {
+        mix,
+        theta,
+        value_len,
+        scan_len: 50,
     }
-    candidates.dedup();
-    let mut best: Option<(f64, (usize, usize, bool))> = None;
-    for &(n_cr, ways, cache) in &candidates {
+}
+
+/// The offline tuner: probes every μTPS candidate briefly (warm-up at most
+/// 1.5 ms, an 800 µs window, no timeline) and measures the first best one
+/// at full length — a deterministic stand-in for the online auto-tuner's
+/// hierarchical search at a fraction of its cost. Returns the winner, so
+/// callers can report what was chosen, and its measurement.
+pub(crate) fn tune(candidates: Vec<RunConfig>) -> (RunConfig, RunResult) {
+    let mut best: Option<(f64, RunConfig)> = None;
+    for candidate in candidates {
         let probe = RunConfig {
-            n_cr,
-            mr_ways: ways,
-            cache_enabled: cache,
-            warmup: cfg.warmup.min(1_500 * utps_sim::time::MICROS),
-            duration: 800 * utps_sim::time::MICROS,
+            warmup: candidate.warmup.min(1_500 * MICROS),
+            duration: 800 * MICROS,
             timeline_interval: 0,
-            ..cfg.clone()
+            ..candidate.clone()
         };
-        let r = utps_core::experiment::run_utps(&probe);
-        if best.map(|(b, _)| r.mops > b).unwrap_or(true) {
-            best = Some((r.mops, (n_cr, ways, cache)));
+        let mops = run_utps(&probe).mops;
+        if best.as_ref().is_none_or(|(b, _)| mops > *b) {
+            best = Some((mops, candidate));
         }
     }
-    let (_, (n_cr, ways, cache)) = best.expect("no candidates");
-    let tuned = RunConfig {
-        n_cr,
-        mr_ways: ways,
-        cache_enabled: cache,
+    let (_, tuned) = best.expect("tune needs at least one candidate");
+    let r = run_utps(&tuned);
+    (tuned, r)
+}
+
+/// Runs μTPS the way the paper does: tuned over 5/16 or 8/16 of the
+/// workers in the CR layer and, with the hot cache on, 6/16 with half the
+/// LLC ways reserved for the MR layer.
+pub fn run_utps_tuned(cfg: &RunConfig) -> RunResult {
+    let w = cfg.workers;
+    let split = |sixteenths: usize, mr_ways: usize| RunConfig {
+        n_cr: (w * sixteenths / 16).clamp(1, w - 1),
+        mr_ways,
         ..cfg.clone()
     };
-    utps_core::experiment::run_utps(&tuned)
+    let mut candidates = vec![split(5, 0), split(8, 0)];
+    if cfg.cache_enabled {
+        candidates.push(split(6, cfg.machine.cache.llc_ways / 2));
+    }
+    candidates.dedup_by_key(|c| (c.n_cr, c.mr_ways));
+    tune(candidates).1
 }
 
 /// Runs `system` under `cfg`, tuning μTPS as the paper does.
@@ -154,7 +153,46 @@ pub fn run_system(system: SystemKind, cfg: &RunConfig) -> RunResult {
     }
 }
 
-/// Collects machine-readable stats sidecars for a figure binary.
+/// One comparison row: each system's Mops under `cfg`, in order.
+pub(crate) fn mops(systems: &[SystemKind], cfg: &RunConfig) -> Vec<f64> {
+    systems.iter().map(|&s| run_system(s, cfg).mops).collect()
+}
+
+/// The Figure 14 run: YCSB-A on the tree with the online auto-tuner armed
+/// and the value size switching 512 B → 8 B at a third of the window, the
+/// throughput timeline sampled once per tuner window. Returns the
+/// configuration and the switch time (ps since simulation start).
+pub(crate) fn dynamic(scale: Scale) -> (RunConfig, u64) {
+    let (duration, switch, window) = match scale {
+        Scale::Quick => (24 * MILLIS, 8 * MILLIS, 400 * MICROS),
+        Scale::Full => (60 * MILLIS, 20 * MILLIS, 800 * MICROS),
+    };
+    let warmup = 2 * MILLIS;
+    let switch_ps = warmup + switch;
+    let cfg = RunConfig {
+        index: IndexKind::Tree,
+        keys: 500_000,
+        warmup,
+        duration,
+        tuner: TunerMode::Auto,
+        tuner_params: TunerParams {
+            window,
+            settle: window / 2,
+            trigger: 0.25,
+            trigger_windows: 2,
+            cache_step: 5_000,
+            cache_max: 10_000,
+        },
+        timeline_interval: window,
+        workload: WorkloadSpec::Fig14 {
+            switch_ns: switch_ps / 1_000,
+        },
+        ..base_config(scale)
+    };
+    (cfg, switch_ps)
+}
+
+/// Collects machine-readable stats sidecars for a figure.
 ///
 /// Each recorded run is rendered with [`utps_core::experiment::stats_json`];
 /// [`StatsSink::finish`] writes one JSON document mapping labels to run
@@ -298,21 +336,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cli_part_extraction() {
-        let cli = Cli {
-            scale: Scale::Quick,
-            csv: false,
-            stats: false,
-            args: vec!["--part".into(), "b".into()],
-        };
-        assert_eq!(cli.part(), Some("b"));
-        let none = Cli {
-            scale: Scale::Full,
-            csv: true,
-            stats: true,
-            args: vec![],
-        };
-        assert_eq!(none.part(), None);
+    fn cli_parses_flags_and_rejects_typos() {
+        let cli = Cli::parse(["--full", "--part", "b", "--csv"].map(String::from)).unwrap();
+        assert_eq!(cli.part.as_deref(), Some("b"));
+        assert_eq!((cli.scale, cli.csv, cli.stats), (Scale::Full, true, false));
+        let none = Cli::parse(["--stats"].map(String::from)).unwrap();
+        assert_eq!(none.part, None);
+        assert_eq!(
+            (none.scale, none.csv, none.stats),
+            (Scale::Quick, false, true)
+        );
+        assert!(Cli::parse(["--ful"].map(String::from)).is_err());
+        assert!(Cli::parse(["--part"].map(String::from)).is_err());
+        assert!(Cli::parse(["fig7"].map(String::from)).is_err());
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub enum WorkloadSpec {
     },
     /// Figure 14: YCSB-A, 512 B → 8 B at `switch_ns`.
     Fig14 {
-        /// Value-size switch time (ns since measurement start).
+        /// Value-size switch time (ns since simulation start, warm-up included).
         switch_ns: u64,
     },
 }

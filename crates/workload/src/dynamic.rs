@@ -11,7 +11,7 @@ use crate::Workload;
 
 /// One phase of a dynamic workload.
 pub struct Phase {
-    /// Phase start time in nanoseconds since measurement start.
+    /// Phase start time in nanoseconds since simulation start, warm-up included.
     pub start_ns: u64,
     /// The generator active during this phase.
     pub workload: Box<dyn Workload + Send>,

@@ -56,6 +56,15 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// The value after `flag`, parsed as `T`; dies naming the flag and the value.
+fn flag_value<T: std::str::FromStr>(it: &mut std::slice::Iter<String>, flag: &str) -> T {
+    let v = it
+        .next()
+        .unwrap_or_else(|| die(&format!("{flag} needs a value")));
+    v.parse()
+        .unwrap_or_else(|_| die(&format!("bad {flag} value {v:?}")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -77,11 +86,6 @@ fn main() {
     let (mut mix, mut theta, mut value) = (Mix::A, 0.99f64, 64usize);
     let (mut etc, mut twitter): (Option<f64>, Option<TwitterCluster>) = (None, None);
 
-    let next = |it: &mut std::slice::Iter<String>, flag: &str| -> String {
-        it.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-            .clone()
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => {
@@ -89,7 +93,10 @@ fn main() {
                 return;
             }
             "--system" => {
-                system = match next(&mut it, arg).to_ascii_lowercase().as_str() {
+                system = match flag_value::<String>(&mut it, arg)
+                    .to_ascii_lowercase()
+                    .as_str()
+                {
                     "utps" => SystemKind::Utps,
                     "basekv" => SystemKind::BaseKv,
                     "erpckv" => SystemKind::ErpcKv,
@@ -99,84 +106,31 @@ fn main() {
                 }
             }
             "--index" => {
-                cfg.index = match next(&mut it, arg).to_ascii_lowercase().as_str() {
+                cfg.index = match flag_value::<String>(&mut it, arg)
+                    .to_ascii_lowercase()
+                    .as_str()
+                {
                     "tree" => IndexKind::Tree,
                     "hash" => IndexKind::Hash,
                     other => die(&format!("unknown index {other:?}")),
                 }
             }
-            "--mix" => mix = parse_mix(&next(&mut it, arg)),
-            "--theta" => {
-                theta = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --theta"))
-            }
-            "--value" => {
-                value = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --value"))
-            }
-            "--keys" => {
-                cfg.keys = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --keys"))
-            }
-            "--workers" => {
-                cfg.workers = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --workers"))
-            }
-            "--n-cr" => {
-                cfg.n_cr = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --n-cr"))
-            }
-            "--batch" => {
-                cfg.batch = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --batch"))
-            }
-            "--clients" => {
-                cfg.clients = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --clients"))
-            }
-            "--pipeline" => {
-                cfg.pipeline = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --pipeline"))
-            }
-            "--warmup-ms" => {
-                cfg.warmup = next(&mut it, arg)
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| die("bad --warmup-ms"))
-                    * MILLIS
-            }
-            "--duration-ms" => {
-                cfg.duration = next(&mut it, arg)
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| die("bad --duration-ms"))
-                    * MILLIS
-            }
-            "--hot" => {
-                cfg.hot_capacity = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --hot"))
-            }
-            "--mr-ways" => {
-                cfg.mr_ways = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --mr-ways"))
-            }
-            "--etc" => {
-                etc = Some(
-                    next(&mut it, arg)
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --etc")),
-                )
-            }
+            "--mix" => mix = parse_mix(&flag_value::<String>(&mut it, arg)),
+            "--theta" => theta = flag_value(&mut it, arg),
+            "--value" => value = flag_value(&mut it, arg),
+            "--keys" => cfg.keys = flag_value(&mut it, arg),
+            "--workers" => cfg.workers = flag_value(&mut it, arg),
+            "--n-cr" => cfg.n_cr = flag_value(&mut it, arg),
+            "--batch" => cfg.batch = flag_value(&mut it, arg),
+            "--clients" => cfg.clients = flag_value(&mut it, arg),
+            "--pipeline" => cfg.pipeline = flag_value(&mut it, arg),
+            "--warmup-ms" => cfg.warmup = flag_value::<u64>(&mut it, arg) * MILLIS,
+            "--duration-ms" => cfg.duration = flag_value::<u64>(&mut it, arg) * MILLIS,
+            "--hot" => cfg.hot_capacity = flag_value(&mut it, arg),
+            "--mr-ways" => cfg.mr_ways = flag_value(&mut it, arg),
+            "--etc" => etc = Some(flag_value(&mut it, arg)),
             "--twitter" => {
-                twitter = Some(match next(&mut it, arg).as_str() {
+                twitter = Some(match flag_value::<String>(&mut it, arg).as_str() {
                     "12" => TwitterCluster::Cluster12,
                     "19" => TwitterCluster::Cluster19,
                     "31" => TwitterCluster::Cluster31,
@@ -184,11 +138,7 @@ fn main() {
                 })
             }
             "--tuner" => cfg.tuner = TunerMode::Auto,
-            "--seed" => {
-                cfg.seed = next(&mut it, arg)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --seed"))
-            }
+            "--seed" => cfg.seed = flag_value(&mut it, arg),
             other => die(&format!("unknown option {other:?}")),
         }
     }

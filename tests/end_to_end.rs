@@ -276,6 +276,36 @@ fn churn_workload_with_deletes() {
 }
 
 #[test]
+fn utps_cli_runs_and_rejects_bad_flags() {
+    let cli = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_utps-cli"))
+            .args(args)
+            .output()
+            .expect("utps-cli did not start")
+    };
+    let ok = cli(&[
+        "--system",
+        "basekv",
+        "--etc",
+        "0.5",
+        "--keys",
+        "5000",
+        "--warmup-ms",
+        "1",
+        "--duration-ms",
+        "1",
+    ]);
+    assert!(ok.status.success(), "{ok:?}");
+    assert!(String::from_utf8_lossy(&ok.stdout).contains("throughput : "));
+    let bad: [&[&str]; 4] = [&["--keys", "x"], &["--keys"], &["--bogus"], &["--mix", "Z"]];
+    for args in bad {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stderr.starts_with(b"error: "), "{args:?}: {out:?}");
+    }
+}
+
+#[test]
 fn shared_mpmc_counterfactual_works_and_costs_more() {
     use utps::core::crmr::QueueKind;
     // §3.4's justification, measured: the single shared queue must still be
