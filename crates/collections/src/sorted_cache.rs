@@ -21,9 +21,8 @@
 #[derive(Clone, Debug, Default)]
 pub struct SortedCache<V> {
     entries: Vec<(u64, V)>,
-    /// When nonzero, address accessors report `base + i * entry_size`
-    /// instead of real heap addresses, so simulated cache charging is
-    /// reproducible across runs.
+    /// Address accessors report `virt_base + i * entry_size`, so simulated
+    /// cache charging is reproducible across runs.
     virt_base: usize,
 }
 
@@ -54,11 +53,7 @@ impl<V> SortedCache<V> {
     }
 
     fn addr_of_index(&self, i: usize) -> usize {
-        if self.virt_base != 0 {
-            self.virt_base + i * core::mem::size_of::<(u64, V)>()
-        } else {
-            &self.entries[i] as *const (u64, V) as usize
-        }
+        self.virt_base + i * core::mem::size_of::<(u64, V)>()
     }
 
     /// An empty cache.
@@ -129,12 +124,10 @@ impl<V> SortedCache<V> {
     /// The base address and byte length of the entry array (for charging the
     /// simulated cache on probes).
     pub fn storage_span(&self) -> (usize, usize) {
-        let base = if self.virt_base != 0 {
-            self.virt_base
-        } else {
-            self.entries.as_ptr() as usize
-        };
-        (base, self.entries.len() * core::mem::size_of::<(u64, V)>())
+        (
+            self.virt_base,
+            self.entries.len() * core::mem::size_of::<(u64, V)>(),
+        )
     }
 
     /// Address of the entry that a probe sequence for `key` ends at.

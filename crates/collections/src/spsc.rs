@@ -1,28 +1,23 @@
-//! A bounded lock-free single-producer single-consumer ring buffer.
+//! A bounded single-producer single-consumer FIFO.
 //!
 //! One such ring forms each lane of μTPS's all-to-all CR-MR queue (§3.4):
 //! every (CR thread, MR thread) pair gets a dedicated ring, so no lane ever
-//! sees more than one producer or one consumer. Head and tail indices live
-//! on separate cache lines to avoid false sharing, and batch push/pop let
-//! callers amortize the index updates exactly as the paper's multi-request
-//! slots do.
+//! sees more than one producer or one consumer. The simulator is
+//! single-threaded, so the ring stores plain values; what the lock-free
+//! protocol costs is charged by the caller on the addresses the `*_addr`
+//! accessors report — head and tail index words on separate cache lines,
+//! slots after them. Batch push/pop let callers amortize the index updates
+//! exactly as the paper's multi-request slots do.
 
-use core::cell::UnsafeCell;
-use core::mem::MaybeUninit;
-use core::sync::atomic::{AtomicUsize, Ordering};
-
-/// Pads a value to a cache line to prevent false sharing.
-#[repr(align(64))]
-struct CachePadded<T>(T);
+use core::cell::RefCell;
+use std::collections::VecDeque;
 
 /// A bounded SPSC ring buffer.
 ///
-/// The producer side may only be used from one thread at a time, and the
-/// consumer side from one thread at a time; the type enforces memory safety
-/// regardless, but concurrent use of the *same* side from two threads will
-/// corrupt FIFO semantics (not memory). In the single-threaded simulator the
-/// distinction is moot; in native use, share it by reference
-/// with one producer thread and one consumer thread.
+/// Every method takes `&self`, as a lock-free ring's would, so producer and
+/// consumer can share one reference. The addresses it reports lie in a
+/// fixed virtual block at its base (head `+0`, tail `+64`, slots from
+/// `+128`), so simulated cache charging is reproducible across runs.
 ///
 /// # Examples
 ///
@@ -35,68 +30,42 @@ struct CachePadded<T>(T);
 /// assert_eq!(ring.try_pop(), None);
 /// ```
 pub struct SpscRing<T> {
-    mask: usize,
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    head: CachePadded<AtomicUsize>,
-    tail: CachePadded<AtomicUsize>,
-    /// When nonzero, the `*_addr` accessors report addresses inside a fixed
-    /// virtual block at this base (head `+0`, tail `+64`, slots from `+128`)
-    /// instead of real heap addresses, so simulated cache charging is
-    /// reproducible across runs.
+    cap: usize,
+    items: RefCell<VecDeque<T>>,
     virt_base: usize,
 }
 
-// SAFETY: the ring hands out values by moving them; slots are only read by
-// the consumer after the producer published them via the release store on
-// `tail`, and only overwritten by the producer after the consumer freed them
-// via the release store on `head`.
-unsafe impl<T: Send> Send for SpscRing<T> {}
-// SAFETY: see above — all cross-thread slot access is ordered through the
-// acquire/release pairs on `head`/`tail`.
-unsafe impl<T: Send> Sync for SpscRing<T> {}
-
 impl<T> SpscRing<T> {
     /// Creates a ring with capacity for `cap` elements (rounded up to a
-    /// power of two).
+    /// power of two) at virtual base 0.
     ///
     /// # Panics
     ///
     /// Panics if `cap` is zero.
     pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "capacity must be nonzero");
-        let cap = cap.next_power_of_two();
-        let slots = (0..cap)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        SpscRing {
-            mask: cap - 1,
-            slots,
-            head: CachePadded(AtomicUsize::new(0)),
-            tail: CachePadded(AtomicUsize::new(0)),
-            virt_base: 0,
-        }
+        SpscRing::new_at(cap, 0)
     }
 
     /// Like [`SpscRing::new`], with the `*_addr` accessors reporting
     /// addresses inside a fixed virtual block at `virt_base`.
     pub fn new_at(cap: usize, virt_base: usize) -> Self {
-        let mut r = SpscRing::new(cap);
-        r.virt_base = virt_base;
-        r
+        assert!(cap > 0, "capacity must be nonzero");
+        let cap = cap.next_power_of_two();
+        SpscRing {
+            cap,
+            items: RefCell::new(VecDeque::with_capacity(cap)),
+            virt_base,
+        }
     }
 
     /// Maximum number of buffered elements.
     pub fn capacity(&self) -> usize {
-        self.mask + 1
+        self.cap
     }
 
-    /// Current number of buffered elements (racy under concurrency; exact in
-    /// the simulator).
+    /// Current number of buffered elements.
     pub fn len(&self) -> usize {
-        let tail = self.tail.0.load(Ordering::Acquire);
-        let head = self.head.0.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
+        self.items.borrow().len()
     }
 
     /// Whether the ring is empty.
@@ -106,116 +75,63 @@ impl<T> SpscRing<T> {
 
     /// Whether the ring is full.
     pub fn is_full(&self) -> bool {
-        self.len() == self.capacity()
+        self.len() == self.cap
     }
 
     /// Address of the tail index word — the cache line a producer touches.
     /// Used by the simulator to charge inter-core traffic.
     pub fn tail_addr(&self) -> usize {
-        if self.virt_base != 0 {
-            self.virt_base + 64
-        } else {
-            &self.tail.0 as *const AtomicUsize as usize
-        }
+        self.virt_base + 64
     }
 
     /// Address of the head index word — the cache line a consumer touches.
     pub fn head_addr(&self) -> usize {
-        if self.virt_base != 0 {
-            self.virt_base
-        } else {
-            &self.head.0 as *const AtomicUsize as usize
-        }
+        self.virt_base
     }
 
     /// Address of the slot storage for element index `i` (for cache
     /// charging).
     pub fn slot_addr(&self, i: usize) -> usize {
-        if self.virt_base != 0 {
-            let stride = core::mem::size_of::<T>().max(1);
-            self.virt_base + 128 + (i & self.mask) * stride
-        } else {
-            self.slots[i & self.mask].get() as usize
-        }
+        let stride = core::mem::size_of::<T>().max(1);
+        self.virt_base + 128 + (i & (self.cap - 1)) * stride
     }
 
     /// Attempts to enqueue `value`; returns it back if the ring is full.
     pub fn try_push(&self, value: T) -> Result<(), T> {
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) == self.capacity() {
+        let mut items = self.items.borrow_mut();
+        if items.len() == self.cap {
             return Err(value);
         }
-        // SAFETY: the slot at `tail` was consumed (head passed it) or never
-        // written; the producer is the only writer of `tail`.
-        unsafe {
-            (*self.slots[tail & self.mask].get()).write(value);
-        }
-        self.tail.0.store(tail.wrapping_add(1), Ordering::Release);
+        items.push_back(value);
         Ok(())
     }
 
     /// Attempts to dequeue one element.
     pub fn try_pop(&self) -> Option<T> {
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        // SAFETY: `head < tail` means the producer published this slot with
-        // a release store; we take ownership and bump `head` so the producer
-        // may reuse it.
-        let value = unsafe { (*self.slots[head & self.mask].get()).assume_init_read() };
-        self.head.0.store(head.wrapping_add(1), Ordering::Release);
-        Some(value)
+        self.items.borrow_mut().pop_front()
     }
 
     /// Pushes up to `batch.len()` elements, stopping at the first failure;
     /// returns how many were enqueued. Elements not enqueued stay in `batch`.
     pub fn push_batch(&self, batch: &mut Vec<T>) -> usize {
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        let free = self.capacity() - tail.wrapping_sub(head);
-        let n = free.min(batch.len());
-        for (i, value) in batch.drain(..n).enumerate() {
-            // SAFETY: same contract as `try_push`: these slots are between
-            // the consumer's head and the producer's new tail.
-            unsafe {
-                (*self.slots[tail.wrapping_add(i) & self.mask].get()).write(value);
-            }
-        }
-        // Publish the whole batch with one release store.
-        self.tail.0.store(tail.wrapping_add(n), Ordering::Release);
+        let mut items = self.items.borrow_mut();
+        let n = (self.cap - items.len()).min(batch.len());
+        items.extend(batch.drain(..n));
         n
     }
 
     /// Pops up to `max` elements into `out`; returns how many were dequeued.
     pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.try_pop() {
-                Some(v) => {
-                    out.push(v);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let mut items = self.items.borrow_mut();
+        let n = max.min(items.len());
+        out.extend(items.drain(..n));
         n
-    }
-}
-
-impl<T> Drop for SpscRing<T> {
-    fn drop(&mut self) {
-        // Drain remaining elements so their destructors run.
-        while self.try_pop().is_some() {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn fifo_order() {
@@ -278,38 +194,6 @@ mod tests {
             r.try_push(D).unwrap();
         }
         assert_eq!(DROPS.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn cross_thread_stress() {
-        // Shrunk under Miri (interpreted execution): the FIFO invariant is
-        // checked per element, so a short run exercises the same wraparound
-        // and contention paths as the full one.
-        let total: u64 = if cfg!(miri) { 500 } else { 20_000 };
-        let r = Arc::new(SpscRing::new(64));
-        let producer = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                for i in 0..total {
-                    loop {
-                        if r.try_push(i).is_ok() {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                }
-            })
-        };
-        let mut expected = 0u64;
-        while expected < total {
-            if let Some(v) = r.try_pop() {
-                assert_eq!(v, expected);
-                expected += 1;
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        producer.join().unwrap();
     }
 
     #[test]

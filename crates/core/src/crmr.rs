@@ -9,7 +9,7 @@
 //! the entire batch's responses sit in the response buffers — the paper's
 //! piggybacked completion.
 
-use utps_collections::{MpmcQueue, SpscRing};
+use utps_collections::SpscRing;
 use utps_sim::{vaddr, Ctx};
 use utps_workload::Op;
 
@@ -98,11 +98,33 @@ impl Desc {
 /// One SPSC lane plus its completion counter.
 struct Lane {
     ring: SpscRing<Desc>,
-    /// Batch sizes in flight, FIFO (consumer side bookkeeping).
+    /// Descriptors the consumer has reported complete.
     completed: u64,
     pushed: u64,
     /// Virtual address charged for the completion counter word.
     completed_addr: usize,
+}
+
+/// Shared-queue state for [`QueueKind::SharedMpmc`]: one request queue and
+/// one completion queue per producer. The queues only hold values; the
+/// cache lines a Vyukov MPMC queue would touch are charged at
+/// [`shared_base`].
+struct SharedState {
+    req: SpscRing<Desc>,
+    comps: Vec<SpscRing<u64>>,
+    pushed: Vec<u64>,
+    completed: Vec<u64>,
+}
+
+/// Virtual base of a shared-mode queue: the request queue for `None`,
+/// producer `p`'s completion queue for `Some(p)`. Each is laid out as a
+/// Vyukov queue: enqueue cursor at `+0`, dequeue cursor at `+64`, and a
+/// side's slot line `+128` past its cursor.
+fn shared_base(producer: Option<usize>) -> usize {
+    match producer {
+        None => vaddr::SHARED_Q,
+        Some(p) => vaddr::SHARED_Q + (p + 1) * vaddr::CRMR_LANE_STRIDE,
+    }
 }
 
 /// The all-to-all CR-MR queue over `workers` total worker threads.
@@ -110,14 +132,6 @@ struct Lane {
 /// Lanes are indexed by *worker ids*, not roles, so thread reassignment
 /// (§3.5) never invalidates a lane — a worker that switches layers simply
 /// starts using the other side of its lanes.
-/// Shared-queue state for [`QueueKind::SharedMpmc`].
-struct SharedState {
-    req: MpmcQueue<Desc>,
-    comps: Vec<MpmcQueue<u64>>,
-    pushed: Vec<u64>,
-    completed: Vec<u64>,
-}
-
 pub struct CrMrQueue {
     workers: usize,
     lanes: Vec<Lane>,
@@ -134,15 +148,8 @@ impl CrMrQueue {
     /// Creates the queue with an explicit transport kind.
     pub fn with_kind(workers: usize, capacity: usize, kind: QueueKind) -> Self {
         let shared = (kind == QueueKind::SharedMpmc).then(|| SharedState {
-            req: MpmcQueue::new_at(capacity * workers, vaddr::SHARED_Q),
-            comps: (0..workers)
-                .map(|i| {
-                    MpmcQueue::new_at(
-                        capacity,
-                        vaddr::SHARED_Q + (i + 1) * vaddr::CRMR_LANE_STRIDE,
-                    )
-                })
-                .collect(),
+            req: SpscRing::new(capacity * workers),
+            comps: (0..workers).map(|_| SpscRing::new(capacity)).collect(),
             pushed: vec![0; workers],
             completed: vec![0; workers],
         });
@@ -174,11 +181,12 @@ impl CrMrQueue {
     /// cursor. Returns false when the queue is full.
     pub fn push_shared(&mut self, ctx: &mut Ctx<'_>, producer: usize, d: Desc) -> bool {
         let s = self.shared.as_mut().expect("not in shared mode");
+        let base = shared_base(None);
         // Every producer CASes the same cursor line: the storm is real.
-        ctx.atomic(s.req.enqueue_addr());
+        ctx.atomic(base);
         match s.req.try_push(d) {
             Ok(()) => {
-                ctx.write(s.req.enqueue_addr() + 128, DESC_BYTES);
+                ctx.write(base + 128, DESC_BYTES);
                 s.pushed[producer] += 1;
                 let occ = s.req.len() as u64;
                 ctx.machine().registry.gauge_max("crmr.shared_hwm", occ);
@@ -192,12 +200,13 @@ impl CrMrQueue {
     /// the global dequeue cursor (one CAS per element — no batch publish).
     pub fn pop_shared(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<Desc>, max: usize) -> usize {
         let s = self.shared.as_mut().expect("not in shared mode");
+        let deq = shared_base(None) + 64;
         let mut n = 0;
         while n < max {
-            ctx.atomic(s.req.dequeue_addr());
+            ctx.atomic(deq);
             match s.req.try_pop() {
                 Some(d) => {
-                    ctx.read(s.req.dequeue_addr() + 128, DESC_BYTES);
+                    ctx.read(deq + 128, DESC_BYTES);
                     out.push(d);
                     n += 1;
                 }
@@ -210,8 +219,9 @@ impl CrMrQueue {
     /// Shared mode: signals completion of `seq` back to `producer`.
     pub fn complete_shared(&mut self, ctx: &mut Ctx<'_>, producer: usize, seq: u64) {
         let s = self.shared.as_mut().expect("not in shared mode");
-        ctx.atomic(s.comps[producer].enqueue_addr());
-        ctx.write(s.comps[producer].enqueue_addr() + 128, 8);
+        let base = shared_base(Some(producer));
+        ctx.atomic(base);
+        ctx.write(base + 128, 8);
         s.comps[producer]
             .try_push(seq)
             .expect("completion queue sized for the request queue");
@@ -221,10 +231,11 @@ impl CrMrQueue {
     /// Shared mode: pops a completed seq for `producer`.
     pub fn pop_completion_shared(&mut self, ctx: &mut Ctx<'_>, producer: usize) -> Option<u64> {
         let s = self.shared.as_mut().expect("not in shared mode");
-        ctx.read(s.comps[producer].dequeue_addr(), 8);
+        let deq = shared_base(Some(producer)) + 64;
+        ctx.read(deq, 8);
         let r = s.comps[producer].try_pop();
         if r.is_some() {
-            ctx.atomic(s.comps[producer].dequeue_addr());
+            ctx.atomic(deq);
         }
         r
     }

@@ -286,8 +286,7 @@ mod tests {
         with_ctx(|ctx, store| {
             let id = store.alloc(b"hello world!");
             let mut out = Vec::new();
-            let dst = out.as_ptr() as usize;
-            match store.read_into(ctx, id, dst, &mut out) {
+            match store.read_into(ctx, id, 0x9000, &mut out) {
                 Step::Done(n) => {
                     assert_eq!(n, 12);
                     assert_eq!(&out, b"hello world!");
@@ -337,10 +336,9 @@ mod tests {
             // Simulate another thread holding the write lock.
             assert!(store.items[id].lock.try_lock(ctx));
             let mut out = Vec::new();
-            let dst = out.as_ptr() as usize;
-            assert!(store.read_into(ctx, id, dst, &mut out).is_blocked());
+            assert!(store.read_into(ctx, id, 0x9000, &mut out).is_blocked());
             store.items[id].lock.unlock(ctx);
-            assert!(store.read_into(ctx, id, dst, &mut out).is_done());
+            assert!(store.read_into(ctx, id, 0x9000, &mut out).is_done());
         });
     }
 
@@ -363,8 +361,7 @@ mod tests {
             assert_eq!(store.retired_len(), 1);
             // The bytes remain readable until reclamation.
             let mut out = Vec::new();
-            let dst = out.as_ptr() as usize;
-            assert!(store.read_into(ctx, id, dst, &mut out).is_done());
+            assert!(store.read_into(ctx, id, 0x9000, &mut out).is_done());
             assert_eq!(&out, b"still here");
             store.reclaim_retired();
             assert_eq!(store.retired_len(), 0);

@@ -8,9 +8,8 @@
 //! or a string token running to end-of-file, because a linter must keep
 //! working on the broken tree a developer is mid-edit on.
 //!
-//! Comments are real tokens here (rules need them: the `allow(...)` escape
-//! hatch and the R5 `// SAFETY:` audit live in comments); parsing layers
-//! filter them out when matching syntax.
+//! Comments are real tokens here (the `allow(...)` escape hatch lives in
+//! comments); parsing layers filter them out when matching syntax.
 
 /// What a token is. Coarser than rustc's lexer: the rules only need to
 /// distinguish identifiers, literals, comments and punctuation.

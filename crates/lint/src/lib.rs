@@ -6,8 +6,8 @@
 //! (the non-preemptive NP-TPS contract), payload bytes move through the
 //! arena instead of being copied per hop, simulated runs stay
 //! byte-deterministic so replay/oracle results are meaningful, the
-//! `stats_json` schema is pinned, and every `unsafe` block carries its
-//! safety argument. This crate enforces them mechanically:
+//! `stats_json` schema is pinned, and windowed counter deltas cannot wrap.
+//! This crate enforces them mechanically:
 //!
 //! | rule | id | invariant |
 //! |------|----|-----------|
@@ -15,7 +15,6 @@
 //! | R2 | `determinism` | no wall clocks / random hashers in sim/core/collections |
 //! | R3 | `payload-copy` | no payload byte copies (`.to_vec()`, byte `.clone()`) on hot paths |
 //! | R4 | `metrics-schema` | registry names come from the pinned schema |
-//! | R5 | `unsafe-audit` | `unsafe` in concurrency files carries `// SAFETY:` |
 //! | R6 | `counter-arithmetic` | windowed counter deltas use `saturating_sub`/`checked_sub` |
 //!
 //! R1 is interprocedural: it consults a workspace [`callgraph`], so blocking
@@ -43,7 +42,7 @@ use parser::FileData;
 /// One finding.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Short code: `R1`..`R5`, or `A0` for a malformed allow directive.
+    /// Short code: `R1`..`R6`, or `A0` for a malformed allow directive.
     pub rule_code: &'static str,
     /// Kebab-case rule id (what `allow(...)` names).
     pub rule_id: &'static str,
@@ -100,11 +99,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "registry metric names must come from the pinned schema list",
     ),
     (
-        "R5",
-        "unsafe-audit",
-        "unsafe blocks in concurrency-critical files need a // SAFETY: comment",
-    ),
-    (
         "R6",
         "counter-arithmetic",
         "windowed deltas over unsigned counters use saturating_sub/checked_sub, not bare -",
@@ -127,7 +121,6 @@ pub fn lint_files(ws: &LintWorkspace) -> Vec<Violation> {
     rules::r2_determinism::check(ws, &mut raw);
     rules::r3_payload::check(ws, &mut raw);
     rules::r4_metrics::check(ws, &mut raw);
-    rules::r5_safety::check(ws, &mut raw);
     rules::r6_counters::check(ws, &mut raw);
 
     let mut out: Vec<Violation> = raw

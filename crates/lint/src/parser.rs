@@ -18,8 +18,6 @@ pub struct FileData {
     pub path: String,
     /// Full source text.
     pub src: String,
-    /// All tokens, comments included.
-    pub tokens: Vec<Token>,
     /// Code view: comments stripped (indices into this are "code indices").
     pub code: Vec<Token>,
     /// Every `fn` item found, in source order.
@@ -92,7 +90,6 @@ pub fn parse_file(path: &str, src: String) -> FileData {
     FileData {
         path: path.to_string(),
         src,
-        tokens,
         code,
         fns,
         allows,
@@ -576,13 +573,13 @@ mod tests {
     fn allow_comments_bind_to_lines() {
         let f = parse(
             "fn a() {\n // utps-lint: allow(determinism) — fixture needs it\n let x = 1;\n \
-             let y = 2; // utps-lint: allow(unsafe-audit) — trailing\n}",
+             let y = 2; // utps-lint: allow(payload-copy) — trailing\n}",
         );
         assert_eq!(f.allows.len(), 2);
         assert_eq!(f.allows[0].rule, "determinism");
         assert_eq!(f.allows[0].target_line, 3);
         assert!(f.allows[0].justified);
-        assert_eq!(f.allows[1].rule, "unsafe-audit");
+        assert_eq!(f.allows[1].rule, "payload-copy");
         assert_eq!(f.allows[1].target_line, 4);
         assert!(f.allows_rule_on("determinism", "R2", 3));
         assert!(!f.allows_rule_on("determinism", "R2", 4));

@@ -6,7 +6,6 @@ pub mod r1_blocking;
 pub mod r2_determinism;
 pub mod r3_payload;
 pub mod r4_metrics;
-pub mod r5_safety;
 pub mod r6_counters;
 
 use crate::lexer::Token;

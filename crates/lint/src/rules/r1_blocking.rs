@@ -6,9 +6,9 @@
 //! runs to its next yield point and *returns*; the engine owns the core. A
 //! `thread::sleep`, a `Mutex` acquisition or a file write inside a step
 //! would stall every stage sharing the engine thread and desynchronize
-//! simulated time from host time. Simulated synchronization (`SimLock`,
-//! `OptLock`) charges its cost through `Ctx` and is fine; it is the *std*
-//! blocking vocabulary this rule bans.
+//! simulated time from host time. Simulated synchronization (`OptLock`)
+//! charges its cost through `Ctx` and is fine; it is the *std* blocking
+//! vocabulary this rule bans.
 //!
 //! Reach is computed on the workspace [`CallGraph`](crate::callgraph): a
 //! cycle-safe BFS from every `Stage::step` impl, so a blocking call three
@@ -130,7 +130,7 @@ fn scan_fn(f: &FileData, start: usize, end: usize, ctx: &str, out: &mut Vec<Viol
                 Some(format!("`{tx}()` handle acquisition on the stage path"))
             }
             _ if SYNC_TYPES.contains(&tx) => Some(format!(
-                "std sync primitive `{tx}` parks real threads (use SimLock/OptLock)"
+                "std sync primitive `{tx}` parks real threads (use OptLock)"
             )),
             _ if PRINT_MACROS.contains(&tx) && t(f, i + 1) == "!" => {
                 Some(format!("`{tx}!` writes to stdio from a stage"))

@@ -1,11 +1,11 @@
 //! A chunked arena with address-stable elements.
 //!
-//! Index structures in this workspace charge the cache model with the *real*
+//! Index structures in this workspace charge the cache model with the
 //! addresses of the data they touch, so those addresses must never move.
-//! `Vec<T>` reallocates on growth; this arena allocates fixed-size boxed
-//! chunks instead, so a `&T` (and therefore its address) stays valid for the
-//! arena's lifetime. Elements are addressed by a dense `u32` slot id and can
-//! be freed and reused through an intrusive free list.
+//! Each element's address is virtual — the arena's base plus its slot id
+//! times the slot size — and stays fixed until the element is removed.
+//! Elements are addressed by a dense `u32` slot id and can be freed and
+//! reused through an intrusive free list.
 
 /// Number of elements per chunk. A power of two keeps slot→chunk math cheap.
 const CHUNK: usize = 1 << 12;
@@ -40,7 +40,7 @@ enum Slot<T> {
 const NONE: u32 = u32::MAX;
 
 impl<T> Arena<T> {
-    /// Creates an empty arena.
+    /// Creates an empty arena at virtual base 0.
     pub fn new() -> Self {
         Arena {
             chunks: Vec::new(),
@@ -51,23 +51,10 @@ impl<T> Arena<T> {
     }
 
     /// Creates an empty arena whose [`Arena::addr_of`] reports addresses in
-    /// a fixed virtual region (see [`crate::vaddr`]) instead of real heap
-    /// addresses, making charged line indices reproducible across runs.
+    /// a fixed virtual region (see [`crate::vaddr`]).
     pub fn with_virt_base(virt_base: usize) -> Self {
         let mut a = Arena::new();
         a.virt_base = virt_base;
-        a
-    }
-
-    /// Places the arena in a fixed virtual region for [`Arena::addr_of`].
-    pub fn set_virt_base(&mut self, virt_base: usize) {
-        self.virt_base = virt_base;
-    }
-
-    /// Creates an empty arena pre-sized for `cap` elements.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut a = Arena::new();
-        a.chunks.reserve(cap.div_ceil(CHUNK));
         a
     }
 
@@ -150,25 +137,21 @@ impl<T> Arena<T> {
         }
     }
 
-    /// Returns the stable memory address of the element at `id`.
+    /// Returns the stable virtual address of the element at `id`:
+    /// `base + id * stride`.
     ///
     /// The address is used to charge the simulated cache hierarchy; it stays
     /// valid until the element is removed (slot reuse hands the same address
-    /// to the next occupant, which is exactly how a real allocator behaves).
-    /// With a virtual base set, the address is `base + id * stride` — same
-    /// stability and reuse semantics, but identical run to run.
+    /// to the next occupant, which is exactly how a real allocator behaves),
+    /// and it is identical run to run.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not an occupied slot.
     pub fn addr_of(&self, id: u32) -> usize {
         match self.slot(id) {
-            Some(s @ Slot::Occupied(_)) => {
-                if self.virt_base != 0 {
-                    self.virt_base + id as usize * core::mem::size_of::<Slot<T>>()
-                } else {
-                    s as *const Slot<T> as usize
-                }
+            Some(Slot::Occupied(_)) => {
+                self.virt_base + id as usize * core::mem::size_of::<Slot<T>>()
             }
             _ => panic!("addr_of on free arena slot {id}"),
         }

