@@ -1,29 +1,16 @@
-//! A bounded lock-free multi-producer multi-consumer queue (Vyukov's
-//! design).
+//! The single shared queue of the §3.4 counterfactual.
 //!
-//! This exists as the *counterfactual* to the CR-MR queue's all-to-all SPSC
-//! lanes: §3.4 argues for per-pair lanes precisely because a single shared
-//! queue concentrates every producer and consumer on two cache lines. The
-//! `SharedMpmc` transport mode of the CR-MR queue uses this structure so the
-//! ablation bench can measure what that sharing costs.
-//!
-//! Each slot carries a sequence number; producers claim slots by CAS on the
-//! enqueue cursor and publish by storing `seq = pos + 1`; consumers claim by
-//! CAS on the dequeue cursor and release by storing `seq = pos + mask + 1`.
+//! §3.4 argues for the CR-MR queue's per-pair lanes because a single shared
+//! MPMC queue concentrates every producer and consumer on two cache lines.
+//! The `SharedMpmc` transport mode of the CR-MR queue uses this structure so
+//! the ablation bench can measure what that sharing costs. The simulator is
+//! single-threaded, so the queue stores plain values in a bounded FIFO; what
+//! is shared is the layout its `*_addr` accessors report, that of a Vyukov
+//! queue: enqueue cursor at `+0`, dequeue cursor at `+64`, slots from `+128`.
 
-use core::cell::UnsafeCell;
-use core::mem::MaybeUninit;
-use core::sync::atomic::{AtomicUsize, Ordering};
+use crate::SpscRing;
 
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-struct Slot<T> {
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// A bounded MPMC queue.
+/// A bounded FIFO with the cache-line layout of a Vyukov MPMC queue.
 ///
 /// # Examples
 ///
@@ -36,179 +23,70 @@ struct Slot<T> {
 /// assert_eq!(q.try_pop(), None);
 /// ```
 pub struct MpmcQueue<T> {
-    mask: usize,
-    slots: Box<[Slot<T>]>,
-    enqueue: CachePadded<AtomicUsize>,
-    dequeue: CachePadded<AtomicUsize>,
-    /// When nonzero, the `*_addr` accessors report addresses inside a fixed
-    /// virtual block at this base (enqueue `+0`, dequeue `+64`, slots from
-    /// `+128`) so cache charging is reproducible across runs.
+    items: SpscRing<T>,
     virt_base: usize,
 }
 
-// SAFETY: slot hand-off is ordered by the acquire/release pairs on each
-// slot's `seq`; a value is only read by the consumer that won the dequeue
-// CAS after the producer's release store, and only overwritten after the
-// consumer's release store recycles the slot.
-unsafe impl<T: Send> Send for MpmcQueue<T> {}
-// SAFETY: see above.
-unsafe impl<T: Send> Sync for MpmcQueue<T> {}
-
 impl<T> MpmcQueue<T> {
-    /// Creates a queue with capacity `cap` (rounded up to a power of two,
-    /// minimum 2: with a single slot the "free at position `p`" sequence
-    /// `p` collides with the "published at position `p - 1`" sequence
-    /// `p - 1 + 1`, so a producer would silently overwrite an unconsumed
-    /// element instead of reporting full).
+    /// Creates a queue with capacity `cap` (rounded up to a power of two)
+    /// at virtual base 0.
     ///
     /// # Panics
     ///
     /// Panics if `cap` is zero.
     pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "capacity must be nonzero");
-        let cap = cap.next_power_of_two().max(2);
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        MpmcQueue {
-            mask: cap - 1,
-            slots,
-            enqueue: CachePadded(AtomicUsize::new(0)),
-            dequeue: CachePadded(AtomicUsize::new(0)),
-            virt_base: 0,
-        }
+        MpmcQueue::new_at(cap, 0)
     }
 
     /// Like [`MpmcQueue::new`], with the `*_addr` accessors reporting
     /// addresses inside a fixed virtual block at `virt_base`.
     pub fn new_at(cap: usize, virt_base: usize) -> Self {
-        let mut q = MpmcQueue::new(cap);
-        q.virt_base = virt_base;
-        q
+        MpmcQueue {
+            items: SpscRing::new(cap),
+            virt_base,
+        }
     }
 
     /// Maximum buffered elements.
     pub fn capacity(&self) -> usize {
-        self.mask + 1
+        self.items.capacity()
     }
 
-    /// Approximate length (exact when quiescent).
+    /// Current number of buffered elements.
     pub fn len(&self) -> usize {
-        let e = self.enqueue.0.load(Ordering::Acquire);
-        let d = self.dequeue.0.load(Ordering::Acquire);
-        e.saturating_sub(d)
+        self.items.len()
     }
 
-    /// Whether the queue is (approximately) empty.
+    /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.items.is_empty()
     }
 
     /// Address of the shared enqueue cursor (the line every producer
     /// contends on — used for cache charging).
     pub fn enqueue_addr(&self) -> usize {
-        if self.virt_base != 0 {
-            self.virt_base
-        } else {
-            &self.enqueue.0 as *const AtomicUsize as usize
-        }
+        self.virt_base
     }
 
     /// Address of the shared dequeue cursor.
     pub fn dequeue_addr(&self) -> usize {
-        if self.virt_base != 0 {
-            self.virt_base + 64
-        } else {
-            &self.dequeue.0 as *const AtomicUsize as usize
-        }
-    }
-
-    /// Address of the slot storage for position `i` (for cache charging).
-    pub fn slot_addr(&self, i: usize) -> usize {
-        if self.virt_base != 0 {
-            self.virt_base + 128 + (i & self.mask) * core::mem::size_of::<Slot<T>>()
-        } else {
-            &self.slots[i & self.mask] as *const Slot<T> as usize
-        }
+        self.virt_base + 64
     }
 
     /// Attempts to enqueue; returns the value back if the queue is full.
     pub fn try_push(&self, value: T) -> Result<(), T> {
-        let mut pos = self.enqueue.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos {
-                match self.enqueue.0.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS gives exclusive write
-                        // access to this slot until the release store below.
-                        unsafe { (*slot.value.get()).write(value) };
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if (seq as isize).wrapping_sub(pos as isize) < 0 {
-                return Err(value); // full
-            } else {
-                pos = self.enqueue.0.load(Ordering::Relaxed);
-            }
-        }
+        self.items.try_push(value)
     }
 
     /// Attempts to dequeue.
     pub fn try_pop(&self) -> Option<T> {
-        let mut pos = self.dequeue.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let expect = pos.wrapping_add(1);
-            if seq == expect {
-                match self.dequeue.0.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS gives exclusive read
-                        // access; the producer published with release.
-                        let value = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.seq
-                            .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                        return Some(value);
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if (seq as isize).wrapping_sub(expect as isize) < 0 {
-                return None; // empty
-            } else {
-                pos = self.dequeue.0.load(Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl<T> Drop for MpmcQueue<T> {
-    fn drop(&mut self) {
-        while self.try_pop().is_some() {}
+        self.items.try_pop()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn fifo_single_threaded() {
@@ -236,78 +114,14 @@ mod tests {
     }
 
     #[test]
-    fn capacity_one_rounds_up_to_two() {
-        // A 1-slot Vyukov queue cannot tell full from free; the constructor
-        // must widen it so no push ever overwrites an unconsumed element.
-        let q = MpmcQueue::new(1);
-        assert_eq!(q.capacity(), 2);
-        q.try_push(10).unwrap();
-        q.try_push(11).unwrap();
-        assert_eq!(q.try_push(12), Err(12));
-        assert_eq!(q.try_pop(), Some(10));
-        assert_eq!(q.try_pop(), Some(11));
-        assert_eq!(q.try_pop(), None);
-    }
-
-    #[test]
     fn cursor_lines_do_not_false_share() {
         let q: MpmcQueue<u8> = MpmcQueue::new(8);
         assert_ne!(q.enqueue_addr() / 64, q.dequeue_addr() / 64);
     }
 
     #[test]
-    fn multi_producer_multi_consumer_stress() {
-        // Shrunk under Miri: interpreted execution makes the full run take
-        // minutes; the interleaving coverage comes from the thread shape,
-        // not the element count.
-        #[allow(non_snake_case)]
-        let PER_PRODUCER: u64 = if cfg!(miri) { 300 } else { 20_000 };
-        let q = Arc::new(MpmcQueue::new(256));
-        let mut producers = Vec::new();
-        for p in 0..2u64 {
-            let q = Arc::clone(&q);
-            producers.push(std::thread::spawn(move || {
-                for i in 0..PER_PRODUCER {
-                    let v = p * PER_PRODUCER + i;
-                    loop {
-                        if q.try_push(v).is_ok() {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                }
-            }));
-        }
-        let mut consumers = Vec::new();
-        for _ in 0..2 {
-            let q = Arc::clone(&q);
-            consumers.push(std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while got.len() < PER_PRODUCER as usize {
-                    if let Some(v) = q.try_pop() {
-                        got.push(v);
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-                got
-            }));
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
-        let mut all: Vec<u64> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        let expect: Vec<u64> = (0..2 * PER_PRODUCER).collect();
-        assert_eq!(all, expect, "lost or duplicated elements");
-    }
-
-    #[test]
     fn drops_remaining() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         struct D;
         impl Drop for D {

@@ -3,7 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use utps_collections::{CountMinSketch, LatencyHistogram, SortedCache, SpscRing, TopK};
+use utps_collections::{CountMinSketch, LatencyHistogram, MpmcQueue, SortedCache, SpscRing, TopK};
 
 proptest! {
     /// The SPSC ring is FIFO-equivalent to a bounded VecDeque under any
@@ -113,6 +113,41 @@ proptest! {
                 prop_assert_eq!(Some(*v), model.pop_front());
             }
         }
+    }
+
+    /// Shared queue wraparound at capacity: same boundary discipline as the
+    /// SPSC ring.
+    #[test]
+    fn mpmc_wraparound_at_capacity(cap in 1usize..24, rounds in vec((1usize..24, 1usize..24), 1..60)) {
+        let q = MpmcQueue::new(cap);
+        let cap = q.capacity();
+        let mut model: VecDeque<u32> = VecDeque::new();
+        let mut next = 0u32;
+        while q.try_push(next).is_ok() {
+            model.push_back(next);
+            next += 1;
+        }
+        prop_assert_eq!(q.len(), cap);
+        prop_assert!(q.try_push(u32::MAX).is_err(), "push into full queue");
+        for (pops, pushes) in rounds {
+            for _ in 0..pops {
+                prop_assert_eq!(q.try_pop(), model.pop_front());
+            }
+            for _ in 0..pushes {
+                let ok = q.try_push(next).is_ok();
+                prop_assert_eq!(ok, model.len() < cap);
+                if ok {
+                    model.push_back(next);
+                }
+                next += 1;
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+        }
+        while let Some(v) = q.try_pop() {
+            prop_assert_eq!(Some(v), model.pop_front());
+        }
+        prop_assert!(model.is_empty());
     }
 
     /// Count-min never underestimates, for arbitrary key streams.

@@ -9,7 +9,7 @@
 //! the entire batch's responses sit in the response buffers — the paper's
 //! piggybacked completion.
 
-use utps_collections::SpscRing;
+use utps_collections::{MpmcQueue, SpscRing};
 use utps_sim::{vaddr, Ctx};
 use utps_workload::Op;
 
@@ -106,25 +106,13 @@ struct Lane {
 }
 
 /// Shared-queue state for [`QueueKind::SharedMpmc`]: one request queue and
-/// one completion queue per producer. The queues only hold values; the
-/// cache lines a Vyukov MPMC queue would touch are charged at
-/// [`shared_base`].
+/// one completion queue per producer. A side's slot line is charged `+128`
+/// past its cursor.
 struct SharedState {
-    req: SpscRing<Desc>,
-    comps: Vec<SpscRing<u64>>,
+    req: MpmcQueue<Desc>,
+    comps: Vec<MpmcQueue<u64>>,
     pushed: Vec<u64>,
     completed: Vec<u64>,
-}
-
-/// Virtual base of a shared-mode queue: the request queue for `None`,
-/// producer `p`'s completion queue for `Some(p)`. Each is laid out as a
-/// Vyukov queue: enqueue cursor at `+0`, dequeue cursor at `+64`, and a
-/// side's slot line `+128` past its cursor.
-fn shared_base(producer: Option<usize>) -> usize {
-    match producer {
-        None => vaddr::SHARED_Q,
-        Some(p) => vaddr::SHARED_Q + (p + 1) * vaddr::CRMR_LANE_STRIDE,
-    }
 }
 
 /// The all-to-all CR-MR queue over `workers` total worker threads.
@@ -148,8 +136,15 @@ impl CrMrQueue {
     /// Creates the queue with an explicit transport kind.
     pub fn with_kind(workers: usize, capacity: usize, kind: QueueKind) -> Self {
         let shared = (kind == QueueKind::SharedMpmc).then(|| SharedState {
-            req: SpscRing::new(capacity * workers),
-            comps: (0..workers).map(|_| SpscRing::new(capacity)).collect(),
+            req: MpmcQueue::new_at(capacity * workers, vaddr::SHARED_Q),
+            comps: (0..workers)
+                .map(|i| {
+                    MpmcQueue::new_at(
+                        capacity,
+                        vaddr::SHARED_Q + (i + 1) * vaddr::CRMR_LANE_STRIDE,
+                    )
+                })
+                .collect(),
             pushed: vec![0; workers],
             completed: vec![0; workers],
         });
@@ -181,12 +176,11 @@ impl CrMrQueue {
     /// cursor. Returns false when the queue is full.
     pub fn push_shared(&mut self, ctx: &mut Ctx<'_>, producer: usize, d: Desc) -> bool {
         let s = self.shared.as_mut().expect("not in shared mode");
-        let base = shared_base(None);
         // Every producer CASes the same cursor line: the storm is real.
-        ctx.atomic(base);
+        ctx.atomic(s.req.enqueue_addr());
         match s.req.try_push(d) {
             Ok(()) => {
-                ctx.write(base + 128, DESC_BYTES);
+                ctx.write(s.req.enqueue_addr() + 128, DESC_BYTES);
                 s.pushed[producer] += 1;
                 let occ = s.req.len() as u64;
                 ctx.machine().registry.gauge_max("crmr.shared_hwm", occ);
@@ -200,13 +194,12 @@ impl CrMrQueue {
     /// the global dequeue cursor (one CAS per element — no batch publish).
     pub fn pop_shared(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<Desc>, max: usize) -> usize {
         let s = self.shared.as_mut().expect("not in shared mode");
-        let deq = shared_base(None) + 64;
         let mut n = 0;
         while n < max {
-            ctx.atomic(deq);
+            ctx.atomic(s.req.dequeue_addr());
             match s.req.try_pop() {
                 Some(d) => {
-                    ctx.read(deq + 128, DESC_BYTES);
+                    ctx.read(s.req.dequeue_addr() + 128, DESC_BYTES);
                     out.push(d);
                     n += 1;
                 }
@@ -219,9 +212,8 @@ impl CrMrQueue {
     /// Shared mode: signals completion of `seq` back to `producer`.
     pub fn complete_shared(&mut self, ctx: &mut Ctx<'_>, producer: usize, seq: u64) {
         let s = self.shared.as_mut().expect("not in shared mode");
-        let base = shared_base(Some(producer));
-        ctx.atomic(base);
-        ctx.write(base + 128, 8);
+        ctx.atomic(s.comps[producer].enqueue_addr());
+        ctx.write(s.comps[producer].enqueue_addr() + 128, 8);
         s.comps[producer]
             .try_push(seq)
             .expect("completion queue sized for the request queue");
@@ -231,11 +223,10 @@ impl CrMrQueue {
     /// Shared mode: pops a completed seq for `producer`.
     pub fn pop_completion_shared(&mut self, ctx: &mut Ctx<'_>, producer: usize) -> Option<u64> {
         let s = self.shared.as_mut().expect("not in shared mode");
-        let deq = shared_base(Some(producer)) + 64;
-        ctx.read(deq, 8);
+        ctx.read(s.comps[producer].dequeue_addr(), 8);
         let r = s.comps[producer].try_pop();
         if r.is_some() {
-            ctx.atomic(deq);
+            ctx.atomic(s.comps[producer].dequeue_addr());
         }
         r
     }
