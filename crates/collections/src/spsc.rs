@@ -92,8 +92,18 @@ impl<T> SpscRing<T> {
     /// Address of the slot storage for element index `i` (for cache
     /// charging).
     pub fn slot_addr(&self, i: usize) -> usize {
-        let stride = core::mem::size_of::<T>().max(1);
-        self.virt_base + 128 + (i & (self.cap - 1)) * stride
+        self.virt_base + 128 + (i & (self.cap - 1)) * Self::stride()
+    }
+
+    /// Bytes of the ring's virtual block: head line, tail line and every
+    /// slot. A structure placing rings back to back starts the next one at
+    /// least this far past the base.
+    pub fn span(&self) -> usize {
+        128 + self.cap * Self::stride()
+    }
+
+    fn stride() -> usize {
+        core::mem::size_of::<T>().max(1)
     }
 
     /// Attempts to enqueue `value`; returns it back if the ring is full.
@@ -200,5 +210,7 @@ mod tests {
     fn addresses_are_distinct_lines() {
         let r: SpscRing<u64> = SpscRing::new(8);
         assert_ne!(r.head_addr() / 64, r.tail_addr() / 64, "false sharing");
+        // The last slot ends exactly where the ring's span does.
+        assert_eq!(r.slot_addr(7) + 8, r.head_addr() + r.span());
     }
 }

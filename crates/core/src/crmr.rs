@@ -139,30 +139,34 @@ impl CrMrQueue {
             req: MpmcQueue::new_at(capacity * workers, vaddr::SHARED_Q),
             comps: (0..workers)
                 .map(|i| {
-                    MpmcQueue::new_at(
-                        capacity,
-                        vaddr::SHARED_Q + (i + 1) * vaddr::CRMR_LANE_STRIDE,
-                    )
+                    MpmcQueue::new_at(capacity, vaddr::SHARED_Q + (i + 1) * vaddr::SHARED_Q_STRIDE)
                 })
                 .collect(),
             pushed: vec![0; workers],
             completed: vec![0; workers],
         });
+        // Lanes are laid out the way an allocator would place them, one
+        // block after another: the ring, then the completion word on a line
+        // of its own. A stride that is a multiple of 4 KiB would put every
+        // lane's tail word in one L1 set (address bits 6–11 index it), and a
+        // consumer's scan would evict its own tail lines on every pass.
+        let mut next = vaddr::CRMR_LANES;
+        let lanes = (0..workers * workers)
+            .map(|_| {
+                let ring = SpscRing::new_at(capacity, next);
+                let completed_addr = (next + ring.span()).next_multiple_of(64);
+                next = completed_addr + 64;
+                Lane {
+                    ring,
+                    completed: 0,
+                    pushed: 0,
+                    completed_addr,
+                }
+            })
+            .collect();
         CrMrQueue {
             workers,
-            lanes: (0..workers * workers)
-                .map(|i| {
-                    let base = vaddr::CRMR_LANES + i * vaddr::CRMR_LANE_STRIDE;
-                    Lane {
-                        ring: SpscRing::new_at(capacity, base),
-                        completed: 0,
-                        pushed: 0,
-                        // The completion word lives on its own line, clear of
-                        // the ring's slot area.
-                        completed_addr: base + vaddr::CRMR_LANE_STRIDE / 2,
-                    }
-                })
-                .collect(),
+            lanes,
             shared,
         }
     }
@@ -417,6 +421,17 @@ mod tests {
         q: CrMrQueue,
         f: impl FnOnce(&mut Ctx<'_>, &mut CrMrQueue) -> R + 'static,
     ) -> (R, CrMrQueue) {
+        with_queue_on(MachineConfig::tiny(), 2, q, f)
+    }
+
+    /// Runs `f` once in a process pinned to core 0 of a `cores`-core
+    /// machine.
+    fn with_queue_on<R: 'static>(
+        cfg: MachineConfig,
+        cores: usize,
+        q: CrMrQueue,
+        f: impl FnOnce(&mut Ctx<'_>, &mut CrMrQueue) -> R + 'static,
+    ) -> (R, CrMrQueue) {
         struct Once<F, R> {
             f: Option<F>,
             out: Rc<RefCell<Option<R>>>,
@@ -431,7 +446,7 @@ mod tests {
             }
         }
         let out = Rc::new(RefCell::new(None));
-        let mut eng = Engine::new(MachineConfig::tiny(), 2, q);
+        let mut eng = Engine::new(cfg, cores, q);
         eng.spawn(
             Some(0),
             StatClass::Cr,
@@ -627,5 +642,29 @@ mod tests {
         assert!(q.consumer_idle(1));
         assert!(q.producer_idle(0));
         assert_eq!(q.total_pushed(), 1);
+    }
+
+    #[test]
+    fn idle_mr_scan_stays_in_l1() {
+        // With 16 workers an idle MR worker polls 16 tail words per scan.
+        // On the default machine (64 L1 sets of 12 ways) they must spread
+        // over enough sets to stay resident; the tiny machine's 8 sets
+        // would alias any layout.
+        let q = CrMrQueue::new(16, 256);
+        let ((l1_hits, reads), _) = with_queue_on(MachineConfig::default(), 16, q, |ctx, q| {
+            let mut scan = |ctx: &mut Ctx<'_>| {
+                for producer in 0..16 {
+                    assert_eq!(q.pop_batch(ctx, producer, 0, &mut Vec::new(), 8), 0);
+                }
+            };
+            scan(ctx);
+            let before = ctx.machine().cache.metrics.combined();
+            scan(ctx);
+            scan(ctx);
+            let after = ctx.machine().cache.metrics.combined();
+            (after.l1 - before.l1, after.total() - before.total())
+        });
+        assert_eq!(reads, 32, "one tail read per lane per scan");
+        assert_eq!(l1_hits, 32, "every tail word stays in L1 after a scan");
     }
 }

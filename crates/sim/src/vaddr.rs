@@ -10,8 +10,11 @@
 //! exactly reproducible (the determinism regression test asserts this on
 //! metric snapshots).
 //!
-//! Regions are spaced 2^47-scale apart, far beyond any plausible footprint,
-//! so unrelated structures can never alias a cache line.
+//! Regions start 2^44 bytes apart, with a few in between: `ITEM_VALS`,
+//! `INDEX_META` and `SHARED_Q` sit 2^43 past the region before them and
+//! `SCRATCH` 7 · 2^40 past `SHARED_Q`. Every gap is far beyond any
+//! plausible footprint, so unrelated structures can never share a cache
+//! line.
 
 /// Per-worker NIC receive rings (stride [`RECV_RING_STRIDE`] per worker).
 pub const RECV_RING: usize = 0x1000_0000_0000;
@@ -31,11 +34,13 @@ pub const INDEX_META: usize = 0x4800_0000_0000;
 pub const BUCKETS: usize = 0x5000_0000_0000;
 /// CR hot-cache entry storage.
 pub const HOT_CACHE: usize = 0x6000_0000_0000;
-/// CR–MR lane rings (stride [`CRMR_LANE_STRIDE`] per lane).
+/// CR–MR lane rings, packed back to back: each lane's block is its ring's
+/// span plus one line for its completion word.
 pub const CRMR_LANES: usize = 0x7000_0000_0000;
-/// Address stride between consecutive CR–MR lanes.
-pub const CRMR_LANE_STRIDE: usize = 0x10_0000;
-/// Shared MPMC queue (baseline dispatch queue).
+/// Shared MPMC queue (the §3.4 counterfactual's request queue), followed by
+/// its per-producer completion queues at stride [`SHARED_Q_STRIDE`].
 pub const SHARED_Q: usize = 0x7800_0000_0000;
+/// Address stride between consecutive shared-mode completion queues.
+pub const SHARED_Q_STRIDE: usize = 0x10_0000;
 /// Miscellaneous scratch (anything without a dedicated region).
 pub const SCRATCH: usize = 0x7f00_0000_0000;
