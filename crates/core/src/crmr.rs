@@ -659,8 +659,12 @@ mod tests {
             };
             scan(ctx);
             let before = ctx.machine().cache.metrics.combined();
-            scan(ctx);
-            scan(ctx);
+            for _ in 0..2 {
+                // The MR stage's replay precondition: 16 plain L1 hits.
+                let v0 = ctx.private_version();
+                scan(ctx);
+                assert_eq!(ctx.private_version() - v0, 16);
+            }
             let after = ctx.machine().cache.metrics.combined();
             (after.l1 - before.l1, after.total() - before.total())
         });

@@ -292,6 +292,11 @@ struct MrState {
     shared_done: Vec<u64>,
     /// Commit groups awaiting durability.
     defers: DurabilityBarrier<TierDefer>,
+    /// The core's private-cache token right after a lane scan that popped
+    /// nothing and read every tail word as a plain L1 hit; while the token
+    /// and the lanes stay put, the next scan is replayed (DESIGN.md §10
+    /// "Replayed idle scans").
+    idle_scan: Option<u64>,
 }
 
 impl MrState {
@@ -304,6 +309,7 @@ impl MrState {
             wal_buf: Vec::new(),
             shared_done: Vec::new(),
             defers: DurabilityBarrier::default(),
+            idle_scan: None,
         }
     }
 
@@ -918,6 +924,19 @@ impl MrStage {
                 world.crmr.pop_shared(ctx, &mut st.scratch, batch);
                 st.start_popped(ctx, world, id);
             } else {
+                // An idle scan that would repeat its predecessor exactly —
+                // same empty lanes, same L1-resident tail words — charges
+                // its `workers` L1 hits without re-walking the cache model.
+                // `prod_rr` would advance by `workers`, i.e. not at all.
+                if st.idle_scan == Some(ctx.private_version())
+                    && st.defers.is_empty()
+                    && world.reconfig.is_none()
+                    && world.crmr.consumer_idle(id)
+                {
+                    ctx.l1_hits(workers as u64);
+                    return false;
+                }
+                let v0 = ctx.private_version();
                 // Fill a super-batch by scanning all producers round-robin.
                 let mut scanned = 0;
                 while st.ops.len() < batch && scanned < workers {
@@ -933,6 +952,8 @@ impl MrStage {
                     }
                 }
                 st.prod_rr = (st.prod_rr + scanned) % workers;
+                let v1 = ctx.private_version();
+                st.idle_scan = (st.ops.is_empty() && v1 - v0 == workers as u64).then_some(v1);
             }
             if !st.ops.is_empty() {
                 let depth = st.ops.len() as u64;

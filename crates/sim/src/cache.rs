@@ -56,18 +56,27 @@ struct PrivCache {
     set_mask: u64,
     lines: Vec<PrivLine>,
     counter: u64,
+    /// Lines dropped by [`PrivCache::invalidate`] or [`PrivCache::clear`]:
+    /// the only state changes that do not advance `counter`.
+    drops: u64,
 }
 
 impl PrivCache {
     fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "cache sets must be a power of two");
-        let _ = sets;
         PrivCache {
             ways,
             set_mask: sets as u64 - 1,
             lines: vec![PrivLine::EMPTY; sets * ways],
             counter: 0,
+            drops: 0,
         }
+    }
+
+    /// Advances on every lookup, insert and drop: unchanged means no access
+    /// touched this level.
+    fn version(&self) -> u64 {
+        self.counter + self.drops
     }
 
     #[inline]
@@ -135,6 +144,7 @@ impl PrivCache {
             if self.lines[i].tag == line {
                 let m = self.lines[i].modified;
                 self.lines[i] = PrivLine::EMPTY;
+                self.drops += 1;
                 return (true, m);
             }
         }
@@ -144,6 +154,7 @@ impl PrivCache {
     /// Invalidates everything (used when a core changes roles in tests).
     fn clear(&mut self) {
         self.lines.fill(PrivLine::EMPTY);
+        self.drops += 1;
     }
 
     fn contains(&self, line: u64) -> bool {
@@ -181,7 +192,6 @@ impl Llc {
     fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "LLC sets must be a power of two");
         assert!(ways <= 32, "way masks are u32");
-        let _ = sets;
         Llc {
             ways,
             set_mask: sets as u64 - 1,
@@ -208,9 +218,10 @@ impl Llc {
         None
     }
 
-    /// Allocates `line` in the LRU way among those enabled in `mask`.
-    /// Returns the evicted tag, if a valid line was displaced.
-    fn insert(&mut self, line: u64, mask: u32, dirty: bool) -> Option<u64> {
+    /// Allocates `line` in the LRU way among those enabled in `mask`. The
+    /// displaced line needs no bookkeeping: private copies survive it
+    /// (non-inclusive hierarchy) and the directory tracks them on its own.
+    fn insert(&mut self, line: u64, mask: u32, dirty: bool) {
         debug_assert!(mask != 0, "empty CLOS mask");
         let base = self.base(line);
         self.counter += 1;
@@ -230,13 +241,11 @@ impl Llc {
             }
         }
         let victim = victim.expect("CLOS mask has no ways within associativity");
-        let old = self.lines[victim];
         self.lines[victim] = LlcLine {
             tag: line,
             lru: self.counter,
             dirty,
         };
-        (old.tag != INVALID_TAG).then_some(old.tag)
     }
 
     #[cfg(test)]
@@ -265,6 +274,9 @@ pub struct CacheHierarchy {
     ddio_mask: u32,
     /// Per-core in-flight software prefetches: line → ready time.
     prefetched: Vec<FxHashMap<u64, SimTime>>,
+    /// Per-core count of changes to `prefetched[core]` (part of
+    /// [`CacheHierarchy::private_version`]).
+    pf_changes: Vec<u64>,
     /// Shared-DRAM rate limiter: accesses are counted in coarse time
     /// buckets; once a bucket exceeds the channel's line capacity, each
     /// further access in it waits for its queue position. Bucket-granular
@@ -314,6 +326,7 @@ impl CacheHierarchy {
             clos: vec![full; cores],
             ddio_mask,
             prefetched: (0..cores).map(|_| FxHashMap::default()).collect(),
+            pf_changes: vec![0; cores],
             dram_bucket: 0,
             dram_counts: [0; 2],
             atomic_lines: FxHashMap::default(),
@@ -357,6 +370,31 @@ impl CacheHierarchy {
     /// Returns the CLOS way mask of `core`.
     pub fn clos_mask(&self, core: usize) -> u32 {
         self.clos[core]
+    }
+
+    /// A token that moves whenever anything touches `core`'s L1, L2 or
+    /// in-flight prefetches: the sum of both levels' lookup/insert and drop
+    /// counts and the prefetch table's change count.
+    ///
+    /// A single-line read that is a *plain L1 hit* (no prefetch in flight,
+    /// found by the L1 lookup) moves it by exactly 1; every other read path
+    /// moves it by at least 2 (prefetch removal + lookup, or L1 + L2
+    /// lookups). So `n` single-line reads that moved it by exactly `n` were
+    /// all plain L1 hits, and while it stays put the same reads would hit
+    /// again: [`CacheHierarchy::l1_hits`] may charge them instead. Skipping
+    /// their recency refresh is exact — those lines already hold the newest
+    /// stamps of their sets, in read order, and victim selection only
+    /// compares stamps within a set.
+    pub fn private_version(&self, core: usize) -> u64 {
+        self.l1[core].version() + self.l2[core].version() + self.pf_changes[core]
+    }
+
+    /// Charges `n` plain L1 read hits attributed to `class` without walking
+    /// the tag arrays; see [`CacheHierarchy::private_version`] for when that
+    /// is exact. Returns their cost.
+    pub fn l1_hits(&mut self, class: StatClass, n: u64) -> u64 {
+        self.metrics.class[class as usize].l1 += n;
+        n * self.cfg.cost.l1_hit
     }
 
     /// Charges a memory access of `len` bytes at `addr` by `core`.
@@ -486,6 +524,7 @@ impl CacheHierarchy {
             // lazily dropping completed entries.
             if self.prefetched[core].len() >= self.cfg.cost.mshr {
                 self.prefetched[core].retain(|_, &mut ready| ready > now);
+                self.pf_changes[core] += 1;
                 if self.prefetched[core].len() >= self.cfg.cost.mshr {
                     continue; // dropped: the demand access pays full latency
                 }
@@ -494,6 +533,7 @@ impl CacheHierarchy {
             self.metrics.record(class as usize, kind);
             if cost > self.cfg.cost.l1_hit {
                 self.prefetched[core].insert(line, now + cost);
+                self.pf_changes[core] += 1;
             }
         }
     }
@@ -503,14 +543,12 @@ impl CacheHierarchy {
     pub fn nic_write(&mut self, addr: usize, len: usize) {
         let (first, last) = line_span(addr, len, self.cfg.cache.line);
         for line in first..=last {
-            self.invalidate_private(line, None);
+            self.invalidate_private(line);
             if let Some(slot) = self.llc.lookup(line) {
                 self.llc.lines[slot].dirty = true;
                 self.metrics.ddio_updates += 1;
             } else {
-                if let Some(evicted) = self.llc.insert(line, self.ddio_mask, true) {
-                    self.drop_llc_tag(evicted);
-                }
+                self.llc.insert(line, self.ddio_mask, true);
                 self.metrics.ddio_allocs += 1;
             }
         }
@@ -536,6 +574,7 @@ impl CacheHierarchy {
         self.l1[core].clear();
         self.l2[core].clear();
         self.prefetched[core].clear();
+        self.pf_changes[core] += 1;
         self.dir.retain(|_, d| {
             if d.owner == Some(core as u8) {
                 d.owner = None;
@@ -565,6 +604,7 @@ impl CacheHierarchy {
 
         // Software prefetch in flight? Pay only the remaining latency.
         if let Some(ready) = self.prefetched[core].remove(&line) {
+            self.pf_changes[core] += 1;
             let wait = ready.since(now);
             let extra = if write {
                 self.rfo_upgrade(core, line)
@@ -572,9 +612,9 @@ impl CacheHierarchy {
                 0
             };
             // The fill already happened at prefetch time; refresh recency.
-            self.l1[core].lookup(line);
+            let slot = self.l1[core].lookup(line);
             if write {
-                if let Some(slot) = self.l1[core].lookup(line) {
+                if let Some(slot) = slot {
                     self.l1[core].mark_modified(slot);
                 }
                 self.dir.entry(line).or_default().owner = Some(core as u8);
@@ -610,18 +650,13 @@ impl CacheHierarchy {
             if owner as usize != core {
                 let o = owner as usize;
                 if write {
-                    self.invalidate_private(line, None);
-                } else {
+                    self.invalidate_private(line);
+                } else if let Some(d) = self.dir.get_mut(&line) {
                     // Downgrade the owner's copy to shared; data is also
                     // written back into the LLC.
-                    if let Some(d) = self.dir.get_mut(&line) {
-                        d.owner = None;
-                    }
-                    let _ = o;
+                    d.owner = None;
                 }
-                if let Some(evicted) = self.llc.insert(line, self.clos[core], true) {
-                    self.drop_llc_tag(evicted);
-                }
+                self.llc.insert(line, self.clos[core], true);
                 self.fill_private(core, line, write);
                 let d = self.dir.entry(line).or_default();
                 d.sharers |= 1u64 << core;
@@ -670,9 +705,7 @@ impl CacheHierarchy {
         // DRAM: allocate in LLC within this core's CLOS mask, then fill
         // private levels. The shared channel serializes concurrent misses,
         // so loaded latency includes the queuing delay.
-        if let Some(evicted) = self.llc.insert(line, self.clos[core], write) {
-            self.drop_llc_tag(evicted);
-        }
+        self.llc.insert(line, self.clos[core], write);
         self.fill_private(core, line, write);
         let d = self.dir.entry(line).or_default();
         d.sharers |= 1u64 << core;
@@ -748,12 +781,9 @@ impl CacheHierarchy {
         }
         if dirty {
             // Write back into the LLC within the core's mask.
-            if self.llc.lookup(line).is_none() {
-                if let Some(evicted) = self.llc.insert(line, self.clos[core], true) {
-                    self.drop_llc_tag(evicted);
-                }
-            } else if let Some(slot) = self.llc.lookup(line) {
-                self.llc.lines[slot].dirty = true;
+            match self.llc.lookup(line) {
+                Some(slot) => self.llc.lines[slot].dirty = true,
+                None => self.llc.insert(line, self.clos[core], true),
             }
         }
         if let Some(d) = self.dir.get_mut(&line) {
@@ -768,7 +798,7 @@ impl CacheHierarchy {
     }
 
     /// Invalidates every private copy of `line` (all cores).
-    fn invalidate_private(&mut self, line: u64, _by: Option<usize>) {
+    fn invalidate_private(&mut self, line: u64) {
         if let Some(d) = self.dir.remove(&line) {
             let mut sharers = d.sharers;
             while sharers != 0 {
@@ -798,11 +828,6 @@ impl CacheHierarchy {
             }
         }
     }
-
-    /// Drops an LLC tag's bookkeeping after eviction. Private copies survive
-    /// (non-inclusive hierarchy), so only LLC-specific state would go here;
-    /// the directory tracks private copies independently.
-    fn drop_llc_tag(&mut self, _tag: u64) {}
 }
 
 fn line_span(addr: usize, len: usize, line: usize) -> (u64, u64) {
@@ -1090,5 +1115,96 @@ mod tests {
         h.clear_core(0);
         let c = h.access(0, StatClass::Other, 0xD000, 8, false, t);
         assert!(c >= h.cfg.cost.llc_hit, "private copy must be gone");
+    }
+
+    /// How far `f` moves core 0's private-state token.
+    fn token_delta(h: &mut CacheHierarchy, f: impl FnOnce(&mut CacheHierarchy)) -> u64 {
+        let v0 = h.private_version(0);
+        f(h);
+        h.private_version(0) - v0
+    }
+
+    fn read0(h: &mut CacheHierarchy, addr: usize, now: SimTime) -> u64 {
+        h.access(0, StatClass::Other, addr, 8, false, now)
+    }
+
+    #[test]
+    fn private_version_moves_by_one_per_plain_l1_hit() {
+        let mut h = hierarchy(2);
+        let t = SimTime::ZERO;
+        read0(&mut h, 0x1000, t);
+        read0(&mut h, 0x2040, t);
+        let l1 = h.cfg.cost.l1_hit;
+        let d = token_delta(&mut h, |h| {
+            assert_eq!(read0(h, 0x1000, t), l1);
+            assert_eq!(read0(h, 0x2040, t), l1);
+        });
+        assert_eq!(d, 2);
+    }
+
+    #[test]
+    fn private_version_moves_by_two_or_more_off_the_plain_l1_path() {
+        let mut h = hierarchy(2);
+        let t = SimTime::ZERO;
+        let cost = h.cfg.cost.clone();
+        let dram = token_delta(&mut h, |h| assert_eq!(read0(h, 0x1000, t), cost.dram));
+        assert!(dram >= 2, "DRAM miss moved the token by {dram}");
+        // Five lines in one tiny-L1 set (8 sets × 4 ways): line 0 falls to L2.
+        for i in 0..5usize {
+            read0(&mut h, i * 8 * LINE, t);
+        }
+        let l2 = token_delta(&mut h, |h| assert_eq!(read0(h, 0, t), cost.l2_hit));
+        assert!(l2 >= 2, "L2 hit moved the token by {l2}");
+        // A completed prefetch costs what a plain L1 hit does, but the token
+        // tells them apart.
+        let mut h = hierarchy(2);
+        h.prefetch(0, StatClass::Other, 0xA000, 8, t);
+        let later = t + 10 * cost.dram;
+        let pf = token_delta(&mut h, |h| assert_eq!(read0(h, 0xA000, later), cost.l1_hit));
+        assert!(pf >= 2, "prefetch-path hit moved the token by {pf}");
+    }
+
+    #[test]
+    fn private_version_sees_changes_from_outside_the_core() {
+        let mut h = hierarchy(2);
+        let t = SimTime::ZERO;
+        read0(&mut h, 0x8000, t);
+        h.access(1, StatClass::Other, 0x8000, 8, false, t);
+        let write = token_delta(&mut h, |h| {
+            h.access(1, StatClass::Other, 0x8000, 8, true, t);
+        });
+        assert!(write >= 1, "another core's write left the token unmoved");
+        read0(&mut h, 0x500 * LINE, t);
+        let nic = token_delta(&mut h, |h| h.nic_write(0x500 * LINE, 64));
+        assert!(nic >= 1, "a DDIO write left the token unmoved");
+        let clear = token_delta(&mut h, |h| h.clear_core(0));
+        assert!(clear >= 1, "clear_core left the token unmoved");
+    }
+
+    #[test]
+    fn l1_hits_charges_without_moving_the_token() {
+        let mut h = hierarchy(1);
+        let l1 = h.cfg.cost.l1_hit;
+        let before = h.metrics.class[StatClass::Mr as usize].l1;
+        let d = token_delta(&mut h, |h| assert_eq!(h.l1_hits(StatClass::Mr, 5), 5 * l1));
+        assert_eq!(d, 0);
+        assert_eq!(h.metrics.class[StatClass::Mr as usize].l1, before + 5);
+        assert_eq!(h.metrics.combined().total(), 5);
+    }
+
+    /// Known gap (ROADMAP 3(a)): `PrivCache::insert` stops at the first
+    /// invalid way, so a line already resident in a *later* way of its set
+    /// gets a second copy, and `invalidate` drops only the first. This test
+    /// pins today's behaviour; the fix flips it.
+    #[test]
+    fn known_gap_insert_duplicates_a_line_behind_an_invalid_way() {
+        let mut c = PrivCache::new(1, 4);
+        c.insert(10, false);
+        c.insert(11, false);
+        c.invalidate(10);
+        c.insert(11, false);
+        assert_eq!(c.lines.iter().filter(|l| l.tag == 11).count(), 2);
+        c.invalidate(11);
+        assert!(c.contains(11), "the second copy survives invalidation");
     }
 }

@@ -247,6 +247,29 @@ impl<'a> Ctx<'a> {
         self.clock += cost;
     }
 
+    /// The token of this process's core's private cache state
+    /// ([`CacheHierarchy::private_version`](crate::cache::CacheHierarchy::private_version)).
+    /// Constant 0 for an unpinned process, whose reads touch no modelled
+    /// cache.
+    pub fn private_version(&self) -> u64 {
+        match self.core {
+            Some(core) => self.machines[self.mid].cache.private_version(core),
+            None => 0,
+        }
+    }
+
+    /// Charges `n` plain L1 read hits, exactly as `n` [`Ctx::read`]s that
+    /// hit L1 would, without walking the tag arrays. Only exact while
+    /// [`Ctx::private_version`] shows those reads would hit.
+    pub fn l1_hits(&mut self, n: u64) {
+        let m = &mut self.machines[self.mid];
+        let cost = match self.core {
+            Some(_) => m.cache.l1_hits(self.class, n),
+            None => n * m.cfg.cost.l1_hit,
+        };
+        self.clock += cost;
+    }
+
     /// Charges an atomic read-modify-write at `addr`.
     pub fn atomic(&mut self, addr: usize) {
         self.atomic_hold(addr, 0)

@@ -35,7 +35,7 @@ pub enum AccessKind {
 }
 
 /// Per-class access counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClassCounters {
     /// L1 hits.
     pub l1: u64,
@@ -86,7 +86,7 @@ impl ClassCounters {
 pub const NUM_CLASSES: usize = 3;
 
 /// Machine-wide metrics: per-class cache counters plus event tallies.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Cache counters indexed by stat class.
     pub class: [ClassCounters; NUM_CLASSES],
