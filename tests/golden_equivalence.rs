@@ -6,7 +6,9 @@
 //! must reproduce the full `stats_json` document byte for byte, for all
 //! four systems, on three seeds. The μTPS-T runs are pinned twice: once on
 //! the all-to-all CR-MR lanes and once on the §3.4 shared-queue
-//! counterfactual.
+//! counterfactual. Two more μTPS-T pins cover the CR-MR paths an untuned,
+//! fault-free run never takes: descriptor-lease reclaim behind a stalled MR
+//! core, and §3.5 thread reassignment under the auto-tuner.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -18,6 +20,7 @@ use utps::prelude::*;
 use utps::sim::time::MICROS;
 use utps_core::crmr::QueueKind;
 use utps_core::experiment::stats_json;
+use utps_core::tuner::{TunerMode, TunerParams};
 use utps_index::IndexKind;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
@@ -49,9 +52,27 @@ fn quick_cfg(index: IndexKind, queue_kind: QueueKind, seed: u64) -> RunConfig {
 }
 
 fn check(label: &str, system: SystemKind, index: IndexKind, queue_kind: QueueKind) {
+    check_with(
+        label,
+        system,
+        |seed| quick_cfg(index, queue_kind, seed),
+        |_| {},
+    );
+}
+
+/// Pins `stats_json` of `system` on the config `cfg(seed)` for each seed;
+/// `exercised` asserts the run took the path the golden is meant to cover.
+fn check_with(
+    label: &str,
+    system: SystemKind,
+    cfg: impl Fn(u64) -> RunConfig,
+    exercised: impl Fn(&RunResult),
+) {
     for seed in [42u64, 7, 1234] {
-        let cfg = quick_cfg(index, queue_kind, seed);
-        let got = stats_json(&run::run(system, &cfg)) + "\n";
+        let cfg = cfg(seed);
+        let r = run::run(system, &cfg);
+        exercised(&r);
+        let got = stats_json(&r) + "\n";
         let path = format!("{GOLDEN_DIR}/equiv_{label}_{seed}.json");
         if std::env::var("UPDATE_GOLDEN").is_ok() {
             std::fs::write(&path, &got).expect("cannot write golden file");
@@ -115,4 +136,48 @@ fn utps_t_shared_queue_matches_golden() {
         IndexKind::Tree,
         QueueKind::SharedMpmc,
     );
+}
+
+#[test]
+fn utps_t_lease_matches_golden() {
+    // Leases armed and MR core 3 stalled mid-measurement: the CR layer
+    // revokes the stalled lane's unpopped backlog and re-spreads it.
+    let cfg = |seed| RunConfig {
+        lease_ps: 100 * MICROS,
+        faults: FaultConfig {
+            stalls: vec![StallWindow {
+                core: 3,
+                at_ps: 800 * MICROS,
+                dur_ps: 400 * MICROS,
+            }],
+            ..FaultConfig::default()
+        },
+        ..quick_cfg(IndexKind::Tree, QueueKind::AllToAll, seed)
+    };
+    check_with("utps_t_lease", SystemKind::Utps, cfg, |r| {
+        let snap = r.stage_metrics.as_ref().expect("no stage metrics");
+        assert!(snap.counter("crmr.lease_reclaim").unwrap_or(0) > 0);
+    });
+}
+
+#[test]
+fn utps_t_tuned_matches_golden() {
+    // A hair-trigger auto-tuner: the trisection search moves the CR/MR
+    // split back and forth, so workers switch roles mid-run.
+    let cfg = |seed| RunConfig {
+        tuner: TunerMode::Auto,
+        tuner_params: TunerParams {
+            window: 200 * MICROS,
+            settle: 100 * MICROS,
+            trigger: 0.0,
+            trigger_windows: 1,
+            cache_step: 1_000,
+            cache_max: 1_000,
+        },
+        duration: 6_000 * MICROS,
+        ..quick_cfg(IndexKind::Tree, QueueKind::AllToAll, seed)
+    };
+    check_with("utps_t_tuned", SystemKind::Utps, cfg, |r| {
+        assert!(r.reconfigs > 0, "the tuner never reassigned a thread");
+    });
 }
