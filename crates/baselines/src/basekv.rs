@@ -18,7 +18,7 @@
 //! rest of the batch.
 //!
 //! On the stage engine, BaseKV is the degenerate composition: one
-//! run-to-completion [`Stage`] per worker, never handing off.
+//! run-to-completion [`Process`] per worker, never handing off.
 
 use utps_core::client::{DriverState, KvWorld};
 use utps_core::crmr::Desc;
@@ -26,7 +26,7 @@ use utps_core::experiment::{RunConfig, RunResult};
 use utps_core::msg::{NetMsg, Response};
 use utps_core::retry::DedupTable;
 use utps_core::rpc::{self, send_response, Admission, RecvRing, RespBuffers};
-use utps_core::stage::{PipelineRuntime, Stage, StageProc, StepOutcome};
+use utps_core::stage::PipelineRuntime;
 use utps_core::store::{KvOp, KvOpOutput, KvStore};
 use utps_core::system::{self, run_system, Proc, ServerParts, ServerWorld, System};
 use utps_core::tier::{
@@ -34,7 +34,7 @@ use utps_core::tier::{
 };
 use utps_sim::nic::Fabric;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Machine, MetricsRegistry, StatClass};
+use utps_sim::{Ctx, Machine, MetricsRegistry, Process, StatClass, StepOutcome};
 use utps_wal::WalRecord;
 
 /// BaseKV server world.
@@ -230,7 +230,7 @@ impl BaseWorker {
     }
 }
 
-impl Stage<BaseWorld> for BaseWorker {
+impl Process<BaseWorld> for BaseWorker {
     fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut BaseWorld) -> StepOutcome {
         self.run(ctx, world);
         if ctx.progressed() {
@@ -276,7 +276,7 @@ impl<const ISOLATE_DDIO: bool> System for BaseKv<ISOLATE_DDIO> {
     fn procs(cfg: &RunConfig, _world: &BaseWorld) -> Vec<Proc<BaseWorld>> {
         let mut procs: Vec<Proc<BaseWorld>> = (0..cfg.workers)
             .map(|id| {
-                let worker = StageProc::new(BaseWorker::new(id, cfg.batch));
+                let worker = BaseWorker::new(id, cfg.batch);
                 (id, StatClass::Other, Box::new(worker) as _)
             })
             .collect();

@@ -14,19 +14,18 @@
 //!
 //! On the stage engine, eRPCKV is a dispatch stage (the NIC-side
 //! `ErpcWorld::route`, free for the CPUs) fused into each shard's
-//! run-to-completion [`Stage`].
+//! run-to-completion [`Process`].
 
 use utps_core::client::{DriverState, KvWorld};
 use utps_core::crmr::Desc;
 use utps_core::experiment::{RunConfig, RunResult};
 use utps_core::msg::{NetMsg, Response};
 use utps_core::rpc::{recv_fate, send_response, RecvRing, RespBuffers};
-use utps_core::stage::{Stage, StepOutcome};
 use utps_core::store::{KvOp, KvStore};
 use utps_index::Step;
 use utps_sim::nic::Fabric;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Machine, StatClass};
+use utps_sim::{Ctx, Machine, Process, StatClass, StepOutcome};
 
 /// eRPC worker buffer budget (the paper: "15-MB buffer per worker thread").
 const ERPC_WORKER_BYTES: usize = 15 << 20;
@@ -166,7 +165,7 @@ impl ErpcWorker {
     }
 }
 
-impl Stage<ErpcWorld> for ErpcWorker {
+impl Process<ErpcWorld> for ErpcWorker {
     fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut ErpcWorld) -> StepOutcome {
         self.run(ctx, world);
         if ctx.progressed() {
@@ -210,7 +209,11 @@ pub fn run_erpckv(cfg: &RunConfig) -> RunResult {
         world,
         |rt| {
             for id in 0..cfg.workers {
-                rt.spawn_stage(Some(id), StatClass::Other, ErpcWorker::new(id, cfg.batch));
+                rt.spawn_process(
+                    Some(id),
+                    StatClass::Other,
+                    Box::new(ErpcWorker::new(id, cfg.batch)),
+                );
             }
             rt.spawn_clients(cfg);
         },

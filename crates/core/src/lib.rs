@@ -41,7 +41,7 @@ pub use client::{ClientProc, ClientStats};
 pub use crash::{run_crash, CrashReport};
 pub use experiment::{RunConfig, RunResult, SystemKind, Utps};
 pub use msg::{NetMsg, OpKind, Request, Response};
-pub use stage::{PipelineRuntime, Stage, StageProc, StepOutcome};
+pub use stage::PipelineRuntime;
 pub use store::KvStore;
 pub use system::{run_system, System};
 pub use tier::{TierConfig, TierRunStats, TierState};

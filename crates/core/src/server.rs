@@ -6,7 +6,9 @@
 //! the non-blocking reassignment protocol of §3.5 (switch at a pre-announced
 //! receive-slot sequence number, drain CR-MR lanes before switching roles).
 //!
-//! Both layers are [`Stage`]s on the stage engine of [`crate::stage`]:
+//! Both layers are stages that [`UtpsWorker`] drives, one at a time per
+//! core, and both reach the CR-MR queue only through their end of it
+//! ([`crate::crmr`]'s `Producer` and `Consumer`):
 //!
 //! **[`CrStage`]** (§3.2.3 FSM): polls the single-queue receive buffer for
 //! the slots it owns (`seq mod n == i`), parses, serves hot keys from the
@@ -26,25 +28,26 @@
 //! exactly once.
 //!
 //! [`UtpsWorker`] composes the two: it drives whichever stage currently owns
-//! the core and, when a stage reports [`StepOutcome::Handoff`] (§3.5 thread
-//! reassignment), installs the successor stage in its place.
+//! the core and, when that stage hands the core over (§3.5 thread
+//! reassignment), installs the other one in its place and reports
+//! [`StepOutcome::Handoff`].
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use utps_index::Step;
 use utps_sim::hashutil::FxHashMap;
 use utps_sim::nic::Fabric;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Process, StatClass};
+use utps_sim::{Ctx, Process, StatClass, StepOutcome};
 use utps_workload::Op;
 
 use crate::client::{DriverState, KvWorld};
-use crate::crmr::{CrMrQueue, Desc};
+use crate::crmr::{Consumer, CrMrQueue, Desc, Producer, Retired};
 use crate::hotcache::HotCache;
 use crate::msg::{NetMsg, OpKind, Response};
 use crate::retry::DedupTable;
 use crate::rpc::{self, send_response, Admission, RecvRing, RespBuffers};
-use crate::stage::{Stage, StepOutcome};
 use crate::store::{KvOp, KvOpOutput, KvStore, OpBuffers};
 use crate::system::{ServerParts, ServerWorld};
 use crate::tier::{self, BatchOp, DurabilityBarrier, Polled};
@@ -184,6 +187,11 @@ impl UtpsWorld {
         }
     }
 
+    /// The worker ids descriptors may target right now.
+    pub fn mr_targets(&self) -> Range<usize> {
+        self.mr_lo()..self.cfg.workers
+    }
+
     /// Marks `worker` as having adopted the pending reconfiguration;
     /// finalizes it when everyone has.
     pub fn adopt_reconfig(&mut self, worker: usize, now: SimTime) {
@@ -200,138 +208,12 @@ impl UtpsWorld {
     }
 }
 
-/// Cache-resident worker state.
-struct CrState {
-    /// Local copy of `n_cr` (the modulo divisor).
-    n_local: usize,
-    /// Next owned slot sequence number.
-    cursor: u64,
-    /// Per-target-MR descriptor accumulation (indexed by worker id).
-    out: Vec<Vec<Desc>>,
-    /// Per-lane FIFO of forwarded seqs awaiting completion.
-    pending: Vec<VecDeque<u64>>,
-    /// Last observed completion counter per lane.
-    seen: Vec<u64>,
-    /// Round-robin MR target.
-    mr_rr: usize,
-    /// Round-robin completion-poll lane.
-    comp_rr: usize,
-    /// In-progress local (hot-hit) operation and its claim timestamp.
-    local: Option<(u64, KvOp, SimTime)>,
-    /// Request counter for sampling.
-    sample_ctr: u32,
-    /// True when this worker is draining to move to the MR layer.
-    draining: bool,
-    /// Per-lane descriptor-lease deadline: a lane with pending work past
-    /// this time has its unpopped backlog revoked (see `check_leases`).
-    lease_at: Vec<SimTime>,
-    /// Hot-path acks `(response, claim time)` held behind the tier's
-    /// durability barrier. A locally served op may have observed writes
-    /// whose commit group is still in flight; its ack leaves only once
-    /// `durable_seq` covers them.
-    ack_defer: DurabilityBarrier<(Response, SimTime)>,
-}
-
-impl CrState {
-    /// State for worker `id` starting at slot `cursor`; `seen` is each
-    /// lane's completion counter as of now (all zero at run start).
-    fn new(n_local: usize, cursor: u64, seen: Vec<u64>) -> Self {
-        let workers = seen.len();
-        CrState {
-            n_local,
-            cursor,
-            out: (0..workers).map(|_| Vec::new()).collect(),
-            pending: (0..workers).map(|_| VecDeque::new()).collect(),
-            seen,
-            mr_rr: 0,
-            comp_rr: 0,
-            local: None,
-            sample_ctr: 0,
-            draining: false,
-            lease_at: vec![SimTime::ZERO; workers],
-            ack_defer: DurabilityBarrier::default(),
-        }
-    }
-
-    fn outstanding(&self) -> usize {
-        self.out.iter().map(Vec::len).sum::<usize>()
-            + self.pending.iter().map(VecDeque::len).sum::<usize>()
-    }
-}
-
 /// One request being processed at the MR layer.
 struct ActiveOp {
     op: BatchOp,
     done: bool,
     /// When the descriptor was popped (traversal-latency measurement).
     started: SimTime,
-}
-
-/// One super-batch's completions held behind the durability barrier: the
-/// piggybacked lane counters (and shared-mode seqs) advance only once the
-/// batch's WAL sequences are durable. Read-only batches carry the same
-/// barrier — their responses may have observed not-yet-durable writes
-/// applied in place by an earlier batch.
-struct TierDefer {
-    /// `(producer, count)` lane-counter advances (all-to-all mode).
-    lanes: Vec<(usize, u64)>,
-    /// Completed seqs (shared-queue counterfactual mode).
-    shared: Vec<u64>,
-}
-
-/// Memory-resident worker state.
-struct MrState {
-    ops: Vec<ActiveOp>,
-    /// Descriptors popped per producer in the current super-batch.
-    lane_pop: Vec<u32>,
-    prod_rr: usize,
-    scratch: Vec<Desc>,
-    /// WAL records of the in-progress super-batch (sealed at `all_done`).
-    wal_buf: Vec<utps_wal::WalRecord>,
-    /// Shared-mode seqs completed in the current super-batch (deferred).
-    shared_done: Vec<u64>,
-    /// Commit groups awaiting durability.
-    defers: DurabilityBarrier<TierDefer>,
-    /// The core's private-cache token right after a lane scan that popped
-    /// nothing and read every tail word as a plain L1 hit; while the token
-    /// and the lanes stay put, the next scan is replayed (DESIGN.md §10
-    /// "Replayed idle scans").
-    idle_scan: Option<u64>,
-}
-
-impl MrState {
-    fn new(workers: usize) -> Self {
-        MrState {
-            ops: Vec::new(),
-            lane_pop: vec![0; workers],
-            prod_rr: 0,
-            scratch: Vec::new(),
-            wal_buf: Vec::new(),
-            shared_done: Vec::new(),
-            defers: DurabilityBarrier::default(),
-            idle_scan: None,
-        }
-    }
-
-    /// Starts an op, stamped now, for each descriptor just popped into
-    /// `scratch`.
-    fn start_popped(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, id: usize) {
-        if self.scratch.is_empty() {
-            return;
-        }
-        let got = self.scratch.len() as u64;
-        ctx.machine().registry.hist_record("mr.batch_size", got);
-        let started = ctx.now();
-        for i in 0..self.scratch.len() {
-            let d = self.scratch[i];
-            let op = BatchOp::new(d.seq, build_mr_op(ctx, world, id, d));
-            self.ops.push(ActiveOp {
-                op,
-                done: false,
-                started,
-            });
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -342,15 +224,35 @@ impl MrState {
 /// serving, descriptor forwarding, and response transmission.
 pub struct CrStage {
     id: usize,
-    st: CrState,
+    /// Local copy of `n_cr` (the modulo divisor).
+    n_local: usize,
+    /// Next owned slot sequence number.
+    cursor: u64,
+    /// This worker's end of the CR-MR queue.
+    tx: Producer,
+    /// In-progress local (hot-hit) operation and its claim timestamp.
+    local: Option<(u64, KvOp, SimTime)>,
+    /// Request counter for sampling.
+    sample_ctr: u32,
+    /// Hot-path acks `(response, claim time)` held behind the tier's
+    /// durability barrier. A locally served op may have observed writes
+    /// whose commit group is still in flight; its ack leaves only once
+    /// `durable_seq` covers them.
+    ack_defer: DurabilityBarrier<(Response, SimTime)>,
 }
 
 impl CrStage {
-    /// A freshly spawned CR stage for worker `id` (run start).
-    pub fn fresh(id: usize, cfg: &ServerConfig) -> Self {
+    /// The CR stage of worker `id` under divisor `n_local`, next claiming
+    /// slot `cursor`.
+    pub fn new(id: usize, n_local: usize, cursor: u64, cfg: &ServerConfig) -> Self {
         CrStage {
             id,
-            st: CrState::new(cfg.n_cr, id as u64, vec![0; cfg.workers]),
+            n_local,
+            cursor,
+            tx: Producer::new(id, cfg.workers, cfg.batch, cfg.lease_ps),
+            local: None,
+            sample_ctr: 0,
+            ack_defer: DurabilityBarrier::default(),
         }
     }
 
@@ -363,7 +265,7 @@ impl CrStage {
         self.drain_deferred(ctx, world);
 
         // 0. Finish a blocked/ready local hot-path operation first.
-        if let Some((seq, op, started)) = self.st.local.take() {
+        if let Some((seq, op, started)) = self.local.take() {
             self.drive_local(ctx, world, seq, op, started);
             return false;
         }
@@ -374,42 +276,20 @@ impl CrStage {
             .as_ref()
             .map(|r| (r.new_n_cr, r.switch_seq, r.adopted[id]));
         if let Some((new_n_cr, switch_seq, adopted)) = rc {
-            if !adopted && self.st.cursor >= switch_seq {
+            if !adopted && self.cursor >= switch_seq {
                 if id < new_n_cr {
                     // Stay CR: adopt the new modulo and realign.
-                    self.st.n_local = new_n_cr;
-                    self.st.cursor = align_cursor(switch_seq, id, new_n_cr);
+                    self.n_local = new_n_cr;
+                    self.cursor = align_cursor(switch_seq, id, new_n_cr);
                     world.adopt_reconfig(id, ctx.now());
                 } else {
                     // Leave for the MR layer once everything drains.
-                    self.st.draining = true;
                     return self.try_depart(ctx, world);
                 }
             }
             // Until the switch point, keep processing with the old mapping.
-            // Accumulated-but-unpushed descriptors whose target is leaving
-            // the MR layer must be redirected, or their requests leak.
-            // (The shared-queue counterfactual is target-free: skip.)
-            let mr_lo = if world.crmr.is_shared() {
-                0
-            } else {
-                world.mr_lo()
-            };
-            let mut stale: Vec<Desc> = Vec::new();
-            for t in 0..mr_lo.min(self.st.out.len()) {
-                stale.append(&mut self.st.out[t]);
-            }
-            let n_mr = world.cfg.workers - mr_lo;
-            for d in stale {
-                let target = mr_lo + self.st.mr_rr % n_mr;
-                self.st.out[target].push(d);
-                if self.st.out[target].len() >= world.cfg.batch {
-                    self.push_lane(ctx, &mut world.crmr, target, world.cfg.lease_ps);
-                    self.st.mr_rr = (self.st.mr_rr + 1) % n_mr;
-                }
-            }
-        } else if self.st.draining {
-            self.st.draining = false;
+            let targets = world.mr_targets();
+            self.tx.retarget(ctx, &mut world.crmr, targets, false);
         }
 
         // 2. Pump the NIC into the receive ring (DMA is free for the CPU;
@@ -421,127 +301,30 @@ impl CrStage {
         }
 
         // 3. Poll one lane's completion counter; send finished responses.
-        self.poll_completions(ctx, world, 8);
+        self.poll_completions(ctx, world);
 
         // 3b. Reclaim descriptor batches whose lease has expired.
-        if world.cfg.lease_ps > 0 {
-            self.check_leases(ctx, world);
-        }
+        let targets = world.mr_targets();
+        self.tx.reclaim_expired(ctx, &mut world.crmr, targets);
 
         // 4. Claim and process the next owned slot.
-        let backlog = self.st.outstanding();
-        let may_claim = backlog < world.cfg.batch * 8 && !self.st.draining;
-        let claimed = if may_claim && world.ring.poll_posted(self.st.cursor) {
-            let seq = self.st.cursor;
-            self.st.cursor += self.st.n_local as u64;
-            self.process_request(ctx, world, seq);
-            true
-        } else {
-            false
-        };
+        let claimed =
+            if self.tx.outstanding() < world.cfg.batch * 8 && world.ring.poll_posted(self.cursor) {
+                let seq = self.cursor;
+                self.cursor += self.n_local as u64;
+                self.process_request(ctx, world, seq);
+                true
+            } else {
+                false
+            };
 
-        // 5. Flush a partial batch when idle so misses never starve
-        //    (only toward workers that are legal MR targets right now).
+        // 5. Flush a partial batch when idle so misses never starve.
         if !claimed {
-            if world.crmr.is_shared() {
-                while let Some(d) = self.st.out[0].pop() {
-                    if !world.crmr.push_shared(ctx, id, d) {
-                        self.st.out[0].push(d);
-                        break;
-                    }
-                }
-                return false;
-            }
-            let mr_lo = world.mr_lo();
-            for t in mr_lo..world.cfg.workers {
-                if !self.st.out[t].is_empty()
-                    && self.push_lane(ctx, &mut world.crmr, t, world.cfg.lease_ps) > 0
-                {
-                    break;
-                }
-            }
+            let targets = world.mr_targets();
+            self.tx.flush(ctx, &mut world.crmr, targets);
         }
         false
     }
-
-    /// Pushes the accumulated batch for lane `target`, recording accepted
-    /// seqs in the per-lane completion FIFO and arming the lane's
-    /// descriptor lease. Returns how many were accepted.
-    fn push_lane(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        crmr: &mut CrMrQueue,
-        target: usize,
-        lease_ps: u64,
-    ) -> usize {
-        let st = &mut self.st;
-        let mut batch = core::mem::take(&mut st.out[target]);
-        let accepted_seqs: Vec<u64> = batch.iter().map(|d| d.seq).collect();
-        let pushed = crmr.push_batch(ctx, self.id, target, &mut batch);
-        for &seq in &accepted_seqs[..pushed] {
-            st.pending[target].push_back(seq);
-        }
-        if pushed > 0 && lease_ps > 0 {
-            st.lease_at[target] = ctx.now() + lease_ps;
-        }
-        st.out[target] = batch;
-        pushed
-    }
-
-    /// Reclaims descriptor batches whose lease expired: a lane with pending
-    /// work and no completion progress for `lease_ps` has its *unpopped*
-    /// backlog revoked and re-forwarded to the other MR workers, so a
-    /// stalled consumer delays only the batch it already popped.
-    fn check_leases(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) {
-        let lease = world.cfg.lease_ps;
-        if lease == 0 || world.crmr.is_shared() {
-            return;
-        }
-        let id = self.id;
-        let mr_lo = world.mr_lo();
-        let n_mr = world.cfg.workers - mr_lo;
-        if n_mr < 2 {
-            return; // no other worker to hand the backlog to
-        }
-        let workers = world.cfg.workers;
-        let now = ctx.now();
-        for t in 0..workers {
-            if self.st.pending[t].is_empty() || now <= self.st.lease_at[t] {
-                continue;
-            }
-            let mut revoked: Vec<Desc> = Vec::new();
-            let got = world.crmr.revoke_unpopped(ctx, id, t, &mut revoked);
-            // Re-arm regardless: the already-popped prefix stays with the
-            // consumer and must not re-trigger every step.
-            self.st.lease_at[t] = now + lease;
-            if got == 0 {
-                continue;
-            }
-            for _ in 0..got {
-                self.st.pending[t]
-                    .pop_back()
-                    .expect("revoked more than pending");
-            }
-            ctx.machine()
-                .registry
-                .counter_add("crmr.lease_reclaim", got as u64);
-            for d in revoked {
-                let mut target = mr_lo + self.st.mr_rr % n_mr;
-                if target == t {
-                    self.st.mr_rr = (self.st.mr_rr + 1) % n_mr;
-                    target = mr_lo + self.st.mr_rr % n_mr;
-                }
-                self.st.out[target].push(d);
-                self.st.mr_rr = (self.st.mr_rr + 1) % n_mr;
-            }
-            for tt in mr_lo..workers {
-                if tt != t && !self.st.out[tt].is_empty() {
-                    self.push_lane(ctx, &mut world.crmr, tt, lease);
-                }
-            }
-        }
-    }
-
     /// Processes one claimed receive slot.
     fn process_request(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, seq: u64) {
         let id = self.id;
@@ -569,9 +352,9 @@ impl CrStage {
         let key = desc.key;
 
         // Sampling for the hot-set tracker.
-        self.st.sample_ctr += 1;
-        if world.cfg.cache_enabled && self.st.sample_ctr >= world.cfg.sample_every {
-            self.st.sample_ctr = 0;
+        self.sample_ctr += 1;
+        if world.cfg.cache_enabled && self.sample_ctr >= world.cfg.sample_every {
+            self.sample_ctr = 0;
             let q = &mut world.samples[id];
             if q.len() < 4096 {
                 q.push_back(key);
@@ -671,83 +454,47 @@ impl CrStage {
             match op.poll(ctx, &mut world.store) {
                 Step::Done(out) => {
                     let id = self.id;
-                    finish_local(ctx, world, &mut self.st.ack_defer, id, seq, out, started);
+                    finish_local(ctx, world, &mut self.ack_defer, id, seq, out, started);
                     return;
                 }
                 Step::Ready => continue,
                 Step::Blocked => {
-                    self.st.local = Some((seq, op, started));
+                    self.local = Some((seq, op, started));
                     return;
                 }
             }
         }
     }
 
-    /// Queues a descriptor toward the MR layer, pushing full batches.
+    /// Queues a descriptor toward the MR layer.
     fn forward(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, desc: Desc) {
-        let id = self.id;
-        ctx.machine().registry.counter_inc("cr.forward");
-        let mr_lo = world.mr_lo();
-        let n_mr = world.cfg.workers - mr_lo;
-        debug_assert!(n_mr > 0, "no MR workers to forward to");
-        if world.crmr.is_shared() {
-            // Counterfactual transport: one shared queue, one CAS per
-            // descriptor; overflow retries from the stash on later steps.
-            if !world.crmr.push_shared(ctx, id, desc) {
-                self.st.out[0].push(desc);
-            }
-            return;
-        }
-        // Fill one target's multi-request slot to the batch size before
-        // rotating to the next MR worker (§3.4: a slot is pushed only when
-        // enough requests have accumulated).
-        let target = mr_lo + self.st.mr_rr % n_mr;
-        self.st.out[target].push(desc);
-        if self.st.out[target].len() >= world.cfg.batch {
-            self.push_lane(ctx, &mut world.crmr, target, world.cfg.lease_ps);
-            self.st.mr_rr = (self.st.mr_rr + 1) % n_mr;
-        }
+        let targets = world.mr_targets();
+        self.tx.forward(ctx, &mut world.crmr, desc, targets);
     }
 
-    /// Polls completion counters and sends up to `limit` finished responses.
-    fn poll_completions(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, limit: usize) {
-        let id = self.id;
-        if world.crmr.is_shared() {
-            for _ in 0..limit {
-                let Some(seq) = world.crmr.pop_completion_shared(ctx, id) else {
-                    break;
-                };
-                send_forwarded(ctx, world, seq);
+    /// Sends up to 8 responses the MR layer has completed.
+    fn poll_completions(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) {
+        let UtpsWorld {
+            crmr,
+            ring,
+            fabric,
+            stats,
+            dedup,
+            cluster,
+            ..
+        } = world;
+        self.tx.poll(ctx, crmr, 8, |ctx, seq| {
+            // The response the MR layer deposited; the slot returns to the
+            // ring.
+            let resp = ring.release(seq);
+            stats.responses += 1;
+            dedup.record(resp.client, resp.seq);
+            if let Some(cl) = cluster {
+                cl.op_end(seq);
             }
-            return;
-        }
-        let st = &mut self.st;
-        let workers = world.cfg.workers;
-        // Find the next lane with forwarded-but-unacknowledged requests.
-        let mut lane = None;
-        for off in 0..workers {
-            let t = (st.comp_rr + off) % workers;
-            if !st.pending[t].is_empty() {
-                lane = Some(t);
-                st.comp_rr = (t + 1) % workers;
-                break;
-            }
-        }
-        let Some(t) = lane else { return };
-        let completed = world.crmr.completed(ctx, id, t);
-        let mut sent = 0;
-        while st.seen[t] < completed && sent < limit as u64 {
-            st.seen[t] += 1;
-            sent += 1;
-            let seq = st.pending[t]
-                .pop_front()
-                .expect("completion without pending seq");
-            send_forwarded(ctx, world, seq);
-        }
-        // Completion progress renews the lane's descriptor lease.
-        if sent > 0 && world.cfg.lease_ps > 0 {
-            st.lease_at[t] = ctx.now() + world.cfg.lease_ps;
-        }
+            ctx.machine().registry.counter_inc("cr.response");
+            send_response(ctx, fabric, resp);
+        });
     }
 
     /// Releases deferred hot-path acks whose durability requirement is now
@@ -756,7 +503,7 @@ impl CrStage {
         let Some(tier) = world.tier.as_mut() else {
             return;
         };
-        for (resp, started) in self.st.ack_defer.drain(tier, ctx.now()) {
+        for (resp, started) in self.ack_defer.drain(tier, ctx.now()) {
             send_local(ctx, world, resp, started);
         }
     }
@@ -764,61 +511,27 @@ impl CrStage {
     /// Attempts to finish draining; `true` once this worker has handed its
     /// core to the MR layer.
     fn try_depart(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> bool {
-        let id = self.id;
         // Flush any remaining partial batches first (redirecting any whose
         // target is also leaving the MR layer).
-        {
-            let mr_lo = world.mr_lo();
-            let n_mr = world.cfg.workers - mr_lo;
-            let st = &mut self.st;
-            let mut stale: Vec<Desc> = Vec::new();
-            for t in 0..mr_lo.min(st.out.len()) {
-                stale.append(&mut st.out[t]);
-            }
-            for d in stale {
-                let target = mr_lo + st.mr_rr % n_mr;
-                st.mr_rr = (st.mr_rr + 1) % n_mr;
-                st.out[target].push(d);
-            }
-            for t in mr_lo..world.cfg.workers {
-                if !self.st.out[t].is_empty() {
-                    self.push_lane(ctx, &mut world.crmr, t, world.cfg.lease_ps);
-                }
-            }
-        }
+        let targets = world.mr_targets();
+        self.tx.retarget(ctx, &mut world.crmr, targets, true);
         // Keep sending completions for already-forwarded requests (and
         // releasing barrier-held acks).
-        self.poll_completions(ctx, world, 8);
+        self.poll_completions(ctx, world);
         self.drain_deferred(ctx, world);
-        if self.st.local.is_none()
-            && self.st.outstanding() == 0
-            && world.crmr.producer_idle(id)
-            && self.st.ack_defer.is_empty()
+        if self.local.is_none()
+            && self.tx.outstanding() == 0
+            && self.tx.idle(&world.crmr)
+            && self.ack_defer.is_empty()
         {
             // All clear: hand the core to a fresh MR stage.
             ctx.set_class(StatClass::Mr);
-            world.adopt_reconfig(id, ctx.now());
+            world.adopt_reconfig(self.id, ctx.now());
             true
         } else {
             ctx.spin();
             false
         }
-    }
-}
-
-impl Stage<UtpsWorld> for CrStage {
-    fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> StepOutcome {
-        if self.run(ctx, world) {
-            StepOutcome::Handoff
-        } else if ctx.progressed() {
-            StepOutcome::Progress
-        } else {
-            StepOutcome::Idle
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "utps-cr"
     }
 }
 
@@ -830,10 +543,13 @@ impl Stage<UtpsWorld> for CrStage {
 /// index traversal.
 pub struct MrStage {
     id: usize,
-    st: MrState,
-    /// The CR stage to install after a [`StepOutcome::Handoff`], built
-    /// against the live lane counters *before* the reconfig is adopted.
-    successor: Option<CrStage>,
+    /// This worker's end of the CR-MR queue.
+    rx: Consumer,
+    ops: Vec<ActiveOp>,
+    /// WAL records of the in-progress super-batch (sealed at `all_done`).
+    wal_buf: Vec<utps_wal::WalRecord>,
+    /// Retired super-batches awaiting durability.
+    defers: DurabilityBarrier<Retired>,
 }
 
 impl MrStage {
@@ -841,8 +557,10 @@ impl MrStage {
     pub fn new(id: usize, workers: usize) -> Self {
         MrStage {
             id,
-            st: MrState::new(workers),
-            successor: None,
+            rx: Consumer::new(id, workers),
+            ops: Vec::new(),
+            wal_buf: Vec::new(),
+            defers: DurabilityBarrier::default(),
         }
     }
 
@@ -852,21 +570,14 @@ impl MrStage {
         let Some(tier) = world.tier.as_mut() else {
             return;
         };
-        let id = self.id;
-        for d in self.st.defers.drain(tier, ctx.now()) {
-            for (p, n) in d.lanes {
-                world.crmr.complete(ctx, p, id, n);
-            }
-            for seq in d.shared {
-                let owner = world.owner_of(seq);
-                world.crmr.complete_shared(ctx, owner, seq);
-            }
+        for retired in self.defers.drain(tier, ctx.now()) {
+            self.rx.release(ctx, &mut world.crmr, retired);
         }
     }
 
-    /// One MR scheduling slot; `true` means the worker has switched to the
-    /// CR layer and the caller must install [`MrStage::successor`].
-    fn run(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> bool {
+    /// One MR scheduling slot; `Some` is the CR stage this worker has
+    /// switched to, which the caller must install.
+    fn run(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> Option<CrStage> {
         let id = self.id;
 
         // Release barrier-held completions first: durability progresses
@@ -880,23 +591,14 @@ impl MrStage {
             .map(|r| (r.new_n_cr, r.switch_seq, r.adopted[id]));
         if let Some((new_n_cr, switch_seq, adopted)) = rc {
             if !adopted && id < new_n_cr {
-                if self.st.ops.is_empty()
-                    && self.st.defers.is_empty()
-                    && world.crmr.consumer_idle(id)
-                {
+                if self.ops.is_empty() && self.defers.is_empty() && world.crmr.consumer_idle(id) {
                     // Build the successor before adopting: adoption may
                     // finalize the reconfig and erase `new_n_cr`.
-                    // Resync with the lanes' live counters (non-zero when
-                    // this worker held the CR role before).
-                    let seen = (0..world.cfg.workers)
-                        .map(|c| world.crmr.completed_peek(id, c))
-                        .collect();
                     let cursor = align_cursor(switch_seq, id, new_n_cr);
-                    let st = CrState::new(new_n_cr, cursor, seen);
-                    self.successor = Some(CrStage { id, st });
+                    let successor = CrStage::new(id, new_n_cr, cursor, &world.cfg);
                     ctx.set_class(StatClass::Cr);
                     world.adopt_reconfig(id, ctx.now());
-                    return true;
+                    return Some(successor);
                 }
                 // Fall through: keep processing to drain.
             } else if !adopted {
@@ -905,66 +607,62 @@ impl MrStage {
             }
         }
 
-        let st = &mut self.st;
-
-        if st.ops.is_empty() {
+        if self.ops.is_empty() {
             // Write-path backpressure: with too many commit groups awaiting
             // durability, wait for the oldest device write instead of
             // pulling more work (bounds both memory and ack latency).
             if let Some(tier) = world.tier.as_ref() {
-                if st.defers.len() >= tier.cfg.defer_max {
+                if self.defers.len() >= tier.cfg.defer_max {
                     tier::wait_for_commit(ctx, Some(tier));
-                    return false;
+                    return None;
                 }
             }
-            let workers = world.cfg.workers;
-            let batch = world.cfg.batch;
-            if world.crmr.is_shared() {
-                st.scratch.clear();
-                world.crmr.pop_shared(ctx, &mut st.scratch, batch);
-                st.start_popped(ctx, world, id);
-            } else {
-                // An idle scan that would repeat its predecessor exactly —
-                // same empty lanes, same L1-resident tail words — charges
-                // its `workers` L1 hits without re-walking the cache model.
-                // `prod_rr` would advance by `workers`, i.e. not at all.
-                if st.idle_scan == Some(ctx.private_version())
-                    && st.defers.is_empty()
-                    && world.reconfig.is_none()
-                    && world.crmr.consumer_idle(id)
-                {
-                    ctx.l1_hits(workers as u64);
-                    return false;
+            // Fill a super-batch; each popped batch starts one op per
+            // descriptor, stamped at its pop.
+            let may_replay = self.defers.is_empty() && world.reconfig.is_none();
+            let UtpsWorld {
+                crmr,
+                ring,
+                resp,
+                store,
+                scan_skips,
+                tier,
+                cfg,
+                ..
+            } = world;
+            let ops = &mut self.ops;
+            self.rx.pop(ctx, crmr, cfg.batch, may_replay, |ctx, descs| {
+                let got = descs.len() as u64;
+                ctx.machine().registry.hist_record("mr.batch_size", got);
+                let started = ctx.now();
+                for &d in descs {
+                    // The MR worker copies response payloads into *its own*
+                    // response buffer (§3.3) — the RNIC reads it directly,
+                    // so the CR layer never touches those lines.
+                    tier::begin_op(tier.as_mut(), d.kind, d.key);
+                    let skip = match d.kind {
+                        OpKind::Scan => scan_skips.remove(&d.seq).unwrap_or_default(),
+                        _ => Vec::new(),
+                    };
+                    let resp_addr = resp.addr_for(id, d.seq);
+                    let op = KvOp::for_desc(ctx, store, ring, d, skip, resp_addr);
+                    ops.push(ActiveOp {
+                        op: BatchOp::new(d.seq, op),
+                        done: false,
+                        started,
+                    });
                 }
-                let v0 = ctx.private_version();
-                // Fill a super-batch by scanning all producers round-robin.
-                let mut scanned = 0;
-                while st.ops.len() < batch && scanned < workers {
-                    let p = (st.prod_rr + scanned) % workers;
-                    scanned += 1;
-                    st.scratch.clear();
-                    let want = batch - st.ops.len();
-                    let got = world.crmr.pop_batch(ctx, p, id, &mut st.scratch, want);
-                    if got > 0 {
-                        st.lane_pop[p] += got as u32;
-                        ctx.stage_transitions(1);
-                        st.start_popped(ctx, world, id);
-                    }
-                }
-                st.prod_rr = (st.prod_rr + scanned) % workers;
-                let v1 = ctx.private_version();
-                st.idle_scan = (st.ops.is_empty() && v1 - v0 == workers as u64).then_some(v1);
-            }
-            if !st.ops.is_empty() {
-                let depth = st.ops.len() as u64;
+            });
+            if !self.ops.is_empty() {
+                let depth = self.ops.len() as u64;
                 ctx.machine()
                     .registry
                     .hist_record("mr.interleave_depth", depth);
-            } else if !st.defers.is_empty() {
+            } else if !self.defers.is_empty() {
                 // Nothing to pop and groups in flight: wait on the device.
                 tier::wait_for_commit(ctx, world.tier.as_ref());
             }
-            return false;
+            return None;
         }
 
         // Interleave the batch: one `BatchOp::poll` per live op. A blocked
@@ -972,17 +670,18 @@ impl MrStage {
         let mut all_done = true;
         let mut cold_next: Option<SimTime> = None;
         let mut live_fsm = false;
-        for i in 0..st.ops.len() {
-            if st.ops[i].done {
+        for i in 0..self.ops.len() {
+            let active = &mut self.ops[i];
+            if active.done {
                 continue;
             }
-            let seq = st.ops[i].op.seq;
-            let out = match st.ops[i].op.poll(
+            let seq = active.op.seq;
+            let out = match active.op.poll(
                 ctx,
                 &mut world.store,
                 world.tier.as_mut(),
                 world.ring.request(seq),
-                &mut st.wal_buf,
+                &mut self.wal_buf,
             ) {
                 Polled::Done(out) => out,
                 Polled::Cold(ready) => {
@@ -996,8 +695,8 @@ impl MrStage {
                     continue;
                 }
             };
-            st.ops[i].done = true;
-            let trav_ns = ctx.now().since(st.ops[i].started) / utps_sim::time::NANOS;
+            active.done = true;
+            let trav_ns = ctx.now().since(active.started) / utps_sim::time::NANOS;
             ctx.machine()
                 .registry
                 .hist_record("mr.traversal_ns", trav_ns);
@@ -1019,44 +718,22 @@ impl MrStage {
             let resp_addr = world.resp.addr_for(id, seq);
             let resp = Response::reply(world.ring.request(seq), out, resp_addr);
             world.ring.complete(seq, resp);
-            if world.crmr.is_shared() {
-                if world.tier.is_some() {
-                    // Held behind the durability barrier with the batch.
-                    st.shared_done.push(seq);
-                } else {
-                    let owner = world.owner_of(seq);
-                    world.crmr.complete_shared(ctx, owner, seq);
-                }
-            }
+            let hold = world.tier.is_some();
+            self.rx.retire(ctx, &mut world.crmr, seq, hold);
         }
         if let Some(tier) = world.tier.as_mut().filter(|_| all_done) {
             // Super-batch retired: seal its WAL records as one commit group
             // and hold every completion (reads included — they may have
             // observed earlier un-durable writes) behind the barrier.
-            tier.seal_batch(ctx, &mut st.wal_buf);
-            let need_seq = tier.last_applied();
-            let mut lanes = Vec::new();
-            for p in 0..world.cfg.workers {
-                if st.lane_pop[p] > 0 {
-                    lanes.push((p, st.lane_pop[p] as u64));
-                    st.lane_pop[p] = 0;
-                }
-            }
-            let shared = core::mem::take(&mut st.shared_done);
-            st.defers.park(need_seq, TierDefer { lanes, shared });
-            st.ops.clear();
+            tier.seal_batch(ctx, &mut self.wal_buf);
+            self.defers.park(tier.last_applied(), self.rx.seal());
+            self.ops.clear();
         } else if all_done {
-            // Whole super-batch finished: advance lane tail counters (the
-            // piggybacked completion signal; none were popped in shared
-            // mode, whose completions already went out one by one).
-            for p in 0..world.cfg.workers {
-                if st.lane_pop[p] > 0 {
-                    let n = st.lane_pop[p] as u64;
-                    st.lane_pop[p] = 0;
-                    world.crmr.complete(ctx, p, id, n);
-                }
-            }
-            st.ops.clear();
+            // Whole super-batch finished: signal its completions (the
+            // piggybacked lane tail counters).
+            let retired = self.rx.seal();
+            self.rx.release(ctx, &mut world.crmr, retired);
+            self.ops.clear();
         } else if !live_fsm {
             // Only cold-read waiters remain: jump to the earliest device
             // completion instead of spinning.
@@ -1064,37 +741,8 @@ impl MrStage {
                 ctx.advance_to(t);
             }
         }
-        false
+        None
     }
-}
-
-impl Stage<UtpsWorld> for MrStage {
-    fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> StepOutcome {
-        if self.run(ctx, world) {
-            StepOutcome::Handoff
-        } else if ctx.progressed() {
-            StepOutcome::Progress
-        } else {
-            StepOutcome::Idle
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "utps-mr"
-    }
-}
-
-/// Sends the response the MR layer deposited for forwarded slot `seq` and
-/// returns the slot to the ring.
-fn send_forwarded(ctx: &mut Ctx<'_>, world: &mut UtpsWorld, seq: u64) {
-    let resp = world.ring.release(seq);
-    world.stats.responses += 1;
-    world.dedup.record(resp.client, resp.seq);
-    if let Some(cl) = &world.cluster {
-        cl.op_end(seq);
-    }
-    ctx.machine().registry.counter_inc("cr.response");
-    send_response(ctx, &mut world.fabric, resp);
 }
 
 /// Completes a locally served request and frees its slot. With the durable
@@ -1147,19 +795,6 @@ fn align_cursor(from: u64, id: usize, n: usize) -> u64 {
     }
 }
 
-/// Builds the MR-layer [`KvOp`] for a descriptor. The MR worker copies
-/// response payloads into *its own* response buffer (§3.3) — the RNIC reads
-/// it directly, so the CR layer never touches those lines.
-fn build_mr_op(ctx: &mut Ctx<'_>, world: &mut UtpsWorld, consumer: usize, d: Desc) -> KvOp {
-    tier::begin_op(world.tier.as_mut(), d.kind, d.key);
-    let skip = match d.kind {
-        OpKind::Scan => world.scan_skips.remove(&d.seq).unwrap_or_default(),
-        _ => Vec::new(),
-    };
-    let resp_addr = world.resp.addr_for(consumer, d.seq);
-    KvOp::for_desc(ctx, &world.store, &mut world.ring, d, skip, resp_addr)
-}
-
 // ----------------------------------------------------------------------
 // Worker composition
 // ----------------------------------------------------------------------
@@ -1174,8 +809,8 @@ enum Role {
 }
 
 /// A μTPS worker thread: the CR⇄MR stage composition. Drives whichever
-/// stage owns the core and swaps in the successor on
-/// [`StepOutcome::Handoff`] (§3.5 thread reassignment).
+/// stage owns the core and installs the other one when the worker switches
+/// layers (§3.5 thread reassignment).
 pub struct UtpsWorker {
     id: usize,
     role: Role,
@@ -1185,7 +820,7 @@ impl UtpsWorker {
     /// Creates worker `id` with its initial stage taken from `cfg`.
     pub fn new(id: usize, cfg: &ServerConfig) -> Self {
         let role = if id < cfg.n_cr {
-            Role::Cr(CrStage::fresh(id, cfg))
+            Role::Cr(CrStage::new(id, cfg.n_cr, id as u64, cfg))
         } else {
             Role::Mr(MrStage::new(id, cfg.workers))
         };
@@ -1195,23 +830,23 @@ impl UtpsWorker {
 
 impl Process<UtpsWorld> for UtpsWorker {
     fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> StepOutcome {
-        let outcome = match &mut self.role {
-            Role::Cr(s) => s.step(ctx, world),
-            Role::Mr(s) => s.step(ctx, world),
+        let switched = match &mut self.role {
+            Role::Cr(s) => s
+                .run(ctx, world)
+                .then(|| Role::Mr(MrStage::new(self.id, world.cfg.workers))),
+            Role::Mr(s) => s.run(ctx, world).map(Role::Cr),
         };
-        if matches!(outcome, StepOutcome::Handoff) {
-            self.role = match &mut self.role {
-                Role::Cr(_) => Role::Mr(MrStage::new(self.id, world.cfg.workers)),
-                Role::Mr(s) => Role::Cr(
-                    s.successor
-                        .take()
-                        .expect("MR handoff without successor stage"),
-                ),
-            };
+        if let Some(role) = switched {
+            // Surface the handoff so the engine ends any burst: the next
+            // step runs the other role and should re-enter through the
+            // scheduler.
+            self.role = role;
+            StepOutcome::Handoff
+        } else if ctx.progressed() {
+            StepOutcome::Progress
+        } else {
+            StepOutcome::Idle
         }
-        // Surface the handoff so the engine ends any burst: the next step
-        // runs the other role and should re-enter through the scheduler.
-        outcome
     }
 
     fn name(&self) -> &'static str {

@@ -2,82 +2,31 @@
 //!
 //! The paper's core move is splitting request processing into *stages* with
 //! explicit handoff points (hit path / miss path, §3.2.3) instead of
-//! run-to-completion threads. This module makes that structure first-class:
+//! run-to-completion threads. A stage is a sim [`Process`]: a non-preemptive
+//! FSM whose `step` runs one scheduling slot to its next yield point and
+//! reports a [`utps_sim::StepOutcome`] — progress, nothing to do, or a
+//! handoff of its core to another stage (μTPS's §3.5 thread reassignment).
+//! The outcome steers only the engine's burst fast path; all costs are
+//! charged through [`Ctx`](utps_sim::Ctx).
 //!
-//! * [`Stage`] — a non-preemptive FSM. `step` runs one scheduling slot to
-//!   its next yield point and reports a [`StepOutcome`]: whether it made
-//!   progress, found nothing to do, or wants to hand its core to a successor
-//!   stage (μTPS's §3.5 thread reassignment).
-//! * [`StageProc`] — the adapter driving a single stage as a sim
-//!   [`Process`]. The outcome steers only the engine's burst fast path; all
-//!   costs are charged through [`Ctx`], so wrapping a stage never perturbs
-//!   the simulation.
-//! * [`PipelineRuntime`] — owns the engine and the per-run plumbing every
-//!   system repeats: fault-plan installation, stage/client spawning, and the
-//!   warmup → counter-reset → measure protocol.
+//! [`PipelineRuntime`] owns the engine and the per-run plumbing every
+//! system repeats: fault-plan installation, stage/client spawning, and the
+//! warmup → counter-reset → measure protocol.
 //!
 //! How the systems map onto it:
 //!
 //! | System | Stages |
 //! |---|---|
 //! | μTPS | `CrStage` ⇄ `MrStage` per worker, composed by `UtpsWorker` |
-//! | BaseKV | one run-to-completion stage per worker |
-//! | eRPCKV | NIC dispatch stage fused into each shard stage |
+//! | BaseKV | one run-to-completion process per worker |
+//! | eRPCKV | NIC dispatch stage fused into each shard's process |
 //! | RaceHash/Sherman | verb-engine process (no server stage at all) |
 
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Engine, FaultPlan, Machine, Process, SchedulePlan, StatClass};
+use utps_sim::{Engine, FaultPlan, Machine, Process, SchedulePlan, StatClass};
 
 use crate::client::{ClientProc, KvWorld, SamplerProc};
 use crate::experiment::RunConfig;
-
-// `StepOutcome` moved down into the engine when `Process::step` started
-// returning it (the burst fast path keys off it); re-exported here so every
-// historical `utps_core::stage::StepOutcome` path keeps working. The
-// charging contract is unchanged: an outcome never influences simulated
-// time or event order, only how the engine hosts the next step.
-pub use utps_sim::StepOutcome;
-
-/// A non-preemptive stage of request processing, mirroring the paper's
-/// hit-path/miss-path state machine: each `step` call runs to the stage's
-/// next yield point and returns.
-///
-/// Charging discipline: all simulated costs go through `ctx`; the returned
-/// [`StepOutcome`] must not influence them.
-pub trait Stage<W> {
-    /// Runs one scheduling slot.
-    fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut W) -> StepOutcome;
-
-    /// Stage name for diagnostics.
-    fn name(&self) -> &'static str {
-        "stage"
-    }
-}
-
-/// Adapter: drives one [`Stage`] as an engine [`Process`], surfacing the
-/// stage's outcome to the engine's burst fast path (single-stage workers
-/// never hand off; compositions like `UtpsWorker` handle
-/// [`StepOutcome::Handoff`] themselves).
-pub struct StageProc<S> {
-    stage: S,
-}
-
-impl<S> StageProc<S> {
-    /// Wraps `stage`.
-    pub fn new(stage: S) -> Self {
-        StageProc { stage }
-    }
-}
-
-impl<W, S: Stage<W>> Process<W> for StageProc<S> {
-    fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut W) -> StepOutcome {
-        self.stage.step(ctx, world)
-    }
-
-    fn name(&self) -> &'static str {
-        self.stage.name()
-    }
-}
 
 /// The shared run harness: engine construction, fault-plan installation,
 /// stage/client spawning, and the warmup → reset → measure protocol that
@@ -118,17 +67,8 @@ impl<W: 'static> PipelineRuntime<W> {
         self.eng.machine()
     }
 
-    /// Spawns a stage pinned to server core `core` under `class`.
-    pub fn spawn_stage(
-        &mut self,
-        core: Option<usize>,
-        class: StatClass,
-        stage: impl Stage<W> + 'static,
-    ) {
-        self.eng.spawn(core, class, Box::new(StageProc::new(stage)));
-    }
-
-    /// Spawns a plain process (worker compositions, managers, verb engines).
+    /// Spawns a process pinned to server core `core` (`None`: unpinned)
+    /// under `class`.
     pub fn spawn_process(
         &mut self,
         core: Option<usize>,
@@ -185,13 +125,15 @@ impl<W: KvWorld + 'static> PipelineRuntime<W> {
 mod tests {
     use super::*;
 
-    /// A stage that counts steps and hands off after a threshold.
+    use utps_sim::{Ctx, StepOutcome};
+
+    /// A process that counts steps and hands off after a threshold.
     struct Counter {
         steps: u32,
         handoff_at: u32,
     }
 
-    impl Stage<u32> for Counter {
+    impl Process<u32> for Counter {
         fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut u32) -> StepOutcome {
             self.steps += 1;
             *world += 1;
@@ -214,13 +156,13 @@ mod tests {
         eng.spawn(
             Some(0),
             StatClass::Other,
-            Box::new(StageProc::new(Counter {
+            Box::new(Counter {
                 steps: 0,
                 handoff_at: u32::MAX,
-            })),
+            }),
         );
         eng.run_until(SimTime::from_micros(1));
-        assert!(eng.world > 10, "stage was stepped: {}", eng.world);
+        assert!(eng.world > 10, "process was stepped: {}", eng.world);
     }
 
     #[test]
@@ -234,13 +176,13 @@ mod tests {
             ..RunConfig::default()
         };
         let mut rt = PipelineRuntime::new(&cfg, 1, 0u32);
-        rt.spawn_stage(
+        rt.spawn_process(
             Some(0),
             StatClass::Other,
-            Counter {
+            Box::new(Counter {
                 steps: 0,
                 handoff_at: u32::MAX,
-            },
+            }),
         );
         let mut at_reset = 0;
         rt.run(|eng| {
@@ -258,17 +200,17 @@ mod tests {
 
     #[test]
     fn handoff_is_reported_not_enforced() {
-        // A Handoff outcome from a bare StageProc is informational: the
-        // stage keeps being scheduled (compositions interpret handoffs).
+        // A Handoff outcome is informational: the process keeps being
+        // scheduled (compositions like `UtpsWorker` act on handoffs).
         use utps_sim::MachineConfig;
         let mut eng = Engine::new(MachineConfig::tiny(), 1, 0u32);
         eng.spawn(
             Some(0),
             StatClass::Other,
-            Box::new(StageProc::new(Counter {
+            Box::new(Counter {
                 steps: 0,
                 handoff_at: 1,
-            })),
+            }),
         );
         eng.run_until(SimTime::from_nanos(500));
         assert!(eng.world > 1);

@@ -3,7 +3,7 @@
 //! losing requests or stalling the pipeline.
 
 use utps_core::client::{ClientProc, DriverState};
-use utps_core::crmr::CrMrQueue;
+use utps_core::crmr::{CrMrQueue, QueueKind};
 use utps_core::experiment::{RunConfig, WorkloadSpec};
 use utps_core::hotcache::HotCache;
 use utps_core::rpc::{RecvRing, RespBuffers};
@@ -15,7 +15,7 @@ use utps_sim::time::{SimTime, MILLIS};
 use utps_sim::{Engine, StatClass};
 use utps_workload::Mix;
 
-fn build_engine(workers: usize, n_cr: usize) -> (Engine<UtpsWorld>, RunConfig) {
+fn build_engine(workers: usize, n_cr: usize, kind: QueueKind) -> (Engine<UtpsWorld>, RunConfig) {
     let cfg = RunConfig {
         index: IndexKind::Tree,
         keys: 100_000,
@@ -44,7 +44,7 @@ fn build_engine(workers: usize, n_cr: usize) -> (Engine<UtpsWorld>, RunConfig) {
         ring: RecvRing::new(cfg.ring_slots, cfg.slot_size),
         resp: RespBuffers::new(cfg.workers, 64, 1152),
         store: KvStore::populate(cfg.index, cfg.keys, 64),
-        crmr: CrMrQueue::new(cfg.workers, 256),
+        crmr: CrMrQueue::with_kind(cfg.workers, 256, kind),
         hot: HotCache::new(2_000),
         cfg: server_cfg.clone(),
         reconfig: None,
@@ -88,12 +88,12 @@ fn build_engine(workers: usize, n_cr: usize) -> (Engine<UtpsWorld>, RunConfig) {
     (eng, cfg)
 }
 
-#[test]
-fn back_to_back_reassignments_complete_under_load() {
-    let (mut eng, _cfg) = build_engine(16, 6);
+/// Grows CR, shrinks it, grows it again and returns, all under continuous
+/// load on a `kind` CR-MR queue.
+fn reassign_back_to_back(kind: QueueKind) {
+    let (mut eng, _cfg) = build_engine(16, 6, kind);
     eng.run_until(SimTime(2 * MILLIS));
     let mut last_total = eng.world.driver.completed_total();
-    // Grow CR, shrink CR, grow again, return — all under continuous load.
     for (i, &new_n_cr) in [9usize, 4, 11, 6].iter().enumerate() {
         let head = eng.world.ring.head();
         eng.world.reconfig = Some(Reconfig {
@@ -119,8 +119,20 @@ fn back_to_back_reassignments_complete_under_load() {
 }
 
 #[test]
+fn back_to_back_reassignments_complete_under_load() {
+    reassign_back_to_back(QueueKind::AllToAll);
+}
+
+#[test]
+fn shared_queue_reassignments_complete_under_load() {
+    // A shrinking CR layer's leaving workers must still receive the
+    // completions of what they pushed, or they never drain.
+    reassign_back_to_back(QueueKind::SharedMpmc);
+}
+
+#[test]
 fn owner_mapping_switches_at_the_announced_slot() {
-    let (mut eng, _) = build_engine(8, 3);
+    let (mut eng, _) = build_engine(8, 3, QueueKind::AllToAll);
     eng.run_until(SimTime(MILLIS));
     let switch_seq = eng.world.ring.head() + 100;
     eng.world.reconfig = Some(Reconfig {

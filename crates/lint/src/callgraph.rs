@@ -6,7 +6,7 @@
 //! This module builds the whole graph once — every non-test function with a
 //! body is a node, every call site an edge — and answers reachability with a
 //! cycle-safe BFS that remembers *how* it got there, so a report can print
-//! the offending chain (`CrStage::step → drain_ring → retire → .lock()`).
+//! the offending chain (`UtpsWorker::step → drain_ring → retire → .lock()`).
 //!
 //! Resolution is name-based with the same deliberate over/under-approximation
 //! trade the one-level version made, now applied uniformly at every depth:

@@ -2,7 +2,7 @@
 //! compiler cannot see.
 //!
 //! Four PRs of simulator, stage-engine, fault and oracle work left the
-//! repo's correctness resting on *conventions*: `Stage::step` never blocks
+//! repo's correctness resting on *conventions*: `Process::step` never blocks
 //! (the non-preemptive NP-TPS contract), payload bytes move through the
 //! arena instead of being copied per hop, simulated runs stay
 //! byte-deterministic so replay/oracle results are meaningful, the
@@ -11,14 +11,14 @@
 //!
 //! | rule | id | invariant |
 //! |------|----|-----------|
-//! | R1 | `no-blocking-in-stage` | nothing blocking reachable from `Stage::step` |
+//! | R1 | `no-blocking-in-stage` | nothing blocking reachable from `Process::step` |
 //! | R2 | `determinism` | no wall clocks / random hashers in sim/core/collections |
 //! | R3 | `payload-copy` | no payload byte copies (`.to_vec()`, byte `.clone()`) on hot paths |
 //! | R4 | `metrics-schema` | registry names come from the pinned schema |
 //! | R6 | `counter-arithmetic` | windowed counter deltas use `saturating_sub`/`checked_sub` |
 //!
 //! R1 is interprocedural: it consults a workspace [`callgraph`], so blocking
-//! calls at *any* depth below `Stage::step` are flagged, with the call chain
+//! calls at *any* depth below `Process::step` are flagged, with the call chain
 //! in the report. `PayloadRef` linearity is not a rule here: the handle is
 //! move-only, so rustc rejects a double consume in every crate, and a leaked
 //! handle shows up in `RunResult::payloads_live`.
@@ -81,7 +81,7 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R1",
         "no-blocking-in-stage",
-        "no blocking or syscall-ish std calls reachable from Stage::step",
+        "no blocking or syscall-ish std calls reachable from Process::step",
     ),
     (
         "R2",

@@ -1,20 +1,21 @@
 //! R1 `no-blocking-in-stage`: nothing that blocks a real OS thread — and no
-//! syscall-ish std I/O — may be reachable from a `Stage::step`
+//! syscall-ish std I/O — may be reachable from a `Process::step`
 //! implementation, at *any* call depth.
 //!
-//! `Stage::step` is the paper's non-preemptive NP-TPS contract (§3): a stage
-//! runs to its next yield point and *returns*; the engine owns the core. A
-//! `thread::sleep`, a `Mutex` acquisition or a file write inside a step
-//! would stall every stage sharing the engine thread and desynchronize
+//! `Process::step` is the paper's non-preemptive NP-TPS contract (§3): a
+//! simulated process — a stage, a client, a manager — runs to its next yield
+//! point and *returns*; the engine owns the core. A `thread::sleep`, a
+//! `Mutex` acquisition or a file write inside a step would stall every
+//! process sharing the engine thread and desynchronize
 //! simulated time from host time. Simulated synchronization (`OptLock`)
 //! charges its cost through `Ctx` and is fine; it is the *std* blocking
 //! vocabulary this rule bans.
 //!
 //! Reach is computed on the workspace [`CallGraph`](crate::callgraph): a
-//! cycle-safe BFS from every `Stage::step` impl, so a blocking call three
+//! cycle-safe BFS from every `Process::step` impl, so a blocking call three
 //! helpers down is exactly as visible as one in the step body — and the
 //! report prints the chain that gets there
-//! (`reachable via CrStage::step → drain → retire`).
+//! (`reachable via UtpsWorker::step → drain → retire`).
 
 use crate::callgraph::CallGraph;
 use crate::lexer::TokKind;
@@ -58,7 +59,8 @@ pub fn check(ws: &LintWorkspace, out: &mut Vec<Violation>) {
             continue;
         }
         for (ii, item) in f.fns.iter().enumerate() {
-            if item.is_test || item.name != "step" || item.trait_name.as_deref() != Some("Stage") {
+            if item.is_test || item.name != "step" || item.trait_name.as_deref() != Some("Process")
+            {
                 continue;
             }
             let stage = item.owner.clone().unwrap_or_else(|| "?".into());

@@ -7,11 +7,11 @@ pub struct BadStage {
     pub backoff_ms: u64,
 }
 
-pub trait Stage<W> {
+pub trait Process<W> {
     fn step(&mut self, world: &mut W) -> u32;
 }
 
-impl Stage<u32> for BadStage {
+impl Process<u32> for BadStage {
     fn step(&mut self, world: &mut u32) -> u32 {
         *world += 1;
         self.nap();

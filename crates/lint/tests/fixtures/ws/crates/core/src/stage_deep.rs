@@ -1,16 +1,16 @@
 // R1 transitive fixture: the blocking call sits three levels below
-// `Stage::step` — only the transitive call graph can see it
+// `Process::step` — only the transitive call graph can see it
 // (`step` -> `descend` -> `settle` -> `snooze` -> `thread::sleep`).
 
 use std::thread;
 
-use crate::stage_blocking::Stage;
+use crate::stage_blocking::Process;
 
 pub struct DeepStage {
     pub backoff_ms: u64,
 }
 
-impl Stage<u32> for DeepStage {
+impl Process<u32> for DeepStage {
     fn step(&mut self, world: &mut u32) -> u32 {
         *world += 1;
         self.descend();
