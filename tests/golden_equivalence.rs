@@ -4,7 +4,7 @@
 //! charged cost, counter, ordering or RNG draw may change. These goldens
 //! were generated from the pre-refactor runners; every post-refactor run
 //! must reproduce the full `stats_json` document byte for byte, for all
-//! four systems, on three seeds. The μTPS-T runs are pinned twice: once on
+//! five systems, on three seeds. The μTPS-T runs are pinned twice: once on
 //! the all-to-all CR-MR lanes and once on the §3.4 shared-queue
 //! counterfactual. Two more μTPS-T pins cover the CR-MR paths an untuned,
 //! fault-free run never takes: descriptor-lease reclaim behind a stalled MR
@@ -123,6 +123,26 @@ fn erpckv_matches_prerefactor_golden() {
     check(
         "erpckv",
         SystemKind::ErpcKv,
+        IndexKind::Tree,
+        QueueKind::AllToAll,
+    );
+}
+
+#[test]
+fn racehash_matches_golden() {
+    check(
+        "racehash",
+        SystemKind::RaceHash,
+        IndexKind::Hash,
+        QueueKind::AllToAll,
+    );
+}
+
+#[test]
+fn sherman_matches_golden() {
+    check(
+        "sherman",
+        SystemKind::Sherman,
         IndexKind::Tree,
         QueueKind::AllToAll,
     );
