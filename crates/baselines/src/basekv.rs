@@ -28,7 +28,7 @@ use utps_core::retry::DedupTable;
 use utps_core::rpc::{self, send_response, Admission, RecvRing, RespBuffers};
 use utps_core::stage::PipelineRuntime;
 use utps_core::store::{KvOp, KvOpOutput, KvStore};
-use utps_core::system::{self, run_system, Proc, ServerParts, ServerWorld, System};
+use utps_core::system::{self, Proc, ServerParts, ServerWorld, System};
 use utps_core::tier::{
     self, BatchOp, DurabilityBarrier, Polled, TierCompactorProc, TierRunStats, TierState,
 };
@@ -277,14 +277,22 @@ impl<const ISOLATE_DDIO: bool> System for BaseKv<ISOLATE_DDIO> {
         let mut procs: Vec<Proc<BaseWorld>> = (0..cfg.workers)
             .map(|id| {
                 let worker = BaseWorker::new(id, cfg.batch);
-                (id, StatClass::Other, Box::new(worker) as _)
+                (Some(id), StatClass::Other, Box::new(worker) as _)
             })
             .collect();
         if let Some(tc) = &cfg.tier {
             let compactor = TierCompactorProc::new(cfg.keys, SimTime(tc.compact_every_ps));
-            procs.push((cfg.workers, StatClass::Other, Box::new(compactor)));
+            procs.push((Some(cfg.workers), StatClass::Other, Box::new(compactor)));
         }
         procs
+    }
+
+    fn spawn_clients(rt: &mut PipelineRuntime<BaseWorld>, cfg: &RunConfig) {
+        rt.spawn_clients(cfg);
+    }
+
+    fn driver(world: &BaseWorld) -> &DriverState {
+        &world.driver
     }
 
     /// Baselines reset only the tier counters here (the runners reset the
@@ -335,24 +343,11 @@ pub fn spawn_base_procs(rt: &mut PipelineRuntime<BaseWorld>, cfg: &RunConfig, is
     }
 }
 
-/// Runs BaseKV under `cfg`, optionally as the "TPQ+CAT" variant.
-pub fn run_basekv_opts(cfg: &RunConfig, isolate_ddio: bool) -> RunResult {
-    if isolate_ddio {
-        run_system::<BaseKv<true>>(cfg).0
-    } else {
-        run_system::<BaseKv>(cfg).0
-    }
-}
-
-/// Runs BaseKV under `cfg`.
-pub fn run_basekv(cfg: &RunConfig) -> RunResult {
-    run_system::<BaseKv>(cfg).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use utps_core::experiment::WorkloadSpec;
+    use utps_core::system::run_system;
     use utps_index::IndexKind;
     use utps_sim::config::MachineConfig;
     use utps_sim::time::MICROS;
@@ -373,7 +368,7 @@ mod tests {
 
     #[test]
     fn basekv_tree_end_to_end() {
-        let r = run_basekv(&quick_cfg());
+        let (r, _) = run_system::<BaseKv>(&quick_cfg());
         assert!(r.completed > 500, "only {} completed", r.completed);
         assert_eq!(r.not_found, 0);
     }
@@ -390,7 +385,7 @@ mod tests {
             },
             ..quick_cfg()
         };
-        let r = run_basekv(&cfg);
+        let (r, _) = run_system::<BaseKv>(&cfg);
         assert!(r.completed > 500);
         assert_eq!(r.not_found, 0);
     }
@@ -424,7 +419,7 @@ mod tests {
 
     #[test]
     fn ddio_isolation_variant_runs() {
-        let r = run_basekv_opts(&quick_cfg(), true);
+        let (r, _) = run_system::<BaseKv<true>>(&quick_cfg());
         assert!(r.completed > 100);
     }
 }

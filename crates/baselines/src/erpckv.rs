@@ -18,10 +18,12 @@
 
 use utps_core::client::{DriverState, KvWorld};
 use utps_core::crmr::Desc;
-use utps_core::experiment::{RunConfig, RunResult};
+use utps_core::experiment::RunConfig;
 use utps_core::msg::{NetMsg, Response};
 use utps_core::rpc::{recv_fate, send_response, RecvRing, RespBuffers};
+use utps_core::stage::PipelineRuntime;
 use utps_core::store::{KvOp, KvStore};
+use utps_core::system::{Proc, System};
 use utps_index::Step;
 use utps_sim::nic::Fabric;
 use utps_sim::time::SimTime;
@@ -180,51 +182,63 @@ impl Process<ErpcWorld> for ErpcWorker {
     }
 }
 
-/// Runs eRPCKV under `cfg`.
-pub fn run_erpckv(cfg: &RunConfig) -> RunResult {
-    let populate_len = cfg.workload.populate_value_len();
-    let store = KvStore::populate(cfg.index, cfg.keys, populate_len);
-    // 15 MB per worker at the configured slot size.
-    let slots = (ERPC_WORKER_BYTES / cfg.slot_size).next_power_of_two() / 2;
-    let rings = (0..cfg.workers)
-        .map(|w| {
-            let base = utps_sim::vaddr::RECV_RING + w * utps_sim::vaddr::RECV_RING_STRIDE;
-            let mut r = RecvRing::new_at(slots.max(64), cfg.slot_size, base);
-            r.parse_ns = 6; // eRPC's leaner per-message path
-            r
-        })
-        .collect();
-    let world = ErpcWorld {
-        fabric: Fabric::new(cfg.machine.net.clone(), cfg.clients),
-        rings,
-        resp: RespBuffers::new(cfg.workers, 64, 1152),
-        store,
-        workers: cfg.workers,
-        overflow: Default::default(),
-        driver: DriverState::new(cfg.clients, SimTime(cfg.warmup)),
-    };
-    crate::run::run_pipeline(
-        cfg,
-        cfg.workers,
-        world,
-        |rt| {
-            for id in 0..cfg.workers {
-                rt.spawn_process(
-                    Some(id),
-                    StatClass::Other,
-                    Box::new(ErpcWorker::new(id, cfg.batch)),
-                );
-            }
-            rt.spawn_clients(cfg);
-        },
-        |w| &w.driver,
-    )
+/// eRPCKV as a [`System`]: one share-nothing shard worker per core.
+pub struct ErpcKv;
+
+impl System for ErpcKv {
+    type World = ErpcWorld;
+
+    fn cores(cfg: &RunConfig) -> usize {
+        cfg.workers
+    }
+
+    fn build_world(cfg: &RunConfig) -> ErpcWorld {
+        let populate_len = cfg.workload.populate_value_len();
+        let store = KvStore::populate(cfg.index, cfg.keys, populate_len);
+        // 15 MB per worker at the configured slot size.
+        let slots = (ERPC_WORKER_BYTES / cfg.slot_size).next_power_of_two() / 2;
+        let rings = (0..cfg.workers)
+            .map(|w| {
+                let base = utps_sim::vaddr::RECV_RING + w * utps_sim::vaddr::RECV_RING_STRIDE;
+                let mut r = RecvRing::new_at(slots.max(64), cfg.slot_size, base);
+                r.parse_ns = 6; // eRPC's leaner per-message path
+                r
+            })
+            .collect();
+        ErpcWorld {
+            fabric: Fabric::new(cfg.machine.net.clone(), cfg.clients),
+            rings,
+            resp: RespBuffers::new(cfg.workers, 64, 1152),
+            store,
+            workers: cfg.workers,
+            overflow: Default::default(),
+            driver: DriverState::new(cfg.clients, SimTime(cfg.warmup)),
+        }
+    }
+
+    fn procs(cfg: &RunConfig, _world: &ErpcWorld) -> Vec<Proc<ErpcWorld>> {
+        (0..cfg.workers)
+            .map(|id| {
+                let worker = ErpcWorker::new(id, cfg.batch);
+                (Some(id), StatClass::Other, Box::new(worker) as _)
+            })
+            .collect()
+    }
+
+    fn spawn_clients(rt: &mut PipelineRuntime<ErpcWorld>, cfg: &RunConfig) {
+        rt.spawn_clients(cfg);
+    }
+
+    fn driver(world: &ErpcWorld) -> &DriverState {
+        &world.driver
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use utps_core::experiment::WorkloadSpec;
+    use utps_core::system::run_system;
     use utps_index::IndexKind;
     use utps_sim::config::MachineConfig;
     use utps_sim::time::MICROS;
@@ -245,7 +259,7 @@ mod tests {
 
     #[test]
     fn erpckv_end_to_end() {
-        let r = run_erpckv(&quick_cfg());
+        let (r, _) = run_system::<ErpcKv>(&quick_cfg());
         assert!(r.completed > 500, "only {} completed", r.completed);
         assert_eq!(r.not_found, 0);
     }
@@ -262,7 +276,7 @@ mod tests {
             },
             ..quick_cfg()
         };
-        let r = run_erpckv(&cfg);
+        let (r, _) = run_system::<ErpcKv>(&cfg);
         assert!(
             r.completed > 1_000,
             "uniform should be fast: {}",

@@ -16,15 +16,21 @@
 //! * [`run()`](run::run) — a single dispatcher running any [`SystemKind`] under the
 //!   shared [`RunConfig`].
 //!
+//! Each baseline is a [`System`] — [`BaseKv`], [`ErpcKv`], [`RaceHash`],
+//! [`Sherman`] — that [`run_system`] runs exactly as it runs μTPS; this
+//! crate has no runner of its own.
+//!
 //! [`SystemKind`]: utps_core::experiment::SystemKind
 //! [`RunConfig`]: utps_core::experiment::RunConfig
+//! [`System`]: utps_core::System
+//! [`run_system`]: utps_core::run_system
 
 pub mod basekv;
 pub mod erpckv;
 pub mod passive;
 pub mod run;
 
-pub use basekv::{run_basekv, BaseKv};
-pub use erpckv::run_erpckv;
-pub use passive::{run_racehash, run_sherman};
+pub use basekv::BaseKv;
+pub use erpckv::ErpcKv;
+pub use passive::{RaceHash, Sherman};
 pub use run::run;

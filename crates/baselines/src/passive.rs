@@ -21,9 +21,11 @@
 //! evaluation uses them as throughput baselines only); see DESIGN.md.
 
 use utps_core::client::{ClientStats, DriverState};
-use utps_core::experiment::{RunConfig, RunResult, SystemKind};
+use utps_core::experiment::{RunConfig, SystemKind};
+use utps_core::stage::PipelineRuntime;
 use utps_core::store::KvStore;
-use utps_index::Index;
+use utps_core::system::{Proc, System};
+use utps_index::{Index, IndexKind};
 use utps_sim::nic::Fabric;
 use utps_sim::time::{SimTime, NANOS};
 use utps_sim::{Ctx, Process, StatClass, StepOutcome};
@@ -378,69 +380,74 @@ impl Process<PassiveWorld> for PassiveClient {
     }
 }
 
-/// Runs a passive system under `cfg`.
-pub fn run_passive(cfg: &RunConfig, proto: PassiveProtocol) -> RunResult {
-    let populate_len = cfg.workload.populate_value_len();
-    let store = KvStore::populate(cfg.index, cfg.keys, populate_len);
-    // Model client threads: clients × pipeline independent sequential
-    // clients (passive clients cannot pipeline verbs of one op).
-    let nclients = cfg.clients * cfg.pipeline;
-    let world = PassiveWorld {
-        fabric: Fabric::new(cfg.machine.net.clone(), nclients),
-        store,
-        driver: DriverState::new(nclients, SimTime(cfg.warmup)),
-    };
-    // One-sided verbs bypass the receive ring, so network fault fates do not
-    // apply here; the runtime's plan still drives per-core stall windows and
-    // keeps the stats schema uniform across systems. `PassiveWorld` is not a
-    // `KvWorld` (no request/response fabric), so the verb clients are
-    // spawned as plain processes rather than via `spawn_clients`.
-    crate::run::run_pipeline(
-        cfg,
-        1,
-        world,
-        |rt| {
-            rt.spawn_process(None, StatClass::Other, Box::new(VerbEngine));
-            for c in 0..nclients {
-                let wl = cfg.workload.build(cfg.keys, cfg.seed, c as u64);
-                rt.spawn_process(
-                    None,
-                    StatClass::Other,
-                    Box::new(PassiveClient::new(c as u32, proto, wl)),
-                );
-            }
-        },
-        |w| &w.driver,
-    )
-}
+/// A passive system as a [`System`]: the server RNIC's [`VerbEngine`] is
+/// its only process, on no modeled CPU. `SHERMAN` picks the protocol (and
+/// the index it needs); see [`RaceHash`] and [`Sherman`].
+pub struct Passive<const SHERMAN: bool>;
 
-/// Runs RaceHash (requires a hash-index config).
-pub fn run_racehash(cfg: &RunConfig) -> RunResult {
-    assert_eq!(
-        cfg.index,
-        utps_index::IndexKind::Hash,
-        "{} needs a hash index",
-        SystemKind::RaceHash.name()
-    );
-    run_passive(cfg, PassiveProtocol::RaceHash)
-}
+/// RaceHash: RACE hashing over one-sided verbs (needs a hash index).
+pub type RaceHash = Passive<false>;
 
-/// Runs Sherman (requires a tree-index config).
-pub fn run_sherman(cfg: &RunConfig) -> RunResult {
-    assert_eq!(
-        cfg.index,
-        utps_index::IndexKind::Tree,
-        "{} needs a tree index",
-        SystemKind::Sherman.name()
-    );
-    run_passive(cfg, PassiveProtocol::Sherman)
+/// Sherman: a B+-tree over one-sided verbs (needs a tree index).
+pub type Sherman = Passive<true>;
+
+impl<const SHERMAN: bool> System for Passive<SHERMAN> {
+    type World = PassiveWorld;
+
+    fn cores(_cfg: &RunConfig) -> usize {
+        1
+    }
+
+    fn build_world(cfg: &RunConfig) -> PassiveWorld {
+        let (system, index, kind) = if SHERMAN {
+            (SystemKind::Sherman, IndexKind::Tree, "tree")
+        } else {
+            (SystemKind::RaceHash, IndexKind::Hash, "hash")
+        };
+        assert_eq!(cfg.index, index, "{} needs a {kind} index", system.name());
+        let populate_len = cfg.workload.populate_value_len();
+        let store = KvStore::populate(cfg.index, cfg.keys, populate_len);
+        // Model client threads: clients × pipeline independent sequential
+        // clients (passive clients cannot pipeline verbs of one op).
+        let nclients = cfg.clients * cfg.pipeline;
+        PassiveWorld {
+            fabric: Fabric::new(cfg.machine.net.clone(), nclients),
+            store,
+            driver: DriverState::new(nclients, SimTime(cfg.warmup)),
+        }
+    }
+
+    fn procs(_cfg: &RunConfig, _world: &PassiveWorld) -> Vec<Proc<PassiveWorld>> {
+        vec![(None, StatClass::Other, Box::new(VerbEngine))]
+    }
+
+    /// `clients × pipeline` verb clients, as plain processes: `PassiveWorld`
+    /// is not a `KvWorld` (no request/response fabric). One-sided verbs
+    /// bypass the receive ring, so network fault fates do not apply; the
+    /// runtime's plan still drives per-core stall windows.
+    fn spawn_clients(rt: &mut PipelineRuntime<PassiveWorld>, cfg: &RunConfig) {
+        let proto = if SHERMAN {
+            PassiveProtocol::Sherman
+        } else {
+            PassiveProtocol::RaceHash
+        };
+        for c in 0..cfg.clients * cfg.pipeline {
+            let wl = cfg.workload.build(cfg.keys, cfg.seed, c as u64);
+            let client = PassiveClient::new(c as u32, proto, wl);
+            rt.spawn_process(None, StatClass::Other, Box::new(client));
+        }
+    }
+
+    fn driver(world: &PassiveWorld) -> &DriverState {
+        &world.driver
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use utps_core::experiment::WorkloadSpec;
-    use utps_index::IndexKind;
+    use utps_core::system::run_system;
     use utps_sim::config::MachineConfig;
     use utps_sim::time::MICROS;
     use utps_workload::Mix;
@@ -467,7 +474,7 @@ mod tests {
 
     #[test]
     fn racehash_end_to_end() {
-        let r = run_racehash(&quick_cfg(IndexKind::Hash));
+        let (r, _) = run_system::<RaceHash>(&quick_cfg(IndexKind::Hash));
         assert!(r.completed > 100, "only {} completed", r.completed);
         // Multi-RTT ops: median latency must exceed 2 round trips.
         assert!(r.p50_ns > 3_000, "p50 {} too low for 2+ RTT", r.p50_ns);
@@ -475,13 +482,13 @@ mod tests {
 
     #[test]
     fn sherman_end_to_end() {
-        let r = run_sherman(&quick_cfg(IndexKind::Tree));
+        let (r, _) = run_system::<Sherman>(&quick_cfg(IndexKind::Tree));
         assert!(r.completed > 100, "only {} completed", r.completed);
     }
 
     #[test]
     #[should_panic(expected = "needs a hash index")]
     fn racehash_rejects_tree() {
-        let _ = run_racehash(&quick_cfg(IndexKind::Tree));
+        let _ = run_system::<RaceHash>(&quick_cfg(IndexKind::Tree));
     }
 }

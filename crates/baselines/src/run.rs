@@ -1,41 +1,23 @@
 //! Unified dispatcher over every system in the evaluation.
 
 use utps_core::client::DriverState;
-use utps_core::experiment::{run_utps, RunConfig, RunResult, SystemKind};
-use utps_core::stage::PipelineRuntime;
+use utps_core::experiment::{RunConfig, RunResult, SystemKind};
+use utps_core::{run_system, Utps};
 use utps_sim::Engine;
 
-use crate::basekv::run_basekv;
-use crate::erpckv::run_erpckv;
-use crate::passive::{run_racehash, run_sherman};
+use crate::basekv::BaseKv;
+use crate::erpckv::ErpcKv;
+use crate::passive::{RaceHash, Sherman};
 
 /// Runs `system` under `cfg`.
 pub fn run(system: SystemKind, cfg: &RunConfig) -> RunResult {
     match system {
-        SystemKind::Utps => run_utps(cfg),
-        SystemKind::BaseKv => run_basekv(cfg),
-        SystemKind::ErpcKv => run_erpckv(cfg),
-        SystemKind::RaceHash => run_racehash(cfg),
-        SystemKind::Sherman => run_sherman(cfg),
+        SystemKind::Utps => run_system::<Utps>(cfg).0,
+        SystemKind::BaseKv => run_system::<BaseKv>(cfg).0,
+        SystemKind::ErpcKv => run_system::<ErpcKv>(cfg).0,
+        SystemKind::RaceHash => run_system::<RaceHash>(cfg).0,
+        SystemKind::Sherman => run_system::<Sherman>(cfg).0,
     }
-}
-
-/// The one baseline runner: builds a [`PipelineRuntime`] over `world`, lets
-/// the system spawn its stages and clients, runs the warmup → reset →
-/// measure protocol (baselines reset only the cache counters, which the
-/// runtime does itself), and assembles the [`RunResult`] from the driver.
-pub fn run_pipeline<W: 'static>(
-    cfg: &RunConfig,
-    cores: usize,
-    world: W,
-    spawn: impl FnOnce(&mut PipelineRuntime<W>),
-    driver: impl Fn(&W) -> &DriverState,
-) -> RunResult {
-    let mut rt = PipelineRuntime::new(cfg, cores, world);
-    spawn(&mut rt);
-    rt.run(|_| {});
-    let mut eng = rt.into_engine();
-    result_from_driver(cfg, &mut eng, driver)
 }
 
 /// Builds a [`RunResult`] for a baseline world from its driver state and

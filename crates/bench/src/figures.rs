@@ -1,7 +1,7 @@
 //! The paper's figures, one function each, and the table `utps-fig` picks
 //! them from by name.
 
-use utps_baselines::basekv::run_basekv_opts;
+use utps_baselines::BaseKv;
 use utps_core::crmr::QueueKind;
 use utps_core::experiment::{run_utps, stats_json, RunConfig, SystemKind, WorkloadSpec};
 use utps_index::IndexKind;
@@ -86,8 +86,8 @@ fn fig2(cli: &Cli, _: &mut StatsSink) {
                 ..base_config(cli.scale)
             };
             let tps = run_utps_tuned(&cfg);
-            let tpq = run_basekv_opts(&cfg, false);
-            let tpq_cat = run_basekv_opts(&cfg, true);
+            let tpq = run_system(SystemKind::BaseKv, &cfg);
+            let tpq_cat = utps_core::run_system::<BaseKv<true>>(&cfg).0;
             rows.push((format!("{size}B"), vec![tps.mops, tpq.mops, tpq_cat.mops]));
             miss_rows.push((
                 format!("{size}B"),

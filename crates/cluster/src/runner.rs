@@ -219,7 +219,7 @@ where
     for s in 0..total {
         S::prepare_machine(base, eng.machine_mut(s));
         for (core, class, proc) in S::procs(base, &eng.world.shards[s]) {
-            eng.spawn_on(s, Some(core), class, Box::new(ShardProc::new(s, proc)));
+            eng.spawn_on(s, core, class, Box::new(ShardProc::new(s, proc)));
         }
     }
     spawn_drivers(cfg, &mut eng);

@@ -118,7 +118,10 @@ pub fn check_combined(
 /// Runs system `S` with the durable tier to a crash at `crash_at_ps`,
 /// recovers from the surviving media image, resumes with a continued client
 /// fleet, and verifies the combined history. Panics if `cfg.tier` is `None`.
-pub fn run_crash<S: System>(cfg: &RunConfig, crash_at_ps: u64) -> CrashReport {
+pub fn run_crash<S: System>(cfg: &RunConfig, crash_at_ps: u64) -> CrashReport
+where
+    S::World: ServerWorld,
+{
     let mut cfg = cfg.clone();
     cfg.record_history = true;
     assert!(cfg.tier.is_some(), "crash runner requires the durable tier");
@@ -130,7 +133,7 @@ pub fn run_crash<S: System>(cfg: &RunConfig, crash_at_ps: u64) -> CrashReport {
     // Phase 1: run to the crash instant. No warmup reset — the whole
     // pre-crash history is the object under test, not the counters.
     let mut rt = assemble::<S>(&cfg, S::build_world(&cfg));
-    rt.spawn_clients(&cfg);
+    S::spawn_clients(&mut rt, &cfg);
     rt.engine().run_until(SimTime(crash_at_ps));
     let mut world = rt.into_engine().world;
 

@@ -466,7 +466,8 @@ impl System for Utps {
                 } else {
                     StatClass::Mr
                 };
-                (id, class, Box::new(UtpsWorker::new(id, &world.cfg)) as _)
+                let worker = UtpsWorker::new(id, &world.cfg);
+                (Some(id), class, Box::new(worker) as _)
             })
             .collect();
         // Manager on its own core.
@@ -475,14 +476,14 @@ impl System for Utps {
         let tuner = Tuner::new(cfg.tuner, params);
         let refresh = (cfg.warmup / 2).max(500 * MICROS);
         procs.push((
-            cfg.workers,
+            Some(cfg.workers),
             StatClass::Other,
             Box::new(ManagerProc::new(tuner, refresh, cfg.hot_capacity)),
         ));
         // Background compactor shares the manager core.
         if let Some(tc) = &cfg.tier {
             procs.push((
-                cfg.workers,
+                Some(cfg.workers),
                 StatClass::Other,
                 Box::new(crate::tier::TierCompactorProc::new(
                     cfg.keys,
@@ -491,6 +492,14 @@ impl System for Utps {
             ));
         }
         procs
+    }
+
+    fn spawn_clients(rt: &mut PipelineRuntime<UtpsWorld>, cfg: &RunConfig) {
+        rt.spawn_clients(cfg);
+    }
+
+    fn driver(w: &UtpsWorld) -> &DriverState {
+        &w.driver
     }
 
     /// μTPS resets everything observable (registry, server counters,

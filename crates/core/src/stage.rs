@@ -10,17 +10,19 @@
 //! charged through [`Ctx`](utps_sim::Ctx).
 //!
 //! [`PipelineRuntime`] owns the engine and the per-run plumbing every
-//! system repeats: fault-plan installation, stage/client spawning, and the
-//! warmup → counter-reset → measure protocol.
+//! system shares: fault-plan installation, stage/client spawning, and the
+//! warmup → counter-reset → measure protocol. [`crate::system::run_system`]
+//! drives it for every system through the system's
+//! [`System`](crate::system::System) hooks.
 //!
 //! How the systems map onto it:
 //!
 //! | System | Stages |
 //! |---|---|
-//! | μTPS | `CrStage` ⇄ `MrStage` per worker, composed by `UtpsWorker` |
-//! | BaseKV | one run-to-completion process per worker |
-//! | eRPCKV | NIC dispatch stage fused into each shard's process |
-//! | RaceHash/Sherman | verb-engine process (no server stage at all) |
+//! | `Utps` | `CrStage` ⇄ `MrStage` per worker, composed by `UtpsWorker` |
+//! | `BaseKv` | one run-to-completion process per worker |
+//! | `ErpcKv` | NIC dispatch stage fused into each shard's process |
+//! | `RaceHash`/`Sherman` | verb-engine process on no modeled core (no server stage at all) |
 
 use utps_sim::time::SimTime;
 use utps_sim::{Engine, FaultPlan, Machine, Process, SchedulePlan, StatClass};

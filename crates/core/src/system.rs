@@ -1,23 +1,26 @@
 //! One way to assemble a run: the [`System`] trait and the runners on it.
 //!
-//! μTPS and BaseKV differ in their thread model and nothing else, so
+//! The five systems differ in their thread model and nothing else, so
 //! everything a runner needs from a system is a handful of hooks — how many
-//! cores, how to build the world, which processes to spawn in which order,
-//! what to reset at the warmup boundary and how to read the result out. The
-//! runners themselves exist once, on top of [`PipelineRuntime`]:
+//! cores, how to build the world, which processes and clients to spawn in
+//! which order, what to reset at the warmup boundary and how to read the
+//! result out. The runners themselves exist once, on top of
+//! [`PipelineRuntime`]:
 //!
 //! | runner | hooks, in call order |
 //! |---|---|
-//! | [`run_system`] | `build_world` · `cores` · `prepare_machine` · `procs` · (clients) · `reset` · `fold` · `overlay` |
-//! | [`crate::crash::run_crash`] | the same up to `procs`, twice (pre-crash, recovered) · `reset` |
+//! | [`run_system`] | `build_world` · `cores` · `prepare_machine` · `procs` · `spawn_clients` · `reset` · `fold` · `driver` · `overlay` |
+//! | [`crate::crash::run_crash`] | the same up to `spawn_clients`, twice (pre-crash, recovered) · `reset` |
 //! | `utps_cluster::run_cluster_system` | per shard: `build_world` · `prepare_machine` · `procs` (wrapped in `ShardProc`) · `reset` · `fold`; then `overlay` over all shards |
 //!
-//! eRPCKV and the passive baselines have no tier, cluster or crash path and
-//! stay on `utps_baselines::run::run_pipeline`.
+//! `prepare_machine`, `reset`, `fold` and `overlay` default to doing
+//! nothing. The crash and cluster runners also need a [`ServerWorld`]: μTPS
+//! and BaseKV have one; eRPCKV, RaceHash and Sherman run on `run_system`
+//! only.
 
 use utps_sim::{Engine, Machine, MetricsRegistry, Process, StatClass};
 
-use crate::client::KvWorld;
+use crate::client::{DriverState, KvWorld};
 use crate::experiment::{RunConfig, RunResult};
 use crate::hotcache::HotCache;
 use crate::retry::DedupTable;
@@ -49,13 +52,14 @@ pub trait ServerWorld: KvWorld + 'static {
     fn parts(&mut self) -> ServerParts<'_>;
 }
 
-/// A server process with its pinned core and stat class.
-pub type Proc<W> = (usize, StatClass, Box<dyn Process<W>>);
+/// A server process with its pinned core (`None`: unmodeled CPU, such as
+/// an RNIC) and stat class.
+pub type Proc<W> = (Option<usize>, StatClass, Box<dyn Process<W>>);
 
 /// What the shared runners need from a system.
 pub trait System {
     /// The server world the system's processes run against.
-    type World: ServerWorld;
+    type World: 'static;
 
     /// Server cores per machine.
     fn cores(cfg: &RunConfig) -> usize;
@@ -64,29 +68,35 @@ pub trait System {
     fn build_world(cfg: &RunConfig) -> Self::World;
 
     /// Static machine set-up before any process runs (CLOS masks).
-    fn prepare_machine(cfg: &RunConfig, machine: &mut Machine);
+    fn prepare_machine(_cfg: &RunConfig, _machine: &mut Machine) {}
 
     /// The server processes, in canonical spawn order.
     fn procs(cfg: &RunConfig, world: &Self::World) -> Vec<Proc<Self::World>>;
 
+    /// Spawns the client fleet, after the server processes.
+    fn spawn_clients(rt: &mut PipelineRuntime<Self::World>, cfg: &RunConfig);
+
+    /// The client-side driver state the headline numbers come from.
+    fn driver(world: &Self::World) -> &DriverState;
+
     /// The warmup-boundary reset of everything the system counts (the
     /// runners reset the cache counters themselves).
-    fn reset(world: &mut Self::World, machine: &mut Machine);
+    fn reset(_world: &mut Self::World, _machine: &mut Machine) {}
 
     /// Folds world-side counters into the machine's registry so the
     /// snapshot is one self-contained artifact for the measured window.
-    fn fold(world: &Self::World, reg: &mut MetricsRegistry);
+    fn fold(_world: &Self::World, _reg: &mut MetricsRegistry) {}
 
     /// Patches the system-specific [`RunResult`] fields. `worlds` holds
     /// one world per machine; per-machine fields report machine 0.
-    fn overlay(worlds: &[&Self::World], r: &mut RunResult);
+    fn overlay(_worlds: &[&Self::World], _r: &mut RunResult) {}
 }
 
 /// Prepares machine 0 and spawns the system's server processes on it.
 pub fn spawn_procs<S: System>(rt: &mut PipelineRuntime<S::World>, cfg: &RunConfig) {
     S::prepare_machine(cfg, rt.machine());
     for (core, class, proc) in S::procs(cfg, &rt.engine().world) {
-        rt.spawn_process(Some(core), class, proc);
+        rt.spawn_process(core, class, proc);
     }
 }
 
@@ -100,7 +110,7 @@ pub fn reset<S: System>(eng: &mut Engine<S::World>) {
 pub fn extract<S: System>(cfg: &RunConfig, eng: &mut Engine<S::World>) -> RunResult {
     let (world, machine) = eng.world_and_machine(0);
     S::fold(world, &mut machine.registry);
-    let mut r = RunResult::new(cfg, eng, |w| w.driver_mut());
+    let mut r = RunResult::new(cfg, eng, |w| S::driver(w));
     S::overlay(&[&eng.world], &mut r);
     r
 }
@@ -117,7 +127,7 @@ pub fn assemble<S: System>(cfg: &RunConfig, world: S::World) -> PipelineRuntime<
 /// and tier after the run.
 pub fn run_system<S: System>(cfg: &RunConfig) -> (RunResult, S::World) {
     let mut rt = assemble::<S>(cfg, S::build_world(cfg));
-    rt.spawn_clients(cfg);
+    S::spawn_clients(&mut rt, cfg);
     rt.run(reset::<S>);
     let mut eng = rt.into_engine();
     let result = extract::<S>(cfg, &mut eng);

@@ -7,12 +7,8 @@
 //! in the thread split — and its decision log must show trisection
 //! converging to the peak within the probe budget.
 
-use utps_core::client::DriverState;
-use utps_core::crmr::CrMrQueue;
-use utps_core::hotcache::HotCache;
-use utps_core::rpc::{RecvRing, RespBuffers};
-use utps_core::server::{ServerConfig, UtpsWorld};
-use utps_core::store::KvStore;
+use utps_core::experiment::{build_utps_world, RunConfig};
+use utps_core::server::UtpsWorld;
 use utps_core::tuner::{trisect_probe_budget, ProbePhase, Tuner, TunerMode, TunerParams};
 use utps_index::IndexKind;
 use utps_sim::config::MachineConfig;
@@ -31,34 +27,19 @@ fn rate(n_cr: usize) -> u64 {
 }
 
 fn build_world() -> UtpsWorld {
-    let server_cfg = ServerConfig {
+    build_utps_world(&RunConfig {
+        index: IndexKind::Hash,
+        keys: 64,
         workers: WORKERS,
         n_cr: 1,
-        batch: 8,
-        sample_every: 8,
+        clients: 1,
+        warmup: 0,
+        machine: MachineConfig::tiny(),
         cache_enabled: false,
-        lease_ps: 0,
-    };
-    UtpsWorld {
-        fabric: utps_sim::Fabric::new(MachineConfig::tiny().net, 1),
-        ring: RecvRing::new(64, 256),
-        resp: RespBuffers::new(WORKERS, 16, 256),
-        store: KvStore::populate(IndexKind::Hash, 64, 8),
-        crmr: CrMrQueue::new(WORKERS, 64),
-        hot: HotCache::new(0),
-        cfg: server_cfg,
-        reconfig: None,
-        samples: (0..WORKERS).map(|_| Default::default()).collect(),
-        scan_skips: Default::default(),
-        stats: Default::default(),
-        driver: DriverState::new(1, SimTime::ZERO),
-        mr_ways: 0,
-        tuner_trace: Vec::new(),
-        tuner_probes: Vec::new(),
-        dedup: utps_core::retry::DedupTable::new(1, false),
-        cluster: None,
-        tier: None,
-    }
+        ring_slots: 64,
+        slot_size: 256,
+        ..RunConfig::default()
+    })
 }
 
 /// Drives the tuner: adopts reconfigs instantly, synthesizes throughput,

@@ -7,14 +7,13 @@
 //! flake: it is the measured value + 25 %, and the polling client exceeded
 //! it 3.5-fold (178.53 steps/op on this configuration).
 
-use utps::core::client::KvWorld;
-use utps::core::experiment::{build_utps_world, spawn_utps_procs};
-use utps::core::stage::PipelineRuntime;
+use utps::core::experiment::build_utps_world;
+use utps::core::system::assemble;
 use utps::prelude::*;
 use utps::sim::time::MICROS;
 
-/// Measured: 40.58 steps per completed op (633 253 / 15 604).
-const STEPS_PER_OP_BUDGET: f64 = 40.58 * 1.25;
+/// Measured: 39.80 steps per completed op (631 580 / 15 867).
+const STEPS_PER_OP_BUDGET: f64 = 39.80 * 1.25;
 
 #[test]
 fn parked_clients_keep_utps_t_within_its_step_budget() {
@@ -44,13 +43,12 @@ fn parked_clients_keep_utps_t_within_its_step_budget() {
         ..RunConfig::default()
     };
     assert!(!cfg.retry.enabled());
-    let mut rt = PipelineRuntime::new(&cfg, cfg.workers + 1, build_utps_world(&cfg));
-    spawn_utps_procs(&mut rt, &cfg);
+    let mut rt = assemble::<Utps>(&cfg, build_utps_world(&cfg));
     rt.spawn_clients(&cfg);
     rt.run(|_| {});
-    let mut eng = rt.into_engine();
+    let eng = rt.into_engine();
     let steps = eng.steps();
-    let completed = eng.world.driver_mut().completed_total();
+    let completed = eng.world.driver.completed_total();
     assert!(completed > 1_000, "only {completed} ops completed");
     let per_op = steps as f64 / completed as f64;
     assert!(
