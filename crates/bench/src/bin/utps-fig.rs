@@ -2,6 +2,11 @@
 //! regenerates one table or figure of the paper (DESIGN.md §5 maps names
 //! to figures). Without a name it prints the list; any error exits 2.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_macros,
+    reason = "host-side figure driver: prints tables and exits with a status, never inside a simulation"
+)]
 use utps_bench::{select, Cli, StatsSink};
 
 fn main() {

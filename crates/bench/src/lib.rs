@@ -12,6 +12,12 @@
 //! An unknown flag, figure name or part is an error, reported before any
 //! simulation runs.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::disallowed_macros,
+    reason = "host-side figure driver: prints tables and writes sidecar files around simulations, never inside one"
+)]
 mod figures;
 
 pub use figures::select;

@@ -7,11 +7,11 @@
 //! Stafford variant-13 finalizer used as a standalone scrambler (key→shard
 //! mapping, partial-key tags, deterministic per-seed streams).
 //!
-//! Determinism contract (lint rule R2): these hashers are the only ones the
-//! deterministic zone (sim/core/collections) may use — std's default
-//! SipHash is randomly keyed per process, so `HashMap` iteration order
-//! would differ between two same-seed runs. This file is the one place
-//! allowed to name the std map types.
+//! Determinism contract: the workspace `clippy.toml` bans std's
+//! `HashMap`/`HashSet` in every library and binary. Their default SipHash
+//! is randomly keyed per process, so iteration order would differ between
+//! two same-seed runs. These fixed-key aliases are the blessed wrappers;
+//! each carries the one `#[allow]` the ban needs.
 
 use core::hash::{BuildHasherDefault, Hasher};
 
@@ -83,9 +83,17 @@ impl FxHasher64 {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher64>;
 
 /// A `HashMap` keyed with the fast Fx hasher.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the fixed-key wrapper the std-map ban points to"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with the fast Fx hasher.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the fixed-key wrapper the std-set ban points to"
+)]
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 #[cfg(test)]

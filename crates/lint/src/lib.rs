@@ -1,27 +1,23 @@
 //! `utps-lint` — workspace static analysis for the μTPS invariants the
 //! compiler cannot see.
 //!
-//! Four PRs of simulator, stage-engine, fault and oracle work left the
-//! repo's correctness resting on *conventions*: `Process::step` never blocks
-//! (the non-preemptive NP-TPS contract), payload bytes move through the
-//! arena instead of being copied per hop, simulated runs stay
-//! byte-deterministic so replay/oracle results are meaningful, the
-//! `stats_json` schema is pinned, and windowed counter deltas cannot wrap.
-//! This crate enforces them mechanically:
+//! Part of the repo's correctness rests on *conventions*: payload bytes move
+//! through the arena instead of being copied per hop, the `stats_json`
+//! schema is pinned, and windowed counter deltas cannot wrap. This crate
+//! enforces them mechanically:
 //!
 //! | rule | id | invariant |
 //! |------|----|-----------|
-//! | R1 | `no-blocking-in-stage` | nothing blocking reachable from `Process::step` |
-//! | R2 | `determinism` | no wall clocks / random hashers in sim/core/collections |
 //! | R3 | `payload-copy` | no payload byte copies (`.to_vec()`, byte `.clone()`) on hot paths |
 //! | R4 | `metrics-schema` | registry names come from the pinned schema |
 //! | R6 | `counter-arithmetic` | windowed counter deltas use `saturating_sub`/`checked_sub` |
 //!
-//! R1 is interprocedural: it consults a workspace [`callgraph`], so blocking
-//! calls at *any* depth below `Process::step` are flagged, with the call chain
-//! in the report. `PayloadRef` linearity is not a rule here: the handle is
-//! move-only, so rustc rejects a double consume in every crate, and a leaked
-//! handle shows up in `RunResult::payloads_live`.
+//! What the toolchain can carry is left to it. The workspace `clippy.toml`
+//! bans blocking calls, syscalls, wall clocks and randomly keyed maps at
+//! every call site (the non-preemptive `Process::step` contract and
+//! same-seed determinism). `PayloadRef` linearity is not a rule here: the
+//! handle is move-only, so rustc rejects a double consume in every crate,
+//! and a leaked handle shows up in `RunResult::payloads_live`.
 //!
 //! Suppression is per line and audited:
 //! `// utps-lint: allow(<rule>) — <justification>` (a directive without a
@@ -29,7 +25,10 @@
 //! — same precedent as the in-repo `proptest` shim — so it runs in the
 //! hermetic build environments the workspace targets.
 
-pub mod callgraph;
+#![allow(
+    clippy::disallowed_methods,
+    reason = "host-side tool: walks and reads the source tree, never runs in a simulation"
+)]
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -42,7 +41,7 @@ use parser::FileData;
 /// One finding.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Short code: `R1`..`R6`, or `A0` for a malformed allow directive.
+    /// Short code: `R3`..`R6`, or `A0` for a malformed allow directive.
     pub rule_code: &'static str,
     /// Kebab-case rule id (what `allow(...)` names).
     pub rule_id: &'static str,
@@ -62,32 +61,8 @@ pub struct LintWorkspace {
     pub files: Vec<FileData>,
 }
 
-impl LintWorkspace {
-    /// The crate a file belongs to: `crates/<name>/…` → `<name>`, everything
-    /// else (root `src/`, `tests/`, `examples/`) → `utps`.
-    pub fn crate_of(path: &str) -> &str {
-        let mut parts = path.split('/');
-        if parts.next() == Some("crates") {
-            if let Some(name) = parts.next() {
-                return name;
-            }
-        }
-        "utps"
-    }
-}
-
 /// The rules in reporting order. `(code, id, description)`.
 pub const RULES: &[(&str, &str, &str)] = &[
-    (
-        "R1",
-        "no-blocking-in-stage",
-        "no blocking or syscall-ish std calls reachable from Process::step",
-    ),
-    (
-        "R2",
-        "determinism",
-        "no wall clocks, random state or default-hasher maps in sim/core/collections",
-    ),
     (
         "R3",
         "payload-copy",
@@ -117,8 +92,6 @@ fn known_rule(name: &str) -> bool {
 /// directives and audits the directives themselves.
 pub fn lint_files(ws: &LintWorkspace) -> Vec<Violation> {
     let mut raw = Vec::new();
-    rules::r1_blocking::check(ws, &mut raw);
-    rules::r2_determinism::check(ws, &mut raw);
     rules::r3_payload::check(ws, &mut raw);
     rules::r4_metrics::check(ws, &mut raw);
     rules::r6_counters::check(ws, &mut raw);

@@ -8,6 +8,12 @@
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage/IO error.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::disallowed_macros,
+    reason = "host-side tool: prints its report and times itself, never runs in a simulation"
+)]
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -33,7 +39,7 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!(
-                    "utps-lint: static analysis for the μTPS stage/arena/determinism invariants\n\
+                    "utps-lint: static analysis for the μTPS arena/metrics/counter invariants\n\
                      \n\
                      usage: utps-lint [--workspace] [--json] [--root <dir>] [--list-rules]\n\
                      \n\

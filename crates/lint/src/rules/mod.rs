@@ -2,8 +2,6 @@
 //! `check(&LintWorkspace, &mut Vec<Violation>)` and reports *raw* findings;
 //! the engine in `lib.rs` applies `allow(...)` suppression afterwards.
 
-pub mod r1_blocking;
-pub mod r2_determinism;
 pub mod r3_payload;
 pub mod r4_metrics;
 pub mod r6_counters;
@@ -18,11 +16,6 @@ pub(crate) fn t(f: &FileData, i: usize) -> &str {
         .get(i)
         .map(|tok| &f.src[tok.start..tok.end])
         .unwrap_or("")
-}
-
-/// Do the code tokens starting at `i` spell out `pats` exactly?
-pub(crate) fn seq(f: &FileData, i: usize, pats: &[&str]) -> bool {
-    pats.iter().enumerate().all(|(k, p)| t(f, i + k) == *p)
 }
 
 /// Builds a violation at code token `tok`.

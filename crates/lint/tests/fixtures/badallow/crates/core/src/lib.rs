@@ -1,8 +1,13 @@
 // A0 fixture: an allow directive with no justification is itself a
 // violation (the suppression still applies, but the directive is audited).
 
-pub fn stamp() -> u64 {
-    // utps-lint: allow(determinism)
-    let t0 = std::time::Instant::now();
-    t0.elapsed().as_nanos() as u64
+pub fn record(reg: &mut Registry) {
+    // utps-lint: allow(metrics-schema)
+    reg.counter_inc("fixture.only");
+}
+
+pub struct Registry;
+
+impl Registry {
+    pub fn counter_inc(&mut self, _name: &'static str) {}
 }

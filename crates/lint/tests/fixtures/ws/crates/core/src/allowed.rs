@@ -1,8 +1,7 @@
-// Suppression fixture: the wall-clock read below carries a justified
+// Suppression fixture: the off-schema metric name below carries a justified
 // allow directive, so this file must contribute zero violations.
 
-pub fn seeded_stamp() -> u64 {
-    // utps-lint: allow(determinism) — fixture demonstrating a justified suppression
-    let t0 = std::time::Instant::now();
-    t0.elapsed().as_nanos() as u64
+pub fn record(reg: &mut crate::metrics_user::Registry) {
+    // utps-lint: allow(metrics-schema) — fixture demonstrating a justified suppression
+    reg.counter_inc("fixture.only");
 }

@@ -21,11 +21,8 @@ const GOLDEN: &str = concat!(
     r#"{"rule":"R3","id":"payload-copy","file":"crates/cluster/src/client.rs","line":9,"col":16,"message":"`.clone()` on payload-carrying `value` copies bytes per hop (move the PayloadRef, or `PayloadArena::dup` for fault redelivery)"},"#,
     r#"{"rule":"R4","id":"metrics-schema","file":"crates/core/src/metrics_user.rs","line":10,"col":21,"message":"metric name \"cr.hti\" is not in the pinned schema (add it to crates/lint/src/schema.rs and regenerate the stats_schema golden)"},"#,
     r#"{"rule":"R3","id":"payload-copy","file":"crates/core/src/server.rs","line":14,"col":21,"message":"`.to_vec()` copies payload bytes on the hot path (move the PayloadRef, or `PayloadArena::dup` for fault redelivery)"},"#,
-    r#"{"rule":"R1","id":"no-blocking-in-stage","file":"crates/core/src/stage_blocking.rs","line":24,"col":9,"message":"`thread::sleep` blocks the engine thread — reachable from `BadStage::step` (crates/core/src/stage_blocking.rs:15) via BadStage::step → BadStage::nap (depth 1)"},"#,
-    r#"{"rule":"R1","id":"no-blocking-in-stage","file":"crates/core/src/stage_deep.rs","line":31,"col":9,"message":"`thread::sleep` blocks the engine thread — reachable from `DeepStage::step` (crates/core/src/stage_deep.rs:14) via DeepStage::step → DeepStage::descend → DeepStage::settle → DeepStage::snooze (depth 3)"},"#,
-    r#"{"rule":"R6","id":"counter-arithmetic","file":"crates/core/src/tuner.rs","line":10,"col":14,"message":"bare `-` with counter `served` as the minuend can wrap on reset/migration — use `saturating_sub` or `checked_sub`"},"#,
-    r#"{"rule":"R2","id":"determinism","file":"crates/sim/src/engine.rs","line":4,"col":25,"message":"wall clock `Instant` in the deterministic zone (simulated time is `SimTime`)"}"#,
-    r#"],"files_scanned":8,"wall_ms":0,"clean":false}"#,
+    r#"{"rule":"R6","id":"counter-arithmetic","file":"crates/core/src/tuner.rs","line":10,"col":14,"message":"bare `-` with counter `served` as the minuend can wrap on reset/migration — use `saturating_sub` or `checked_sub`"}"#,
+    r#"],"files_scanned":5,"wall_ms":0,"clean":false}"#,
 );
 
 #[test]

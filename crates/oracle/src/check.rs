@@ -17,7 +17,7 @@
 //! one below the lower bound dropped keys. The bounds are conservative, so
 //! they stay sound for the hybrid CR/MR scan path's non-atomic traversals.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use crate::history::{History, OpClass};
 
@@ -259,7 +259,12 @@ fn linearizable_register(init: Option<u64>, ops: &[Entry]) -> Result<(), String>
     let completed_total = ops.iter().filter(|e| !e.pending()).count();
 
     // DFS over configurations.
-    let mut seen: HashSet<(Box<[u64]>, Option<u64>)> = HashSet::new();
+    #[allow(
+        clippy::disallowed_types,
+        reason = "membership only, never iterated, so its order cannot reach the verdict"
+    )]
+    let mut seen: std::collections::HashSet<(Box<[u64]>, Option<u64>)> =
+        std::collections::HashSet::new();
     let mut stack: Vec<(Box<[u64]>, Option<u64>, usize)> =
         vec![(vec![0u64; words].into_boxed_slice(), init, 0)];
     let mut expanded = 0usize;

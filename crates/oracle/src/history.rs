@@ -6,8 +6,6 @@
 //! it as "may or may not have taken effect", which is exactly the semantics
 //! of a timed-out request whose delayed copy might still execute server-side.
 
-use std::collections::HashMap;
-
 /// Operation class, mirroring the wire-level op kinds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpClass {
@@ -72,7 +70,11 @@ impl OpRecord {
 pub struct History {
     records: Vec<OpRecord>,
     /// Open (client, seq) → record index, for response matching.
-    open: HashMap<(u32, u64), usize>,
+    #[allow(
+        clippy::disallowed_types,
+        reason = "lookup only, never iterated, so its order cannot reach any output"
+    )]
+    open: std::collections::HashMap<(u32, u64), usize>,
 }
 
 impl History {

@@ -11,7 +11,7 @@
 //! or [`SimDevice::read`] to obtain a *completion time* and then park
 //! themselves (via `ctx.advance_to` or their own state machine) until the
 //! simulated clock reaches it. No syscalls, no threads — device I/O stays
-//! inside the engine, as lint rule R1 requires.
+//! inside the engine, as the workspace `clippy.toml` bans require.
 
 use crate::time::{SimTime, NANOS};
 

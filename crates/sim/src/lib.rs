@@ -39,7 +39,7 @@ pub mod wheel;
 pub use arena::{Arena, PayloadArena, PayloadRef};
 // Kept at its historical `utps_sim::hashutil` path; the module itself now
 // lives in utps-collections so the bottom layer can use the deterministic
-// hashers too (R2: no default-hasher maps in the deterministic zone).
+// hashers too (`clippy.toml` bans the randomly keyed std maps).
 pub use cache::{CacheHierarchy, StatClass};
 pub use config::{CacheConfig, CostConfig, MachineConfig, NetConfig};
 pub use engine::{Ctx, Engine, Machine, ProcId, Process, StepOutcome, Waker};

@@ -58,6 +58,10 @@ impl ZipfGen {
     /// would otherwise dominate setup wall-clock. The cached value is the
     /// bit-identical result of the same computation, so sampling is
     /// unchanged. Small keyspaces skip the memo (and its lock) entirely.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "memoises a pure function; generators are built before any step runs"
+    )]
     fn zeta_cached(n: u64, theta: f64) -> f64 {
         use std::sync::Mutex;
         static MEMO: Mutex<Vec<((u64, u64), f64)>> = Mutex::new(Vec::new());

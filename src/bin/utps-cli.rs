@@ -8,6 +8,12 @@
 //!
 //! Run with `--help` for all options.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::disallowed_macros,
+    reason = "host-side CLI: prints results and times the run around a simulation, never inside one"
+)]
 use utps::prelude::*;
 use utps::sim::time::MILLIS;
 use utps::workload::TwitterCluster;
