@@ -29,8 +29,8 @@
 //!
 //! [`UtpsWorker`] composes the two: it drives whichever stage currently owns
 //! the core and, when that stage hands the core over (§3.5 thread
-//! reassignment), installs the other one in its place and reports
-//! [`StepOutcome::Handoff`].
+//! reassignment), installs the other one in its place; the next step runs
+//! the new stage.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -69,13 +69,6 @@ pub struct ServerConfig {
     /// progress for this long has its unpopped backlog reclaimed and
     /// re-forwarded to another MR worker. 0 disables leases (seed behavior).
     pub lease_ps: u64,
-}
-
-impl ServerConfig {
-    /// Memory-resident worker count.
-    pub fn n_mr(&self) -> usize {
-        self.workers - self.n_cr
-    }
 }
 
 /// An in-flight thread reassignment (§3.5).
@@ -837,12 +830,9 @@ impl Process<UtpsWorld> for UtpsWorker {
             Role::Mr(s) => s.run(ctx, world).map(Role::Cr),
         };
         if let Some(role) = switched {
-            // Surface the handoff so the engine ends any burst: the next
-            // step runs the other role and should re-enter through the
-            // scheduler.
             self.role = role;
-            StepOutcome::Handoff
-        } else if ctx.progressed() {
+        }
+        if ctx.progressed() {
             StepOutcome::Progress
         } else {
             StepOutcome::Idle

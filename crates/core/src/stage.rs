@@ -4,10 +4,10 @@
 //! explicit handoff points (hit path / miss path, §3.2.3) instead of
 //! run-to-completion threads. A stage is a sim [`Process`]: a non-preemptive
 //! FSM whose `step` runs one scheduling slot to its next yield point and
-//! reports a [`utps_sim::StepOutcome`] — progress, nothing to do, or a
-//! handoff of its core to another stage (μTPS's §3.5 thread reassignment).
-//! The outcome steers only the engine's burst fast path; all costs are
-//! charged through [`Ctx`](utps_sim::Ctx).
+//! returns. All costs are charged through [`Ctx`](utps_sim::Ctx); the
+//! [`utps_sim::StepOutcome`] it reports is read by nothing in the engine.
+//! A worker that hands its core to another stage (μTPS's §3.5 thread
+//! reassignment) swaps the stage it drives and keeps its scheduler key.
 //!
 //! [`PipelineRuntime`] owns the engine and the per-run plumbing every
 //! system shares: fault-plan installation, stage/client spawning, and the
@@ -129,19 +129,12 @@ mod tests {
 
     use utps_sim::{Ctx, StepOutcome};
 
-    /// A process that counts steps and hands off after a threshold.
-    struct Counter {
-        steps: u32,
-        handoff_at: u32,
-    }
+    /// A process that counts its steps in the world.
+    struct Counter;
 
     impl Process<u32> for Counter {
         fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut u32) -> StepOutcome {
-            self.steps += 1;
             *world += 1;
-            if self.steps >= self.handoff_at {
-                return StepOutcome::Handoff;
-            }
             ctx.compute_ns(10);
             StepOutcome::Progress
         }
@@ -155,14 +148,7 @@ mod tests {
     fn stage_proc_drives_stage_and_ignores_outcome() {
         use utps_sim::MachineConfig;
         let mut eng = Engine::new(MachineConfig::tiny(), 1, 0u32);
-        eng.spawn(
-            Some(0),
-            StatClass::Other,
-            Box::new(Counter {
-                steps: 0,
-                handoff_at: u32::MAX,
-            }),
-        );
+        eng.spawn(Some(0), StatClass::Other, Box::new(Counter));
         eng.run_until(SimTime::from_micros(1));
         assert!(eng.world > 10, "process was stepped: {}", eng.world);
     }
@@ -178,14 +164,7 @@ mod tests {
             ..RunConfig::default()
         };
         let mut rt = PipelineRuntime::new(&cfg, 1, 0u32);
-        rt.spawn_process(
-            Some(0),
-            StatClass::Other,
-            Box::new(Counter {
-                steps: 0,
-                handoff_at: u32::MAX,
-            }),
-        );
+        rt.spawn_process(Some(0), StatClass::Other, Box::new(Counter));
         let mut at_reset = 0;
         rt.run(|eng| {
             at_reset = eng.world;
@@ -198,23 +177,5 @@ mod tests {
             eng.world < at_reset * 2,
             "reset closure must run between the windows"
         );
-    }
-
-    #[test]
-    fn handoff_is_reported_not_enforced() {
-        // A Handoff outcome is informational: the process keeps being
-        // scheduled (compositions like `UtpsWorker` act on handoffs).
-        use utps_sim::MachineConfig;
-        let mut eng = Engine::new(MachineConfig::tiny(), 1, 0u32);
-        eng.spawn(
-            Some(0),
-            StatClass::Other,
-            Box::new(Counter {
-                steps: 0,
-                handoff_at: 1,
-            }),
-        );
-        eng.run_until(SimTime::from_nanos(500));
-        assert!(eng.world > 1);
     }
 }

@@ -650,11 +650,6 @@ impl ManagerProc {
             refreshes: 0,
         }
     }
-
-    /// Hot-cache refreshes performed.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
-    }
 }
 
 impl Process<UtpsWorld> for ManagerProc {

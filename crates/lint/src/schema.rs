@@ -47,11 +47,10 @@ pub const METRIC_SCHEMA: &[&str] = &[
     // into the snapshot only when the tier is enabled.
     "device.reads",
     "device.writes",
-    // Engine scheduler internals (PR 8): burst fast-path steps and
-    // timer-wheel cascade operations. Maintained by the engine itself and
-    // read off it by `benchmark/`; never folded into `stats_json`
-    // snapshots so the run goldens stay byte-identical.
-    "engine.bursts",
+    // Engine scheduler internals: timer-wheel cascade operations.
+    // Maintained by the engine itself and read off it by `benchmark/`;
+    // never folded into `stats_json` snapshots so the run goldens stay
+    // byte-identical.
     "engine.wheel_cascades",
     // Fault-injection events.
     "fault.rx_delay",

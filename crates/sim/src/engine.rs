@@ -13,18 +13,16 @@
 //! polling loop and charged `poll_quantum`, so busy-polling cores consume
 //! simulated time just like pinned threads consume real cycles.
 //!
-//! # Scheduler and the burst fast path
+//! # Scheduler
 //!
 //! The ready queue is a hierarchical [`TimerWheel`] whose pop order is
 //! bit-identical to the `BinaryHeap<Reverse<(SimTime, ProcId)>>` it replaced:
-//! ascending `(time, pid)`, pid breaking ties. On top of it sits *burst
-//! stepping*: after a step, if the process's advanced clock is still strictly
-//! ahead of every other key (in the same `(time, pid)` order the scheduler
-//! would use) and the step did not report [`StepOutcome::Handoff`], the
-//! engine re-steps it immediately instead of pushing and re-popping. Each
-//! burst iteration is a *logical pop*: the schedule-exploration and
-//! fault-stall gates run (and count decisions) exactly as on the slow path,
-//! so perturbed and replayed runs stay byte-identical. See DESIGN.md §10.
+//! ascending `(time, pid)`, pid breaking ties. Every step is one pop: the
+//! schedule-exploration and fault-stall gates run (and count decisions)
+//! once, the process steps, and its advanced clock is re-keyed. Pops are
+//! drained a tie-cohort at a time, and a lockstep fleet's next cohort is
+//! buffered beside the wheel rather than pushed through it. See DESIGN.md
+//! §10.
 //!
 //! # Parking
 //!
@@ -49,10 +47,9 @@ pub type ProcId = usize;
 
 /// What one [`Process::step`] accomplished.
 ///
-/// The outcome never influences simulated time or event order — all costs
-/// are charged through [`Ctx`], and the burst fast path only engages when
-/// the ordering is provably unchanged — it only steers how the engine
-/// *hosts* the next step (fast-path re-step vs. scheduler round-trip).
+/// Nothing in the engine reads it: all costs are charged through [`Ctx`],
+/// and the next step is keyed by the process's clock alone. ROADMAP 13(b)
+/// deletes it and makes `step` return `()`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
     /// The step did useful work.
@@ -61,10 +58,6 @@ pub enum StepOutcome {
     /// A process that would report this until another process acts can
     /// [`Ctx::park`] instead of being stepped every poll quantum.
     Idle,
-    /// The process wants its core handed to a successor stage (μTPS's §3.5
-    /// thread reassignment); the engine ends any burst so the handoff
-    /// re-enters the scheduler.
-    Handoff,
 }
 
 /// A simulated thread.
@@ -369,11 +362,6 @@ struct ProcEntry<W> {
     parked: bool,
 }
 
-/// Upper bound on consecutive fast-path re-steps of one process before it is
-/// pushed back through the scheduler (bounds how long the engine runs
-/// without touching the wheel; see DESIGN.md §10).
-const BURST_BUDGET: u32 = 64;
-
 /// The simulation engine over a world `W`.
 ///
 /// The engine hosts one or more [`Machine`]s under a single global clock:
@@ -392,7 +380,6 @@ pub struct Engine<W> {
     wheel: TimerWheel,
     now: SimTime,
     steps: u64,
-    bursts: u64,
     live: usize,
     /// Live processes currently parked; guards the wake drain so a run with
     /// no parker pays one integer compare per step.
@@ -402,7 +389,7 @@ pub struct Engine<W> {
     /// on the engine keeps its capacity across `run_until` calls.
     cohort: Vec<ProcId>,
     /// Keys deferred past the live cohort at one shared time (the lockstep
-    /// fast path); becomes the next cohort by swap when its time is next.
+    /// buffer); becomes the next cohort by swap when its time is next.
     pending: Vec<ProcId>,
     /// Scratch for merging wheel ties with `pending` at the same time.
     tie_buf: Vec<ProcId>,
@@ -418,7 +405,6 @@ impl<W> Engine<W> {
             wheel: TimerWheel::new(),
             now: SimTime::ZERO,
             steps: 0,
-            bursts: 0,
             live: 0,
             parked: 0,
             wakes: WakeList::default(),
@@ -481,9 +467,11 @@ impl<W> Engine<W> {
         self.steps
     }
 
-    /// Steps executed on the burst fast path (no scheduler round-trip).
+    /// Always 0: the burst fast path it counted is gone, and every step is
+    /// a scheduler pop. Kept only because the benchmark's `sut.rs` still
+    /// reads it; ROADMAP 1(b) removes that caller, and this accessor with it.
     pub fn bursts(&self) -> u64 {
-        self.bursts
+        0
     }
 
     /// Scheduler timer-wheel cascade operations performed so far.
@@ -537,17 +525,17 @@ impl<W> Engine<W> {
         // fault stalls end strictly later, an unmoved step clock is bumped
         // by the poll quantum), so the cohort is closed once formed.
         //
-        // Cohorts come from two places. The slow path drains the wheel
-        // (`pop_ties`, one slot scan per cohort). The fast path never
-        // touches the wheel: members whose step ends at one shared future
-        // time — a polling fleet advancing in lockstep — are appended to
-        // `pending`, which becomes the next cohort by buffer swap when its
-        // time is next globally. Keys that break the pattern (different
-        // time, out-of-order pid, stall deferrals) fall back to the wheel,
-        // and a cohort whose time is held by both sides merges the two
-        // ascending pid runs. Either way every cohort is the complete
-        // sorted set of minimum-time keys, so the step and decision
-        // sequence stays byte-identical to the heap scheduler's.
+        // Cohorts come from two places. The wheel yields one per slot scan
+        // (`pop_ties`). The lockstep buffer never touches the wheel: members
+        // whose step ends at one shared future time — a polling fleet
+        // advancing in lockstep — are appended to `pending`, which becomes
+        // the next cohort by buffer swap when its time is next globally.
+        // Keys that break the pattern (different time, out-of-order pid,
+        // stall deferrals) fall back to the wheel, and a cohort whose time
+        // is held by both sides merges the two ascending pid runs. Either
+        // way every cohort is the complete sorted set of minimum-time keys,
+        // so the step and decision sequence stays byte-identical to the
+        // heap scheduler's.
         let mut cohort = std::mem::take(&mut self.cohort);
         let mut pending = std::mem::take(&mut self.pending);
         let mut tie_buf = std::mem::take(&mut self.tie_buf);
@@ -569,7 +557,7 @@ impl<W> Engine<W> {
                 )
             })
             .collect();
-        'sched: loop {
+        loop {
             if cohort_pos >= cohort.len() {
                 cohort.clear();
                 cohort_pos = 0;
@@ -613,130 +601,97 @@ impl<W> Engine<W> {
             }
             let pid = cohort[cohort_pos];
             cohort_pos += 1;
-            let mut t = cohort_t;
-            let mut budget = BURST_BUDGET;
-            // One iteration of this inner loop is one *logical pop* of
-            // `pid`: the first comes from the cohort, later ones from the
-            // burst fast path. Every iteration runs the same gates in the
-            // same order, so the step/decision sequence is byte-identical
-            // to a scheduler that pushed and re-popped each time.
-            loop {
-                let entry = &mut self.procs[pid];
-                debug_assert!(entry.live);
-                debug_assert_eq!(entry.clock, t);
-                let mid = entry.machine;
-                let (armed, has_stalls, poll_quantum) = gates[mid];
-                // Schedule exploration: at seed-chosen decisions, stall the
-                // popped process so whichever process is next in clock order
-                // runs first. Counted per logical pop, so every run —
-                // perturbed, replayed, or burst-stepped — sees the same
-                // decision indexing.
-                if armed {
-                    if let Some(stall_ps) = self.machines[mid].schedule.on_pop(pid) {
-                        self.machines[mid].registry.counter_inc("schedule.stall");
-                        let end = t + stall_ps;
+            let t = cohort_t;
+            let entry = &mut self.procs[pid];
+            debug_assert!(entry.live);
+            debug_assert_eq!(entry.clock, t);
+            let mid = entry.machine;
+            let (armed, has_stalls, poll_quantum) = gates[mid];
+            // Schedule exploration: at seed-chosen decisions, stall the
+            // popped process so whichever process is next in clock order
+            // runs first. Counted once per pop, so perturbed and replayed
+            // runs see the same decision indexing.
+            if armed {
+                if let Some(stall_ps) = self.machines[mid].schedule.on_pop(pid) {
+                    self.machines[mid].registry.counter_inc("schedule.stall");
+                    let end = t + stall_ps;
+                    entry.clock = end;
+                    self.wheel.push(end, pid);
+                    continue;
+                }
+            }
+            // A core inside a stall window executes nothing: defer its
+            // next step to the window end. Guarded so fault-free runs
+            // never pay for the check beyond one branch.
+            if has_stalls {
+                if let Some(core) = entry.core {
+                    if let Some(end) = self.machines[mid].faults.stall_until(core, t) {
+                        self.machines[mid].faults.note_stall_defer();
+                        self.machines[mid].registry.counter_inc("fault.stall_defer");
                         entry.clock = end;
                         self.wheel.push(end, pid);
-                        continue 'sched;
-                    }
-                }
-                // A core inside a stall window executes nothing: defer its
-                // next step to the window end. Guarded so fault-free runs
-                // never pay for the check beyond one branch.
-                if has_stalls {
-                    if let Some(core) = entry.core {
-                        if let Some(end) = self.machines[mid].faults.stall_until(core, t) {
-                            self.machines[mid].faults.note_stall_defer();
-                            self.machines[mid].registry.counter_inc("fault.stall_defer");
-                            entry.clock = end;
-                            self.wheel.push(end, pid);
-                            continue 'sched;
-                        }
-                    }
-                }
-                let mut ctx = Ctx {
-                    machines: &mut self.machines,
-                    mid,
-                    pid,
-                    core: entry.core,
-                    class: entry.class,
-                    clock: t,
-                    start: t,
-                    halted: false,
-                    parked: false,
-                    wakes: &self.wakes,
-                };
-                let outcome = entry.proc.step(&mut ctx, &mut self.world);
-                let mut new_clock = ctx.clock;
-                let halted = ctx.halted;
-                let parked = ctx.parked && !halted;
-                entry.class = ctx.class;
-                if new_clock == t {
-                    // Idle polling iteration.
-                    new_clock += poll_quantum;
-                }
-                entry.clock = new_clock;
-                self.now = t;
-                self.steps += 1;
-                if halted {
-                    entry.live = false;
-                    self.live -= 1;
-                }
-                if parked {
-                    entry.parked = true;
-                    self.parked += 1;
-                }
-                // Re-key the sleepers this step woke. Every wake key is
-                // strictly after `t`, so the cohort being drained stays
-                // closed; the burst check below sees the new keys.
-                if self.parked > 0 {
-                    self.drain_wakes(t + poll_quantum);
-                }
-                if halted || parked {
-                    continue 'sched;
-                }
-                // Burst fast path: re-step immediately if the advanced
-                // clock still precedes every scheduled key in the exact
-                // `(time, pid)` order the scheduler uses — then a push/pop
-                // round-trip would pop this process right back, so skipping
-                // it cannot change the step sequence. A `Handoff` ends the
-                // burst so successor stages re-enter through the scheduler.
-                // Pending cohort members (strictly earlier time) and the
-                // pending buffer's front key both forbid bursting.
-                if outcome != StepOutcome::Handoff && budget > 0 && new_clock < deadline {
-                    let ahead = cohort_pos >= cohort.len()
-                        && (pending.is_empty() || (new_clock, pid) < (pending_t, pending[0]))
-                        && match self.wheel.peek() {
-                            Some(next) => (new_clock, pid) < next,
-                            None => true,
-                        };
-                    if ahead {
-                        budget -= 1;
-                        self.bursts += 1;
-                        t = new_clock;
                         continue;
                     }
                 }
-                // Re-schedule: join the pending cohort when the key extends
-                // its ascending pid run at the shared time, else the wheel.
-                if pending.is_empty() {
-                    pending_t = new_clock;
-                    pending.push(pid);
-                } else if new_clock == pending_t && *pending.last().expect("nonempty") < pid {
-                    pending.push(pid);
-                } else if new_clock < pending_t {
-                    // A strictly earlier key: the current pending run is no
-                    // longer the next-time candidate, park it in the wheel.
-                    for &p in &pending {
-                        self.wheel.push(pending_t, p);
-                    }
-                    pending.clear();
-                    pending_t = new_clock;
-                    pending.push(pid);
-                } else {
-                    self.wheel.push(new_clock, pid);
+            }
+            let mut ctx = Ctx {
+                machines: &mut self.machines,
+                mid,
+                pid,
+                core: entry.core,
+                class: entry.class,
+                clock: t,
+                start: t,
+                halted: false,
+                parked: false,
+                wakes: &self.wakes,
+            };
+            entry.proc.step(&mut ctx, &mut self.world);
+            let mut new_clock = ctx.clock;
+            let halted = ctx.halted;
+            let parked = ctx.parked && !halted;
+            entry.class = ctx.class;
+            if new_clock == t {
+                // Idle polling iteration.
+                new_clock += poll_quantum;
+            }
+            entry.clock = new_clock;
+            self.now = t;
+            self.steps += 1;
+            if halted {
+                entry.live = false;
+                self.live -= 1;
+            }
+            if parked {
+                entry.parked = true;
+                self.parked += 1;
+            }
+            // Re-key the sleepers this step woke. Every wake key is
+            // strictly after `t`, so the cohort being drained stays closed.
+            if self.parked > 0 {
+                self.drain_wakes(t + poll_quantum);
+            }
+            if halted || parked {
+                continue;
+            }
+            // Re-schedule: join the pending cohort when the key extends
+            // its ascending pid run at the shared time, else the wheel.
+            if pending.is_empty() {
+                pending_t = new_clock;
+                pending.push(pid);
+            } else if new_clock == pending_t && *pending.last().expect("nonempty") < pid {
+                pending.push(pid);
+            } else if new_clock < pending_t {
+                // A strictly earlier key: the current pending run is no
+                // longer the next-time candidate, park it in the wheel.
+                for &p in &pending {
+                    self.wheel.push(pending_t, p);
                 }
-                continue 'sched;
+                pending.clear();
+                pending_t = new_clock;
+                pending.push(pid);
+            } else {
+                self.wheel.push(new_clock, pid);
             }
         }
         // Park deferred keys in the wheel so the engine's schedule state is
@@ -883,17 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn lone_process_rides_the_burst_fast_path() {
-        let mut eng = Engine::new(MachineConfig::tiny(), 1, 0u64);
-        eng.spawn(Some(0), StatClass::Other, Box::new(Idle));
-        let quantum = eng.machine_ref().cfg.cost.poll_quantum;
-        eng.run_until(SimTime(quantum * 100));
-        // Identical step count to the slow path, almost all of it burst.
-        assert_eq!(eng.world, 100);
-        assert!(eng.bursts() > 90, "only {} bursts", eng.bursts());
-    }
-
-    #[test]
     fn simultaneous_processes_step_in_pid_order() {
         let mut eng = Engine::new(MachineConfig::tiny(), 1, Vec::new());
         for id in 0..3 {
@@ -909,7 +853,7 @@ mod tests {
         }
         eng.run_until(SimTime::from_micros(1));
         // All three share every wakeup time; the (time, pid) tie-break must
-        // order them by pid within each instant, burst path or not.
+        // order them by pid within each instant.
         for (i, &(t, id)) in eng.world.iter().enumerate() {
             assert_eq!(t, SimTime::from_nanos(20 * (i as u64 / 3)));
             assert_eq!(id, i % 3);
@@ -1051,8 +995,7 @@ mod tests {
         assert_eq!((eng.live_procs(), eng.parked_procs()), (3, 3));
     }
 
-    /// Polls idly `polls` times — alone in the engine, every re-step rides
-    /// the burst fast path — then parks.
+    /// Polls idly `polls` times, alone in the engine, then parks.
     struct PollThenPark {
         polls: u32,
     }
@@ -1076,7 +1019,6 @@ mod tests {
         eng.spawn(None, StatClass::Other, Box::new(PollThenPark { polls: 5 }));
         let steps = eng.run_until(SimTime::from_micros(1));
         assert_eq!(steps, 6, "five polls and the parking step");
-        assert_eq!(eng.bursts(), 5, "the parking step was itself a burst step");
         assert_eq!(eng.parked_procs(), 1);
     }
 

@@ -11,10 +11,9 @@
 //! metric snapshots).
 //!
 //! Regions start 2^44 bytes apart, with a few in between: `ITEM_VALS`,
-//! `INDEX_META` and `SHARED_Q` sit 2^43 past the region before them and
-//! `SCRATCH` 7 · 2^40 past `SHARED_Q`. Every gap is far beyond any
-//! plausible footprint, so unrelated structures can never share a cache
-//! line.
+//! `INDEX_META` and `SHARED_Q` sit 2^43 past the region before them. Every
+//! gap is far beyond any plausible footprint, so unrelated structures can
+//! never share a cache line.
 
 /// Per-worker NIC receive rings (stride [`RECV_RING_STRIDE`] per worker).
 pub const RECV_RING: usize = 0x1000_0000_0000;
@@ -42,5 +41,3 @@ pub const CRMR_LANES: usize = 0x7000_0000_0000;
 pub const SHARED_Q: usize = 0x7800_0000_0000;
 /// Address stride between consecutive shared-mode completion queues.
 pub const SHARED_Q_STRIDE: usize = 0x10_0000;
-/// Miscellaneous scratch (anything without a dedicated region).
-pub const SCRATCH: usize = 0x7f00_0000_0000;

@@ -40,12 +40,17 @@
 //!    and every in-wheel event precedes every overflow event. So the global
 //!    minimum is found by cascading until level 0 is occupied and scanning
 //!    level 0's lowest occupied slot.
-//! 4. A key pushed *below* the anchor — the engine does this when a burst
-//!    ends below a slot base the anchor was cascaded to — goes to a small
-//!    `front` heap instead of a slot. Since the anchor never moves backward
-//!    and never exceeds the wheel minimum, every front key strictly
-//!    precedes every wheel and overflow key, so peek/pop consult the front
-//!    first and exact `(time, pid)` order is preserved.
+//! 4. A key pushed *below* the anchor goes to a small `front` heap instead
+//!    of a slot. Inside a run the engine does this only while it drains a
+//!    cohort taken from its `pending` lockstep buffer rather than from the
+//!    wheel: the peek that chose the cohort may have cascaded the anchor up
+//!    to a later wheel key's slot base, and keys the cohort's steps push
+//!    (or the buffer flushes) can land below it. Between runs, a spawn or a
+//!    wake at the engine's `now()` can land below an anchor the run's last
+//!    peek cascaded. Since the anchor never moves backward and never
+//!    exceeds the wheel minimum, every front key strictly precedes every
+//!    wheel and overflow key, so peek/pop consult the front first and exact
+//!    `(time, pid)` order is preserved.
 //!
 //! A cascade takes the lowest occupied slot of the lowest occupied level,
 //! advances `cur` to the slot's base time, and re-places the slot's events;
@@ -164,9 +169,9 @@ impl TimerWheel {
             self.popped_hi
         );
         if t.0 < self.cur {
-            // Below the anchor (a peek cascaded `cur` past `t` before the
-            // engine's burst ended): the key precedes every wheel key, so
-            // it waits in the front heap (invariant 4).
+            // Below the anchor (a peek cascaded `cur` past `t`): the key
+            // precedes every wheel key, so it waits in the front heap
+            // (invariant 4).
             self.front.push(Reverse((t, pid)));
             self.len += 1;
             return;
@@ -470,8 +475,8 @@ mod tests {
 
     #[test]
     fn below_anchor_push_still_pops_first() {
-        // Burst-shaped sequence: with only a far key stored, a peek
-        // cascades the anchor up to that key's slot base; a later push
+        // Pending-buffer-shaped sequence: with only a far key stored, a
+        // peek cascades the anchor up to that key's slot base; a later push
         // below the anchor (legal — nothing that early was ever popped)
         // must still come out first, and must be removable.
         let mut w = TimerWheel::new();

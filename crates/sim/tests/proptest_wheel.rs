@@ -6,7 +6,8 @@
 //! engine-shaped operations: pushes at offsets spanning every wheel level
 //! (granule ties, same-slot neighbours, mid levels, the far-future
 //! overflow heap), pops, peeks (which cascade the anchor and so set up
-//! below-anchor pushes, the burst-tail case), and cancels.
+//! below-anchor pushes, as the engine makes while it drains its `pending`
+//! lockstep buffer), and cancels.
 
 use proptest::collection::vec;
 use proptest::prelude::*;

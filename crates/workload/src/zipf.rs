@@ -24,7 +24,6 @@ pub struct ZipfGen {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl ZipfGen {
@@ -46,7 +45,6 @@ impl ZipfGen {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -140,12 +138,6 @@ impl ZipfGen {
     /// Probability mass of rank `r`.
     pub fn rank_probability(&self, r: u64) -> f64 {
         1.0 / ((r + 1) as f64).powf(self.theta) / self.zetan
-    }
-
-    /// Unused normalizer accessor kept for diagnostics.
-    #[doc(hidden)]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 
