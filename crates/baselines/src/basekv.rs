@@ -25,7 +25,7 @@ use utps_core::crmr::Desc;
 use utps_core::experiment::{RunConfig, RunResult};
 use utps_core::msg::{NetMsg, Response};
 use utps_core::retry::DedupTable;
-use utps_core::rpc::{self, send_response, Admission, RecvRing, RespBuffers};
+use utps_core::rpc::{self, send_response, Admission, RecvRing, RespBuffers, SLOT_BYTES};
 use utps_core::stage::PipelineRuntime;
 use utps_core::store::{KvOp, KvOpOutput, KvStore};
 use utps_core::system::{self, Proc, ServerParts, ServerWorld, System};
@@ -85,7 +85,7 @@ impl ServerWorld for BaseWorld {
 }
 
 /// A run-to-completion worker: the whole request pipeline as one stage.
-pub struct BaseWorker {
+pub(crate) struct BaseWorker {
     id: usize,
     cursor: u64,
     batch: usize,
@@ -322,7 +322,7 @@ pub fn build_base_world(cfg: &RunConfig) -> BaseWorld {
     BaseWorld {
         fabric: Fabric::new(cfg.machine.net.clone(), cfg.clients),
         ring: RecvRing::new(cfg.ring_slots, cfg.slot_size),
-        resp: RespBuffers::new(cfg.workers, 64, 1152),
+        resp: RespBuffers::new(cfg.workers, 64, SLOT_BYTES),
         store,
         workers: cfg.workers,
         driver: DriverState::new(cfg.clients, SimTime(cfg.warmup)),

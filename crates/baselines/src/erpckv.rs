@@ -20,7 +20,7 @@ use utps_core::client::{DriverState, KvWorld};
 use utps_core::crmr::Desc;
 use utps_core::experiment::RunConfig;
 use utps_core::msg::{NetMsg, Response};
-use utps_core::rpc::{recv_fate, send_response, RecvRing, RespBuffers};
+use utps_core::rpc::{recv_fate, send_response, RecvRing, RespBuffers, SLOT_BYTES};
 use utps_core::stage::PipelineRuntime;
 use utps_core::store::{KvOp, KvStore};
 use utps_core::system::{Proc, System};
@@ -104,7 +104,7 @@ struct ActiveOp {
 
 /// A share-nothing shard stage: NIC dispatch fused with run-to-completion
 /// execution over the worker's exclusive key shard.
-pub struct ErpcWorker {
+pub(crate) struct ErpcWorker {
     id: usize,
     cursor: u64,
     batch: usize,
@@ -208,7 +208,7 @@ impl System for ErpcKv {
         ErpcWorld {
             fabric: Fabric::new(cfg.machine.net.clone(), cfg.clients),
             rings,
-            resp: RespBuffers::new(cfg.workers, 64, 1152),
+            resp: RespBuffers::new(cfg.workers, 64, SLOT_BYTES),
             store,
             workers: cfg.workers,
             overflow: Default::default(),

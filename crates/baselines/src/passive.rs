@@ -78,11 +78,9 @@ pub enum PassiveMsg {
         /// The verb.
         verb: Verb,
     },
-    /// Server RNIC → client completion carrying `payload` response bytes.
-    Done {
-        /// Payload bytes on the wire.
-        payload: usize,
-    },
+    /// Server RNIC → client completion (its wire size is charged by
+    /// `server_send`).
+    Done,
 }
 
 /// Passive server world: just memory + NIC; no server processes touch it.
@@ -177,7 +175,7 @@ impl Process<PassiveWorld> for VerbEngine {
             let now = ctx.now();
             world
                 .fabric
-                .server_send(now, payload, client as usize, PassiveMsg::Done { payload });
+                .server_send(now, payload, client as usize, PassiveMsg::Done);
         }
         if !worked {
             // No verb has arrived: one idle poll (the engine charges the
@@ -319,7 +317,7 @@ impl Process<PassiveWorld> for PassiveClient {
         let now = ctx.now();
         if self.awaiting {
             match world.fabric.client_poll(self.id as usize, now) {
-                Some(PassiveMsg::Done { .. }) => {
+                Some(PassiveMsg::Done) => {
                     self.awaiting = false;
                     ctx.compute_ns(20);
                 }

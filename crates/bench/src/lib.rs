@@ -78,7 +78,7 @@ impl Cli {
 }
 
 /// Base experiment configuration for the given scale.
-pub fn base_config(scale: Scale) -> RunConfig {
+pub(crate) fn base_config(scale: Scale) -> RunConfig {
     let (keys, clients, warmup, duration) = match scale {
         Scale::Quick => (800_000, 48, 3 * MILLIS, 2 * MILLIS),
         Scale::Full => (4_000_000, 64, 4 * MILLIS, 6 * MILLIS),
@@ -136,7 +136,7 @@ pub(crate) fn tune(candidates: Vec<RunConfig>) -> (RunConfig, RunResult) {
 /// Runs μTPS the way the paper does: tuned over 5/16 or 8/16 of the
 /// workers in the CR layer and, with the hot cache on, 6/16 with half the
 /// LLC ways reserved for the MR layer.
-pub fn run_utps_tuned(cfg: &RunConfig) -> RunResult {
+pub(crate) fn run_utps_tuned(cfg: &RunConfig) -> RunResult {
     let w = cfg.workers;
     let split = |sixteenths: usize, mr_ways: usize| RunConfig {
         n_cr: (w * sixteenths / 16).clamp(1, w - 1),
@@ -260,7 +260,7 @@ impl StatsSink {
 }
 
 /// Renders an aligned text table: header + rows of (label, values).
-pub fn print_table(title: &str, columns: &[&str], rows: &[(String, Vec<f64>)], csv: bool) {
+pub(crate) fn print_table(title: &str, columns: &[&str], rows: &[(String, Vec<f64>)], csv: bool) {
     println!("\n== {title} ==");
     let label_w = rows
         .iter()

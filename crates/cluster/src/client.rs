@@ -7,7 +7,7 @@ use utps_workload::{Op, Workload};
 /// Wraps a workload so that puts to large-class keys carry the large
 /// payload size. Reads are untouched (the store returns whatever length is
 /// present); with `large_keys == 0` this is a pure pass-through.
-pub struct SizeClassWorkload {
+pub(crate) struct SizeClassWorkload {
     inner: Box<dyn Workload + Send>,
     keys: u64,
     large_keys: u64,

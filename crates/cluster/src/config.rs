@@ -23,9 +23,7 @@ pub struct MigrationSpec {
 /// run seed, so the link never perturbs the client/server fault plans.
 #[derive(Clone, Debug)]
 pub struct LinkConfig {
-    /// Items per transfer chunk.
-    pub chunk_items: usize,
-    /// Probability a chunk is dropped (retransmitted after `retry_ps`).
+    /// Probability a chunk is dropped (retransmitted after a timeout).
     pub drop_prob: f64,
     /// Probability a chunk is delivered twice (installs are idempotent).
     pub dup_prob: f64,
@@ -33,19 +31,15 @@ pub struct LinkConfig {
     pub delay_prob: f64,
     /// Extra delay for delayed chunks (ps).
     pub delay_ps: u64,
-    /// Retransmit timeout after a dropped chunk (ps).
-    pub retry_ps: u64,
 }
 
 impl Default for LinkConfig {
     fn default() -> Self {
         LinkConfig {
-            chunk_items: 16,
             drop_prob: 0.0,
             dup_prob: 0.0,
             delay_prob: 0.0,
             delay_ps: 20 * utps_sim::time::MICROS,
-            retry_ps: 30 * utps_sim::time::MICROS,
         }
     }
 }
@@ -113,7 +107,7 @@ impl ClusterConfig {
     }
 
     /// Total shard machines.
-    pub fn total_shards(&self) -> usize {
+    pub(crate) fn total_shards(&self) -> usize {
         self.shards + self.large_shards
     }
 

@@ -12,12 +12,12 @@
 //! * **Hot-key replication** — reads of replicated keys fan out
 //!   round-robin across the small shards; writes invalidate at the owner's
 //!   claim point and a controller refreshes from committed state
-//!   ([`migrate::RefreshProc`]).
+//!   (`migrate::RefreshProc`).
 //! * **Live migration** — freeze → drain → chunked copy over a faulty link
-//!   → dedup handoff → ownership flip ([`migrate::MigrationProc`]),
+//!   → dedup handoff → ownership flip (`migrate::MigrationProc`),
 //!   preserving exactly-once end to end.
 //! * **Cluster thread tuning** — CR capacity moves between machines under
-//!   load imbalance ([`tuner::ClusterTunerProc`]).
+//!   load imbalance (`tuner::ClusterTunerProc`).
 //!
 //! Servers and clients are the single-machine ones; everything
 //! cluster-shaped reaches them through `utps_core::shardctl::ShardHooks`.
@@ -33,10 +33,7 @@ pub mod runner;
 pub mod tuner;
 pub mod world;
 
-pub use client::SizeClassWorkload;
 pub use config::{ClusterConfig, LinkConfig, MigrationSpec};
-pub use migrate::{MigrationProc, RefreshProc};
 pub use router::{RouterState, SizeClass, Topology};
 pub use runner::{run_cluster, run_cluster_system};
-pub use tuner::ClusterTunerProc;
 pub use world::{ClusterWorld, ShardProc, ShardWorld};

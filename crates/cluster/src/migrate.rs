@@ -26,6 +26,7 @@
 //! committed and no newer write has been admitted, which is what makes
 //! replica reads linearizable.
 
+use utps_collections::hashutil::unit_f64;
 use utps_sim::nic::Pipe;
 use utps_sim::time::SimTime;
 use utps_sim::{Ctx, Process, StepOutcome};
@@ -37,11 +38,10 @@ use crate::world::{ClusterWorld, ShardWorld};
 
 /// Poll period for drain/idle waits.
 const POLL_PS: u64 = 500 * utps_sim::time::NANOS;
-
-/// Uniform draw in `[0, 1)` from the top 53 bits.
-fn unit(rng: &mut SmallRng) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
+/// Items per transfer chunk.
+const CHUNK_ITEMS: usize = 16;
+/// Retransmit timeout after a dropped chunk.
+const RETRY_PS: u64 = 30 * utps_sim::time::MICROS;
 
 /// Mutable references to two distinct shards.
 fn two<S>(shards: &mut [S], a: usize, b: usize) -> (&mut S, &mut S) {
@@ -87,7 +87,7 @@ enum MigState {
 
 /// The migration controller: executes [`MigrationSpec`]s in start-time
 /// order, one at a time.
-pub struct MigrationProc {
+pub(crate) struct MigrationProc {
     specs: Vec<MigrationSpec>,
     next: usize,
     link: LinkConfig,
@@ -167,16 +167,16 @@ impl<S: ShardWorld> Process<ClusterWorld<S>> for MigrationProc {
                 let spec = &self.specs[self.next];
                 if pos < keys.len() {
                     // One chunk per step: draw faults, transmit, install.
-                    if unit(&mut self.rng) < self.link.drop_prob {
+                    if unit_f64(self.rng.next_u64()) < self.link.drop_prob {
                         // Chunk lost on the wire: retry after the timeout
                         // without advancing `pos`.
-                        ctx.advance_to(now + self.link.retry_ps);
+                        ctx.advance_to(now + RETRY_PS);
                         self.state = MigState::Copying { from, keys, pos };
                         return StepOutcome::Progress;
                     }
-                    let dup = unit(&mut self.rng) < self.link.dup_prob;
-                    let delayed = unit(&mut self.rng) < self.link.delay_prob;
-                    let end = (pos + self.link.chunk_items).min(keys.len());
+                    let dup = unit_f64(self.rng.next_u64()) < self.link.dup_prob;
+                    let delayed = unit_f64(self.rng.next_u64()) < self.link.delay_prob;
+                    let end = (pos + CHUNK_ITEMS).min(keys.len());
                     let mut bytes = 0;
                     for &k in &keys[pos..end] {
                         bytes += install(&mut world.shards, from, spec.to_shard, k);
@@ -222,7 +222,7 @@ impl<S: ShardWorld> Process<ClusterWorld<S>> for MigrationProc {
 
 /// The replica refresh controller: periodically re-installs invalidated
 /// hot keys on every small shard from the owner's committed value.
-pub struct RefreshProc {
+pub(crate) struct RefreshProc {
     interval: u64,
     pipe: Pipe,
 }

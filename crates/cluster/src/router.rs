@@ -64,7 +64,7 @@ impl Topology {
 
     /// The hash slot of `key` within its class.
     #[inline]
-    pub fn slot_of(&self, key: u64) -> usize {
+    pub(crate) fn slot_of(&self, key: u64) -> usize {
         (mix64(key) % self.slots as u64) as usize
     }
 
@@ -77,7 +77,7 @@ impl Topology {
     }
 
     /// Total shard count.
-    pub fn total_shards(&self) -> usize {
+    pub(crate) fn total_shards(&self) -> usize {
         self.small_shards.len() + self.large_shards.len()
     }
 }
@@ -193,13 +193,13 @@ impl RouterState {
     }
 
     /// The shard currently owning (`class`, `slot`).
-    pub fn slot_owner(&self, class: SizeClass, slot: usize) -> usize {
+    pub(crate) fn slot_owner(&self, class: SizeClass, slot: usize) -> usize {
         self.owner[class as usize][slot]
     }
 
     /// Replicated keys currently invalid (awaiting refresh), sorted for
     /// deterministic controller iteration.
-    pub fn invalid_replicas(&self) -> Vec<u64> {
+    pub(crate) fn invalid_replicas(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self
             .replicas
             .iter()
@@ -211,7 +211,7 @@ impl RouterState {
     }
 
     /// Marks a replicated key valid again (after a refresh install).
-    pub fn revalidate(&mut self, key: u64) {
+    pub(crate) fn revalidate(&mut self, key: u64) {
         if let Some(v) = self.replicas.get_mut(&key) {
             *v = true;
         }
@@ -219,18 +219,18 @@ impl RouterState {
     }
 
     /// Freezes (`class`, `slot`): every request for it bounces until
-    /// [`RouterState::unfreeze`].
+    /// `RouterState::unfreeze`.
     pub fn freeze(&mut self, class: SizeClass, slot: usize) {
         self.frozen[class as usize][slot] = true;
     }
 
     /// Unfreezes (`class`, `slot`).
-    pub fn unfreeze(&mut self, class: SizeClass, slot: usize) {
+    pub(crate) fn unfreeze(&mut self, class: SizeClass, slot: usize) {
         self.frozen[class as usize][slot] = false;
     }
 
     /// Whether (`class`, `slot`) is currently frozen.
-    pub fn is_frozen(&self, class: SizeClass, slot: usize) -> bool {
+    pub(crate) fn is_frozen(&self, class: SizeClass, slot: usize) -> bool {
         self.frozen[class as usize][slot]
     }
 
@@ -241,12 +241,12 @@ impl RouterState {
 
     /// Whether `shard` has zero admitted-but-unanswered ops on
     /// (`class`, `slot`) — the migration drain condition.
-    pub fn quiesced(&self, shard: usize, class: SizeClass, slot: usize) -> bool {
+    pub(crate) fn quiesced(&self, shard: usize, class: SizeClass, slot: usize) -> bool {
         self.inflight[shard][class as usize][slot] == 0
     }
 
     /// All populated keys hashing to (`class`, `slot`), ascending.
-    pub fn keys_in_slot(&self, class: SizeClass, slot: usize) -> Vec<u64> {
+    pub(crate) fn keys_in_slot(&self, class: SizeClass, slot: usize) -> Vec<u64> {
         (0..self.topo.keys)
             .filter(|&k| self.topo.class_of(k) == class && self.topo.slot_of(k) == slot)
             .collect()

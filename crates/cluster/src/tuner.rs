@@ -23,7 +23,7 @@ const IMBALANCE_DEN: u64 = 2;
 
 /// The cluster thread tuner (μTPS shards only — BaseKV has no CR/MR split
 /// to rebalance).
-pub struct ClusterTunerProc {
+pub(crate) struct ClusterTunerProc {
     interval: u64,
     next: SimTime,
     last_served: Vec<u64>,

@@ -29,6 +29,21 @@ pub fn mix64(mut x: u64) -> u64 {
     x
 }
 
+/// splitmix64: advances `state` by the golden-ratio increment and returns
+/// its [`mix64`]. Each stream owns its `state`, so streams never share
+/// draws.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    mix64(*state)
+}
+
+/// Maps a `u64` draw to a uniform `f64` in [0, 1) (its top 53 bits).
+#[inline]
+pub fn unit_f64(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 /// Combines two 64-bit values into one well-mixed value.
 #[inline]
 pub fn mix2(a: u64, b: u64) -> u64 {
@@ -80,7 +95,7 @@ impl FxHasher64 {
 }
 
 /// `BuildHasher` for [`FxHasher64`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher64>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher64>;
 
 /// A `HashMap` keyed with the fast Fx hasher.
 #[allow(

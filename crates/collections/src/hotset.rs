@@ -61,7 +61,8 @@ impl HotSetTracker {
     }
 
     /// Whether `key` is currently among the tracked hot candidates.
-    pub fn is_hot_candidate(&self, key: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_hot_candidate(&self, key: u64) -> bool {
         self.topk.contains(key)
     }
 

@@ -24,7 +24,7 @@ pub mod sorted_cache;
 pub mod spsc;
 pub mod topk;
 
-pub use hashutil::{mix2, mix64, FxBuildHasher, FxHashMap, FxHashSet};
+pub use hashutil::{mix2, mix64, FxHashMap, FxHashSet};
 pub use hist::LatencyHistogram;
 pub use hotset::HotSetTracker;
 pub use mpmc::MpmcQueue;

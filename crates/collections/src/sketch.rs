@@ -3,8 +3,10 @@
 //! The management thread samples recently accessed keys and feeds them into
 //! this sketch; combined with a top-K heap it identifies the hottest items
 //! (§3.2.2, following Cormode & Muthukrishnan \[23\]). Counters are `u32`
-//! and can be periodically halved ([`CountMinSketch::decay`]) so the sketch
+//! and can be periodically halved (`CountMinSketch::decay`) so the sketch
 //! tracks a moving window of popularity, reacting to hot-set shifts.
+
+use crate::hashutil::mix64;
 
 /// A count-min sketch over `u64` keys.
 ///
@@ -26,18 +28,6 @@ pub struct CountMinSketch {
     rows: Vec<Vec<u32>>,
     seeds: Vec<u64>,
     items: u64,
-}
-
-/// Stafford mix (duplicated from `utps-sim` to keep this crate dependency
-/// free; the constant set is identical).
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d049bb133111eb);
-    x ^= x >> 31;
-    x
 }
 
 impl CountMinSketch {
@@ -107,7 +97,7 @@ impl CountMinSketch {
 
     /// Halves every counter — ages out stale popularity so the sketch tracks
     /// a moving window.
-    pub fn decay(&mut self) {
+    pub(crate) fn decay(&mut self) {
         for row in &mut self.rows {
             for c in row.iter_mut() {
                 *c >>= 1;

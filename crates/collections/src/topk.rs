@@ -60,7 +60,8 @@ impl TopK {
     }
 
     /// The smallest tracked count (the admission threshold once full).
-    pub fn threshold(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn threshold(&self) -> u32 {
         if self.heap.len() < self.k {
             0
         } else {

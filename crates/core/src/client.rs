@@ -170,7 +170,7 @@ impl ClientProc {
     /// Creates a client whose sequence numbers start at `start_seq` instead
     /// of 0 — the post-crash fleet continues each client's pre-crash numbering
     /// so the server's restored dedup floor stays meaningful.
-    pub fn with_start_seq(
+    pub(crate) fn with_start_seq(
         id: u32,
         workload: Box<dyn Workload + Send>,
         pipeline: usize,
@@ -254,19 +254,15 @@ impl<W: KvWorld> Process<W> for ClientProc {
                     NetMsg::Req(_) => unreachable!("client received a request"),
                 };
                 drained += 1;
-                // Digest the returned bytes for the oracle before the
-                // payload's NIC buffer is recycled (dup responses included).
-                let resp_digest = if world.driver_mut().history.is_some() {
-                    resp.value
-                        .as_ref()
-                        .map(|v| value_digest(ctx.machine_at(s).payloads.get(v)))
-                } else {
-                    None
-                };
+                // Recycle the payload's NIC buffer, digesting the returned
+                // bytes for the oracle on the way out (dup responses
+                // included).
                 let wire_len = resp.wire_len();
-                if let Some(v) = resp.value {
-                    ctx.machine_at(s).payloads.free(v);
-                }
+                let history_on = world.driver_mut().history.is_some();
+                let resp_digest = resp.value.and_then(|v| {
+                    let bytes = ctx.machine_at(s).payloads.take(v);
+                    history_on.then(|| value_digest(&bytes))
+                });
                 // A moved bounce: the shard no longer owns the key (or froze
                 // its slot mid-migration). The server recorded nothing, so
                 // re-route and re-send the same seq; latency still counts

@@ -70,7 +70,7 @@ pub struct CrashReport {
 
 /// Per-client next sequence numbers after `h` (max seen + 1), sized for
 /// `clients` clients.
-pub fn client_next_seqs(h: &History, clients: usize) -> Vec<u64> {
+pub(crate) fn client_next_seqs(h: &History, clients: usize) -> Vec<u64> {
     let mut next = vec![0u64; clients];
     for r in h.records() {
         let c = r.client as usize;
@@ -82,7 +82,7 @@ pub fn client_next_seqs(h: &History, clients: usize) -> Vec<u64> {
 /// Checks the durable-ack invariant: every acked mutation in `h` must have
 /// a surviving WAL record in `surviving`. Returns `(acked mutation count,
 /// all preserved?)`.
-pub fn durable_acks_preserved(h: &History, surviving: &[(u32, u64)]) -> (usize, bool) {
+pub(crate) fn durable_acks_preserved(h: &History, surviving: &[(u32, u64)]) -> (usize, bool) {
     let set: BTreeSet<(u32, u64)> = surviving.iter().copied().collect();
     let mut n = 0;
     let mut ok = true;
@@ -99,7 +99,7 @@ pub fn durable_acks_preserved(h: &History, surviving: &[(u32, u64)]) -> (usize, 
 /// Stitches the pre-crash and post-recovery histories (post shifted by the
 /// crash instant) and runs the oracle over the combination against the
 /// initial `0xab` fill.
-pub fn check_combined(
+pub(crate) fn check_combined(
     pre: &History,
     post: &History,
     crash_at_ps: u64,

@@ -383,13 +383,14 @@ impl CrMrQueue {
     }
 
     /// Uncharged: descriptors currently queued in the lane.
-    pub fn lane_len(&self, producer: usize, consumer: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn lane_len(&self, producer: usize, consumer: usize) -> usize {
         self.lane(producer, consumer).ring.len()
     }
 
     /// Uncharged: whether every lane into `consumer` is drained and fully
     /// completed (the §3.5 role-switch precondition).
-    pub fn consumer_idle(&self, consumer: usize) -> bool {
+    pub(crate) fn consumer_idle(&self, consumer: usize) -> bool {
         if let Some(s) = &self.shared {
             return s.req.is_empty();
         }
@@ -412,7 +413,7 @@ impl CrMrQueue {
     }
 
     /// Uncharged: total descriptors pushed across all lanes (stats).
-    pub fn total_pushed(&self) -> u64 {
+    pub(crate) fn total_pushed(&self) -> u64 {
         self.lanes.iter().map(|l| l.pushed).sum()
     }
 }

@@ -19,7 +19,7 @@ use crate::client::{ClientStats, DriverState};
 use crate::crmr::CrMrQueue;
 use crate::hotcache::HotCache;
 use crate::retry::{DedupTable, RetryConfig};
-use crate::rpc::{RecvRing, RespBuffers};
+use crate::rpc::{RecvRing, RespBuffers, SLOT_BYTES};
 use crate::server::{ServerConfig, UtpsWorker, UtpsWorld};
 use crate::stage::PipelineRuntime;
 use crate::store::KvStore;
@@ -217,7 +217,7 @@ impl Default for RunConfig {
             cache_enabled: true,
             sample_every: 8,
             ring_slots: 1 << 12,
-            slot_size: 1152,
+            slot_size: SLOT_BYTES,
             mr_ways: 0,
             queue_kind: crate::crmr::QueueKind::AllToAll,
             timeline_interval: 0,
@@ -595,7 +595,7 @@ pub fn build_utps_world(cfg: &RunConfig) -> UtpsWorld {
     UtpsWorld {
         fabric: utps_sim::Fabric::new(cfg.machine.net.clone(), cfg.clients),
         ring: RecvRing::new(cfg.ring_slots, cfg.slot_size),
-        resp: RespBuffers::new(cfg.workers, 64, 1152),
+        resp: RespBuffers::new(cfg.workers, 64, SLOT_BYTES),
         store,
         crmr: CrMrQueue::with_kind(cfg.workers, 256, cfg.queue_kind),
         hot: HotCache::new(if cfg.cache_enabled {
@@ -681,7 +681,7 @@ fn pin_fault_counters(reg: &mut utps_sim::MetricsRegistry) {
 }
 
 /// Renders the tuner decision log as a deterministic JSON array.
-pub fn tuner_probes_json(probes: &[crate::tuner::TunerProbe]) -> String {
+pub(crate) fn tuner_probes_json(probes: &[crate::tuner::TunerProbe]) -> String {
     use utps_sim::metrics::json_f64;
     let mut s = String::from("[");
     for (i, p) in probes.iter().enumerate() {

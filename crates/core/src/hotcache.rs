@@ -82,7 +82,12 @@ impl HotCache {
 
     /// Charged range probe for scans: collects up to `limit` cached entries
     /// with key ≥ `lo`, returning `(key, item)` pairs in order.
-    pub fn probe_range(&mut self, ctx: &mut Ctx<'_>, lo: u64, limit: usize) -> Vec<(u64, ItemId)> {
+    pub(crate) fn probe_range(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        lo: u64,
+        limit: usize,
+    ) -> Vec<(u64, ItemId)> {
         if self.entries.is_empty() {
             return Vec::new();
         }
@@ -131,7 +136,7 @@ impl HotCache {
     /// Uncharged membership probe for host-side maintenance (the tier
     /// compactor must not evict hot-cached keys): no simulated cost, no
     /// hit/miss accounting.
-    pub fn contains_native(&mut self, key: u64) -> bool {
+    pub(crate) fn contains_native(&mut self, key: u64) -> bool {
         self.entries
             .get_mut(key)
             .is_some_and(|slot| *slot != TOMBSTONE)

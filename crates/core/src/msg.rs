@@ -15,9 +15,9 @@ use utps_workload::Op;
 use crate::store::KvOpOutput;
 
 /// Request header bytes on the wire (type, key, size, seq, client).
-pub const REQ_HEADER: usize = 24;
+pub(crate) const REQ_HEADER: usize = 24;
 /// Response header bytes on the wire.
-pub const RESP_HEADER: usize = 16;
+pub(crate) const RESP_HEADER: usize = 16;
 
 /// Operation discriminator carried in the 16-byte CR-MR descriptor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -64,7 +64,7 @@ impl RetryConfig {
 
     /// The timeout for attempt `retries` (0 = first send): doubles per
     /// retransmit, capped at `backoff_max_ps`.
-    pub fn timeout_for(&self, retries: u32) -> u64 {
+    pub(crate) fn timeout_for(&self, retries: u32) -> u64 {
         let shifted = self.timeout_ps.saturating_mul(1u64 << retries.min(20));
         if self.backoff_max_ps > 0 {
             shifted.min(self.backoff_max_ps)
@@ -100,7 +100,7 @@ pub struct PendingReq {
 /// What [`RetryState::retransmit`] hands back: the operation to resend and
 /// the original first-send timestamp (latency is measured from the first
 /// transmission, not the retry).
-pub type Resend = (Op, SimTime);
+pub(crate) type Resend = (Op, SimTime);
 
 /// Per-client in-flight request table keyed by sequence number.
 #[derive(Debug, Default)]

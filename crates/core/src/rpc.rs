@@ -42,6 +42,10 @@ enum SlotState {
     Done(Request, Response),
 }
 
+/// Bytes per receive-ring slot and per response-buffer region: a 1 KB value
+/// plus message headers.
+pub const SLOT_BYTES: usize = 1152;
+
 /// The single-queue receive ring.
 pub struct RecvRing {
     slot_size: usize,
@@ -53,7 +57,7 @@ pub struct RecvRing {
     head: u64,
     /// Requests DMAed in total.
     pub dma_count: u64,
-    /// Worker poll attempts on owned slots (see [`RecvRing::poll_posted`]).
+    /// Worker poll attempts on owned slots (see `RecvRing::poll_posted`).
     pub polls: u64,
     /// Poll attempts that found a posted request — `poll_hits / polls` is
     /// the receive-ring poll efficiency.
@@ -170,7 +174,7 @@ impl RecvRing {
     /// Counted variant of [`RecvRing::is_posted`]: the worker polling path,
     /// tallying attempts and hits so `poll_hits / polls` measures how often
     /// the poll loop finds work (receive-ring poll efficiency).
-    pub fn poll_posted(&mut self, seq: u64) -> bool {
+    pub(crate) fn poll_posted(&mut self, seq: u64) -> bool {
         self.polls += 1;
         let hit = self.is_posted(seq);
         if hit {
@@ -207,7 +211,7 @@ impl RecvRing {
     /// into KV storage or freed); nulling the slot makes a second
     /// consumption — e.g. after lease revocation re-spreads a descriptor —
     /// an immediate panic instead of a silent aliasing bug.
-    pub fn take_value(&mut self, seq: u64) -> Option<PayloadRef> {
+    pub(crate) fn take_value(&mut self, seq: u64) -> Option<PayloadRef> {
         let idx = self.idx(seq);
         match &mut self.slots[idx] {
             SlotState::InFlight(r) | SlotState::Done(r, _) => r.value.take(),
@@ -268,7 +272,8 @@ impl RespBuffers {
     }
 
     /// Bytes per worker.
-    pub fn worker_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn worker_bytes(&self) -> usize {
         self.regions_per_worker * self.region
     }
 

@@ -6,18 +6,18 @@
 //! the non-blocking reassignment protocol of §3.5 (switch at a pre-announced
 //! receive-slot sequence number, drain CR-MR lanes before switching roles).
 //!
-//! Both layers are stages that [`UtpsWorker`] drives, one at a time per
+//! Both layers are stages that `UtpsWorker` drives, one at a time per
 //! core, and both reach the CR-MR queue only through their end of it
 //! ([`crate::crmr`]'s `Producer` and `Consumer`):
 //!
-//! **[`CrStage`]** (§3.2.3 FSM): polls the single-queue receive buffer for
+//! **`CrStage`** (§3.2.3 FSM): polls the single-queue receive buffer for
 //! the slots it owns (`seq mod n == i`), parses, serves hot keys from the
 //! resizable cache (skipping index traversal entirely), forwards misses to
 //! the MR layer in batched 16-byte descriptors, and sends responses — both
 //! for its local hits and, when lane tail counters advance, for MR
 //! completions.
 //!
-//! **[`MrStage`]** (§3.3): pops descriptor batches from its lanes, runs one
+//! **`MrStage`** (§3.3): pops descriptor batches from its lanes, runs one
 //! [`KvOp`] state machine per request, and interleaves them round-robin
 //! ([`BatchOp::poll`], the loop body BaseKV shares) so every prefetch issued
 //! before a pointer dereference is overlapped with other requests' compute —
@@ -27,7 +27,7 @@
 //! as [`utps_sim::PayloadRef`] arena handles that each stage consumes
 //! exactly once.
 //!
-//! [`UtpsWorker`] composes the two: it drives whichever stage currently owns
+//! `UtpsWorker` composes the two: it drives whichever stage currently owns
 //! the core and, when that stage hands the core over (§3.5 thread
 //! reassignment), installs the other one in its place; the next step runs
 //! the new stage.
@@ -51,6 +51,10 @@ use crate::rpc::{self, send_response, Admission, RecvRing, RespBuffers};
 use crate::store::{KvOp, KvOpOutput, KvStore, OpBuffers};
 use crate::system::{ServerParts, ServerWorld};
 use crate::tier::{self, BatchOp, DurabilityBarrier, Polled};
+
+/// Max unreleased commit groups an MR worker may hold before it stops
+/// pulling new batches (write-path backpressure).
+const DEFER_MAX: usize = 8;
 
 /// Runtime-adjustable server configuration.
 #[derive(Clone, Debug)]
@@ -181,7 +185,7 @@ impl UtpsWorld {
     }
 
     /// The worker ids descriptors may target right now.
-    pub fn mr_targets(&self) -> Range<usize> {
+    pub(crate) fn mr_targets(&self) -> Range<usize> {
         self.mr_lo()..self.cfg.workers
     }
 
@@ -215,7 +219,7 @@ struct ActiveOp {
 
 /// The cache-resident stage (§3.2.3): NIC polling, parsing, hot-cache
 /// serving, descriptor forwarding, and response transmission.
-pub struct CrStage {
+pub(crate) struct CrStage {
     id: usize,
     /// Local copy of `n_cr` (the modulo divisor).
     n_local: usize,
@@ -534,7 +538,7 @@ impl CrStage {
 
 /// The memory-resident stage (§3.3): descriptor batching and interleaved
 /// index traversal.
-pub struct MrStage {
+pub(crate) struct MrStage {
     id: usize,
     /// This worker's end of the CR-MR queue.
     rx: Consumer,
@@ -605,7 +609,7 @@ impl MrStage {
             // durability, wait for the oldest device write instead of
             // pulling more work (bounds both memory and ack latency).
             if let Some(tier) = world.tier.as_ref() {
-                if self.defers.len() >= tier.cfg.defer_max {
+                if self.defers.len() >= DEFER_MAX {
                     tier::wait_for_commit(ctx, Some(tier));
                     return None;
                 }
@@ -804,7 +808,7 @@ enum Role {
 /// A μTPS worker thread: the CR⇄MR stage composition. Drives whichever
 /// stage owns the core and installs the other one when the worker switches
 /// layers (§3.5 thread reassignment).
-pub struct UtpsWorker {
+pub(crate) struct UtpsWorker {
     id: usize,
     role: Role,
 }

@@ -49,7 +49,7 @@ impl KvStore {
 
     /// Builds a store from explicit key/value pairs (crash recovery: the
     /// replayed WAL-over-run image). Keys must be unique; order is free.
-    pub fn from_items<I>(kind: IndexKind, items_iter: I) -> Self
+    pub(crate) fn from_items<I>(kind: IndexKind, items_iter: I) -> Self
     where
         I: IntoIterator<Item = (u64, Vec<u8>)>,
     {
@@ -189,7 +189,7 @@ impl KvOp {
 
     /// Starts a get that skips index traversal — the CR layer's hot-hit path
     /// (§3.2.3): the cached entry already resolved the item location.
-    pub fn get_cached(key: u64, id: ItemId, bufs: OpBuffers) -> Self {
+    pub(crate) fn get_cached(key: u64, id: ItemId, bufs: OpBuffers) -> Self {
         KvOp {
             key,
             value: None,
@@ -201,7 +201,7 @@ impl KvOp {
     }
 
     /// Starts a put that skips index traversal (hot-hit path).
-    pub fn put_cached(key: u64, id: ItemId, value: Box<[u8]>, bufs: OpBuffers) -> Self {
+    pub(crate) fn put_cached(key: u64, id: ItemId, value: Box<[u8]>, bufs: OpBuffers) -> Self {
         KvOp {
             key,
             value: Some(value),
@@ -530,7 +530,7 @@ mod tests {
                 assert!(out.ok);
                 assert_eq!(out.payload, 32);
                 let v = out.value.expect("get returns a value");
-                assert_eq!(ctx.machine().payloads.get(&v), &[0xabu8; 32][..]);
+                assert_eq!(&ctx.machine().payloads.take(v)[..], &[0xabu8; 32][..]);
                 let mut miss = KvOp::get(store, 10_000, BUFS);
                 assert!(!drive(ctx, store, &mut miss).ok);
             });

@@ -59,9 +59,6 @@ pub struct TierConfig {
     pub evict_batch: usize,
     /// Compactor period, picoseconds.
     pub compact_every_ps: u64,
-    /// Max unreleased commit groups an MR worker may hold before it stops
-    /// pulling new batches (write-path backpressure).
-    pub defer_max: usize,
 }
 
 impl Default for TierConfig {
@@ -71,7 +68,6 @@ impl Default for TierConfig {
             dram_items_max: 16_000,
             evict_batch: 512,
             compact_every_ps: 50 * utps_sim::time::MICROS,
-            defer_max: 8,
         }
     }
 }
@@ -204,14 +200,14 @@ impl TierState {
 
     /// Assigns the next WAL sequence (at apply time, so the global sequence
     /// order is the apply order).
-    pub fn next_seq(&mut self) -> u64 {
+    pub(crate) fn next_seq(&mut self) -> u64 {
         self.last_applied += 1;
         self.last_applied
     }
 
     /// Seals `records` as one commit group: encodes, appends to the WAL
     /// segment, and tracks the in-flight write. Returns the completion time.
-    pub fn seal_group(&mut self, records: &[WalRecord], now: SimTime) -> SimTime {
+    pub(crate) fn seal_group(&mut self, records: &[WalRecord], now: SimTime) -> SimTime {
         debug_assert!(!records.is_empty());
         let bytes = utps_wal::encode_group(self.next_group_seq, records);
         self.next_group_seq += 1;
@@ -251,7 +247,7 @@ impl TierState {
 
     /// Completion time of the oldest in-flight commit group, if any — the
     /// time an idle worker should advance to while it waits on the barrier.
-    pub fn next_commit(&self) -> Option<SimTime> {
+    pub(crate) fn next_commit(&self) -> Option<SimTime> {
         self.inflight.front().map(|(done, _)| *done)
     }
 
@@ -286,7 +282,7 @@ impl TierState {
     }
 
     /// Releases one in-flight op on `key`.
-    pub fn active_dec(&mut self, key: u64) {
+    pub(crate) fn active_dec(&mut self, key: u64) {
         if let Some(n) = self.active.get_mut(&key) {
             *n -= 1;
             if *n == 0 {
@@ -300,12 +296,12 @@ impl TierState {
     }
 
     /// Marks a range scan in flight (defers compaction entirely).
-    pub fn scan_inc(&mut self) {
+    pub(crate) fn scan_inc(&mut self) {
         self.active_scans += 1;
     }
 
     /// Releases one in-flight range scan.
-    pub fn scan_dec(&mut self) {
+    pub(crate) fn scan_dec(&mut self) {
         self.active_scans -= 1;
     }
 
@@ -352,7 +348,7 @@ impl TierState {
     /// process would find on media — the WAL image and the newest run
     /// segment that still decodes (a torn newer run falls back to its
     /// predecessor; the never-checkpointed WAL replays over either).
-    pub fn crash_image(&mut self, at: SimTime) -> CrashImage {
+    pub(crate) fn crash_image(&mut self, at: SimTime) -> CrashImage {
         let torn_segments = self.device.crash(at);
         let wal = self.device.bytes(self.wal_seg).to_vec();
         let mut run = None;
@@ -375,7 +371,7 @@ impl TierState {
 
 /// The on-media state surviving a [`TierState::crash_image`] power loss.
 #[derive(Clone, Debug)]
-pub struct CrashImage {
+pub(crate) struct CrashImage {
     /// Device segments whose in-flight tail was torn off.
     pub torn_segments: usize,
     /// The WAL segment's surviving bytes (tail possibly torn/corrupt).

@@ -276,7 +276,7 @@ impl Tuner {
     }
 
     /// The next time the tuner needs to run.
-    pub fn next_wake(&self) -> SimTime {
+    pub(crate) fn next_wake(&self) -> SimTime {
         match &self.state {
             TState::Search(s) => match &s.pending {
                 Some(p) if p.await_reconfig => SimTime::ZERO, // poll soon
@@ -289,7 +289,7 @@ impl Tuner {
 
     /// Applies CLOS way masks according to current roles and `mr_ways`
     /// (0 = all ways for everyone).
-    pub fn apply_clos(ctx: &mut Ctx<'_>, world: &UtpsWorld, mr_ways: usize) {
+    pub(crate) fn apply_clos(ctx: &mut Ctx<'_>, world: &UtpsWorld, mr_ways: usize) {
         let cache = &mut ctx.machine().cache;
         let full = cache.full_mask();
         let ways = full.count_ones() as usize;
@@ -629,7 +629,7 @@ impl Tuner {
 }
 
 /// The management thread: sampling, hot-set refresh, tuner driving.
-pub struct ManagerProc {
+pub(crate) struct ManagerProc {
     tracker: HotSetTracker,
     refresh_every: u64,
     next_refresh: SimTime,

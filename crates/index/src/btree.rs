@@ -26,7 +26,7 @@ use crate::step::Step;
 
 /// Maximum keys per node (leaf and inner). 15 keys + 16 children keeps a
 /// node within ~4 cache lines, comparable to MassTree's interior nodes.
-pub const MAX_KEYS: usize = 15;
+pub(crate) const MAX_KEYS: usize = 15;
 
 const NONE32: u32 = u32::MAX;
 /// Bytes charged per node visit: header/version + key array + child/value
@@ -199,7 +199,8 @@ impl BplusTree {
 
     /// Per-level node counts from root to leaves (diagnostics: shows the
     /// shape bulk load and splits produced).
-    pub fn level_widths(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn level_widths(&self) -> Vec<usize> {
         let mut widths = Vec::new();
         let mut level = vec![self.root];
         loop {
@@ -217,7 +218,8 @@ impl BplusTree {
     }
 
     /// Average leaf occupancy in keys (diagnostics).
-    pub fn avg_leaf_fill(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn avg_leaf_fill(&self) -> f64 {
         let mut n = self.root;
         while !self.nodes[n].leaf {
             n = self.nodes[n].ptrs[0];
@@ -763,7 +765,7 @@ impl TreeRemove {
 }
 
 /// Resumable range scan: up to `limit` pairs with `lo ≤ key ≤ hi`.
-pub struct TreeScan {
+pub(crate) struct TreeScan {
     lo: u64,
     hi: u64,
     limit: usize,

@@ -10,6 +10,7 @@
 //! All operations are resumable FSMs (see [`crate::step::Step`]); none holds
 //! a lock while blocked.
 
+use utps_collections::mix64;
 use utps_sim::{vaddr, Ctx, OptLock};
 
 use crate::item::ItemId;
@@ -23,16 +24,6 @@ const EMPTY: ItemId = ItemId::MAX;
 const MAX_BFS_NODES: usize = 512;
 /// Hash cost in picoseconds (two multiplies + shifts).
 const HASH_COST: u64 = 3_000;
-
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d049bb133111eb);
-    x ^= x >> 31;
-    x
-}
 
 /// One 64-byte bucket: versioned lock + 4 (key, item) slots.
 #[repr(align(64))]
@@ -176,7 +167,7 @@ impl CuckooMap {
     ///
     /// Panics if the table cannot accommodate the key (resize is not
     /// modeled; size the table with headroom as the benches do).
-    pub fn bulk_insert(&mut self, key: u64, item: ItemId) {
+    pub(crate) fn bulk_insert(&mut self, key: u64, item: ItemId) {
         assert!(
             self.try_place(key, item),
             "cuckoo table full at {} keys / {} slots",

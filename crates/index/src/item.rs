@@ -97,9 +97,10 @@ impl ItemStore {
     }
 
     /// Logically deletes an item, deferring reclamation: the bytes stay
-    /// readable until [`ItemStore::reclaim_retired`] runs at a quiescent
-    /// point, so a reader racing with the delete sees the old value rather
-    /// than freed memory (the paper's epoch discipline).
+    /// readable until a quiescent-point reclaim (`reclaim_retired`, which
+    /// only tests call so far) frees them, so a reader racing with the
+    /// delete sees the old value rather than freed memory (the paper's
+    /// epoch discipline).
     pub fn retire(&mut self, id: ItemId) {
         self.retired.push(id);
     }
@@ -111,7 +112,8 @@ impl ItemStore {
 
     /// Frees all retired items. Call only when no operation can still hold
     /// an [`ItemId`] for them (between epochs / after a drain).
-    pub fn reclaim_retired(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reclaim_retired(&mut self) {
         for id in core::mem::take(&mut self.retired) {
             self.free(id);
         }

@@ -16,19 +16,6 @@ pub enum Step<T> {
 }
 
 impl<T> Step<T> {
-    /// Returns the result if complete.
-    pub fn into_done(self) -> Option<T> {
-        match self {
-            Step::Done(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Whether this is [`Step::Blocked`].
-    pub fn is_blocked(&self) -> bool {
-        matches!(self, Step::Blocked)
-    }
-
     /// Whether this is [`Step::Done`].
     pub fn is_done(&self) -> bool {
         matches!(self, Step::Done(_))
@@ -41,6 +28,22 @@ impl<T> Step<T> {
             Step::Blocked => Step::Blocked,
             Step::Done(v) => Step::Done(f(v)),
         }
+    }
+}
+
+#[cfg(test)]
+impl<T> Step<T> {
+    /// Returns the result if complete.
+    pub(crate) fn into_done(self) -> Option<T> {
+        match self {
+            Step::Done(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Whether this is [`Step::Blocked`].
+    pub(crate) fn is_blocked(&self) -> bool {
+        matches!(self, Step::Blocked)
     }
 }
 

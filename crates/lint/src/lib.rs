@@ -1,23 +1,22 @@
 //! `utps-lint` — workspace static analysis for the μTPS invariants the
 //! compiler cannot see.
 //!
-//! Part of the repo's correctness rests on *conventions*: payload bytes move
-//! through the arena instead of being copied per hop, the `stats_json`
+//! Part of the repo's correctness rests on *conventions*: the `stats_json`
 //! schema is pinned, and windowed counter deltas cannot wrap. This crate
 //! enforces them mechanically:
 //!
 //! | rule | id | invariant |
 //! |------|----|-----------|
-//! | R3 | `payload-copy` | no payload byte copies (`.to_vec()`, byte `.clone()`) on hot paths |
 //! | R4 | `metrics-schema` | registry names come from the pinned schema |
 //! | R6 | `counter-arithmetic` | windowed counter deltas use `saturating_sub`/`checked_sub` |
 //!
 //! What the toolchain can carry is left to it. The workspace `clippy.toml`
 //! bans blocking calls, syscalls, wall clocks and randomly keyed maps at
 //! every call site (the non-preemptive `Process::step` contract and
-//! same-seed determinism). `PayloadRef` linearity is not a rule here: the
-//! handle is move-only, so rustc rejects a double consume in every crate,
-//! and a leaked handle shows up in `RunResult::payloads_live`.
+//! same-seed determinism). Payload handling is not a rule here either: the
+//! `PayloadRef` handle is move-only and `PayloadArena` lends no bytes, so
+//! rustc rejects a double consume or a copy-out in every crate, and a leaked
+//! handle shows up in `RunResult::payloads_live`.
 //!
 //! Suppression is per line and audited:
 //! `// utps-lint: allow(<rule>) — <justification>` (a directive without a
@@ -41,7 +40,7 @@ use parser::FileData;
 /// One finding.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Short code: `R3`..`R6`, or `A0` for a malformed allow directive.
+    /// Short code: `R4` or `R6`, or `A0` for a malformed allow directive.
     pub rule_code: &'static str,
     /// Kebab-case rule id (what `allow(...)` names).
     pub rule_id: &'static str,
@@ -63,11 +62,6 @@ pub struct LintWorkspace {
 
 /// The rules in reporting order. `(code, id, description)`.
 pub const RULES: &[(&str, &str, &str)] = &[
-    (
-        "R3",
-        "payload-copy",
-        "no payload byte copies (.to_vec(), byte .clone()) on hot paths",
-    ),
     (
         "R4",
         "metrics-schema",
@@ -92,7 +86,6 @@ fn known_rule(name: &str) -> bool {
 /// directives and audits the directives themselves.
 pub fn lint_files(ws: &LintWorkspace) -> Vec<Violation> {
     let mut raw = Vec::new();
-    rules::r3_payload::check(ws, &mut raw);
     rules::r4_metrics::check(ws, &mut raw);
     rules::r6_counters::check(ws, &mut raw);
 

@@ -29,7 +29,7 @@ pub struct FileData {
 /// An `// utps-lint: allow(<rule>) — <justification>` directive.
 #[derive(Clone, Debug)]
 pub struct Allow {
-    /// The rule id being allowed (e.g. `payload-copy` or `R3`).
+    /// The rule id being allowed (e.g. `metrics-schema` or `R4`).
     pub rule: String,
     /// Line of the comment itself.
     pub comment_line: u32,
@@ -65,14 +65,14 @@ pub fn parse_file(path: &str, src: String) -> FileData {
 
 impl FileData {
     /// Is byte line `line` suppressed for `rule` by an allow directive?
-    pub fn allows_rule_on(&self, rule_id: &str, rule_code: &str, line: u32) -> bool {
+    pub(crate) fn allows_rule_on(&self, rule_id: &str, rule_code: &str, line: u32) -> bool {
         self.allows.iter().any(|a| {
             a.target_line == line && (a.rule == rule_id || a.rule.eq_ignore_ascii_case(rule_code))
         })
     }
 
     /// Is `line` inside test code (by path or by `#[cfg(test)]` region)?
-    pub fn is_test_line(&self, line: u32) -> bool {
+    pub(crate) fn is_test_line(&self, line: u32) -> bool {
         self.path_is_test
             || self
                 .test_regions
@@ -271,13 +271,13 @@ mod tests {
     fn allow_comments_bind_to_lines() {
         let f = parse(
             "fn a() {\n // utps-lint: allow(metrics-schema) — fixture needs it\n let x = 1;\n \
-             let y = 2; // utps-lint: allow(payload-copy) — trailing\n}",
+             let y = 2; // utps-lint: allow(counter-arithmetic) — trailing\n}",
         );
         assert_eq!(f.allows.len(), 2);
         assert_eq!(f.allows[0].rule, "metrics-schema");
         assert_eq!(f.allows[0].target_line, 3);
         assert!(f.allows[0].justified);
-        assert_eq!(f.allows[1].rule, "payload-copy");
+        assert_eq!(f.allows[1].rule, "counter-arithmetic");
         assert_eq!(f.allows[1].target_line, 4);
         assert!(f.allows_rule_on("metrics-schema", "R4", 3));
         assert!(!f.allows_rule_on("metrics-schema", "R4", 4));

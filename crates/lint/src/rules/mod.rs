@@ -2,7 +2,6 @@
 //! `check(&LintWorkspace, &mut Vec<Violation>)` and reports *raw* findings;
 //! the engine in `lib.rs` applies `allow(...)` suppression afterwards.
 
-pub mod r3_payload;
 pub mod r4_metrics;
 pub mod r6_counters;
 

@@ -9,7 +9,7 @@
 //! statically: a literal passed to any registry method (`counter_add`,
 //! `counter_inc`, `counter`, `gauge_set`, `gauge_max`, `gauge`,
 //! `hist_record`, `hist`) must appear in
-//! [`crate::schema::METRIC_SCHEMA`]. Adding a metric means adding it there
+//! `crate::schema::METRIC_SCHEMA`. Adding a metric means adding it there
 //! — one reviewed list — and regenerating the golden.
 //!
 //! Names that reach the registry through variables (the fold tables in

@@ -11,7 +11,7 @@
 //! regenerate the golden (`UPDATE_GOLDEN=1 cargo test --test stats_schema`).
 
 /// Every registry instrument name the workspace may use, sorted.
-pub const METRIC_SCHEMA: &[&str] = &[
+pub(crate) const METRIC_SCHEMA: &[&str] = &[
     // Client-side robustness counters (PR 2).
     "client.dup_resp",
     "client.failed",
@@ -99,7 +99,7 @@ pub const METRIC_SCHEMA: &[&str] = &[
 ];
 
 /// Is `name` a pinned metric name?
-pub fn is_pinned_metric(name: &str) -> bool {
+pub(crate) fn is_pinned_metric(name: &str) -> bool {
     METRIC_SCHEMA.contains(&name)
 }
 

@@ -247,6 +247,16 @@ impl PayloadRef {
 /// The arena is pure host-side bookkeeping: it charges no simulated time.
 /// (Simulated DMA/memory costs for payloads are charged where they always
 /// were — at ring DMA and response transmission.)
+///
+/// No method lends the bytes out: they leave the arena only by
+/// [`PayloadArena::take`] (a move) or [`PayloadArena::dup`] (the one
+/// deliberate deep copy). `p.take(r)` compiles; a per-hop copy-out does not:
+///
+/// ```compile_fail,E0599
+/// let mut p = utps_sim::PayloadArena::new();
+/// let r = p.alloc(vec![9].into_boxed_slice());
+/// let copy = p.get(&r).to_vec(); // error[E0599]: no method named `get`
+/// ```
 #[derive(Default)]
 pub struct PayloadArena {
     slots: Arena<Box<[u8]>>,
@@ -267,23 +277,13 @@ impl PayloadArena {
         }
     }
 
-    /// Borrows the bytes behind `r`.
+    /// Consumes `r`, moving the bytes out (the zero-copy handoff into KV
+    /// storage, or the client reading its response).
     ///
     /// # Panics
     ///
     /// Panics if `r` was minted by a different arena (cluster runs hold one
     /// per shard) and its slot here is free.
-    pub fn get(&self, r: &PayloadRef) -> &[u8] {
-        self.slots.get(r.id).expect("payload ref of another arena")
-    }
-
-    /// Consumes `r`, moving the bytes out (the zero-copy handoff into KV
-    /// storage).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` was minted by a different arena and its slot here is
-    /// free.
     pub fn take(&mut self, r: PayloadRef) -> Box<[u8]> {
         self.slots.remove(r.id)
     }
@@ -401,7 +401,6 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert!(!a.is_empty());
         assert_eq!(p.live(), 1);
-        assert_eq!(p.get(&a), &[1, 2, 3]);
 
         let d = p.dup(&a);
         assert_ne!(a, d, "dup must be an independent handle");
@@ -410,9 +409,8 @@ mod tests {
         let bytes = p.take(a);
         assert_eq!(&bytes[..], &[1, 2, 3]);
         assert_eq!(p.live(), 1, "taking the original leaves the dup live");
-        assert_eq!(p.get(&d), &[1, 2, 3], "dup is a deep copy");
 
-        p.free(d);
+        assert_eq!(&p.take(d)[..], &[1, 2, 3], "dup is a deep copy");
         assert_eq!(p.live(), 0, "all refs consumed: no leaks");
     }
 }

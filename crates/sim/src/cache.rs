@@ -367,11 +367,6 @@ impl CacheHierarchy {
         self.clos[core] = mask;
     }
 
-    /// Returns the CLOS way mask of `core`.
-    pub fn clos_mask(&self, core: usize) -> u32 {
-        self.clos[core]
-    }
-
     /// A token that moves whenever anything touches `core`'s L1, L2 or
     /// in-flight prefetches: the sum of both levels' lookup/insert and drop
     /// counts and the prefetch table's change count.
@@ -428,7 +423,7 @@ impl CacheHierarchy {
     /// Charges an atomic read-modify-write on the line at `addr`.
     /// `hold` is extra picoseconds the line stays unavailable to other
     /// contenders (e.g. the copy a lock protects); pass 0 for bare atomics.
-    pub fn atomic_hold(
+    pub(crate) fn atomic_hold(
         &mut self,
         core: usize,
         class: StatClass,

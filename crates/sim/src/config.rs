@@ -157,7 +157,7 @@ pub struct NetConfig {
 
 impl NetConfig {
     /// Wire time of a message of `payload` bytes, in picoseconds.
-    pub fn wire_time(&self, payload: usize) -> u64 {
+    pub(crate) fn wire_time(&self, payload: usize) -> u64 {
         let bytes = (payload + self.per_msg_overhead_bytes) as u64;
         let t = (bytes * self.ps_per_byte_x1024) >> 10;
         t.max(self.min_msg_gap)

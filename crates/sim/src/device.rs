@@ -13,24 +13,9 @@
 //! simulated clock reaches it. No syscalls, no threads — device I/O stays
 //! inside the engine, as the workspace `clippy.toml` bans require.
 
+use utps_collections::hashutil::{splitmix64, unit_f64};
+
 use crate::time::{SimTime, NANOS};
-
-/// splitmix64 — same generator as [`crate::fault`], private copy so device
-/// draws cannot drift with fault or workload streams.
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Maps a u64 draw to a uniform f64 in [0, 1).
-#[inline]
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// Latency/fault model for a [`SimDevice`].
 ///
@@ -170,7 +155,7 @@ impl SimDevice {
     }
 
     /// The durable prefix length of `seg` at time `at`.
-    pub fn durable_len_at(&self, seg: usize, at: SimTime) -> usize {
+    pub(crate) fn durable_len_at(&self, seg: usize, at: SimTime) -> usize {
         self.segments[seg]
             .marks
             .iter()
@@ -183,10 +168,10 @@ impl SimDevice {
     /// One latency draw for an op of `len` bytes.
     fn latency(&mut self, base_ns: u64, len: usize) -> SimTime {
         let mut ns = base_ns + (len as u64 * self.cfg.ns_per_kb) / 1024;
-        if self.cfg.tail_prob > 0.0 && unit(splitmix64(&mut self.rng)) < self.cfg.tail_prob {
+        if self.cfg.tail_prob > 0.0 && unit_f64(splitmix64(&mut self.rng)) < self.cfg.tail_prob {
             ns += self.cfg.tail_ns;
         }
-        if self.cfg.delay_prob > 0.0 && unit(splitmix64(&mut self.rng)) < self.cfg.delay_prob {
+        if self.cfg.delay_prob > 0.0 && unit_f64(splitmix64(&mut self.rng)) < self.cfg.delay_prob {
             ns += self.cfg.delay_ns;
         }
         SimTime::from_nanos(ns)
@@ -265,7 +250,7 @@ impl SimDevice {
             s.bytes.truncate(keep);
             if keep > durable && self.cfg.flip_prob > 0.0 {
                 let torn_span = keep - durable;
-                if unit(splitmix64(&mut self.rng)) < self.cfg.flip_prob {
+                if unit_f64(splitmix64(&mut self.rng)) < self.cfg.flip_prob {
                     let off = durable + (splitmix64(&mut self.rng) as usize) % torn_span;
                     let bit = (splitmix64(&mut self.rng) % 8) as u8;
                     s.bytes[off] ^= 1 << bit;

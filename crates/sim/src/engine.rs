@@ -29,7 +29,7 @@
 //! A process waiting on an event some *other* process produces need not poll
 //! for it: [`Ctx::park`] takes it off the scheduler and returns a [`Waker`]
 //! to leave where the event is produced (the fabric keeps one per client
-//! endpoint). [`Waker::wake_at`] files the wake; the engine drains filed
+//! endpoint). `Waker::wake_at` files the wake; the engine drains filed
 //! wakes right after the step that filed them and re-keys the sleeper to
 //! `max(at, its next poll tick)` — the key its own polling would have reached
 //! — so the elided steps are exactly the idle ones. See DESIGN.md §10.
@@ -117,7 +117,7 @@ type WakeList = Rc<RefCell<Vec<(SimTime, ProcId)>>>;
 
 /// The one way to resume a process that called [`Ctx::park`].
 ///
-/// One park hands out one `Waker`, and [`Waker::wake_at`] consumes it, so a
+/// One park hands out one `Waker`, and `Waker::wake_at` consumes it, so a
 /// sleeper is woken at most once per park and a wake cannot be filed for a
 /// process that is not asleep. Dropping a `Waker` unfired leaves its process
 /// parked for the rest of the run.
@@ -153,7 +153,7 @@ impl Waker {
     /// have acted on the event any earlier, which is what makes parking
     /// step-for-step equivalent to polling. Debug builds assert it; release
     /// builds clamp.
-    pub fn wake_at(self, at: SimTime) {
+    pub(crate) fn wake_at(self, at: SimTime) {
         self.list.borrow_mut().push((at, self.pid));
     }
 }
@@ -270,7 +270,7 @@ impl<'a> Ctx<'a> {
 
     /// Charges an atomic that keeps its line busy for `hold_ps` extra
     /// picoseconds (a short lock-protected critical section).
-    pub fn atomic_hold(&mut self, addr: usize, hold_ps: u64) {
+    pub(crate) fn atomic_hold(&mut self, addr: usize, hold_ps: u64) {
         let m = &mut self.machines[self.mid];
         let cost = match self.core {
             Some(core) => m
@@ -737,7 +737,8 @@ impl<W> Engine<W> {
     }
 
     /// Number of live processes currently parked (maintained counter; O(1)).
-    pub fn parked_procs(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parked_procs(&self) -> usize {
         self.parked
     }
 }

@@ -21,6 +21,8 @@
 //! keeps fault-free runs bit-for-bit identical to builds without the
 //! subsystem wired in.
 
+use utps_collections::hashutil::{splitmix64, unit_f64};
+
 use crate::time::SimTime;
 
 /// One scheduled freeze of a pinned core: the core executes no steps in
@@ -63,7 +65,8 @@ impl FaultConfig {
     }
 
     /// Whether the whole plan is the zero plan.
-    pub fn is_zero(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_zero(&self) -> bool {
         !self.net_active() && self.corrupt_prob == 0.0 && self.stalls.is_empty()
     }
 }
@@ -101,23 +104,6 @@ impl Default for FaultPlan {
     }
 }
 
-/// splitmix64: the tiny, well-mixed generator used for all fault draws. The
-/// sim crate keeps its own copy so it cannot drift with workload RNGs.
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Maps a u64 draw to a uniform f64 in [0, 1).
-#[inline]
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 impl FaultPlan {
     /// Instantiates `cfg`, folding `run_seed` into the fault stream so two
     /// runs differing only in seed see different fault placements.
@@ -132,7 +118,7 @@ impl FaultPlan {
     }
 
     /// The zero plan: injects nothing, draws nothing.
-    pub fn inactive() -> Self {
+    pub(crate) fn inactive() -> Self {
         FaultPlan {
             cfg: FaultConfig::default(),
             rng: 0,
@@ -160,7 +146,7 @@ impl FaultPlan {
 
     /// Whether any stall window is scheduled.
     #[inline]
-    pub fn has_stalls(&self) -> bool {
+    pub(crate) fn has_stalls(&self) -> bool {
         !self.cfg.stalls.is_empty()
     }
 
@@ -173,7 +159,7 @@ impl FaultPlan {
     /// Draws the fate of one polled receive-ring request. Call only when
     /// [`Self::net_active`]; one draw decides drop/dup/delay together.
     pub fn recv_fate(&mut self) -> RecvFate {
-        let u = unit(splitmix64(&mut self.rng));
+        let u = unit_f64(splitmix64(&mut self.rng));
         let delay = self.cfg.delay_ps.max(1);
         if u < self.cfg.drop_prob {
             self.events += 1;
@@ -192,7 +178,7 @@ impl FaultPlan {
     /// Draws whether one popped descriptor batch trips corruption
     /// detection. Call only when [`Self::corrupt_active`].
     pub fn corrupt_pop(&mut self) -> bool {
-        let hit = unit(splitmix64(&mut self.rng)) < self.cfg.corrupt_prob;
+        let hit = unit_f64(splitmix64(&mut self.rng)) < self.cfg.corrupt_prob;
         if hit {
             self.events += 1;
         }
@@ -201,7 +187,7 @@ impl FaultPlan {
 
     /// If `core` is inside a stall window at time `t`, returns the window
     /// end the core's next step must be deferred to.
-    pub fn stall_until(&self, core: usize, t: SimTime) -> Option<SimTime> {
+    pub(crate) fn stall_until(&self, core: usize, t: SimTime) -> Option<SimTime> {
         let ps = t.as_ps();
         self.cfg
             .stalls
@@ -222,7 +208,7 @@ impl FaultPlan {
     }
 
     /// Records a stall deferral into the event count (called by the engine).
-    pub fn note_stall_defer(&mut self) {
+    pub(crate) fn note_stall_defer(&mut self) {
         self.events += 1;
     }
 }

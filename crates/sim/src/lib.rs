@@ -46,7 +46,7 @@ pub use engine::{Ctx, Engine, Machine, ProcId, Process, StepOutcome, Waker};
 pub use fault::{FaultConfig, FaultPlan, RecvFate, StallWindow};
 pub use lock::OptLock;
 pub use metrics::{AccessKind, Metrics, MetricsRegistry, MetricsSnapshot};
-pub use nic::{DelayQueue, Fabric, Pipe};
+pub use nic::{Fabric, Pipe};
 pub use schedule::{shrink_schedule, ScheduleConfig, ScheduleEvent, ScheduleMode, SchedulePlan};
 pub use time::{SimTime, MICROS, MILLIS, NANOS, SECS};
 pub use utps_collections::hashutil;

@@ -110,7 +110,8 @@ impl OptLock {
     }
 
     /// Current raw version (for diagnostics).
-    pub fn raw_version(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn raw_version(&self) -> u64 {
         self.version
     }
 }

@@ -53,7 +53,7 @@ impl<M> Ord for Pending<M> {
 }
 
 /// A time-ordered delivery queue.
-pub struct DelayQueue<M> {
+pub(crate) struct DelayQueue<M> {
     heap: BinaryHeap<Pending<M>>,
     seq: u64,
 }
@@ -68,7 +68,7 @@ impl<M> DelayQueue<M> {
     }
 
     /// Schedules `msg` for delivery at `at`.
-    pub fn push_at(&mut self, at: SimTime, msg: M) {
+    pub(crate) fn push_at(&mut self, at: SimTime, msg: M) {
         self.seq += 1;
         self.heap.push(Pending {
             at,
@@ -78,7 +78,7 @@ impl<M> DelayQueue<M> {
     }
 
     /// Pops the next message whose delivery time is ≤ `now`.
-    pub fn pop_ready(&mut self, now: SimTime) -> Option<M> {
+    pub(crate) fn pop_ready(&mut self, now: SimTime) -> Option<M> {
         if self.heap.peek().map(|p| p.at <= now).unwrap_or(false) {
             Some(self.heap.pop().unwrap().msg)
         } else {
@@ -140,7 +140,8 @@ impl Pipe {
     }
 
     /// Time at which the pipe becomes idle.
-    pub fn busy_until(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn busy_until(&self) -> SimTime {
         self.busy_until
     }
 }

@@ -20,6 +20,8 @@
 //! of stalls that still triggers the failure, each candidate subset being
 //! itself a valid, replayable schedule.
 
+use utps_collections::hashutil::splitmix64;
+
 /// One injected scheduling perturbation: at scheduler decision `decision`
 /// (1-based heap-pop count), the popped process `pid` was stalled for
 /// `stall_ps` picoseconds before being allowed to step.
@@ -83,17 +85,6 @@ impl ScheduleMode {
     }
 }
 
-/// splitmix64, private to the schedule stream so it cannot drift with the
-/// fault or workload RNGs.
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Instantiated schedule plan owned by the [`crate::engine::Machine`].
 #[derive(Clone, Debug, Default)]
 pub struct SchedulePlan {
@@ -155,7 +146,7 @@ impl SchedulePlan {
     }
 
     /// The inert plan: no counting, no stalls.
-    pub fn inactive() -> Self {
+    pub(crate) fn inactive() -> Self {
         SchedulePlan::default()
     }
 
@@ -170,7 +161,7 @@ impl SchedulePlan {
     /// `Some(stall_ps)` when this decision fires a perturbation; the engine
     /// defers the process by that much and re-schedules it.
     #[inline]
-    pub fn on_pop(&mut self, pid: usize) -> Option<u64> {
+    pub(crate) fn on_pop(&mut self, pid: usize) -> Option<u64> {
         self.decision += 1;
         let d = self.decision;
         if self.exploring {

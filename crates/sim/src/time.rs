@@ -26,7 +26,7 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates a time from whole nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
+    pub(crate) const fn from_nanos(ns: u64) -> Self {
         SimTime(ns * NANOS)
     }
 
@@ -51,7 +51,8 @@ impl SimTime {
     }
 
     /// Returns the time as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / MICROS as f64
     }
 

@@ -25,11 +25,11 @@
 use std::collections::BTreeMap;
 
 /// Magic opening every WAL group frame.
-pub const GROUP_MAGIC: [u8; 4] = *b"UWAL";
+pub(crate) const GROUP_MAGIC: [u8; 4] = *b"UWAL";
 /// Magic closing a committed group.
-pub const COMMIT_MAGIC: [u8; 4] = *b"GCMT";
+pub(crate) const COMMIT_MAGIC: [u8; 4] = *b"GCMT";
 /// Magic opening a sorted-run segment.
-pub const RUN_MAGIC: [u8; 4] = *b"URUN";
+pub(crate) const RUN_MAGIC: [u8; 4] = *b"URUN";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -261,7 +261,7 @@ impl SortedRun {
     }
 
     /// Total value bytes.
-    pub fn value_bytes(&self) -> usize {
+    pub(crate) fn value_bytes(&self) -> usize {
         self.entries.iter().map(|(_, v)| v.len()).sum()
     }
 

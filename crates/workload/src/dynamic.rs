@@ -84,7 +84,8 @@ impl DynamicWorkload {
     }
 
     /// Index of the active phase.
-    pub fn current_phase(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn current_phase(&self) -> usize {
         self.current
     }
 }

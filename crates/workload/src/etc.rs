@@ -40,7 +40,7 @@ impl EtcWorkload {
     }
 
     /// Draws a value size from the ETC mixture.
-    pub fn sample_value_len(&mut self) -> usize {
+    pub(crate) fn sample_value_len(&mut self) -> usize {
         let band: f64 = self.rng.gen();
         if band < 0.40 {
             zipf_in_band(&mut self.rng, 1, 13)

@@ -7,6 +7,8 @@
 //! fully determined by the seed — two generators built from the same seed
 //! produce identical sequences on every platform.
 
+use utps_collections::hashutil::splitmix64;
+
 /// A seedable xoshiro256++ generator.
 #[derive(Clone, Debug)]
 pub struct SmallRng {
@@ -18,13 +20,7 @@ impl SmallRng {
     /// splitmix64 (the reference seeding procedure for xoshiro).
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = seed;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = || splitmix64(&mut sm);
         SmallRng {
             s: [next(), next(), next(), next()],
         }
@@ -46,7 +42,7 @@ impl SmallRng {
 
     /// A uniform sample of `T` (see [`SampleUniform`] for the supported
     /// types); mirrors `rand::Rng::gen`.
-    pub fn gen<T: SampleUniform>(&mut self) -> T {
+    pub(crate) fn gen<T: SampleUniform>(&mut self) -> T {
         T::sample(self)
     }
 
@@ -55,13 +51,13 @@ impl SmallRng {
     /// # Panics
     ///
     /// Panics if the range is empty.
-    pub fn gen_range<R: UniformRange>(&mut self, range: R) -> R::Output {
+    pub(crate) fn gen_range<R: UniformRange>(&mut self, range: R) -> R::Output {
         range.sample(self)
     }
 }
 
 /// Types [`SmallRng::gen`] can produce.
-pub trait SampleUniform {
+pub(crate) trait SampleUniform {
     /// Draws one uniform sample.
     fn sample(rng: &mut SmallRng) -> Self;
 }
@@ -92,7 +88,7 @@ impl SampleUniform for bool {
 }
 
 /// Ranges [`SmallRng::gen_range`] can sample from.
-pub trait UniformRange {
+pub(crate) trait UniformRange {
     /// The element type of the range.
     type Output;
     /// Draws one uniform sample from the range.

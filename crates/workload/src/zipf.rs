@@ -1,21 +1,13 @@
 //! Key distributions: uniform and YCSB-style (scrambled) zipfian.
 
-use crate::rng::SmallRng;
+use utps_collections::mix64;
 
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d049bb133111eb);
-    x ^= x >> 31;
-    x
-}
+use crate::rng::SmallRng;
 
 /// A zipfian rank generator over `0..n` using YCSB's rejection-free method
 /// (Gray et al.), with θ < 1.
 ///
-/// Rank 0 is the most popular. Use [`ZipfGen::next_scrambled`] to spread hot
+/// Rank 0 is the most popular. Use `ZipfGen::next_scrambled` to spread hot
 /// ranks across the keyspace as YCSB does.
 #[derive(Clone, Debug)]
 pub struct ZipfGen {
@@ -103,13 +95,8 @@ impl ZipfGen {
         self.n
     }
 
-    /// Skew parameter θ.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
     /// Draws a zipfian *rank* in `0..n` (0 = hottest).
-    pub fn next_rank(&self, rng: &mut SmallRng) -> u64 {
+    pub(crate) fn next_rank(&self, rng: &mut SmallRng) -> u64 {
         let u: f64 = rng.gen();
         let uz = u * self.zetan;
         if uz < 1.0 {
@@ -125,19 +112,14 @@ impl ZipfGen {
     /// Draws a zipfian *key*: the rank scrambled over the keyspace, so the
     /// hottest keys are spread out rather than clustered at 0 (YCSB's
     /// `ScrambledZipfian`).
-    pub fn next_scrambled(&self, rng: &mut SmallRng) -> u64 {
+    pub(crate) fn next_scrambled(&self, rng: &mut SmallRng) -> u64 {
         mix64(self.next_rank(rng).wrapping_add(0x9e3779b97f4a7c15)) % self.n
     }
 
     /// The scrambled key corresponding to rank `r` (to identify the true hot
     /// set in tests and hotspot-redirection experiments).
-    pub fn key_of_rank(&self, r: u64) -> u64 {
+    pub(crate) fn key_of_rank(&self, r: u64) -> u64 {
         mix64(r.wrapping_add(0x9e3779b97f4a7c15)) % self.n
-    }
-
-    /// Probability mass of rank `r`.
-    pub fn rank_probability(&self, r: u64) -> f64 {
-        1.0 / ((r + 1) as f64).powf(self.theta) / self.zetan
     }
 }
 
@@ -185,7 +167,8 @@ impl KeyDist {
     }
 
     /// Whether the distribution is skewed.
-    pub fn is_skewed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_skewed(&self) -> bool {
         matches!(self, KeyDist::Zipf(_))
     }
 

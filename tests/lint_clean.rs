@@ -3,10 +3,9 @@
 //!
 //! These are the in-tree twins of the CI `cargo run -p utps-lint --
 //! --workspace` and `cargo clippy --workspace --lib --bins` gates, so
-//! `cargo test` alone catches a violation before it reaches CI. The first
-//! subsumes the old `hot_path_no_copy.rs` grep test: payload-copy patterns
-//! on the hot path are now rule R3 (`payload-copy`), which understands tokens
-//! and allow directives instead of raw substrings.
+//! `cargo test` alone catches a violation before it reaches CI. Payload
+//! copies need neither: `PayloadArena` lends no bytes, so a copy-out does
+//! not compile.
 
 use std::path::Path;
 use std::process::Command;

@@ -97,8 +97,7 @@ fn check_sequential_model(ops: Vec<ModelOp>) {
                         Some(want) => {
                             assert!(out.ok, "get {k} missed");
                             let v = out.value.expect("ok get returns bytes");
-                            assert_eq!(ctx.machine().payloads.get(&v), &want[..], "get {k}");
-                            ctx.machine().payloads.free(v);
+                            assert_eq!(&ctx.machine().payloads.take(v)[..], &want[..], "get {k}");
                         }
                         None => assert!(!out.ok, "get {k} found a deleted key"),
                     }
@@ -177,11 +176,9 @@ impl Process<KvStore> for Worker {
         };
         match op.poll(ctx, store) {
             Step::Done(out) => {
-                let digest = out.value.map(|v| {
-                    let d = value_digest(ctx.machine().payloads.get(&v));
-                    ctx.machine().payloads.free(v);
-                    d
-                });
+                let digest = out
+                    .value
+                    .map(|v| value_digest(&ctx.machine().payloads.take(v)));
                 self.history.borrow_mut().response(
                     self.id,
                     self.seq,

@@ -165,9 +165,7 @@ fn check_tier_model(ops: Vec<TierOp>) {
                     let got = match serve(ctx, w, Op::Get { key: k }, kv, &mut wal) {
                         Ok(out) if out.ok => {
                             let v = out.value.expect("ok get returns bytes");
-                            let bytes = ctx.machine().payloads.get(&v).to_vec();
-                            ctx.machine().payloads.free(v);
-                            Some(bytes)
+                            Some(ctx.machine().payloads.take(v).into_vec())
                         }
                         Ok(_) => None,
                         Err(cold) => Some(cold),
