@@ -813,11 +813,9 @@ impl Consumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use utps_sim::config::MachineConfig;
     use utps_sim::time::SimTime;
-    use utps_sim::{Engine, Process, StatClass, StepOutcome};
+    use utps_sim::{Engine, StatClass};
 
     fn desc(key: u64, seq: u64) -> Desc {
         Desc {
@@ -843,32 +841,7 @@ mod tests {
         q: CrMrQueue,
         f: impl FnOnce(&mut Ctx<'_>, &mut CrMrQueue) -> R + 'static,
     ) -> (R, CrMrQueue) {
-        struct Once<F, R> {
-            f: Option<F>,
-            out: Rc<RefCell<Option<R>>>,
-        }
-        impl<F: FnOnce(&mut Ctx<'_>, &mut CrMrQueue) -> R, R> Process<CrMrQueue> for Once<F, R> {
-            fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut CrMrQueue) -> StepOutcome {
-                if let Some(f) = self.f.take() {
-                    *self.out.borrow_mut() = Some(f(ctx, world));
-                }
-                ctx.halt();
-                StepOutcome::Idle
-            }
-        }
-        let out = Rc::new(RefCell::new(None));
-        let mut eng = Engine::new(cfg, cores, q);
-        eng.spawn(
-            Some(0),
-            StatClass::Cr,
-            Box::new(Once {
-                f: Some(f),
-                out: Rc::clone(&out),
-            }),
-        );
-        eng.run_until(SimTime::from_millis(1));
-        let r = out.borrow_mut().take().expect("did not run");
-        (r, eng.world)
+        Engine::run_once(cfg, cores, StatClass::Cr, q, f)
     }
 
     #[test]

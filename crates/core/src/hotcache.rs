@@ -173,42 +173,14 @@ impl HotCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use utps_sim::config::MachineConfig;
-    use utps_sim::time::SimTime;
-    use utps_sim::{Engine, Process, StatClass, StepOutcome};
+    use utps_sim::{Engine, StatClass};
 
     fn with_cache<R: 'static>(
         cache: HotCache,
         f: impl FnOnce(&mut Ctx<'_>, &mut HotCache) -> R + 'static,
     ) -> (R, HotCache) {
-        struct Once<F, R> {
-            f: Option<F>,
-            out: Rc<RefCell<Option<R>>>,
-        }
-        impl<F: FnOnce(&mut Ctx<'_>, &mut HotCache) -> R, R> Process<HotCache> for Once<F, R> {
-            fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut HotCache) -> StepOutcome {
-                if let Some(f) = self.f.take() {
-                    *self.out.borrow_mut() = Some(f(ctx, world));
-                }
-                ctx.halt();
-                StepOutcome::Idle
-            }
-        }
-        let out = Rc::new(RefCell::new(None));
-        let mut eng = Engine::new(MachineConfig::tiny(), 1, cache);
-        eng.spawn(
-            Some(0),
-            StatClass::Cr,
-            Box::new(Once {
-                f: Some(f),
-                out: Rc::clone(&out),
-            }),
-        );
-        eng.run_until(SimTime::from_millis(1));
-        let r = out.borrow_mut().take().expect("did not run");
-        (r, eng.world)
+        Engine::run_once(MachineConfig::tiny(), 1, StatClass::Cr, cache, f)
     }
 
     #[test]

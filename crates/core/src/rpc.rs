@@ -404,7 +404,7 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
     use utps_sim::config::MachineConfig;
-    use utps_sim::{Engine, Process, StatClass, StepOutcome};
+    use utps_sim::{Engine, StatClass};
     use utps_workload::Op;
 
     fn req(client: u32, seq: u64, key: u64) -> Request {
@@ -440,32 +440,7 @@ mod tests {
         world: World,
         f: impl FnOnce(&mut Ctx<'_>, &mut World) -> R + 'static,
     ) -> (R, World) {
-        struct Once<F, R> {
-            f: Option<F>,
-            out: Rc<RefCell<Option<R>>>,
-        }
-        impl<F: FnOnce(&mut Ctx<'_>, &mut World) -> R, R> Process<World> for Once<F, R> {
-            fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut World) -> StepOutcome {
-                if let Some(f) = self.f.take() {
-                    *self.out.borrow_mut() = Some(f(ctx, world));
-                }
-                ctx.halt();
-                StepOutcome::Idle
-            }
-        }
-        let out = Rc::new(RefCell::new(None));
-        let mut eng = Engine::new(MachineConfig::tiny(), 2, world);
-        eng.spawn(
-            Some(0),
-            StatClass::Cr,
-            Box::new(Once {
-                f: Some(f),
-                out: Rc::clone(&out),
-            }),
-        );
-        eng.run_until(SimTime::from_millis(1));
-        let r = out.borrow_mut().take().expect("did not run");
-        (r, eng.world)
+        Engine::run_once(MachineConfig::tiny(), 2, StatClass::Cr, world, f)
     }
 
     #[test]

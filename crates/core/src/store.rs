@@ -462,10 +462,8 @@ impl KvOp {
 mod tests {
     use super::*;
     use crate::msg::Request;
-    use std::cell::RefCell;
-    use std::rc::Rc;
     use utps_sim::time::SimTime;
-    use utps_sim::{Engine, MachineConfig, Process, StatClass, StepOutcome};
+    use utps_sim::{Engine, MachineConfig, StatClass};
     use utps_workload::Op;
 
     const BUFS: OpBuffers = OpBuffers {
@@ -477,32 +475,7 @@ mod tests {
         store: KvStore,
         f: impl FnOnce(&mut Ctx<'_>, &mut KvStore) -> R + 'static,
     ) -> (R, KvStore) {
-        struct Once<F, R> {
-            f: Option<F>,
-            out: Rc<RefCell<Option<R>>>,
-        }
-        impl<F: FnOnce(&mut Ctx<'_>, &mut KvStore) -> R, R> Process<KvStore> for Once<F, R> {
-            fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut KvStore) -> StepOutcome {
-                if let Some(f) = self.f.take() {
-                    *self.out.borrow_mut() = Some(f(ctx, world));
-                }
-                ctx.halt();
-                StepOutcome::Idle
-            }
-        }
-        let out = Rc::new(RefCell::new(None));
-        let mut eng = Engine::new(MachineConfig::tiny(), 1, store);
-        eng.spawn(
-            Some(0),
-            StatClass::Other,
-            Box::new(Once {
-                f: Some(f),
-                out: Rc::clone(&out),
-            }),
-        );
-        eng.run_until(SimTime::from_millis(100));
-        let r = out.borrow_mut().take().expect("did not run");
-        (r, eng.world)
+        Engine::run_once(MachineConfig::tiny(), 1, StatClass::Other, store, f)
     }
 
     fn drive(ctx: &mut Ctx<'_>, store: &mut KvStore, op: &mut KvOp) -> KvOpOutput {

@@ -8,10 +8,8 @@
 //! dropped, duplicated, delayed) from a generated byte string. Whatever the
 //! interleaving, completion must be exactly-once.
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -20,7 +18,7 @@ use utps_core::msg::OpKind;
 use utps_core::retry::{DedupTable, RetryConfig, RetryState};
 use utps_sim::config::MachineConfig;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Engine, Process, StatClass, StepOutcome};
+use utps_sim::{Ctx, Engine, StatClass};
 use utps_workload::Op;
 
 /// One-way latency of the model channel (arbitrary units).
@@ -212,32 +210,7 @@ fn with_queue<R: 'static>(
     q: CrMrQueue,
     f: impl FnOnce(&mut Ctx<'_>, &mut CrMrQueue) -> R + 'static,
 ) -> R {
-    struct Once<F, R> {
-        f: Option<F>,
-        out: Rc<RefCell<Option<R>>>,
-    }
-    impl<F: FnOnce(&mut Ctx<'_>, &mut CrMrQueue) -> R, R> Process<CrMrQueue> for Once<F, R> {
-        fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut CrMrQueue) -> StepOutcome {
-            if let Some(f) = self.f.take() {
-                *self.out.borrow_mut() = Some(f(ctx, world));
-            }
-            ctx.halt();
-            StepOutcome::Idle
-        }
-    }
-    let out = Rc::new(RefCell::new(None));
-    let mut eng = Engine::new(MachineConfig::tiny(), 2, q);
-    eng.spawn(
-        Some(0),
-        StatClass::Cr,
-        Box::new(Once {
-            f: Some(f),
-            out: Rc::clone(&out),
-        }),
-    );
-    eng.run_until(SimTime::from_millis(1));
-    let r = out.borrow_mut().take().expect("did not run");
-    r
+    Engine::run_once(MachineConfig::tiny(), 2, StatClass::Cr, q, f).0
 }
 
 proptest! {

@@ -859,41 +859,13 @@ impl TreeScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use utps_sim::time::SimTime;
-    use utps_sim::{Engine, MachineConfig, Process, StatClass, StepOutcome};
+    use utps_sim::{Engine, MachineConfig, StatClass};
 
     fn with_tree<R: 'static>(
         tree: BplusTree,
         f: impl FnOnce(&mut Ctx<'_>, &mut BplusTree) -> R + 'static,
     ) -> (R, BplusTree) {
-        struct Once<F, R> {
-            f: Option<F>,
-            out: Rc<RefCell<Option<R>>>,
-        }
-        impl<F: FnOnce(&mut Ctx<'_>, &mut BplusTree) -> R, R> Process<BplusTree> for Once<F, R> {
-            fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut BplusTree) -> StepOutcome {
-                if let Some(f) = self.f.take() {
-                    *self.out.borrow_mut() = Some(f(ctx, world));
-                }
-                ctx.halt();
-                StepOutcome::Idle
-            }
-        }
-        let out = Rc::new(RefCell::new(None));
-        let mut eng = Engine::new(MachineConfig::tiny(), 1, tree);
-        eng.spawn(
-            Some(0),
-            StatClass::Other,
-            Box::new(Once {
-                f: Some(f),
-                out: Rc::clone(&out),
-            }),
-        );
-        eng.run_until(SimTime::from_millis(100));
-        let r = out.borrow_mut().take().expect("did not run");
-        (r, eng.world)
+        Engine::run_once(MachineConfig::tiny(), 1, StatClass::Other, tree, f)
     }
 
     fn drive<T>(

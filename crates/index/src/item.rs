@@ -249,38 +249,18 @@ impl Default for ItemStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use utps_sim::time::SimTime;
-    use utps_sim::{Engine, MachineConfig, Process, StatClass, StepOutcome};
+    use utps_sim::{Engine, MachineConfig, StatClass};
 
     /// Runs `f` once inside a one-step simulated process.
     fn with_ctx<R: 'static>(f: impl FnOnce(&mut Ctx<'_>, &mut ItemStore) -> R + 'static) -> R {
-        struct Once<F, R> {
-            f: Option<F>,
-            out: std::rc::Rc<std::cell::RefCell<Option<R>>>,
-        }
-        impl<F: FnOnce(&mut Ctx<'_>, &mut ItemStore) -> R, R> Process<ItemStore> for Once<F, R> {
-            fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut ItemStore) -> StepOutcome {
-                if let Some(f) = self.f.take() {
-                    let r = f(ctx, world);
-                    *self.out.borrow_mut() = Some(r);
-                }
-                ctx.halt();
-                StepOutcome::Idle
-            }
-        }
-        let out = std::rc::Rc::new(std::cell::RefCell::new(None));
-        let mut eng = Engine::new(MachineConfig::tiny(), 1, ItemStore::new());
-        eng.spawn(
-            Some(0),
+        Engine::run_once(
+            MachineConfig::tiny(),
+            1,
             StatClass::Other,
-            Box::new(Once {
-                f: Some(f),
-                out: std::rc::Rc::clone(&out),
-            }),
-        );
-        eng.run_until(SimTime::from_millis(1));
-        let r = out.borrow_mut().take();
-        r.expect("process did not run")
+            ItemStore::new(),
+            f,
+        )
+        .0
     }
 
     #[test]

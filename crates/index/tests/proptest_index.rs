@@ -7,8 +7,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use utps_index::{Index, IndexGet, IndexInsert, IndexKind, IndexRemove, IndexScan, Step};
-use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Engine, MachineConfig, Process, StatClass, StepOutcome};
+use utps_sim::{Ctx, Engine, MachineConfig, StatClass};
 
 /// One generated operation.
 #[derive(Clone, Debug)]
@@ -30,22 +29,7 @@ fn op_strategy() -> impl Strategy<Value = MapOp> {
 
 /// Runs `f` inside a one-shot simulated process over `index`.
 fn with_index(index: Index, f: impl FnOnce(&mut Ctx<'_>, &mut Index) + 'static) -> Index {
-    struct Once<F> {
-        f: Option<F>,
-    }
-    impl<F: FnOnce(&mut Ctx<'_>, &mut Index)> Process<Index> for Once<F> {
-        fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut Index) -> StepOutcome {
-            if let Some(f) = self.f.take() {
-                f(ctx, world);
-            }
-            ctx.halt();
-            StepOutcome::Idle
-        }
-    }
-    let mut eng = Engine::new(MachineConfig::tiny(), 1, index);
-    eng.spawn(Some(0), StatClass::Other, Box::new(Once { f: Some(f) }));
-    eng.run_until(SimTime::from_millis(1_000));
-    eng.world
+    Engine::run_once(MachineConfig::tiny(), 1, StatClass::Other, index, f).1
 }
 
 fn drive<T>(

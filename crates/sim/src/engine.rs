@@ -414,6 +414,41 @@ impl<W> Engine<W> {
         }
     }
 
+    /// Runs `f` as the single step of a process pinned to core 0 of a fresh
+    /// `cores`-core machine of class `class`, and returns its result with
+    /// the world: the harness for unit tests that need a live [`Ctx`].
+    pub fn run_once<R: 'static>(
+        cfg: MachineConfig,
+        cores: usize,
+        class: StatClass,
+        world: W,
+        f: impl FnOnce(&mut Ctx<'_>, &mut W) -> R + 'static,
+    ) -> (R, W) {
+        struct Once<F, R> {
+            f: Option<F>,
+            out: Rc<RefCell<Option<R>>>,
+        }
+        impl<W, F: FnOnce(&mut Ctx<'_>, &mut W) -> R, R> Process<W> for Once<F, R> {
+            fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut W) -> StepOutcome {
+                if let Some(f) = self.f.take() {
+                    *self.out.borrow_mut() = Some(f(ctx, world));
+                }
+                ctx.halt();
+                StepOutcome::Idle
+            }
+        }
+        let out = Rc::new(RefCell::new(None));
+        let mut eng = Engine::new(cfg, cores, world);
+        let once = Once {
+            f: Some(f),
+            out: Rc::clone(&out),
+        };
+        eng.spawn(Some(0), class, Box::new(once));
+        eng.run_until(SimTime::MAX);
+        let r = out.borrow_mut().take().expect("the process did not run");
+        (r, eng.world)
+    }
+
     /// Adds another server machine (its own cache hierarchy, registry,
     /// fault plan and payload arena) and returns its index.
     pub fn add_machine(&mut self, cfg: MachineConfig, cores: usize) -> usize {

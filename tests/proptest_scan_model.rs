@@ -45,21 +45,7 @@ fn op_strategy(keys: u64) -> impl Strategy<Value = ModelOp> {
 
 /// Runs `f` inside a one-shot simulated process over `store`.
 fn with_store(store: KvStore, f: impl FnOnce(&mut Ctx<'_>, &mut KvStore) + 'static) {
-    struct Once<F> {
-        f: Option<F>,
-    }
-    impl<F: FnOnce(&mut Ctx<'_>, &mut KvStore)> Process<KvStore> for Once<F> {
-        fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut KvStore) -> StepOutcome {
-            if let Some(f) = self.f.take() {
-                f(ctx, world);
-            }
-            ctx.halt();
-            StepOutcome::Idle
-        }
-    }
-    let mut eng = Engine::new(MachineConfig::tiny(), 1, store);
-    eng.spawn(Some(0), StatClass::Other, Box::new(Once { f: Some(f) }));
-    eng.run_until(SimTime::from_millis(1_000));
+    Engine::run_once(MachineConfig::tiny(), 1, StatClass::Other, store, f);
 }
 
 fn drive(ctx: &mut Ctx<'_>, store: &mut KvStore, op: &mut KvOp) -> KvOpOutput {

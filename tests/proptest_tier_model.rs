@@ -21,8 +21,7 @@ use utps_core::msg::Request;
 use utps_core::store::{KvOp, KvOpOutput, KvStore, OpBuffers};
 use utps_core::tier::{compact_pass, finish_op, TierConfig, TierState};
 use utps_index::{IndexKind, Step};
-use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Engine, MachineConfig, Process, StatClass, StepOutcome};
+use utps_sim::{Ctx, Engine, MachineConfig, StatClass};
 use utps_wal::{WalOp, WalRecord};
 use utps_workload::Op;
 
@@ -59,21 +58,7 @@ struct TierWorld {
 
 /// Runs `f` inside a one-shot simulated process over the tiered world.
 fn with_world(world: TierWorld, f: impl FnOnce(&mut Ctx<'_>, &mut TierWorld) + 'static) {
-    struct Once<F> {
-        f: Option<F>,
-    }
-    impl<F: FnOnce(&mut Ctx<'_>, &mut TierWorld)> Process<TierWorld> for Once<F> {
-        fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut TierWorld) -> StepOutcome {
-            if let Some(f) = self.f.take() {
-                f(ctx, world);
-            }
-            ctx.halt();
-            StepOutcome::Idle
-        }
-    }
-    let mut eng = Engine::new(MachineConfig::tiny(), 1, world);
-    eng.spawn(Some(0), StatClass::Other, Box::new(Once { f: Some(f) }));
-    eng.run_until(SimTime::from_millis(1_000));
+    Engine::run_once(MachineConfig::tiny(), 1, StatClass::Other, world, f);
 }
 
 fn drive(ctx: &mut Ctx<'_>, store: &mut KvStore, op: &mut KvOp) -> KvOpOutput {
