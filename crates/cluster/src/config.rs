@@ -162,6 +162,13 @@ impl ClusterConfig {
                 "set base.tuner = Off in cluster runs (use cluster_tuner)"
             );
         }
+        // Static way masks are applied once per shard, before the run; the
+        // cluster tuner then moves workers between layers without
+        // re-splitting, so a worker promoted to CR would keep the MR ways.
+        assert!(
+            !self.cluster_tuner || self.base.mr_ways == 0,
+            "cluster_tuner needs base.mr_ways = 0 (static MR ways are not re-split on reassignment)"
+        );
         match &self.base.workload {
             WorkloadSpec::Ycsb { mix, .. } => assert!(
                 mix.scan == 0.0 && mix.delete == 0.0,
@@ -208,6 +215,20 @@ mod tests {
         };
         ClusterConfig {
             replicate_keys: vec![1],
+            ..ClusterConfig::new(base, 2)
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "base.mr_ways = 0")]
+    fn cluster_tuner_with_static_ways_is_rejected() {
+        let base = RunConfig {
+            mr_ways: 4,
+            ..RunConfig::default()
+        };
+        ClusterConfig {
+            cluster_tuner: true,
             ..ClusterConfig::new(base, 2)
         }
         .validate();
