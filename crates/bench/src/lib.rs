@@ -187,7 +187,6 @@ pub(crate) fn dynamic(scale: Scale) -> (RunConfig, u64) {
             trigger: 0.25,
             trigger_windows: 2,
             cache_step: 5_000,
-            cache_max: 10_000,
         },
         timeline_interval: window,
         workload: WorkloadSpec::Fig14 {

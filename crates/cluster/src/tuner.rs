@@ -4,13 +4,11 @@
 //! global controller beats per-shard trisection probes that would fight
 //! each other), and this process takes its place: every window it compares
 //! the admitted-op counts of the small shards and shifts one CR thread from
-//! the coldest machine to the hottest by issuing the same [`Reconfig`]
-//! requests the single-machine tuner issues — the seqlock'd adoption
-//! machinery in the workers is reused unchanged.
-//!
-//! [`Reconfig`]: utps_core::server::Reconfig
+//! the coldest machine to the hottest through the same
+//! [`UtpsWorld::request_split`] the single-machine tuner calls — the
+//! seqlock'd adoption machinery in the workers is reused unchanged.
 
-use utps_core::server::{Reconfig, UtpsWorld};
+use utps_core::server::UtpsWorld;
 use utps_sim::time::SimTime;
 use utps_sim::{Ctx, Process, StepOutcome};
 
@@ -40,26 +38,6 @@ impl ClusterTunerProc {
             last_served: vec![0; shards],
             moves: 0,
         }
-    }
-
-    /// Requests `new_n_cr` CR workers on `world`, exactly as the
-    /// single-machine tuner does (same switch-margin rule). No-op while a
-    /// previous reconfiguration is still being adopted.
-    fn request(world: &mut UtpsWorld, new_n_cr: usize) -> bool {
-        if world.reconfig.is_some()
-            || new_n_cr == world.cfg.n_cr
-            || new_n_cr < 1
-            || new_n_cr >= world.cfg.workers
-        {
-            return false;
-        }
-        let margin = world.cfg.workers as u64 * 2;
-        world.reconfig = Some(Reconfig {
-            new_n_cr,
-            switch_seq: world.ring.head() + margin,
-            adopted: vec![false; world.cfg.workers],
-        });
-        true
     }
 }
 
@@ -98,10 +76,10 @@ impl Process<ClusterWorld<UtpsWorld>> for ClusterTunerProc {
         if hot != cold && dh * IMBALANCE_DEN > dc * IMBALANCE_NUM + IMBALANCE_DEN {
             let grow = world.shards[hot].cfg.n_cr + 1;
             let shrink = world.shards[cold].cfg.n_cr.saturating_sub(1);
-            if Self::request(&mut world.shards[hot], grow) {
+            if world.shards[hot].request_split(grow) {
                 self.moves += 1;
             }
-            if Self::request(&mut world.shards[cold], shrink) {
+            if world.shards[cold].request_split(shrink) {
                 self.moves += 1;
             }
         }

@@ -20,7 +20,7 @@ use crate::crmr::CrMrQueue;
 use crate::hotcache::HotCache;
 use crate::retry::{DedupTable, RetryConfig};
 use crate::rpc::{RecvRing, RespBuffers, SLOT_BYTES};
-use crate::server::{ServerConfig, UtpsWorker, UtpsWorld};
+use crate::server::{split_ways, ServerConfig, UtpsWorker, UtpsWorld};
 use crate::stage::PipelineRuntime;
 use crate::store::KvStore;
 use crate::system::{self, run_system, Proc, System};
@@ -156,7 +156,7 @@ pub struct RunConfig {
     pub tuner: TunerMode,
     /// Tuner parameters.
     pub tuner_params: TunerParams,
-    /// Hot-cache target size (and tuner cache_max).
+    /// Hot-cache target size (and the largest size the tuner probes).
     pub hot_capacity: usize,
     /// Whether the CR hot cache is enabled.
     pub cache_enabled: bool,
@@ -445,17 +445,7 @@ impl System for Utps {
 
     /// Static CLOS assignment of the MR workers when the tuner is off.
     fn prepare_machine(cfg: &RunConfig, machine: &mut Machine) {
-        if cfg.mr_ways > 0 {
-            let full = machine.cache.full_mask();
-            let mask = if cfg.mr_ways >= full.count_ones() as usize {
-                full
-            } else {
-                (1u32 << cfg.mr_ways) - 1
-            };
-            for w in cfg.n_cr..cfg.workers {
-                machine.cache.set_clos_mask(w, mask);
-            }
-        }
+        split_ways(&mut machine.cache, cfg.n_cr, cfg.workers, cfg.mr_ways);
     }
 
     fn procs(cfg: &RunConfig, world: &UtpsWorld) -> Vec<Proc<UtpsWorld>> {
@@ -471,9 +461,7 @@ impl System for Utps {
             })
             .collect();
         // Manager on its own core.
-        let mut params = cfg.tuner_params.clone();
-        params.cache_max = cfg.hot_capacity;
-        let tuner = Tuner::new(cfg.tuner, params);
+        let tuner = Tuner::new(cfg.tuner, cfg.tuner_params.clone(), cfg.hot_capacity);
         let refresh = (cfg.warmup / 2).max(500 * MICROS);
         procs.push((
             Some(cfg.workers),

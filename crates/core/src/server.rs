@@ -39,7 +39,7 @@ use utps_index::Step;
 use utps_sim::hashutil::FxHashMap;
 use utps_sim::nic::Fabric;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Process, StatClass, StepOutcome};
+use utps_sim::{CacheHierarchy, Ctx, Process, StatClass, StepOutcome};
 use utps_workload::Op;
 
 use crate::client::{DriverState, KvWorld};
@@ -129,8 +129,8 @@ pub struct UtpsWorld {
     pub mr_ways: usize,
     /// Auto-tuner event trace (Figure 14 annotations).
     pub tuner_trace: Vec<crate::tuner::TunerEvent>,
-    /// Auto-tuner decision log: every trisection probe (§3.5), mirrored here
-    /// from [`crate::tuner::Tuner::decision_log`] so runs can export it.
+    /// Auto-tuner decision log: every trisection probe (§3.5), appended by
+    /// [`crate::tuner::Tuner`] so runs can export it.
     pub tuner_probes: Vec<crate::tuner::TunerProbe>,
     /// Exactly-once filter for retransmitted writes (see [`crate::retry`]).
     pub dedup: DedupTable,
@@ -189,6 +189,25 @@ impl UtpsWorld {
         self.mr_lo()..self.cfg.workers
     }
 
+    /// Announces a thread reassignment to `new_n_cr` CR workers (§3.5):
+    /// receive slots from two per worker past the ring head on use the new
+    /// split. Returns false, announcing nothing, when that split is already
+    /// live, would leave a layer without workers, or another reassignment
+    /// is still being adopted.
+    pub fn request_split(&mut self, new_n_cr: usize) -> bool {
+        let workers = self.cfg.workers;
+        if self.reconfig.is_some() || new_n_cr == self.cfg.n_cr || !(1..workers).contains(&new_n_cr)
+        {
+            return false;
+        }
+        self.reconfig = Some(Reconfig {
+            new_n_cr,
+            switch_seq: self.ring.head() + 2 * workers as u64,
+            adopted: vec![false; workers],
+        });
+        true
+    }
+
     /// Marks `worker` as having adopted the pending reconfiguration;
     /// finalizes it when everyone has.
     pub fn adopt_reconfig(&mut self, worker: usize, now: SimTime) {
@@ -202,6 +221,21 @@ impl UtpsWorld {
             self.cfg.n_cr = r.new_n_cr;
             self.stats.reconfig_events.push((now, r.new_n_cr));
         }
+    }
+}
+
+/// Splits the LLC ways between the layers (CLOS masks, §3.5): CR workers
+/// `0..n_cr` keep every way, and MR workers `n_cr..workers` reuse the low
+/// `mr_ways` ways (0 = every way).
+pub fn split_ways(cache: &mut CacheHierarchy, n_cr: usize, workers: usize, mr_ways: usize) {
+    let full = cache.full_mask();
+    let mr_mask = if mr_ways == 0 || mr_ways >= full.count_ones() as usize {
+        full
+    } else {
+        (1u32 << mr_ways) - 1
+    };
+    for w in 0..workers {
+        cache.set_clos_mask(w, if w < n_cr { full } else { mr_mask });
     }
 }
 

@@ -13,8 +13,12 @@
 //! 3. tune the LLC way allocation with an independent trisection (CR keeps
 //!    every way; the search chooses how many ways the MR layer *reuses*).
 //!
-//! Thread reassignment uses the non-blocking protocol in
-//! [`crate::server`]; the system keeps serving requests throughout.
+//! The three levels run as one flat state machine: each manager step waits
+//! out a reassignment, a settle or a measurement window, logs the finished
+//! probe, then picks the next trial. Thread reassignment uses the
+//! non-blocking protocol behind [`UtpsWorld::request_split`], and way
+//! splits go through [`split_ways`]; the system keeps serving requests
+//! throughout.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +26,7 @@ use utps_collections::HotSetTracker;
 use utps_sim::time::SimTime;
 use utps_sim::{Ctx, Process, StepOutcome};
 
-use crate::server::{Reconfig, UtpsWorld};
+use crate::server::{split_ways, UtpsWorld};
 
 /// Whether the tuner actively searches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,10 +49,9 @@ pub struct TunerParams {
     pub trigger: f64,
     /// Deviant windows required to start a search.
     pub trigger_windows: u32,
-    /// Cache-size linear-probe step (the paper uses 1 K items).
+    /// Cache-size linear-probe step (the paper uses 1 K items). The probe
+    /// runs up to the run's hot-cache capacity.
     pub cache_step: usize,
-    /// Maximum cached items (the tracked hot set, 10 K in the paper).
-    pub cache_max: usize,
 }
 
 impl Default for TunerParams {
@@ -59,7 +62,6 @@ impl Default for TunerParams {
             trigger: 0.25,
             trigger_windows: 2,
             cache_step: 1_000,
-            cache_max: 10_000,
         }
     }
 }
@@ -116,7 +118,7 @@ pub struct TunerProbe {
     pub accepted: bool,
 }
 
-/// Upper bound on measurements a trisection over `n` candidates may take
+/// Upper bound on probes a trisection over `n` candidates may take
 /// (tests assert convergence within this budget). Each recorded probe pair
 /// shrinks the range to ≈2/3; ranges of ≤3 points are swept exhaustively.
 pub fn trisect_probe_budget(n: usize) -> usize {
@@ -196,40 +198,133 @@ impl Trisect {
             .iter()
             .map(|(&x, &p)| (x, p))
             .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("no measurements")
+            .expect("nothing measured")
     }
 }
 
-/// What the search is currently measuring.
-#[derive(Clone, Debug)]
-struct Pending {
-    /// Value being trialed (n_mr or ways, depending on phase).
-    value: usize,
-    /// Waiting for a thread reassignment to complete.
-    await_reconfig: bool,
-    settle_until: SimTime,
-    measure_until: Option<SimTime>,
-    start_total: u64,
-    /// A settle-only pending whose "measurement" is discarded.
-    sentinel: bool,
+/// What the search waits for before its next decision.
+#[derive(Clone, Copy, Debug)]
+enum Wait {
+    /// A thread reassignment is still being adopted.
+    Reconfig,
+    /// The new configuration settles until then.
+    Settle(SimTime),
+    /// A measurement window ends then; it began at this completed total.
+    Measure(SimTime, u64),
 }
 
-#[derive(Clone, Debug)]
-enum SearchPhase {
-    /// Inner trisection over n_mr for the current cache size.
-    Threads,
-    /// Final trisection over MR-reused LLC ways.
-    Ways(Trisect),
-}
-
+/// The hierarchical search as one flat state machine. `sizes[0]` is the
+/// cache size under search and the rest are still to come; `tri` trisects
+/// n_mr at that size, or the MR way count once `ways` is set.
 #[derive(Clone, Debug)]
 struct Search {
     sizes: Vec<usize>,
-    size_idx: usize,
     tri: Trisect,
-    best_overall: Option<(f64, usize, usize)>,
-    phase: SearchPhase,
-    pending: Option<Pending>,
+    ways: bool,
+    /// Best (objective, cache size, n_mr) over the sizes searched so far.
+    best: Option<(f64, usize, usize)>,
+    /// The value on trial (n_mr or MR ways); `None` settles and measures
+    /// nothing.
+    trial: Option<usize>,
+    wait: Option<Wait>,
+}
+
+impl Search {
+    /// Advances the search by one manager step. Returns the chosen MR way
+    /// count once the search has finished.
+    fn step(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        world: &mut UtpsWorld,
+        params: &TunerParams,
+    ) -> Option<usize> {
+        let now = ctx.now();
+        let workers = world.cfg.workers;
+        // 1. Wait out the current wait.
+        match self.wait {
+            Some(Wait::Reconfig) => {
+                if world.reconfig.is_none() {
+                    let cache = &mut ctx.machine().cache;
+                    split_ways(cache, world.cfg.n_cr, workers, world.mr_ways);
+                    self.wait = Some(Wait::Settle(now + params.settle));
+                }
+                return None;
+            }
+            Some(Wait::Settle(until) | Wait::Measure(until, _)) if now < until => return None,
+            Some(Wait::Settle(_)) if self.trial.is_some() => {
+                let start = world.driver.completed_total();
+                self.wait = Some(Wait::Measure(now + params.window, start));
+                return None;
+            }
+            _ => {}
+        }
+        // 2. Log a finished measurement.
+        if let (Some(Wait::Measure(_, start)), Some(value)) = (self.wait.take(), self.trial.take())
+        {
+            let objective = world.driver.completed_total().saturating_sub(start) as f64;
+            self.tri.record(value, objective);
+            let (phase, n_cr, mr_ways) = if self.ways {
+                (ProbePhase::Ways, world.cfg.n_cr, value)
+            } else {
+                (ProbePhase::Threads, workers - value, world.mr_ways)
+            };
+            world.tuner_probes.push(TunerProbe {
+                at: now,
+                phase,
+                cache_items: world.hot.target_size,
+                n_cr,
+                mr_ways,
+                objective,
+                accepted: self.tri.best().0 == value,
+            });
+        }
+        // 3. Pick the next trial, move on to the next size or to the ways
+        //    phase, or finish.
+        if let Some(value) = self.tri.next() {
+            self.trial = Some(value);
+            self.wait = Some(if self.ways {
+                world.mr_ways = value;
+                split_ways(&mut ctx.machine().cache, world.cfg.n_cr, workers, value);
+                Wait::Settle(now + params.settle)
+            } else if world.request_split(workers - value) {
+                Wait::Reconfig
+            } else {
+                Wait::Settle(now + params.settle)
+            });
+            return None;
+        }
+        if self.ways {
+            return Some(self.tri.best().0);
+        }
+        let (n_mr, objective) = self.tri.best();
+        if self.best.is_none_or(|(best, _, _)| objective > best) {
+            self.best = Some((objective, self.sizes[0], n_mr));
+        }
+        self.sizes.remove(0);
+        if let Some(&k) = self.sizes.first() {
+            set_cache_size(world, k);
+            self.tri = Trisect::new(1, workers - 1);
+            return None;
+        }
+        let (_, k, n_mr) = self.best.expect("a searched size");
+        set_cache_size(world, k);
+        self.ways = true;
+        self.tri = Trisect::new(1, ctx.machine().cache.full_mask().count_ones() as usize);
+        self.wait = Some(if world.request_split(workers - n_mr) {
+            Wait::Reconfig
+        } else {
+            Wait::Settle(now)
+        });
+        None
+    }
+}
+
+/// Installs hot-cache size `k` (items); size 0 also empties the cache.
+fn set_cache_size(world: &mut UtpsWorld, k: usize) {
+    world.hot.target_size = k;
+    if k == 0 {
+        world.hot.clear();
+    }
 }
 
 #[derive(Debug)]
@@ -241,10 +336,10 @@ enum TState {
 
 /// The auto-tuner.
 pub struct Tuner {
-    /// Operating mode.
-    pub mode: TunerMode,
-    /// Parameters.
-    pub params: TunerParams,
+    mode: TunerMode,
+    params: TunerParams,
+    /// Largest cache size the search probes (items).
+    hot_capacity: usize,
     state: TState,
     window_end: SimTime,
     last_total: u64,
@@ -252,55 +347,33 @@ pub struct Tuner {
     deviant: u32,
     /// Fault-event count at the last window boundary (freeze guard).
     last_fault_events: u64,
-    /// Total single-window measurements taken by searches.
-    pub measurements: u64,
-    /// Structured log of every trisection probe (cleared only by the owner).
-    pub decision_log: Vec<TunerProbe>,
 }
 
 impl Tuner {
-    /// Creates a tuner.
-    pub fn new(mode: TunerMode, params: TunerParams) -> Self {
+    /// Creates a tuner whose search probes cache sizes up to
+    /// `hot_capacity` items.
+    pub fn new(mode: TunerMode, params: TunerParams, hot_capacity: usize) -> Self {
         Tuner {
             mode,
             window_end: SimTime(params.window),
             params,
+            hot_capacity,
             state: TState::Warmup(3),
             last_total: 0,
             ewma: 0.0,
             deviant: 0,
             last_fault_events: 0,
-            measurements: 0,
-            decision_log: Vec::new(),
         }
     }
 
-    /// The next time the tuner needs to run.
+    /// The next time the tuner needs to run (`ZERO`: poll soon).
     pub(crate) fn next_wake(&self) -> SimTime {
         match &self.state {
-            TState::Search(s) => match &s.pending {
-                Some(p) if p.await_reconfig => SimTime::ZERO, // poll soon
-                Some(p) => p.measure_until.unwrap_or(p.settle_until),
-                None => SimTime::ZERO,
+            TState::Search(s) => match s.wait {
+                Some(Wait::Settle(t) | Wait::Measure(t, _)) => t,
+                Some(Wait::Reconfig) | None => SimTime::ZERO,
             },
             _ => self.window_end,
-        }
-    }
-
-    /// Applies CLOS way masks according to current roles and `mr_ways`
-    /// (0 = all ways for everyone).
-    pub(crate) fn apply_clos(ctx: &mut Ctx<'_>, world: &UtpsWorld, mr_ways: usize) {
-        let cache = &mut ctx.machine().cache;
-        let full = cache.full_mask();
-        let ways = full.count_ones() as usize;
-        let mr_mask = if mr_ways == 0 || mr_ways >= ways {
-            full
-        } else {
-            (1u32 << mr_ways) - 1
-        };
-        for w in 0..world.cfg.workers {
-            let mask = if w < world.cfg.n_cr { full } else { mr_mask };
-            cache.set_clos_mask(w, mask);
         }
     }
 
@@ -311,8 +384,20 @@ impl Tuner {
         }
         let now = ctx.now();
         ctx.compute_ns(150); // feedback-loop bookkeeping
-        if matches!(self.state, TState::Search(_)) {
-            self.search_step(ctx, world);
+        if let TState::Search(search) = &mut self.state {
+            if let Some(w_mr) = search.step(ctx, world, &self.params) {
+                world.mr_ways = w_mr;
+                let (n_cr, k) = (world.cfg.n_cr, world.hot.target_size);
+                split_ways(&mut ctx.machine().cache, n_cr, world.cfg.workers, w_mr);
+                world
+                    .tuner_trace
+                    .push(TunerEvent::Applied(now, n_cr, k, w_mr));
+                world.tuner_trace.push(TunerEvent::SearchEnded(now));
+                self.state = TState::Monitor;
+                self.window_end = now + self.params.window;
+                self.last_total = world.driver.completed_total();
+                self.ewma = 0.0; // rebuild the baseline
+            }
             return;
         }
         if now < self.window_end {
@@ -374,252 +459,20 @@ impl Tuner {
     /// Begins a hierarchical search.
     pub fn start_search(&mut self, now: SimTime, world: &mut UtpsWorld) {
         world.tuner_trace.push(TunerEvent::SearchStarted(now));
-        let mut sizes = Vec::new();
-        if world.cfg.cache_enabled {
-            let mut k = 0;
-            while k <= self.params.cache_max {
-                sizes.push(k);
-                k += self.params.cache_step.max(1);
-            }
+        let sizes = if world.cfg.cache_enabled {
+            let step = self.params.cache_step.max(1);
+            (0..=self.hot_capacity).step_by(step).collect()
         } else {
-            sizes.push(0);
-        }
-        let w = world.cfg.workers;
-        // recorded by the caller into world.tuner_trace
+            vec![0]
+        };
         self.state = TState::Search(Box::new(Search {
             sizes,
-            size_idx: 0,
-            tri: Trisect::new(1, w - 1),
-            best_overall: None,
-            phase: SearchPhase::Threads,
-            pending: None,
+            tri: Trisect::new(1, world.cfg.workers - 1),
+            ways: false,
+            best: None,
+            trial: None,
+            wait: None,
         }));
-    }
-
-    fn search_step(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) {
-        let now = ctx.now();
-        let params = self.params.clone();
-
-        // Phase 1: progress an in-flight measurement (no calls on `self`
-        // while `self.state` is borrowed).
-        let mut finished: Option<(usize, f64, bool)> = None;
-        {
-            let TState::Search(search) = &mut self.state else {
-                unreachable!()
-            };
-            if let Some(p) = &mut search.pending {
-                if p.await_reconfig {
-                    if world.reconfig.is_some() {
-                        return; // reassignment still draining
-                    }
-                    p.await_reconfig = false;
-                    p.settle_until = now + params.settle;
-                    let w = world.mr_ways;
-                    Tuner::apply_clos(ctx, world, w);
-                    return;
-                }
-                if now < p.settle_until {
-                    return;
-                }
-                if p.sentinel {
-                    search.pending = None;
-                } else {
-                    match p.measure_until {
-                        None => {
-                            p.measure_until = Some(now + params.window);
-                            p.start_total = world.driver.completed_total();
-                            return;
-                        }
-                        Some(until) if now < until => return,
-                        Some(_) => {
-                            let tp =
-                                world.driver.completed_total().saturating_sub(p.start_total) as f64;
-                            finished = Some((p.value, tp, true));
-                            search.pending = None;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((value, tp, _)) = finished {
-            self.measurements += 1;
-            let TState::Search(search) = &mut self.state else {
-                unreachable!()
-            };
-            // Record the probe and log the decision: `value` is n_mr in the
-            // thread phase, the MR way count in the ways phase.
-            let (phase, n_cr, mr_ways, accepted) = match &mut search.phase {
-                SearchPhase::Threads => {
-                    search.tri.record(value, tp);
-                    let accepted = search.tri.best().0 == value;
-                    (
-                        ProbePhase::Threads,
-                        world.cfg.workers - value,
-                        world.mr_ways,
-                        accepted,
-                    )
-                }
-                SearchPhase::Ways(tri) => {
-                    tri.record(value, tp);
-                    let accepted = tri.best().0 == value;
-                    (ProbePhase::Ways, world.cfg.n_cr, value, accepted)
-                }
-            };
-            let probe = TunerProbe {
-                at: now,
-                phase,
-                cache_items: world.hot.target_size,
-                n_cr,
-                mr_ways,
-                objective: tp,
-                accepted,
-            };
-            world.tuner_probes.push(probe.clone());
-            self.decision_log.push(probe);
-        }
-
-        // Phase 2: decide the next action.
-        enum Act {
-            TrialSplit(usize),
-            NextSize(usize),
-            ToWays { k: usize, n_mr: usize },
-            TrialWays(usize),
-            Finish(usize),
-        }
-        let act = {
-            let TState::Search(search) = &mut self.state else {
-                unreachable!()
-            };
-            match &mut search.phase {
-                SearchPhase::Threads => {
-                    if let Some(n_mr) = search.tri.next() {
-                        Act::TrialSplit(n_mr)
-                    } else {
-                        // Converged for this cache size.
-                        let (n_mr, tp) = search.tri.best();
-                        let k = search.sizes[search.size_idx];
-                        if search
-                            .best_overall
-                            .map(|(best, _, _)| tp > best)
-                            .unwrap_or(true)
-                        {
-                            search.best_overall = Some((tp, k, n_mr));
-                        }
-                        search.size_idx += 1;
-                        if search.size_idx < search.sizes.len() {
-                            let next_k = search.sizes[search.size_idx];
-                            let w = search.tri.measured.keys().copied().max().unwrap_or(1);
-                            let _ = w;
-                            Act::NextSize(next_k)
-                        } else {
-                            let (_, k, n_mr) = search.best_overall.expect("no best");
-                            Act::ToWays { k, n_mr }
-                        }
-                    }
-                }
-                SearchPhase::Ways(tri) => {
-                    if let Some(w_mr) = tri.next() {
-                        Act::TrialWays(w_mr)
-                    } else {
-                        Act::Finish(tri.best().0)
-                    }
-                }
-            }
-        };
-
-        // Phase 3: act with full access to `self`.
-        match act {
-            Act::TrialSplit(n_mr) => {
-                let await_reconfig = self.request_split(world, n_mr);
-                let TState::Search(search) = &mut self.state else {
-                    unreachable!()
-                };
-                search.pending = Some(Pending {
-                    value: n_mr,
-                    await_reconfig,
-                    settle_until: now + params.settle,
-                    measure_until: None,
-                    start_total: 0,
-                    sentinel: false,
-                });
-            }
-            Act::NextSize(k) => {
-                world.hot.target_size = k;
-                if k == 0 {
-                    world.hot.clear();
-                }
-                let w = world.cfg.workers;
-                let TState::Search(search) = &mut self.state else {
-                    unreachable!()
-                };
-                search.tri = Trisect::new(1, w - 1);
-            }
-            Act::ToWays { k, n_mr } => {
-                world.hot.target_size = k;
-                if k == 0 {
-                    world.hot.clear();
-                }
-                let await_reconfig = self.request_split(world, n_mr);
-                let ways = ctx.machine().cache.full_mask().count_ones() as usize;
-                let TState::Search(search) = &mut self.state else {
-                    unreachable!()
-                };
-                search.phase = SearchPhase::Ways(Trisect::new(1, ways));
-                search.pending = Some(Pending {
-                    value: 0,
-                    await_reconfig,
-                    settle_until: now,
-                    measure_until: None,
-                    start_total: 0,
-                    sentinel: true,
-                });
-            }
-            Act::TrialWays(w_mr) => {
-                world.mr_ways = w_mr;
-                Tuner::apply_clos(ctx, world, w_mr);
-                let TState::Search(search) = &mut self.state else {
-                    unreachable!()
-                };
-                search.pending = Some(Pending {
-                    value: w_mr,
-                    await_reconfig: false,
-                    settle_until: now + params.settle,
-                    measure_until: None,
-                    start_total: 0,
-                    sentinel: false,
-                });
-            }
-            Act::Finish(w_mr) => {
-                world.mr_ways = w_mr;
-                Tuner::apply_clos(ctx, world, w_mr);
-                let k = world.hot.target_size;
-                let n_cr = world.cfg.n_cr;
-                world
-                    .tuner_trace
-                    .push(TunerEvent::Applied(now, n_cr, k, w_mr));
-                world.tuner_trace.push(TunerEvent::SearchEnded(now));
-                self.state = TState::Monitor;
-                self.window_end = now + params.window;
-                self.last_total = world.driver.completed_total();
-                self.ewma = 0.0; // rebuild the baseline
-            }
-        }
-    }
-
-    /// Issues a thread reassignment toward `n_mr` MR workers. Returns false
-    /// if the config is already in effect (no reconfig needed).
-    fn request_split(&mut self, world: &mut UtpsWorld, n_mr: usize) -> bool {
-        let new_n_cr = world.cfg.workers - n_mr;
-        if new_n_cr == world.cfg.n_cr || world.reconfig.is_some() {
-            return false;
-        }
-        let margin = (world.cfg.workers as u64) * 2;
-        world.reconfig = Some(Reconfig {
-            new_n_cr,
-            switch_seq: world.ring.head() + margin,
-            adopted: vec![false; world.cfg.workers],
-        });
-        true
     }
 
     /// Whether a search is in progress.

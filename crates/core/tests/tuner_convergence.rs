@@ -91,13 +91,12 @@ fn trisection_converges_on_unimodal_curve() {
         trigger: 0.25,
         trigger_windows: 1,
         cache_step: 1_000,
-        cache_max: 1_000,
     };
     eng.spawn(
         Some(0),
         StatClass::Other,
         Box::new(SyntheticDriver {
-            tuner: Tuner::new(TunerMode::Auto, params),
+            tuner: Tuner::new(TunerMode::Auto, params, 1_000),
             kicked: false,
         }),
     );

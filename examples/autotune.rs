@@ -36,7 +36,6 @@ fn main() {
             trigger: 0.25,
             trigger_windows: 2,
             cache_step: 4_000,
-            cache_max: 8_000,
         },
         timeline_interval: 500 * MICROS,
         workload: WorkloadSpec::Fig14 {

@@ -486,7 +486,6 @@ fn tuner_freezes_under_fault_pressure() {
             trigger: 0.0, // hair trigger: any deviation would search
             trigger_windows: 1,
             cache_step: 1_000,
-            cache_max: 1_000,
         },
         duration: 3_000 * MICROS,
         ..chaos_cfg(IndexKind::Tree, faults)

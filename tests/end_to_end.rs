@@ -128,7 +128,6 @@ fn reconfiguration_loses_no_requests() {
             trigger: 0.0, // hair trigger: search immediately
             trigger_windows: 1,
             cache_step: 1_000,
-            cache_max: 1_000,
         },
         duration: 6_000 * MICROS,
         ..quick(IndexKind::Tree, ycsb(Mix::A, 0.99, 16))
@@ -155,7 +154,6 @@ fn stage_metrics_snapshot_contents() {
             trigger: 0.0, // hair trigger: search immediately
             trigger_windows: 1,
             cache_step: 1_000,
-            cache_max: 1_000,
         },
         duration: 6_000 * MICROS,
         ..quick(IndexKind::Tree, ycsb(Mix::A, 0.99, 16))

@@ -192,7 +192,6 @@ fn utps_t_tuned_matches_golden() {
             trigger: 0.0,
             trigger_windows: 1,
             cache_step: 1_000,
-            cache_max: 1_000,
         },
         duration: 6_000 * MICROS,
         ..quick_cfg(IndexKind::Tree, QueueKind::AllToAll, seed)
