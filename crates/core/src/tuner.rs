@@ -456,7 +456,8 @@ impl Tuner {
         }
     }
 
-    /// Begins a hierarchical search.
+    /// Begins a hierarchical search, installing its first cache size so
+    /// the first trisection measures the size it is credited to.
     pub fn start_search(&mut self, now: SimTime, world: &mut UtpsWorld) {
         world.tuner_trace.push(TunerEvent::SearchStarted(now));
         let sizes = if world.cfg.cache_enabled {
@@ -465,6 +466,7 @@ impl Tuner {
         } else {
             vec![0]
         };
+        set_cache_size(world, sizes[0]);
         self.state = TState::Search(Box::new(Search {
             sizes,
             tri: Trisect::new(1, world.cfg.workers - 1),

@@ -5,7 +5,9 @@
 //! growth as a unimodal function of the live `n_cr` (peak at 3). The tuner
 //! sees exactly the feedback signal the paper assumes — throughput unimodal
 //! in the thread split — and its decision log must show trisection
-//! converging to the peak within the probe budget.
+//! converging to the peak within the probe budget. A second curve also
+//! rises with the hot-cache size, so the log must show each thread
+//! trisection measured at the cache size it is credited to.
 
 use utps_core::experiment::{build_utps_world, RunConfig};
 use utps_core::server::UtpsWorld;
@@ -26,7 +28,13 @@ fn rate(n_cr: usize) -> u64 {
     (1_000 - 40 * d * d + n_cr as i64) as u64
 }
 
-fn build_world() -> UtpsWorld {
+/// Synthetic operations completed per driver step with the hot cache
+/// sized `items`: [`rate`] plus a bonus that grows with the cache.
+fn rate_with_cache(n_cr: usize, items: usize) -> u64 {
+    rate(n_cr) + items as u64 / 10
+}
+
+fn build_world(cache_enabled: bool) -> UtpsWorld {
     build_utps_world(&RunConfig {
         index: IndexKind::Hash,
         keys: 64,
@@ -35,17 +43,47 @@ fn build_world() -> UtpsWorld {
         clients: 1,
         warmup: 0,
         machine: MachineConfig::tiny(),
-        cache_enabled: false,
+        cache_enabled,
+        hot_capacity: 2_000,
         ring_slots: 64,
         slot_size: 256,
         ..RunConfig::default()
     })
 }
 
+/// Runs one search to completion against the synthetic `rate` (of the
+/// live split and cache size) and returns the world it left.
+fn run_search(cache_enabled: bool, rate: fn(usize, usize) -> u64) -> UtpsWorld {
+    let mut eng = Engine::new(
+        MachineConfig::tiny(),
+        WORKERS + 1,
+        build_world(cache_enabled),
+    );
+    let params = TunerParams {
+        window: 100 * MICROS,
+        settle: 50 * MICROS,
+        trigger: 0.25,
+        trigger_windows: 1,
+        cache_step: 1_000,
+    };
+    eng.spawn(
+        Some(0),
+        StatClass::Other,
+        Box::new(SyntheticDriver {
+            tuner: Tuner::new(TunerMode::Auto, params, 2_000),
+            rate,
+            kicked: false,
+        }),
+    );
+    eng.run_until(SimTime::from_millis(200));
+    eng.world
+}
+
 /// Drives the tuner: adopts reconfigs instantly, synthesizes throughput,
 /// steps the search.
 struct SyntheticDriver {
     tuner: Tuner,
+    rate: fn(usize, usize) -> u64,
     kicked: bool,
 }
 
@@ -63,7 +101,8 @@ impl Process<UtpsWorld> for SyntheticDriver {
             }
         }
         // Synthetic load: completions accrue at the unimodal rate.
-        world.driver.clients[0].completed_total += rate(world.cfg.n_cr);
+        world.driver.clients[0].completed_total +=
+            (self.rate)(world.cfg.n_cr, world.hot.target_size);
         if !self.kicked {
             self.kicked = true;
             self.tuner.start_search(now, world);
@@ -84,24 +123,7 @@ impl Process<UtpsWorld> for SyntheticDriver {
 
 #[test]
 fn trisection_converges_on_unimodal_curve() {
-    let mut eng = Engine::new(MachineConfig::tiny(), WORKERS + 1, build_world());
-    let params = TunerParams {
-        window: 100 * MICROS,
-        settle: 50 * MICROS,
-        trigger: 0.25,
-        trigger_windows: 1,
-        cache_step: 1_000,
-    };
-    eng.spawn(
-        Some(0),
-        StatClass::Other,
-        Box::new(SyntheticDriver {
-            tuner: Tuner::new(TunerMode::Auto, params, 1_000),
-            kicked: false,
-        }),
-    );
-    eng.run_until(SimTime::from_millis(200));
-    let world = &eng.world;
+    let world = &run_search(false, |n_cr, _| rate(n_cr));
 
     // The search ran to completion and left the split at the peak.
     assert_eq!(
@@ -158,4 +180,42 @@ fn trisection_converges_on_unimodal_curve() {
             .any(|p| p.phase == ProbePhase::Ways),
         "LLC-way trisection never ran"
     );
+}
+
+#[test]
+fn each_trisection_measures_the_cache_size_it_is_credited_to() {
+    let sizes = [0, 1_000, 2_000];
+    let world = run_search(true, rate_with_cache);
+
+    // Every size runs the same trisection (the cache bonus is a constant
+    // per size), so the thread probes split into one equal run per size,
+    // and the k-th run must have measured at sizes[k].
+    let threads: Vec<_> = world
+        .tuner_probes
+        .iter()
+        .filter(|p| p.phase == ProbePhase::Threads)
+        .collect();
+    assert_eq!(threads.len() % sizes.len(), 0, "uneven trisections");
+    let per_size = threads.len() / sizes.len();
+    for (k, run) in threads.chunks(per_size).enumerate() {
+        for p in run {
+            assert_eq!(
+                p.cache_items, sizes[k],
+                "trisection {k} measured at {} items, not {}",
+                p.cache_items, sizes[k]
+            );
+        }
+    }
+
+    // The largest cache wins: the ways phase runs at it, and it stays.
+    let ways: Vec<_> = world
+        .tuner_probes
+        .iter()
+        .filter(|p| p.phase == ProbePhase::Ways)
+        .collect();
+    assert!(!ways.is_empty(), "LLC-way trisection never ran");
+    for p in ways {
+        assert_eq!(p.cache_items, 2_000, "ways probe off the best size");
+    }
+    assert_eq!(world.hot.target_size, 2_000);
 }
