@@ -216,7 +216,7 @@ enum Wait {
 /// The hierarchical search as one flat state machine. `sizes[0]` is the
 /// cache size under search and the rest are still to come; `tri` trisects
 /// n_mr at that size, or the MR way count once `ways` is set.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Search {
     sizes: Vec<usize>,
     tri: Trisect,
