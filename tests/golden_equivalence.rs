@@ -8,7 +8,9 @@
 //! the all-to-all CR-MR lanes and once on the §3.4 shared-queue
 //! counterfactual. Two more μTPS-T pins cover the CR-MR paths an untuned,
 //! fault-free run never takes: descriptor-lease reclaim behind a stalled MR
-//! core, and §3.5 thread reassignment under the auto-tuner.
+//! core, and §3.5 thread reassignment under the auto-tuner. One more pins
+//! the durable tier's path: WAL group commit, hot-path acks held on the
+//! durability barrier, eviction and cold reads.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -198,5 +200,31 @@ fn utps_t_tuned_matches_golden() {
     };
     check_with("utps_t_tuned", SystemKind::Utps, cfg, |r| {
         assert!(r.reconfigs > 0, "the tuner never reassigned a thread");
+    });
+}
+
+#[test]
+fn utps_t_tier_matches_golden() {
+    // The durable tier with a DRAM limit below the 20 k keyspace and a
+    // compaction pass every 100 µs: the compactor evicts within the window,
+    // every ack waits on a device commit, and the run ends with commit
+    // groups still in flight.
+    let cfg = |seed| RunConfig {
+        tier: Some(TierConfig {
+            dram_items_max: 15_000,
+            evict_batch: 256,
+            compact_every_ps: 100 * MICROS,
+            ..TierConfig::default()
+        }),
+        ..quick_cfg(IndexKind::Tree, QueueKind::AllToAll, seed)
+    };
+    check_with("utps_t_tier", SystemKind::Utps, cfg, |r| {
+        let t = r.tier.as_ref().expect("no tier stats");
+        assert!(t.compactions > 0, "the compactor never ran");
+        assert!(t.evicted > 0, "nothing was evicted");
+        assert!(
+            t.last_applied > t.durable_seq,
+            "no commit group was in flight at the end"
+        );
     });
 }
