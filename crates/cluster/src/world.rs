@@ -90,6 +90,11 @@ impl<S: 'static> Process<ClusterWorld<S>> for ShardProc<S> {
         self.inner.step(ctx, &mut world.shards[self.shard])
     }
 
+    fn skipped_polls(&mut self, ctx: &mut Ctx<'_>, world: &mut ClusterWorld<S>, n: u64) {
+        self.inner
+            .skipped_polls(ctx, &mut world.shards[self.shard], n);
+    }
+
     fn name(&self) -> &'static str {
         self.inner.name()
     }

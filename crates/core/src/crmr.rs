@@ -20,7 +20,7 @@ use std::ops::Range;
 use utps_collections::{MpmcQueue, SpscRing};
 use utps_sim::hashutil::FxHashMap;
 use utps_sim::time::SimTime;
-use utps_sim::{vaddr, Ctx};
+use utps_sim::{vaddr, CacheHierarchy, Ctx, Fabric};
 use utps_workload::Op;
 
 use crate::msg::{OpKind, Request};
@@ -565,30 +565,28 @@ impl Producer {
 
     /// Polls the next lane with forwarded-but-unanswered requests (the
     /// shared mode: this worker's completion queue) and hands up to `limit`
-    /// completed seqs to `send`, each as soon as it is read.
+    /// completed seqs to `send`, each as soon as it is read. Returns how
+    /// many it handed over.
     pub(crate) fn poll(
         &mut self,
         ctx: &mut Ctx<'_>,
         q: &mut CrMrQueue,
         limit: usize,
         mut send: impl FnMut(&mut Ctx<'_>, u64),
-    ) {
+    ) -> usize {
         if q.is_shared() {
-            for _ in 0..limit {
+            for n in 0..limit {
                 let Some(seq) = q.pop_completion_shared(ctx, self.id) else {
-                    break;
+                    return n;
                 };
                 send(ctx, seq);
             }
-            return;
+            return limit;
         }
-        let workers = self.pending.len();
-        let Some(t) = (0..workers)
-            .map(|off| (self.comp_rr + off) % workers)
-            .find(|&t| !self.pending[t].is_empty())
-        else {
-            return;
+        let Some(t) = self.poll_order().next() else {
+            return 0;
         };
+        let workers = self.pending.len();
         self.comp_rr = (t + 1) % workers;
         let completed = q.completed(ctx, self.id, t);
         let lane = q.lane_mut(self.id, t);
@@ -604,6 +602,59 @@ impl Producer {
         if n > 0 && self.lease_ps > 0 {
             self.lease_at[t] = ctx.now() + self.lease_ps;
         }
+        n as usize
+    }
+
+    /// The lanes with forwarded-but-unanswered requests, in the order the
+    /// next polls read them.
+    fn poll_order(&self) -> impl Iterator<Item = usize> + '_ {
+        let workers = self.pending.len();
+        (0..workers)
+            .map(move |off| (self.comp_rr + off) % workers)
+            .filter(|&t| !self.pending[t].is_empty())
+    }
+
+    /// How many lanes the completion polls rotate over.
+    pub(crate) fn pending_lanes(&self) -> usize {
+        self.poll_order().count()
+    }
+
+    /// Whether a quiet poll, repeated, may park on its grid: all-to-all
+    /// lanes, nothing accumulated and unpushed, no lane holding a
+    /// completion the rotation has yet to read, and the lanes' completion
+    /// words in distinct L1 sets, so skipping their recency refreshes
+    /// changes no victim choice (DESIGN.md §10 "Parked CR polls").
+    pub(crate) fn may_park(&self, q: &CrMrQueue, cache: &CacheHierarchy) -> bool {
+        let unread = |t: usize| {
+            let lane = q.lane(self.id, t);
+            lane.completed != lane.acked
+        };
+        if q.is_shared() || self.out.iter().any(|o| !o.is_empty()) || self.poll_order().any(unread)
+        {
+            return false;
+        }
+        let sets: Vec<usize> = self
+            .poll_order()
+            .map(|t| cache.l1_set(q.lane(self.id, t).completed_addr))
+            .collect();
+        (1..sets.len()).all(|i| !sets[..i].contains(&sets[i]))
+    }
+
+    /// The earliest lease deadline of a lane with pending work, if leases
+    /// are on.
+    pub(crate) fn next_lease(&self) -> Option<SimTime> {
+        let leases = self.poll_order().map(|t| self.lease_at[t]);
+        leases.min().filter(|_| self.lease_ps > 0)
+    }
+
+    /// Moves the completion-poll rotation past `k` skipped quiet polls.
+    pub(crate) fn skip_polls(&mut self, k: u64) {
+        let m = self.poll_order().count() as u64;
+        if m == 0 || k == 0 {
+            return;
+        }
+        let last = self.poll_order().nth(((k - 1) % m) as usize);
+        self.comp_rr = (last.expect("k - 1 mod m < m") + 1) % self.pending.len();
     }
 
     /// Reclaims descriptor batches whose lease expired: a lane with pending
@@ -799,10 +850,20 @@ impl Consumer {
         }
     }
 
-    /// Signals a sealed super-batch's completions to its producers.
-    pub(crate) fn release(&self, ctx: &mut Ctx<'_>, q: &mut CrMrQueue, retired: Retired) {
+    /// Signals a sealed super-batch's completions to its producers, waking
+    /// each that is parked on its poll grid: the counter write does not
+    /// always move its core's token (a line the MR core still holds
+    /// modified takes the write as an L1 hit, invalidating no sharer).
+    pub(crate) fn release<M>(
+        &self,
+        ctx: &mut Ctx<'_>,
+        q: &mut CrMrQueue,
+        fabric: &mut Fabric<M>,
+        retired: Retired,
+    ) {
         for (p, n) in retired.lanes {
             q.complete(ctx, p, self.id, n);
+            fabric.wake_server(p);
         }
         for seq in retired.shared {
             q.complete_shared(ctx, seq);

@@ -205,6 +205,8 @@ impl UtpsWorld {
             switch_seq: self.ring.head() + 2 * workers as u64,
             adopted: vec![false; workers],
         });
+        // A parked CR worker's next poll reads the announcement.
+        self.fabric.wake_servers();
         true
     }
 
@@ -270,6 +272,31 @@ pub(crate) struct CrStage {
     /// whose commit group is still in flight; its ack leaves only once
     /// `durable_seq` covers them.
     ack_defer: DurabilityBarrier<(Response, SimTime)>,
+    /// The run of quiet polls that ended with the last step, if it did.
+    quiet: Option<Quiet>,
+    /// What each poll skipped while parked counts.
+    skipped: PollShape,
+}
+
+/// A run of quiet CR polls, each a repeat of the one before (DESIGN.md §10
+/// "Parked CR polls").
+#[derive(Clone, Copy)]
+struct Quiet {
+    /// The core's private-cache token when the last one ended.
+    token: u64,
+    /// Its charge, picoseconds.
+    charge: u64,
+    /// How many in a row.
+    run: usize,
+}
+
+/// What one quiet CR poll counts besides its time.
+#[derive(Clone, Copy, Default)]
+struct PollShape {
+    /// Receive-slot checks (`RecvRing::polls`): 0 or 1.
+    ring_polls: u64,
+    /// Completion words read, each a plain L1 hit: 0 or 1.
+    reads: u64,
 }
 
 impl CrStage {
@@ -284,6 +311,8 @@ impl CrStage {
             local: None,
             sample_ctr: 0,
             ack_defer: DurabilityBarrier::default(),
+            quiet: None,
+            skipped: PollShape::default(),
         }
     }
 
@@ -291,12 +320,14 @@ impl CrStage {
     /// MR layer and the caller must install an MR stage.
     fn run(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> bool {
         let id = self.id;
+        let (start, token) = (ctx.now(), ctx.private_version());
 
         // 0a. Release hot-path acks whose commit groups became durable.
-        self.drain_deferred(ctx, world);
+        let released = self.drain_deferred(ctx, world);
 
         // 0. Finish a blocked/ready local hot-path operation first.
         if let Some((seq, op, started)) = self.local.take() {
+            self.quiet = None;
             self.drive_local(ctx, world, seq, op, started);
             return false;
         }
@@ -325,37 +356,122 @@ impl CrStage {
 
         // 2. Pump the NIC into the receive ring (DMA is free for the CPU;
         //    this models the RNIC progressing asynchronously).
-        {
+        let head = world.ring.head();
+        let pumped = {
             let now = ctx.now();
             let m = ctx.machine();
-            world.ring.pump(m, &mut world.fabric, now, 8);
+            world.ring.pump(m, &mut world.fabric, now, 8)
+        };
+        // A slot posted here is visible to its owner's next poll, however
+        // late in this step the arrival landed.
+        for seq in head..world.ring.head() {
+            let owner = world.owner_of(seq);
+            if owner != id {
+                world.fabric.wake_server(owner);
+            }
         }
 
         // 3. Poll one lane's completion counter; send finished responses.
-        self.poll_completions(ctx, world);
+        let sent = self.poll_completions(ctx, world);
 
         // 3b. Reclaim descriptor batches whose lease has expired.
         let targets = world.mr_targets();
         self.tx.reclaim_expired(ctx, &mut world.crmr, targets);
 
         // 4. Claim and process the next owned slot.
-        let claimed =
-            if self.tx.outstanding() < world.cfg.batch * 8 && world.ring.poll_posted(self.cursor) {
-                let seq = self.cursor;
-                self.cursor += self.n_local as u64;
-                self.process_request(ctx, world, seq);
-                true
-            } else {
-                false
-            };
+        let ring_polls = self.tx.outstanding() < world.cfg.batch * 8;
+        let claimed = if ring_polls && world.ring.poll_posted(self.cursor) {
+            let seq = self.cursor;
+            self.cursor += self.n_local as u64;
+            self.process_request(ctx, world, seq);
+            true
+        } else {
+            false
+        };
 
         // 5. Flush a partial batch when idle so misses never starve.
         if !claimed {
             let targets = world.mr_targets();
             self.tx.flush(ctx, &mut world.crmr, targets);
         }
+
+        // 6. A poll that found nothing may be the repeat that parks.
+        if released + pumped + sent == 0 && rc.is_none() && !claimed {
+            self.idle(ctx, world, start, token, ring_polls);
+        } else {
+            self.quiet = None;
+        }
         false
     }
+
+    /// Extends the run of quiet polls with this one and, once the next
+    /// poll would repeat it exactly, parks the worker on its poll grid
+    /// until an arrival, its core's token, a commit, a lease or a split
+    /// request changes what that poll would see (DESIGN.md §10 "Parked CR
+    /// polls").
+    fn idle(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        world: &mut UtpsWorld,
+        start: SimTime,
+        token: u64,
+        ring_polls: bool,
+    ) {
+        let lanes = self.tx.pending_lanes();
+        let shape = PollShape {
+            ring_polls: ring_polls as u64,
+            reads: lanes.min(1) as u64,
+        };
+        // Each read a plain L1 hit, and nothing else touched the core.
+        let end = ctx.private_version();
+        if end - token != shape.reads {
+            self.quiet = None;
+            return;
+        }
+        let charge = ctx.now() - start;
+        let run = match self.quiet {
+            Some(q) if q.token == token && q.charge == charge => q.run + 1,
+            _ => 1,
+        };
+        self.quiet = Some(Quiet {
+            token: end,
+            charge,
+            run,
+        });
+        // A full rotation of the completion words, read back to back, is
+        // what makes each the newest line of its L1 set.
+        if run < lanes.max(2) || !self.tx.may_park(&world.crmr, &ctx.machine().cache) {
+            return;
+        }
+        // Acks held on the barrier wait for the oldest commit in flight;
+        // with none in flight the next seal would go unannounced.
+        let commit = match &world.tier {
+            Some(tier) if !self.ack_defer.is_empty() => match tier.next_commit() {
+                Some(at) => Some(at),
+                None => return,
+            },
+            _ => None,
+        };
+        // A lane's lease lapses at the first poll whose read ends past it.
+        let lease = self
+            .tx
+            .next_lease()
+            .map(|at| SimTime((at.as_ps() + 1).saturating_sub(charge)));
+        let deadline = commit.into_iter().chain(lease).min();
+        self.skipped = shape;
+        world
+            .fabric
+            .server_park(self.id, ctx.park_on_grid(deadline));
+    }
+
+    /// Charges `n` polls skipped while parked: each a repeat of the parking
+    /// step's, moving the completion rotation along.
+    fn skipped_polls(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, n: u64) {
+        world.ring.polls += n * self.skipped.ring_polls;
+        self.tx.skip_polls(n);
+        ctx.l1_hits(n * self.skipped.reads);
+    }
+
     /// Processes one claimed receive slot.
     fn process_request(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, seq: u64) {
         let id = self.id;
@@ -503,8 +619,8 @@ impl CrStage {
         self.tx.forward(ctx, &mut world.crmr, desc, targets);
     }
 
-    /// Sends up to 8 responses the MR layer has completed.
-    fn poll_completions(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) {
+    /// Sends up to 8 responses the MR layer has completed; returns how many.
+    fn poll_completions(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> usize {
         let UtpsWorld {
             crmr,
             ring,
@@ -525,18 +641,21 @@ impl CrStage {
             }
             ctx.machine().registry.counter_inc("cr.response");
             send_response(ctx, fabric, resp);
-        });
+        })
     }
 
     /// Releases deferred hot-path acks whose durability requirement is now
-    /// met (no-op without the tier).
-    fn drain_deferred(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) {
+    /// met (no-op without the tier); returns how many.
+    fn drain_deferred(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> usize {
         let Some(tier) = world.tier.as_mut() else {
-            return;
+            return 0;
         };
+        let mut n = 0;
         for (resp, started) in self.ack_defer.drain(tier, ctx.now()) {
             send_local(ctx, world, resp, started);
+            n += 1;
         }
+        n
     }
 
     /// Attempts to finish draining; `true` once this worker has handed its
@@ -602,7 +721,8 @@ impl MrStage {
             return;
         };
         for retired in self.defers.drain(tier, ctx.now()) {
-            self.rx.release(ctx, &mut world.crmr, retired);
+            self.rx
+                .release(ctx, &mut world.crmr, &mut world.fabric, retired);
         }
     }
 
@@ -763,7 +883,8 @@ impl MrStage {
             // Whole super-batch finished: signal its completions (the
             // piggybacked lane tail counters).
             let retired = self.rx.seal();
-            self.rx.release(ctx, &mut world.crmr, retired);
+            self.rx
+                .release(ctx, &mut world.crmr, &mut world.fabric, retired);
             self.ops.clear();
         } else if !live_fsm {
             // Only cold-read waiters remain: jump to the earliest device
@@ -874,6 +995,12 @@ impl Process<UtpsWorld> for UtpsWorker {
             StepOutcome::Progress
         } else {
             StepOutcome::Idle
+        }
+    }
+
+    fn skipped_polls(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, n: u64) {
+        if let Role::Cr(s) = &mut self.role {
+            s.skipped_polls(ctx, world, n);
         }
     }
 

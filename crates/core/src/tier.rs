@@ -234,7 +234,10 @@ impl TierState {
     /// Retires every commit group whose device write has completed by `now`
     /// and advances `durable_seq` over the contiguous committed prefix.
     /// Safe to call with any worker's clock: completion times only ever
-    /// admit groups, never un-admit them.
+    /// admit groups, never un-admit them. Every caller passes its step's
+    /// start, so a call before `TierState::next_commit` is a no-op and a
+    /// parked CR worker may skip those calls (DESIGN.md §10 "Parked CR
+    /// polls").
     pub fn advance(&mut self, now: SimTime) {
         while self.inflight.front().is_some_and(|(done, _)| *done <= now) {
             let (_, seqs) = self.inflight.pop_front().expect("checked non-empty");

@@ -579,6 +579,36 @@ impl Process<UtpsWorld> for ManagerProc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{build_utps_world, RunConfig};
+    use utps_sim::{Engine, MachineConfig, StatClass};
+
+    /// Known gap (CHANGES.md, FOUND on `Tuner::next_wake`): an `Off`
+    /// tuner's `step` returns before it moves `window_end`, so it keeps
+    /// naming its first window end, and once that has passed the manager
+    /// wakes at its 5 µs floor. Mending it flips this test, and moves every
+    /// μTPS digest (hot-set sampling runs on the manager's wakes).
+    #[test]
+    fn known_gap_off_tuner_keeps_its_first_window_end() {
+        let params = TunerParams::default();
+        let first = SimTime(params.window);
+        let cfg = RunConfig {
+            keys: 1_000,
+            ..RunConfig::default()
+        };
+        let world = build_utps_world(&cfg);
+        let cores = cfg.workers;
+        let (wake, _) = Engine::run_once(MachineConfig::tiny(), cores, StatClass::Other, world, {
+            move |ctx, w| {
+                let mut tuner = Tuner::new(TunerMode::Off, params.clone(), 100);
+                for k in 1..=3 {
+                    ctx.advance_to(first + k * params.window);
+                    tuner.step(ctx, w);
+                }
+                tuner.next_wake()
+            }
+        });
+        assert_eq!(wake, first, "an Off tuner now tracks its windows");
+    }
 
     #[test]
     fn trisect_finds_unimodal_max() {

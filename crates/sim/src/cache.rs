@@ -384,6 +384,13 @@ impl CacheHierarchy {
         self.l1[core].version() + self.l2[core].version() + self.pf_changes[core]
     }
 
+    /// The L1 set the line holding `addr` maps to (every core's L1 has the
+    /// same geometry): lines read in rotation replay exactly only while no
+    /// two share a set (DESIGN.md §10 "Parked CR polls").
+    pub fn l1_set(&self, addr: usize) -> usize {
+        (addr / self.cfg.cache.line) % self.cfg.cache.l1_sets
+    }
+
     /// Charges `n` plain L1 read hits attributed to `class` without walking
     /// the tag arrays; see [`CacheHierarchy::private_version`] for when that
     /// is exact. Returns their cost.

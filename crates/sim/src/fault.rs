@@ -197,6 +197,19 @@ impl FaultPlan {
             .max()
     }
 
+    /// The earliest time at or after `t` that lies inside a stall window of
+    /// `core`: where a process parked on that core's poll grid must wake so
+    /// the engine defers that grid point as it would a polling step.
+    pub(crate) fn next_stall(&self, core: usize, t: SimTime) -> Option<SimTime> {
+        let ps = t.as_ps();
+        self.cfg
+            .stalls
+            .iter()
+            .filter(|w| w.core == core && ps < w.at_ps + w.dur_ps)
+            .map(|w| SimTime(w.at_ps.max(ps)))
+            .min()
+    }
+
     /// Whether any core is inside a stall window at time `t` (the tuner's
     /// "machine is disturbed" check).
     pub fn stall_active(&self, t: SimTime) -> bool {

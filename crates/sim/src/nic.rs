@@ -156,6 +156,11 @@ pub struct Fabric<M> {
     client_rx: Vec<DelayQueue<M>>,
     /// The waker of each client parked on its (empty) delivery queue.
     client_waiter: Vec<Option<Waker>>,
+    /// The waker of each server poller's latest park, by poller id. It
+    /// stays until the next park replaces it: a wake fires a fork of it, so
+    /// a later, earlier-keyed wake still finds it (the engine drops wakes
+    /// for a park that has ended).
+    server_waiter: Vec<Option<Waker>>,
 }
 
 impl<M> Fabric<M> {
@@ -167,6 +172,7 @@ impl<M> Fabric<M> {
             server_rx: DelayQueue::new(),
             client_rx: (0..clients).map(|_| DelayQueue::new()).collect(),
             client_waiter: (0..clients).map(|_| None).collect(),
+            server_waiter: Vec::new(),
         }
     }
 
@@ -175,10 +181,12 @@ impl<M> Fabric<M> {
         self.client_rx.len()
     }
 
-    /// A client sends `msg` of `payload` bytes to the server at `now`.
+    /// A client sends `msg` of `payload` bytes to the server at `now`, and
+    /// wakes every parked server poller at the arrival time.
     pub fn client_send(&mut self, now: SimTime, payload: usize, msg: M) {
         let at = self.to_server.transmit(now, payload);
         self.server_rx.push_at(at, msg);
+        self.wake_servers_at(at);
     }
 
     /// Server-side RNIC: next request that has arrived by `now`.
@@ -187,10 +195,49 @@ impl<M> Fabric<M> {
     }
 
     /// Re-enqueues `msg` into the server receive queue for delivery at `at`
-    /// without charging a fresh wire transit. Fault injection uses this for
-    /// duplicated and delayed deliveries.
+    /// without charging a fresh wire transit, waking every parked server
+    /// poller at `at`. Fault injection uses this for duplicated and delayed
+    /// deliveries.
     pub fn redeliver_server(&mut self, at: SimTime, msg: M) {
         self.server_rx.push_at(at, msg);
+        self.wake_servers_at(at);
+    }
+
+    /// Registers the waker of server poller `poller` (a CR worker) for the
+    /// next arrival into the server queue, or a wake by [`Fabric::wake_server`]
+    /// or [`Fabric::wake_servers`], replacing any it left before. A poller
+    /// that parks while a delivery is already queued also gets its wake at
+    /// that delivery's time at once.
+    pub fn server_park(&mut self, poller: usize, waker: Waker) {
+        if let Some(at) = self.server_rx.next_at() {
+            waker.fork().wake_at(at);
+        }
+        if self.server_waiter.len() <= poller {
+            self.server_waiter.resize_with(poller + 1, || None);
+        }
+        self.server_waiter[poller] = Some(waker);
+    }
+
+    /// Wakes every parked server poller at its first poll after the calling
+    /// step: for a change to what their polls read that no arrival or cache
+    /// access announces (a thread-split request).
+    pub fn wake_servers(&mut self) {
+        self.wake_servers_at(SimTime::ZERO);
+    }
+
+    /// Wakes server poller `poller`, if parked, at its first poll after the
+    /// calling step: for a change only it reads (a completion counter of
+    /// one of its lanes).
+    pub fn wake_server(&mut self, poller: usize) {
+        if let Some(waker) = self.server_waiter.get(poller).and_then(Option::as_ref) {
+            waker.fork().wake_at(SimTime::ZERO);
+        }
+    }
+
+    fn wake_servers_at(&mut self, at: SimTime) {
+        for waker in self.server_waiter.iter().flatten() {
+            waker.fork().wake_at(at);
+        }
     }
 
     /// The server sends `msg` of `payload` bytes to `client` at `now`, and
@@ -228,6 +275,9 @@ impl<M> Fabric<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::StatClass;
+    use crate::config::MachineConfig;
+    use crate::engine::{Ctx, Engine, Process, StepOutcome};
     use crate::time::{MICROS, NANOS};
 
     fn net() -> NetConfig {
@@ -299,6 +349,121 @@ mod tests {
         let rate = n as f64 / p.busy_until().as_secs_f64() / 1e6;
         // min_msg_gap = 5.12 ns → ~195 M msgs/s.
         assert!((rate - 195.3).abs() < 2.0, "got {rate} M msgs/s");
+    }
+
+    /// What the server-waiter tests share: the fabric and the pollers' log
+    /// of `(step time, id)`.
+    struct Waiters {
+        fabric: Fabric<u64>,
+        log: Vec<(SimTime, usize)>,
+    }
+
+    /// Logs its step, drains what has arrived, charges 1 ns and parks on
+    /// that grid with the fabric.
+    struct ServerPoller {
+        id: usize,
+    }
+
+    impl Process<Waiters> for ServerPoller {
+        fn step(&mut self, ctx: &mut Ctx<'_>, w: &mut Waiters) -> StepOutcome {
+            w.log.push((ctx.now(), self.id));
+            while w.fabric.server_poll(ctx.now()).is_some() {}
+            ctx.compute_ns(1);
+            w.fabric.server_park(self.id, ctx.park_on_grid(None));
+            StepOutcome::Idle
+        }
+    }
+
+    /// At `at`, acts on the fabric once, then halts.
+    struct Sender {
+        at: SimTime,
+        send: fn(&mut Fabric<u64>, SimTime),
+    }
+
+    impl Process<Waiters> for Sender {
+        fn step(&mut self, ctx: &mut Ctx<'_>, w: &mut Waiters) -> StepOutcome {
+            if ctx.now() < self.at {
+                ctx.advance_to(self.at);
+                return StepOutcome::Idle;
+            }
+            (self.send)(&mut w.fabric, ctx.now());
+            ctx.halt();
+            StepOutcome::Progress
+        }
+    }
+
+    /// Spawns the sender first when `sender_first`, then `pollers` pollers,
+    /// and returns the pollers' log up to 10 µs.
+    fn waiters(pollers: usize, sender: Sender, sender_first: bool) -> Vec<(SimTime, usize)> {
+        let world = Waiters {
+            fabric: Fabric::new(net(), 1),
+            log: Vec::new(),
+        };
+        let mut eng = Engine::new(MachineConfig::tiny(), 1, world);
+        let mut sender = Some(sender);
+        if sender_first {
+            eng.spawn(None, StatClass::Other, Box::new(sender.take().unwrap()));
+        }
+        for id in 0..pollers {
+            eng.spawn(None, StatClass::Other, Box::new(ServerPoller { id }));
+        }
+        if let Some(sender) = sender {
+            eng.spawn(None, StatClass::Other, Box::new(sender));
+        }
+        eng.run_until(SimTime(10 * MICROS));
+        eng.world.log
+    }
+
+    /// The first point of the pollers' 1 ns grid at or after `at`.
+    fn grid_ceil(at: SimTime) -> SimTime {
+        SimTime(at.as_ps().div_ceil(NANOS) * NANOS)
+    }
+
+    #[test]
+    fn client_send_wakes_every_parked_server_poller_at_the_arrival() {
+        let sent = SimTime(100 * NANOS + 300);
+        let arrival = Pipe::new(net()).transmit(sent, 64);
+        let sender = Sender {
+            at: sent,
+            send: |f, now| f.client_send(now, 64, 7),
+        };
+        let g = grid_ceil(arrival);
+        let log = waiters(2, sender, false);
+        assert_eq!(
+            log,
+            [(SimTime::ZERO, 0), (SimTime::ZERO, 1), (g, 0), (g, 1)]
+        );
+    }
+
+    #[test]
+    fn redeliver_server_wakes_every_parked_server_poller_at_its_time() {
+        let at = SimTime(5 * MICROS + 300);
+        let sender = Sender {
+            at: SimTime(200 * NANOS),
+            send: |f, _| f.redeliver_server(SimTime(5 * MICROS + 300), 9),
+        };
+        let g = grid_ceil(at);
+        let log = waiters(3, sender, false);
+        let woken: Vec<_> = (0..3).map(|id| (g, id)).collect();
+        assert_eq!(log[3..], woken[..]);
+        assert_eq!(
+            log.len(),
+            6,
+            "one step each, then asleep until the redelivery"
+        );
+    }
+
+    #[test]
+    fn a_poller_parking_behind_a_queued_delivery_wakes_at_its_arrival() {
+        // The sender (pid 0) sends at t = 0, before the poller's first step
+        // parks it: no later arrival announces the queued one.
+        let arrival = Pipe::new(net()).transmit(SimTime::ZERO, 64);
+        let sender = Sender {
+            at: SimTime::ZERO,
+            send: |f, now| f.client_send(now, 64, 7),
+        };
+        let log = waiters(1, sender, true);
+        assert_eq!(log, [(SimTime::ZERO, 0), (grid_ceil(arrival), 0)]);
     }
 
     #[test]
