@@ -39,6 +39,8 @@ fn reassign_back_to_back(kind: QueueKind) {
             switch_seq: head + 32,
             adopted: vec![false; 16],
         });
+        // As `UtpsWorld::request_split` does: parked CR workers poll next.
+        eng.world.fabric.wake_servers();
         eng.run_until(SimTime((4 + 2 * i as u64) * MILLIS));
         assert!(
             eng.world.reconfig.is_none(),
@@ -78,6 +80,7 @@ fn owner_mapping_switches_at_the_announced_slot() {
         switch_seq,
         adopted: vec![false; 8],
     });
+    eng.world.fabric.wake_servers();
     // Before the switch slot: old modulo; at/after: new modulo.
     assert_eq!(
         eng.world.owner_of(switch_seq - 1),
