@@ -21,6 +21,7 @@
 
 use utps_collections::{mix64, FxHashMap, LatencyHistogram};
 use utps_core::shardctl::{Admit, ShardHooks};
+use utps_sim::Total;
 
 /// Object size class a key belongs to (per-key, fixed for the run).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,7 +124,7 @@ pub struct RouterState {
     /// Round-robin fan-out cursor per replicated key.
     rr: FxHashMap<u64, usize>,
     /// Ops admitted per shard (cluster-tuner load signal).
-    pub served: Vec<u64>,
+    pub served: Vec<Total>,
     /// Measured-window tallies.
     pub tallies: RouterTallies,
     /// Post-warmup latency per size class (ns), recorded by the clients.
@@ -179,7 +180,7 @@ impl RouterState {
             open: FxHashMap::default(),
             replicas,
             rr: FxHashMap::default(),
-            served: vec![0; total],
+            served: vec![Total::default(); total],
             tallies: RouterTallies::default(),
             class_hist: [LatencyHistogram::new(), LatencyHistogram::new()],
             topo,
@@ -255,9 +256,7 @@ impl RouterState {
     /// Zeroes the measured-window tallies (warmup boundary).
     pub fn reset_stats(&mut self) {
         self.tallies = RouterTallies::default();
-        for s in self.served.iter_mut() {
-            *s = 0;
-        }
+        self.served.fill(Total::default());
         self.class_hist = [LatencyHistogram::new(), LatencyHistogram::new()];
     }
 }

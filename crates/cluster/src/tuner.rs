@@ -10,7 +10,7 @@
 
 use utps_core::server::UtpsWorld;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Process, StepOutcome};
+use utps_sim::{Ctx, Process, StepOutcome, Total};
 
 use crate::world::ClusterWorld;
 
@@ -24,7 +24,7 @@ const IMBALANCE_DEN: u64 = 2;
 pub(crate) struct ClusterTunerProc {
     interval: u64,
     next: SimTime,
-    last_served: Vec<u64>,
+    last_served: Vec<Total>,
     /// CR moves issued (exported into `ClusterStats` via the runner).
     pub moves: u64,
 }
@@ -35,7 +35,7 @@ impl ClusterTunerProc {
         ClusterTunerProc {
             interval,
             next: SimTime(interval),
-            last_served: vec![0; shards],
+            last_served: vec![Total::default(); shards],
             moves: 0,
         }
     }
@@ -58,9 +58,9 @@ impl Process<ClusterWorld<UtpsWorld>> for ClusterTunerProc {
         let mut hot = None;
         let mut cold = None;
         for &s in &small {
-            // Saturating: `served` is zeroed at the warmup boundary while
-            // `last_served` still holds the pre-warmup counts.
-            let d = served[s].saturating_sub(self.last_served[s]);
+            // `served` is zeroed at the warmup boundary while `last_served`
+            // still holds the pre-warmup counts: `since` floors that at 0.
+            let d = served[s].since(self.last_served[s]);
             if hot.is_none_or(|(_, dh)| d > dh) {
                 hot = Some((s, d));
             }

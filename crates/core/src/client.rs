@@ -15,7 +15,7 @@ use utps_collections::{FxHashMap, LatencyHistogram};
 use utps_oracle::{fill_digest, value_digest, History, OpClass};
 use utps_sim::nic::Fabric;
 use utps_sim::time::{SimTime, NANOS};
-use utps_sim::{Ctx, Process, StepOutcome};
+use utps_sim::{Ctx, Process, StepOutcome, Total};
 use utps_workload::{Op, Workload};
 
 use crate::msg::{NetMsg, Request};
@@ -54,7 +54,7 @@ pub struct DriverState {
     /// Measurement starts here (end of warmup).
     pub measure_start: SimTime,
     /// Throughput timeline: (time, completed-so-far) samples.
-    pub timeline: Vec<(SimTime, u64)>,
+    pub timeline: Vec<(SimTime, Total)>,
     /// Operation history for the linearizability oracle; `None` (the
     /// default) records nothing. Recording is pure host-side bookkeeping —
     /// it charges no simulated time and draws no randomness, so enabling it
@@ -87,8 +87,8 @@ impl DriverState {
     }
 
     /// Total completions including warmup (the tuner's feedback signal).
-    pub fn completed_total(&self) -> u64 {
-        self.clients.iter().map(|c| c.completed_total).sum()
+    pub fn completed_total(&self) -> Total {
+        Total::new(self.clients.iter().map(|c| c.completed_total).sum())
     }
 
     /// Merged latency histogram.
@@ -601,7 +601,7 @@ mod tests {
         eng.run_until(SimTime::from_micros(500));
         let d = &eng.world.driver;
         assert_eq!(d.completed(), 0);
-        assert!(d.completed_total() > 0);
+        assert!(d.completed_total() > Total::default());
     }
 
     /// One closed-loop YCSB-A run against `server`, with the clients routed
@@ -679,7 +679,7 @@ mod tests {
         // stale one is dropped: with retries off the window is full at the
         // end of every client step, so the ledger is exact.
         assert_eq!(r.failed, 0);
-        assert_eq!(r.issued, r.completed_total + window as u64);
+        assert_eq!(r.in_flight(), Some(window as u64));
         assert!(r.dup_resps > 0, "no stale bounce was filed as a duplicate");
         let hooks = hooks.borrow();
         assert_eq!(hooks.completions.len() as u64, r.completed);

@@ -139,7 +139,7 @@ where
 
     let driver = world.driver_mut();
     let history1 = driver.history.clone().expect("history enabled");
-    let pre_completed = driver.completed_total();
+    let pre_completed = driver.completed_total().get();
     let pre_issued: u64 = driver.clients.iter().map(|c| c.issued).sum();
     let pre_failed: u64 = driver.clients.iter().map(|c| c.failed).sum();
     let pending_at_crash = history1.records().iter().filter(|r| r.pending()).count();
@@ -195,7 +195,7 @@ where
     let mut eng2 = rt2.into_engine();
     let driver = eng2.world.driver_mut();
     let history2 = driver.history.clone().expect("history enabled");
-    let post_completed = driver.completed_total();
+    let post_completed = driver.completed_total().get();
     let post_issued: u64 = driver.clients.iter().map(|c| c.issued).sum();
     let post_failed: u64 = driver.clients.iter().map(|c| c.failed).sum();
 

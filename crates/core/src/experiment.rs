@@ -8,7 +8,7 @@ use utps_index::IndexKind;
 use utps_sim::config::MachineConfig;
 use utps_sim::time::{SimTime, MICROS, SECS};
 use utps_sim::{
-    Engine, FaultConfig, Machine, MetricsRegistry, ScheduleEvent, ScheduleMode, StatClass,
+    Engine, FaultConfig, Machine, MetricsRegistry, ScheduleEvent, ScheduleMode, StatClass, Total,
 };
 use utps_workload::{
     DynamicWorkload, EtcWorkload, KeyDist, Mix, TwitterCluster, TwitterWorkload, Workload,
@@ -408,7 +408,7 @@ impl RunResult {
             reconfigs: 0,
             not_found: sum(|c| c.not_found),
             issued: sum(|c| c.issued),
-            completed_total: driver.completed_total(),
+            completed_total: driver.completed_total().get(),
             retransmits: sum(|c| c.retransmits),
             dup_resps: sum(|c| c.dup_resps),
             failed: sum(|c| c.failed),
@@ -425,6 +425,13 @@ impl RunResult {
             tier: None,
             payloads_live,
         }
+    }
+
+    /// Ops issued and not yet resolved, by [`ClientStats`]'s exactly-once
+    /// ledger. `None` when more ops resolved than were issued, and so always
+    /// for RaceHash and Sherman, whose clients report `issued` as 0.
+    pub fn in_flight(&self) -> Option<u64> {
+        self.issued.checked_sub(self.completed_total + self.failed)
     }
 }
 
@@ -740,14 +747,14 @@ pub fn stats_json(r: &RunResult) -> String {
 }
 
 /// Converts raw (time, cumulative-count) samples into (sec, Mops) intervals.
-fn render_timeline(samples: &[(SimTime, u64)], interval: u64) -> Vec<(f64, f64)> {
+fn render_timeline(samples: &[(SimTime, Total)], interval: u64) -> Vec<(f64, f64)> {
     if interval == 0 || samples.is_empty() {
         return Vec::new();
     }
     let mut out = Vec::with_capacity(samples.len());
-    let mut prev = 0u64;
+    let mut prev = Total::default();
     for &(t, total) in samples {
-        let delta = total.saturating_sub(prev);
+        let delta = total.since(prev);
         prev = total;
         let mops = delta as f64 / (interval as f64 / SECS as f64) / 1e6;
         out.push((t.as_secs_f64(), mops));
@@ -800,6 +807,16 @@ mod tests {
         assert!(r.p50_ns >= 1_800, "p50 {} below RTT", r.p50_ns);
         assert!(r.mops > 0.1, "throughput {}", r.mops);
         assert_eq!(r.not_found, 0, "keys must all exist");
+    }
+
+    #[test]
+    fn in_flight_is_none_once_resolved_exceeds_issued() {
+        let cfg = quick_cfg();
+        let mut r = run_utps(&cfg);
+        let open = r.in_flight().expect("an honest run balances its ledger");
+        assert!(open <= (cfg.clients * cfg.pipeline) as u64);
+        r.failed += open + 1; // every open op fails, and one resolves twice
+        assert_eq!(r.in_flight(), None);
     }
 
     #[test]

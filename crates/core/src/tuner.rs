@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use utps_collections::HotSetTracker;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Process, StepOutcome};
+use utps_sim::{Ctx, Process, StepOutcome, Total};
 
 use crate::server::{split_ways, UtpsWorld};
 
@@ -210,7 +210,7 @@ enum Wait {
     /// The new configuration settles until then.
     Settle(SimTime),
     /// A measurement window ends then; it began at this completed total.
-    Measure(SimTime, u64),
+    Measure(SimTime, Total),
 }
 
 /// The hierarchical search as one flat state machine. `sizes[0]` is the
@@ -261,7 +261,7 @@ impl Search {
         // 2. Log a finished measurement.
         if let (Some(Wait::Measure(_, start)), Some(value)) = (self.wait.take(), self.trial.take())
         {
-            let objective = world.driver.completed_total().saturating_sub(start) as f64;
+            let objective = world.driver.completed_total().since(start) as f64;
             self.tri.record(value, objective);
             let (phase, n_cr, mr_ways) = if self.ways {
                 (ProbePhase::Ways, world.cfg.n_cr, value)
@@ -342,7 +342,7 @@ pub struct Tuner {
     hot_capacity: usize,
     state: TState,
     window_end: SimTime,
-    last_total: u64,
+    last_total: Total,
     ewma: f64,
     deviant: u32,
     /// Fault-event count at the last window boundary (freeze guard).
@@ -359,7 +359,7 @@ impl Tuner {
             params,
             hot_capacity,
             state: TState::Warmup(3),
-            last_total: 0,
+            last_total: Total::default(),
             ewma: 0.0,
             deviant: 0,
             last_fault_events: 0,
@@ -404,7 +404,7 @@ impl Tuner {
             return;
         }
         let total = world.driver.completed_total();
-        let tp = total.saturating_sub(self.last_total) as f64;
+        let tp = total.since(self.last_total) as f64;
         self.last_total = total;
         self.window_end = now + self.params.window;
         // Freeze guard: a window disturbed by injected faults (drops, stalls,

@@ -48,10 +48,10 @@ fn reassign_back_to_back(kind: QueueKind) {
         );
         assert_eq!(eng.world.cfg.n_cr, new_n_cr);
         let total = eng.world.driver.completed_total();
+        let ops = total.since(last_total);
         assert!(
-            total > last_total + 500,
-            "throughput collapsed during reassignment to {new_n_cr}: {} ops",
-            total - last_total
+            ops > 500,
+            "throughput collapsed during reassignment to {new_n_cr}: {ops} ops"
         );
         last_total = total;
     }

@@ -50,13 +50,6 @@ pub struct Token {
     pub col: u32,
 }
 
-impl Token {
-    /// The token's text within `src`.
-    pub fn text<'a>(&self, src: &'a str) -> &'a str {
-        &src[self.start..self.end]
-    }
-}
-
 struct Cursor<'a> {
     src: &'a [u8],
     pos: usize,
@@ -333,7 +326,7 @@ mod tests {
     fn kinds(src: &str) -> Vec<(TokKind, &str)> {
         lex(src)
             .into_iter()
-            .map(|t| (t.kind, t.text(src)))
+            .map(|t| (t.kind, &src[t.start..t.end]))
             .collect()
     }
 

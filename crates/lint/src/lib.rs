@@ -1,14 +1,12 @@
 //! `utps-lint` — workspace static analysis for the μTPS invariants the
 //! compiler cannot see.
 //!
-//! Part of the repo's correctness rests on *conventions*: the `stats_json`
-//! schema is pinned, and windowed counter deltas cannot wrap. This crate
-//! enforces them mechanically:
+//! Part of the repo's correctness rests on a *convention*: the `stats_json`
+//! schema is pinned. This crate enforces it mechanically:
 //!
 //! | rule | id | invariant |
 //! |------|----|-----------|
 //! | R4 | `metrics-schema` | registry names come from the pinned schema |
-//! | R6 | `counter-arithmetic` | windowed counter deltas use `saturating_sub`/`checked_sub` |
 //!
 //! What the toolchain can carry is left to it. The workspace `clippy.toml`
 //! bans blocking calls, syscalls, wall clocks and randomly keyed maps at
@@ -16,7 +14,10 @@
 //! same-seed determinism). Payload handling is not a rule here either: the
 //! `PayloadRef` handle is move-only and `PayloadArena` lends no bytes, so
 //! rustc rejects a double consume or a copy-out in every crate, and a leaked
-//! handle shows up in `RunResult::payloads_live`.
+//! handle shows up in `RunResult::payloads_live`. Nor are windowed counter
+//! deltas: a running total is a `utps_sim::Total`, which has no `-`, only a
+//! `since` floored at zero, so a delta that wraps after a reset does not
+//! compile.
 //!
 //! Suppression is per line and audited:
 //! `// utps-lint: allow(<rule>) — <justification>` (a directive without a
@@ -40,7 +41,7 @@ use parser::FileData;
 /// One finding.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Short code: `R4` or `R6`, or `A0` for a malformed allow directive.
+    /// Short code: `R4`, or `A0` for a malformed allow directive.
     pub rule_code: &'static str,
     /// Kebab-case rule id (what `allow(...)` names).
     pub rule_id: &'static str,
@@ -67,11 +68,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "metrics-schema",
         "registry metric names must come from the pinned schema list",
     ),
-    (
-        "R6",
-        "counter-arithmetic",
-        "windowed deltas over unsigned counters use saturating_sub/checked_sub, not bare -",
-    ),
     ("A0", "allow-audit", "allow directives need a justification"),
 ];
 
@@ -87,7 +83,6 @@ fn known_rule(name: &str) -> bool {
 pub fn lint_files(ws: &LintWorkspace) -> Vec<Violation> {
     let mut raw = Vec::new();
     rules::r4_metrics::check(ws, &mut raw);
-    rules::r6_counters::check(ws, &mut raw);
 
     let mut out: Vec<Violation> = raw
         .into_iter()

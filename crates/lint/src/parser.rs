@@ -271,16 +271,17 @@ mod tests {
     fn allow_comments_bind_to_lines() {
         let f = parse(
             "fn a() {\n // utps-lint: allow(metrics-schema) — fixture needs it\n let x = 1;\n \
-             let y = 2; // utps-lint: allow(counter-arithmetic) — trailing\n}",
+             let y = 2; // utps-lint: allow(metrics-schema) — trailing\n}",
         );
         assert_eq!(f.allows.len(), 2);
         assert_eq!(f.allows[0].rule, "metrics-schema");
         assert_eq!(f.allows[0].target_line, 3);
         assert!(f.allows[0].justified);
-        assert_eq!(f.allows[1].rule, "counter-arithmetic");
+        assert_eq!(f.allows[1].rule, "metrics-schema");
         assert_eq!(f.allows[1].target_line, 4);
         assert!(f.allows_rule_on("metrics-schema", "R4", 3));
-        assert!(!f.allows_rule_on("metrics-schema", "R4", 4));
+        assert!(f.allows_rule_on("metrics-schema", "R4", 4));
+        assert!(!f.allows_rule_on("metrics-schema", "R4", 5));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! the engine in `lib.rs` applies `allow(...)` suppression afterwards.
 
 pub mod r4_metrics;
-pub mod r6_counters;
 
 use crate::lexer::Token;
 use crate::parser::FileData;

@@ -3,10 +3,9 @@
 //! suppressible with a justified allow directive.
 //!
 //! The fixtures live in `tests/fixtures/ws`, a miniature workspace whose
-//! file paths mirror the real tree (`crates/core/src/server.rs`, …) so the
-//! path-scoped rule (R6) fire exactly as they would in anger. A
-//! second root, `tests/fixtures/badallow`, holds the unjustified-directive
-//! case. The real-workspace walk skips `tests/fixtures` entirely.
+//! file paths mirror the real tree (`crates/core/src/…`). A second root,
+//! `tests/fixtures/badallow`, holds the unjustified-directive case. The
+//! real-workspace walk skips `tests/fixtures` entirely.
 
 use std::path::{Path, PathBuf};
 
@@ -20,16 +19,12 @@ fn fixture_root(name: &str) -> PathBuf {
 }
 
 /// `(rule code, file, line)` for every planted violation in `ws`.
-const PLANTED: &[(&str, &str, u32)] = &[
-    ("R4", "crates/core/src/metrics_user.rs", 10),
-    // Bare `-` on a windowed counter delta.
-    ("R6", "crates/core/src/tuner.rs", 10),
-];
+const PLANTED: &[(&str, &str, u32)] = &[("R4", "crates/core/src/metrics_user.rs", 10)];
 
 #[test]
 fn each_rule_fires_on_its_planted_fixture() {
     let (ws, violations) = lint_root(&fixture_root("ws")).unwrap();
-    assert_eq!(ws.files.len(), 3, "fixture workspace should have 3 files");
+    assert_eq!(ws.files.len(), 2, "fixture workspace should have 2 files");
 
     let got: Vec<(&str, &str, u32)> = violations
         .iter()
@@ -58,14 +53,11 @@ fn each_rule_fires_on_its_planted_fixture() {
 fn json_output_carries_exact_rule_file_line() {
     let (ws, violations) = lint_root(&fixture_root("ws")).unwrap();
     let json = to_json(&violations, ws.files.len(), 7);
-    for needle in [
-        r#""rule":"R4","id":"metrics-schema","file":"crates/core/src/metrics_user.rs","line":10"#,
-        r#""rule":"R6","id":"counter-arithmetic","file":"crates/core/src/tuner.rs","line":10"#,
-    ] {
-        assert!(json.contains(needle), "missing {needle} in {json}");
-    }
+    let needle =
+        r#""rule":"R4","id":"metrics-schema","file":"crates/core/src/metrics_user.rs","line":10"#;
+    assert!(json.contains(needle), "missing {needle} in {json}");
     assert!(json.contains(r#""clean":false"#));
-    assert!(json.contains(r#""files_scanned":3"#));
+    assert!(json.contains(r#""files_scanned":2"#));
     assert!(json.contains(r#""wall_ms":7"#));
 }
 
@@ -81,6 +73,16 @@ fn unjustified_allow_is_audited_but_still_suppresses() {
         ("A0", "crates/core/src/lib.rs", 5)
     );
     assert!(v.message.contains("justification"), "{}", v.message);
+}
+
+/// A directive naming a deleted rule fails loudly.
+#[test]
+fn allow_naming_a_retired_rule_is_audited() {
+    let src = "// utps-lint: allow(counter-arithmetic) — retired\nfn f() {}\n";
+    let files = vec![parse_file("crates/core/src/tuner.rs", src.to_string())];
+    let v = lint_files(&LintWorkspace { files });
+    let unknown = |v: &Violation| v.rule_code == "A0" && v.message.contains("unknown rule");
+    assert!(v.len() == 1 && unknown(&v[0]), "got {v:?}");
 }
 
 /// Re-lints the fixture workspace with one file patched: a justified allow

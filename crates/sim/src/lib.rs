@@ -45,7 +45,7 @@ pub use config::{CacheConfig, CostConfig, MachineConfig, NetConfig};
 pub use engine::{Ctx, Engine, Machine, ProcId, Process, StepOutcome, Waker};
 pub use fault::{FaultConfig, FaultPlan, RecvFate, StallWindow};
 pub use lock::OptLock;
-pub use metrics::{AccessKind, Metrics, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{AccessKind, Metrics, MetricsRegistry, MetricsSnapshot, Total};
 pub use nic::{Fabric, Pipe};
 pub use schedule::{shrink_schedule, ScheduleConfig, ScheduleEvent, ScheduleMode, SchedulePlan};
 pub use time::{SimTime, MICROS, MILLIS, NANOS, SECS};

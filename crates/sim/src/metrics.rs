@@ -382,9 +382,58 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
+/// A running total read in windows: completions, admitted ops.
+///
+/// A window's count is the difference of two readings, and that difference
+/// is only ever [`Total::since`], floored at zero. A total does go
+/// backwards here: a stats reset at the warmup boundary zeroes it while a
+/// tuner still holds its pre-reset reading, and a bare `u64` subtraction
+/// then wraps to ~2⁶⁴ and steers every decision read from the rate. No
+/// `Sub` is implemented, so the wrapping form does not compile:
+///
+/// ```compile_fail,E0369
+/// use utps_sim::Total;
+/// let (then, now) = (Total::new(5), Total::new(3));
+/// let _window = now - then;
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Total(u64);
+
+impl Total {
+    /// A total that has reached `n`.
+    pub const fn new(n: u64) -> Self {
+        Total(n)
+    }
+
+    /// The raw count, for reporting.
+    pub const fn get(self) -> u64 {
+        self.0
+    }
+
+    /// Counts added since the `earlier` reading; 0 if the total was reset
+    /// below it in between.
+    pub const fn since(self, earlier: Total) -> u64 {
+        self.0.saturating_sub(earlier.0)
+    }
+}
+
+impl core::ops::AddAssign<u64> for Total {
+    fn add_assign(&mut self, n: u64) {
+        self.0 += n;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn total_since_floors_at_zero_across_a_reset() {
+        let (before_reset, mut served) = (Total::new(1_000), Total::default());
+        served += 40;
+        assert_eq!(served.since(before_reset), 0);
+        assert_eq!(served.since(Total::new(33)), 7);
+    }
 
     #[test]
     fn miss_rate_definition() {

@@ -97,13 +97,9 @@ fn fault_classes() -> Vec<(&'static str, FaultConfig)> {
 /// No completed request lost, none completed twice: everything offered is
 /// accounted for as completed, failed, or still in the closed-loop window.
 fn assert_exactly_once(tag: &str, r: &RunResult, cfg: &RunConfig) {
-    let resolved = r.completed_total + r.failed;
-    assert!(
-        resolved <= r.issued,
-        "{tag}: resolved {resolved} > issued {}",
-        r.issued
-    );
-    let in_flight = r.issued - resolved;
+    let in_flight = r
+        .in_flight()
+        .unwrap_or_else(|| panic!("{tag}: more ops resolved than the {} issued", r.issued));
     let window = (cfg.clients * cfg.pipeline) as u64;
     assert!(
         in_flight <= window,

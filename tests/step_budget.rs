@@ -57,7 +57,7 @@ fn parked_clients_keep_utps_t_within_its_step_budget() {
     rt.run(|_| {});
     let eng = rt.into_engine();
     let steps = eng.steps();
-    let completed = eng.world.driver.completed_total();
+    let completed = eng.world.driver.completed_total().get();
     assert!(completed > 1_000, "only {completed} ops completed");
     let per_op = steps as f64 / completed as f64;
     assert!(
@@ -102,7 +102,7 @@ fn parked_cr_workers_keep_utps_t_tier_within_its_step_budget() {
     rt.run(|_| {});
     let eng = rt.into_engine();
     let steps = eng.steps();
-    let completed = eng.world.driver.completed_total();
+    let completed = eng.world.driver.completed_total().get();
     assert!(completed > 1_000, "only {completed} ops completed");
     let per_op = steps as f64 / completed as f64;
     assert!(
