@@ -23,7 +23,7 @@ use utps_core::experiment::{ClusterStats, RunConfig, RunResult, SystemKind, Utps
 use utps_core::shardctl::ShardCtl;
 use utps_core::system::{ServerWorld, System};
 use utps_sim::time::{SimTime, MICROS};
-use utps_sim::{Engine, FaultPlan, SchedulePlan, StatClass};
+use utps_sim::{Counter, Engine, FaultPlan, Gauge, SchedulePlan, StatClass};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -131,8 +131,8 @@ fn spawn_drivers<S: ShardWorld>(cfg: &ClusterConfig, eng: &mut Engine<ClusterWor
 }
 
 /// Folds the router's measured-window tallies into machine 0's registry
-/// (under the lint-pinned `cluster.*`/`latency.*` names) and builds the
-/// [`ClusterStats`] section. `cluster.moved_bounce` is *not* folded: the
+/// (the `Counter::Cluster*` and `Gauge::Latency*` instruments) and builds
+/// the [`ClusterStats`] section. `cluster.moved_bounce` is *not* folded: the
 /// per-shard servers already count their own bounces in their registries;
 /// the global number lives in the returned stats.
 fn cluster_stats<S: ShardWorld>(
@@ -158,19 +158,19 @@ fn cluster_stats<S: ShardWorld>(
     };
     drop(router);
     let reg = &mut eng.machine().registry;
-    reg.counter_add("cluster.moved_bounce", 0); // pinned; servers count it live
-    reg.counter_add("cluster.migrations", stats.migrations);
-    reg.counter_add("cluster.migrated_slots", stats.migrated_slots);
-    reg.counter_add("cluster.migrated_items", stats.migrated_items);
-    reg.counter_add("cluster.replica_read", stats.replica_reads);
-    reg.counter_add("cluster.replica_refresh", stats.replica_refreshes);
-    reg.counter_add("cluster.routed_small", stats.routed_small);
-    reg.counter_add("cluster.routed_large", stats.routed_large);
-    reg.gauge_set("cluster.shards", stats.shards as u64);
-    reg.gauge_set("latency.p99.small", stats.p99_small_ns);
-    reg.gauge_set("latency.p999.small", stats.p999_small_ns);
-    reg.gauge_set("latency.p99.large", stats.p99_large_ns);
-    reg.gauge_set("latency.p999.large", stats.p999_large_ns);
+    reg.add(Counter::ClusterMovedBounce, 0); // pinned; servers count it live
+    reg.add(Counter::ClusterMigrations, stats.migrations);
+    reg.add(Counter::ClusterMigratedSlots, stats.migrated_slots);
+    reg.add(Counter::ClusterMigratedItems, stats.migrated_items);
+    reg.add(Counter::ClusterReplicaRead, stats.replica_reads);
+    reg.add(Counter::ClusterReplicaRefresh, stats.replica_refreshes);
+    reg.add(Counter::ClusterRoutedSmall, stats.routed_small);
+    reg.add(Counter::ClusterRoutedLarge, stats.routed_large);
+    reg.set(Gauge::ClusterShards, stats.shards as u64);
+    reg.set(Gauge::LatencyP99Small, stats.p99_small_ns);
+    reg.set(Gauge::LatencyP999Small, stats.p999_small_ns);
+    reg.set(Gauge::LatencyP99Large, stats.p99_large_ns);
+    reg.set(Gauge::LatencyP999Large, stats.p999_large_ns);
     stats
 }
 

@@ -15,7 +15,7 @@ use utps_collections::{FxHashMap, LatencyHistogram};
 use utps_oracle::{fill_digest, value_digest, History, OpClass};
 use utps_sim::nic::Fabric;
 use utps_sim::time::{SimTime, NANOS};
-use utps_sim::{Ctx, Process, StepOutcome, Total};
+use utps_sim::{Counter, Ctx, Process, StepOutcome, Total};
 use utps_workload::{Op, Workload};
 
 use crate::msg::{NetMsg, Request};
@@ -276,7 +276,7 @@ impl<W: KvWorld> Process<W> for ClientProc {
                         Some((op, first_sent)) => self.send(ctx, world, resp.seq, op, first_sent),
                         None => {
                             world.driver_mut().clients[me].dup_resps += 1;
-                            ctx.machine().registry.counter_inc("client.dup_resp");
+                            ctx.machine().registry.inc(Counter::ClientDupResp);
                         }
                     }
                     continue;
@@ -290,7 +290,7 @@ impl<W: KvWorld> Process<W> for ClientProc {
                         Some(p) => p.first_sent,
                         None => {
                             world.driver_mut().clients[me].dup_resps += 1;
-                            ctx.machine().registry.counter_inc("client.dup_resp");
+                            ctx.machine().registry.inc(Counter::ClientDupResp);
                             continue;
                         }
                     }
@@ -339,7 +339,7 @@ impl<W: KvWorld> Process<W> for ClientProc {
                     Some((op, first_sent)) => {
                         self.send(ctx, world, seq, op, first_sent);
                         world.driver_mut().clients[me].retransmits += 1;
-                        ctx.machine().registry.counter_inc("client.retransmit");
+                        ctx.machine().registry.inc(Counter::ClientRetransmit);
                     }
                     None => {
                         self.outstanding -= 1;
@@ -353,7 +353,7 @@ impl<W: KvWorld> Process<W> for ClientProc {
                             h.fail(self.id, seq);
                         }
                         driver.clients[me].failed += 1;
-                        ctx.machine().registry.counter_inc("client.failed");
+                        ctx.machine().registry.inc(Counter::ClientFailed);
                     }
                 }
             }

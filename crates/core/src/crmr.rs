@@ -20,7 +20,7 @@ use std::ops::Range;
 use utps_collections::{MpmcQueue, SpscRing};
 use utps_sim::hashutil::FxHashMap;
 use utps_sim::time::SimTime;
-use utps_sim::{vaddr, CacheHierarchy, Ctx, Fabric};
+use utps_sim::{vaddr, CacheHierarchy, Counter, Ctx, Fabric, Gauge};
 use utps_workload::Op;
 
 use crate::msg::{OpKind, Request};
@@ -207,7 +207,7 @@ impl CrMrQueue {
                 s.pushed[producer] += 1;
                 s.pusher.insert(d.seq, producer);
                 let occ = s.req.len() as u64;
-                ctx.machine().registry.gauge_max("crmr.shared_hwm", occ);
+                ctx.machine().registry.raise(Gauge::CrmrSharedHwm, occ);
                 true
             }
             Err(_) => false,
@@ -294,7 +294,7 @@ impl CrMrQueue {
             ctx.atomic(lane.ring.tail_addr());
             lane.pushed += n as u64;
             let occ = lane.ring.len() as u64;
-            ctx.machine().registry.gauge_max("crmr.lane_hwm", occ);
+            ctx.machine().registry.raise(Gauge::CrmrLaneHwm, occ);
         }
         n
     }
@@ -326,7 +326,7 @@ impl CrMrQueue {
             // fails and the consumer must re-read the batch.
             let m = ctx.machine();
             if m.faults.corrupt_active() && m.faults.corrupt_pop() {
-                m.registry.counter_inc("crmr.corrupt");
+                m.registry.inc(Counter::CrmrCorrupt);
                 ctx.read(slot, DESC_BYTES * n);
             }
         }
@@ -478,7 +478,7 @@ impl Producer {
         desc: Desc,
         targets: Range<usize>,
     ) {
-        ctx.machine().registry.counter_inc("cr.forward");
+        ctx.machine().registry.inc(Counter::CrForward);
         let n_mr = targets.len();
         debug_assert!(n_mr > 0, "no MR workers to forward to");
         if q.is_shared() {
@@ -696,7 +696,7 @@ impl Producer {
             self.pending[t].truncate(kept);
             ctx.machine()
                 .registry
-                .counter_add("crmr.lease_reclaim", got as u64);
+                .add(Counter::CrmrLeaseReclaim, got as u64);
             for d in revoked {
                 let mut target = mr_lo + self.mr_rr % n_mr;
                 if target == t {

@@ -8,7 +8,8 @@ use utps_index::IndexKind;
 use utps_sim::config::MachineConfig;
 use utps_sim::time::{SimTime, MICROS, SECS};
 use utps_sim::{
-    Engine, FaultConfig, Machine, MetricsRegistry, ScheduleEvent, ScheduleMode, StatClass, Total,
+    Counter, Engine, FaultConfig, Gauge, Machine, MetricsRegistry, ScheduleEvent, ScheduleMode,
+    StatClass, Total,
 };
 use utps_workload::{
     DynamicWorkload, EtcWorkload, KeyDist, Mix, TwitterCluster, TwitterWorkload, Workload,
@@ -515,27 +516,27 @@ impl System for Utps {
     }
 
     fn fold(w: &UtpsWorld, reg: &mut MetricsRegistry) {
-        let folds: [(&'static str, u64); 9] = [
-            ("ring.polls", w.ring.polls),
-            ("ring.poll_hits", w.ring.poll_hits),
-            ("ring.dma", w.ring.dma_count),
-            ("server.responses", w.stats.responses),
-            ("server.cr_local", w.stats.cr_local),
-            ("server.forwarded", w.stats.forwarded),
-            ("hot.hits", w.hot.hits),
-            ("hot.misses", w.hot.misses),
-            ("crmr.pushed", w.crmr.total_pushed()),
+        let folds = [
+            (Counter::RingPolls, w.ring.polls),
+            (Counter::RingPollHits, w.ring.poll_hits),
+            (Counter::RingDma, w.ring.dma_count),
+            (Counter::ServerResponses, w.stats.responses),
+            (Counter::ServerCrLocal, w.stats.cr_local),
+            (Counter::ServerForwarded, w.stats.forwarded),
+            (Counter::HotHits, w.hot.hits),
+            (Counter::HotMisses, w.hot.misses),
+            (Counter::CrmrPushed, w.crmr.total_pushed()),
         ];
-        let gauges: [(&'static str, u64); 3] = [
-            ("cfg.n_cr", w.cfg.n_cr as u64),
-            ("cfg.cache_items", w.hot.len() as u64),
-            ("cfg.mr_ways", w.mr_ways as u64),
+        let gauges = [
+            (Gauge::CfgNCr, w.cfg.n_cr as u64),
+            (Gauge::CfgCacheItems, w.hot.len() as u64),
+            (Gauge::CfgMrWays, w.mr_ways as u64),
         ];
-        for (name, v) in folds {
-            reg.counter_add(name, v);
+        for (c, v) in folds {
+            reg.add(c, v);
         }
-        for (name, v) in gauges {
-            reg.gauge_set(name, v);
+        for (g, v) in gauges {
+            reg.set(g, v);
         }
         if let Some(tier) = &w.tier {
             tier.fold_into(reg);
@@ -656,22 +657,22 @@ fn oracle_results(
 /// Ensures every fault/robustness counter exists in the registry (at its
 /// current value, or zero) so the `stats_json` schema is identical between
 /// faulty and fault-free runs.
-fn pin_fault_counters(reg: &mut utps_sim::MetricsRegistry) {
-    const NAMES: [&str; 11] = [
-        "fault.rx_drop",
-        "fault.rx_dup",
-        "fault.rx_delay",
-        "fault.stall_defer",
-        "crmr.corrupt",
-        "crmr.lease_reclaim",
-        "client.retransmit",
-        "client.dup_resp",
-        "client.failed",
-        "server.dup_suppressed",
-        "tuner.frozen_windows",
+fn pin_fault_counters(reg: &mut MetricsRegistry) {
+    const PINNED: [Counter; 11] = [
+        Counter::FaultRxDrop,
+        Counter::FaultRxDup,
+        Counter::FaultRxDelay,
+        Counter::FaultStallDefer,
+        Counter::CrmrCorrupt,
+        Counter::CrmrLeaseReclaim,
+        Counter::ClientRetransmit,
+        Counter::ClientDupResp,
+        Counter::ClientFailed,
+        Counter::ServerDupSuppressed,
+        Counter::TunerFrozenWindows,
     ];
-    for name in NAMES {
-        reg.counter_add(name, 0);
+    for c in PINNED {
+        reg.add(c, 0);
     }
 }
 

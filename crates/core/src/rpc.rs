@@ -22,7 +22,7 @@
 
 use utps_sim::cache::CacheHierarchy;
 use utps_sim::time::SimTime;
-use utps_sim::{vaddr, Ctx, Fabric, Machine, PayloadRef, RecvFate};
+use utps_sim::{vaddr, Counter, Ctx, Fabric, Machine, PayloadRef, RecvFate};
 use utps_workload::Op;
 
 use crate::msg::{NetMsg, Request, Response};
@@ -303,19 +303,19 @@ pub fn recv_fate(
     }
     match m.faults.recv_fate() {
         RecvFate::Drop => {
-            m.registry.counter_inc("fault.rx_drop");
+            m.registry.inc(Counter::FaultRxDrop);
             if let Some(v) = req.value {
                 m.payloads.free(v);
             }
             None
         }
         RecvFate::Delay { delay } => {
-            m.registry.counter_inc("fault.rx_delay");
+            m.registry.inc(Counter::FaultRxDelay);
             fabric.redeliver_server(now + delay, NetMsg::Req(req));
             None
         }
         RecvFate::Duplicate { delay } => {
-            m.registry.counter_inc("fault.rx_dup");
+            m.registry.inc(Counter::FaultRxDup);
             let dup = req.dup(&mut m.payloads);
             fabric.redeliver_server(now + delay, NetMsg::Req(dup));
             Some(req)
@@ -361,10 +361,10 @@ pub fn admit(
     let key = req.op.key();
     let is_write = matches!(req.op, Op::Put { .. } | Op::Delete { .. });
     let refusal = if cluster.is_some_and(|cl| cl.admit(key, is_write) == Admit::Bounce) {
-        ctx.machine().registry.counter_inc("cluster.moved_bounce");
+        ctx.machine().registry.inc(Counter::ClusterMovedBounce);
         Admission::Bounced
     } else if is_write && dedup.enabled() && dedup.seen(req.client, req.seq) {
-        ctx.machine().registry.counter_inc("server.dup_suppressed");
+        ctx.machine().registry.inc(Counter::ServerDupSuppressed);
         Admission::Suppressed
     } else {
         if let Some(cl) = cluster {

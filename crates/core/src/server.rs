@@ -39,7 +39,7 @@ use utps_index::Step;
 use utps_sim::hashutil::FxHashMap;
 use utps_sim::nic::Fabric;
 use utps_sim::time::SimTime;
-use utps_sim::{CacheHierarchy, Ctx, Process, StatClass, StepOutcome};
+use utps_sim::{CacheHierarchy, Counter, Ctx, Hist, Process, StatClass, StepOutcome};
 use utps_workload::Op;
 
 use crate::client::{DriverState, KvWorld};
@@ -525,14 +525,14 @@ impl CrStage {
         match (desc.kind, cached) {
             (OpKind::Get, Some(item)) => {
                 world.stats.cr_local += 1;
-                ctx.machine().registry.counter_inc("cr.hit");
+                ctx.machine().registry.inc(Counter::CrHit);
                 self.drive_local(ctx, world, seq, KvOp::get_cached(key, item, bufs), started);
             }
             // With the durable tier, writes always go through the MR layer:
             // only there can they be sequenced into the WAL.
             (OpKind::Put, Some(item)) if world.tier.is_none() => {
                 world.stats.cr_local += 1;
-                ctx.machine().registry.counter_inc("cr.hit");
+                ctx.machine().registry.inc(Counter::CrHit);
                 // Move the payload out of NIC buffer memory — written once
                 // by the client, consumed once here.
                 let op = match world.ring.take_value(seq) {
@@ -541,7 +541,7 @@ impl CrStage {
                         KvOp::put_cached(key, item, value, bufs)
                     }
                     None => {
-                        ctx.machine().registry.counter_inc("server.malformed_req");
+                        ctx.machine().registry.inc(Counter::ServerMalformedReq);
                         KvOp::failed(key, bufs)
                     }
                 };
@@ -572,7 +572,7 @@ impl CrStage {
             }
             (OpKind::Get | OpKind::Put, _) => {
                 world.stats.forwarded += 1;
-                ctx.machine().registry.counter_inc("cr.miss");
+                ctx.machine().registry.inc(Counter::CrMiss);
                 self.forward(ctx, world, desc);
             }
             (OpKind::Delete, cached) => {
@@ -639,7 +639,7 @@ impl CrStage {
             if let Some(cl) = cluster {
                 cl.op_end(seq);
             }
-            ctx.machine().registry.counter_inc("cr.response");
+            ctx.machine().registry.inc(Counter::CrResponse);
             send_response(ctx, fabric, resp);
         })
     }
@@ -784,7 +784,7 @@ impl MrStage {
             let ops = &mut self.ops;
             self.rx.pop(ctx, crmr, cfg.batch, may_replay, |ctx, descs| {
                 let got = descs.len() as u64;
-                ctx.machine().registry.hist_record("mr.batch_size", got);
+                ctx.machine().registry.record(Hist::MrBatchSize, got);
                 let started = ctx.now();
                 for &d in descs {
                     // The MR worker copies response payloads into *its own*
@@ -808,7 +808,7 @@ impl MrStage {
                 let depth = self.ops.len() as u64;
                 ctx.machine()
                     .registry
-                    .hist_record("mr.interleave_depth", depth);
+                    .record(Hist::MrInterleaveDepth, depth);
             } else if !self.defers.is_empty() {
                 // Nothing to pop and groups in flight: wait on the device.
                 tier::wait_for_commit(ctx, world.tier.as_ref());
@@ -848,9 +848,7 @@ impl MrStage {
             };
             active.done = true;
             let trav_ns = ctx.now().since(active.started) / utps_sim::time::NANOS;
-            ctx.machine()
-                .registry
-                .hist_record("mr.traversal_ns", trav_ns);
+            ctx.machine().registry.record(Hist::MrTraversalNs, trav_ns);
             // A delete must tombstone the hot cache at *execution*
             // time, not just at CR forward time: while the delete sat
             // in the CR→MR queue the manager's periodic refresh may
@@ -930,8 +928,8 @@ fn send_local(ctx: &mut Ctx<'_>, world: &mut UtpsWorld, resp: Response, started:
     world.dedup.record(resp.client, resp.seq);
     let hit_ns = ctx.now().since(started) / utps_sim::time::NANOS;
     let reg = &mut ctx.machine().registry;
-    reg.counter_inc("cr.response");
-    reg.hist_record("cr.hit_path_ns", hit_ns);
+    reg.inc(Counter::CrResponse);
+    reg.record(Hist::CrHitPathNs, hit_ns);
     send_response(ctx, &mut world.fabric, resp);
 }
 

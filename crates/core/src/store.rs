@@ -11,7 +11,7 @@ use utps_index::{
     Index, IndexGet, IndexInsert, IndexInsertError, IndexKind, IndexRemove, IndexScan, ItemId,
     ItemStore, Step,
 };
-use utps_sim::{Ctx, PayloadRef};
+use utps_sim::{Counter, Ctx, PayloadRef};
 
 use crate::crmr::Desc;
 use crate::msg::OpKind;
@@ -274,7 +274,7 @@ impl KvOp {
             OpKind::Put => match ring.take_value(d.seq) {
                 Some(v) => KvOp::put(store, d.key, ctx.machine().payloads.take(v), bufs),
                 None => {
-                    ctx.machine().registry.counter_inc("server.malformed_req");
+                    ctx.machine().registry.inc(Counter::ServerMalformedReq);
                     KvOp::failed(d.key, bufs)
                 }
             },
@@ -536,10 +536,16 @@ mod tests {
                 // The payload was moved out of the slot, so building the op
                 // again is the malformed put: counted, failed at its first
                 // poll, the store untouched.
-                assert_eq!(ctx.machine().registry.counter("server.malformed_req"), 0);
+                assert_eq!(
+                    ctx.machine().registry.counter(Counter::ServerMalformedReq),
+                    0
+                );
                 let mut again =
                     KvOp::for_desc(ctx, store, &mut ring, d, Vec::new(), BUFS.resp_addr);
-                assert_eq!(ctx.machine().registry.counter("server.malformed_req"), 1);
+                assert_eq!(
+                    ctx.machine().registry.counter(Counter::ServerMalformedReq),
+                    1
+                );
                 assert!(matches!(again.poll(ctx, store), Step::Done(out) if !out.ok));
             });
             assert_eq!(store.get_native(7), Some(&[9u8; 8][..]));

@@ -37,7 +37,7 @@ use utps_index::Step;
 use utps_sim::device::{DeviceConfig, SimDevice};
 use utps_sim::hashutil::FxHashMap;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, MetricsRegistry, Process, StepOutcome};
+use utps_sim::{Counter, Ctx, MetricsRegistry, Process, StepOutcome};
 use utps_wal::{SortedRun, WalOp, WalRecord};
 use utps_workload::Op;
 
@@ -326,23 +326,23 @@ impl TierState {
 
     /// Folds the tier counters into `reg`. Callers fold only when the tier
     /// is enabled, so tier-less documents stay byte-identical to the
-    /// pre-tier goldens (the lint schema still pins the names).
+    /// pre-tier goldens.
     pub fn fold_into(&self, reg: &mut MetricsRegistry) {
-        let folds: [(&'static str, u64); 11] = [
-            ("wal.records", self.stats.wal_records),
-            ("wal.groups", self.stats.wal_groups),
-            ("wal.bytes", self.stats.wal_bytes),
-            ("device.reads", self.device.stats.reads),
-            ("device.writes", self.device.stats.writes),
-            ("tier.cold_hit", self.stats.cold_hits),
-            ("tier.cold_miss", self.stats.cold_misses),
-            ("tier.compactions", self.stats.compactions),
-            ("tier.evicted", self.stats.evicted),
-            ("tier.run_items", self.run_items()),
-            ("tier.tombstones", self.tombstone_count()),
+        let folds = [
+            (Counter::WalRecords, self.stats.wal_records),
+            (Counter::WalGroups, self.stats.wal_groups),
+            (Counter::WalBytes, self.stats.wal_bytes),
+            (Counter::DeviceReads, self.device.stats.reads),
+            (Counter::DeviceWrites, self.device.stats.writes),
+            (Counter::TierColdHit, self.stats.cold_hits),
+            (Counter::TierColdMiss, self.stats.cold_misses),
+            (Counter::TierCompactions, self.stats.compactions),
+            (Counter::TierEvicted, self.stats.evicted),
+            (Counter::TierRunItems, self.run_items()),
+            (Counter::TierTombstones, self.tombstone_count()),
         ];
-        for (name, v) in folds {
-            reg.counter_add(name, v);
+        for (c, v) in folds {
+            reg.add(c, v);
         }
     }
 

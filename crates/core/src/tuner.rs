@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use utps_collections::HotSetTracker;
 use utps_sim::time::SimTime;
-use utps_sim::{Ctx, Process, StepOutcome, Total};
+use utps_sim::{Counter, Ctx, Process, StepOutcome, Total};
 
 use crate::server::{split_ways, UtpsWorld};
 
@@ -449,7 +449,7 @@ impl Tuner {
             TState::Search(_) => unreachable!(),
         }
         if disturbed {
-            ctx.machine().registry.counter_inc("tuner.frozen_windows");
+            ctx.machine().registry.inc(Counter::TunerFrozenWindows);
         }
         if start {
             self.start_search(now, world);

@@ -47,6 +47,7 @@ use std::rc::Rc;
 
 use crate::cache::{CacheHierarchy, StatClass};
 use crate::config::MachineConfig;
+use crate::metrics::Counter;
 use crate::time::SimTime;
 use crate::wheel::TimerWheel;
 
@@ -748,7 +749,7 @@ impl<W> Engine<W> {
             // runs see the same decision indexing.
             if armed {
                 if let Some(stall_ps) = self.machines[mid].schedule.on_pop(pid) {
-                    self.machines[mid].registry.counter_inc("schedule.stall");
+                    self.machines[mid].registry.inc(Counter::ScheduleStall);
                     let end = t + stall_ps;
                     entry.clock = end;
                     self.wheel.push(end, pid);
@@ -762,7 +763,7 @@ impl<W> Engine<W> {
                 if let Some(core) = entry.core {
                     if let Some(end) = self.machines[mid].faults.stall_until(core, t) {
                         self.machines[mid].faults.note_stall_defer();
-                        self.machines[mid].registry.counter_inc("fault.stall_defer");
+                        self.machines[mid].registry.inc(Counter::FaultStallDefer);
                         entry.clock = end;
                         self.wheel.push(end, pid);
                         continue;

@@ -5,15 +5,15 @@
 //! layer, memory-resident layer, other), which is how the paper reports LLC
 //! miss rates per stage in §2.2.1.
 //!
-//! The [`MetricsRegistry`] complements the PCM-style counters with typed,
-//! *named* instruments — counters, high-water-mark gauges, and log-bucketed
-//! latency histograms — that any process can record into through
-//! `ctx.machine().registry`. A registry can be snapshotted at any
+//! The [`MetricsRegistry`] complements the PCM-style counters with per-stage
+//! instruments — counters, high-water-mark gauges, and log-bucketed latency
+//! histograms — that any process can record into through
+//! `ctx.machine().registry`. Each instrument is a variant of [`Counter`],
+//! [`Gauge`] or [`Hist`], which carries its `stats_json` key, so the enums
+//! are the stats schema. A registry can be snapshotted at any
 //! [`SimTime`] into a [`MetricsSnapshot`], which serializes to deterministic
 //! JSON (keys sorted, no host addresses), so two same-seed runs produce
 //! byte-identical snapshots.
-
-use std::collections::BTreeMap;
 
 use utps_collections::LatencyHistogram;
 
@@ -132,17 +132,224 @@ impl Metrics {
     }
 }
 
-/// Typed, named per-stage instruments: counters, high-water-mark gauges and
-/// latency histograms (log2 buckets via [`LatencyHistogram`]).
+/// Declares an instrument-name enum: one variant per `stats_json` key, each
+/// key written once. Variants are declared in name order
+/// (`instrument_names_are_sorted_and_unique` holds them there), so `ALL` is
+/// the snapshot order, `from_name` can binary-search it, and `v as usize`
+/// is `v`'s slot in the registry.
+macro_rules! instruments {
+    ($(#[$doc:meta])* $kind:ident { $($(#[$vdoc:meta])* $variant:ident = $name:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $kind {
+            $($(#[$vdoc])* $variant,)*
+        }
+
+        impl $kind {
+            /// Every variant, in name order (the snapshot order).
+            pub const ALL: &'static [$kind] = &[$($kind::$variant,)*];
+
+            /// The instrument's `stats_json` key.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($kind::$variant => $name,)*
+                }
+            }
+
+            /// The variant whose key is `name`, if any.
+            pub fn from_name(name: &str) -> Option<Self> {
+                Self::ALL
+                    .binary_search_by(|v| v.name().cmp(name))
+                    .ok()
+                    .map(|i| Self::ALL[i])
+            }
+        }
+    };
+}
+
+instruments! {
+    /// A monotone event counter in the [`MetricsRegistry`].
+    Counter {
+        /// A client received a response for a request it had already completed.
+        ClientDupResp = "client.dup_resp",
+        /// A client gave up on a request after its last retry.
+        ClientFailed = "client.failed",
+        /// A client re-sent a request whose response timed out.
+        ClientRetransmit = "client.retransmit",
+        /// Items moved between shards by rebalancing.
+        ClusterMigratedItems = "cluster.migrated_items",
+        /// Hash slots moved between shards by rebalancing.
+        ClusterMigratedSlots = "cluster.migrated_slots",
+        /// Rebalancing migrations carried out.
+        ClusterMigrations = "cluster.migrations",
+        /// Requests a shard bounced because their slot had moved.
+        ClusterMovedBounce = "cluster.moved_bounce",
+        /// Reads served by a hot-key replica.
+        ClusterReplicaRead = "cluster.replica_read",
+        /// Hot-key replica refreshes.
+        ClusterReplicaRefresh = "cluster.replica_refresh",
+        /// Requests routed to the large-value shard class.
+        ClusterRoutedLarge = "cluster.routed_large",
+        /// Requests routed to the small-value shard class.
+        ClusterRoutedSmall = "cluster.routed_small",
+        /// CR requests forwarded to the MR layer.
+        CrForward = "cr.forward",
+        /// CR requests answered from the hot cache.
+        CrHit = "cr.hit",
+        /// CR requests that missed the hot cache.
+        CrMiss = "cr.miss",
+        /// Responses sent by a CR worker.
+        CrResponse = "cr.response",
+        /// Injected CR–MR descriptor corruptions (the consumer re-reads the batch).
+        CrmrCorrupt = "crmr.corrupt",
+        /// Expired CR–MR leases reclaimed.
+        CrmrLeaseReclaim = "crmr.lease_reclaim",
+        /// Descriptors pushed into the CR–MR queue.
+        CrmrPushed = "crmr.pushed",
+        /// Persistence-device reads (tier runs only).
+        DeviceReads = "device.reads",
+        /// Persistence-device writes (tier runs only).
+        DeviceWrites = "device.writes",
+        /// Received packets delayed by fault injection.
+        FaultRxDelay = "fault.rx_delay",
+        /// Received packets dropped by fault injection.
+        FaultRxDrop = "fault.rx_drop",
+        /// Received packets duplicated by fault injection.
+        FaultRxDup = "fault.rx_dup",
+        /// Process steps deferred by an injected core stall.
+        FaultStallDefer = "fault.stall_defer",
+        /// Hot-cache lookups that hit.
+        HotHits = "hot.hits",
+        /// Hot-cache lookups that missed.
+        HotMisses = "hot.misses",
+        /// Requests DMA'd into the receive ring.
+        RingDma = "ring.dma",
+        /// Receive-ring polls that found a request.
+        RingPollHits = "ring.poll_hits",
+        /// Receive-ring polls.
+        RingPolls = "ring.polls",
+        /// Steps stalled by the schedule explorer.
+        ScheduleStall = "schedule.stall",
+        /// Requests served entirely in the CR layer.
+        ServerCrLocal = "server.cr_local",
+        /// Duplicate writes the dedup table kept from executing twice.
+        ServerDupSuppressed = "server.dup_suppressed",
+        /// Requests forwarded to the MR layer.
+        ServerForwarded = "server.forwarded",
+        /// Requests rejected as malformed.
+        ServerMalformedReq = "server.malformed_req",
+        /// Responses sent by the server.
+        ServerResponses = "server.responses",
+        /// Cold-tier reads that found the key.
+        TierColdHit = "tier.cold_hit",
+        /// Cold-tier reads that did not find the key.
+        TierColdMiss = "tier.cold_miss",
+        /// Cold-tier compactions.
+        TierCompactions = "tier.compactions",
+        /// Items evicted from memory to the cold tier.
+        TierEvicted = "tier.evicted",
+        /// Items in the cold tier's run.
+        TierRunItems = "tier.run_items",
+        /// Tombstones in the cold tier's run.
+        TierTombstones = "tier.tombstones",
+        /// Tuner windows frozen because injected faults disturbed them.
+        TunerFrozenWindows = "tuner.frozen_windows",
+        /// Bytes appended to the write-ahead log.
+        WalBytes = "wal.bytes",
+        /// Write-ahead-log group commits.
+        WalGroups = "wal.groups",
+        /// Records appended to the write-ahead log.
+        WalRecords = "wal.records",
+    }
+}
+
+instruments! {
+    /// A last-value or high-water-mark gauge in the [`MetricsRegistry`].
+    Gauge {
+        /// Hot-cache capacity at the end of the run.
+        CfgCacheItems = "cfg.cache_items",
+        /// LLC ways reserved for the MR layer at the end of the run.
+        CfgMrWays = "cfg.mr_ways",
+        /// CR workers at the end of the run.
+        CfgNCr = "cfg.n_cr",
+        /// Shards in a cluster run.
+        ClusterShards = "cluster.shards",
+        /// High-water mark of one CR–MR lane's occupancy.
+        CrmrLaneHwm = "crmr.lane_hwm",
+        /// High-water mark of the shared CR–MR queue's occupancy.
+        CrmrSharedHwm = "crmr.shared_hwm",
+        /// p99 latency of large-value requests in a cluster run (ns).
+        LatencyP99Large = "latency.p99.large",
+        /// p99 latency of small-value requests in a cluster run (ns).
+        LatencyP99Small = "latency.p99.small",
+        /// p99.9 latency of large-value requests in a cluster run (ns).
+        LatencyP999Large = "latency.p999.large",
+        /// p99.9 latency of small-value requests in a cluster run (ns).
+        LatencyP999Small = "latency.p999.small",
+    }
+}
+
+instruments! {
+    /// A latency or size histogram in the [`MetricsRegistry`].
+    Hist {
+        /// Time from a CR worker taking a request to its local response (ns).
+        CrHitPathNs = "cr.hit_path_ns",
+        /// Descriptors an MR worker took from the CR–MR queue per batch.
+        MrBatchSize = "mr.batch_size",
+        /// Index operations an MR worker had in flight at once.
+        MrInterleaveDepth = "mr.interleave_depth",
+        /// Time an MR worker spent on one index operation (ns).
+        MrTraversalNs = "mr.traversal_ns",
+    }
+}
+
+/// Typed per-stage instruments: counters, gauges and latency histograms
+/// (log2 buckets via [`LatencyHistogram`]), one slot per [`Counter`],
+/// [`Gauge`] and [`Hist`] variant.
 ///
-/// Names are `&'static str` by convention (`"cr.hit"`, `"mr.batch_size"`,
-/// …); storage is a `BTreeMap` so iteration — and therefore every snapshot
-/// and its JSON rendering — is deterministic.
-#[derive(Default)]
+/// The kind is part of the name's type, so a histogram cannot be counted:
+///
+/// ```compile_fail,E0308
+/// use utps_sim::metrics::{Hist, MetricsRegistry};
+/// let mut reg = MetricsRegistry::new();
+/// reg.inc(Hist::MrBatchSize);
+/// ```
+///
+/// and a misspelled name does not exist:
+///
+/// ```compile_fail,E0599
+/// use utps_sim::metrics::{Counter, MetricsRegistry};
+/// let mut reg = MetricsRegistry::new();
+/// reg.inc(Counter::CrHti);
+/// ```
+///
+/// The well-typed forms compile:
+///
+/// ```
+/// use utps_sim::metrics::{Counter, Hist, MetricsRegistry};
+/// let mut reg = MetricsRegistry::new();
+/// reg.inc(Counter::CrHit);
+/// reg.record(Hist::MrBatchSize, 8);
+/// assert_eq!(reg.counter(Counter::CrHit), 1);
+/// ```
+///
+/// An instrument appears in a snapshot iff it was touched since the last
+/// [`reset`](Self::reset); snapshots list instruments in name order, so
+/// two same-seed runs produce byte-identical JSON.
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, LatencyHistogram>,
+    counters: [Option<u64>; Counter::ALL.len()],
+    gauges: [Option<u64>; Gauge::ALL.len()],
+    hists: [Option<LatencyHistogram>; Hist::ALL.len()],
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            counters: [None; Counter::ALL.len()],
+            gauges: [None; Gauge::ALL.len()],
+            hists: [const { None }; Hist::ALL.len()],
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -151,89 +358,103 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `n` to counter `name` (creating it at zero).
+    /// Adds `n` to counter `c` (creating it at zero).
     #[inline]
-    pub fn counter_add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+    pub fn add(&mut self, c: Counter, n: u64) {
+        *self.counters[c as usize].get_or_insert(0) += n;
     }
 
-    /// Increments counter `name` by one.
+    /// Increments counter `c` by one.
     #[inline]
-    pub fn counter_inc(&mut self, name: &'static str) {
-        self.counter_add(name, 1);
+    pub fn inc(&mut self, c: Counter) {
+        self.add(c, 1);
     }
 
-    /// Current value of counter `name` (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    /// Current value of counter `c` (0 if never touched).
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.counters[c as usize].unwrap_or(0)
     }
 
-    /// Sets gauge `name` to `v`.
+    /// Sets gauge `g` to `v`.
     #[inline]
-    pub fn gauge_set(&mut self, name: &'static str, v: u64) {
-        self.gauges.insert(name, v);
+    pub fn set(&mut self, g: Gauge, v: u64) {
+        self.gauges[g as usize] = Some(v);
     }
 
-    /// Raises gauge `name` to `v` if `v` exceeds its current value — the
+    /// Raises gauge `g` to `v` if `v` exceeds its current value — the
     /// high-water-mark update used for queue occupancies.
     #[inline]
-    pub fn gauge_max(&mut self, name: &'static str, v: u64) {
-        let g = self.gauges.entry(name).or_insert(0);
-        if v > *g {
-            *g = v;
-        }
+    pub fn raise(&mut self, g: Gauge, v: u64) {
+        let cur = self.gauges[g as usize].get_or_insert(0);
+        *cur = (*cur).max(v);
     }
 
-    /// Current value of gauge `name` (0 if never set).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.get(name).copied().unwrap_or(0)
+    /// Current value of gauge `g` (0 if never set).
+    pub fn gauge(&self, g: Gauge) -> u64 {
+        self.gauges[g as usize].unwrap_or(0)
     }
 
-    /// Records `v` into histogram `name` (creating it when first used).
+    /// Records `v` into histogram `h` (creating it when first used).
     #[inline]
-    pub fn hist_record(&mut self, name: &'static str, v: u64) {
-        self.hists.entry(name).or_default().record(v);
+    pub fn record(&mut self, h: Hist, v: u64) {
+        self.hists[h as usize]
+            .get_or_insert_with(LatencyHistogram::new)
+            .record(v);
     }
 
-    /// The histogram registered under `name`, if any.
-    pub fn hist(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.hists.get(name)
+    /// Histogram `h`, if anything was recorded into it.
+    pub fn hist(&self, h: Hist) -> Option<&LatencyHistogram> {
+        self.hists[h as usize].as_ref()
+    }
+
+    /// String-keyed [`inc`](Self::inc), kept for callers outside the
+    /// workspace; panics on a name that is not a [`Counter`].
+    #[doc(hidden)]
+    pub fn counter_inc(&mut self, name: &'static str) {
+        let c = Counter::from_name(name).unwrap_or_else(|| panic!("no counter named {name:?}"));
+        self.inc(c);
+    }
+
+    /// String-keyed [`record`](Self::record), kept for callers outside the
+    /// workspace; panics on a name that is not a [`Hist`].
+    #[doc(hidden)]
+    pub fn hist_record(&mut self, name: &'static str, v: u64) {
+        let h = Hist::from_name(name).unwrap_or_else(|| panic!("no histogram named {name:?}"));
+        self.record(h, v);
     }
 
     /// Clears every instrument (the warmup boundary reset).
     pub fn reset(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.hists.clear();
+        *self = MetricsRegistry::default();
     }
 
-    /// Snapshots every instrument at simulated time `at`.
+    /// Snapshots every touched instrument at simulated time `at`.
     pub fn snapshot(&self, at: SimTime) -> MetricsSnapshot {
         MetricsSnapshot {
             at_ps: at.0,
-            counters: self
-                .counters
+            counters: Counter::ALL
                 .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
+                .filter_map(|&c| Some((c.name().to_string(), self.counters[c as usize]?)))
                 .collect(),
-            gauges: self
-                .gauges
+            gauges: Gauge::ALL
                 .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
+                .filter_map(|&g| Some((g.name().to_string(), self.gauges[g as usize]?)))
                 .collect(),
-            hists: self
-                .hists
+            hists: Hist::ALL
                 .iter()
-                .map(|(&k, h)| HistSnapshot {
-                    name: k.to_string(),
-                    count: h.count(),
-                    min: h.min(),
-                    max: h.max(),
-                    mean: h.mean(),
-                    p50: h.percentile(50.0),
-                    p90: h.percentile(90.0),
-                    p99: h.percentile(99.0),
-                    p999: h.percentile(99.9),
+                .filter_map(|&k| {
+                    let h = self.hist(k)?;
+                    Some(HistSnapshot {
+                        name: k.name().to_string(),
+                        count: h.count(),
+                        min: h.min(),
+                        max: h.max(),
+                        mean: h.mean(),
+                        p50: h.percentile(50.0),
+                        p90: h.percentile(90.0),
+                        p99: h.percentile(99.0),
+                        p999: h.percentile(99.9),
+                    })
                 })
                 .collect(),
         }
@@ -465,38 +686,40 @@ mod tests {
     #[test]
     fn registry_instruments() {
         let mut r = MetricsRegistry::new();
-        r.counter_inc("cr.hit");
-        r.counter_add("cr.hit", 4);
-        r.counter_inc("cr.miss");
-        assert_eq!(r.counter("cr.hit"), 5);
-        assert_eq!(r.counter("never"), 0);
-        r.gauge_max("lane.hwm", 3);
-        r.gauge_max("lane.hwm", 1);
-        assert_eq!(r.gauge("lane.hwm"), 3);
-        r.gauge_set("lane.hwm", 2);
-        assert_eq!(r.gauge("lane.hwm"), 2);
+        r.inc(Counter::CrHit);
+        r.add(Counter::CrHit, 4);
+        r.inc(Counter::CrMiss);
+        assert_eq!(r.counter(Counter::CrHit), 5);
+        assert_eq!(r.counter(Counter::CrForward), 0);
+        r.raise(Gauge::CrmrLaneHwm, 3);
+        r.raise(Gauge::CrmrLaneHwm, 1);
+        assert_eq!(r.gauge(Gauge::CrmrLaneHwm), 3);
+        r.set(Gauge::CrmrLaneHwm, 2);
+        assert_eq!(r.gauge(Gauge::CrmrLaneHwm), 2);
         for v in [100, 200, 300] {
-            r.hist_record("lat", v);
+            r.record(Hist::MrTraversalNs, v);
         }
-        assert_eq!(r.hist("lat").unwrap().count(), 3);
+        assert_eq!(r.hist(Hist::MrTraversalNs).unwrap().count(), 3);
         r.reset();
-        assert_eq!(r.counter("cr.hit"), 0);
-        assert!(r.hist("lat").is_none());
+        assert_eq!(r.counter(Counter::CrHit), 0);
+        assert!(r.hist(Hist::MrTraversalNs).is_none());
     }
 
     #[test]
     fn snapshot_is_sorted_and_queryable() {
         let mut r = MetricsRegistry::new();
-        r.counter_inc("zeta");
-        r.counter_inc("alpha");
-        r.hist_record("h", 42);
+        r.inc(Counter::WalRecords);
+        r.inc(Counter::ClientFailed);
+        r.add(Counter::CrMiss, 0);
+        r.record(Hist::MrBatchSize, 42);
         let s = r.snapshot(SimTime(7));
         assert_eq!(s.at_ps, 7);
-        assert_eq!(s.counters[0].0, "alpha");
-        assert_eq!(s.counters[1].0, "zeta");
-        assert_eq!(s.counter("alpha"), Some(1));
-        assert_eq!(s.counter("missing"), None);
-        let h = s.hist("h").unwrap();
+        let names: Vec<&str> = s.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["client.failed", "cr.miss", "wal.records"]);
+        assert_eq!(s.counter("client.failed"), Some(1));
+        assert_eq!(s.counter("cr.miss"), Some(0), "touched at zero is emitted");
+        assert_eq!(s.counter("cr.hit"), None, "untouched is not");
+        let h = s.hist("mr.batch_size").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.min, 42);
     }
@@ -504,15 +727,15 @@ mod tests {
     #[test]
     fn json_is_deterministic_and_wellformed() {
         let mut r = MetricsRegistry::new();
-        r.counter_add("b.count", 2);
-        r.counter_add("a.count", 1);
-        r.gauge_set("g", 9);
-        r.hist_record("lat_ns", 1000);
+        r.add(Counter::HotMisses, 2);
+        r.add(Counter::HotHits, 1);
+        r.set(Gauge::CfgNCr, 9);
+        r.record(Hist::MrTraversalNs, 1000);
         let s1 = r.snapshot(SimTime(123)).to_json();
         let s2 = r.snapshot(SimTime(123)).to_json();
         assert_eq!(s1, s2, "snapshot JSON must be reproducible");
-        // "a.count" is serialized before "b.count".
-        assert!(s1.find("a.count").unwrap() < s1.find("b.count").unwrap());
+        // "hot.hits" is serialized before "hot.misses".
+        assert!(s1.find("hot.hits").unwrap() < s1.find("hot.misses").unwrap());
         assert!(s1.contains("\"at_ps\": 123"));
         assert!(s1.contains("\"p99\": 1000"));
         // Balanced braces (cheap well-formedness check).
@@ -521,6 +744,36 @@ mod tests {
             s1.matches('}').count(),
             "unbalanced JSON:\n{s1}"
         );
+    }
+
+    fn assert_sorted_round_trip<T: Copy + PartialEq + core::fmt::Debug>(
+        all: &[T],
+        name: fn(T) -> &'static str,
+        from_name: fn(&str) -> Option<T>,
+    ) {
+        for pair in all.windows(2) {
+            assert!(name(pair[0]) < name(pair[1]), "{pair:?} out of order");
+        }
+        for &v in all {
+            assert_eq!(from_name(name(v)), Some(v));
+        }
+        assert_eq!(from_name("cr.hti"), None);
+    }
+
+    #[test]
+    fn instrument_names_are_sorted_and_unique() {
+        assert_sorted_round_trip(Counter::ALL, Counter::name, Counter::from_name);
+        assert_sorted_round_trip(Gauge::ALL, Gauge::name, Gauge::from_name);
+        assert_sorted_round_trip(Hist::ALL, Hist::name, Hist::from_name);
+    }
+
+    #[test]
+    #[should_panic(expected = "no counter named \"cr.hti\"")]
+    fn string_shim_rejects_an_unknown_name() {
+        let mut r = MetricsRegistry::new();
+        r.counter_inc("cr.hit");
+        assert_eq!(r.counter(Counter::CrHit), 1);
+        r.counter_inc("cr.hti");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! One planted call per banned family of the workspace `clippy.toml`.
-//! `crates/lint/tests/clippy.rs` asserts the exact lines clippy flags.
+//! `tests/clippy_bans.rs` asserts the exact lines clippy flags.
 
 pub trait Process {
     fn step(&mut self) -> u32;
@@ -44,6 +44,10 @@ pub static MEMO: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
 
 pub fn report(n: u64) {
     println!("{n}");
+}
+
+pub fn count_hit(reg: &mut utps_sim::MetricsRegistry) {
+    reg.counter_inc("cr.hit");
 }
 
 #[allow(
