@@ -20,9 +20,7 @@
 //! ascending `(time, pid)`, pid breaking ties. Every step is one pop: the
 //! schedule-exploration and fault-stall gates run (and count decisions)
 //! once, the process steps, and its advanced clock is re-keyed. Pops are
-//! drained a tie-cohort at a time, and a lockstep fleet's next cohort is
-//! buffered beside the wheel rather than pushed through it. See DESIGN.md
-//! §10.
+//! drained a tie-cohort at a time. See DESIGN.md §10.
 //!
 //! # Parking
 //!
@@ -477,11 +475,6 @@ pub struct Engine<W> {
     /// Recycled buffer for [`TimerWheel::pop_ties`] tie-cohorts; holding it
     /// on the engine keeps its capacity across `run_until` calls.
     cohort: Vec<ProcId>,
-    /// Keys deferred past the live cohort at one shared time (the lockstep
-    /// buffer); becomes the next cohort by swap when its time is next.
-    pending: Vec<ProcId>,
-    /// Scratch for merging wheel ties with `pending` at the same time.
-    tie_buf: Vec<ProcId>,
 }
 
 impl<W> Engine<W> {
@@ -501,8 +494,6 @@ impl<W> Engine<W> {
             wakes: WakeList::default(),
             wake_buf: Vec::new(),
             cohort: Vec::new(),
-            pending: Vec::new(),
-            tie_buf: Vec::new(),
         }
     }
 
@@ -644,8 +635,6 @@ impl<W> Engine<W> {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let start_steps = self.steps;
         let mut cohort = std::mem::take(&mut self.cohort);
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut tie_buf = std::mem::take(&mut self.tie_buf);
         // Wakes fired and tokens moved between runs (by whoever holds the
         // world).
         if self.parked > 0 {
@@ -659,23 +648,11 @@ impl<W> Engine<W> {
         // by the poll quantum); only a wake can, for a sleeper whose grid
         // point it is and whose pid orders it after the waking step, and
         // `wake` inserts it into the cohort's unprocessed tail in pid order.
-        //
-        // Cohorts come from two places. The wheel yields one per slot scan
-        // (`pop_ties`). The lockstep buffer never touches the wheel: members
-        // whose step ends at one shared future time — a polling fleet
-        // advancing in lockstep — are appended to `pending`, which becomes
-        // the next cohort by buffer swap when its time is next globally.
-        // Keys that break the pattern (different time, out-of-order pid,
-        // stall deferrals) fall back to the wheel, and a cohort whose time
-        // is held by both sides merges the two ascending pid runs. Either
-        // way every cohort is the complete sorted set of minimum-time keys,
-        // so the step and decision sequence stays byte-identical to the
-        // heap scheduler's.
+        // Every cohort is one `pop_ties` slot scan: the complete sorted set
+        // of minimum-time keys, so the step and decision sequence stays
+        // byte-identical to the heap scheduler's.
         let mut cohort_pos = 0usize;
         let mut cohort_t = SimTime::ZERO;
-        // Time shared by every key in `pending`; meaningful only while
-        // `pending` is nonempty.
-        let mut pending_t = SimTime::ZERO;
         // Per-machine gate flags, hoisted out of the hot loop: plans are
         // installed by runners between `run_until` calls, never mid-run.
         let gates: Vec<(bool, bool, u64)> = self
@@ -691,45 +668,11 @@ impl<W> Engine<W> {
             .collect();
         loop {
             if cohort_pos >= cohort.len() {
-                cohort.clear();
                 cohort_pos = 0;
-                let wheel_next = self.wheel.peek();
-                let next_t = match (wheel_next, pending.is_empty()) {
-                    (Some((wt, _)), false) => wt.min(pending_t),
-                    (Some((wt, _)), true) => wt,
-                    (None, false) => pending_t,
-                    (None, true) => break,
-                };
-                if next_t >= deadline {
+                if self.wheel.peek().is_none_or(|(t, _)| t >= deadline) {
                     break;
                 }
-                cohort_t = next_t;
-                if !pending.is_empty() && pending_t == next_t {
-                    if wheel_next.is_some_and(|(wt, _)| wt == next_t) {
-                        // Both sides hold keys at `next_t`: merge the two
-                        // ascending pid runs.
-                        self.wheel.pop_ties(&mut tie_buf);
-                        let (mut i, mut j) = (0, 0);
-                        while i < pending.len() && j < tie_buf.len() {
-                            if pending[i] < tie_buf[j] {
-                                cohort.push(pending[i]);
-                                i += 1;
-                            } else {
-                                cohort.push(tie_buf[j]);
-                                j += 1;
-                            }
-                        }
-                        cohort.extend_from_slice(&pending[i..]);
-                        cohort.extend_from_slice(&tie_buf[j..]);
-                        pending.clear();
-                    } else {
-                        // The whole minimum cohort is the pending buffer.
-                        std::mem::swap(&mut cohort, &mut pending);
-                        pending.clear();
-                    }
-                } else {
-                    self.wheel.pop_ties(&mut cohort);
-                }
+                cohort_t = self.wheel.pop_ties(&mut cohort).expect("peeked");
             }
             let pid = cohort[cohort_pos];
             cohort_pos += 1;
@@ -804,40 +747,13 @@ impl<W> Engine<W> {
             if self.parked > 0 {
                 self.drain_wakes(t, Some(pid), &mut cohort, cohort_pos);
             }
-            if halted || parked {
-                continue;
-            }
-            // Re-schedule: join the pending cohort when the key extends
-            // its ascending pid run at the shared time, else the wheel.
-            if pending.is_empty() {
-                pending_t = new_clock;
-                pending.push(pid);
-            } else if new_clock == pending_t && *pending.last().expect("nonempty") < pid {
-                pending.push(pid);
-            } else if new_clock < pending_t {
-                // A strictly earlier key: the current pending run is no
-                // longer the next-time candidate, park it in the wheel.
-                for &p in &pending {
-                    self.wheel.push(pending_t, p);
-                }
-                pending.clear();
-                pending_t = new_clock;
-                pending.push(pid);
-            } else {
+            if !(halted || parked) {
                 self.wheel.push(new_clock, pid);
             }
         }
-        // Park deferred keys in the wheel so the engine's schedule state is
-        // self-contained between calls; all buffers go back empty (the
-        // cohort is always fully consumed before the loop exits).
-        for &p in &pending {
-            self.wheel.push(pending_t, p);
-        }
-        pending.clear();
+        // The cohort is always fully consumed before the loop exits.
         cohort.clear();
         self.cohort = cohort;
-        self.pending = pending;
-        self.tie_buf = tie_buf;
         // Pollers still asleep have skipped every grid point before the
         // deadline: report them now, so between-run readers (the warm-up
         // reset, stats extraction) see the stepping run's counters.

@@ -1,64 +1,54 @@
 //! Hierarchical timer wheel: the engine's ready queue.
 //!
-//! Replaces the original `BinaryHeap<Reverse<(SimTime, ProcId)>>` scheduler
-//! with a hashed hierarchical wheel whose pop order is **bit-identical** to
-//! the heap's: keys come out in ascending lexicographic `(SimTime, ProcId)`
-//! order (ties broken by the smaller pid), which is exactly what
-//! `BinaryHeap<Reverse<…>>` produced. `tests/proptest_wheel.rs` pins this
-//! equivalence against a reference heap over random interleavings.
+//! A hashed hierarchical wheel whose pop order is **bit-identical** to a
+//! binary min-heap's: keys come out in ascending lexicographic
+//! `(SimTime, ProcId)` order (ties broken by the smaller pid).
+//! `tests/proptest_wheel.rs` pins this equivalence against a reference heap
+//! over random interleavings.
 //!
 //! # Geometry
 //!
-//! Six levels of 64 slots. Level 0 slots are `2^SHIFT0` ps = 4096 ps ≈ 4 ns
+//! Nine levels of 64 slots. Level 0 slots are `2^SHIFT0` ps = 4096 ps ≈ 4 ns
 //! wide (a quarter of the 16 ns poll quantum, so back-to-back polls land in
-//! distinct slots); each higher level is 64× coarser. The wheel therefore
-//! spans `2^(12+36)` ps ≈ 281 simulated seconds past the current anchor —
-//! far beyond any run length — and events beyond that horizon go to a
-//! `BinaryHeap` overflow level that is drained back into the wheel when the
-//! anchor crosses into their 2^48 ps frame.
+//! distinct slots); each higher level is 64× coarser. The levels' bit-fields
+//! cover `12 + 9·6 = 66` ≥ 64 bits, so every `u64` time has a slot.
 //!
 //! # Placement and the anchor invariant
 //!
 //! An event at time `t` is placed by the highest bit in which `t` differs
 //! from the anchor `cur` (the "hashed wheel" scheme): bit `< SHIFT0+6` →
-//! level 0, bits `[SHIFT0+6l, SHIFT0+6(l+1))` → level `l`, bit ≥ 48 →
-//! overflow. The slot index is `t`'s own bit-field for that level, so a
-//! slot's events share all bits of `t` at and above the level's field.
+//! level 0, bits `[SHIFT0+6l, SHIFT0+6(l+1))` → level `l`. The slot index
+//! is `t`'s own bit-field for that level, so a slot's events share all bits
+//! of `t` at and above the level's field.
 //!
 //! Invariants (maintained by every operation, relied on for correctness):
 //!
-//! 1. `cur` ≤ every stored key's time. `cur` only advances to popped times
-//!    or to slot bases of cascaded slots, both ≤ the wheel minimum.
+//! 1. `cur` ≤ every stored key's time. `cur` advances only to popped times
+//!    or to slot bases of cascaded slots, both ≤ the wheel minimum, and a
+//!    push below it rewinds it (invariant 4).
 //! 2. While an event sits at level `l`, `cur`'s bits at and above that
-//!    level's field never change (pops rewrite only level-0 bits, a cascade
-//!    of level `l'` only bits below `l'+1`'s field, and the overflow jump
-//!    only runs on an empty wheel). Hence an event's placement, recomputed
-//!    against the *current* `cur`, always names the slot it actually sits
-//!    in — which is what makes [`TimerWheel::remove`] a direct lookup.
+//!    level's field never change (pops rewrite only level-0 bits, and a
+//!    cascade of level `l'` only bits below `l'+1`'s field), except in a
+//!    rewind, which re-places every event. Hence an event's placement,
+//!    recomputed against the *current* `cur`, always names the slot it
+//!    actually sits in — which is what makes [`TimerWheel::remove`] a direct
+//!    lookup.
 //! 3. Every level-0 event precedes every event at level ≥ 1 (they agree
-//!    with `cur` above the level-0 field; higher-level events differ there),
-//!    and every in-wheel event precedes every overflow event. So the global
-//!    minimum is found by cascading until level 0 is occupied and scanning
-//!    level 0's lowest occupied slot.
-//! 4. A key pushed *below* the anchor goes to a small `front` heap instead
-//!    of a slot. Inside a run the engine does this only while it drains a
-//!    cohort taken from its `pending` lockstep buffer rather than from the
-//!    wheel: the peek that chose the cohort may have cascaded the anchor up
-//!    to a later wheel key's slot base, and keys the cohort's steps push
-//!    (or the buffer flushes) can land below it. Between runs, a spawn or a
-//!    wake at the engine's `now()` can land below an anchor the run's last
-//!    peek cascaded. Since the anchor never moves backward and never
-//!    exceeds the wheel minimum, every front key strictly precedes every
-//!    wheel and overflow key, so peek/pop consult the front first and exact
-//!    `(time, pid)` order is preserved.
+//!    with `cur` above the level-0 field; higher-level events differ there).
+//!    So the global minimum is found by cascading until level 0 is occupied
+//!    and scanning level 0's lowest occupied slot.
+//! 4. A key pushed *below* the anchor rewinds the wheel: the anchor drops to
+//!    the key's time and every stored key is re-placed against it. Inside a
+//!    run the engine never does this — every key it pushes is later than the
+//!    cohort it is draining, whose pop set the anchor. Between runs, a spawn
+//!    or a wake at the engine's `now()` can land below an anchor the run's
+//!    last peek cascaded, so a rewind costs one pass over the stored keys
+//!    at most once per run boundary.
 //!
 //! A cascade takes the lowest occupied slot of the lowest occupied level,
 //! advances `cur` to the slot's base time, and re-places the slot's events;
 //! each lands strictly below its old level (it now agrees with `cur` on the
 //! old field), so cascading terminates. `cascades` counts re-placed events.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::engine::ProcId;
 use crate::time::SimTime;
@@ -69,19 +59,9 @@ const SHIFT0: u32 = 12;
 const SLOT_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels; times differing from the anchor at bit
-/// `SHIFT0 + LEVELS*SLOT_BITS` (= 48) or above overflow to the heap.
-const LEVELS: usize = 6;
-/// First bit above the wheel's span.
-const HORIZON_BIT: u32 = SHIFT0 + (LEVELS as u32) * SLOT_BITS;
-
-/// Where a key lives.
-enum Place {
-    /// Wheel level and slot index.
-    Slot(usize, usize),
-    /// Beyond the wheel horizon.
-    Overflow,
-}
+/// Wheel levels: `SHIFT0 + LEVELS*SLOT_BITS` (= 66) covers every bit of a
+/// `u64` time.
+const LEVELS: usize = 9;
 
 /// The engine's ready queue: at most one key per live process.
 pub struct TimerWheel {
@@ -89,11 +69,7 @@ pub struct TimerWheel {
     slots: Vec<Vec<(SimTime, ProcId)>>,
     /// Per-level occupancy bitmap; bit `s` set ⇔ `slots[l*SLOTS+s]` nonempty.
     occupied: [u64; LEVELS],
-    /// Far-future events (≥ 2^48 ps past the anchor's frame).
-    overflow: BinaryHeap<Reverse<(SimTime, ProcId)>>,
-    /// Events below the anchor (invariant 4); precede everything above.
-    front: BinaryHeap<Reverse<(SimTime, ProcId)>>,
-    /// The anchor: never exceeds the minimum wheel-stored time (invariant 1).
+    /// The anchor: never exceeds the minimum stored time (invariant 1).
     cur: u64,
     /// Largest time popped so far (push-contract check).
     popped_hi: u64,
@@ -103,7 +79,7 @@ pub struct TimerWheel {
     cached_min: Option<(SimTime, ProcId)>,
     /// Events re-placed by cascades so far.
     cascades: u64,
-    /// Recycled buffer for cascades: swapped with the slot being
+    /// Recycled buffer for cascades and rewinds: swapped with the slot being
     /// redistributed so neither side ever reallocates in steady state.
     scratch: Vec<(SimTime, ProcId)>,
 }
@@ -114,8 +90,6 @@ impl TimerWheel {
         TimerWheel {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
-            overflow: BinaryHeap::new(),
-            front: BinaryHeap::new(),
             cur: 0,
             popped_hi: 0,
             len: 0,
@@ -140,25 +114,18 @@ impl TimerWheel {
         self.cascades
     }
 
-    fn place(&self, t: u64) -> Place {
-        let diff = t ^ self.cur;
-        if diff >> HORIZON_BIT != 0 {
-            return Place::Overflow;
-        }
-        let msb = 63u32.saturating_sub(diff.leading_zeros());
+    /// `t`'s index into `slots`, against the current anchor.
+    fn place(&self, t: u64) -> (usize, usize) {
+        let msb = 63u32.saturating_sub((t ^ self.cur).leading_zeros());
         let level = (msb.saturating_sub(SHIFT0) / SLOT_BITS) as usize;
         let slot = (t >> (SHIFT0 + level as u32 * SLOT_BITS)) as usize & (SLOTS - 1);
-        Place::Slot(level, slot)
+        (level, slot)
     }
 
     fn insert_placed(&mut self, t: SimTime, pid: ProcId) {
-        match self.place(t.0) {
-            Place::Slot(level, slot) => {
-                self.slots[level * SLOTS + slot].push((t, pid));
-                self.occupied[level] |= 1 << slot;
-            }
-            Place::Overflow => self.overflow.push(Reverse((t, pid))),
-        }
+        let (level, slot) = self.place(t.0);
+        self.slots[level * SLOTS + slot].push((t, pid));
+        self.occupied[level] |= 1 << slot;
     }
 
     /// Inserts `(t, pid)`. `t` must be ≥ every time already popped.
@@ -169,12 +136,7 @@ impl TimerWheel {
             self.popped_hi
         );
         if t.0 < self.cur {
-            // Below the anchor (a peek cascaded `cur` past `t`): the key
-            // precedes every wheel key, so it waits in the front heap
-            // (invariant 4).
-            self.front.push(Reverse((t, pid)));
-            self.len += 1;
-            return;
+            self.rewind(t.0);
         }
         self.insert_placed(t, pid);
         self.len += 1;
@@ -188,55 +150,53 @@ impl TimerWheel {
         }
     }
 
-    /// Cascades until level 0 is occupied; the caller guarantees some level
-    /// or the overflow heap is nonempty.
+    /// Lowers the anchor to `t` and re-places every stored key against it
+    /// (invariant 4). The cached minimum stays valid: the key being pushed
+    /// at `t` beats it, lands at level 0 and replaces it.
+    #[inline(never)]
+    fn rewind(&mut self, t: u64) {
+        let mut keys = std::mem::take(&mut self.scratch);
+        for slot in &mut self.slots {
+            keys.append(slot);
+        }
+        self.occupied = [0; LEVELS];
+        self.cur = t;
+        for &(t, pid) in &keys {
+            self.insert_placed(t, pid);
+        }
+        keys.clear();
+        self.scratch = keys;
+    }
+
+    /// Cascades until level 0 is occupied; the caller guarantees the wheel
+    /// is nonempty.
     fn surface_min(&mut self) {
-        loop {
-            if self.occupied[0] != 0 {
-                return;
+        while self.occupied[0] == 0 {
+            // Redistribute the earliest occupied slot of the lowest occupied
+            // level; everything in it lands below `level`. The slot's buffer
+            // is swapped with `scratch` (not freed), so steady-state
+            // cascading never allocates.
+            let level = self
+                .occupied
+                .iter()
+                .position(|&b| b != 0)
+                .expect("surface on empty wheel");
+            let slot = self.occupied[level].trailing_zeros() as usize;
+            let mut events = std::mem::replace(
+                &mut self.slots[level * SLOTS + slot],
+                std::mem::take(&mut self.scratch),
+            );
+            self.occupied[level] &= !(1 << slot);
+            let field_shift = SHIFT0 + level as u32 * SLOT_BITS;
+            let base = events[0].0 .0 >> field_shift << field_shift;
+            debug_assert!(base >= self.cur);
+            self.cur = base;
+            self.cascades += events.len() as u64;
+            for &(t, pid) in &events {
+                self.insert_placed(t, pid);
             }
-            match self.occupied.iter().position(|&b| b != 0) {
-                Some(level) => {
-                    // Redistribute the earliest occupied slot of the lowest
-                    // occupied level; everything in it lands below `level`.
-                    // The slot's buffer is swapped with `scratch` (not
-                    // freed), so steady-state cascading never allocates.
-                    let slot = self.occupied[level].trailing_zeros() as usize;
-                    let mut events = std::mem::replace(
-                        &mut self.slots[level * SLOTS + slot],
-                        std::mem::take(&mut self.scratch),
-                    );
-                    self.occupied[level] &= !(1 << slot);
-                    let field_shift = SHIFT0 + level as u32 * SLOT_BITS;
-                    let base = events[0].0 .0 >> field_shift << field_shift;
-                    debug_assert!(base >= self.cur);
-                    self.cur = base;
-                    self.cascades += events.len() as u64;
-                    for &(t, pid) in &events {
-                        self.insert_placed(t, pid);
-                    }
-                    events.clear();
-                    self.scratch = events;
-                }
-                None => {
-                    // Wheel empty: jump the anchor into the overflow
-                    // minimum's 2^48 ps frame and pull that frame in. The
-                    // heap pops in ascending time, and frame membership is
-                    // monotone in time, so draining stops at the first key
-                    // beyond the frame.
-                    let &Reverse((tmin, _)) = self.overflow.peek().expect("surface on empty wheel");
-                    let base = tmin.0 >> HORIZON_BIT << HORIZON_BIT;
-                    self.cur = self.cur.max(base);
-                    while let Some(&Reverse((t, _))) = self.overflow.peek() {
-                        if t.0 >> HORIZON_BIT != self.cur >> HORIZON_BIT {
-                            break;
-                        }
-                        let Reverse((t, pid)) = self.overflow.pop().expect("peeked");
-                        self.cascades += 1;
-                        self.insert_placed(t, pid);
-                    }
-                }
-            }
+            events.clear();
+            self.scratch = events;
         }
     }
 
@@ -244,9 +204,6 @@ impl TimerWheel {
     /// result is cached until the minimum changes, so a peek-then-pop pair
     /// scans the slot once.
     pub fn peek(&mut self) -> Option<(SimTime, ProcId)> {
-        if let Some(&Reverse(k)) = self.front.peek() {
-            return Some(k);
-        }
         if let Some(min) = self.cached_min {
             return Some(min);
         }
@@ -263,15 +220,8 @@ impl TimerWheel {
         Some(min)
     }
 
-    /// Removes and returns the minimum key; for wheel-resident keys the
-    /// anchor advances to its time (front keys leave the anchor alone —
-    /// it is already ahead of them).
+    /// Removes and returns the minimum key; the anchor advances to its time.
     pub fn pop(&mut self) -> Option<(SimTime, ProcId)> {
-        if let Some(Reverse(k)) = self.front.pop() {
-            self.len -= 1;
-            self.popped_hi = k.0 .0;
-            return Some(k);
-        }
         let min = self.peek()?;
         self.remove_at_level0(min);
         self.cur = min.0 .0;
@@ -286,25 +236,10 @@ impl TimerWheel {
     /// whole tie-run instead of one per key — the engine's fast path for
     /// polling fleets where almost every pop is an exact tie.
     ///
-    /// Tied keys always share one home: same time ⇒ identical placement,
-    /// front keys (< `cur`) can never tie with wheel keys (≥ `cur`), and
-    /// in-wheel keys never tie with overflow keys (invariant 3). So the
-    /// whole run sits either in the front heap or in one level-0 slot.
+    /// Tied keys always share one home: same time ⇒ identical placement, so
+    /// the whole run sits in one level-0 slot.
     pub fn pop_ties(&mut self, out: &mut Vec<ProcId>) -> Option<SimTime> {
         out.clear();
-        if let Some(&Reverse((t, _))) = self.front.peek() {
-            while let Some(&Reverse((ft, _))) = self.front.peek() {
-                if ft != t {
-                    break;
-                }
-                let Reverse((_, pid)) = self.front.pop().expect("peeked");
-                out.push(pid);
-            }
-            self.len -= out.len();
-            self.popped_hi = t.0;
-            out.sort_unstable();
-            return Some(t);
-        }
         if self.len == 0 {
             return None;
         }
@@ -352,39 +287,19 @@ impl TimerWheel {
     }
 
     /// Removes `(t, pid)` if present (placement invariant 2 makes this a
-    /// direct slot lookup). The engine itself never cancels — halted
-    /// processes simply are not re-pushed — but schedule tooling and the
-    /// equivalence proptest exercise removal.
+    /// direct slot lookup). The engine cancels a sleeper's deadline key when
+    /// a wake brings it forward; the equivalence proptest exercises removal
+    /// of arbitrary keys.
     pub fn remove(&mut self, t: SimTime, pid: ProcId) -> bool {
         let key = (t, pid);
-        if t.0 < self.cur {
-            // Below the anchor ⇒ only the front heap can hold it.
-            let before = self.front.len();
-            self.front.retain(|&Reverse(e)| e != key);
-            if self.front.len() == before {
-                return false;
-            }
-            self.len -= 1;
-            return true;
-        }
-        match self.place(t.0) {
-            Place::Slot(level, slot) => {
-                let vec = &mut self.slots[level * SLOTS + slot];
-                let Some(i) = vec.iter().position(|&e| e == key) else {
-                    return false;
-                };
-                vec.swap_remove(i);
-                if vec.is_empty() {
-                    self.occupied[level] &= !(1 << slot);
-                }
-            }
-            Place::Overflow => {
-                let before = self.overflow.len();
-                self.overflow.retain(|&Reverse(e)| e != key);
-                if self.overflow.len() == before {
-                    return false;
-                }
-            }
+        let (level, slot) = self.place(t.0);
+        let vec = &mut self.slots[level * SLOTS + slot];
+        let Some(i) = vec.iter().position(|&e| e == key) else {
+            return false;
+        };
+        vec.swap_remove(i);
+        if vec.is_empty() {
+            self.occupied[level] &= !(1 << slot);
         }
         self.len -= 1;
         if self.cached_min == Some(key) {
@@ -442,6 +357,8 @@ mod tests {
 
     #[test]
     fn far_future_goes_through_overflow_and_back() {
+        // A key 2^55 ps out sits at level 7 and cascades down to level 0
+        // to be popped.
         let mut w = TimerWheel::new();
         let far = SimTime(1 << 55);
         w.push(far, 1);
@@ -449,7 +366,25 @@ mod tests {
         assert_eq!(w.pop(), Some((SimTime(10), 0)));
         assert_eq!(w.pop(), Some((far, 1)));
         assert!(w.is_empty());
-        assert!(w.cascades() >= 1, "overflow drain must count as cascade");
+        assert!(w.cascades() >= 1, "reaching level 0 must count as cascade");
+    }
+
+    #[test]
+    fn top_of_time_range_pops_in_order() {
+        // Level 8 holds bits 60..63: the last representable times still
+        // have slots, and tie-break by pid.
+        let mut w = TimerWheel::new();
+        let (top, below) = (SimTime(u64::MAX), SimTime(u64::MAX - 1));
+        w.push(top, 0);
+        w.push(below, 2);
+        w.push(SimTime(7), 3);
+        w.push(below, 1);
+        let mut out = Vec::new();
+        assert_eq!(w.pop(), Some((SimTime(7), 3)));
+        assert_eq!(w.pop_ties(&mut out), Some(below));
+        assert_eq!(out, vec![1, 2]);
+        assert_eq!(w.pop(), Some((top, 0)));
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -475,10 +410,10 @@ mod tests {
 
     #[test]
     fn below_anchor_push_still_pops_first() {
-        // Pending-buffer-shaped sequence: with only a far key stored, a
-        // peek cascades the anchor up to that key's slot base; a later push
+        // Between-runs-shaped sequence: with only a far key stored, a peek
+        // cascades the anchor up to that key's slot base; a later push
         // below the anchor (legal — nothing that early was ever popped)
-        // must still come out first, and must be removable.
+        // rewinds it, must still come out first, and must be removable.
         let mut w = TimerWheel::new();
         w.push(SimTime(1 << 20), 0);
         w.peek();
@@ -517,8 +452,8 @@ mod tests {
 
     #[test]
     fn pop_ties_drains_front_run_separately() {
-        // Tie-run below the anchor: the whole run must come from the
-        // front heap without touching wheel keys at a later time.
+        // Tie-run below the anchor: after the rewind the whole run must
+        // come out without touching keys at a later time.
         let mut w = TimerWheel::new();
         w.push(SimTime(1 << 20), 0);
         w.peek(); // cascades the anchor to the far key's slot base
@@ -534,6 +469,7 @@ mod tests {
 
     #[test]
     fn remove_hits_wheel_and_overflow() {
+        // 2^52 ps sits at level 6: removal finds a key on a high level.
         let mut w = TimerWheel::new();
         w.push(SimTime(500), 0);
         w.push(SimTime(1 << 52), 1);

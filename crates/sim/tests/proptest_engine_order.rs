@@ -3,14 +3,16 @@
 //! that pops the minimum key, steps it and re-pushes it.
 //!
 //! `proptest_wheel.rs` pins the timer wheel alone; this pins what the
-//! engine builds on it: tie-cohort draining, the `pending` lockstep buffer,
-//! its merge with equal-time wheel keys, and its flush back into the wheel
-//! at a deadline. Scripted processes charge per-step costs that favour ties
-//! (an idle poll, one or two poll quanta) and also reach every wheel level
-//! and the overflow heap; each halts when its script runs out. Every run is
-//! split at a few generated deadlines, then driven to completion. The
-//! `(time, pid)` step logs, each run's step count and `now()` must equal the
-//! reference's, and no process may be left live.
+//! engine builds on it: tie-cohort draining, re-keying through the wheel,
+//! and the state it leaves between runs. Scripted processes charge per-step
+//! costs that favour ties (an idle poll, one or two poll quanta) and also
+//! reach every wheel level, the top ones included; each halts when its
+//! script runs out. Every run is split at a few generated deadlines, then
+//! driven to completion, and after each split run one more scripted process
+//! is spawned at `now()` — below the anchor whenever the run's last peek
+//! cascaded it past the deadline, which rewinds the wheel. The `(time, pid)`
+//! step logs, each run's step count and `now()` must equal the reference's,
+//! and no process may be left live.
 //!
 //! A second property adds parking on the poll grid: scripted steps park
 //! (some with a deadline), file wakes for every parked process at a
@@ -74,6 +76,13 @@ impl Reference {
         }
     }
 
+    /// Adds a process with `script`, first stepped at `at`.
+    fn spawn(&mut self, at: SimTime, script: Vec<u64>) {
+        self.heap.push(Reverse((at, self.scripts.len())));
+        self.scripts.push(script);
+        self.next.push(0);
+    }
+
     /// Steps every key before `deadline`; returns the step count and the
     /// time the engine reports as `now()` afterwards.
     fn run_until(&mut self, deadline: SimTime) -> (u64, SimTime) {
@@ -103,8 +112,9 @@ fn charge(quantum: u64) -> impl Strategy<Value = u64> {
         1u64..4_096,             // within one level-0 granule
         4_096u64..262_144,       // levels 0-1
         262_144u64..(1 << 30),   // mid levels
-        (1u64 << 40)..(1 << 46), // top in-wheel levels
-        (1u64 << 47)..(1 << 52), // beyond the horizon: overflow heap
+        (1u64 << 40)..(1 << 46), // levels 4-5
+        (1u64 << 47)..(1 << 52), // level 6
+        (1u64 << 54)..(1 << 57), // level 7
     ];
     prop_oneof![ties, levels]
 }
@@ -113,7 +123,8 @@ fn deadline() -> impl Strategy<Value = u64> {
     prop_oneof![
         0u64..(1 << 20),
         (1u64 << 20)..(1 << 32),
-        (1u64 << 32)..(1 << 54)
+        (1u64 << 32)..(1 << 54),
+        (1u64 << 54)..(1 << 62)
     ]
 }
 
@@ -123,7 +134,10 @@ proptest! {
     #[test]
     fn engine_steps_in_reference_heap_order(
         scripts in vec(vec(charge(MachineConfig::tiny().cost.poll_quantum), 0..40), 1..25),
-        deadlines in vec(deadline(), 1..5),
+        splits in vec(
+            (deadline(), vec(charge(MachineConfig::tiny().cost.poll_quantum), 0..40)),
+            1..5,
+        ),
     ) {
         let cfg = MachineConfig::tiny();
         let mut reference = Reference::new(scripts.clone(), cfg.cost.poll_quantum);
@@ -131,14 +145,19 @@ proptest! {
         for charges in scripts {
             eng.spawn(None, StatClass::Other, Box::new(Scripted { charges, next: 0 }));
         }
-        let mut deadlines: Vec<SimTime> = deadlines.into_iter().map(SimTime).collect();
-        deadlines.sort();
-        deadlines.push(SimTime::MAX);
-        for deadline in deadlines {
+        let mut splits: Vec<(SimTime, Vec<u64>)> =
+            splits.into_iter().map(|(d, late)| (SimTime(d), late)).collect();
+        splits.sort_by_key(|&(d, _)| d);
+        for (deadline, late) in splits {
             let (want_steps, want_now) = reference.run_until(deadline);
             prop_assert_eq!(eng.run_until(deadline), want_steps, "steps before {:?}", deadline);
             prop_assert_eq!(eng.now(), want_now);
+            reference.spawn(want_now, late.clone());
+            eng.spawn(None, StatClass::Other, Box::new(Scripted { charges: late, next: 0 }));
         }
+        let (want_steps, want_now) = reference.run_until(SimTime::MAX);
+        prop_assert_eq!(eng.run_until(SimTime::MAX), want_steps, "steps to the end");
+        prop_assert_eq!(eng.now(), want_now);
         prop_assert_eq!(&eng.world, &reference.log);
         prop_assert_eq!(eng.live_procs(), 0);
     }

@@ -4,10 +4,10 @@
 //! The engine's byte-identity across the scheduler swap rests on this
 //! equivalence, so it is pinned here over random interleavings of
 //! engine-shaped operations: pushes at offsets spanning every wheel level
-//! (granule ties, same-slot neighbours, mid levels, the far-future
-//! overflow heap), pops, peeks (which cascade the anchor and so set up
-//! below-anchor pushes, as the engine makes while it drains its `pending`
-//! lockstep buffer), and cancels.
+//! (granule ties, same-slot neighbours, mid levels, the top levels 7–8 up
+//! to the end of the time range), pops, peeks (which cascade the anchor and
+//! so set up below-anchor pushes that rewind it, as a spawn or wake between
+//! engine runs does), and cancels.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -21,8 +21,9 @@ use utps_sim::TimerWheel;
 const PIDS: usize = 12;
 
 /// One generated scheduler operation. `Push` offsets are relative to the
-/// largest popped time, which keeps every push legal under the wheel's
-/// contract while still landing below the anchor after peek cascades.
+/// largest popped time (saturating at the last representable time), which
+/// keeps every push legal under the wheel's contract while still landing
+/// below the anchor after peek cascades.
 #[derive(Clone, Debug)]
 enum WheelOp {
     /// Schedule pid (if idle) at `last popped + offset`.
@@ -43,8 +44,9 @@ fn op_strategy() -> impl Strategy<Value = WheelOp> {
         1u64..4_096,             // within one level-0 granule
         4_096u64..262_144,       // levels 0-1
         262_144u64..(1 << 30),   // mid levels
-        (1u64 << 40)..(1 << 46), // top in-wheel levels
-        (1u64 << 47)..(1 << 52), // beyond the horizon: overflow heap
+        (1u64 << 40)..(1 << 46), // levels 4-5
+        (1u64 << 47)..(1 << 52), // level 6
+        (1u64 << 54)..(1 << 63), // levels 7-8
     ];
     prop_oneof![
         (0usize..PIDS, offset).prop_map(|(p, o)| WheelOp::Push(p, o)),
@@ -56,7 +58,7 @@ fn op_strategy() -> impl Strategy<Value = WheelOp> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn wheel_matches_reference_heap(ops in vec(op_strategy(), 1..400)) {
@@ -70,7 +72,7 @@ proptest! {
             match op {
                 WheelOp::Push(pid, offset) => {
                     if scheduled[pid].is_none() {
-                        let t = SimTime(popped_hi + offset);
+                        let t = SimTime(popped_hi.saturating_add(offset));
                         wheel.push(t, pid);
                         heap.push(Reverse((t, pid)));
                         scheduled[pid] = Some(t);
