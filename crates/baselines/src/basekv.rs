@@ -51,8 +51,6 @@ pub struct BaseWorld {
     pub workers: usize,
     /// Driver state.
     pub driver: DriverState,
-    /// Responses sent.
-    pub responses: u64,
     /// Duplicate-PUT suppression table (active only under retry/faults).
     pub dedup: DedupTable,
     /// Cluster admission hooks; `None` outside cluster runs.
@@ -117,7 +115,6 @@ impl BaseWorker {
         if let Some(tier) = world.tier.as_mut() {
             for resp in self.defers.drain(tier, ctx.now()) {
                 world.dedup.record(resp.client, resp.seq);
-                world.responses += 1;
                 send_response(ctx, &mut world.fabric, resp);
             }
         }
@@ -145,11 +142,7 @@ impl BaseWorker {
                     resp_addr,
                     seq,
                 ) {
-                    Admission::Bounced => continue,
-                    Admission::Suppressed => {
-                        world.responses += 1;
-                        continue;
-                    }
+                    Admission::Bounced | Admission::Suppressed => continue,
                     Admission::Serve => {}
                 }
                 let d = Desc::of(world.ring.request(seq), seq);
@@ -224,7 +217,6 @@ impl BaseWorker {
             self.defers.park(tier.last_applied(), resp);
         } else {
             world.dedup.record(resp.client, resp.seq);
-            world.responses += 1;
             send_response(ctx, &mut world.fabric, resp);
         }
     }
@@ -295,14 +287,6 @@ impl<const ISOLATE_DDIO: bool> System for BaseKv<ISOLATE_DDIO> {
         &world.driver
     }
 
-    /// Baselines reset only the tier counters here (the runners reset the
-    /// cache counters; BaseKV's registry runs through warmup).
-    fn reset(world: &mut BaseWorld, _machine: &mut Machine) {
-        if let Some(tier) = world.tier.as_mut() {
-            tier.reset_stats();
-        }
-    }
-
     fn fold(world: &BaseWorld, reg: &mut MetricsRegistry) {
         if let Some(tier) = &world.tier {
             tier.fold_into(reg);
@@ -310,7 +294,8 @@ impl<const ISOLATE_DDIO: bool> System for BaseKv<ISOLATE_DDIO> {
     }
 
     fn overlay(worlds: &[&BaseWorld], r: &mut RunResult) {
-        r.tier = worlds[0].tier.as_ref().map(TierRunStats::from_tier);
+        let snap = r.stage_metrics.as_ref();
+        r.tier = (worlds[0].tier.as_ref().zip(snap)).map(|(t, s)| TierRunStats::from_tier(t, s));
     }
 }
 
@@ -326,7 +311,6 @@ pub fn build_base_world(cfg: &RunConfig) -> BaseWorld {
         store,
         workers: cfg.workers,
         driver: DriverState::new(cfg.clients, SimTime(cfg.warmup)),
-        responses: 0,
         dedup: DedupTable::new(cfg.clients, cfg.retry.enabled() || cfg.faults.net_active()),
         cluster: None,
         tier: cfg.tier.clone().map(|t| TierState::new(t, cfg.seed)),

@@ -23,7 +23,7 @@ use utps_core::experiment::{ClusterStats, RunConfig, RunResult, SystemKind, Utps
 use utps_core::shardctl::ShardCtl;
 use utps_core::system::{ServerWorld, System};
 use utps_sim::time::{SimTime, MICROS};
-use utps_sim::{Counter, Engine, FaultPlan, Gauge, SchedulePlan, StatClass};
+use utps_sim::{Counter, Engine, FaultPlan, Gauge, MetricsSnapshot, SchedulePlan, StatClass};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -158,7 +158,7 @@ fn cluster_stats<S: ShardWorld>(
     };
     drop(router);
     let reg = &mut eng.machine().registry;
-    reg.add(Counter::ClusterMovedBounce, 0); // pinned; servers count it live
+    reg.pin(&[Counter::ClusterMovedBounce]); // servers count it live
     reg.add(Counter::ClusterMigrations, stats.migrations);
     reg.add(Counter::ClusterMigratedSlots, stats.migrated_slots);
     reg.add(Counter::ClusterMigratedItems, stats.migrated_items);
@@ -176,8 +176,10 @@ fn cluster_stats<S: ShardWorld>(
 
 /// Runs system `S` as a cluster under `cfg`: every shard is `S`'s
 /// unmodified single-machine world and processes on a machine of its own.
-/// Also returns the final per-shard worlds.
-pub fn run_cluster_system<S: System>(cfg: &ClusterConfig) -> (RunResult, Vec<S::World>)
+/// Also returns each shard's final world and registry snapshot.
+pub fn run_cluster_system<S: System>(
+    cfg: &ClusterConfig,
+) -> (RunResult, Vec<(S::World, MetricsSnapshot)>)
 where
     S::World: ShardWorld,
 {
@@ -230,27 +232,26 @@ where
         }
     }
 
-    // Warmup → per-shard reset → measured window.
+    // Warmup → reset of every shard's counters → measured window.
     eng.run_until(SimTime(base.warmup));
-    for s in 0..total {
-        let (world, machine) = eng.world_and_machine(s);
-        machine.cache.metrics.reset();
-        S::reset(&mut world.shards[s], machine);
-    }
+    eng.reset_counters();
     if !trivial {
         eng.world.router.borrow_mut().reset_stats();
     }
     eng.run_until(SimTime(base.warmup + base.duration));
 
-    // Fold each shard's world counters into its machine's registry,
-    // snapshot machine 0, aggregate the cluster-wide numbers.
-    for s in 0..total {
-        let (world, machine) = eng.world_and_machine(s);
-        S::fold(&world.shards[s], &mut machine.registry);
-    }
+    // Fold and snapshot each shard, aggregate the cluster-wide numbers.
+    let end = SimTime(base.warmup + base.duration);
+    let snaps: Vec<MetricsSnapshot> = (0..total)
+        .map(|s| {
+            let (world, machine) = eng.world_and_machine(s);
+            S::fold(&world.shards[s], &mut machine.registry);
+            machine.registry.snapshot(end)
+        })
+        .collect();
     let cluster = (!trivial).then(|| cluster_stats(cfg, &mut eng));
     let mut r = RunResult::new(base, &mut eng, |w| &w.driver);
     S::overlay(&eng.world.shards.iter().collect::<Vec<_>>(), &mut r);
     r.cluster = cluster;
-    (r, eng.world.shards)
+    (r, eng.world.shards.into_iter().zip(snaps).collect())
 }

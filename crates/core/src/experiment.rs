@@ -381,9 +381,30 @@ impl RunResult {
         let payloads_live = (0..eng.machine_count())
             .map(|m| eng.machine_at(m).payloads.live())
             .sum();
+        let total = |c| -> u64 {
+            let machines = 0..eng.machine_count();
+            machines
+                .map(|m| eng.machine_at(m).registry.counter(c))
+                .sum()
+        };
+        let (hits, forwards) = (total(Counter::CrHit), total(Counter::CrForward));
         let (world, machine) = eng.world_and_machine(0);
         let driver = driver(world);
-        pin_fault_counters(&mut machine.registry);
+        // Every fault and robustness counter is in the schema, faulty run
+        // or not.
+        machine.registry.pin(&[
+            Counter::FaultRxDrop,
+            Counter::FaultRxDup,
+            Counter::FaultRxDelay,
+            Counter::FaultStallDefer,
+            Counter::CrmrCorrupt,
+            Counter::CrmrLeaseReclaim,
+            Counter::ClientRetransmit,
+            Counter::ClientDupResp,
+            Counter::ClientFailed,
+            Counter::ServerDupSuppressed,
+            Counter::TunerFrozenWindows,
+        ]);
         let metrics = &machine.cache.metrics;
         let hist = driver.merged_hist();
         let completed = driver.completed();
@@ -399,7 +420,7 @@ impl RunResult {
             llc_miss_cr: metrics.class[StatClass::Cr as usize].llc_miss_rate(),
             llc_miss_mr: metrics.class[StatClass::Mr as usize].llc_miss_rate(),
             llc_miss_all: metrics.combined().llc_miss_rate(),
-            cr_local_frac: 0.0,
+            cr_local_frac: hits as f64 / (hits + forwards).max(1) as f64,
             final_n_cr: 0,
             workers: cfg.workers,
             final_cache_items: 0,
@@ -498,62 +519,33 @@ impl System for Utps {
         &w.driver
     }
 
-    /// μTPS resets everything observable (registry, server counters,
-    /// hot-cache, ring and tier stats) so the measured window is
-    /// self-contained.
-    fn reset(w: &mut UtpsWorld, machine: &mut Machine) {
-        machine.registry.reset();
-        w.stats.responses = 0;
-        w.stats.cr_local = 0;
-        w.stats.forwarded = 0;
-        w.hot.reset_stats();
-        w.ring.polls = 0;
-        w.ring.poll_hits = 0;
-        w.ring.dma_count = 0;
-        if let Some(tier) = w.tier.as_mut() {
-            tier.reset_stats();
-        }
-    }
-
     fn fold(w: &UtpsWorld, reg: &mut MetricsRegistry) {
-        let folds = [
-            (Counter::RingPolls, w.ring.polls),
-            (Counter::RingPollHits, w.ring.poll_hits),
-            (Counter::RingDma, w.ring.dma_count),
-            (Counter::ServerResponses, w.stats.responses),
-            (Counter::ServerCrLocal, w.stats.cr_local),
-            (Counter::ServerForwarded, w.stats.forwarded),
-            (Counter::HotHits, w.hot.hits),
-            (Counter::HotMisses, w.hot.misses),
-            (Counter::CrmrPushed, w.crmr.total_pushed()),
-        ];
-        let gauges = [
-            (Gauge::CfgNCr, w.cfg.n_cr as u64),
-            (Gauge::CfgCacheItems, w.hot.len() as u64),
-            (Gauge::CfgMrWays, w.mr_ways as u64),
-        ];
-        for (c, v) in folds {
-            reg.add(c, v);
-        }
-        for (g, v) in gauges {
-            reg.set(g, v);
-        }
+        // A cache-off run never probes the hot cache.
+        reg.pin(&[
+            Counter::HotHits,
+            Counter::HotMisses,
+            Counter::RingDma,
+            Counter::RingPollHits,
+            Counter::RingPolls,
+        ]);
+        // The `server.*` keys restate CR counters of the same events.
+        let responses =
+            reg.counter(Counter::CrResponse) + reg.counter(Counter::ServerDupSuppressed);
+        reg.add(Counter::ServerResponses, responses);
+        reg.add(Counter::ServerCrLocal, reg.counter(Counter::CrHit));
+        reg.add(Counter::ServerForwarded, reg.counter(Counter::CrForward));
+        // End-of-run levels.
+        reg.add(Counter::CrmrPushed, w.crmr.total_pushed());
+        reg.set(Gauge::CfgNCr, w.cfg.n_cr as u64);
+        reg.set(Gauge::CfgCacheItems, w.hot.len() as u64);
+        reg.set(Gauge::CfgMrWays, w.mr_ways as u64);
         if let Some(tier) = &w.tier {
             tier.fold_into(reg);
         }
     }
 
     fn overlay(worlds: &[&UtpsWorld], r: &mut RunResult) {
-        let (mut cr_local, mut forwarded) = (0, 0);
-        for w in worlds {
-            cr_local += w.stats.cr_local;
-            forwarded += w.stats.forwarded;
-            r.reconfigs += w.stats.reconfig_events.len();
-        }
-        let served = cr_local + forwarded;
-        if served > 0 {
-            r.cr_local_frac = cr_local as f64 / served as f64;
-        }
+        r.reconfigs = worlds.iter().map(|w| w.reconfig_events.len()).sum();
         let w = worlds[0];
         r.final_n_cr = w.cfg.n_cr;
         r.workers = w.cfg.workers;
@@ -561,7 +553,9 @@ impl System for Utps {
         r.final_mr_ways = w.mr_ways;
         r.tuner_events = render_tuner_events(&w.tuner_trace);
         r.tuner_probes = w.tuner_probes.clone();
-        r.tier = w.tier.as_ref().map(crate::tier::TierRunStats::from_tier);
+        let snap = r.stage_metrics.as_ref();
+        r.tier =
+            (w.tier.as_ref().zip(snap)).map(|(t, s)| crate::tier::TierRunStats::from_tier(t, s));
     }
 }
 
@@ -603,7 +597,7 @@ pub fn build_utps_world(cfg: &RunConfig) -> UtpsWorld {
         reconfig: None,
         samples: (0..cfg.workers).map(|_| Default::default()).collect(),
         scan_skips: Default::default(),
-        stats: Default::default(),
+        reconfig_events: Vec::new(),
         driver: DriverState::new(cfg.clients, SimTime(cfg.warmup)),
         mr_ways: cfg.mr_ways,
         tuner_trace: Vec::new(),
@@ -623,7 +617,7 @@ pub fn spawn_utps_procs(rt: &mut PipelineRuntime<UtpsWorld>, cfg: &RunConfig) {
     system::spawn_procs::<Utps>(rt, cfg);
 }
 
-/// [`Utps`]'s warmup-boundary reset ([`system::reset`]).
+/// [`Utps`]'s warmup-boundary hook ([`system::reset`]).
 pub fn reset_utps_counters(eng: &mut Engine<UtpsWorld>) {
     system::reset::<Utps>(eng);
 }
@@ -652,28 +646,6 @@ fn oracle_results(
         value_digest: utps_oracle::fill_digest(0xab, cfg.workload.populate_value_len()),
     };
     (digest, Some(utps_oracle::check(h, &init)))
-}
-
-/// Ensures every fault/robustness counter exists in the registry (at its
-/// current value, or zero) so the `stats_json` schema is identical between
-/// faulty and fault-free runs.
-fn pin_fault_counters(reg: &mut MetricsRegistry) {
-    const PINNED: [Counter; 11] = [
-        Counter::FaultRxDrop,
-        Counter::FaultRxDup,
-        Counter::FaultRxDelay,
-        Counter::FaultStallDefer,
-        Counter::CrmrCorrupt,
-        Counter::CrmrLeaseReclaim,
-        Counter::ClientRetransmit,
-        Counter::ClientDupResp,
-        Counter::ClientFailed,
-        Counter::ServerDupSuppressed,
-        Counter::TunerFrozenWindows,
-    ];
-    for c in PINNED {
-        reg.add(c, 0);
-    }
 }
 
 /// Renders the tuner decision log as a deterministic JSON array.

@@ -15,7 +15,7 @@
 
 use utps_collections::SortedCache;
 use utps_index::ItemId;
-use utps_sim::Ctx;
+use utps_sim::{Counter, Ctx};
 
 /// Sentinel marking a tombstoned (deleted) cache entry.
 const TOMBSTONE: ItemId = ItemId::MAX;
@@ -26,10 +26,6 @@ pub struct HotCache {
     generation: u64,
     /// Tuned target size (the auto-tuner's cache-resize knob, §3.5).
     pub target_size: usize,
-    /// Probes that found the key (since last reset).
-    pub hits: u64,
-    /// Probes that missed (since last reset).
-    pub misses: u64,
 }
 
 impl HotCache {
@@ -40,8 +36,6 @@ impl HotCache {
             entries: SortedCache::empty(),
             generation: 0,
             target_size,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -60,23 +54,22 @@ impl HotCache {
         self.generation
     }
 
-    /// Charged probe: binary search the sorted array.
+    /// Charged probe: binary search the sorted array, counted as
+    /// `hot.hits` or `hot.misses`.
     pub fn probe(&mut self, ctx: &mut Ctx<'_>, key: u64) -> Option<ItemId> {
-        if self.entries.is_empty() {
-            self.misses += 1;
-            return None;
-        }
-        ctx.compute_ns(3);
-        let result = self
-            .entries
-            .probe_with(key, |addr| ctx.read(addr, 16))
-            .copied()
-            .filter(|&id| id != TOMBSTONE);
-        if result.is_some() {
-            self.hits += 1;
+        let result = if self.entries.is_empty() {
+            None
         } else {
-            self.misses += 1;
-        }
+            ctx.compute_ns(3);
+            self.entries
+                .probe_with(key, |addr| ctx.read(addr, 16))
+                .copied()
+                .filter(|&id| id != TOMBSTONE)
+        };
+        ctx.machine().registry.inc(match result {
+            Some(_) => Counter::HotHits,
+            None => Counter::HotMisses,
+        });
         result
     }
 
@@ -148,22 +141,6 @@ impl HotCache {
         self.generation += 1;
     }
 
-    /// Hit rate since the last [`HotCache::reset_stats`].
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Clears the hit/miss counters.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Memory footprint of the entry array in bytes.
     pub fn bytes(&self) -> usize {
         self.entries.len() * 16
@@ -187,13 +164,13 @@ mod tests {
     fn probe_hits_and_misses() {
         let mut c = HotCache::new(100);
         c.rebuild((0..50).map(|i| (i * 2, i as ItemId)).collect());
-        let ((), c) = with_cache(c, |ctx, c| {
+        let ((), _) = with_cache(c, |ctx, c| {
             assert_eq!(c.probe(ctx, 10), Some(5));
             assert_eq!(c.probe(ctx, 11), None);
+            let reg = &ctx.machine().registry;
+            assert_eq!(reg.counter(Counter::HotHits), 1);
+            assert_eq!(reg.counter(Counter::HotMisses), 1);
         });
-        assert_eq!(c.hits, 1);
-        assert_eq!(c.misses, 1);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -212,10 +189,10 @@ mod tests {
     #[test]
     fn empty_cache_misses_cheaply() {
         let c = HotCache::new(10);
-        let ((), c) = with_cache(c, |ctx, c| {
+        let ((), _) = with_cache(c, |ctx, c| {
             assert_eq!(c.probe(ctx, 1), None);
+            assert_eq!(ctx.machine().registry.counter(Counter::HotMisses), 1);
         });
-        assert_eq!(c.misses, 1);
     }
 
     #[test]

@@ -55,13 +55,6 @@ pub struct RecvRing {
     virt_base: usize,
     slots: Vec<SlotState>,
     head: u64,
-    /// Requests DMAed in total.
-    pub dma_count: u64,
-    /// Worker poll attempts on owned slots (see `RecvRing::poll_posted`).
-    pub polls: u64,
-    /// Poll attempts that found a posted request — `poll_hits / polls` is
-    /// the receive-ring poll efficiency.
-    pub poll_hits: u64,
     /// Per-request parse cost in ns. The single-queue reconfigurable RPC
     /// pays slightly more per message (MP-RQ slot bookkeeping) than eRPC's
     /// heavily optimized per-worker path; eRPCKV lowers this.
@@ -90,9 +83,6 @@ impl RecvRing {
             virt_base,
             slots: (0..nslots).map(|_| SlotState::Free).collect(),
             head: 0,
-            dma_count: 0,
-            polls: 0,
-            poll_hits: 0,
             parse_ns: 12,
         }
     }
@@ -129,7 +119,6 @@ impl RecvRing {
         cache.nic_write(self.slot_addr(seq), len);
         self.slots[idx] = SlotState::Posted(req);
         self.head += 1;
-        self.dma_count += 1;
         Ok(seq)
     }
 
@@ -172,13 +161,14 @@ impl RecvRing {
     }
 
     /// Counted variant of [`RecvRing::is_posted`]: the worker polling path,
-    /// tallying attempts and hits so `poll_hits / polls` measures how often
-    /// the poll loop finds work (receive-ring poll efficiency).
-    pub(crate) fn poll_posted(&mut self, seq: u64) -> bool {
-        self.polls += 1;
+    /// counting `ring.polls` and `ring.poll_hits` so their ratio measures
+    /// how often the poll loop finds work (receive-ring poll efficiency).
+    pub(crate) fn poll_posted(&self, ctx: &mut Ctx<'_>, seq: u64) -> bool {
         let hit = self.is_posted(seq);
+        let reg = &mut ctx.machine().registry;
+        reg.inc(Counter::RingPolls);
         if hit {
-            self.poll_hits += 1;
+            reg.inc(Counter::RingPollHits);
         }
         hit
     }

@@ -86,19 +86,6 @@ pub struct Reconfig {
     pub adopted: Vec<bool>,
 }
 
-/// Server-side counters.
-#[derive(Clone, Debug, Default)]
-pub struct ServerStats {
-    /// Responses sent.
-    pub responses: u64,
-    /// Requests served entirely at the CR layer.
-    pub cr_local: u64,
-    /// Requests forwarded to the MR layer.
-    pub forwarded: u64,
-    /// Reconfiguration events: (time, n_cr after).
-    pub reconfig_events: Vec<(SimTime, usize)>,
-}
-
 /// The complete μTPS server world.
 pub struct UtpsWorld {
     /// Client↔server fabric.
@@ -121,8 +108,8 @@ pub struct UtpsWorld {
     pub samples: Vec<VecDeque<u64>>,
     /// Scan skip-lists: seq → keys already served by the CR layer (§4).
     pub scan_skips: FxHashMap<u64, Vec<u64>>,
-    /// Server counters.
-    pub stats: ServerStats,
+    /// Completed thread reassignments: (time, n_cr after).
+    pub reconfig_events: Vec<(SimTime, usize)>,
     /// Client/measurement state.
     pub driver: DriverState,
     /// LLC ways currently reused by the MR layer (0 = all ways).
@@ -221,7 +208,7 @@ impl UtpsWorld {
         if done {
             let r = self.reconfig.take().unwrap();
             self.cfg.n_cr = r.new_n_cr;
-            self.stats.reconfig_events.push((now, r.new_n_cr));
+            self.reconfig_events.push((now, r.new_n_cr));
         }
     }
 }
@@ -293,7 +280,7 @@ struct Quiet {
 /// What one quiet CR poll counts besides its time.
 #[derive(Clone, Copy, Default)]
 struct PollShape {
-    /// Receive-slot checks (`RecvRing::polls`): 0 or 1.
+    /// Receive-slot checks (`ring.polls`): 0 or 1.
     ring_polls: u64,
     /// Completion words read, each a plain L1 hit: 0 or 1.
     reads: u64,
@@ -357,11 +344,11 @@ impl CrStage {
         // 2. Pump the NIC into the receive ring (DMA is free for the CPU;
         //    this models the RNIC progressing asynchronously).
         let head = world.ring.head();
-        let pumped = {
-            let now = ctx.now();
-            let m = ctx.machine();
-            world.ring.pump(m, &mut world.fabric, now, 8)
-        };
+        let now = ctx.now();
+        let pumped = world.ring.pump(ctx.machine(), &mut world.fabric, now, 8);
+        if pumped > 0 {
+            ctx.machine().registry.add(Counter::RingDma, pumped as u64);
+        }
         // A slot posted here is visible to its owner's next poll, however
         // late in this step the arrival landed.
         for seq in head..world.ring.head() {
@@ -380,7 +367,7 @@ impl CrStage {
 
         // 4. Claim and process the next owned slot.
         let ring_polls = self.tx.outstanding() < world.cfg.batch * 8;
-        let claimed = if ring_polls && world.ring.poll_posted(self.cursor) {
+        let claimed = if ring_polls && world.ring.poll_posted(ctx, self.cursor) {
             let seq = self.cursor;
             self.cursor += self.n_local as u64;
             self.process_request(ctx, world, seq);
@@ -466,8 +453,9 @@ impl CrStage {
 
     /// Charges `n` polls skipped while parked: each a repeat of the parking
     /// step's, moving the completion rotation along.
-    fn skipped_polls(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, n: u64) {
-        world.ring.polls += n * self.skipped.ring_polls;
+    fn skipped_polls(&mut self, ctx: &mut Ctx<'_>, n: u64) {
+        let polls = n * self.skipped.ring_polls;
+        ctx.machine().registry.add(Counter::RingPolls, polls);
         self.tx.skip_polls(n);
         ctx.l1_hits(n * self.skipped.reads);
     }
@@ -479,7 +467,7 @@ impl CrStage {
         world.ring.claim(ctx, seq);
         ctx.stage_transitions(1);
         let resp_addr = world.resp.addr_for(id, seq);
-        match rpc::admit(
+        let admission = rpc::admit(
             ctx,
             &mut world.ring,
             &mut world.fabric,
@@ -487,13 +475,9 @@ impl CrStage {
             world.cluster.as_ref(),
             resp_addr,
             seq,
-        ) {
-            Admission::Bounced => return,
-            Admission::Suppressed => {
-                world.stats.responses += 1;
-                return;
-            }
-            Admission::Serve => {}
+        );
+        if admission != Admission::Serve {
+            return;
         }
         let desc = Desc::of(world.ring.request(seq), seq);
         let key = desc.key;
@@ -524,14 +508,12 @@ impl CrStage {
 
         match (desc.kind, cached) {
             (OpKind::Get, Some(item)) => {
-                world.stats.cr_local += 1;
                 ctx.machine().registry.inc(Counter::CrHit);
                 self.drive_local(ctx, world, seq, KvOp::get_cached(key, item, bufs), started);
             }
             // With the durable tier, writes always go through the MR layer:
             // only there can they be sequenced into the WAL.
             (OpKind::Put, Some(item)) if world.tier.is_none() => {
-                world.stats.cr_local += 1;
                 ctx.machine().registry.inc(Counter::CrHit);
                 // Move the payload out of NIC buffer memory — written once
                 // by the client, consumed once here.
@@ -567,11 +549,9 @@ impl CrStage {
                 if !skip.is_empty() {
                     world.scan_skips.insert(seq, skip);
                 }
-                world.stats.forwarded += 1;
                 self.forward(ctx, world, desc);
             }
             (OpKind::Get | OpKind::Put, _) => {
-                world.stats.forwarded += 1;
                 ctx.machine().registry.inc(Counter::CrMiss);
                 self.forward(ctx, world, desc);
             }
@@ -582,7 +562,6 @@ impl CrStage {
                 if cached.is_some() {
                     world.hot.invalidate(ctx, key);
                 }
-                world.stats.forwarded += 1;
                 self.forward(ctx, world, desc);
             }
         }
@@ -625,7 +604,6 @@ impl CrStage {
             crmr,
             ring,
             fabric,
-            stats,
             dedup,
             cluster,
             ..
@@ -634,7 +612,6 @@ impl CrStage {
             // The response the MR layer deposited; the slot returns to the
             // ring.
             let resp = ring.release(seq);
-            stats.responses += 1;
             dedup.record(resp.client, resp.seq);
             if let Some(cl) = cluster {
                 cl.op_end(seq);
@@ -924,7 +901,6 @@ fn finish_local(
 
 /// Sends the ack of a locally served request claimed at `started`.
 fn send_local(ctx: &mut Ctx<'_>, world: &mut UtpsWorld, resp: Response, started: SimTime) {
-    world.stats.responses += 1;
     world.dedup.record(resp.client, resp.seq);
     let hit_ns = ctx.now().since(started) / utps_sim::time::NANOS;
     let reg = &mut ctx.machine().registry;
@@ -996,9 +972,9 @@ impl Process<UtpsWorld> for UtpsWorker {
         }
     }
 
-    fn skipped_polls(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, n: u64) {
+    fn skipped_polls(&mut self, ctx: &mut Ctx<'_>, _world: &mut UtpsWorld, n: u64) {
         if let Role::Cr(s) = &mut self.role {
-            s.skipped_polls(ctx, world, n);
+            s.skipped_polls(ctx, n);
         }
     }
 

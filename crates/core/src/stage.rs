@@ -80,13 +80,13 @@ impl<W: 'static> PipelineRuntime<W> {
         self.eng.spawn(core, class, proc);
     }
 
-    /// Runs warmup, resets the PCM-style cache counters, applies the
-    /// system's extra warmup reset (μTPS also clears its registry and world
-    /// counters; baselines reset nothing further), then runs the measured
-    /// window. Returns the engine for result extraction.
+    /// Runs warmup, resets every counter (the PCM-style cache counters and
+    /// the metrics registry, the same for every system), calls
+    /// `warmup_reset` at the boundary, then runs the measured window.
+    /// Returns the engine for result extraction.
     pub fn run(&mut self, warmup_reset: impl FnOnce(&mut Engine<W>)) -> &mut Engine<W> {
         self.eng.run_until(self.warmup);
-        self.eng.machine().cache.metrics.reset();
+        self.eng.reset_counters();
         warmup_reset(&mut self.eng);
         self.eng.run_until(self.end);
         &mut self.eng

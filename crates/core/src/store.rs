@@ -94,7 +94,7 @@ pub struct KvOpOutput {
 }
 
 impl KvOpOutput {
-    fn miss() -> Self {
+    pub(crate) fn miss() -> Self {
         KvOpOutput {
             ok: false,
             value: None,

@@ -3,20 +3,20 @@
 //! The five systems differ in their thread model and nothing else, so
 //! everything a runner needs from a system is a handful of hooks — how many
 //! cores, how to build the world, which processes and clients to spawn in
-//! which order, what to reset at the warmup boundary and how to read the
-//! result out. The runners themselves exist once, on top of
-//! [`PipelineRuntime`]:
+//! which order, and how to read the result out. The runners themselves
+//! exist once, on top of [`PipelineRuntime`]:
 //!
 //! | runner | hooks, in call order |
 //! |---|---|
-//! | [`run_system`] | `build_world` · `cores` · `prepare_machine` · `procs` · `spawn_clients` · `reset` · `fold` · `driver` · `overlay` |
-//! | [`crate::crash::run_crash`] | the same up to `spawn_clients`, twice (pre-crash, recovered) · `reset` |
-//! | `utps_cluster::run_cluster_system` | per shard: `build_world` · `prepare_machine` · `procs` (wrapped in `ShardProc`) · `reset` · `fold`; then `overlay` over all shards |
+//! | [`run_system`] | `build_world` · `cores` · `prepare_machine` · `procs` · `spawn_clients` · `fold` · `driver` · `overlay` |
+//! | [`crate::crash::run_crash`] | the same up to `spawn_clients`, twice (pre-crash, recovered) |
+//! | `utps_cluster::run_cluster_system` | per shard: `build_world` · `prepare_machine` · `procs` (wrapped in `ShardProc`) · `fold`; then `overlay` over all shards |
 //!
-//! `prepare_machine`, `reset`, `fold` and `overlay` default to doing
-//! nothing. The crash and cluster runners also need a [`ServerWorld`]: μTPS
-//! and BaseKV have one; eRPCKV, RaceHash and Sherman run on `run_system`
-//! only.
+//! Every event is counted once, where it happens, in the machine's
+//! registry, so one warmup reset (`Engine::reset_counters`) serves all.
+//! `prepare_machine`, `fold` and `overlay` default to doing nothing. The
+//! crash and cluster runners also need a [`ServerWorld`]: μTPS and BaseKV
+//! have one; eRPCKV, RaceHash and Sherman run on `run_system` only.
 
 use utps_sim::{Engine, Machine, MetricsRegistry, Process, StatClass};
 
@@ -79,12 +79,9 @@ pub trait System {
     /// The client-side driver state the headline numbers come from.
     fn driver(world: &Self::World) -> &DriverState;
 
-    /// The warmup-boundary reset of everything the system counts (the
-    /// runners reset the cache counters themselves).
-    fn reset(_world: &mut Self::World, _machine: &mut Machine) {}
-
-    /// Folds world-side counters into the machine's registry so the
-    /// snapshot is one self-contained artifact for the measured window.
+    /// Completes the machine's registry at the end of the run: zero pins
+    /// for keys whose event may never fire, and end-of-run levels (queue
+    /// totals, configuration gauges, tier sizes).
     fn fold(_world: &Self::World, _reg: &mut MetricsRegistry) {}
 
     /// Patches the system-specific [`RunResult`] fields. `worlds` holds
@@ -100,11 +97,9 @@ pub fn spawn_procs<S: System>(rt: &mut PipelineRuntime<S::World>, cfg: &RunConfi
     }
 }
 
-/// The warmup-boundary reset, in the shape [`PipelineRuntime::run`] takes.
-pub fn reset<S: System>(eng: &mut Engine<S::World>) {
-    let (world, machine) = eng.world_and_machine(0);
-    S::reset(world, machine);
-}
+/// The warmup-boundary hook, in the shape [`PipelineRuntime::run`] takes.
+/// Nothing is left for it to do: `run` resets every counter itself.
+pub fn reset<S: System>(_eng: &mut Engine<S::World>) {}
 
 /// Builds the [`RunResult`] from a finished single-machine engine.
 pub fn extract<S: System>(cfg: &RunConfig, eng: &mut Engine<S::World>) -> RunResult {

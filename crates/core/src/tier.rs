@@ -37,7 +37,7 @@ use utps_index::Step;
 use utps_sim::device::{DeviceConfig, SimDevice};
 use utps_sim::hashutil::FxHashMap;
 use utps_sim::time::SimTime;
-use utps_sim::{Counter, Ctx, MetricsRegistry, Process, StepOutcome};
+use utps_sim::{Counter, Ctx, MetricsRegistry, MetricsSnapshot, Process, StepOutcome};
 use utps_wal::{SortedRun, WalOp, WalRecord};
 use utps_workload::Op;
 
@@ -70,25 +70,6 @@ impl Default for TierConfig {
             compact_every_ps: 50 * utps_sim::time::MICROS,
         }
     }
-}
-
-/// Tier counters (reset at the warmup boundary with the rest of the stats).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TierStats {
-    /// WAL records appended.
-    pub wal_records: u64,
-    /// Commit groups sealed.
-    pub wal_groups: u64,
-    /// WAL bytes appended.
-    pub wal_bytes: u64,
-    /// DRAM misses served from the sorted run.
-    pub cold_hits: u64,
-    /// DRAM misses that missed the run too.
-    pub cold_misses: u64,
-    /// Compaction passes that sealed a new run.
-    pub compactions: u64,
-    /// Items evicted from DRAM.
-    pub evicted: u64,
 }
 
 /// Live state of the durable tier, shared by every worker of one machine.
@@ -124,8 +105,6 @@ pub struct TierState {
     /// Persistent eviction sweep cursor (determinism: resumes, never
     /// rescans from zero).
     evict_cursor: u64,
-    /// Tier counters.
-    pub stats: TierStats,
 }
 
 impl TierState {
@@ -147,7 +126,6 @@ impl TierState {
             active: FxHashMap::default(),
             active_scans: 0,
             evict_cursor: 0,
-            stats: TierStats::default(),
         }
     }
 
@@ -182,7 +160,6 @@ impl TierState {
             active: FxHashMap::default(),
             active_scans: 0,
             evict_cursor: 0,
-            stats: TierStats::default(),
         }
     }
 
@@ -206,14 +183,21 @@ impl TierState {
     }
 
     /// Seals `records` as one commit group: encodes, appends to the WAL
-    /// segment, and tracks the in-flight write. Returns the completion time.
-    pub(crate) fn seal_group(&mut self, records: &[WalRecord], now: SimTime) -> SimTime {
+    /// segment, counts the group and its device write into `reg`, and
+    /// tracks the in-flight write. Returns the completion time.
+    pub(crate) fn seal_group(
+        &mut self,
+        reg: &mut MetricsRegistry,
+        records: &[WalRecord],
+        now: SimTime,
+    ) -> SimTime {
         debug_assert!(!records.is_empty());
         let bytes = utps_wal::encode_group(self.next_group_seq, records);
         self.next_group_seq += 1;
-        self.stats.wal_groups += 1;
-        self.stats.wal_records += records.len() as u64;
-        self.stats.wal_bytes += bytes.len() as u64;
+        reg.inc(Counter::WalGroups);
+        reg.add(Counter::WalRecords, records.len() as u64);
+        reg.add(Counter::WalBytes, bytes.len() as u64);
+        reg.inc(Counter::DeviceWrites);
         let done = self.device.append(self.wal_seg, &bytes, now);
         self.inflight
             .push_back((done, records.iter().map(|r| r.wal_seq).collect()));
@@ -227,7 +211,8 @@ impl TierState {
             return;
         }
         ctx.compute_ns(60 + 8 * wal_buf.len() as u64);
-        self.seal_group(wal_buf, ctx.now());
+        let now = ctx.now();
+        self.seal_group(&mut ctx.machine().registry, wal_buf, now);
         wal_buf.clear();
     }
 
@@ -254,24 +239,25 @@ impl TierState {
         self.inflight.front().map(|(done, _)| *done)
     }
 
-    /// Cold-tier lookup on a DRAM miss: tombstones shadow the run. Returns
-    /// an owned snapshot (the run may be replaced while the reader parks on
-    /// the device latency).
-    pub fn cold_get(&mut self, key: u64) -> Option<Vec<u8>> {
+    /// The run's live copy of `key`: tombstones shadow the run. Uncounted
+    /// and uncopied (the delete path, host-side checks).
+    pub fn run_value(&self, key: u64) -> Option<&[u8]> {
         if self.tombstones.contains(&key) {
-            self.stats.cold_misses += 1;
             return None;
         }
-        match self.run.as_ref().and_then(|r| r.get(key)) {
-            Some(v) => {
-                self.stats.cold_hits += 1;
-                Some(v.to_vec())
-            }
-            None => {
-                self.stats.cold_misses += 1;
-                None
-            }
-        }
+        self.run.as_ref().and_then(|r| r.get(key))
+    }
+
+    /// Cold-tier lookup on a DRAM miss, counted into `reg` as
+    /// `tier.cold_hit` or `tier.cold_miss`. Returns an owned snapshot (the
+    /// run may be replaced while the reader parks on the device latency).
+    pub fn cold_get(&self, reg: &mut MetricsRegistry, key: u64) -> Option<Vec<u8>> {
+        let v = self.run_value(key).map(<[u8]>::to_vec);
+        reg.inc(match v {
+            Some(_) => Counter::TierColdHit,
+            None => Counter::TierColdMiss,
+        });
+        v
     }
 
     /// Records that `key`'s run copy (if any) is dead.
@@ -318,32 +304,23 @@ impl TierState {
         self.tombstones.len() as u64
     }
 
-    /// Zeroes the tier and device counters (the warmup boundary).
-    pub fn reset_stats(&mut self) {
-        self.stats = TierStats::default();
-        self.device.stats = Default::default();
-    }
-
-    /// Folds the tier counters into `reg`. Callers fold only when the tier
-    /// is enabled, so tier-less documents stay byte-identical to the
-    /// pre-tier goldens.
+    /// Pins the tier's event counters at zero and adds its end-of-run
+    /// levels to `reg`. Callers fold only when the tier is enabled, so
+    /// tier-less documents stay byte-identical to the pre-tier goldens.
     pub fn fold_into(&self, reg: &mut MetricsRegistry) {
-        let folds = [
-            (Counter::WalRecords, self.stats.wal_records),
-            (Counter::WalGroups, self.stats.wal_groups),
-            (Counter::WalBytes, self.stats.wal_bytes),
-            (Counter::DeviceReads, self.device.stats.reads),
-            (Counter::DeviceWrites, self.device.stats.writes),
-            (Counter::TierColdHit, self.stats.cold_hits),
-            (Counter::TierColdMiss, self.stats.cold_misses),
-            (Counter::TierCompactions, self.stats.compactions),
-            (Counter::TierEvicted, self.stats.evicted),
-            (Counter::TierRunItems, self.run_items()),
-            (Counter::TierTombstones, self.tombstone_count()),
-        ];
-        for (c, v) in folds {
-            reg.add(c, v);
-        }
+        reg.pin(&[
+            Counter::WalRecords,
+            Counter::WalGroups,
+            Counter::WalBytes,
+            Counter::DeviceReads,
+            Counter::DeviceWrites,
+            Counter::TierColdHit,
+            Counter::TierColdMiss,
+            Counter::TierCompactions,
+            Counter::TierEvicted,
+        ]);
+        reg.add(Counter::TierRunItems, self.run_items());
+        reg.add(Counter::TierTombstones, self.tombstone_count());
     }
 
     /// Simulates a power loss at `at`: truncates every device segment to
@@ -459,8 +436,10 @@ pub fn compact_pass(
     tier.device.append(seg, &bytes, ctx.now());
     tier.run = Some(run);
     tier.tombstones.clear();
-    tier.stats.compactions += 1;
-    tier.stats.evicted += n_evicted as u64;
+    let reg = &mut ctx.machine().registry;
+    reg.inc(Counter::DeviceWrites);
+    reg.inc(Counter::TierCompactions);
+    reg.add(Counter::TierEvicted, n_evicted as u64);
     // Host-side restructuring cost: per-item copy plus the index removals.
     ctx.compute_ns(200 + 150 * n_evicted as u64);
 }
@@ -587,7 +566,8 @@ pub fn begin_op(tier: Option<&mut TierState>, kind: OpKind, key: u64) {
 /// the request it served, `out` its DRAM-side result): releases the
 /// active-key guard, appends WAL records for applied writes to `wal_buf`,
 /// serves get misses from the cold run, and upgrades deletes of run-only
-/// keys to successes. Returns `None` when the op parked on a cold-tier
+/// keys to successes (a membership test: a delete reads nothing from the
+/// device). Returns `None` when the op parked on a cold-tier
 /// device read — `cold` is then armed with `(ready time, value snapshot)`
 /// and the caller must not complete the op yet. Passthrough without the
 /// tier.
@@ -632,7 +612,7 @@ pub fn finish_op(
             }
         }
         Op::Delete { .. } => {
-            let cold_only = !out.ok && tier.cold_get(key).is_some();
+            let cold_only = !out.ok && tier.run_value(key).is_some();
             if out.ok || cold_only {
                 // Kill any run copy; log the delete. A delete that missed
                 // DRAM but hit the run succeeds by tombstone alone — the
@@ -645,10 +625,12 @@ pub fn finish_op(
             }
         }
         Op::Get { .. } if !out.ok => {
-            if let Some(v) = tier.cold_get(key) {
+            let reg = &mut ctx.machine().registry;
+            if let Some(v) = tier.cold_get(reg, key) {
                 // Cold hit: park on the device read. The value snapshot is
                 // taken now — compaction may replace the run before it
                 // lands.
+                reg.inc(Counter::DeviceReads);
                 let ready = tier.device.read(v.len(), ctx.now());
                 *cold = Some((ready, v));
                 return None;
@@ -759,18 +741,20 @@ pub struct TierRunStats {
 }
 
 impl TierRunStats {
-    /// Snapshot from live tier state.
-    pub fn from_tier(t: &TierState) -> Self {
+    /// The window's tier counters from `snap` (the machine's registry
+    /// snapshot), the end-of-run levels from live tier state.
+    pub fn from_tier(t: &TierState, snap: &MetricsSnapshot) -> Self {
+        let count = |c: Counter| snap.counter(c.name()).unwrap_or(0);
         TierRunStats {
-            wal_records: t.stats.wal_records,
-            wal_groups: t.stats.wal_groups,
-            wal_bytes: t.stats.wal_bytes,
-            device_reads: t.device.stats.reads,
-            device_writes: t.device.stats.writes,
-            cold_hits: t.stats.cold_hits,
-            cold_misses: t.stats.cold_misses,
-            compactions: t.stats.compactions,
-            evicted: t.stats.evicted,
+            wal_records: count(Counter::WalRecords),
+            wal_groups: count(Counter::WalGroups),
+            wal_bytes: count(Counter::WalBytes),
+            device_reads: count(Counter::DeviceReads),
+            device_writes: count(Counter::DeviceWrites),
+            cold_hits: count(Counter::TierColdHit),
+            cold_misses: count(Counter::TierColdMiss),
+            compactions: count(Counter::TierCompactions),
+            evicted: count(Counter::TierEvicted),
             run_items: t.run_items(),
             tombstones: t.tombstone_count(),
             durable_seq: t.durable_seq(),
@@ -826,8 +810,9 @@ mod tests {
         assert_eq!(t.next_seq(), 2);
         assert_eq!(t.next_seq(), 3);
         // Seal {2,3} first, then {1}: durability must wait for seq 1.
-        let d1 = t.seal_group(&[rec(2, 10, 2), rec(3, 11, 3)], SimTime::ZERO);
-        let d2 = t.seal_group(&[rec(1, 12, 1)], SimTime::ZERO);
+        let reg = &mut MetricsRegistry::new();
+        let d1 = t.seal_group(reg, &[rec(2, 10, 2), rec(3, 11, 3)], SimTime::ZERO);
+        let d2 = t.seal_group(reg, &[rec(1, 12, 1)], SimTime::ZERO);
         assert!(d2 >= d1, "same-segment appends complete in order");
         t.advance(d1);
         // Group {2,3} durable but seq 1 is not: no ack may be released.
@@ -844,7 +829,8 @@ mod tests {
         for seq in 1..=3 {
             assert_eq!(t.next_seq(), seq);
         }
-        let d1 = t.seal_group(&[rec(1, 10, 1)], SimTime::ZERO);
+        let reg = &mut MetricsRegistry::new();
+        let d1 = t.seal_group(reg, &[rec(1, 10, 1)], SimTime::ZERO);
         // Nothing parked: nothing released, and the tier is not advanced.
         assert_eq!(b.drain(&mut t, d1).count(), 0);
         assert_eq!(t.durable_seq(), 0);
@@ -856,7 +842,7 @@ mod tests {
         // Seq 1 durable: its two acks leave in park order, seq 3's stays.
         assert_eq!(b.drain(&mut t, d1).collect::<Vec<_>>(), ['a', 'b']);
         assert_eq!(b.len(), 1);
-        let d2 = t.seal_group(&[rec(2, 11, 2), rec(3, 12, 3)], d1);
+        let d2 = t.seal_group(reg, &[rec(2, 11, 2), rec(3, 12, 3)], d1);
         assert_eq!(b.drain(&mut t, d2).collect::<Vec<_>>(), ['c']);
         assert!(b.is_empty());
     }
@@ -868,13 +854,50 @@ mod tests {
             wal_floor: 1,
             entries: vec![(5, vec![1, 2, 3]), (9, vec![4])],
         });
-        assert_eq!(t.cold_get(5), Some(vec![1, 2, 3]));
+        let reg = &mut MetricsRegistry::new();
+        assert_eq!(t.cold_get(reg, 5), Some(vec![1, 2, 3]));
         t.tombstone(5);
-        assert_eq!(t.cold_get(5), None);
-        assert_eq!(t.cold_get(9), Some(vec![4]));
-        assert_eq!(t.cold_get(77), None);
-        assert_eq!(t.stats.cold_hits, 2);
-        assert_eq!(t.stats.cold_misses, 2);
+        assert_eq!(t.cold_get(reg, 5), None);
+        assert_eq!(t.cold_get(reg, 9), Some(vec![4]));
+        assert_eq!(t.cold_get(reg, 77), None);
+        assert_eq!(reg.counter(Counter::TierColdHit), 2);
+        assert_eq!(reg.counter(Counter::TierColdMiss), 2);
+    }
+
+    #[test]
+    fn deleting_a_run_only_key_reads_nothing_cold() {
+        let mut t = TierState::new(TierConfig::default(), 7);
+        t.run = Some(SortedRun {
+            wal_floor: 1,
+            entries: vec![(5, vec![1, 2, 3])],
+        });
+        let req = Request {
+            client: 0,
+            seq: 0,
+            op: Op::Delete { key: 5 },
+            value: None,
+            sent_at: SimTime::ZERO,
+        };
+        let (cfg, class) = (utps_sim::MachineConfig::tiny(), utps_sim::StatClass::Mr);
+        let ((), t) = utps_sim::Engine::run_once(cfg, 1, class, t, move |ctx, t| {
+            let store = KvStore::new(utps_index::IndexKind::Tree, 16);
+            let (mut wal, mut cold) = (Vec::new(), None);
+            let miss = KvOpOutput::miss();
+            let out = finish_op(ctx, Some(t), &store, &req, &mut wal, &mut cold, miss);
+            assert!(
+                out.expect("a delete never parks").ok,
+                "deleted by tombstone"
+            );
+            let reg = &ctx.machine().registry;
+            for c in [
+                Counter::TierColdHit,
+                Counter::TierColdMiss,
+                Counter::DeviceReads,
+            ] {
+                assert_eq!(reg.counter(c), 0, "{} counted", c.name());
+            }
+        });
+        assert_eq!(t.tombstone_count(), 1);
     }
 
     #[test]

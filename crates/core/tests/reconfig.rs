@@ -55,7 +55,7 @@ fn reassign_back_to_back(kind: QueueKind) {
         );
         last_total = total;
     }
-    assert_eq!(eng.world.stats.reconfig_events.len(), 4);
+    assert_eq!(eng.world.reconfig_events.len(), 4);
 }
 
 #[test]

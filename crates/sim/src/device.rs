@@ -66,19 +66,6 @@ impl Default for DeviceConfig {
     }
 }
 
-/// Device op counters (folded into run stats by the tier layer).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeviceStats {
-    /// Completed read submissions.
-    pub reads: u64,
-    /// Completed write submissions.
-    pub writes: u64,
-    /// Bytes written across all segments.
-    pub write_bytes: u64,
-    /// Bytes read.
-    pub read_bytes: u64,
-}
-
 /// One append-only region of the device (a WAL or a sorted-run file).
 struct Segment {
     bytes: Vec<u8>,
@@ -98,8 +85,6 @@ pub struct SimDevice {
     /// next op starts no earlier than its slot frees.
     slots: Vec<SimTime>,
     slot_cursor: usize,
-    /// Device op counters.
-    pub stats: DeviceStats,
 }
 
 impl SimDevice {
@@ -115,7 +100,6 @@ impl SimDevice {
             segments: Vec::new(),
             slots: vec![SimTime::ZERO; depth],
             slot_cursor: 0,
-            stats: DeviceStats::default(),
         }
     }
 
@@ -203,8 +187,6 @@ impl SimDevice {
         s.bytes.extend_from_slice(data);
         let len = s.bytes.len();
         s.marks.push((done, len));
-        self.stats.writes += 1;
-        self.stats.write_bytes += data.len() as u64;
         done
     }
 
@@ -213,10 +195,7 @@ impl SimDevice {
     /// the latency is what the batched-prefetch machinery hides.
     pub fn read(&mut self, len: usize, now: SimTime) -> SimTime {
         let lat = self.latency(self.cfg.read_base_ns, len);
-        let done = self.submit(now, lat);
-        self.stats.reads += 1;
-        self.stats.read_bytes += len as u64;
-        done
+        self.submit(now, lat)
     }
 
     /// Crashes the device at time `at`: every segment is truncated to its

@@ -614,8 +614,17 @@ impl<W> Engine<W> {
         &mut self.machines[idx]
     }
 
+    /// Zeroes every machine's cache counters and metrics registry (the
+    /// warm-up boundary).
+    pub fn reset_counters(&mut self) {
+        for m in &mut self.machines {
+            m.cache.metrics.reset();
+            m.registry.reset();
+        }
+    }
+
     /// The world and machine `idx` together (disjoint borrows, for code
-    /// that moves world-side counters into a machine's registry).
+    /// that folds end-of-run levels into a machine's registry).
     pub fn world_and_machine(&mut self, idx: usize) -> (&mut W, &mut Machine) {
         (&mut self.world, &mut self.machines[idx])
     }

@@ -370,6 +370,14 @@ impl MetricsRegistry {
         self.add(c, 1);
     }
 
+    /// Touches each of `cs` at zero, so its key is in every snapshot even
+    /// when its event never fires.
+    pub fn pin(&mut self, cs: &[Counter]) {
+        for &c in cs {
+            self.add(c, 0);
+        }
+    }
+
     /// Current value of counter `c` (0 if never touched).
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c as usize].unwrap_or(0)

@@ -107,10 +107,6 @@ impl<M> Default for DelayQueue<M> {
 pub struct Pipe {
     cfg: NetConfig,
     busy_until: SimTime,
-    /// Messages transmitted (for utilization stats).
-    pub messages: u64,
-    /// Payload bytes transmitted.
-    pub bytes: u64,
 }
 
 impl Pipe {
@@ -119,8 +115,6 @@ impl Pipe {
         Pipe {
             cfg,
             busy_until: SimTime::ZERO,
-            messages: 0,
-            bytes: 0,
         }
     }
 
@@ -134,8 +128,6 @@ impl Pipe {
         };
         let wire = self.cfg.wire_time(payload);
         self.busy_until = start + wire;
-        self.messages += 1;
-        self.bytes += payload as u64;
         self.busy_until + self.cfg.one_way_delay
     }
 

@@ -203,6 +203,30 @@ fn injected_faults_are_observable_in_counters() {
 }
 
 #[test]
+fn a_warm_up_stall_is_outside_every_systems_window() {
+    // A stall that ends inside the warm-up: every system resets its
+    // registry at the boundary, so no system counts its deferred steps.
+    let faults = FaultConfig {
+        stalls: vec![StallWindow {
+            core: 1,
+            at_ps: 100 * MICROS,
+            dur_ps: 50 * MICROS,
+        }],
+        ..FaultConfig::default()
+    };
+    for system in [SystemKind::Utps, SystemKind::BaseKv, SystemKind::ErpcKv] {
+        let r = run(system, &chaos_cfg(IndexKind::Tree, faults.clone()));
+        let snap = r.stage_metrics.as_ref().expect("every runner snapshots");
+        assert_eq!(
+            snap.counter("fault.stall_defer"),
+            Some(0),
+            "{}: warm-up deferrals leaked into the measured window",
+            system.name()
+        );
+    }
+}
+
+#[test]
 fn same_seed_fault_runs_are_byte_identical() {
     use utps::core::experiment::{run_utps, stats_json};
     let faults = FaultConfig {

@@ -103,7 +103,7 @@ fn effective(world: &mut TierWorld, key: u64) -> Option<Vec<u8>> {
     if let Some(v) = world.store.get_native(key) {
         return Some(v.to_vec());
     }
-    world.tier.cold_get(key)
+    world.tier.run_value(key).map(<[u8]>::to_vec)
 }
 
 fn check_tier_model(ops: Vec<TierOp>) {
@@ -215,11 +215,11 @@ fn tombstone_then_reput_survives_compaction() {
         compact_pass(&mut w.tier, &mut w.store, None, KEYS, ctx);
         assert_eq!(w.store.len(), 0);
         assert_eq!(w.tier.run_items(), POP);
-        assert!(w.tier.cold_get(3).is_some());
+        assert!(w.tier.run_value(3).is_some());
 
         // Cold delete: tombstone shadows the run copy immediately.
         w.tier.tombstone(3);
-        assert!(w.tier.cold_get(3).is_none());
+        assert!(w.tier.run_value(3).is_none());
 
         // Re-put while the tombstone is still live.
         let mut op = KvOp::put(&w.store, 3, vec![0x5a; 8].into_boxed_slice(), BUFS);
@@ -231,6 +231,6 @@ fn tombstone_then_reput_survives_compaction() {
         compact_pass(&mut w.tier, &mut w.store, None, KEYS, ctx);
         assert_eq!(w.store.len(), 0);
         assert_eq!(w.tier.tombstone_count(), 0);
-        assert_eq!(w.tier.cold_get(3).as_deref(), Some(&[0x5a; 8][..]));
+        assert_eq!(w.tier.run_value(3), Some(&[0x5a; 8][..]));
     });
 }

@@ -137,3 +137,23 @@ fn faulty_and_clean_runs_share_one_schema() {
     let faulty = keys_of(&stats_json(&run_utps(&faulty_cfg)));
     assert_eq!(clean, faulty, "fault injection changed the stats schema");
 }
+
+#[test]
+fn cache_off_run_keeps_the_hot_cache_and_ring_keys() {
+    // With the cache off the hot cache is never probed and nothing is
+    // served at the CR layer: those keys are pinned at zero, not dropped.
+    use utps::core::experiment::run_utps;
+    let r = run_utps(&RunConfig {
+        cache_enabled: false,
+        ..schema_cfg()
+    });
+    let snap = r.stage_metrics.as_ref().expect("every runner snapshots");
+    for key in ["hot.hits", "hot.misses", "server.cr_local"] {
+        assert_eq!(snap.counter(key), Some(0), "cache-off run: {key}");
+    }
+    for key in ["ring.dma", "ring.polls", "ring.poll_hits"] {
+        assert!(snap.counter(key).is_some(), "cache-off run lost {key}");
+    }
+    // `server.forwarded` restates `cr.forward`: one event, counted once.
+    assert_eq!(snap.counter("server.forwarded"), snap.counter("cr.forward"));
+}

@@ -174,3 +174,42 @@ fn tierless_schema_has_no_tier_keys() {
         );
     }
 }
+
+#[test]
+fn tier_keys_are_pinned_when_their_events_never_fire() {
+    // Reads only, under a DRAM budget the keyspace never exceeds: no WAL
+    // record, eviction, cold read or device op happens, and every tier,
+    // WAL and device key still reads 0 rather than going missing.
+    let cfg = RunConfig {
+        workload: WorkloadSpec::Ycsb {
+            mix: Mix::C,
+            theta: 0.99,
+            value_len: 64,
+            scan_len: 20,
+        },
+        tier: Some(TierConfig {
+            dram_items_max: 1_000_000,
+            ..tier_cfg().tier.expect("tier config")
+        }),
+        ..tier_cfg()
+    };
+    for system in [SystemKind::Utps, SystemKind::BaseKv] {
+        let r = run(system, &cfg);
+        let snap = r.stage_metrics.as_ref().expect("every runner snapshots");
+        for key in [
+            "device.reads",
+            "device.writes",
+            "tier.cold_hit",
+            "tier.cold_miss",
+            "tier.compactions",
+            "tier.evicted",
+            "tier.run_items",
+            "tier.tombstones",
+            "wal.bytes",
+            "wal.groups",
+            "wal.records",
+        ] {
+            assert_eq!(snap.counter(key), Some(0), "{}: {key}", system.name());
+        }
+    }
+}
