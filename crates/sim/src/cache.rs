@@ -35,26 +35,118 @@ pub enum StatClass {
 
 const INVALID_TAG: u64 = u64::MAX;
 
-#[derive(Clone, Copy)]
-struct PrivLine {
-    tag: u64,
-    lru: u64,
-    modified: bool,
+/// Bit 63 of a tag word: the line is modified (private levels) or dirty
+/// (LLC). Line numbers are addresses over the line size, so they never
+/// reach it.
+const DIRTY: u64 = 1 << 63;
+
+/// The order word keeps one 4-bit way number per recency position.
+const MAX_WAYS: usize = 16;
+
+const NIBBLES: u64 = 0x1111_1111_1111_1111;
+
+/// Set-associative tag storage shared by every level. Each set is one word
+/// of LRU order followed by one tag word per way:
+///
+/// * a tag word is the line number, with [`DIRTY`] as the modified flag, or
+///   [`INVALID_TAG`];
+/// * the order word is an exact recency permutation of the ways, one nibble
+///   per position: nibble 0 holds the most recent way, nibble `ways - 1` the
+///   least recent.
+///
+/// A fresh set orders its ways `ways - 1, …, 1, 0`, so way 0 is the least
+/// recent. Only a fill makes a way valid and every fill touches it, so
+/// never-filled ways stay behind the filled ones, lowest way last.
+struct TagSets {
+    ways: usize,
+    words: Vec<u64>,
 }
 
-impl PrivLine {
-    const EMPTY: PrivLine = PrivLine {
-        tag: INVALID_TAG,
-        lru: 0,
-        modified: false,
-    };
+impl TagSets {
+    fn new(sets: usize, ways: usize) -> Self {
+        assert!(
+            (1..=MAX_WAYS).contains(&ways),
+            "associativity must be 1..=16 (one order nibble per way)"
+        );
+        let fresh = (0..ways).fold(0u64, |o, pos| o | ((ways - 1 - pos) as u64) << (4 * pos));
+        let mut set = vec![INVALID_TAG; ways + 1];
+        set[0] = fresh;
+        TagSets {
+            ways,
+            words: set.repeat(sets),
+        }
+    }
+
+    /// Index of set `set`'s order word; its tag words follow.
+    #[inline]
+    fn base(&self, set: usize) -> usize {
+        set * (self.ways + 1)
+    }
+
+    #[inline]
+    fn tags(&self, base: usize) -> &[u64] {
+        &self.words[base + 1..base + 1 + self.ways]
+    }
+
+    /// The first way holding `line`.
+    #[inline]
+    fn find(&self, base: usize, line: u64) -> Option<usize> {
+        self.tags(base).iter().position(|&t| t & !DIRTY == line)
+    }
+
+    /// Moves `way` to the most recent position of its set.
+    #[inline]
+    fn touch(&mut self, base: usize, way: usize) {
+        let order = self.words[base];
+        // The lowest zero nibble of `x` is exact (a borrow only flags
+        // nibbles above it), and `way` sits at a position below `ways`.
+        let x = order ^ (way as u64 * NIBBLES);
+        let zero = x.wrapping_sub(NIBBLES) & !x & (NIBBLES << 3);
+        let shift = zero.trailing_zeros() & !3;
+        let newer = order & ((1u64 << shift) - 1);
+        let older = order & (!0u64 << shift << 4);
+        self.words[base] = older | newer << 4 | way as u64;
+    }
+
+    /// The least recent way: the last nibble.
+    #[inline]
+    fn lru(&self, base: usize) -> usize {
+        (self.words[base] >> (4 * (self.ways - 1))) as usize
+    }
+
+    /// The least recent way enabled in `mask`.
+    #[inline]
+    fn lru_in(&self, base: usize, mask: u32) -> Option<usize> {
+        let order = self.words[base];
+        (0..self.ways)
+            .rev()
+            .map(|pos| (order >> (4 * pos)) as usize & (MAX_WAYS - 1))
+            .find(|&w| mask >> w & 1 != 0)
+    }
+
+    /// Stores `tag` in `way` and makes it the most recent; returns the old
+    /// tag word.
+    #[inline]
+    fn fill(&mut self, base: usize, way: usize, tag: u64) -> u64 {
+        let old = std::mem::replace(&mut self.words[base + 1 + way], tag);
+        self.touch(base, way);
+        old
+    }
+
+    /// Bytes of tag and order words.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
+    }
 }
+
+/// A private cache slot: the index of its tag word in [`TagSets::words`].
+type Slot = usize;
 
 /// One private cache level (L1 or L2) of one core.
 struct PrivCache {
-    ways: usize,
     set_mask: u64,
-    lines: Vec<PrivLine>,
+    sets: TagSets,
     counter: u64,
     /// Lines dropped by [`PrivCache::invalidate`] or [`PrivCache::clear`]:
     /// the only state changes that do not advance `counter`.
@@ -65,9 +157,8 @@ impl PrivCache {
     fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "cache sets must be a power of two");
         PrivCache {
-            ways,
             set_mask: sets as u64 - 1,
-            lines: vec![PrivLine::EMPTY; sets * ways],
+            sets: TagSets::new(sets, ways),
             counter: 0,
             drops: 0,
         }
@@ -80,185 +171,150 @@ impl PrivCache {
     }
 
     #[inline]
-    fn set_range(&self, line: u64) -> core::ops::Range<usize> {
-        let set = (line & self.set_mask) as usize;
-        set * self.ways..(set + 1) * self.ways
+    fn base(&self, line: u64) -> usize {
+        self.sets.base((line & self.set_mask) as usize)
     }
 
-    /// Returns the slot index of `line` if present, bumping recency.
-    fn lookup(&mut self, line: u64) -> Option<usize> {
-        let range = self.set_range(line);
+    /// Returns the slot of `line` if present, making it the most recent.
+    fn lookup(&mut self, line: u64) -> Option<Slot> {
+        let base = self.base(line);
         self.counter += 1;
-        for i in range {
-            if self.lines[i].tag == line {
-                self.lines[i].lru = self.counter;
-                return Some(i);
-            }
-        }
-        None
+        let way = self.sets.find(base, line)?;
+        self.sets.touch(base, way);
+        Some(base + 1 + way)
     }
 
     /// Inserts `line`, returning the evicted line (tag, modified) if any.
+    ///
+    /// The scan stops at the first invalid way and fills it, so a copy of
+    /// `line` in a later way is not seen (ROADMAP 3(a)). A full set evicts
+    /// its least recent way.
     fn insert(&mut self, line: u64, modified: bool) -> Option<(u64, bool)> {
-        let range = self.set_range(line);
+        let base = self.base(line);
         self.counter += 1;
-        let mut victim = range.start;
-        for i in range {
-            if self.lines[i].tag == line {
+        let flag = if modified { DIRTY } else { 0 };
+        let mut free = None;
+        for (way, &t) in self.sets.tags(base).iter().enumerate() {
+            if t & !DIRTY == line {
                 // Already present: just refresh state.
-                self.lines[i].lru = self.counter;
-                self.lines[i].modified |= modified;
+                self.sets.words[base + 1 + way] |= flag;
+                self.sets.touch(base, way);
                 return None;
             }
-            if self.lines[i].tag == INVALID_TAG {
-                victim = i;
+            if t == INVALID_TAG {
+                free = Some(way);
                 break;
             }
-            if self.lines[i].lru < self.lines[victim].lru {
-                victim = i;
-            }
         }
-        let old = self.lines[victim];
-        self.lines[victim] = PrivLine {
-            tag: line,
-            lru: self.counter,
-            modified,
-        };
-        if old.tag == INVALID_TAG {
-            None
-        } else {
-            Some((old.tag, old.modified))
-        }
+        let way = free.unwrap_or_else(|| self.sets.lru(base));
+        let old = self.sets.fill(base, way, line | flag);
+        (old != INVALID_TAG).then_some((old & !DIRTY, old & DIRTY != 0))
+    }
+
+    fn is_modified(&self, slot: Slot) -> bool {
+        self.sets.words[slot] & DIRTY != 0
     }
 
     /// Marks a resident line modified (RFO upgrade).
-    fn mark_modified(&mut self, slot: usize) {
-        self.lines[slot].modified = true;
+    fn mark_modified(&mut self, slot: Slot) {
+        self.sets.words[slot] |= DIRTY;
     }
 
     /// Drops `line` if present; returns whether it was present and whether it
     /// was modified.
     fn invalidate(&mut self, line: u64) -> (bool, bool) {
-        let range = self.set_range(line);
-        for i in range {
-            if self.lines[i].tag == line {
-                let m = self.lines[i].modified;
-                self.lines[i] = PrivLine::EMPTY;
+        let base = self.base(line);
+        match self.sets.find(base, line) {
+            Some(way) => {
+                let old = std::mem::replace(&mut self.sets.words[base + 1 + way], INVALID_TAG);
                 self.drops += 1;
-                return (true, m);
+                (true, old & DIRTY != 0)
             }
+            None => (false, false),
         }
-        (false, false)
     }
 
     /// Invalidates everything (used when a core changes roles in tests).
+    /// The order words stay: an invalid way is chosen by position, not
+    /// recency, and becomes the most recent when filled.
     fn clear(&mut self) {
-        self.lines.fill(PrivLine::EMPTY);
+        for set in self.sets.words.chunks_mut(self.sets.ways + 1) {
+            set[1..].fill(INVALID_TAG);
+        }
         self.drops += 1;
     }
 
     fn contains(&self, line: u64) -> bool {
-        let set = (line & self.set_mask) as usize;
-        self.lines[set * self.ways..(set + 1) * self.ways]
-            .iter()
-            .any(|l| l.tag == line)
+        self.sets.find(self.base(line), line).is_some()
     }
-}
-
-#[derive(Clone, Copy)]
-struct LlcLine {
-    tag: u64,
-    lru: u64,
-    dirty: bool,
-}
-
-impl LlcLine {
-    const EMPTY: LlcLine = LlcLine {
-        tag: INVALID_TAG,
-        lru: 0,
-        dirty: false,
-    };
 }
 
 /// The shared last-level cache with way-mask-restricted allocation.
 struct Llc {
-    ways: usize,
-    set_mask: u64,
-    lines: Vec<LlcLine>,
-    counter: u64,
+    /// Set count: a line's set is `line % sets`, which need not be a power
+    /// of two (the paper machine has 57 344).
+    sets: u64,
+    tags: TagSets,
 }
 
 impl Llc {
     fn new(sets: usize, ways: usize) -> Self {
-        assert!(sets.is_power_of_two(), "LLC sets must be a power of two");
-        assert!(ways <= 32, "way masks are u32");
+        assert!(sets > 0, "LLC needs a set");
         Llc {
-            ways,
-            set_mask: sets as u64 - 1,
-            lines: vec![LlcLine::EMPTY; sets * ways],
-            counter: 0,
+            sets: sets as u64,
+            tags: TagSets::new(sets, ways),
         }
+    }
+
+    fn ways(&self) -> usize {
+        self.tags.ways
     }
 
     #[inline]
     fn base(&self, line: u64) -> usize {
-        ((line & self.set_mask) as usize) * self.ways
+        self.tags.base((line % self.sets) as usize)
     }
 
-    /// Looks up `line` in any way (CAT restricts fills, not hits).
-    fn lookup(&mut self, line: u64) -> Option<usize> {
+    /// Looks up `line` in any way (CAT restricts fills, not hits); returns
+    /// its slot.
+    fn lookup(&mut self, line: u64) -> Option<Slot> {
         let base = self.base(line);
-        self.counter += 1;
-        for w in 0..self.ways {
-            if self.lines[base + w].tag == line {
-                self.lines[base + w].lru = self.counter;
-                return Some(base + w);
-            }
-        }
-        None
+        let way = self.tags.find(base, line)?;
+        self.tags.touch(base, way);
+        Some(base + 1 + way)
     }
 
-    /// Allocates `line` in the LRU way among those enabled in `mask`. The
-    /// displaced line needs no bookkeeping: private copies survive it
-    /// (non-inclusive hierarchy) and the directory tracks them on its own.
+    fn mark_dirty(&mut self, slot: Slot) {
+        self.tags.words[slot] |= DIRTY;
+    }
+
+    /// Allocates `line` in the least recent way among those enabled in
+    /// `mask`: a never-filled way if the mask has one (the lowest first),
+    /// else the least recently used. The displaced line needs no
+    /// bookkeeping: private copies survive it (non-inclusive hierarchy) and
+    /// the directory tracks them on its own.
     fn insert(&mut self, line: u64, mask: u32, dirty: bool) {
         debug_assert!(mask != 0, "empty CLOS mask");
         let base = self.base(line);
-        self.counter += 1;
-        let mut victim = None;
-        for w in 0..self.ways {
-            if mask & (1 << w) == 0 {
-                continue;
-            }
-            let l = &self.lines[base + w];
-            if l.tag == INVALID_TAG {
-                victim = Some(base + w);
-                break;
-            }
-            match victim {
-                Some(v) if self.lines[v].lru <= l.lru => {}
-                _ => victim = Some(base + w),
-            }
-        }
-        let victim = victim.expect("CLOS mask has no ways within associativity");
-        self.lines[victim] = LlcLine {
-            tag: line,
-            lru: self.counter,
-            dirty,
-        };
+        let way = self
+            .tags
+            .lru_in(base, mask)
+            .expect("CLOS mask has no ways within associativity");
+        self.tags
+            .fill(base, way, if dirty { line | DIRTY } else { line });
     }
 
     #[cfg(test)]
     fn way_of(&self, line: u64) -> Option<usize> {
-        let base = self.base(line);
-        (0..self.ways).find(|w| self.lines[base + w].tag == line)
+        self.tags.find(self.base(line), line)
     }
 }
 
 #[derive(Clone, Copy, Default)]
 struct DirEntry {
-    /// Bitmask of cores holding the line in a private cache.
-    sharers: u64,
+    /// Bitmask of cores holding the line in a private cache (a machine has
+    /// at most 32 cores).
+    sharers: u32,
     /// Core holding the line modified, if any.
     owner: Option<u8>,
 }
@@ -266,14 +322,17 @@ struct DirEntry {
 /// The full simulated cache hierarchy of the server socket.
 pub struct CacheHierarchy {
     cfg: MachineConfig,
+    /// log2 of the line size.
+    line_shift: u32,
     l1: Vec<PrivCache>,
     l2: Vec<PrivCache>,
     llc: Llc,
     dir: FxHashMap<u64, DirEntry>,
     clos: Vec<u32>,
     ddio_mask: u32,
-    /// Per-core in-flight software prefetches: line → ready time.
-    prefetched: Vec<FxHashMap<u64, SimTime>>,
+    /// Per-core in-flight software prefetches, (line, ready time), at most
+    /// `cost.mshr` of them.
+    prefetched: Vec<Vec<(u64, SimTime)>>,
     /// Per-core count of changes to `prefetched[core]` (part of
     /// [`CacheHierarchy::private_version`]).
     pf_changes: Vec<u64>,
@@ -308,24 +367,26 @@ impl CacheHierarchy {
     /// Builds the hierarchy for `cores` server cores.
     pub fn new(cfg: &MachineConfig, cores: usize) -> Self {
         let c = &cfg.cache;
-        let full: u32 = if c.llc_ways == 32 {
-            u32::MAX
-        } else {
-            (1u32 << c.llc_ways) - 1
-        };
+        assert!(c.line.is_power_of_two(), "line size must be a power of two");
+        assert!(cores <= 32, "directory sharer masks are u32");
+        let llc = Llc::new(c.llc_sets, c.llc_ways);
+        let full = (1u32 << c.llc_ways) - 1;
         let ddio_mask = ((1u32 << c.ddio_ways) - 1) << (c.llc_ways - c.ddio_ways);
         CacheHierarchy {
+            line_shift: c.line.trailing_zeros(),
             l1: (0..cores)
                 .map(|_| PrivCache::new(c.l1_sets, c.l1_ways))
                 .collect(),
             l2: (0..cores)
                 .map(|_| PrivCache::new(c.l2_sets, c.l2_ways))
                 .collect(),
-            llc: Llc::new(c.llc_sets, c.llc_ways),
+            llc,
             dir: FxHashMap::default(),
             clos: vec![full; cores],
             ddio_mask,
-            prefetched: (0..cores).map(|_| FxHashMap::default()).collect(),
+            prefetched: (0..cores)
+                .map(|_| Vec::with_capacity(cfg.cost.mshr))
+                .collect(),
             pf_changes: vec![0; cores],
             dram_bucket: 0,
             dram_counts: [0; 2],
@@ -336,6 +397,13 @@ impl CacheHierarchy {
         }
     }
 
+    /// Bytes of tag and order words across every level.
+    #[cfg(test)]
+    fn tag_bytes(&self) -> usize {
+        let private: usize = self.l1.iter().chain(&self.l2).map(|c| c.sets.bytes()).sum();
+        private + self.llc.tags.bytes()
+    }
+
     /// Number of simulated server cores.
     pub fn cores(&self) -> usize {
         self.l1.len()
@@ -343,11 +411,7 @@ impl CacheHierarchy {
 
     /// The mask covering every LLC way.
     pub fn full_mask(&self) -> u32 {
-        if self.llc.ways == 32 {
-            u32::MAX
-        } else {
-            (1u32 << self.llc.ways) - 1
-        }
+        (1u32 << self.llc.ways()) - 1
     }
 
     /// The DDIO allocation mask (the `ddio_ways` rightmost ways in Intel's
@@ -377,9 +441,9 @@ impl CacheHierarchy {
     /// lookups). So `n` single-line reads that moved it by exactly `n` were
     /// all plain L1 hits, and while it stays put the same reads would hit
     /// again: [`CacheHierarchy::l1_hits`] may charge them instead. Skipping
-    /// their recency refresh is exact — those lines already hold the newest
-    /// stamps of their sets, in read order, and victim selection only
-    /// compares stamps within a set.
+    /// their recency refresh is exact — those lines already are the most
+    /// recent ways of their sets, in read order, and victim selection only
+    /// orders ways within a set.
     pub fn private_version(&self, core: usize) -> u64 {
         self.l1[core].version() + self.l2[core].version() + self.pf_changes[core]
     }
@@ -388,7 +452,7 @@ impl CacheHierarchy {
     /// same geometry): lines read in rotation replay exactly only while no
     /// two share a set (DESIGN.md §10 "Parked CR polls").
     pub fn l1_set(&self, addr: usize) -> usize {
-        (addr / self.cfg.cache.line) % self.cfg.cache.l1_sets
+        (addr >> self.line_shift) % self.cfg.cache.l1_sets
     }
 
     /// Charges `n` plain L1 read hits attributed to `class` without walking
@@ -413,7 +477,7 @@ impl CacheHierarchy {
         write: bool,
         now: SimTime,
     ) -> u64 {
-        let (first, last) = line_span(addr, len, self.cfg.cache.line);
+        let (first, last) = line_span(addr, len, self.line_shift);
         let mut cost = 0;
         for (i, line) in (first..=last).enumerate() {
             let (c, kind) = self.access_line(core, line, write, now + cost);
@@ -438,11 +502,11 @@ impl CacheHierarchy {
         now: SimTime,
         hold: u64,
     ) -> u64 {
-        let line = (addr / self.cfg.cache.line) as u64;
+        let line = (addr >> self.line_shift) as u64;
         let had_others = self
             .dir
             .get(&line)
-            .map(|d| d.sharers & !(1u64 << core) != 0)
+            .map(|d| d.sharers & !(1u32 << core) != 0)
             .unwrap_or(false);
         let (mut cost, kind) = self.access_line(core, line, true, now);
         self.metrics.record(class as usize, kind);
@@ -517,15 +581,15 @@ impl CacheHierarchy {
         len: usize,
         now: SimTime,
     ) {
-        let (first, last) = line_span(addr, len, self.cfg.cache.line);
+        let (first, last) = line_span(addr, len, self.line_shift);
         for line in first..=last {
-            if self.prefetched[core].contains_key(&line) {
+            if self.prefetched[core].iter().any(|&(l, _)| l == line) {
                 continue;
             }
             // Enforce the fill-buffer budget: count in-flight fills,
             // lazily dropping completed entries.
             if self.prefetched[core].len() >= self.cfg.cost.mshr {
-                self.prefetched[core].retain(|_, &mut ready| ready > now);
+                self.prefetched[core].retain(|&(_, ready)| ready > now);
                 self.pf_changes[core] += 1;
                 if self.prefetched[core].len() >= self.cfg.cost.mshr {
                     continue; // dropped: the demand access pays full latency
@@ -534,7 +598,7 @@ impl CacheHierarchy {
             let (cost, kind) = self.access_line(core, line, false, now);
             self.metrics.record(class as usize, kind);
             if cost > self.cfg.cost.l1_hit {
-                self.prefetched[core].insert(line, now + cost);
+                self.prefetched[core].push((line, now + cost));
                 self.pf_changes[core] += 1;
             }
         }
@@ -543,11 +607,11 @@ impl CacheHierarchy {
     /// A NIC DMA write (DDIO): update in place on LLC hit, otherwise allocate
     /// within the DDIO ways; any private copies are invalidated.
     pub fn nic_write(&mut self, addr: usize, len: usize) {
-        let (first, last) = line_span(addr, len, self.cfg.cache.line);
+        let (first, last) = line_span(addr, len, self.line_shift);
         for line in first..=last {
             self.invalidate_private(line);
             if let Some(slot) = self.llc.lookup(line) {
-                self.llc.lines[slot].dirty = true;
+                self.llc.mark_dirty(slot);
                 self.metrics.ddio_updates += 1;
             } else {
                 self.llc.insert(line, self.ddio_mask, true);
@@ -560,7 +624,7 @@ impl CacheHierarchy {
     /// disturbs core-private state (the paper relies on this: posting a
     /// response buffer does not cost the CR layer anything).
     pub fn nic_read(&mut self, addr: usize, len: usize) {
-        let (first, last) = line_span(addr, len, self.cfg.cache.line);
+        let (first, last) = line_span(addr, len, self.line_shift);
         for line in first..=last {
             // A modified private copy must be snooped back so the NIC reads
             // fresh data; the line stays in the owner's cache as shared.
@@ -581,7 +645,7 @@ impl CacheHierarchy {
             if d.owner == Some(core as u8) {
                 d.owner = None;
             }
-            d.sharers &= !(1u64 << core);
+            d.sharers &= !(1u32 << core);
             d.sharers != 0 || d.owner.is_some()
         });
     }
@@ -605,7 +669,9 @@ impl CacheHierarchy {
         );
 
         // Software prefetch in flight? Pay only the remaining latency.
-        if let Some(ready) = self.prefetched[core].remove(&line) {
+        let pf = &mut self.prefetched[core];
+        if let Some(i) = pf.iter().position(|&(l, _)| l == line) {
+            let (_, ready) = pf.swap_remove(i);
             self.pf_changes[core] += 1;
             let wait = ready.since(now);
             let extra = if write {
@@ -627,7 +693,7 @@ impl CacheHierarchy {
         // L1.
         if let Some(slot) = self.l1[core].lookup(line) {
             let mut c = l1_hit;
-            if write && !self.l1[core].lines[slot].modified {
+            if write && !self.l1[core].is_modified(slot) {
                 c += self.rfo_upgrade(core, line);
                 self.l1[core].mark_modified(slot);
                 self.dir.entry(line).or_default().owner = Some(core as u8);
@@ -661,11 +727,11 @@ impl CacheHierarchy {
                 self.llc.insert(line, self.clos[core], true);
                 self.fill_private(core, line, write);
                 let d = self.dir.entry(line).or_default();
-                d.sharers |= 1u64 << core;
+                d.sharers |= 1u32 << core;
                 if write {
                     d.owner = Some(core as u8);
                 } else {
-                    d.sharers |= 1u64 << o;
+                    d.sharers |= 1u32 << o;
                 }
                 return (remote_dirty, AccessKind::Remote);
             }
@@ -674,13 +740,13 @@ impl CacheHierarchy {
         // LLC.
         if self.llc.lookup(line).is_some() {
             let mut c = llc_hit;
-            if write && dir.sharers & !(1u64 << core) != 0 {
+            if write && dir.sharers & !(1u32 << core) != 0 {
                 self.invalidate_private_except(line, core);
                 c += invalidate_extra;
             }
             self.fill_private(core, line, write);
             let d = self.dir.entry(line).or_default();
-            d.sharers |= 1u64 << core;
+            d.sharers |= 1u32 << core;
             if write {
                 d.owner = Some(core as u8);
             }
@@ -689,7 +755,7 @@ impl CacheHierarchy {
 
         // Another core may hold it clean (shared) while the LLC already
         // evicted it (non-inclusive). Serve as a cache-to-cache transfer.
-        if dir.sharers & !(1u64 << core) != 0 {
+        if dir.sharers & !(1u32 << core) != 0 {
             let mut c = remote_dirty;
             if write {
                 self.invalidate_private_except(line, core);
@@ -697,7 +763,7 @@ impl CacheHierarchy {
             }
             self.fill_private(core, line, write);
             let d = self.dir.entry(line).or_default();
-            d.sharers |= 1u64 << core;
+            d.sharers |= 1u32 << core;
             if write {
                 d.owner = Some(core as u8);
             }
@@ -710,7 +776,7 @@ impl CacheHierarchy {
         self.llc.insert(line, self.clos[core], write);
         self.fill_private(core, line, write);
         let d = self.dir.entry(line).or_default();
-        d.sharers |= 1u64 << core;
+        d.sharers |= 1u32 << core;
         if write {
             d.owner = Some(core as u8);
         }
@@ -751,7 +817,7 @@ impl CacheHierarchy {
             .dir
             .get(&line)
             .map(|d| {
-                d.sharers & !(1u64 << core) != 0 || matches!(d.owner, Some(o) if o as usize != core)
+                d.sharers & !(1u32 << core) != 0 || matches!(d.owner, Some(o) if o as usize != core)
             })
             .unwrap_or(false);
         if others {
@@ -784,12 +850,12 @@ impl CacheHierarchy {
         if dirty {
             // Write back into the LLC within the core's mask.
             match self.llc.lookup(line) {
-                Some(slot) => self.llc.lines[slot].dirty = true,
+                Some(slot) => self.llc.mark_dirty(slot),
                 None => self.llc.insert(line, self.clos[core], true),
             }
         }
         if let Some(d) = self.dir.get_mut(&line) {
-            d.sharers &= !(1u64 << core);
+            d.sharers &= !(1u32 << core);
             if d.owner == Some(core as u8) {
                 d.owner = None;
             }
@@ -816,8 +882,8 @@ impl CacheHierarchy {
     /// Invalidates private copies of `line` in every core except `keep`.
     fn invalidate_private_except(&mut self, line: u64, keep: usize) {
         if let Some(d) = self.dir.get_mut(&line) {
-            let mut sharers = d.sharers & !(1u64 << keep);
-            d.sharers &= 1u64 << keep;
+            let mut sharers = d.sharers & !(1u32 << keep);
+            d.sharers &= 1u32 << keep;
             if matches!(d.owner, Some(o) if o as usize != keep) {
                 d.owner = None;
             }
@@ -832,9 +898,9 @@ impl CacheHierarchy {
     }
 }
 
-fn line_span(addr: usize, len: usize, line: usize) -> (u64, u64) {
-    let first = (addr / line) as u64;
-    let last = ((addr + len.max(1) - 1) / line) as u64;
+fn line_span(addr: usize, len: usize, line_shift: u32) -> (u64, u64) {
+    let first = (addr >> line_shift) as u64;
+    let last = ((addr + len.max(1) - 1) >> line_shift) as u64;
     (first, last)
 }
 
@@ -1205,8 +1271,302 @@ mod tests {
         c.insert(11, false);
         c.invalidate(10);
         c.insert(11, false);
-        assert_eq!(c.lines.iter().filter(|l| l.tag == 11).count(), 2);
+        assert_eq!(c.sets.tags(0).iter().filter(|&&t| t == 11).count(), 2);
         c.invalidate(11);
         assert!(c.contains(11), "the second copy survives invalidation");
+    }
+
+    #[test]
+    fn paper_machine_builds_and_serves_accesses() {
+        let cfg = MachineConfig::paper();
+        let sets = cfg.cache.llc_sets;
+        assert!(!sets.is_power_of_two());
+        let mut h = CacheHierarchy::new(&cfg, 28);
+        let cost = cfg.cost.clone();
+        let t = SimTime::ZERO;
+        // A line in the top LLC set: `line % sets`, not a mask.
+        let a = (3 * sets + sets - 1) * LINE;
+        assert_eq!(h.access(0, StatClass::Cr, a, 8, false, t), cost.dram);
+        assert_eq!(h.llc.base(a as u64 / 64), h.llc.tags.base(sets - 1));
+        assert_eq!(h.access(0, StatClass::Cr, a, 8, false, t), cost.l1_hit);
+        // Core 27 writes the shared line: an LLC hit that invalidates core 0.
+        let w = h.access(27, StatClass::Mr, a, 8, true, t);
+        assert_eq!(w, cost.llc_hit + cost.invalidate_extra);
+        assert_eq!(h.metrics.invalidations, 1);
+        assert_eq!(
+            h.access(0, StatClass::Cr, a, 8, false, t),
+            cost.remote_dirty
+        );
+        // A DDIO write allocates in the DDIO ways; a core then reads it from
+        // the LLC.
+        let b = 5 * LINE;
+        h.nic_write(b, 64);
+        assert_eq!(h.metrics.ddio_allocs, 1);
+        assert!(h.llc.way_of(5).unwrap() >= cfg.cache.llc_ways - cfg.cache.ddio_ways);
+        assert_eq!(h.access(13, StatClass::Other, b, 8, false, t), cost.llc_hit);
+        // Lines `sets` apart share a set: one allowed way holds one of them.
+        h.set_clos_mask(1, 0b1);
+        let c = 7 * LINE;
+        h.access(1, StatClass::Other, c, 8, false, t);
+        h.access(1, StatClass::Other, c + sets * LINE, 8, false, t);
+        assert_eq!(h.llc.way_of(7 + sets as u64), Some(0));
+        assert_eq!(h.llc.way_of(7), None);
+    }
+
+    /// The tag store's size is the host cache footprint of the model: the
+    /// default 17-core machine's must stay within 4 MiB.
+    #[test]
+    fn default_machine_tag_storage_fits_in_four_mib() {
+        let h = CacheHierarchy::new(&MachineConfig::default(), 17);
+        assert!(h.tag_bytes() <= 4 << 20, "{} B of tags", h.tag_bytes());
+    }
+
+    /// The stamp-LRU tag store the packed one replaced, kept as the
+    /// reference for `tag_store_matches_the_stamp_lru_reference`.
+    mod stamp {
+        #[derive(Clone, Copy)]
+        pub struct Line {
+            pub tag: u64,
+            lru: u64,
+            pub dirty: bool,
+        }
+
+        const EMPTY: Line = Line {
+            tag: super::INVALID_TAG,
+            lru: 0,
+            dirty: false,
+        };
+
+        pub struct Cache {
+            ways: usize,
+            sets: u64,
+            pub lines: Vec<Line>,
+            counter: u64,
+            drops: u64,
+        }
+
+        impl Cache {
+            pub fn new(sets: usize, ways: usize) -> Self {
+                Cache {
+                    ways,
+                    sets: sets as u64,
+                    lines: vec![EMPTY; sets * ways],
+                    counter: 0,
+                    drops: 0,
+                }
+            }
+
+            pub fn version(&self) -> u64 {
+                self.counter + self.drops
+            }
+
+            fn range(&self, line: u64) -> core::ops::Range<usize> {
+                let set = (line % self.sets) as usize;
+                set * self.ways..(set + 1) * self.ways
+            }
+
+            pub fn lookup(&mut self, line: u64) -> Option<usize> {
+                self.counter += 1;
+                let i = self.range(line).find(|&i| self.lines[i].tag == line)?;
+                self.lines[i].lru = self.counter;
+                Some(i)
+            }
+
+            /// `PrivCache::insert`: stops at the first invalid way.
+            pub fn insert(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
+                let range = self.range(line);
+                self.counter += 1;
+                let mut victim = range.start;
+                for i in range {
+                    if self.lines[i].tag == line {
+                        self.lines[i].lru = self.counter;
+                        self.lines[i].dirty |= dirty;
+                        return None;
+                    }
+                    if self.lines[i].tag == super::INVALID_TAG {
+                        victim = i;
+                        break;
+                    }
+                    if self.lines[i].lru < self.lines[victim].lru {
+                        victim = i;
+                    }
+                }
+                let old = std::mem::replace(
+                    &mut self.lines[victim],
+                    Line {
+                        tag: line,
+                        lru: self.counter,
+                        dirty,
+                    },
+                );
+                (old.tag != super::INVALID_TAG).then_some((old.tag, old.dirty))
+            }
+
+            /// `Llc::insert`: the first invalid way in `mask`, else its
+            /// least recent.
+            pub fn insert_masked(&mut self, line: u64, mask: u32, dirty: bool) {
+                let range = self.range(line);
+                self.counter += 1;
+                let mut victim: Option<usize> = None;
+                for (w, i) in range.enumerate() {
+                    if mask & (1 << w) == 0 {
+                        continue;
+                    }
+                    if self.lines[i].tag == super::INVALID_TAG {
+                        victim = Some(i);
+                        break;
+                    }
+                    match victim {
+                        Some(v) if self.lines[v].lru <= self.lines[i].lru => {}
+                        _ => victim = Some(i),
+                    }
+                }
+                self.lines[victim.unwrap()] = Line {
+                    tag: line,
+                    lru: self.counter,
+                    dirty,
+                };
+            }
+
+            pub fn invalidate(&mut self, line: u64) -> (bool, bool) {
+                match self.range(line).find(|&i| self.lines[i].tag == line) {
+                    Some(i) => {
+                        let d = std::mem::replace(&mut self.lines[i], EMPTY).dirty;
+                        self.drops += 1;
+                        (true, d)
+                    }
+                    None => (false, false),
+                }
+            }
+
+            pub fn clear(&mut self) {
+                self.lines.fill(EMPTY);
+                self.drops += 1;
+            }
+
+            pub fn contains(&self, line: u64) -> bool {
+                self.range(line).any(|i| self.lines[i].tag == line)
+            }
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum TagOp {
+        Lookup(u64),
+        /// Lookup, then mark the hit slot modified.
+        Modify(u64),
+        Insert(u64, bool),
+        Invalidate(u64),
+        Contains(u64),
+        Clear,
+        /// `Llc::insert` under a way mask.
+        LlcInsert(u64, u32, bool),
+        LlcLookup(u64),
+    }
+
+    fn tag_op() -> impl proptest::strategy::Strategy<Value = TagOp> {
+        use proptest::prelude::*;
+        (0u8..16, 0u64..1 << 20, any::<u32>(), any::<bool>()).prop_map(|(k, line, mask, f)| match k
+        {
+            0..=2 => TagOp::Lookup(line),
+            3 => TagOp::Modify(line),
+            4..=7 => TagOp::Insert(line, f),
+            8 => TagOp::Invalidate(line),
+            9 => TagOp::Contains(line),
+            10 => TagOp::Clear,
+            11..=13 => TagOp::LlcInsert(line, mask, f),
+            _ => TagOp::LlcLookup(line),
+        })
+    }
+
+    /// `(tag, dirty)` of every way, in way order.
+    fn packed_ways(t: &TagSets) -> Vec<(u64, bool)> {
+        let sets = t.words.len() / (t.ways + 1);
+        (0..sets)
+            .flat_map(|s| t.tags(t.base(s)).to_vec())
+            .map(|w| {
+                if w == INVALID_TAG {
+                    (w, false)
+                } else {
+                    (w & !DIRTY, w & DIRTY != 0)
+                }
+            })
+            .collect()
+    }
+
+    fn stamp_ways(c: &stamp::Cache) -> Vec<(u64, bool)> {
+        c.lines.iter().map(|l| (l.tag, l.dirty)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The packed tag store picks the same victims as the stamp-LRU one
+        /// it replaced, quirks included: every op returns the same answer,
+        /// `version()` agrees, and each way holds the same line at the end.
+        #[test]
+        fn tag_store_matches_the_stamp_lru_reference(
+            ways in 1usize..=16,
+            set_bits in 0u32..3,
+            llc_sets in 1usize..6,
+            ops in proptest::collection::vec(tag_op(), 1..300),
+        ) {
+            let sets = 1usize << set_bits;
+            let (mut p, mut rp) = (PrivCache::new(sets, ways), stamp::Cache::new(sets, ways));
+            let (mut l, mut rl) = (Llc::new(llc_sets, ways), stamp::Cache::new(llc_sets, ways));
+            let full = (1u32 << ways) - 1;
+            for op in ops {
+                // Two more lines per set than ways, so sets fill and evict.
+                let x = match op {
+                    TagOp::LlcInsert(x, ..) | TagOp::LlcLookup(x) => x % (llc_sets * (ways + 2)) as u64,
+                    TagOp::Lookup(x) | TagOp::Modify(x) | TagOp::Insert(x, _)
+                    | TagOp::Invalidate(x) | TagOp::Contains(x) => x % (sets * (ways + 2)) as u64,
+                    TagOp::Clear => 0,
+                };
+                match op {
+                    TagOp::Lookup(_) => {
+                        let (s, r) = (p.lookup(x), rp.lookup(x));
+                        proptest::prop_assert_eq!(s.is_some(), r.is_some(), "{:?}", op);
+                        if let (Some(s), Some(r)) = (s, r) {
+                            proptest::prop_assert_eq!(p.is_modified(s), rp.lines[r].dirty);
+                        }
+                    }
+                    TagOp::Modify(_) => {
+                        if let Some(s) = p.lookup(x) {
+                            p.mark_modified(s);
+                        }
+                        if let Some(r) = rp.lookup(x) {
+                            rp.lines[r].dirty = true;
+                        }
+                    }
+                    TagOp::Insert(_, d) => {
+                        proptest::prop_assert_eq!(p.insert(x, d), rp.insert(x, d), "{:?}", op);
+                    }
+                    TagOp::Invalidate(_) => {
+                        proptest::prop_assert_eq!(p.invalidate(x), rp.invalidate(x), "{:?}", op);
+                    }
+                    TagOp::Contains(_) => {
+                        proptest::prop_assert_eq!(p.contains(x), rp.contains(x));
+                    }
+                    TagOp::Clear => {
+                        p.clear();
+                        rp.clear();
+                    }
+                    TagOp::LlcInsert(_, m, d) => {
+                        let m = if m & full == 0 { 1 << (m as usize % ways) } else { m & full };
+                        l.insert(x, m, d);
+                        rl.insert_masked(x, m, d);
+                    }
+                    TagOp::LlcLookup(_) => {
+                        let way = l.way_of(x);
+                        l.lookup(x);
+                        proptest::prop_assert_eq!(way, rl.lookup(x).map(|i| i % ways));
+                    }
+                }
+                proptest::prop_assert_eq!(p.version(), rp.version());
+                proptest::prop_assert_eq!(packed_ways(&p.sets), stamp_ways(&rp), "after {:?}", op);
+            }
+            proptest::prop_assert_eq!(packed_ways(&l.tags), stamp_ways(&rl));
+        }
     }
 }
