@@ -3,7 +3,7 @@
 
 use utps_baselines::BaseKv;
 use utps_core::crmr::QueueKind;
-use utps_core::experiment::{run_utps, stats_json, RunConfig, SystemKind, WorkloadSpec};
+use utps_core::experiment::{run_utps, stats_json, RunConfig, RunResult, SystemKind, WorkloadSpec};
 use utps_index::IndexKind;
 use utps_sim::time::MILLIS;
 use utps_workload::{Mix, TwitterCluster};
@@ -640,23 +640,25 @@ fn ablate(cli: &Cli, _: &mut StatsSink) {
     );
 }
 
-/// One observability-focused μTPS run, dumped as JSON.
-///
-/// Runs the Figure 14 configuration (online auto-tuner armed, value size
-/// 512 B → 8 B mid-run) without its timeline, so the run exercises every
-/// instrumented stage: CR hit/miss/forward counters and hit-path latency,
-/// MR batch sizes / interleave depth / traversal latency, CR-MR lane
-/// occupancy high-water marks, receive-ring poll efficiency, and at least
-/// one complete tuner trisection trace.
-///
-/// The stats document goes to stdout and, with `--stats`, to
-/// `bench_results/stats_stats.json`.
-fn stats(cli: &Cli, sink: &mut StatsSink) {
-    let (cfg, _) = dynamic(cli.scale);
-    let r = run_utps(&RunConfig {
+/// One observability-focused μTPS run: the Figure 14 configuration (online
+/// auto-tuner armed, value size 512 B → 8 B mid-run) without its timeline,
+/// so the run exercises every instrumented stage: CR hit/miss/forward
+/// counters and hit-path latency, MR batch sizes / interleave depth /
+/// traversal latency, CR-MR lane occupancy high-water marks, receive-ring
+/// poll efficiency, and at least one complete tuner trisection trace.
+/// `tests/golden/utps_fig_stats_quick.json` pins it at `--quick` scale.
+pub fn stats_run(scale: Scale) -> RunResult {
+    let (cfg, _) = dynamic(scale);
+    run_utps(&RunConfig {
         timeline_interval: 0,
         ..cfg
-    });
+    })
+}
+
+/// [`stats_run`] dumped as JSON: the stats document goes to stdout and,
+/// with `--stats`, to `bench_results/stats_stats.json`.
+fn stats(cli: &Cli, sink: &mut StatsSink) {
+    let r = stats_run(cli.scale);
     println!("{}", stats_json(&r));
     eprintln!(
         "[utps-stats] {:.2} Mops, {} tuner probes, final n_cr={}",

@@ -20,7 +20,7 @@
 )]
 mod figures;
 
-pub use figures::select;
+pub use figures::{select, stats_run};
 
 use utps_baselines::run;
 use utps_core::experiment::{run_utps, RunConfig, RunResult, SystemKind, WorkloadSpec};

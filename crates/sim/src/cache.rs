@@ -1276,6 +1276,46 @@ mod tests {
         assert!(c.contains(11), "the second copy survives invalidation");
     }
 
+    /// Known gap (ROADMAP 3(a)): a remote read downgrades the owner in the
+    /// directory but leaves its private line modified, so the owner's next
+    /// write is a plain L1 hit that invalidates no sharer, and the reader
+    /// keeps hitting its stale copy. This test pins today's behaviour; the
+    /// fix flips it.
+    #[test]
+    fn known_gap_owner_keeps_a_modified_line_after_a_downgrade() {
+        let mut h = hierarchy(2);
+        let cost = h.cfg.cost.clone();
+        let t = SimTime::ZERO;
+        h.access(0, StatClass::Other, 0x4000, 8, true, t);
+        let read = h.access(1, StatClass::Other, 0x4000, 8, false, t);
+        assert_eq!(read, cost.remote_dirty);
+        let invalidations = h.metrics.invalidations;
+        let write = h.access(0, StatClass::Other, 0x4000, 8, true, t);
+        assert_eq!(write, cost.l1_hit);
+        assert_eq!(h.metrics.invalidations, invalidations, "no sharer died");
+        let stale = h.access(1, StatClass::Other, 0x4000, 8, false, t);
+        assert_eq!(stale, cost.l1_hit, "the reader's stale copy hits");
+    }
+
+    /// Known gap (ROADMAP 3(a)): the remote-dirty path inserts into the LLC
+    /// without a lookup, so a line still resident there takes a second way
+    /// of its set. This test pins today's behaviour; the fix flips it.
+    #[test]
+    fn known_gap_remote_dirty_read_duplicates_a_resident_llc_line() {
+        let mut h = hierarchy(2);
+        let t = SimTime::ZERO;
+        let line = 0x4000 / LINE as u64;
+        h.access(0, StatClass::Other, 0x4000, 8, true, t);
+        let copies = |h: &CacheHierarchy| {
+            let tags = h.llc.tags.tags(h.llc.base(line));
+            tags.iter().filter(|&&w| w & !DIRTY == line).count()
+        };
+        assert_eq!(copies(&h), 1);
+        let read = h.access(1, StatClass::Other, 0x4000, 8, false, t);
+        assert_eq!(read, h.cfg.cost.remote_dirty);
+        assert_eq!(copies(&h), 2, "the remote read allocated a second way");
+    }
+
     #[test]
     fn paper_machine_builds_and_serves_accesses() {
         let cfg = MachineConfig::paper();

@@ -18,6 +18,8 @@
 //! chaos exactly-once tests — that is the bug doing its job.)
 #![cfg(feature = "bug-skip-dedup")]
 
+mod common;
+
 use utps::prelude::*;
 use utps::sim::time::MICROS;
 
@@ -33,30 +35,17 @@ fn dup_faults() -> FaultConfig {
 
 fn bug_cfg(seed: u64, schedule: ScheduleMode) -> RunConfig {
     RunConfig {
-        index: IndexKind::Tree,
-        keys: 20_000,
-        workers: 6,
-        n_cr: 2,
-        clients: 12,
-        pipeline: 4,
-        warmup: 500 * MICROS,
-        duration: 1_200 * MICROS,
-        machine: MachineConfig::tiny(),
-        hot_capacity: 1_000,
-        sample_every: 2,
-        seed,
         workload: WorkloadSpec::Ycsb {
             mix: Mix::CHURN,
             theta: 0.99,
             value_len: 64,
             scan_len: 20,
         },
-        retry: RetryConfig::chaos_default(),
         faults: dup_faults(),
         record_history: true,
         oracle: true,
         schedule,
-        ..RunConfig::default()
+        ..common::quick_cfg(IndexKind::Tree, seed)
     }
 }
 

@@ -12,6 +12,8 @@
 //!
 //! The seed is overridable via `CHAOS_SEED` so CI can run a fixed matrix.
 
+mod common;
+
 use utps::prelude::*;
 use utps::sim::time::MICROS;
 
@@ -24,27 +26,8 @@ fn chaos_seed() -> u64 {
 
 fn chaos_cfg(index: IndexKind, faults: FaultConfig) -> RunConfig {
     RunConfig {
-        index,
-        keys: 20_000,
-        workers: 6,
-        n_cr: 2,
-        clients: 12,
-        pipeline: 4,
-        warmup: 500 * MICROS,
-        duration: 1_200 * MICROS,
-        machine: MachineConfig::tiny(),
-        hot_capacity: 1_000,
-        sample_every: 2,
-        seed: chaos_seed(),
-        workload: WorkloadSpec::Ycsb {
-            mix: Mix::A,
-            theta: 0.99,
-            value_len: 64,
-            scan_len: 20,
-        },
-        retry: RetryConfig::chaos_default(),
         faults,
-        ..RunConfig::default()
+        ..common::quick_cfg(index, chaos_seed())
     }
 }
 
@@ -439,19 +422,13 @@ fn crash_plus_device_fault_preserves_exactly_once() {
             run_crash::<BaseKv> as fn(&RunConfig, u64) -> CrashReport,
         ),
     ] {
-        let cfg = RunConfig {
+        let cfg = common::with_tier(RunConfig {
             workers: 4,
             clients: 8,
             hot_capacity: 500,
             oracle: true,
-            tier: Some(TierConfig {
-                dram_items_max: 15_000,
-                evict_batch: 256,
-                compact_every_ps: 100 * MICROS,
-                ..Default::default()
-            }),
             ..chaos_cfg(IndexKind::Hash, faults.clone())
-        };
+        });
         let rep = runner(&cfg, cfg.warmup + cfg.duration / 2);
         let window = (cfg.clients * cfg.pipeline) as u64;
         for (phase, issued, completed, failed) in [

@@ -14,8 +14,10 @@
 //! The same runs pin multi-shard behaviour by value:
 //! `tests/golden/cluster_digest.txt` holds `label seed fnv1a(stats_json)
 //! history_digest` per cell, so a change to the client's routing, bounce or
-//! retransmit order shows even when the history still linearizes. After an
-//! intentional change: `UPDATE_GOLDEN=1 cargo test --test cluster_linearizability`.
+//! retransmit order shows even when the history still linearizes. It
+//! regenerates with every other golden (`tests/common/mod.rs`).
+
+mod common;
 
 use utps::core::system::ServerWorld;
 use utps::prelude::*;
@@ -23,10 +25,7 @@ use utps::sim::time::MICROS;
 use utps_core::experiment::stats_json;
 use utps_workload::zipf::KeyDist;
 
-const GOLDEN: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/cluster_digest.txt"
-);
+const GOLDEN: &str = "cluster_digest.txt";
 
 fn explore_seeds() -> Vec<u64> {
     std::env::var("EXPLORE_SEEDS")
@@ -40,28 +39,21 @@ fn explore_seeds() -> Vec<u64> {
         .unwrap_or_else(|| vec![42, 7, 1234])
 }
 
-/// Compares `label`'s rows to the committed golden; `UPDATE_GOLDEN` replaces
-/// them instead, keeping the other labels' rows. The lock is for the two
-/// `check_system` tests: they run on parallel threads and share the file.
+/// Checks `label`'s rows of the golden, which the two `check_system` tests
+/// share: the other labels' rows are kept as committed, so `UPDATE_GOLDEN`
+/// rewrites only this label's. The lock keeps the two tests, which run on
+/// parallel threads, from interleaving their read and write.
 fn check_golden(label: &str, got: &str) {
     static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _guard = ONE_AT_A_TIME.lock();
-    let old = std::fs::read_to_string(GOLDEN).unwrap_or_default();
-    let (mine, others): (Vec<&str>, Vec<&str>) = old
+    let old = common::golden_read(GOLDEN);
+    let mut rows: Vec<&str> = old
         .lines()
-        .partition(|l| l.split(' ').next() == Some(label));
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        let mut rows = [others, got.lines().collect()].concat();
-        rows.sort_by_key(|l| l.split(' ').next());
-        std::fs::write(GOLDEN, rows.join("\n") + "\n").expect("cannot write golden file");
-        return;
-    }
-    assert_eq!(
-        got.lines().collect::<Vec<_>>(),
-        mine,
-        "{label}: multi-shard stats or history diverged from the committed \
-         golden (UPDATE_GOLDEN=1 regenerates it)"
-    );
+        .filter(|l| l.split(' ').next() != Some(label))
+        .chain(got.lines())
+        .collect();
+    rows.sort_by_key(|l| l.split(' ').next());
+    common::golden(GOLDEN, &(rows.join("\n") + "\n"));
 }
 
 /// The chaos suite's acceptance plan: 1% receive drops plus one 50 µs stall
@@ -80,30 +72,11 @@ fn acceptance_faults() -> FaultConfig {
 
 fn cluster_cfg(index: IndexKind, seed: u64) -> ClusterConfig {
     let base = RunConfig {
-        index,
-        keys: 20_000,
-        workers: 6,
-        n_cr: 2,
-        clients: 12,
-        pipeline: 4,
-        warmup: 500 * MICROS,
-        duration: 1_200 * MICROS,
-        machine: MachineConfig::tiny(),
-        hot_capacity: 1_000,
-        sample_every: 2,
-        seed,
-        workload: WorkloadSpec::Ycsb {
-            mix: Mix::A,
-            theta: 0.99,
-            value_len: 64,
-            scan_len: 20,
-        },
-        retry: RetryConfig::chaos_default(),
         faults: acceptance_faults(),
         record_history: true,
         oracle: true,
         schedule: ScheduleMode::Explore(ScheduleConfig::explore(seed)),
-        ..RunConfig::default()
+        ..common::quick_cfg(index, seed)
     };
     let keys = base.keys;
     let large_keys = 500;
@@ -205,13 +178,8 @@ where
     S::World: utps::cluster::ShardWorld,
 {
     for seed in explore_seeds() {
-        let mut cfg = ClusterConfig::new(cluster_cfg(index, seed).base, 2);
-        cfg.base.tier = Some(TierConfig {
-            dram_items_max: 15_000,
-            evict_batch: 256,
-            compact_every_ps: 100 * MICROS,
-            ..Default::default()
-        });
+        let base = common::with_tier(cluster_cfg(index, seed).base);
+        let cfg = ClusterConfig::new(base, 2);
         let (r, mut shards) = utps::cluster::run_cluster_system::<S>(&cfg);
         assert!(r.completed > 0, "{label}/{seed}: nothing completed");
         for (s, (world, snap)) in shards.iter_mut().enumerate() {

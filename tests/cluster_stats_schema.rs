@@ -6,44 +6,17 @@
 //! renaming any of these must fail loudly — they are consumed by the same
 //! plotting/CI tooling as the single-machine schema.
 //!
-//! To regenerate after an intentional schema change:
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --test cluster_stats_schema
-//! ```
+//! The golden regenerates with every other (`tests/common/mod.rs`).
 
+mod common;
+
+use common::keys_of;
 use utps::prelude::*;
 use utps::sim::time::MICROS;
 use utps_core::experiment::stats_json;
 
-const GOLDEN: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/cluster_stats_schema.txt"
-);
-
 fn schema_cfg() -> ClusterConfig {
-    let base = RunConfig {
-        index: IndexKind::Hash,
-        keys: 20_000,
-        workers: 6,
-        n_cr: 2,
-        clients: 12,
-        pipeline: 4,
-        warmup: 500 * MICROS,
-        duration: 1_200 * MICROS,
-        machine: MachineConfig::tiny(),
-        hot_capacity: 1_000,
-        sample_every: 2,
-        seed: 42,
-        workload: WorkloadSpec::Ycsb {
-            mix: Mix::A,
-            theta: 0.99,
-            value_len: 64,
-            scan_len: 20,
-        },
-        retry: RetryConfig::chaos_default(),
-        ..RunConfig::default()
-    };
+    let base = common::quick_cfg(IndexKind::Hash, 42);
     ClusterConfig {
         large_shards: 1,
         large_keys: 500,
@@ -59,50 +32,12 @@ fn schema_cfg() -> ClusterConfig {
     }
 }
 
-/// Every `"key":` in document order. String *values* are skipped because a
-/// closing quote followed by anything but `:` is not a key.
-fn keys_of(json: &str) -> Vec<String> {
-    let bytes = json.as_bytes();
-    let mut keys = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && bytes[j] != b'"' {
-                j += 1;
-            }
-            let mut k = j + 1;
-            while k < bytes.len() && (bytes[k] as char).is_whitespace() {
-                k += 1;
-            }
-            if k < bytes.len() && bytes[k] == b':' {
-                keys.push(json[start..j].to_string());
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    keys
-}
-
 #[test]
 fn cluster_stats_json_schema_matches_golden() {
     let r = run_cluster(SystemKind::Utps, &schema_cfg());
-    let got = keys_of(&stats_json(&r)).join("\n") + "\n";
-
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN, &got).expect("cannot write golden file");
-        return;
-    }
-
-    let want = std::fs::read_to_string(GOLDEN)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        got, want,
-        "cluster stats_json schema changed; if intentional, regenerate with \
-         UPDATE_GOLDEN=1 cargo test --test cluster_stats_schema"
+    common::golden(
+        "cluster_stats_schema.txt",
+        &(keys_of(&stats_json(&r)).join("\n") + "\n"),
     );
 }
 

@@ -15,45 +15,18 @@
 //! (`tests/golden/equiv_*.json`), so any divergence is a transparency
 //! regression in the cluster runner, never a golden refresh.
 
+mod common;
+
 use utps::prelude::*;
-use utps::sim::time::MICROS;
 use utps_core::experiment::stats_json;
 use utps_index::IndexKind;
 
-const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
-
-fn quick_cfg(index: IndexKind, seed: u64) -> RunConfig {
-    RunConfig {
-        index,
-        keys: 20_000,
-        workers: 6,
-        n_cr: 2,
-        clients: 12,
-        pipeline: 4,
-        warmup: 500 * MICROS,
-        duration: 1_200 * MICROS,
-        machine: MachineConfig::tiny(),
-        hot_capacity: 1_000,
-        sample_every: 2,
-        seed,
-        workload: WorkloadSpec::Ycsb {
-            mix: Mix::A,
-            theta: 0.99,
-            value_len: 64,
-            scan_len: 20,
-        },
-        retry: RetryConfig::chaos_default(),
-        ..RunConfig::default()
-    }
-}
-
 fn check(label: &str, system: SystemKind, index: IndexKind) {
     for seed in [42u64, 7, 1234] {
-        let cfg = ClusterConfig::new(quick_cfg(index, seed), 1);
+        let cfg = ClusterConfig::new(common::quick_cfg(index, seed), 1);
         assert!(cfg.is_trivial(), "one-shard default config must be trivial");
         let got = stats_json(&run_cluster(system, &cfg)) + "\n";
-        let want = std::fs::read_to_string(format!("{GOLDEN_DIR}/equiv_{label}_{seed}.json"))
-            .expect("single-machine golden missing");
+        let want = common::golden_read(&format!("equiv_{label}_{seed}.json"));
         assert_eq!(
             got, want,
             "{label} seed {seed}: a trivial one-shard cluster diverged from \
@@ -67,15 +40,7 @@ fn check(label: &str, system: SystemKind, index: IndexKind) {
 /// and the `wal.*`/`tier.*`/`device.*` counters included.
 fn check_tier(system: SystemKind, index: IndexKind) {
     for seed in [42u64, 7, 1234] {
-        let base = RunConfig {
-            tier: Some(TierConfig {
-                dram_items_max: 15_000,
-                evict_batch: 256,
-                compact_every_ps: 100 * MICROS,
-                ..Default::default()
-            }),
-            ..quick_cfg(index, seed)
-        };
+        let base = common::with_tier(common::quick_cfg(index, seed));
         let want = stats_json(&run(system, &base));
         assert!(want.contains("\"tier\":{"), "reference run lost its tier");
         let cfg = ClusterConfig::new(base, 1);

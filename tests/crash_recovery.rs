@@ -30,6 +30,8 @@
 //! CRASH_SEEDS=1,2,3 cargo test --release --test crash_recovery
 //! ```
 
+mod common;
+
 use utps::prelude::*;
 use utps::sim::time::MICROS;
 
@@ -60,7 +62,7 @@ fn acceptance_faults() -> FaultConfig {
 }
 
 fn crash_cfg(seed: u64, faults: FaultConfig) -> RunConfig {
-    RunConfig {
+    common::with_tier(RunConfig {
         keys: 20_000,
         workers: 4,
         n_cr: 2,
@@ -81,14 +83,8 @@ fn crash_cfg(seed: u64, faults: FaultConfig) -> RunConfig {
         faults,
         oracle: true,
         schedule: ScheduleMode::Explore(ScheduleConfig::explore(seed)),
-        tier: Some(TierConfig {
-            dram_items_max: 15_000,
-            evict_batch: 256,
-            compact_every_ps: 100 * MICROS,
-            ..Default::default()
-        }),
         ..RunConfig::default()
-    }
+    })
 }
 
 /// The two seeded crash points: one third and two thirds into the run —

@@ -12,11 +12,13 @@
 //! the durable tier's path: WAL group commit, hot-path acks held on the
 //! durability barrier, eviction and cold reads.
 //!
-//! To regenerate after an *intentional* behavior change:
+//! `utps_fig_stats_quick.json` pins the `stats` figure at `--quick` scale:
+//! the only tuner-on run at figure scale (16 workers, three cache sizes),
+//! through the same function `utps-fig stats --quick` prints.
 //!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --release --test golden_equivalence
-//! ```
+//! These goldens regenerate with every other (`tests/common/mod.rs`).
+
+mod common;
 
 use utps::prelude::*;
 use utps::sim::time::MICROS;
@@ -25,41 +27,8 @@ use utps_core::experiment::stats_json;
 use utps_core::tuner::{TunerMode, TunerParams};
 use utps_index::IndexKind;
 
-const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
-
-fn quick_cfg(index: IndexKind, queue_kind: QueueKind, seed: u64) -> RunConfig {
-    RunConfig {
-        index,
-        queue_kind,
-        keys: 20_000,
-        workers: 6,
-        n_cr: 2,
-        clients: 12,
-        pipeline: 4,
-        warmup: 500 * MICROS,
-        duration: 1_200 * MICROS,
-        machine: MachineConfig::tiny(),
-        hot_capacity: 1_000,
-        sample_every: 2,
-        seed,
-        workload: WorkloadSpec::Ycsb {
-            mix: Mix::A,
-            theta: 0.99,
-            value_len: 64,
-            scan_len: 20,
-        },
-        retry: RetryConfig::chaos_default(),
-        ..RunConfig::default()
-    }
-}
-
-fn check(label: &str, system: SystemKind, index: IndexKind, queue_kind: QueueKind) {
-    check_with(
-        label,
-        system,
-        |seed| quick_cfg(index, queue_kind, seed),
-        |_| {},
-    );
+fn check(label: &str, system: SystemKind, index: IndexKind) {
+    check_with(label, system, |seed| common::quick_cfg(index, seed), |_| {});
 }
 
 /// Pins `stats_json` of `system` on the config `cfg(seed)` for each seed;
@@ -71,93 +40,52 @@ fn check_with(
     exercised: impl Fn(&RunResult),
 ) {
     for seed in [42u64, 7, 1234] {
-        let cfg = cfg(seed);
-        let r = run::run(system, &cfg);
+        let r = run::run(system, &cfg(seed));
         exercised(&r);
-        let got = stats_json(&r) + "\n";
-        let path = format!("{GOLDEN_DIR}/equiv_{label}_{seed}.json");
-        if std::env::var("UPDATE_GOLDEN").is_ok() {
-            std::fs::write(&path, &got).expect("cannot write golden file");
-            continue;
-        }
-        let want = std::fs::read_to_string(&path)
-            .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-        assert_eq!(
-            got, want,
-            "{label} seed {seed}: stats_json diverged from the pre-refactor \
-             golden; the refactor changed simulated behavior"
+        common::golden(
+            &format!("equiv_{label}_{seed}.json"),
+            &(stats_json(&r) + "\n"),
         );
     }
 }
 
 #[test]
 fn utps_h_matches_prerefactor_golden() {
-    check(
-        "utps_h",
-        SystemKind::Utps,
-        IndexKind::Hash,
-        QueueKind::AllToAll,
-    );
+    check("utps_h", SystemKind::Utps, IndexKind::Hash);
 }
 
 #[test]
 fn utps_t_matches_prerefactor_golden() {
-    check(
-        "utps_t",
-        SystemKind::Utps,
-        IndexKind::Tree,
-        QueueKind::AllToAll,
-    );
+    check("utps_t", SystemKind::Utps, IndexKind::Tree);
 }
 
 #[test]
 fn basekv_matches_prerefactor_golden() {
-    check(
-        "basekv",
-        SystemKind::BaseKv,
-        IndexKind::Tree,
-        QueueKind::AllToAll,
-    );
+    check("basekv", SystemKind::BaseKv, IndexKind::Tree);
 }
 
 #[test]
 fn erpckv_matches_prerefactor_golden() {
-    check(
-        "erpckv",
-        SystemKind::ErpcKv,
-        IndexKind::Tree,
-        QueueKind::AllToAll,
-    );
+    check("erpckv", SystemKind::ErpcKv, IndexKind::Tree);
 }
 
 #[test]
 fn racehash_matches_golden() {
-    check(
-        "racehash",
-        SystemKind::RaceHash,
-        IndexKind::Hash,
-        QueueKind::AllToAll,
-    );
+    check("racehash", SystemKind::RaceHash, IndexKind::Hash);
 }
 
 #[test]
 fn sherman_matches_golden() {
-    check(
-        "sherman",
-        SystemKind::Sherman,
-        IndexKind::Tree,
-        QueueKind::AllToAll,
-    );
+    check("sherman", SystemKind::Sherman, IndexKind::Tree);
 }
 
 #[test]
 fn utps_t_shared_queue_matches_golden() {
-    check(
-        "utps_t_shared",
-        SystemKind::Utps,
-        IndexKind::Tree,
-        QueueKind::SharedMpmc,
-    );
+    let cfg = |seed| RunConfig {
+        queue_kind: QueueKind::SharedMpmc,
+        ..common::quick_cfg(IndexKind::Tree, seed)
+    };
+    check_with("utps_t_shared", SystemKind::Utps, cfg, |_| {});
 }
 
 #[test]
@@ -174,7 +102,7 @@ fn utps_t_lease_matches_golden() {
             }],
             ..FaultConfig::default()
         },
-        ..quick_cfg(IndexKind::Tree, QueueKind::AllToAll, seed)
+        ..common::quick_cfg(IndexKind::Tree, seed)
     };
     check_with("utps_t_lease", SystemKind::Utps, cfg, |r| {
         let snap = r.stage_metrics.as_ref().expect("no stage metrics");
@@ -196,7 +124,7 @@ fn utps_t_tuned_matches_golden() {
             cache_step: 1_000,
         },
         duration: 6_000 * MICROS,
-        ..quick_cfg(IndexKind::Tree, QueueKind::AllToAll, seed)
+        ..common::quick_cfg(IndexKind::Tree, seed)
     };
     check_with("utps_t_tuned", SystemKind::Utps, cfg, |r| {
         assert!(r.reconfigs > 0, "the tuner never reassigned a thread");
@@ -209,15 +137,7 @@ fn utps_t_tier_matches_golden() {
     // compaction pass every 100 µs: the compactor evicts within the window,
     // every ack waits on a device commit, and the run ends with commit
     // groups still in flight.
-    let cfg = |seed| RunConfig {
-        tier: Some(TierConfig {
-            dram_items_max: 15_000,
-            evict_batch: 256,
-            compact_every_ps: 100 * MICROS,
-            ..TierConfig::default()
-        }),
-        ..quick_cfg(IndexKind::Tree, QueueKind::AllToAll, seed)
-    };
+    let cfg = |seed| common::with_tier(common::quick_cfg(IndexKind::Tree, seed));
     check_with("utps_t_tier", SystemKind::Utps, cfg, |r| {
         let t = r.tier.as_ref().expect("no tier stats");
         assert!(t.compactions > 0, "the compactor never ran");
@@ -239,7 +159,10 @@ fn known_gap_crmr_pushed_counts_warm_up_and_misses_the_shared_queue() {
         (QueueKind::AllToAll, 6_764, 4_359),
         (QueueKind::SharedMpmc, 0, 3_792),
     ] {
-        let cfg = quick_cfg(IndexKind::Tree, queue_kind, 42);
+        let cfg = RunConfig {
+            queue_kind,
+            ..common::quick_cfg(IndexKind::Tree, 42)
+        };
         let r = run::run(SystemKind::Utps, &cfg);
         let snap = r.stage_metrics.as_ref().expect("every runner snapshots");
         assert_eq!(
@@ -248,4 +171,43 @@ fn known_gap_crmr_pushed_counts_warm_up_and_misses_the_shared_queue() {
             "{queue_kind:?}"
         );
     }
+}
+
+#[test]
+fn utps_fig_stats_quick_matches_golden() {
+    let r = utps_bench::stats_run(utps_bench::Scale::Quick);
+    common::golden("utps_fig_stats_quick.json", &(stats_json(&r) + "\n"));
+}
+
+/// `bench_pins.sh` checks one row per benchmark cell: every workload that
+/// `BENCHMARK.json` declares has exactly one row, and no row names another.
+#[test]
+fn bench_pins_cover_every_benchmark_workload() {
+    let bench = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCHMARK.json"))
+        .expect("BENCHMARK.json unreadable");
+    let workloads = &bench[bench.find("\"workloads\"").expect("no workloads")..];
+    let workloads = &workloads[..workloads.find(']').expect("unterminated workloads")];
+    let mut cells: Vec<&str> = workloads
+        .split("\"name\"")
+        .skip(1)
+        .map(|t| t.split('"').nth(1).expect("unquoted name"))
+        .collect();
+    let pins = common::golden_read("bench_pins.txt");
+    let mut rows: Vec<&str> = pins
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let fields: Vec<&str> = l.split(' ').collect();
+            assert_eq!(fields.len(), 3, "{l:?}: want cell, digest, ceiling");
+            assert!(fields[1].parse::<u64>().is_ok(), "{l:?}: digest");
+            assert!(
+                fields[2] == "-" || fields[2].parse::<f64>().is_ok(),
+                "{l:?}"
+            );
+            fields[0]
+        })
+        .collect();
+    cells.sort_unstable();
+    rows.sort_unstable();
+    assert_eq!(rows, cells, "bench_pins.txt rows against BENCHMARK.json");
 }

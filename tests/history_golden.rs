@@ -10,44 +10,20 @@
 //! `stats_json` of a recorded run must still match the *stats* golden
 //! committed by `golden_equivalence` for the same cell.
 //!
-//! To regenerate after an intentional behavior change:
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --release --test history_golden
-//! ```
+//! The digests regenerate with every other golden (`tests/common/mod.rs`).
+
+mod common;
 
 use std::fmt::Write as _;
 
 use utps::prelude::*;
-use utps::sim::time::MICROS;
 use utps_core::experiment::stats_json;
 use utps_index::IndexKind;
 
-const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
-
-fn quick_cfg(index: IndexKind, seed: u64) -> RunConfig {
+fn recorded_cfg(index: IndexKind, seed: u64) -> RunConfig {
     RunConfig {
-        index,
-        keys: 20_000,
-        workers: 6,
-        n_cr: 2,
-        clients: 12,
-        pipeline: 4,
-        warmup: 500 * MICROS,
-        duration: 1_200 * MICROS,
-        machine: MachineConfig::tiny(),
-        hot_capacity: 1_000,
-        sample_every: 2,
-        seed,
-        workload: WorkloadSpec::Ycsb {
-            mix: Mix::A,
-            theta: 0.99,
-            value_len: 64,
-            scan_len: 20,
-        },
-        retry: RetryConfig::chaos_default(),
         record_history: true,
-        ..RunConfig::default()
+        ..common::quick_cfg(index, seed)
     }
 }
 
@@ -62,23 +38,12 @@ fn history_digests_match_goldens() {
     let mut got = String::new();
     for (label, system, index) in cells {
         for seed in [42u64, 7, 1234] {
-            let r = run::run(system, &quick_cfg(index, seed));
+            let r = run::run(system, &recorded_cfg(index, seed));
             let digest = r.history_digest.expect("recording was on");
             writeln!(got, "{label} {seed} {digest:016x}").unwrap();
         }
     }
-    let path = format!("{GOLDEN_DIR}/history_digest.txt");
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&path, &got).expect("cannot write golden file");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        got, want,
-        "history digests diverged from the committed goldens; the \
-         client-observed op history changed"
-    );
+    common::golden("history_digest.txt", &got);
 }
 
 #[test]
@@ -86,9 +51,8 @@ fn recorded_run_still_matches_stats_golden() {
     // Recording must not perturb the simulation: a run with history on
     // reproduces the stats golden committed by golden_equivalence (which
     // runs with recording off).
-    let cfg = quick_cfg(IndexKind::Tree, 42);
+    let cfg = recorded_cfg(IndexKind::Tree, 42);
     let got = stats_json(&run::run(SystemKind::Utps, &cfg)) + "\n";
-    let path = format!("{GOLDEN_DIR}/equiv_utps_t_42.json");
-    let want = std::fs::read_to_string(&path).expect("stats golden missing");
+    let want = common::golden_read("equiv_utps_t_42.json");
     assert_eq!(got, want, "history recording perturbed the simulation");
 }

@@ -15,6 +15,8 @@
 //! EXPLORE_SEEDS=1,2,3,...,64 cargo test --release --test linearizability
 //! ```
 
+mod common;
+
 use utps::prelude::*;
 use utps::sim::time::MICROS;
 use utps_core::experiment::stats_json;
@@ -33,30 +35,11 @@ fn explore_seeds() -> Vec<u64> {
 
 fn lin_cfg(index: IndexKind, seed: u64, faults: FaultConfig) -> RunConfig {
     RunConfig {
-        index,
-        keys: 20_000,
-        workers: 6,
-        n_cr: 2,
-        clients: 12,
-        pipeline: 4,
-        warmup: 500 * MICROS,
-        duration: 1_200 * MICROS,
-        machine: MachineConfig::tiny(),
-        hot_capacity: 1_000,
-        sample_every: 2,
-        seed,
-        workload: WorkloadSpec::Ycsb {
-            mix: Mix::A,
-            theta: 0.99,
-            value_len: 64,
-            scan_len: 20,
-        },
-        retry: RetryConfig::chaos_default(),
         faults,
         record_history: true,
         oracle: true,
         schedule: ScheduleMode::Explore(ScheduleConfig::explore(seed)),
-        ..RunConfig::default()
+        ..common::quick_cfg(index, seed)
     }
 }
 

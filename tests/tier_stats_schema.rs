@@ -10,76 +10,15 @@
 //!   pre-tier golden (`stats_schema.txt`) and the run-equivalence goldens
 //!   stay byte-identical, which is the "zero cost when disabled" story.
 //!
-//! To regenerate after an intentional schema change:
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --test tier_stats_schema
-//! ```
+//! The golden regenerates with every other (`tests/common/mod.rs`).
 
+mod common;
+
+use common::keys_of;
 use utps::prelude::*;
-use utps::sim::time::MICROS;
-
-const GOLDEN: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/tier_stats_schema.txt"
-);
 
 fn tier_cfg() -> RunConfig {
-    RunConfig {
-        index: IndexKind::Tree,
-        keys: 20_000,
-        workers: 6,
-        n_cr: 2,
-        clients: 12,
-        pipeline: 4,
-        warmup: 500 * MICROS,
-        duration: 1_200 * MICROS,
-        machine: MachineConfig::tiny(),
-        hot_capacity: 1_000,
-        sample_every: 2,
-        seed: 42,
-        workload: WorkloadSpec::Ycsb {
-            mix: Mix::A,
-            theta: 0.99,
-            value_len: 64,
-            scan_len: 20,
-        },
-        retry: RetryConfig::chaos_default(),
-        tier: Some(TierConfig {
-            dram_items_max: 15_000,
-            evict_batch: 256,
-            compact_every_ps: 100 * MICROS,
-            ..Default::default()
-        }),
-        ..RunConfig::default()
-    }
-}
-
-/// Every `"key":` in document order (same parser as `stats_schema.rs`).
-fn keys_of(json: &str) -> Vec<String> {
-    let bytes = json.as_bytes();
-    let mut keys = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && bytes[j] != b'"' {
-                j += 1;
-            }
-            let mut k = j + 1;
-            while k < bytes.len() && (bytes[k] as char).is_whitespace() {
-                k += 1;
-            }
-            if k < bytes.len() && bytes[k] == b':' {
-                keys.push(json[start..j].to_string());
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    keys
+    common::with_tier(common::quick_cfg(IndexKind::Tree, 42))
 }
 
 #[test]
@@ -87,19 +26,9 @@ fn tier_stats_json_schema_matches_golden() {
     use utps::core::experiment::{run_utps, stats_json};
     let r = run_utps(&tier_cfg());
     assert!(r.tier.is_some(), "tier-enabled run reported no tier stats");
-    let got = keys_of(&stats_json(&r)).join("\n") + "\n";
-
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN, &got).expect("cannot write golden file");
-        return;
-    }
-
-    let want = std::fs::read_to_string(GOLDEN)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
-    assert_eq!(
-        got, want,
-        "tier stats_json schema changed; if intentional, regenerate with \
-         UPDATE_GOLDEN=1 cargo test --test tier_stats_schema"
+    common::golden(
+        "tier_stats_schema.txt",
+        &(keys_of(&stats_json(&r)).join("\n") + "\n"),
     );
 }
 
