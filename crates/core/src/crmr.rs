@@ -625,19 +625,23 @@ impl Producer {
     /// words in distinct L1 sets, so skipping their recency refreshes
     /// changes no victim choice (DESIGN.md §10 "Parked CR polls").
     pub(crate) fn may_park(&self, q: &CrMrQueue, cache: &CacheHierarchy) -> bool {
+        // None of the checks depends on the rotation, so they walk the
+        // polled lanes in index order.
+        let lanes = || (0..self.pending.len()).filter(|&t| !self.pending[t].is_empty());
         let unread = |t: usize| {
             let lane = q.lane(self.id, t);
             lane.completed != lane.acked
         };
-        if q.is_shared() || self.out.iter().any(|o| !o.is_empty()) || self.poll_order().any(unread)
-        {
+        if q.is_shared() || self.out.iter().any(|o| !o.is_empty()) || lanes().any(unread) {
             return false;
         }
-        let sets: Vec<usize> = self
-            .poll_order()
-            .map(|t| cache.l1_set(q.lane(self.id, t).completed_addr))
-            .collect();
-        (1..sets.len()).all(|i| !sets[..i].contains(&sets[i]))
+        // Pairwise, without collecting: there are at most as many lanes as
+        // MR workers.
+        let set = |t: usize| cache.l1_set(q.lane(self.id, t).completed_addr);
+        lanes().all(|t| {
+            let s = set(t);
+            lanes().take_while(|&u| u < t).all(|u| set(u) != s)
+        })
     }
 
     /// The earliest lease deadline of a lane with pending work, if leases

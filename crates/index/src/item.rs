@@ -80,9 +80,18 @@ impl ItemStore {
     /// Reserves a virtual block for a value of `len` bytes: one line for the
     /// lock word, then the value, rounded up to whole lines (a real slab
     /// allocator would do the same). Returns the value address.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block would leave the [`vaddr::ITEM_VALS`] region.
     fn bump_value_block(&mut self, len: usize) -> usize {
         let block = self.val_bump;
         self.val_bump += 64 + len.div_ceil(64).max(1) * 64;
+        assert!(
+            self.val_bump <= vaddr::ITEM_VALS + vaddr::REGION_BYTES,
+            "item values overflow their {} GiB vaddr region",
+            vaddr::REGION_BYTES >> 30
+        );
         block + 64
     }
 
@@ -261,6 +270,15 @@ mod tests {
             f,
         )
         .0
+    }
+
+    #[test]
+    #[should_panic(expected = "item values overflow")]
+    fn value_bump_stays_inside_its_vaddr_region() {
+        let mut store = ItemStore::new();
+        store.val_bump = vaddr::ITEM_VALS + vaddr::REGION_BYTES - 128;
+        store.alloc(&[0; 64]);
+        store.alloc(&[0; 1]);
     }
 
     #[test]

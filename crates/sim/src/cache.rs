@@ -33,71 +33,69 @@ pub enum StatClass {
     Other = 2,
 }
 
-const INVALID_TAG: u64 = u64::MAX;
+const INVALID_TAG: u32 = u32::MAX;
 
-/// Bit 63 of a tag word: the line is modified (private levels) or dirty
-/// (LLC). Line numbers are addresses over the line size, so they never
-/// reach it.
-const DIRTY: u64 = 1 << 63;
+/// Bit 31 of a tag word: the line is modified (private levels) or dirty
+/// (LLC). Line numbers stay below [`LINE_LIMIT`], so they never reach it.
+const DIRTY: u32 = 1 << 31;
 
-/// The order word keeps one 4-bit way number per recency position.
-const MAX_WAYS: usize = 16;
+/// Every line number is below this: the tag word needs bit 31 for
+/// [`DIRTY`], and an invalid way's tag without it must match no line.
+pub(crate) const LINE_LIMIT: u32 = u32::MAX >> 1;
+
+/// Ways per [`Set`]: one order word and 14 tag words fill 64 bytes.
+const MAX_WAYS: usize = 14;
 
 const NIBBLES: u64 = 0x1111_1111_1111_1111;
 
-/// Set-associative tag storage shared by every level. Each set is one word
-/// of LRU order followed by one tag word per way:
+/// One set of any level, in exactly one host cache line:
 ///
 /// * a tag word is the line number, with [`DIRTY`] as the modified flag, or
-///   [`INVALID_TAG`];
+///   [`INVALID_TAG`]; ways past the level's associativity stay invalid;
 /// * the order word is an exact recency permutation of the ways, one nibble
 ///   per position: nibble 0 holds the most recent way, nibble `ways - 1` the
 ///   least recent.
-///
-/// A fresh set orders its ways `ways - 1, …, 1, 0`, so way 0 is the least
-/// recent. Only a fill makes a way valid and every fill touches it, so
-/// never-filled ways stay behind the filled ones, lowest way last.
-struct TagSets {
-    ways: usize,
-    words: Vec<u64>,
+#[repr(C, align(64))]
+#[derive(Clone, Copy)]
+struct Set {
+    order: u64,
+    tags: [u32; MAX_WAYS],
 }
 
-impl TagSets {
-    fn new(sets: usize, ways: usize) -> Self {
-        assert!(
-            (1..=MAX_WAYS).contains(&ways),
-            "associativity must be 1..=16 (one order nibble per way)"
-        );
-        let fresh = (0..ways).fold(0u64, |o, pos| o | ((ways - 1 - pos) as u64) << (4 * pos));
-        let mut set = vec![INVALID_TAG; ways + 1];
-        set[0] = fresh;
-        TagSets {
-            ways,
-            words: set.repeat(sets),
+const _: () = assert!(
+    std::mem::size_of::<Set>() == 64,
+    "a set is one host cache line"
+);
+
+impl Set {
+    /// One bit per way whose tag word satisfies `f`, without branching on
+    /// any of them.
+    #[inline]
+    fn ways_where(&self, f: impl Fn(u32) -> bool) -> u32 {
+        let mut bits = 0;
+        for (way, &t) in self.tags.iter().enumerate() {
+            bits |= u32::from(f(t)) << way;
         }
-    }
-
-    /// Index of set `set`'s order word; its tag words follow.
-    #[inline]
-    fn base(&self, set: usize) -> usize {
-        set * (self.ways + 1)
-    }
-
-    #[inline]
-    fn tags(&self, base: usize) -> &[u64] {
-        &self.words[base + 1..base + 1 + self.ways]
+        bits
     }
 
     /// The first way holding `line`.
     #[inline]
-    fn find(&self, base: usize, line: u64) -> Option<usize> {
-        self.tags(base).iter().position(|&t| t & !DIRTY == line)
+    fn find(&self, line: u32) -> Option<usize> {
+        let hits = self.ways_where(|t| t & !DIRTY == line);
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
-    /// Moves `way` to the most recent position of its set.
+    /// The most recent way.
     #[inline]
-    fn touch(&mut self, base: usize, way: usize) {
-        let order = self.words[base];
+    fn mru(&self) -> usize {
+        (self.order & 0xF) as usize
+    }
+
+    /// Moves `way` to the most recent position.
+    #[inline]
+    fn touch(&mut self, way: usize) {
+        let order = self.order;
         // The lowest zero nibble of `x` is exact (a borrow only flags
         // nibbles above it), and `way` sits at a position below `ways`.
         let x = order ^ (way as u64 * NIBBLES);
@@ -105,48 +103,81 @@ impl TagSets {
         let shift = zero.trailing_zeros() & !3;
         let newer = order & ((1u64 << shift) - 1);
         let older = order & (!0u64 << shift << 4);
-        self.words[base] = older | newer << 4 | way as u64;
-    }
-
-    /// The least recent way: the last nibble.
-    #[inline]
-    fn lru(&self, base: usize) -> usize {
-        (self.words[base] >> (4 * (self.ways - 1))) as usize
-    }
-
-    /// The least recent way enabled in `mask`.
-    #[inline]
-    fn lru_in(&self, base: usize, mask: u32) -> Option<usize> {
-        let order = self.words[base];
-        (0..self.ways)
-            .rev()
-            .map(|pos| (order >> (4 * pos)) as usize & (MAX_WAYS - 1))
-            .find(|&w| mask >> w & 1 != 0)
+        self.order = older | newer << 4 | way as u64;
     }
 
     /// Stores `tag` in `way` and makes it the most recent; returns the old
     /// tag word.
     #[inline]
-    fn fill(&mut self, base: usize, way: usize, tag: u64) -> u64 {
-        let old = std::mem::replace(&mut self.words[base + 1 + way], tag);
-        self.touch(base, way);
+    fn fill(&mut self, way: usize, tag: u32) -> u32 {
+        let old = std::mem::replace(&mut self.tags[way], tag);
+        self.touch(way);
         old
+    }
+}
+
+/// Set-associative tag storage shared by every level.
+///
+/// A fresh set orders its ways `ways - 1, …, 1, 0`, so way 0 is the least
+/// recent. Only a fill makes a way valid and every fill touches it, so
+/// never-filled ways stay behind the filled ones, lowest way last.
+struct TagSets {
+    ways: usize,
+    sets: Vec<Set>,
+}
+
+impl TagSets {
+    fn new(sets: usize, ways: usize) -> Self {
+        assert!(
+            (1..=MAX_WAYS).contains(&ways),
+            "associativity must be 1..=14 (one 64-byte set)"
+        );
+        let fresh = Set {
+            order: (0..ways).fold(0u64, |o, pos| o | ((ways - 1 - pos) as u64) << (4 * pos)),
+            tags: [INVALID_TAG; MAX_WAYS],
+        };
+        TagSets {
+            ways,
+            sets: vec![fresh; sets],
+        }
+    }
+
+    /// The tag words of set `set`'s ways.
+    #[cfg(test)]
+    fn tags(&self, set: usize) -> &[u32] {
+        &self.sets[set].tags[..self.ways]
+    }
+
+    /// The least recent way: the last nibble.
+    #[inline]
+    fn lru(&self, set: usize) -> usize {
+        (self.sets[set].order >> (4 * (self.ways - 1))) as usize
+    }
+
+    /// The least recent way enabled in `mask`.
+    #[inline]
+    fn lru_in(&self, set: usize, mask: u32) -> Option<usize> {
+        let order = self.sets[set].order;
+        (0..self.ways)
+            .rev()
+            .map(|pos| (order >> (4 * pos)) as usize & 0xF)
+            .find(|&w| mask >> w & 1 != 0)
     }
 
     /// Bytes of tag and order words.
     #[cfg(test)]
     fn bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
+        self.sets.len() * std::mem::size_of::<Set>()
     }
 }
 
-/// A private cache slot: the index of its tag word in [`TagSets::words`].
-type Slot = usize;
+/// A cache slot: set index and way.
+type Slot = (usize, usize);
 
 /// One private cache level (L1 or L2) of one core.
 struct PrivCache {
-    set_mask: u64,
-    sets: TagSets,
+    set_mask: u32,
+    tags: TagSets,
     counter: u64,
     /// Lines dropped by [`PrivCache::invalidate`] or [`PrivCache::clear`]:
     /// the only state changes that do not advance `counter`.
@@ -157,8 +188,8 @@ impl PrivCache {
     fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "cache sets must be a power of two");
         PrivCache {
-            set_mask: sets as u64 - 1,
-            sets: TagSets::new(sets, ways),
+            set_mask: u32::try_from(sets - 1).expect("private set count fits a line number"),
+            tags: TagSets::new(sets, ways),
             counter: 0,
             drops: 0,
         }
@@ -171,17 +202,27 @@ impl PrivCache {
     }
 
     #[inline]
-    fn base(&self, line: u64) -> usize {
-        self.sets.base((line & self.set_mask) as usize)
+    fn set_of(&self, line: u32) -> usize {
+        (line & self.set_mask) as usize
     }
 
     /// Returns the slot of `line` if present, making it the most recent.
-    fn lookup(&mut self, line: u64) -> Option<Slot> {
-        let base = self.base(line);
+    ///
+    /// The most recent way is checked first. If it holds `line`, it is the
+    /// first way that does (what the scan would find): every fill and
+    /// refresh touches the first holder of its line, a fill never lands
+    /// behind another holder, and a drop makes no way more recent.
+    fn lookup(&mut self, line: u32) -> Option<Slot> {
+        let set = self.set_of(line);
         self.counter += 1;
-        let way = self.sets.find(base, line)?;
-        self.sets.touch(base, way);
-        Some(base + 1 + way)
+        let s = &mut self.tags.sets[set];
+        let mru = s.mru();
+        if s.tags[mru] & !DIRTY == line {
+            return Some((set, mru));
+        }
+        let way = s.find(line)?;
+        s.touch(way);
+        Some((set, way))
     }
 
     /// Inserts `line`, returning the evicted line (tag, modified) if any.
@@ -189,44 +230,44 @@ impl PrivCache {
     /// The scan stops at the first invalid way and fills it, so a copy of
     /// `line` in a later way is not seen (ROADMAP 3(a)). A full set evicts
     /// its least recent way.
-    fn insert(&mut self, line: u64, modified: bool) -> Option<(u64, bool)> {
-        let base = self.base(line);
+    fn insert(&mut self, line: u32, modified: bool) -> Option<(u32, bool)> {
+        let set = self.set_of(line);
         self.counter += 1;
         let flag = if modified { DIRTY } else { 0 };
-        let mut free = None;
-        for (way, &t) in self.sets.tags(base).iter().enumerate() {
-            if t & !DIRTY == line {
+        let ways = (1u32 << self.tags.ways) - 1;
+        let stop = self.tags.sets[set].ways_where(|t| t & !DIRTY == line || t == INVALID_TAG);
+        let way = match (stop & ways).trailing_zeros() as usize {
+            32 => self.tags.lru(set),
+            way if self.tags.sets[set].tags[way] == INVALID_TAG => way,
+            way => {
                 // Already present: just refresh state.
-                self.sets.words[base + 1 + way] |= flag;
-                self.sets.touch(base, way);
+                let s = &mut self.tags.sets[set];
+                s.tags[way] |= flag;
+                s.touch(way);
                 return None;
             }
-            if t == INVALID_TAG {
-                free = Some(way);
-                break;
-            }
-        }
-        let way = free.unwrap_or_else(|| self.sets.lru(base));
-        let old = self.sets.fill(base, way, line | flag);
+        };
+        let old = self.tags.sets[set].fill(way, line | flag);
         (old != INVALID_TAG).then_some((old & !DIRTY, old & DIRTY != 0))
     }
 
-    fn is_modified(&self, slot: Slot) -> bool {
-        self.sets.words[slot] & DIRTY != 0
+    fn is_modified(&self, (set, way): Slot) -> bool {
+        self.tags.sets[set].tags[way] & DIRTY != 0
     }
 
     /// Marks a resident line modified (RFO upgrade).
-    fn mark_modified(&mut self, slot: Slot) {
-        self.sets.words[slot] |= DIRTY;
+    fn mark_modified(&mut self, (set, way): Slot) {
+        self.tags.sets[set].tags[way] |= DIRTY;
     }
 
     /// Drops `line` if present; returns whether it was present and whether it
     /// was modified.
-    fn invalidate(&mut self, line: u64) -> (bool, bool) {
-        let base = self.base(line);
-        match self.sets.find(base, line) {
+    fn invalidate(&mut self, line: u32) -> (bool, bool) {
+        let set = self.set_of(line);
+        let s = &mut self.tags.sets[set];
+        match s.find(line) {
             Some(way) => {
-                let old = std::mem::replace(&mut self.sets.words[base + 1 + way], INVALID_TAG);
+                let old = std::mem::replace(&mut s.tags[way], INVALID_TAG);
                 self.drops += 1;
                 (true, old & DIRTY != 0)
             }
@@ -238,14 +279,14 @@ impl PrivCache {
     /// The order words stay: an invalid way is chosen by position, not
     /// recency, and becomes the most recent when filled.
     fn clear(&mut self) {
-        for set in self.sets.words.chunks_mut(self.sets.ways + 1) {
-            set[1..].fill(INVALID_TAG);
+        for set in &mut self.tags.sets {
+            set.tags = [INVALID_TAG; MAX_WAYS];
         }
         self.drops += 1;
     }
 
-    fn contains(&self, line: u64) -> bool {
-        self.sets.find(self.base(line), line).is_some()
+    fn contains(&self, line: u32) -> bool {
+        self.tags.sets[self.set_of(line)].find(line).is_some()
     }
 }
 
@@ -253,7 +294,7 @@ impl PrivCache {
 struct Llc {
     /// Set count: a line's set is `line % sets`, which need not be a power
     /// of two (the paper machine has 57 344).
-    sets: u64,
+    sets: u32,
     tags: TagSets,
 }
 
@@ -261,7 +302,7 @@ impl Llc {
     fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0, "LLC needs a set");
         Llc {
-            sets: sets as u64,
+            sets: u32::try_from(sets).expect("LLC set count fits a line number"),
             tags: TagSets::new(sets, ways),
         }
     }
@@ -271,21 +312,23 @@ impl Llc {
     }
 
     #[inline]
-    fn base(&self, line: u64) -> usize {
-        self.tags.base((line % self.sets) as usize)
+    fn set_of(&self, line: u32) -> usize {
+        (line % self.sets) as usize
     }
 
     /// Looks up `line` in any way (CAT restricts fills, not hits); returns
-    /// its slot.
-    fn lookup(&mut self, line: u64) -> Option<Slot> {
-        let base = self.base(line);
-        let way = self.tags.find(base, line)?;
-        self.tags.touch(base, way);
-        Some(base + 1 + way)
+    /// its slot. Always a full scan: a remote-dirty fill can put a second
+    /// copy of a line in the most recent way, behind its first holder.
+    fn lookup(&mut self, line: u32) -> Option<Slot> {
+        let set = self.set_of(line);
+        let s = &mut self.tags.sets[set];
+        let way = s.find(line)?;
+        s.touch(way);
+        Some((set, way))
     }
 
-    fn mark_dirty(&mut self, slot: Slot) {
-        self.tags.words[slot] |= DIRTY;
+    fn mark_dirty(&mut self, (set, way): Slot) {
+        self.tags.sets[set].tags[way] |= DIRTY;
     }
 
     /// Allocates `line` in the least recent way among those enabled in
@@ -293,20 +336,19 @@ impl Llc {
     /// else the least recently used. The displaced line needs no
     /// bookkeeping: private copies survive it (non-inclusive hierarchy) and
     /// the directory tracks them on its own.
-    fn insert(&mut self, line: u64, mask: u32, dirty: bool) {
+    fn insert(&mut self, line: u32, mask: u32, dirty: bool) {
         debug_assert!(mask != 0, "empty CLOS mask");
-        let base = self.base(line);
+        let set = self.set_of(line);
         let way = self
             .tags
-            .lru_in(base, mask)
+            .lru_in(set, mask)
             .expect("CLOS mask has no ways within associativity");
-        self.tags
-            .fill(base, way, if dirty { line | DIRTY } else { line });
+        self.tags.sets[set].fill(way, if dirty { line | DIRTY } else { line });
     }
 
     #[cfg(test)]
-    fn way_of(&self, line: u64) -> Option<usize> {
-        self.tags.find(self.base(line), line)
+    fn way_of(&self, line: u32) -> Option<usize> {
+        self.tags.sets[self.set_of(line)].find(line)
     }
 }
 
@@ -327,12 +369,12 @@ pub struct CacheHierarchy {
     l1: Vec<PrivCache>,
     l2: Vec<PrivCache>,
     llc: Llc,
-    dir: FxHashMap<u64, DirEntry>,
+    dir: FxHashMap<u32, DirEntry>,
     clos: Vec<u32>,
     ddio_mask: u32,
     /// Per-core in-flight software prefetches, (line, ready time), at most
     /// `cost.mshr` of them.
-    prefetched: Vec<Vec<(u64, SimTime)>>,
+    prefetched: Vec<Vec<(u32, SimTime)>>,
     /// Per-core count of changes to `prefetched[core]` (part of
     /// [`CacheHierarchy::private_version`]).
     pf_changes: Vec<u64>,
@@ -347,7 +389,7 @@ pub struct CacheHierarchy {
     /// acquire must win the cache line against each contender, so the
     /// serialized cost of one atomic grows with the number of distinct
     /// cores hammering the line. Tracked per bucket like the DRAM channel.
-    atomic_lines: FxHashMap<u64, AtomicLineState>,
+    atomic_lines: FxHashMap<u32, AtomicLineState>,
     atomic_bucket: u64,
     /// Access and event counters.
     pub metrics: Metrics,
@@ -400,7 +442,7 @@ impl CacheHierarchy {
     /// Bytes of tag and order words across every level.
     #[cfg(test)]
     fn tag_bytes(&self) -> usize {
-        let private: usize = self.l1.iter().chain(&self.l2).map(|c| c.sets.bytes()).sum();
+        let private: usize = self.l1.iter().chain(&self.l2).map(|c| c.tags.bytes()).sum();
         private + self.llc.tags.bytes()
     }
 
@@ -452,7 +494,8 @@ impl CacheHierarchy {
     /// same geometry): lines read in rotation replay exactly only while no
     /// two share a set (DESIGN.md §10 "Parked CR polls").
     pub fn l1_set(&self, addr: usize) -> usize {
-        (addr >> self.line_shift) % self.cfg.cache.l1_sets
+        // A private level's set count is a power of two (`PrivCache::new`).
+        (addr >> self.line_shift) & (self.cfg.cache.l1_sets - 1)
     }
 
     /// Charges `n` plain L1 read hits attributed to `class` without walking
@@ -502,7 +545,7 @@ impl CacheHierarchy {
         now: SimTime,
         hold: u64,
     ) -> u64 {
-        let line = (addr >> self.line_shift) as u64;
+        let line = line_of(addr, self.line_shift);
         let had_others = self
             .dir
             .get(&line)
@@ -528,7 +571,7 @@ impl CacheHierarchy {
     /// line for one cross-core transfer per distinct contender (the CAS
     /// storm) plus the explicit hold time; once a bucket's capacity at that
     /// service rate is exceeded, later atomics queue.
-    fn atomic_line_wait(&mut self, core: usize, line: u64, now: SimTime, hold: u64) -> u64 {
+    fn atomic_line_wait(&mut self, core: usize, line: u32, now: SimTime, hold: u64) -> u64 {
         const BUCKET: u64 = DRAM_BUCKET_PS;
         let b = now.as_ps() / BUCKET;
         if b > self.atomic_bucket {
@@ -654,7 +697,7 @@ impl CacheHierarchy {
     fn access_line(
         &mut self,
         core: usize,
-        line: u64,
+        line: u32,
         write: bool,
         now: SimTime,
     ) -> (u64, AccessKind) {
@@ -812,7 +855,7 @@ impl CacheHierarchy {
 
     /// Write-upgrade: invalidate all other private copies of `line`.
     /// Returns the extra cost (zero if the line was exclusive already).
-    fn rfo_upgrade(&mut self, core: usize, line: u64) -> u64 {
+    fn rfo_upgrade(&mut self, core: usize, line: u32) -> u64 {
         let others = self
             .dir
             .get(&line)
@@ -829,7 +872,7 @@ impl CacheHierarchy {
     }
 
     /// Fills `line` into `core`'s L1 and L2, handling evictions/writebacks.
-    fn fill_private(&mut self, core: usize, line: u64, modified: bool) {
+    fn fill_private(&mut self, core: usize, line: u32, modified: bool) {
         if let Some((e2, d2)) = self.l2[core].insert(line, modified) {
             self.evict_private_line(core, e2, d2);
         }
@@ -841,7 +884,7 @@ impl CacheHierarchy {
     }
 
     /// Handles a line leaving one of `core`'s private levels.
-    fn evict_private_line(&mut self, core: usize, line: u64, dirty: bool) {
+    fn evict_private_line(&mut self, core: usize, line: u32, dirty: bool) {
         // Non-inclusive private levels: the line may still live in the other
         // level, in which case it has not left the core yet.
         if self.l1[core].contains(line) || self.l2[core].contains(line) {
@@ -866,7 +909,7 @@ impl CacheHierarchy {
     }
 
     /// Invalidates every private copy of `line` (all cores).
-    fn invalidate_private(&mut self, line: u64) {
+    fn invalidate_private(&mut self, line: u32) {
         if let Some(d) = self.dir.remove(&line) {
             let mut sharers = d.sharers;
             while sharers != 0 {
@@ -880,7 +923,7 @@ impl CacheHierarchy {
     }
 
     /// Invalidates private copies of `line` in every core except `keep`.
-    fn invalidate_private_except(&mut self, line: u64, keep: usize) {
+    fn invalidate_private_except(&mut self, line: u32, keep: usize) {
         if let Some(d) = self.dir.get_mut(&line) {
             let mut sharers = d.sharers & !(1u32 << keep);
             d.sharers &= 1u32 << keep;
@@ -898,10 +941,28 @@ impl CacheHierarchy {
     }
 }
 
-fn line_span(addr: usize, len: usize, line_shift: u32) -> (u64, u64) {
-    let first = (addr >> line_shift) as u64;
-    let last = ((addr + len.max(1) - 1) >> line_shift) as u64;
-    (first, last)
+/// The first and last line of `len` bytes at `addr`.
+fn line_span(addr: usize, len: usize, line_shift: u32) -> (u32, u32) {
+    (
+        line_of(addr, line_shift),
+        line_of(addr + len.max(1) - 1, line_shift),
+    )
+}
+
+/// The line holding `addr`.
+///
+/// # Panics
+///
+/// Panics if the line number reaches [`LINE_LIMIT`]: every charged address
+/// must come from a `vaddr` region.
+#[inline]
+fn line_of(addr: usize, line_shift: u32) -> u32 {
+    let line = addr >> line_shift;
+    assert!(
+        line < LINE_LIMIT as usize,
+        "address {addr:#x} is past the cache model's 31-bit line space; charge addresses from a sim::vaddr region"
+    );
+    line as u32
 }
 
 #[cfg(test)]
@@ -1271,7 +1332,7 @@ mod tests {
         c.insert(11, false);
         c.invalidate(10);
         c.insert(11, false);
-        assert_eq!(c.sets.tags(0).iter().filter(|&&t| t == 11).count(), 2);
+        assert_eq!(c.tags.tags(0).iter().filter(|&&t| t == 11).count(), 2);
         c.invalidate(11);
         assert!(c.contains(11), "the second copy survives invalidation");
     }
@@ -1304,10 +1365,10 @@ mod tests {
     fn known_gap_remote_dirty_read_duplicates_a_resident_llc_line() {
         let mut h = hierarchy(2);
         let t = SimTime::ZERO;
-        let line = 0x4000 / LINE as u64;
+        let line = (0x4000 / LINE) as u32;
         h.access(0, StatClass::Other, 0x4000, 8, true, t);
         let copies = |h: &CacheHierarchy| {
-            let tags = h.llc.tags.tags(h.llc.base(line));
+            let tags = h.llc.tags.tags(h.llc.set_of(line));
             tags.iter().filter(|&&w| w & !DIRTY == line).count()
         };
         assert_eq!(copies(&h), 1);
@@ -1327,7 +1388,7 @@ mod tests {
         // A line in the top LLC set: `line % sets`, not a mask.
         let a = (3 * sets + sets - 1) * LINE;
         assert_eq!(h.access(0, StatClass::Cr, a, 8, false, t), cost.dram);
-        assert_eq!(h.llc.base(a as u64 / 64), h.llc.tags.base(sets - 1));
+        assert_eq!(h.llc.set_of((a / LINE) as u32), sets - 1);
         assert_eq!(h.access(0, StatClass::Cr, a, 8, false, t), cost.l1_hit);
         // Core 27 writes the shared line: an LLC hit that invalidates core 0.
         let w = h.access(27, StatClass::Mr, a, 8, true, t);
@@ -1349,7 +1410,7 @@ mod tests {
         let c = 7 * LINE;
         h.access(1, StatClass::Other, c, 8, false, t);
         h.access(1, StatClass::Other, c + sets * LINE, 8, false, t);
-        assert_eq!(h.llc.way_of(7 + sets as u64), Some(0));
+        assert_eq!(h.llc.way_of(7 + sets as u32), Some(0));
         assert_eq!(h.llc.way_of(7), None);
     }
 
@@ -1361,12 +1422,42 @@ mod tests {
         assert!(h.tag_bytes() <= 4 << 20, "{} B of tags", h.tag_bytes());
     }
 
+    /// One 64-byte set per level and set: 17 × (64 + 2 048) + 8 192 sets
+    /// on the default 17-core machine.
+    #[test]
+    fn default_machine_tag_storage_fits_in_three_mib() {
+        let h = CacheHierarchy::new(&MachineConfig::default(), 17);
+        assert_eq!(h.tag_bytes(), 2_822_144);
+        assert!(h.tag_bytes() <= 3 << 20);
+    }
+
+    /// An address past the 31-bit line space (here 2^44) panics rather
+    /// than truncate to a lower line.
+    #[test]
+    #[should_panic(expected = "sim::vaddr")]
+    fn addresses_past_the_line_space_panic() {
+        hierarchy(1).access(
+            0,
+            StatClass::Other,
+            0x1000_0000_0000,
+            8,
+            false,
+            SimTime::ZERO,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity must be 1..=14")]
+    fn fifteen_ways_do_not_fit_a_set() {
+        TagSets::new(1, 15);
+    }
+
     /// The stamp-LRU tag store the packed one replaced, kept as the
     /// reference for `tag_store_matches_the_stamp_lru_reference`.
     mod stamp {
         #[derive(Clone, Copy)]
         pub struct Line {
-            pub tag: u64,
+            pub tag: u32,
             lru: u64,
             pub dirty: bool,
         }
@@ -1400,12 +1491,12 @@ mod tests {
                 self.counter + self.drops
             }
 
-            fn range(&self, line: u64) -> core::ops::Range<usize> {
-                let set = (line % self.sets) as usize;
+            fn range(&self, line: u32) -> core::ops::Range<usize> {
+                let set = (line as u64 % self.sets) as usize;
                 set * self.ways..(set + 1) * self.ways
             }
 
-            pub fn lookup(&mut self, line: u64) -> Option<usize> {
+            pub fn lookup(&mut self, line: u32) -> Option<usize> {
                 self.counter += 1;
                 let i = self.range(line).find(|&i| self.lines[i].tag == line)?;
                 self.lines[i].lru = self.counter;
@@ -1413,7 +1504,7 @@ mod tests {
             }
 
             /// `PrivCache::insert`: stops at the first invalid way.
-            pub fn insert(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
+            pub fn insert(&mut self, line: u32, dirty: bool) -> Option<(u32, bool)> {
                 let range = self.range(line);
                 self.counter += 1;
                 let mut victim = range.start;
@@ -1444,7 +1535,7 @@ mod tests {
 
             /// `Llc::insert`: the first invalid way in `mask`, else its
             /// least recent.
-            pub fn insert_masked(&mut self, line: u64, mask: u32, dirty: bool) {
+            pub fn insert_masked(&mut self, line: u32, mask: u32, dirty: bool) {
                 let range = self.range(line);
                 self.counter += 1;
                 let mut victim: Option<usize> = None;
@@ -1468,7 +1559,7 @@ mod tests {
                 };
             }
 
-            pub fn invalidate(&mut self, line: u64) -> (bool, bool) {
+            pub fn invalidate(&mut self, line: u32) -> (bool, bool) {
                 match self.range(line).find(|&i| self.lines[i].tag == line) {
                     Some(i) => {
                         let d = std::mem::replace(&mut self.lines[i], EMPTY).dirty;
@@ -1484,7 +1575,7 @@ mod tests {
                 self.drops += 1;
             }
 
-            pub fn contains(&self, line: u64) -> bool {
+            pub fn contains(&self, line: u32) -> bool {
                 self.range(line).any(|i| self.lines[i].tag == line)
             }
         }
@@ -1492,21 +1583,21 @@ mod tests {
 
     #[derive(Clone, Copy, Debug)]
     enum TagOp {
-        Lookup(u64),
+        Lookup(u32),
         /// Lookup, then mark the hit slot modified.
-        Modify(u64),
-        Insert(u64, bool),
-        Invalidate(u64),
-        Contains(u64),
+        Modify(u32),
+        Insert(u32, bool),
+        Invalidate(u32),
+        Contains(u32),
         Clear,
         /// `Llc::insert` under a way mask.
-        LlcInsert(u64, u32, bool),
-        LlcLookup(u64),
+        LlcInsert(u32, u32, bool),
+        LlcLookup(u32),
     }
 
     fn tag_op() -> impl proptest::strategy::Strategy<Value = TagOp> {
         use proptest::prelude::*;
-        (0u8..16, 0u64..1 << 20, any::<u32>(), any::<bool>()).prop_map(|(k, line, mask, f)| match k
+        (0u8..16, 0u32..1 << 20, any::<u32>(), any::<bool>()).prop_map(|(k, line, mask, f)| match k
         {
             0..=2 => TagOp::Lookup(line),
             3 => TagOp::Modify(line),
@@ -1520,10 +1611,9 @@ mod tests {
     }
 
     /// `(tag, dirty)` of every way, in way order.
-    fn packed_ways(t: &TagSets) -> Vec<(u64, bool)> {
-        let sets = t.words.len() / (t.ways + 1);
-        (0..sets)
-            .flat_map(|s| t.tags(t.base(s)).to_vec())
+    fn packed_ways(t: &TagSets) -> Vec<(u32, bool)> {
+        (0..t.sets.len())
+            .flat_map(|s| t.tags(s).to_vec())
             .map(|w| {
                 if w == INVALID_TAG {
                     (w, false)
@@ -1534,7 +1624,7 @@ mod tests {
             .collect()
     }
 
-    fn stamp_ways(c: &stamp::Cache) -> Vec<(u64, bool)> {
+    fn stamp_ways(c: &stamp::Cache) -> Vec<(u32, bool)> {
         c.lines.iter().map(|l| (l.tag, l.dirty)).collect()
     }
 
@@ -1544,9 +1634,15 @@ mod tests {
         /// The packed tag store picks the same victims as the stamp-LRU one
         /// it replaced, quirks included: every op returns the same answer,
         /// `version()` agrees, and each way holds the same line at the end.
+        ///
+        /// Every case starts with both duplicate paths planted: a private
+        /// insert behind an invalid way copies a line resident in a later
+        /// way, and an unchecked LLC fill copies a resident line into a
+        /// more recent way. Each copy is then looked up (and the private one
+        /// modified), so a lookup that answers from the wrong way fails.
         #[test]
         fn tag_store_matches_the_stamp_lru_reference(
-            ways in 1usize..=16,
+            ways in 1usize..=MAX_WAYS,
             set_bits in 0u32..3,
             llc_sets in 1usize..6,
             ops in proptest::collection::vec(tag_op(), 1..300),
@@ -1555,27 +1651,42 @@ mod tests {
             let (mut p, mut rp) = (PrivCache::new(sets, ways), stamp::Cache::new(sets, ways));
             let (mut l, mut rl) = (Llc::new(llc_sets, ways), stamp::Cache::new(llc_sets, ways));
             let full = (1u32 << ways) - 1;
-            for op in ops {
+            // Lines 0 and `sets` share private set 0.
+            let (a, b) = (0, sets as u32);
+            let planted = [
+                TagOp::Insert(a, false),
+                TagOp::Insert(b, false),
+                TagOp::Invalidate(a),
+                TagOp::Insert(b, false),
+                TagOp::Lookup(b),
+                TagOp::Modify(b),
+                TagOp::LlcInsert(a, full, false),
+                TagOp::LlcInsert(a, full, true),
+                TagOp::LlcLookup(a),
+            ];
+            for op in planted.into_iter().chain(ops) {
                 // Two more lines per set than ways, so sets fill and evict.
                 let x = match op {
-                    TagOp::LlcInsert(x, ..) | TagOp::LlcLookup(x) => x % (llc_sets * (ways + 2)) as u64,
+                    TagOp::LlcInsert(x, ..) | TagOp::LlcLookup(x) => x % (llc_sets * (ways + 2)) as u32,
                     TagOp::Lookup(x) | TagOp::Modify(x) | TagOp::Insert(x, _)
-                    | TagOp::Invalidate(x) | TagOp::Contains(x) => x % (sets * (ways + 2)) as u64,
+                    | TagOp::Invalidate(x) | TagOp::Contains(x) => x % (sets * (ways + 2)) as u32,
                     TagOp::Clear => 0,
                 };
                 match op {
                     TagOp::Lookup(_) => {
                         let (s, r) = (p.lookup(x), rp.lookup(x));
-                        proptest::prop_assert_eq!(s.is_some(), r.is_some(), "{:?}", op);
+                        proptest::prop_assert_eq!(s.map(|(_, w)| w), r.map(|i| i % ways), "{:?}", op);
                         if let (Some(s), Some(r)) = (s, r) {
                             proptest::prop_assert_eq!(p.is_modified(s), rp.lines[r].dirty);
                         }
                     }
                     TagOp::Modify(_) => {
-                        if let Some(s) = p.lookup(x) {
+                        let (s, r) = (p.lookup(x), rp.lookup(x));
+                        proptest::prop_assert_eq!(s.map(|(_, w)| w), r.map(|i| i % ways), "{:?}", op);
+                        if let Some(s) = s {
                             p.mark_modified(s);
                         }
-                        if let Some(r) = rp.lookup(x) {
+                        if let Some(r) = r {
                             rp.lines[r].dirty = true;
                         }
                     }
@@ -1598,13 +1709,12 @@ mod tests {
                         rl.insert_masked(x, m, d);
                     }
                     TagOp::LlcLookup(_) => {
-                        let way = l.way_of(x);
-                        l.lookup(x);
-                        proptest::prop_assert_eq!(way, rl.lookup(x).map(|i| i % ways));
+                        let way = l.lookup(x).map(|(_, w)| w);
+                        proptest::prop_assert_eq!(way, rl.lookup(x).map(|i| i % ways), "{:?}", op);
                     }
                 }
                 proptest::prop_assert_eq!(p.version(), rp.version());
-                proptest::prop_assert_eq!(packed_ways(&p.sets), stamp_ways(&rp), "after {:?}", op);
+                proptest::prop_assert_eq!(packed_ways(&p.tags), stamp_ways(&rp), "after {:?}", op);
             }
             proptest::prop_assert_eq!(packed_ways(&l.tags), stamp_ways(&rl));
         }
