@@ -20,7 +20,7 @@ use std::ops::Range;
 use utps_collections::{MpmcQueue, SpscRing};
 use utps_sim::hashutil::FxHashMap;
 use utps_sim::time::SimTime;
-use utps_sim::{vaddr, CacheHierarchy, Counter, Ctx, Fabric, Gauge};
+use utps_sim::{vaddr, CacheHierarchy, Counter, Ctx, Fabric, Gauge, Waker};
 use utps_workload::Op;
 
 use crate::msg::{OpKind, Request};
@@ -141,6 +141,8 @@ pub struct CrMrQueue {
     workers: usize,
     lanes: Vec<Lane>,
     shared: Option<SharedState>,
+    /// The waker of each consumer parked on its empty lanes, by worker id.
+    idle: Vec<Option<Waker>>,
 }
 
 impl CrMrQueue {
@@ -187,6 +189,7 @@ impl CrMrQueue {
             workers,
             lanes,
             shared,
+            idle: (0..workers).map(|_| None).collect(),
         }
     }
 
@@ -295,8 +298,25 @@ impl CrMrQueue {
             lane.pushed += n as u64;
             let occ = lane.ring.len() as u64;
             ctx.machine().registry.raise(Gauge::CrmrLaneHwm, occ);
+            // The tail atomic does not always move the consumer's token: a
+            // producer still holding the line modified takes it as an L1 hit.
+            if let Some(waker) = self.idle[consumer].take() {
+                waker.wake_at(SimTime::ZERO);
+            }
         }
         n
+    }
+
+    /// Leaves a parked `consumer`'s waker for the next push into its lanes.
+    pub(crate) fn park_consumer(&mut self, consumer: usize, waker: Waker) {
+        self.idle[consumer] = Some(waker);
+    }
+
+    /// Wakes every parked consumer at its first scan after the calling step.
+    pub fn wake_consumers(&mut self) {
+        for waker in self.idle.iter_mut().filter_map(Option::take) {
+            waker.wake_at(SimTime::ZERO);
+        }
     }
 
     /// Consumer side: pops up to `max` descriptors from lane
@@ -623,7 +643,7 @@ impl Producer {
     /// lanes, nothing accumulated and unpushed, no lane holding a
     /// completion the rotation has yet to read, and the lanes' completion
     /// words in distinct L1 sets, so skipping their recency refreshes
-    /// changes no victim choice (DESIGN.md §10 "Parked CR polls").
+    /// changes no victim choice (DESIGN.md §10 "Parked polls").
     pub(crate) fn may_park(&self, q: &CrMrQueue, cache: &CacheHierarchy) -> bool {
         // None of the checks depends on the rotation, so they walk the
         // polled lanes in index order.
@@ -748,8 +768,8 @@ pub(crate) struct Retired {
     shared: Vec<u64>,
 }
 
-/// The MR end of the queue for one worker: the producer scan, per-lane pop
-/// counts of the current super-batch, and the replayed idle scan.
+/// The MR end of the queue for one worker: the producer scan and per-lane
+/// pop counts of the current super-batch.
 pub(crate) struct Consumer {
     id: usize,
     /// Descriptors popped per producer in the current super-batch.
@@ -758,11 +778,6 @@ pub(crate) struct Consumer {
     scratch: Vec<Desc>,
     /// Shared-mode seqs retired in the current super-batch and held back.
     shared_done: Vec<u64>,
-    /// The core's private-cache token right after a lane scan that popped
-    /// nothing and read every tail word as a plain L1 hit; while the token
-    /// and the lanes stay put, the next scan is replayed (DESIGN.md §10
-    /// "Replayed idle scans").
-    idle_scan: Option<u64>,
 }
 
 impl Consumer {
@@ -774,41 +789,28 @@ impl Consumer {
             prod_rr: 0,
             scratch: Vec::new(),
             shared_done: Vec::new(),
-            idle_scan: None,
         }
     }
 
     /// Pops up to `want` descriptors, scanning the producers round-robin,
     /// and hands each non-empty batch to `start` as soon as it is popped.
-    /// `may_replay` is the caller's part of the idle-scan replay guard
-    /// (DESIGN.md §10): no commit group awaits durability and no
-    /// reconfiguration is in flight.
+    /// Returns whether it scanned the lanes and found them all empty.
     pub(crate) fn pop(
         &mut self,
         ctx: &mut Ctx<'_>,
         q: &mut CrMrQueue,
         want: usize,
-        may_replay: bool,
         mut start: impl FnMut(&mut Ctx<'_>, &[Desc]),
-    ) {
+    ) -> bool {
         if q.is_shared() {
             self.scratch.clear();
             q.pop_shared(ctx, &mut self.scratch, want);
             if !self.scratch.is_empty() {
                 start(ctx, &self.scratch);
             }
-            return;
+            return false;
         }
         let workers = self.lane_pop.len();
-        // An idle scan that would repeat its predecessor exactly — same
-        // empty lanes, same L1-resident tail words — charges its `workers`
-        // L1 hits without re-walking the cache model. `prod_rr` would
-        // advance by `workers`, i.e. not at all.
-        if may_replay && self.idle_scan == Some(ctx.private_version()) && q.consumer_idle(self.id) {
-            ctx.l1_hits(workers as u64);
-            return;
-        }
-        let v0 = ctx.private_version();
         let mut popped = 0;
         let mut scanned = 0;
         while popped < want && scanned < workers {
@@ -824,8 +826,7 @@ impl Consumer {
             }
         }
         self.prod_rr = (self.prod_rr + scanned) % workers;
-        let v1 = ctx.private_version();
-        self.idle_scan = (popped == 0 && v1 - v0 == workers as u64).then_some(v1);
+        popped == 0
     }
 
     /// Records that the request in slot `seq` has answered. Lanes signal a
@@ -1109,7 +1110,7 @@ mod tests {
             scan(ctx);
             let before = ctx.machine().cache.metrics.combined();
             for _ in 0..2 {
-                // The MR stage's replay precondition: 16 plain L1 hits.
+                // What a quiet scan that parks needs: 16 plain L1 hits.
                 let v0 = ctx.private_version();
                 scan(ctx);
                 assert_eq!(ctx.private_version() - v0, 16);

@@ -192,8 +192,9 @@ impl UtpsWorld {
             switch_seq: self.ring.head() + 2 * workers as u64,
             adopted: vec![false; workers],
         });
-        // A parked CR worker's next poll reads the announcement.
+        // A parked worker's next poll or scan reads the announcement.
         self.fabric.wake_servers();
+        self.crmr.wake_consumers();
         true
     }
 
@@ -266,7 +267,7 @@ pub(crate) struct CrStage {
 }
 
 /// A run of quiet CR polls, each a repeat of the one before (DESIGN.md §10
-/// "Parked CR polls").
+/// "Parked polls").
 #[derive(Clone, Copy)]
 struct Quiet {
     /// The core's private-cache token when the last one ended.
@@ -706,7 +707,7 @@ impl MrStage {
     /// One MR scheduling slot; `Some` is the CR stage this worker has
     /// switched to, which the caller must install.
     fn run(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld) -> Option<CrStage> {
-        let id = self.id;
+        let (id, token) = (self.id, ctx.private_version());
 
         // Release barrier-held completions first: durability progresses
         // with device time regardless of what this worker does next.
@@ -747,7 +748,6 @@ impl MrStage {
             }
             // Fill a super-batch; each popped batch starts one op per
             // descriptor, stamped at its pop.
-            let may_replay = self.defers.is_empty() && world.reconfig.is_none();
             let UtpsWorld {
                 crmr,
                 ring,
@@ -759,7 +759,7 @@ impl MrStage {
                 ..
             } = world;
             let ops = &mut self.ops;
-            self.rx.pop(ctx, crmr, cfg.batch, may_replay, |ctx, descs| {
+            let empty = self.rx.pop(ctx, crmr, cfg.batch, |ctx, descs| {
                 let got = descs.len() as u64;
                 ctx.machine().registry.record(Hist::MrBatchSize, got);
                 let started = ctx.now();
@@ -789,6 +789,13 @@ impl MrStage {
             } else if !self.defers.is_empty() {
                 // Nothing to pop and groups in flight: wait on the device.
                 tier::wait_for_commit(ctx, world.tier.as_ref());
+            } else if empty
+                && world.reconfig.is_none()
+                && ctx.private_version() - token == world.cfg.workers as u64
+            {
+                // The step was one scan of plain L1 hits, and it repeats
+                // exactly until woken (DESIGN.md §10 "Parked polls").
+                world.crmr.park_consumer(id, ctx.park_on_grid(None));
             }
             return None;
         }
@@ -972,9 +979,11 @@ impl Process<UtpsWorld> for UtpsWorker {
         }
     }
 
-    fn skipped_polls(&mut self, ctx: &mut Ctx<'_>, _world: &mut UtpsWorld, n: u64) {
-        if let Role::Cr(s) = &mut self.role {
-            s.skipped_polls(ctx, n);
+    fn skipped_polls(&mut self, ctx: &mut Ctx<'_>, world: &mut UtpsWorld, n: u64) {
+        match &mut self.role {
+            Role::Cr(s) => s.skipped_polls(ctx, n),
+            // Each skipped scan: a plain L1 hit per tail word, `prod_rr` kept.
+            Role::Mr(_) => ctx.l1_hits(n * world.cfg.workers as u64),
         }
     }
 

@@ -39,8 +39,9 @@ fn reassign_back_to_back(kind: QueueKind) {
             switch_seq: head + 32,
             adopted: vec![false; 16],
         });
-        // As `UtpsWorld::request_split` does: parked CR workers poll next.
+        // As `UtpsWorld::request_split` does: parked workers poll next.
         eng.world.fabric.wake_servers();
+        eng.world.crmr.wake_consumers();
         eng.run_until(SimTime((4 + 2 * i as u64) * MILLIS));
         assert!(
             eng.world.reconfig.is_none(),
@@ -81,6 +82,7 @@ fn owner_mapping_switches_at_the_announced_slot() {
         adopted: vec![false; 8],
     });
     eng.world.fabric.wake_servers();
+    eng.world.crmr.wake_consumers();
     // Before the switch slot: old modulo; at/after: new modulo.
     assert_eq!(
         eng.world.owner_of(switch_seq - 1),

@@ -491,8 +491,8 @@ impl CacheHierarchy {
     }
 
     /// The L1 set the line holding `addr` maps to (every core's L1 has the
-    /// same geometry): lines read in rotation replay exactly only while no
-    /// two share a set (DESIGN.md §10 "Parked CR polls").
+    /// same geometry): a partial rotation of lines skips exactly only while
+    /// no two share a set (DESIGN.md §10 "Parked polls").
     pub fn l1_set(&self, addr: usize) -> usize {
         // A private level's set count is a power of two (`PrivCache::new`).
         (addr >> self.line_shift) & (self.cfg.cache.l1_sets - 1)

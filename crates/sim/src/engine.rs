@@ -172,7 +172,7 @@ impl Waker {
     /// event already visible passes any earlier time. A plain park's grid
     /// is every picosecond: a polling client that sees a delivery in flight
     /// jumps to it, so its first effective step is the arrival itself.
-    pub(crate) fn wake_at(self, at: SimTime) {
+    pub fn wake_at(self, at: SimTime) {
         self.list.borrow_mut().push((at, self.pid, self.gen));
     }
 
@@ -400,7 +400,7 @@ impl<'a> Ctx<'a> {
     /// reaches `deadline`. The polls it skips are reported through
     /// [`Process::skipped_polls`]. On a machine whose schedule plan is armed
     /// the park is ignored and the process keeps polling, so every poll
-    /// stays a schedule decision. See DESIGN.md §10 "Parked CR polls".
+    /// stays a schedule decision. See DESIGN.md §10 "Parked polls".
     pub fn park_on_grid(&mut self, deadline: Option<SimTime>) -> Waker {
         self.park_with(ParkReq {
             grid: true,

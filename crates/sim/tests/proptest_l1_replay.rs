@@ -2,11 +2,14 @@
 //! through [`CacheHierarchy::l1_hits`] is indistinguishable from issuing the
 //! reads, whenever [`CacheHierarchy::private_version`] licenses it.
 //!
-//! This is the licence of the MR stage's replayed idle scans (DESIGN.md §10
-//! "Replayed idle scans"). Two hierarchies run the same generated traffic —
-//! accesses, atomics, prefetches, DDIO writes, DMA reads and core clears
-//! from every core, on lines that share sets with a fixed read sequence of
-//! core 0. Twin A issues the sequence for real every time. Twin B replays it
+//! This is the licence of the catch-up lemma behind parked polls (DESIGN.md
+//! §10 "Parked polls"): an MR worker parked after a lane scan of plain L1
+//! hits is charged each scan it skipped through `l1_hits` when it wakes, as
+//! twin B below charges a sequence it does not issue, and a CR worker's
+//! skipped completion reads are charged the same way. Two hierarchies run
+//! the same generated traffic — accesses, atomics, prefetches, DDIO writes,
+//! DMA reads and core clears from every core, on lines that share sets with
+//! a fixed read sequence of core 0. Twin A issues the sequence for real every time. Twin B replays it
 //! with `l1_hits` whenever core 0's token still equals its value right after
 //! a real issue that moved it by exactly the sequence length. Every call
 //! must cost the same on both twins, the metrics must agree, and a final

@@ -1,25 +1,34 @@
 //! Differential property: a poller that parks on its poll grid observes
 //! exactly what a poller that keeps stepping observes.
 //!
-//! The CR-layer parking of DESIGN.md §10 ("Parked CR polls") rests on three
-//! engine facts pinned here: a grid park wakes at the first grid point after
-//! any event that could change its next poll (a fabric arrival, its core's
-//! private-cache token moving, its deadline), the skipped polls charged
-//! arithmetically leave the cache model exactly where the polls would have,
-//! and a wake that lands on the cohort being drained joins it in pid order.
+//! The parking of CR and MR workers (DESIGN.md §10 "Parked polls") rests
+//! on three engine facts pinned here: a grid park wakes at the first grid
+//! point after any event that could change its next poll (a fabric arrival,
+//! its core's private-cache token moving, its deadline), the skipped polls
+//! charged arithmetically leave the cache model exactly where the polls
+//! would have, and a wake that lands on the cohort being drained joins it in
+//! pid order.
 //!
-//! A poller pinned to core 0 reads a rotating set of lines, one per step,
-//! and drains the fabric and a list of timed alarms. Traffic processes on
-//! cores 0–2 read and write those lines and their set neighbours, DDIO-write
-//! them, fill the LLC set they live in until it evicts, and send fabric
-//! messages, at generated gaps that often land on the poller's grid, and
-//! fault-stall windows freeze the poller's core now and then. Each
-//! case runs once with the poller stepping and once parking: the logs of
-//! effective steps `(time, pid, observed)` — every step that is not an exact
-//! repeat of the one before — the cache metrics and a final read sweep by
-//! every core must be equal, and the parking run must take strictly fewer
-//! steps whenever its lines sit in distinct L1 sets (otherwise it must not
-//! park at all).
+//! A poller pinned to core 0 reads a set of lines and drains the fabric and
+//! a list of timed alarms. It comes in two shapes: one reads the next line
+//! of its rotation per step, as a CR worker reads one completion word, and
+//! one reads every line per step, as an MR worker scans every lane's tail
+//! word. Traffic processes on cores 0–2 read and write those lines and
+//! their set neighbours, DDIO-write them, fill the LLC set they live in
+//! until it evicts, and send fabric messages, at generated gaps that often
+//! land on the poller's grid, and fault-stall windows freeze the poller's
+//! core now and then. Each case runs, for each shape, once with the poller
+//! stepping and once parking: the logs of effective steps `(time, pid,
+//! observed)` — every step that is not an exact repeat of the one before —
+//! the cache metrics and a final read sweep by every core must be equal,
+//! and the parking run must take strictly fewer steps whenever the poller
+//! may park. The sweep first evicts all but each L1 set's newest line, so
+//! it shows the recency order a run leaves. The one-line poller may park
+//! only once its lines sit in distinct L1 sets, since a partial rotation
+//! reorders the recency of lines that share a set. The whole-set poller
+//! parks after one quiet step wherever its lines sit: a whole rotation
+//! leaves them in the order it found them. Pool lines 8 and 9 alias lines
+//! 0 and 1, so both cases come up.
 
 use std::collections::VecDeque;
 
@@ -39,6 +48,9 @@ const BASE: usize = 1 << 24;
 const POOL: usize = 10;
 /// The tiny LLC's set count: lines this far apart share an LLC set.
 const LLC_SPAN: usize = 128 * LINE;
+/// Lines no process touches, which the final sweep reads first: line `k`
+/// maps to L1 set `k % 8`, and no fill reaches them.
+const FRESH: usize = BASE + (1 << 20);
 
 fn pool(i: usize) -> usize {
     BASE + i * LINE
@@ -99,16 +111,30 @@ impl Process<World> for Traffic {
     }
 }
 
-/// Polls the fabric, the alarms and the next line of its rotation; parks on
-/// its grid (when allowed) once its poll has repeated a full rotation.
+/// Polls the fabric, the alarms and the next line of its rotation (every
+/// line, if `whole`); parks on its grid (when allowed) once its poll has
+/// repeated a full rotation.
 struct Poller {
     lines: Vec<usize>,
     rr: u64,
     /// The run of quiet polls: the token the last ended on, its charge, and
     /// how many in a row.
     quiet: Option<(u64, u64, usize)>,
-    /// Whether it parks: its lines sit in distinct L1 sets.
+    /// Whether it parks.
     park: bool,
+    /// Whether each poll reads every line, a whole rotation.
+    whole: bool,
+}
+
+impl Poller {
+    /// Lines each poll reads.
+    fn reads(&self) -> u64 {
+        if self.whole {
+            self.lines.len() as u64
+        } else {
+            1
+        }
+    }
 }
 
 impl Process<World> for Poller {
@@ -125,13 +151,15 @@ impl Process<World> for Poller {
             events += 1;
         }
         ctx.compute_ns(3 * events);
-        let addr = self.lines[(self.rr % self.lines.len() as u64) as usize];
-        self.rr += 1;
         let before = ctx.now();
-        ctx.read(addr, 8);
+        for _ in 0..self.reads() {
+            let addr = self.lines[(self.rr % self.lines.len() as u64) as usize];
+            self.rr += 1;
+            ctx.read(addr, 8);
+        }
         let cost = ctx.now() - before;
         let (end, charge) = (ctx.private_version(), ctx.now() - start);
-        let quiet = events == 0 && end - token == 1;
+        let quiet = events == 0 && end - token == self.reads();
         let repeat = quiet
             && self
                 .quiet
@@ -143,7 +171,11 @@ impl Process<World> for Poller {
             let run = self.quiet.filter(|_| repeat).map_or(1, |q| q.2 + 1);
             (end, charge, run)
         });
-        let full_rotation = self.lines.len().max(2);
+        let full_rotation = if self.whole {
+            1
+        } else {
+            self.lines.len().max(2)
+        };
         if self.park && self.quiet.is_some_and(|q| q.2 >= full_rotation) {
             let deadline = w.alarms.front().copied();
             w.fabric.server_park(0, ctx.park_on_grid(deadline));
@@ -152,8 +184,8 @@ impl Process<World> for Poller {
     }
 
     fn skipped_polls(&mut self, ctx: &mut Ctx<'_>, _w: &mut World, n: u64) {
-        self.rr += n;
-        ctx.l1_hits(n);
+        self.rr += n * self.reads();
+        ctx.l1_hits(n * self.reads());
     }
 }
 
@@ -174,14 +206,22 @@ struct Outcome {
     sweep: Vec<u64>,
 }
 
+/// Whether pool lines `lines` sit in distinct L1 sets.
 fn distinct_sets(lines: &[usize]) -> bool {
     let cache = CacheHierarchy::new(&MachineConfig::tiny(), 1);
-    let sets: Vec<usize> = lines.iter().map(|&a| cache.l1_set(a)).collect();
+    let sets: Vec<usize> = lines.iter().map(|&i| cache.l1_set(pool(i))).collect();
     (1..sets.len()).all(|i| !sets[..i].contains(&sets[i]))
 }
 
-fn run(case: &Case, park: bool) -> Outcome {
+/// Whether the poller may park: a whole-set poller always, a one-line one
+/// only over lines in distinct L1 sets.
+fn may_park(case: &Case, whole: bool) -> bool {
+    whole || distinct_sets(&case.lines)
+}
+
+fn run(case: &Case, whole: bool, park: bool) -> Outcome {
     let cfg = MachineConfig::tiny();
+    let (l1_sets, l1_ways) = (cfg.cache.l1_sets, cfg.cache.l1_ways);
     let busy: u64 = case
         .traffic
         .iter()
@@ -213,7 +253,7 @@ fn run(case: &Case, park: bool) -> Outcome {
     };
     eng.machine().faults = FaultPlan::new(faults, 1);
     let lines: Vec<usize> = case.lines.iter().map(|&i| pool(i)).collect();
-    let park = park && distinct_sets(&lines);
+    let park = park && may_park(case, whole);
     for slot in 0..=case.traffic.len() {
         if slot == case.poller_slot {
             let poller = Poller {
@@ -221,6 +261,7 @@ fn run(case: &Case, park: bool) -> Outcome {
                 rr: 0,
                 quiet: None,
                 park,
+                whole,
             };
             eng.spawn(Some(0), StatClass::Cr, Box::new(poller));
         }
@@ -238,13 +279,17 @@ fn run(case: &Case, park: bool) -> Outcome {
     let now = eng.now();
     let cache = &mut eng.machine().cache;
     let metrics = cache.metrics.clone();
-    let sweep = (0..3)
-        .map(|core| {
-            (0..POOL)
-                .map(|i| cache.access(core, StatClass::Other, pool(i), 8, false, now))
-                .sum()
-        })
-        .collect();
+    // Each core first reads `l1_ways - 1` fresh lines into every L1 set,
+    // which leaves only the newest line of each set resident in L1.
+    let mut sweep = Vec::new();
+    for core in 0..3 {
+        for k in 0..l1_sets * (l1_ways - 1) {
+            cache.access(core, StatClass::Other, FRESH + k * LINE, 8, false, now);
+        }
+        for i in 0..POOL {
+            sweep.push(cache.access(core, StatClass::Other, pool(i), 8, false, now));
+        }
+    }
     Outcome {
         log: std::mem::take(&mut eng.world.log),
         steps,
@@ -306,19 +351,21 @@ proptest! {
 
     #[test]
     fn parking_poller_observes_what_a_stepping_one_does(case in case()) {
-        let stepped = run(&case, false);
-        let parked = run(&case, true);
-        prop_assert_eq!(&parked.log, &stepped.log);
-        prop_assert_eq!(&parked.metrics, &stepped.metrics);
-        prop_assert_eq!(&parked.sweep, &stepped.sweep);
-        let lines: Vec<usize> = case.lines.iter().map(|&i| pool(i)).collect();
-        if distinct_sets(&lines) {
-            prop_assert!(
-                parked.steps < stepped.steps,
-                "parking took {} steps, stepping {}", parked.steps, stepped.steps
-            );
-        } else {
-            prop_assert_eq!(parked.steps, stepped.steps);
+        for whole in [false, true] {
+            let stepped = run(&case, whole, false);
+            let parked = run(&case, whole, true);
+            prop_assert_eq!(&parked.log, &stepped.log, "whole: {}", whole);
+            prop_assert_eq!(&parked.metrics, &stepped.metrics, "whole: {}", whole);
+            prop_assert_eq!(&parked.sweep, &stepped.sweep, "whole: {}", whole);
+            if may_park(&case, whole) {
+                prop_assert!(
+                    parked.steps < stepped.steps,
+                    "whole: {whole}: parking took {} steps, stepping {}",
+                    parked.steps, stepped.steps
+                );
+            } else {
+                prop_assert_eq!(parked.steps, stepped.steps);
+            }
         }
     }
 }

@@ -1,15 +1,18 @@
-//! Deterministic step-budget guards: waiting clients and quiet CR workers
-//! are parked, not polled.
+//! Deterministic step-budget guards: waiting clients and quiet CR and MR
+//! workers are parked, not polled.
 //!
 //! A closed-loop client with its pipeline full and nothing in flight toward
 //! it used to be stepped every poll quantum; since `Ctx::park` it owns no
 //! scheduler key until `Fabric::server_send` wakes it. A CR worker whose
 //! receive/completion poll would repeat exactly parks on its poll grid
 //! (`Ctx::park_on_grid`) until an arrival, a completion, its core's cache
-//! token or a commit wakes it. Engine steps per completed op is an exact
-//! per-seed count, so the budgets below cannot flake: each is the measured
-//! value + 25 %, and the polling code exceeded it 3.5-fold (178.53 steps/op
-//! on the first configuration) and 13.8-fold (416.10 on the second).
+//! token or a commit wakes it; an MR worker whose lane scan found every
+//! lane empty parks the same way until a push into one of its lanes, its
+//! core's cache token or a split request wakes it. Engine steps per
+//! completed op is an exact per-seed count, so the budgets below cannot
+//! flake: each is the measured value + 25 %. Polling clients and workers
+//! exceeded the first 35-fold (178.53 steps/op) and the second 14.2-fold
+//! (416.10); with idle MR scans stepped, the first read 23.58.
 
 mod common;
 
@@ -18,13 +21,14 @@ use utps::core::system::assemble;
 use utps::prelude::*;
 use utps::sim::time::MICROS;
 
-/// Measured: 39.80 steps per completed op (631 580 / 15 867).
-const STEPS_PER_OP_BUDGET: f64 = 39.80 * 1.25;
+/// Measured: 4.08 steps per completed op (64 707 / 15 867) with quiet MR
+/// workers parked; stepping their idle scans took 23.58 (374 184 / 15 867).
+const STEPS_PER_OP_BUDGET: f64 = 4.08 * 1.25;
 
-/// Measured: 24.20 engine steps per completed op (139 560 / 5 768) with
-/// quiet CR workers parked on their poll grid; polling them took 416.10
-/// (2 400 088 / 5 768 — the same ops, 17× the steps).
-const TIER_STEPS_PER_OP_BUDGET: f64 = 24.20 * 1.25;
+/// Measured: 23.46 engine steps per completed op (135 343 / 5 768) with
+/// quiet CR and MR workers parked on their poll grid; polling the CR
+/// workers took 416.10 (2 400 088 / 5 768 — the same ops, 17× the steps).
+const TIER_STEPS_PER_OP_BUDGET: f64 = 23.46 * 1.25;
 
 /// A tiny μTPS-T run with enough outstanding requests (24 × 16) to keep the
 /// four workers busy, so that what the count measures is the clients'
@@ -77,7 +81,8 @@ fn parked_clients_keep_utps_t_within_its_step_budget() {
     assert!(
         per_op < STEPS_PER_OP_BUDGET,
         "{per_op:.2} engine steps per completed op ({counts}); \
-         budget {STEPS_PER_OP_BUDGET:.2} — is a waiting client polling again?"
+         budget {STEPS_PER_OP_BUDGET:.2} — is a waiting client or a quiet MR \
+         worker polling again?"
     );
 }
 
