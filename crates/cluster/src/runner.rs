@@ -1,9 +1,13 @@
 //! Cluster run harness: N unmodified server pipelines, one simulation.
 //!
-//! Each shard gets its own simulated machine ([`Engine::add_machine`]) and
-//! an unmodified per-shard world built by the system's own
-//! [`System::build_world`]; the shard's processes are the exact
-//! single-machine [`System::procs`] wrapped in [`ShardProc`]. Clients, the
+//! The run is assembled through [`PipelineRuntime`], the single-machine
+//! runners' harness: machine 0 gets the run's own fault and schedule plans,
+//! each further shard a machine of its own
+//! ([`PipelineRuntime::add_machine`]) with plans drawn from its
+//! `machine_seed`, and the clients, sampler, history switch and warm-up
+//! reset are the runtime's. Each shard's world is built by the system's own
+//! [`System::build_world`]; its processes are the exact single-machine
+//! [`System::procs`] wrapped in [`ShardProc`]. Clients, the
 //! migration/refresh controllers and the cluster tuner run host-side
 //! (unpinned), exactly like the single-machine clients.
 //!
@@ -13,17 +17,19 @@
 //! spawned and no hook is installed on either side — the servers carry no
 //! [`ShardCtl`] and the clients are unrouted [`ClientProc`]s — so the
 //! processes are the single-machine ones by construction. What the N=1
-//! transparency tests still guard against the single-machine goldens is
-//! this file: its spawn, reset and fold order.
+//! transparency tests still guard against the single-machine runs is what
+//! this file writes itself: the per-shard spawn loop and the fold/extract
+//! order.
 
 use utps_baselines::BaseKv;
 use utps_collections::mix2;
-use utps_core::client::{ClientProc, DriverState, SamplerProc};
+use utps_core::client::{ClientProc, DriverState};
 use utps_core::experiment::{ClusterStats, RunConfig, RunResult, SystemKind, Utps};
 use utps_core::shardctl::ShardCtl;
+use utps_core::stage::PipelineRuntime;
 use utps_core::system::{ServerWorld, System};
 use utps_sim::time::{SimTime, MICROS};
-use utps_sim::{Counter, Engine, FaultPlan, Gauge, MetricsSnapshot, SchedulePlan, StatClass};
+use utps_sim::{Counter, Engine, Gauge, MetricsSnapshot, StatClass};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -56,59 +62,10 @@ pub fn run_cluster(system: SystemKind, cfg: &ClusterConfig) -> RunResult {
     }
 }
 
-/// Builds the engine: machine 0 carries the run's own fault/schedule plans
-/// (exactly like `PipelineRuntime`), machines 1.. carry derived streams.
-fn build_engine<S: ShardWorld>(
-    cfg: &ClusterConfig,
-    cores: usize,
-    world: ClusterWorld<S>,
-) -> Engine<ClusterWorld<S>> {
+/// Spawns the feature-gated controllers: migration, replica refresh and
+/// the cluster tuner, after every client.
+fn spawn_controllers<S: ShardWorld>(cfg: &ClusterConfig, eng: &mut Engine<ClusterWorld<S>>) {
     let base = &cfg.base;
-    let mut eng = Engine::new(base.machine.clone(), cores, world);
-    for s in 0..cfg.total_shards() {
-        if s > 0 {
-            eng.add_machine(base.machine.clone(), cores);
-        }
-        let seed = machine_seed(base.seed, s);
-        let m = eng.machine_mut(s);
-        m.faults = FaultPlan::new(base.faults.clone(), seed);
-        m.schedule = SchedulePlan::from_mode(base.schedule.clone(), seed);
-    }
-    eng
-}
-
-/// Spawns clients, sampler and the feature-gated controllers.
-fn spawn_drivers<S: ShardWorld>(cfg: &ClusterConfig, eng: &mut Engine<ClusterWorld<S>>) {
-    let base = &cfg.base;
-    if base.record_history || base.oracle {
-        eng.world.driver.enable_history();
-    }
-    for c in 0..base.clients {
-        let mut wl = base.workload.build(base.keys, base.seed, c as u64);
-        if cfg.large_keys > 0 {
-            wl = Box::new(SizeClassWorkload::new(
-                wl,
-                base.keys,
-                cfg.large_keys,
-                cfg.large_value_len,
-            ));
-        }
-        let mut client = ClientProc::with_retry(c as u32, wl, base.pipeline, base.retry.clone());
-        if !cfg.is_trivial() {
-            client = client.routed(eng.world.router.clone());
-        }
-        eng.spawn(None, StatClass::Other, Box::new(client));
-    }
-    if base.timeline_interval > 0 {
-        eng.spawn(
-            None,
-            StatClass::Other,
-            Box::new(SamplerProc::new(
-                base.timeline_interval,
-                |w: &mut ClusterWorld<S>| &mut w.driver,
-            )),
-        );
-    }
     if !cfg.migrations.is_empty() {
         eng.spawn(
             None,
@@ -127,6 +84,12 @@ fn spawn_drivers<S: ShardWorld>(cfg: &ClusterConfig, eng: &mut Engine<ClusterWor
             StatClass::Other,
             Box::new(RefreshProc::new(REFRESH_PS, base.machine.net.clone())),
         );
+    }
+    if cfg.cluster_tuner {
+        let interval = (base.warmup / 2).max(500 * MICROS);
+        if let Some(tuner) = S::cluster_tuner(interval, cfg.total_shards()) {
+            eng.spawn(None, StatClass::Other, tuner);
+        }
     }
 }
 
@@ -217,28 +180,42 @@ where
         driver: DriverState::new(base.clients, SimTime(base.warmup)),
     };
 
-    let mut eng = build_engine(cfg, S::cores(base), world);
+    let cores = S::cores(base);
+    let mut rt = PipelineRuntime::new(base, cores, world);
+    for s in 1..total {
+        rt.add_machine(base, cores, machine_seed(base.seed, s));
+    }
     for s in 0..total {
+        let eng = rt.engine();
         S::prepare_machine(base, eng.machine_mut(s));
         for (core, class, proc) in S::procs(base, &eng.world.shards[s]) {
             eng.spawn_on(s, core, class, Box::new(ShardProc::new(s, proc)));
         }
     }
-    spawn_drivers(cfg, &mut eng);
-    if cfg.cluster_tuner {
-        let interval = (base.warmup / 2).max(500 * MICROS);
-        if let Some(tuner) = S::World::cluster_tuner(interval, total) {
-            eng.spawn(None, StatClass::Other, tuner);
+    let hooks = (!trivial).then(|| rt.engine().world.router.clone());
+    rt.spawn_clients_with(base, |c| {
+        let mut wl = base.workload.build(base.keys, base.seed, c as u64);
+        if cfg.large_keys > 0 {
+            wl = Box::new(SizeClassWorkload::new(
+                wl,
+                base.keys,
+                cfg.large_keys,
+                cfg.large_value_len,
+            ));
         }
-    }
-
-    // Warmup → reset of every shard's counters → measured window.
-    eng.run_until(SimTime(base.warmup));
-    eng.reset_counters();
-    if !trivial {
-        eng.world.router.borrow_mut().reset_stats();
-    }
-    eng.run_until(SimTime(base.warmup + base.duration));
+        let client = ClientProc::with_retry(c as u32, wl, base.pipeline, base.retry.clone());
+        match &hooks {
+            Some(router) => client.routed(router.clone()),
+            None => client,
+        }
+    });
+    spawn_controllers(cfg, rt.engine());
+    rt.run(|eng| {
+        if !trivial {
+            eng.world.router.borrow_mut().reset_stats();
+        }
+    });
+    let mut eng = rt.into_engine();
 
     // Fold and snapshot each shard, aggregate the cluster-wide numbers.
     let end = SimTime(base.warmup + base.duration);

@@ -425,28 +425,26 @@ impl<W: KvWorld> Process<W> for ClientProc {
 }
 
 /// A sampler process recording the throughput timeline.
-pub struct SamplerProc<W> {
+pub struct SamplerProc {
     interval: u64,
     next: SimTime,
-    driver: fn(&mut W) -> &mut DriverState,
 }
 
-impl<W> SamplerProc<W> {
-    /// Samples the world's `driver` every `interval` picoseconds.
-    pub fn new(interval: u64, driver: fn(&mut W) -> &mut DriverState) -> Self {
+impl SamplerProc {
+    /// Samples the world's driver every `interval` picoseconds.
+    pub fn new(interval: u64) -> Self {
         SamplerProc {
             interval,
             next: SimTime(interval),
-            driver,
         }
     }
 }
 
-impl<W> Process<W> for SamplerProc<W> {
+impl<W: KvWorld> Process<W> for SamplerProc {
     fn step(&mut self, ctx: &mut Ctx<'_>, world: &mut W) -> StepOutcome {
         let now = ctx.now();
         if now >= self.next {
-            let driver = (self.driver)(world);
+            let driver = world.driver_mut();
             let total = driver.completed_total();
             driver.timeline.push((now, total));
             self.next = now + self.interval;
@@ -566,10 +564,7 @@ mod tests {
         eng.spawn(
             None,
             StatClass::Other,
-            Box::new(SamplerProc::new(
-                utps_sim::time::MICROS * 100,
-                EchoWorld::driver_mut,
-            )),
+            Box::new(SamplerProc::new(utps_sim::time::MICROS * 100)),
         );
         eng.run_until(SimTime::from_millis(1));
         let d = &eng.world.driver;

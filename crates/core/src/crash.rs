@@ -22,12 +22,11 @@ use std::collections::BTreeSet;
 
 use utps_oracle::{fill_digest, History, OpClass};
 use utps_sim::time::SimTime;
-use utps_sim::StatClass;
 
 use crate::client::{ClientProc, KvWorld};
 use crate::experiment::RunConfig;
 use crate::store::KvStore;
-use crate::system::{assemble, reset, ServerWorld, System};
+use crate::system::{assemble, ServerWorld, System};
 use crate::tier::TierState;
 
 /// What one crash → recover → resume cycle observed end to end.
@@ -171,27 +170,16 @@ where
     for &(c, s) in &rec.acked {
         parts.dedup.record(c, s);
     }
+    // Fresh workload streams (ids past the pre-crash fleet), continued
+    // sequence numbering so the restored dedup floor stays meaningful.
     let mut rt2 = assemble::<S>(&cfg, world2);
-    rt2.engine().world.driver_mut().enable_history();
-    for (c, &start_seq) in next_seqs.iter().enumerate() {
-        // Fresh workload streams (ids past the pre-crash fleet), continued
-        // sequence numbering so the restored dedup floor stays meaningful.
+    rt2.spawn_clients_with(&cfg, |c| {
         let wl = cfg
             .workload
             .build(cfg.keys, cfg.seed, (cfg.clients + c) as u64);
-        rt2.engine().spawn(
-            None,
-            StatClass::Other,
-            Box::new(ClientProc::with_start_seq(
-                c as u32,
-                wl,
-                cfg.pipeline,
-                cfg.retry.clone(),
-                start_seq,
-            )),
-        );
-    }
-    rt2.run(reset::<S>);
+        ClientProc::with_start_seq(c as u32, wl, cfg.pipeline, cfg.retry.clone(), next_seqs[c])
+    });
+    rt2.run(|_| {});
     let mut eng2 = rt2.into_engine();
     let driver = eng2.world.driver_mut();
     let history2 = driver.history.clone().expect("history enabled");

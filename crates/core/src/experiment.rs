@@ -617,10 +617,9 @@ pub fn spawn_utps_procs(rt: &mut PipelineRuntime<UtpsWorld>, cfg: &RunConfig) {
     system::spawn_procs::<Utps>(rt, cfg);
 }
 
-/// [`Utps`]'s warmup-boundary hook ([`system::reset`]).
-pub fn reset_utps_counters(eng: &mut Engine<UtpsWorld>) {
-    system::reset::<Utps>(eng);
-}
+/// [`Utps`]'s warmup-boundary hook, in the shape [`PipelineRuntime::run`]
+/// takes. Nothing is left for it to do: `run` resets every counter itself.
+pub fn reset_utps_counters(_eng: &mut Engine<UtpsWorld>) {}
 
 /// Builds the [`RunResult`] from a finished μTPS engine
 /// ([`system::extract`]).

@@ -394,8 +394,8 @@ impl CrStage {
 
     /// Extends the run of quiet polls with this one and, once the next
     /// poll would repeat it exactly, parks the worker on its poll grid
-    /// until an arrival, its core's token, a commit, a lease or a split
-    /// request changes what that poll would see (DESIGN.md §10 "Parked CR
+    /// until an arrival, its core's token, a seal, a commit, a lease or a
+    /// split request changes what that poll would see (DESIGN.md §10 "Parked
     /// polls").
     fn idle(
         &mut self,
@@ -432,12 +432,9 @@ impl CrStage {
             return;
         }
         // Acks held on the barrier wait for the oldest commit in flight;
-        // with none in flight the next seal would go unannounced.
+        // with none in flight, the seal that starts one wakes the worker.
         let commit = match &world.tier {
-            Some(tier) if !self.ack_defer.is_empty() => match tier.next_commit() {
-                Some(at) => Some(at),
-                None => return,
-            },
+            Some(tier) if !self.ack_defer.is_empty() => tier.next_commit(),
             _ => None,
         };
         // A lane's lease lapses at the first poll whose read ends past it.
@@ -857,7 +854,12 @@ impl MrStage {
         if let Some(tier) = world.tier.as_mut().filter(|_| all_done) {
             // Super-batch retired: seal its WAL records as one commit group
             // and hold every completion (reads included — they may have
-            // observed earlier un-durable writes) behind the barrier.
+            // observed earlier un-durable writes) behind the barrier. A
+            // seal that puts the first group in flight gives CR workers
+            // holding acks a commit to wait on: announce it.
+            if !self.wal_buf.is_empty() && tier.next_commit().is_none() {
+                world.fabric.wake_servers();
+            }
             tier.seal_batch(ctx, &mut self.wal_buf);
             self.defers.park(tier.last_applied(), self.rx.seal());
             self.ops.clear();

@@ -10,10 +10,11 @@
 //! reassignment) swaps the stage it drives and keeps its scheduler key.
 //!
 //! [`PipelineRuntime`] owns the engine and the per-run plumbing every
-//! system shares: fault-plan installation, stage/client spawning, and the
-//! warmup → counter-reset → measure protocol. [`crate::system::run_system`]
-//! drives it for every system through the system's
-//! [`System`](crate::system::System) hooks.
+//! runner shares: machine construction and fault/schedule-plan
+//! installation, stage/client spawning, and the warmup → counter-reset →
+//! measure protocol. [`crate::system::run_system`], the crash runner and
+//! the cluster runner all assemble through it, driving each system
+//! through its [`System`](crate::system::System) hooks.
 //!
 //! How the systems map onto it:
 //!
@@ -41,16 +42,28 @@ pub struct PipelineRuntime<W> {
 
 impl<W: 'static> PipelineRuntime<W> {
     /// Builds the runtime: `cores` server cores around `world`, with the
-    /// run's fault plan installed on the machine.
+    /// run's fault and schedule plans installed on machine 0.
     pub fn new(cfg: &RunConfig, cores: usize, world: W) -> Self {
-        let mut eng = Engine::new(cfg.machine.clone(), cores, world);
-        eng.machine().faults = FaultPlan::new(cfg.faults.clone(), cfg.seed);
-        eng.machine().schedule = SchedulePlan::from_mode(cfg.schedule.clone(), cfg.seed);
-        PipelineRuntime {
-            eng,
+        let mut rt = PipelineRuntime {
+            eng: Engine::new(cfg.machine.clone(), cores, world),
             warmup: SimTime(cfg.warmup),
             end: SimTime(cfg.warmup + cfg.duration),
-        }
+        };
+        rt.install_plans(0, cfg, cfg.seed);
+        rt
+    }
+
+    /// Adds a shard machine of `cores` server cores whose fault and
+    /// schedule plans draw from `seed`.
+    pub fn add_machine(&mut self, cfg: &RunConfig, cores: usize, seed: u64) {
+        let m = self.eng.add_machine(cfg.machine.clone(), cores);
+        self.install_plans(m, cfg, seed);
+    }
+
+    fn install_plans(&mut self, m: usize, cfg: &RunConfig, seed: u64) {
+        let machine = self.eng.machine_mut(m);
+        machine.faults = FaultPlan::new(cfg.faults.clone(), seed);
+        machine.schedule = SchedulePlan::from_mode(cfg.schedule.clone(), seed);
     }
 
     /// The engine (world access, extra spawns).
@@ -97,28 +110,29 @@ impl<W: KvWorld + 'static> PipelineRuntime<W> {
     /// Spawns the closed-loop client fleet and, when configured, the
     /// throughput sampler — identical across every request/response system.
     pub fn spawn_clients(&mut self, cfg: &RunConfig) {
+        self.spawn_clients_with(cfg, |c| {
+            let wl = cfg.workload.build(cfg.keys, cfg.seed, c as u64);
+            ClientProc::with_retry(c as u32, wl, cfg.pipeline, cfg.retry.clone())
+        });
+    }
+
+    /// Spawns `client(c)` for every client `c`, after enabling history
+    /// recording if the run records or checks it, then the throughput
+    /// sampler if the run has a timeline.
+    pub fn spawn_clients_with(
+        &mut self,
+        cfg: &RunConfig,
+        mut client: impl FnMut(usize) -> ClientProc,
+    ) {
         if cfg.record_history || cfg.oracle {
             self.eng.world.driver_mut().enable_history();
         }
         for c in 0..cfg.clients {
-            let wl = cfg.workload.build(cfg.keys, cfg.seed, c as u64);
-            self.eng.spawn(
-                None,
-                StatClass::Other,
-                Box::new(ClientProc::with_retry(
-                    c as u32,
-                    wl,
-                    cfg.pipeline,
-                    cfg.retry.clone(),
-                )),
-            );
+            self.eng.spawn(None, StatClass::Other, Box::new(client(c)));
         }
         if cfg.timeline_interval > 0 {
-            self.eng.spawn(
-                None,
-                StatClass::Other,
-                Box::new(SamplerProc::new(cfg.timeline_interval, W::driver_mut)),
-            );
+            let sampler = SamplerProc::new(cfg.timeline_interval);
+            self.eng.spawn(None, StatClass::Other, Box::new(sampler));
         }
     }
 }

@@ -9,11 +9,13 @@
 //! | runner | hooks, in call order |
 //! |---|---|
 //! | [`run_system`] | `build_world` · `cores` · `prepare_machine` · `procs` · `spawn_clients` · `fold` · `driver` · `overlay` |
-//! | [`crate::crash::run_crash`] | the same up to `spawn_clients`, twice (pre-crash, recovered) |
+//! | [`crate::crash::run_crash`] | the same up to `spawn_clients` (pre-crash); then `build_world` · `cores` · `prepare_machine` · `procs` and a continued fleet through `PipelineRuntime::spawn_clients_with` (recovered) |
 //! | `utps_cluster::run_cluster_system` | per shard: `build_world` · `prepare_machine` · `procs` (wrapped in `ShardProc`) · `fold`; then `overlay` over all shards |
 //!
+//! All three build, spawn clients and warm up through [`PipelineRuntime`].
 //! Every event is counted once, where it happens, in the machine's
-//! registry, so one warmup reset (`Engine::reset_counters`) serves all.
+//! registry, so one warmup reset (`Engine::reset_counters`, inside
+//! [`PipelineRuntime::run`]) serves all.
 //! `prepare_machine`, `fold` and `overlay` default to doing nothing. The
 //! crash and cluster runners also need a [`ServerWorld`]: μTPS and BaseKV
 //! have one; eRPCKV, RaceHash and Sherman run on `run_system` only.
@@ -97,10 +99,6 @@ pub fn spawn_procs<S: System>(rt: &mut PipelineRuntime<S::World>, cfg: &RunConfi
     }
 }
 
-/// The warmup-boundary hook, in the shape [`PipelineRuntime::run`] takes.
-/// Nothing is left for it to do: `run` resets every counter itself.
-pub fn reset<S: System>(_eng: &mut Engine<S::World>) {}
-
 /// Builds the [`RunResult`] from a finished single-machine engine.
 pub fn extract<S: System>(cfg: &RunConfig, eng: &mut Engine<S::World>) -> RunResult {
     let (world, machine) = eng.world_and_machine(0);
@@ -123,7 +121,7 @@ pub fn assemble<S: System>(cfg: &RunConfig, world: S::World) -> PipelineRuntime<
 pub fn run_system<S: System>(cfg: &RunConfig) -> (RunResult, S::World) {
     let mut rt = assemble::<S>(cfg, S::build_world(cfg));
     S::spawn_clients(&mut rt, cfg);
-    rt.run(reset::<S>);
+    rt.run(|_| {});
     let mut eng = rt.into_engine();
     let result = extract::<S>(cfg, &mut eng);
     (result, eng.world)

@@ -221,7 +221,7 @@ impl TierState {
     /// Safe to call with any worker's clock: completion times only ever
     /// admit groups, never un-admit them. Every caller passes its step's
     /// start, so a call before `TierState::next_commit` is a no-op and a
-    /// parked CR worker may skip those calls (DESIGN.md §10 "Parked CR
+    /// parked CR worker may skip those calls (DESIGN.md §10 "Parked
     /// polls").
     pub fn advance(&mut self, now: SimTime) {
         while self.inflight.front().is_some_and(|(done, _)| *done <= now) {

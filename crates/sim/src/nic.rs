@@ -212,7 +212,8 @@ impl<M> Fabric<M> {
 
     /// Wakes every parked server poller at its first poll after the calling
     /// step: for a change to what their polls read that no arrival or cache
-    /// access announces (a thread-split request).
+    /// access announces (a thread-split request, a first commit group put
+    /// in flight).
     pub fn wake_servers(&mut self) {
         self.wake_servers_at(SimTime::ZERO);
     }

@@ -6,13 +6,14 @@
 //! scheduler key until `Fabric::server_send` wakes it. A CR worker whose
 //! receive/completion poll would repeat exactly parks on its poll grid
 //! (`Ctx::park_on_grid`) until an arrival, a completion, its core's cache
-//! token or a commit wakes it; an MR worker whose lane scan found every
-//! lane empty parks the same way until a push into one of its lanes, its
-//! core's cache token or a split request wakes it. Engine steps per
-//! completed op is an exact per-seed count, so the budgets below cannot
-//! flake: each is the measured value + 25 %. Polling clients and workers
-//! exceeded the first 35-fold (178.53 steps/op) and the second 14.2-fold
-//! (416.10); with idle MR scans stepped, the first read 23.58.
+//! token, a commit or the seal that puts the first commit group in flight
+//! wakes it; an MR worker whose lane scan found every lane empty parks the
+//! same way until a push into one of its lanes, its core's cache token or
+//! a split request wakes it. Engine steps per completed op is an exact
+//! per-seed count, so the budgets below cannot flake: each is the measured
+//! value + 25 %. Polling clients and workers exceeded the first 35-fold
+//! (178.53 steps/op) and the second 60-fold (416.10); with idle MR scans
+//! stepped, the first read 23.58.
 
 mod common;
 
@@ -25,10 +26,12 @@ use utps::sim::time::MICROS;
 /// workers parked; stepping their idle scans took 23.58 (374 184 / 15 867).
 const STEPS_PER_OP_BUDGET: f64 = 4.08 * 1.25;
 
-/// Measured: 23.46 engine steps per completed op (135 343 / 5 768) with
-/// quiet CR and MR workers parked on their poll grid; polling the CR
-/// workers took 416.10 (2 400 088 / 5 768 — the same ops, 17× the steps).
-const TIER_STEPS_PER_OP_BUDGET: f64 = 23.46 * 1.25;
+/// Measured: 5.56 engine steps per completed op (32 065 / 5 768) with
+/// quiet CR and MR workers parked on their poll grid and the first commit
+/// group's seal announced to them. With CR workers holding acks kept awake
+/// until a group was in flight it took 23.46 (135 343 / 5 768); polling the
+/// CR workers took 416.10 (2 400 088 / 5 768 — the same ops, 75× the steps).
+const TIER_STEPS_PER_OP_BUDGET: f64 = 5.56 * 1.25;
 
 /// A tiny μTPS-T run with enough outstanding requests (24 × 16) to keep the
 /// four workers busy, so that what the count measures is the clients'
